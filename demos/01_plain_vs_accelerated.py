@@ -14,14 +14,14 @@ program = fa.load_bundled("filter3")
 print(fa.unparse(program))
 
 # --- plain iteration -------------------------------------------------
-plain_report, plain_trace = fa.kleene(program, fa.EngineConfig(mode="kleene"))
+plain_report, plain_trace = fa.analyze(program, fa.EngineConfig(mode="kleene"))
 print(f"plain iteration:       {plain_report.iterations} steps "
       f"({plain_report.reason})")
 
 # --- accelerated iteration -------------------------------------------
 cfg = fa.EngineConfig(mode="accel", method="vector-epsilon",
                       delta=1e-3, inject_policy="once")
-accel_report, accel_trace = fa.accelerated_fixpoint(program, cfg)
+accel_report, accel_trace = fa.analyze(program, cfg)
 print(f"accelerated iteration: {accel_report.iterations} steps "
       f"({accel_report.injections} injection, {accel_report.reason})")
 

@@ -22,7 +22,7 @@ import fixaccel as fa
 program = fa.load_bundled("lowpass1")
 
 # Full-precision run: iterate until the bounds are bit-exact stable.
-report, trace = fa.kleene(program, fa.EngineConfig(mode="kleene", stop_tol=0.0))
+report, trace = fa.analyze(program, fa.EngineConfig(mode="kleene", stop_tol=0.0))
 limit = report.invariant["x1"].hi
 uppers = np.array([trace.initial["x1"].hi]
                   + [r.state["x1"].hi for r in trace.records])

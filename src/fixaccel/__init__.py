@@ -17,16 +17,12 @@ from .engine import (
     FixpointReport,
     IterationTrace,
     TraceRecord,
-    accelerated_fixpoint,
     analyze,
-    kleene,
-    kleene_widened,
     verify_postfixpoint,
 )
 from .extraction import (
     ExtractionResult,
     ExtractionSchema,
-    combine,
     combine_detailed,
     extract,
 )
@@ -41,23 +37,18 @@ from .intervals import (
     leq,
     state_join,
     state_leq,
-    state_pointwise,
     state_widen_std,
     state_widen_thresholds,
     widen_std,
     widen_thresholds,
 )
-from .programs import Assignment, ParseError, Program, parse, step, transfer, unparse
+from .programs import Assignment, ParseError, Program, parse, transfer, unparse
 from .transforms import (
-    EpsilonTable,
-    StallError,
     TransformConfig,
     TransformedElement,
     aitken,
     converged,
     epsilon_diagonal,
-    epsilon_table,
-    samelson_inverse,
     vector_epsilon_diagonal,
 )
 
@@ -68,7 +59,6 @@ __all__ = [
     "Assignment",
     "BOTTOM",
     "EngineConfig",
-    "EpsilonTable",
     "ExtractionResult",
     "ExtractionSchema",
     "FixpointReport",
@@ -77,37 +67,28 @@ __all__ = [
     "PROGRAM_NAMES",
     "ParseError",
     "Program",
-    "StallError",
     "TOP",
     "ThresholdSet",
     "TraceRecord",
     "TransformConfig",
     "TransformedElement",
-    "accelerated_fixpoint",
     "affine_eval",
     "aitken",
     "analyze",
     "bundled_path",
     "bundled_source",
-    "combine",
     "combine_detailed",
     "converged",
     "epsilon_diagonal",
-    "epsilon_table",
     "extract",
     "join",
-    "kleene",
-    "kleene_widened",
     "leq",
     "load_bundled",
     "parse",
-    "samelson_inverse",
     "state_join",
     "state_leq",
-    "state_pointwise",
     "state_widen_std",
     "state_widen_thresholds",
-    "step",
     "transfer",
     "unparse",
     "vector_epsilon_diagonal",

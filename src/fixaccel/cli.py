@@ -15,7 +15,8 @@ in CSV and as quoted strings in JSON.  A trace exported by ``analyze``
 can be fed straight back into ``accelerate``: its ``index``/``event``/
 ``accel_*`` columns are ignored on read, and the row at index 0 holds
 the initial state, so the transform sees exactly the rows the engine
-saw.
+saw.  Only finite data cells are accepted: a trace holding an infinite
+bound (as widening can produce) is rejected as unusable input.
 
 Exit status: 0 for a converged, verified analysis (and for any
 successful acceleration), 2 when the analysis did not converge or the
@@ -24,6 +25,7 @@ result could not be verified, 1 for unusable input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -171,17 +173,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {args.program}: {exc}", file=sys.stderr)
         return 1
 
-    cfg = EngineConfig(
-        mode=args.mode,
-        method=_METHOD_ALIASES.get(args.method, args.method),
-        delta=args.delta,
-        widen_delay=args.widen_delay,
-        thresholds=args.thresholds,
-        inject_policy=args.inject,
-        fallback_after=args.fallback_after,
-        max_iter=args.max_iter,
-        stop_tol=args.stop_tol,
-    )
+    try:
+        cfg = EngineConfig(
+            mode=args.mode,
+            method=_METHOD_ALIASES.get(args.method, args.method),
+            delta=args.delta,
+            widen_delay=args.widen_delay,
+            thresholds=args.thresholds,
+            inject_policy=args.inject,
+            fallback_after=args.fallback_after,
+            max_iter=args.max_iter,
+            stop_tol=args.stop_tol,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report, trace = analyze(program, cfg)
 
     if args.trace is not None:
@@ -208,7 +214,11 @@ _SKIP_COLUMNS = {"index", "event"}
 
 def _read_sequence_csv(path: str) -> tuple[list[str], np.ndarray]:
     """Read a CSV of numeric columns, skipping trace bookkeeping columns
-    (``index``, ``event``, and everything starting with ``accel_``)."""
+    (``index``, ``event``, and everything starting with ``accel_``).
+
+    Every data cell must be a finite number: the transformations take
+    finite sequences only, so an ``inf`` cell is rejected with its line.
+    """
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -230,9 +240,12 @@ def _read_sequence_csv(path: str) -> tuple[list[str], np.ndarray]:
                 f"line {lineno}: expected {len(header)} cells, found {len(cells)}"
             )
         try:
-            rows.append([float(cells[j]) for j in keep])
+            values = [float(cells[j]) for j in keep]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value in data column")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"line {lineno}: non-finite value in data column")
+        rows.append(values)
     return names, np.array(rows, dtype=float)
 
 

@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .extraction import ExtractionSchema, combine_detailed
+from .extraction import ExtractionSchema, bound_row, combine_detailed, extract
 from .intervals import (
     AbstractState,
     Interval,
@@ -170,15 +170,6 @@ def _seal(p: Program, x: AbstractState, max_rounds: int = 60) -> AbstractState:
     return x
 
 
-def _bound_row(x: AbstractState) -> np.ndarray:
-    """State bounds as a flat (lo, hi, lo, hi, ...) coordinate row."""
-    row = np.empty(2 * len(x))
-    for j, iv in enumerate(x.intervals):
-        row[2 * j] = iv.lo
-        row[2 * j + 1] = iv.hi
-    return row
-
-
 class _Accelerator:
     """Watches the iterate rows and produces injection candidates.
 
@@ -202,10 +193,10 @@ class _Accelerator:
         self.n_coords = n_coords
 
     def push(self, x: AbstractState) -> None:
-        self.rows.append(_bound_row(x))
+        self.rows.append(bound_row(x))
 
     def replace_last(self, x: AbstractState) -> None:
-        self.rows[-1] = _bound_row(x)
+        self.rows[-1] = bound_row(x)
 
     def _estimate(self) -> np.ndarray | None:
         """Fresh accelerated estimate over active coords, or None."""
@@ -276,26 +267,28 @@ def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
 
 
 def _inject(
-    x: AbstractState,
-    y: np.ndarray,
-    acc: _Accelerator,
-    schema: ExtractionSchema,
+    x: AbstractState, y: np.ndarray, schema: ExtractionSchema
 ) -> AbstractState:
     """Join the combined estimate into ``x``, skipping variables whose
-    accelerated pair arrived inverted."""
-    excluded = frozenset(
-        schema.coords[i]
-        for i in range(acc.n_coords)
-        if i not in acc.active
-    )
-    combined, swapped = combine_detailed(y, excluded, schema)
+    accelerated pair arrived inverted.  ``y`` covers the coordinates
+    that are finite in ``x``."""
+    combined, swapped = combine_detailed(y, extract(x, schema).excluded, schema)
     merged: list[tuple[str, Interval]] = []
     for (name, iv), cv in zip(x, combined.intervals):
         merged.append((name, iv if name in swapped else join(iv, cv)))
     return AbstractState(merged)
 
 
-def _run(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
+def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
+    """Iterate from the declared initial state in the mode ``cfg`` selects.
+
+    In accel mode, estimates that would not change the state are not
+    counted as injections and do not consume the once-policy budget.
+    If no injection lands for ``fallback_after`` iterations, the run
+    switches to threshold widening seeded from the last estimate (then
+    standard widening via the implicit infinities), guaranteeing
+    termination.
+    """
     x = p.initial_state()
     trace = IterationTrace(variables=p.state_names, initial=x)
     schema = ExtractionSchema.for_variables(p.state_names)
@@ -335,7 +328,7 @@ def _run(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]
             if acc.fresh is not None:
                 accel_row = acc.full_estimate_row(acc.fresh)
             if y is not None:
-                candidate = _inject(x, y, acc, schema)
+                candidate = _inject(x, y, schema)
                 if candidate != x:
                     x = candidate
                     acc.replace_last(x)
@@ -388,40 +381,3 @@ def _run(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]
         reason=reason + ("+sealed" if sealed else ""),
     )
     return report, trace
-
-
-def kleene(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
-    """Plain Kleene iteration from the declared initial state."""
-    if cfg.mode != "kleene":
-        raise ValueError("kleene() requires cfg.mode == 'kleene'")
-    return _run(p, cfg)
-
-
-def kleene_widened(
-    p: Program, cfg: EngineConfig
-) -> tuple[FixpointReport, IterationTrace]:
-    """Kleene iteration with (threshold) widening after ``widen_delay``."""
-    if cfg.mode != "widen":
-        raise ValueError("kleene_widened() requires cfg.mode == 'widen'")
-    return _run(p, cfg)
-
-
-def accelerated_fixpoint(
-    p: Program, cfg: EngineConfig
-) -> tuple[FixpointReport, IterationTrace]:
-    """Kleene iteration with acceleration-driven injections.
-
-    Estimates that would not change the state are not counted as
-    injections and do not consume the once-policy budget.  If no
-    injection lands for ``fallback_after`` iterations, the run switches
-    to threshold widening seeded from the last estimate (then standard
-    widening via the implicit infinities), guaranteeing termination.
-    """
-    if cfg.mode != "accel":
-        raise ValueError("accelerated_fixpoint() requires cfg.mode == 'accel'")
-    return _run(p, cfg)
-
-
-def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
-    """Run the engine in whatever mode ``cfg`` selects."""
-    return _run(p, cfg)

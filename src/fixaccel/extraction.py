@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervals import BOTTOM, AbstractState, Interval
+from .intervals import AbstractState, Interval
 
 Coord = tuple[str, str]  # (variable name, "lower" | "upper")
 
@@ -57,6 +57,19 @@ class ExtractionSchema:
         return len(self.coords)
 
 
+def bound_row(x: AbstractState) -> np.ndarray:
+    """State bounds as a flat (lo, hi, lo, hi, ...) coordinate row.
+
+    Infinite bounds stay in the row as they are; a Bottom component
+    gives the pair (inf, -inf).
+    """
+    row = np.empty(2 * len(x))
+    for j, iv in enumerate(x.intervals):
+        row[2 * j] = iv.lo
+        row[2 * j + 1] = iv.hi
+    return row
+
+
 @dataclass(frozen=True)
 class ExtractionResult:
     """The finite coordinates of a state plus the excluded coordinates."""
@@ -64,35 +77,25 @@ class ExtractionResult:
     vector: np.ndarray
     excluded: frozenset[Coord]
 
-    @property
-    def nothing_to_accelerate(self) -> bool:
-        return len(self.vector) == 0
-
 
 def extract(x: AbstractState, schema: ExtractionSchema) -> ExtractionResult:
     """Read the state's bounds into a vector per the schema layout.
 
-    Infinite bounds — and both bounds of a Bottom component — go to the
-    excluded set instead of the vector.  If everything is excluded the
-    result signals "nothing to accelerate" via the flag.
+    A coordinate goes to the excluded set instead of the vector exactly
+    when its ``bound_row`` entry is non-finite: infinite bounds and both
+    bounds of a Bottom component.  An empty vector means there is
+    nothing to accelerate.
     """
     if x.names != schema.variables:
         raise ValueError(
             f"state variables {x.names} do not match schema {schema.variables}"
         )
-    values: list[float] = []
-    excluded: set[Coord] = set()
-    for name, iv in x:
-        if iv.is_bottom:
-            excluded.add((name, "lower"))
-            excluded.add((name, "upper"))
-            continue
-        for kind, bound in (("lower", iv.lo), ("upper", iv.hi)):
-            if math.isinf(bound):
-                excluded.add((name, kind))
-            else:
-                values.append(bound)
-    return ExtractionResult(np.array(values), frozenset(excluded))
+    row = bound_row(x)
+    finite = np.isfinite(row)
+    excluded = frozenset(
+        coord for coord, ok in zip(schema.coords, finite) if not ok
+    )
+    return ExtractionResult(row[finite], excluded)
 
 
 def combine_detailed(
@@ -133,13 +136,3 @@ def combine_detailed(
             swapped.add(name)
         items.append((name, Interval(lo, hi)))
     return AbstractState(items), frozenset(swapped)
-
-
-def combine(
-    y: Sequence[float],
-    excluded: frozenset[Coord] | set[Coord],
-    schema: ExtractionSchema,
-) -> AbstractState:
-    """Rebuild an abstract state from a vector (see combine_detailed)."""
-    state, _ = combine_detailed(y, excluded, schema)
-    return state

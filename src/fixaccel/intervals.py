@@ -214,13 +214,6 @@ class AbstractState:
         inner = ", ".join(f"{n}: {iv!r}" for n, iv in self)
         return f"{{{inner}}}"
 
-    def replace(self, name: str, iv: Interval) -> "AbstractState":
-        if name not in self._names:
-            raise KeyError(name)
-        return AbstractState(
-            (n, iv if n == name else old) for n, old in self
-        )
-
     def _check_same_vars(self, other: "AbstractState") -> None:
         if self._names != other._names:
             raise ValueError(
@@ -254,20 +247,3 @@ def state_widen_thresholds(
     return AbstractState(
         (n, widen_thresholds(a, b, t)) for (n, a), b in zip(x, y.intervals)
     )
-
-
-_POINTWISE = {
-    "join": state_join,
-    "leq": state_leq,
-    "widen_std": state_widen_std,
-    "widen_thresholds": state_widen_thresholds,
-}
-
-
-def state_pointwise(op: str, x: AbstractState, y: AbstractState, *args):
-    """Apply a named interval lattice op coordinate-wise to two states."""
-    try:
-        fn = _POINTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown pointwise op {op!r}") from None
-    return fn(x, y, *args)

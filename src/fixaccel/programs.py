@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .intervals import AbstractState, Interval, affine_eval, state_join
+from .intervals import AbstractState, Interval, affine_eval
 
 _KEYWORDS = {"state", "input", "loop", "in"}
 
@@ -315,8 +315,3 @@ def transfer(p: Program, x: AbstractState) -> AbstractState:
             a.const, [(coeff, env[var]) for coeff, var in a.terms]
         )
     return AbstractState((name, env[name]) for name in p.state_names)
-
-
-def step(p: Program, x: AbstractState) -> AbstractState:
-    """One Kleene iteration: ``x`` joined with ``transfer(p, x)``."""
-    return state_join(x, transfer(p, x))

@@ -1,8 +1,8 @@
 """Sequence transformations with stall detection.
 
-Implements Aitken's delta-squared transformation, the scalar
-epsilon-algorithm (full table and even diagonal), and the vector
-epsilon-algorithm using the Samelson inverse.  All transformations
+Implements Aitken's delta-squared transformation and the even diagonal
+of the scalar epsilon-algorithm and of the vector epsilon-algorithm
+(the latter with the Samelson inverse v / (v . v)).  All transformations
 watch for near-zero denominators ("stalls"): a stalled element keeps
 the last valid value so downstream convergence detection still has
 something to compare.
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-class StallError(ArithmeticError):
-    """Raised when an exact zero denominator admits no inverse."""
 
 
 @dataclass(frozen=True)
@@ -80,17 +76,6 @@ def aitken(
     return out
 
 
-def samelson_inverse(v: Sequence[float]) -> np.ndarray:
-    """Vector inverse v / (v . v); raises StallError on the zero vector."""
-    arr = _as_clean_array(v, "vector")
-    if arr.ndim != 1:
-        raise ValueError("samelson_inverse expects a 1-d vector")
-    n2 = float(np.dot(arr, arr))
-    if n2 == 0.0:
-        raise StallError("zero vector has no Samelson inverse")
-    return arr / n2
-
-
 def _scalar_columns(
     arr: np.ndarray, tol: float
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -137,68 +122,6 @@ def _vector_columns(
         below_vals, below_ok = vals, ok
         cols.append((new_vals, live))
     return cols
-
-
-class EpsilonTable:
-    """The triangular epsilon-table over a scalar base sequence.
-
-    Column -1 is the implicit all-zero column; column 0 is the base
-    sequence; column k has ``len(x) - k`` cells.  ``value``/``stalled``
-    report individual cells; stalled cells hold a placeholder value.
-    """
-
-    def __init__(self, x: Sequence[float], cfg: TransformConfig = TransformConfig()):
-        arr = _as_clean_array(x, "input sequence")
-        if arr.ndim != 1 or len(arr) < 1:
-            raise ValueError("epsilon_table needs a scalar sequence of length >= 1")
-        self._m = len(arr)
-        self._cols = _scalar_columns(arr, cfg.stall_tolerance)
-
-    @property
-    def base_length(self) -> int:
-        return self._m
-
-    @property
-    def column_count(self) -> int:
-        """Number of materialized columns (k = 0 .. column_count - 1)."""
-        return len(self._cols)
-
-    def column_length(self, k: int) -> int:
-        self._check_k(k)
-        return self._m + 1 if k == -1 else len(self._cols[k][0])
-
-    def _check_k(self, k: int) -> None:
-        if not -1 <= k < len(self._cols):
-            raise IndexError(f"no epsilon-table column {k}")
-
-    def value(self, k: int, n: int) -> float:
-        self._check_k(k)
-        if k == -1:
-            if not 0 <= n <= self._m:
-                raise IndexError(f"cell ({k}, {n}) out of range")
-            return 0.0
-        vals = self._cols[k][0]
-        if not 0 <= n < len(vals):
-            raise IndexError(f"cell ({k}, {n}) out of range")
-        return float(vals[n])
-
-    def stalled(self, k: int, n: int) -> bool:
-        self._check_k(k)
-        if k == -1:
-            if not 0 <= n <= self._m:
-                raise IndexError(f"cell ({k}, {n}) out of range")
-            return False
-        ok = self._cols[k][1]
-        if not 0 <= n < len(ok):
-            raise IndexError(f"cell ({k}, {n}) out of range")
-        return not bool(ok[n])
-
-
-def epsilon_table(
-    x: Sequence[float], cfg: TransformConfig = TransformConfig()
-) -> EpsilonTable:
-    """Build the full scalar epsilon-table for ``x``."""
-    return EpsilonTable(x, cfg)
 
 
 def _diagonal_from_columns(

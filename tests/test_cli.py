@@ -141,6 +141,22 @@ class TestAnalyze:
             main(["analyze", FILTER3, "--mode", "sideways"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-iter", "0"),
+            ("--fallback-after", "0"),
+            ("--delta", "0"),
+            ("--stop-tol", "-1"),
+            ("--widen-delay", "-1"),
+        ],
+    )
+    def test_exit_one_on_out_of_range_value(self, capsys, flag, value):
+        code, out, err = run(capsys, "analyze", FILTER3, flag, value)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
 
 class TestAccelerate:
     def test_summary_on_bundled_iterates(self, capsys):
@@ -214,6 +230,15 @@ class TestTraceReplay:
                     )
                     checked += 1
         assert checked >= 24
+
+    def test_widen_trace_with_infinite_bounds_exits_one(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        run(capsys, "analyze", LOWPASS1, "--mode", "widen", "--trace", str(trace))
+        assert ",inf," in trace.read_text()
+        code, _, err = run(capsys, "accelerate", str(trace))
+        assert code == 1
+        assert "cannot read" in err
+        assert "non-finite" in err
 
     def test_replay_skips_bookkeeping_columns(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"

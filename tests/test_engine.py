@@ -8,10 +8,7 @@ from fixaccel import (
     EngineConfig,
     Interval,
     ThresholdSet,
-    accelerated_fixpoint,
     analyze,
-    kleene,
-    kleene_widened,
     load_bundled,
     parse,
     state_leq,
@@ -42,7 +39,7 @@ def max_err(state, limits):
 class TestKleene:
     def test_three_state_filter_tolerance_stop(self):
         p = load_bundled("filter3")
-        report, trace = kleene(p, EngineConfig(mode="kleene"))
+        report, trace = analyze(p, EngineConfig(mode="kleene"))
         assert report.converged and report.sound
         assert report.reason == "converged-tolerance+sealed"
         assert 50 <= report.iterations <= 60
@@ -50,14 +47,14 @@ class TestKleene:
 
     def test_three_state_filter_exact_stop(self):
         p = load_bundled("filter3")
-        report, trace = kleene(p, EngineConfig(mode="kleene", stop_tol=0.0))
+        report, trace = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
         assert report.reason == "converged"
         assert report.iterations == 129
         assert max_err(report.invariant, FILTER3_LIMIT) < 1e-9
 
     def test_sealed_result_contains_unsealed_iterate(self):
         p = load_bundled("contraction2")
-        report, trace = kleene(p, EngineConfig(mode="kleene"))
+        report, trace = analyze(p, EngineConfig(mode="kleene"))
         assert report.sound
         last = trace.records[-1].state
         assert state_leq(last, report.invariant)
@@ -65,7 +62,7 @@ class TestKleene:
 
     def test_max_iter_reports_non_convergence(self):
         p = load_bundled("filter3")
-        report, trace = kleene(p, EngineConfig(mode="kleene", max_iter=10))
+        report, trace = analyze(p, EngineConfig(mode="kleene", max_iter=10))
         assert not report.converged
         assert report.reason == "max-iter"
         assert report.iterations == 10
@@ -73,7 +70,7 @@ class TestKleene:
 
     def test_trace_shape(self):
         p = load_bundled("contraction2")
-        report, trace = kleene(p, EngineConfig(mode="kleene"))
+        report, trace = analyze(p, EngineConfig(mode="kleene"))
         assert trace.variables == p.state_names
         assert trace.initial == p.initial_state()
         assert [r.index for r in trace.records] == list(
@@ -87,7 +84,7 @@ class TestKleene:
 class TestVerifyPostfixpoint:
     def test_converged_invariant_verifies(self):
         p = load_bundled("filter3")
-        report, _ = kleene(p, EngineConfig(mode="kleene"))
+        report, _ = analyze(p, EngineConfig(mode="kleene"))
         assert verify_postfixpoint(p, report.invariant)
 
     def test_initial_state_does_not_verify(self):
@@ -105,7 +102,7 @@ class TestVerifyPostfixpoint:
 class TestWidening:
     def test_unstable_bounds_jump_to_infinity(self):
         p = load_bundled("lowpass1")
-        report, _ = kleene_widened(p, EngineConfig(mode="widen"))
+        report, _ = analyze(p, EngineConfig(mode="widen"))
         assert report.converged and report.sound
         assert report.iterations == 2
         assert report.invariant["x1"] == Interval(0, math.inf)
@@ -113,7 +110,7 @@ class TestWidening:
     def test_thresholds_bound_the_jump(self):
         p = load_bundled("lowpass1")
         cfg = EngineConfig(mode="widen", thresholds=ThresholdSet((21.0,)))
-        report, _ = kleene_widened(p, cfg)
+        report, _ = analyze(p, cfg)
         assert report.converged and report.sound
         assert report.invariant["x1"] == Interval(0, 21)
         assert report.invariant["xn1"].hi == 21
@@ -121,7 +118,7 @@ class TestWidening:
 
     def test_delay_runs_plain_joins_first(self):
         p = load_bundled("lowpass1")
-        report, trace = kleene_widened(
+        report, trace = analyze(
             p, EngineConfig(mode="widen", widen_delay=5)
         )
         assert report.iterations == 7
@@ -130,7 +127,7 @@ class TestWidening:
 
     def test_identity_loop_stabilizes_at_initial_state(self):
         p = parse("state z in [0, 1];\nloop { z = z; }")
-        report, _ = kleene_widened(p, EngineConfig(mode="widen"))
+        report, _ = analyze(p, EngineConfig(mode="widen"))
         assert report.iterations == 1
         assert report.invariant == p.initial_state()
 
@@ -142,7 +139,7 @@ class TestWidening:
                 EngineConfig(mode="widen", widen_delay=3),
                 EngineConfig(mode="widen", thresholds=ThresholdSet((25.0,))),
             ):
-                report, _ = kleene_widened(p, cfg)
+                report, _ = analyze(p, cfg)
                 assert report.converged
                 assert report.sound
                 assert verify_postfixpoint(p, report.invariant)
@@ -151,7 +148,7 @@ class TestWidening:
 class TestAccelerated:
     def test_three_state_filter_short_circuits(self):
         p = load_bundled("filter3")
-        report, trace = accelerated_fixpoint(p, EngineConfig())
+        report, trace = analyze(p, EngineConfig())
         assert report.converged and report.sound
         assert report.iterations <= 25
         assert report.injections == 1
@@ -163,13 +160,13 @@ class TestAccelerated:
         # the first comparable pair of estimates needs five iterates for
         # the vector method, so nothing can be injected before step 4
         p = load_bundled("filter3")
-        _, trace = accelerated_fixpoint(p, EngineConfig())
+        _, trace = analyze(p, EngineConfig())
         first = next(r.index for r in trace.records if r.event == "injection")
         assert first >= 4
 
     def test_injection_grows_the_state(self):
         p = load_bundled("filter3")
-        _, trace = accelerated_fixpoint(p, EngineConfig())
+        _, trace = analyze(p, EngineConfig())
         states = {0: trace.initial}
         for r in trace.records:
             states[r.index] = r.state
@@ -182,19 +179,19 @@ class TestAccelerated:
 
     def test_once_policy_stops_after_first_injection(self):
         p = load_bundled("filter3")
-        report, trace = accelerated_fixpoint(p, EngineConfig(inject_policy="once"))
+        report, trace = analyze(p, EngineConfig(inject_policy="once"))
         assert report.injections == 1
 
     def test_repeat_policy_still_converges(self):
         p = load_bundled("filter3")
-        report, _ = accelerated_fixpoint(p, EngineConfig(inject_policy="repeat"))
+        report, _ = analyze(p, EngineConfig(inject_policy="repeat"))
         assert report.converged and report.sound
         assert report.injections >= 1
         assert max_err(report.invariant, FILTER3_LIMIT) < 1e-6
 
     def test_first_order_filter_componentwise_aitken(self):
         p = load_bundled("lowpass1")
-        report, _ = accelerated_fixpoint(p, EngineConfig(method="aitken"))
+        report, _ = analyze(p, EngineConfig(method="aitken"))
         assert report.converged and report.sound
         assert report.iterations <= 8
         assert report.injections == 1
@@ -205,7 +202,7 @@ class TestAccelerated:
         # collapses the vector table early; estimates then repeat by
         # retention and must not be counted as injections
         p = load_bundled("lowpass1")
-        report, trace = accelerated_fixpoint(p, EngineConfig())
+        report, trace = analyze(p, EngineConfig())
         assert report.injections == 0
         assert report.sound
         assert all(r.event != "injection" for r in trace.records)
@@ -213,7 +210,7 @@ class TestAccelerated:
     def test_fallback_widening_guarantees_termination(self):
         p = load_bundled("lowpass1")
         cfg = EngineConfig(fallback_after=10)
-        report, trace = accelerated_fixpoint(p, cfg)
+        report, trace = analyze(p, cfg)
         assert report.converged and report.sound
         events = [r.event for r in trace.records]
         assert "fallback-widen" in events
@@ -223,7 +220,7 @@ class TestAccelerated:
 
     def test_estimates_recorded_only_with_new_evidence(self):
         p = load_bundled("filter3")
-        _, trace = accelerated_fixpoint(p, EngineConfig())
+        _, trace = analyze(p, EngineConfig())
         with_estimate = [r.index for r in trace.records if r.accel is not None]
         # the vector method gains a new diagonal entry every other step
         assert with_estimate == [i for i in with_estimate if i % 2 == 0]
@@ -234,9 +231,9 @@ class TestAccelerated:
         # invariant must match plain iteration to within the stop scale
         for name in ("filter3", "lowpass1", "contraction2"):
             p = load_bundled(name)
-            base, _ = kleene(p, EngineConfig(mode="kleene"))
+            base, _ = analyze(p, EngineConfig(mode="kleene"))
             for method in ("aitken", "epsilon", "vector-epsilon"):
-                report, trace = accelerated_fixpoint(p, EngineConfig(method=method))
+                report, trace = analyze(p, EngineConfig(method=method))
                 assert report.sound
                 if any(r.event == "fallback-widen" for r in trace.records):
                     continue
@@ -263,15 +260,6 @@ class TestConfigValidation:
             EngineConfig(stop_tol=-1e-9)
         with pytest.raises(ValueError):
             EngineConfig(inject_policy="thrice")
-
-    def test_wrappers_enforce_their_mode(self):
-        p = load_bundled("contraction2")
-        with pytest.raises(ValueError):
-            kleene(p, EngineConfig(mode="accel"))
-        with pytest.raises(ValueError):
-            kleene_widened(p, EngineConfig(mode="kleene"))
-        with pytest.raises(ValueError):
-            accelerated_fixpoint(p, EngineConfig(mode="widen"))
 
     def test_analyze_dispatches_on_mode(self):
         p = load_bundled("contraction2")

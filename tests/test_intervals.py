@@ -15,7 +15,6 @@ from fixaccel import (
     leq,
     state_join,
     state_leq,
-    state_pointwise,
     state_widen_std,
     state_widen_thresholds,
     widen_std,
@@ -184,13 +183,6 @@ class TestAbstractState:
         with pytest.raises(KeyError):
             s["missing"]
 
-    def test_replace_returns_new_state(self):
-        s = AbstractState([("a", Interval(0, 1)), ("b", Interval(2, 3))])
-        s2 = s.replace("a", Interval(-1, 1))
-        assert s["a"] == Interval(0, 1)
-        assert s2["a"] == Interval(-1, 1)
-        assert s2["b"] == s["b"]
-
     def test_pointwise_join_leq(self):
         x = AbstractState([("a", Interval(0, 1)), ("b", Interval(0, 1))])
         y = AbstractState([("a", Interval(1, 2)), ("b", BOTTOM)])
@@ -205,19 +197,6 @@ class TestAbstractState:
         assert state_widen_std(x, y)["a"] == Interval(0, math.inf)
         t = ThresholdSet((5.0,))
         assert state_widen_thresholds(x, y, t)["a"] == Interval(0, 5)
-
-    def test_pointwise_dispatcher(self):
-        x = AbstractState([("a", Interval(0, 1))])
-        y = AbstractState([("a", Interval(0, 2))])
-        assert state_pointwise("join", x, y) == state_join(x, y)
-        assert state_pointwise("widen_std", x, y) == state_widen_std(x, y)
-        assert state_pointwise("leq", x, y) is True
-        t = ThresholdSet((5.0,))
-        assert state_pointwise("widen_thresholds", x, y, t) == state_widen_thresholds(
-            x, y, t
-        )
-        with pytest.raises(ValueError):
-            state_pointwise("frobnicate", x, y)
 
     def test_mismatched_variables_rejected(self):
         x = AbstractState([("a", Interval(0, 1))])

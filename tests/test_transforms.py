@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from fixaccel import (
-    StallError,
     TransformConfig,
     aitken,
     converged,
     epsilon_diagonal,
-    epsilon_table,
-    samelson_inverse,
     vector_epsilon_diagonal,
 )
 
@@ -70,84 +67,6 @@ class TestAitken:
             aitken([1.0, math.nan, 2.0])
 
 
-class TestSamelsonInverse:
-    def test_example(self):
-        inv = samelson_inverse([3.0, 4.0])
-        assert inv == pytest.approx([0.12, 0.16])
-
-    def test_involution(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            v = rng.normal(size=rng.integers(1, 7))
-            if np.dot(v, v) == 0.0:
-                continue
-            assert samelson_inverse(samelson_inverse(v)) == pytest.approx(v)
-
-    def test_zero_vector_stalls(self):
-        with pytest.raises(StallError):
-            samelson_inverse([0.0, 0.0, 0.0])
-
-    def test_dimension_one_is_reciprocal(self):
-        assert samelson_inverse([4.0])[0] == pytest.approx(0.25)
-
-
-class TestEpsilonTable:
-    def test_single_element(self):
-        t = epsilon_table([42.0])
-        assert t.base_length == 1
-        assert t.column_count == 1
-        assert t.value(0, 0) == 42.0
-        assert t.value(-1, 0) == 0.0
-        assert not t.stalled(-1, 0)
-
-    def test_triangular_shape(self):
-        t = epsilon_table(np.arange(6.0) ** 0.5 + 1)
-        assert t.column_count == 6
-        for k in range(6):
-            assert t.column_length(k) == 6 - k
-        assert t.column_length(-1) == 7
-
-    def test_out_of_range_cells(self):
-        t = epsilon_table([1.0, 2.0, 4.0])
-        with pytest.raises(IndexError):
-            t.value(0, 3)
-        with pytest.raises(IndexError):
-            t.value(3, 0)
-        with pytest.raises(IndexError):
-            t.value(-2, 0)
-
-    def test_diagonal_entries_are_even_column_heads(self):
-        # two decay modes keep the table live through column 4
-        x = np.array(
-            [5.0 + 2.0 * 0.5**k + 1.0 * (-0.3) ** k for k in range(11)]
-        )
-        t = epsilon_table(x)
-        d = epsilon_diagonal(x)
-        assert d[0].value == t.value(0, 0)
-        assert d[1].value == t.value(2, 0)
-        assert d[2].value == t.value(4, 0)
-        assert not t.stalled(4, 0)
-
-    def test_single_mode_exhausts_table_at_depth_two(self):
-        # one geometric mode: column 2 is already constant at the limit,
-        # so the next inverse column stalls and the diagonal retains
-        x = geometric(2.0, 1.0, 0.6, 9)
-        t = epsilon_table(x)
-        d = epsilon_diagonal(x)
-        assert d[1].value == t.value(2, 0)
-        assert t.stalled(4, 0)
-        assert d[2].stalled
-        assert d[2].value == d[1].value
-
-    def test_odd_columns_are_large_intermediates(self):
-        # odd columns hold the running inverses: their entries grow as
-        # the base differences shrink
-        x = geometric(2.0, 1.0, 0.6, 7)
-        t = epsilon_table(x)
-        assert abs(t.value(2, 0) - 2.0) < 1e-10
-        assert abs(t.value(1, 5)) > abs(t.value(1, 0))
-
-
 class TestEpsilonDiagonal:
     def test_first_entry_is_first_element(self):
         x = geometric(4.0, -1.5, 0.7, 11)
@@ -168,7 +87,17 @@ class TestEpsilonDiagonal:
             [5.0 + 2.0 * 0.5**k + 1.0 * (-0.3) ** k for k in range(11)]
         )
         d = epsilon_diagonal(x)
+        assert not d[2].stalled
         assert d[2].value == pytest.approx(5.0, abs=1e-8)
+
+    def test_single_mode_stalls_at_depth_two(self):
+        # one geometric mode: column 2 is already constant at the limit,
+        # so the next inverse column stalls and the diagonal retains
+        x = geometric(2.0, 1.0, 0.6, 9)
+        d = epsilon_diagonal(x)
+        assert not d[1].stalled
+        assert d[2].stalled
+        assert d[2].value == d[1].value
 
     def test_stalled_entries_repeat_last_valid(self):
         x = np.concatenate([geometric(1.0, 1.0, 0.5, 8), np.full(6, 1.0 + 2.0**-52)])
