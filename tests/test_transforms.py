@@ -67,6 +67,33 @@ class TestAitken:
             aitken([1.0, math.nan, 2.0])
 
 
+def wynn_table(x, columns):
+    """Textbook epsilon-table without stall handling; cols[k][n] = eps^k_n."""
+    below = [0.0] * (len(x) + 1)
+    cols = [[float(v) for v in x]]
+    while len(cols) < columns:
+        col = cols[-1]
+        cols.append(
+            [below[n + 1] + 1.0 / (col[n + 1] - col[n]) for n in range(len(col) - 1)]
+        )
+        below = col
+    return cols
+
+
+class TestEpsilonTable:
+    def test_diagonal_entries_are_even_column_heads(self):
+        # two decay modes keep the table live through column 4
+        x = np.array(
+            [5.0 + 2.0 * 0.5**k + 1.0 * (-0.3) ** k for k in range(11)]
+        )
+        t = wynn_table(x, 5)
+        d = epsilon_diagonal(x)
+        assert d[0].value == t[0][0]
+        assert d[1].value == t[2][0]
+        assert d[2].value == t[4][0]
+        assert not d[2].stalled
+
+
 class TestEpsilonDiagonal:
     def test_first_entry_is_first_element(self):
         x = geometric(4.0, -1.5, 0.7, 11)
