@@ -25,6 +25,7 @@ result could not be verified, 1 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import EngineConfig, FixpointReport, IterationTrace, analyze
+from .extraction import bound_row
 from .intervals import ThresholdSet
 from .programs import ParseError, parse
 from .transforms import (
@@ -102,10 +104,9 @@ def _trace_csv(trace: IterationTrace) -> str:
     header.append("event")
     lines = [",".join(header)]
 
-    def row(index: int, state, accel, event: str) -> str:
+    def row(index: int, bounds, accel, event: str) -> str:
         cells = [str(index)]
-        for iv in state.intervals:
-            cells += [_fmt(iv.lo), _fmt(iv.hi)]
+        cells += [_fmt(v) for v in bounds]
         if accel is None:
             cells += [""] * (2 * len(names))
         else:
@@ -113,9 +114,9 @@ def _trace_csv(trace: IterationTrace) -> str:
         cells.append(event)
         return ",".join(cells)
 
-    lines.append(row(0, trace.initial, None, "initial"))
+    lines.append(row(0, bound_row(trace.initial).tolist(), None, "initial"))
     for rec in trace.records:
-        lines.append(row(rec.index, rec.state, rec.accel, rec.event))
+        lines.append(row(rec.index, rec.row, rec.accel, rec.event))
     return "\n".join(lines) + "\n"
 
 
@@ -257,7 +258,11 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
         return 1
 
     method = _METHOD_ALIASES.get(args.method, args.method)
-    tf = TransformConfig(stall_tolerance=args.stall_tol, norm=args.norm)
+    try:
+        tf = TransformConfig(stall_tolerance=args.stall_tol, norm=args.norm)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     n = len(data)
     print(f"columns: {', '.join(names)}")
     print(f"rows: {n}")
@@ -429,8 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call only: a build
+    leaves argparse objects in reference cycles that only the cyclic
+    garbage collector frees, so one build per call kept memory growing
+    between collections.  Parsing does not change the parser."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

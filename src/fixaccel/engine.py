@@ -20,22 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import le
 from typing import Literal
 
 import numpy as np
 
-from .extraction import ExtractionSchema, bound_row, combine_detailed, extract
-from .intervals import (
-    AbstractState,
-    Interval,
-    ThresholdSet,
-    join,
-    state_join,
-    state_leq,
-    state_widen_std,
-    state_widen_thresholds,
+from .extraction import (
+    ExtractionSchema,
+    bound_row,
+    combine_detailed,
+    extract,
+    state_from_row,
 )
-from .programs import Program, transfer
+from .intervals import INF, AbstractState, Interval, ThresholdSet, join
+from .programs import Program
 from .transforms import (
     TransformConfig,
     aitken,
@@ -78,20 +77,30 @@ class EngineConfig:
             raise ValueError("widen_delay must be non-negative")
         if self.fallback_after < 1:
             raise ValueError("fallback_after must be at least 1")
-        if self.stop_tol < 0:
+        if not self.stop_tol >= 0:
             raise ValueError("stop_tol must be non-negative")
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One iteration: the resulting state, the fresh accelerated
+    """One iteration: the resulting bounds, the fresh accelerated
     estimate if one was computed (full coordinate layout, None where no
-    estimate exists), and what kind of step happened."""
+    estimate exists), and what kind of step happened.
+
+    ``row`` holds the bounds as (lo, hi) pairs in the order of
+    ``variables``; ``state`` is the same as an AbstractState, built on
+    first access.
+    """
 
     index: int
-    state: AbstractState
+    row: tuple[float, ...]
     accel: tuple[float | None, ...] | None
     event: str  # plain-step | widen-step | injection | fallback-widen | converged
+    variables: tuple[str, ...]
+
+    @cached_property
+    def state(self) -> AbstractState:
+        return state_from_row(self.variables, self.row)
 
 
 @dataclass
@@ -120,26 +129,82 @@ class FixpointReport:
     reason: str
 
 
+# The loop carries the state as a bound row: a list of floats laid out
+# like ``extraction.bound_row``, (lo_1, hi_1, ..., lo_v, hi_v), with a
+# Bottom component as (inf, -inf).  The row operations below compute
+# exactly what their interval counterparts in ``intervals`` and
+# ``programs`` compute, and carry the same names, under which the
+# benchmark's tracer (perfbench/tracer.py) times them.
+
+
+def transfer(p: Program, x: list[float]) -> list[float]:
+    """``programs.transfer`` on a bound row, through the lowered body."""
+    return p.lowered.image(x)
+
+
+def state_join(x: list[float], y: list[float]) -> list[float]:
+    """Bound-wise join: min of the lower, max of the upper bounds.
+
+    The (inf, -inf) encoding makes Bottom the identity of both, so this
+    equals ``intervals.join`` on every component.  Like ``min`` and
+    ``max``, a tie keeps the bound of ``x`` (which matters for 0.0 and
+    -0.0).
+    """
+    out = [*x]
+    out[::2] = [b if b < a else a for a, b in zip(x[::2], y[::2])]
+    out[1::2] = [b if b > a else a for a, b in zip(x[1::2], y[1::2])]
+    return out
+
+
+def state_leq(x: list[float], y: list[float]) -> bool:
+    """Inclusion of ``x`` in ``y``, bound by bound; with Bottom encoded
+    as (inf, -inf) this equals ``intervals.leq`` on every component."""
+    return all(map(le, y[::2], x[::2])) and all(map(le, x[1::2], y[1::2]))
+
+
+def _widen_rows(x: list[float], y: list[float], down, up) -> list[float]:
+    """Keep each stable bound of ``x``; send an unstable lower bound of
+    ``y`` to ``down(lo)`` and an unstable upper bound to ``up(hi)``.
+    Bottom on either side yields the other operand's component."""
+    out = [*y]
+    for j in range(0, len(x), 2):
+        alo, ahi, blo, bhi = x[j], x[j + 1], y[j], y[j + 1]
+        if alo > ahi:
+            continue
+        if blo > bhi:
+            out[j], out[j + 1] = alo, ahi
+            continue
+        out[j] = alo if alo <= blo else down(blo)
+        out[j + 1] = ahi if ahi >= bhi else up(bhi)
+    return out
+
+
+def state_widen_std(x: list[float], y: list[float]) -> list[float]:
+    """``intervals.widen_std`` on every component of two bound rows."""
+    return _widen_rows(x, y, lambda lo: -INF, lambda hi: INF)
+
+
+def state_widen_thresholds(x: list[float], y: list[float], t: ThresholdSet) -> list[float]:
+    """``intervals.widen_thresholds`` on every component of two bound
+    rows: unstable bounds snap to the nearest threshold beyond them."""
+    return _widen_rows(x, y, t.snap_down, t.snap_up)
+
+
 def verify_postfixpoint(p: Program, x: AbstractState) -> bool:
     """True iff one more abstract loop execution stays inside ``x``."""
-    return state_leq(transfer(p, x), x)
+    row = p.row_of(x)
+    return state_leq(transfer(p, row), row)
 
 
-def _max_change(a: AbstractState, b: AbstractState) -> float:
-    """Largest absolute bound movement between two states (inf-aware)."""
-    worst = 0.0
-    for iv_a, iv_b in zip(a.intervals, b.intervals):
-        for u, v in ((iv_a.lo, iv_b.lo), (iv_a.hi, iv_b.hi)):
-            if u == v:
-                continue
-            if math.isinf(u) or math.isinf(v):
-                return math.inf
-            worst = max(worst, abs(u - v))
-    return worst
+def _moved_at_most(a: list[float], b: list[float], tol: float) -> bool:
+    """True iff no bound moved by more than ``tol`` between two rows; an
+    infinite bound that changed counts as an infinite move.  Stops at the
+    first bound that moved further."""
+    return all(u == v or abs(u - v) <= tol for u, v in zip(a, b))
 
 
-def _seal(p: Program, x: AbstractState, max_rounds: int = 60) -> AbstractState:
-    """Inflate a nearly-stable state outward until it verifies as a
+def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
+    """Inflate a nearly-stable row outward until it verifies as a
     post-fixpoint.
 
     Each round joins in the transfer image and then pads *every* finite
@@ -153,20 +218,16 @@ def _seal(p: Program, x: AbstractState, max_rounds: int = 60) -> AbstractState:
     for r in range(max_rounds):
         fx = transfer(p, x)
         escape = 0.0
-        for iv, fv in zip(x.intervals, fx.intervals):
-            escape = max(escape, iv.lo - fv.lo, fv.hi - iv.hi)
+        for j in range(0, len(x), 2):
+            escape = max(escape, x[j] - fx[j], fx[j + 1] - x[j + 1])
         if escape <= 0.0:
             return x
         if math.isinf(escape):
             return state_join(x, fx)
         pad = 4.0**r * max(escape, 1e-12)
-        joined = state_join(x, fx)
-        padded: list[tuple[str, Interval]] = []
-        for name, iv in joined:
-            lo = iv.lo if math.isinf(iv.lo) else iv.lo - pad
-            hi = iv.hi if math.isinf(iv.hi) else iv.hi + pad
-            padded.append((name, Interval(lo, hi)))
-        x = AbstractState(padded)
+        x = state_join(x, fx)
+        x[::2] = [v if math.isinf(v) else v - pad for v in x[::2]]
+        x[1::2] = [v if math.isinf(v) else v + pad for v in x[1::2]]
     return x
 
 
@@ -192,11 +253,11 @@ class _Accelerator:
         self.last_active: tuple[int, ...] = ()
         self.n_coords = n_coords
 
-    def push(self, x: AbstractState) -> None:
-        self.rows.append(bound_row(x))
+    def push(self, x: list[float]) -> None:
+        self.rows.append(np.array(x))
 
-    def replace_last(self, x: AbstractState) -> None:
-        self.rows[-1] = bound_row(x)
+    def replace_last(self, x: list[float]) -> None:
+        self.rows[-1] = np.array(x)
 
     def _estimate(self) -> np.ndarray | None:
         """Fresh accelerated estimate over active coords, or None."""
@@ -266,17 +327,16 @@ def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
     return ThresholdSet(tuple(sorted(values)))
 
 
-def _inject(
-    x: AbstractState, y: np.ndarray, schema: ExtractionSchema
-) -> AbstractState:
-    """Join the combined estimate into ``x``, skipping variables whose
-    accelerated pair arrived inverted.  ``y`` covers the coordinates
-    that are finite in ``x``."""
-    combined, swapped = combine_detailed(y, extract(x, schema).excluded, schema)
+def _inject(x: list[float], y: np.ndarray, schema: ExtractionSchema) -> list[float]:
+    """Join the combined estimate into the row ``x``, skipping variables
+    whose accelerated pair arrived inverted.  ``y`` covers the
+    coordinates that are finite in ``x``."""
+    state = state_from_row(schema.variables, x)
+    combined, swapped = combine_detailed(y, extract(state, schema).excluded, schema)
     merged: list[tuple[str, Interval]] = []
-    for (name, iv), cv in zip(x, combined.intervals):
+    for (name, iv), cv in zip(state, combined.intervals):
         merged.append((name, iv if name in swapped else join(iv, cv)))
-    return AbstractState(merged)
+    return bound_row(AbstractState(merged)).tolist()
 
 
 def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
@@ -289,10 +349,12 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     standard widening via the implicit infinities), guaranteeing
     termination.
     """
-    x = p.initial_state()
-    trace = IterationTrace(variables=p.state_names, initial=x)
-    schema = ExtractionSchema.for_variables(p.state_names)
-    acc = _Accelerator(cfg, 2 * len(p.state_names)) if cfg.mode == "accel" else None
+    names = p.state_names
+    initial = p.initial_state()
+    trace = IterationTrace(variables=names, initial=initial)
+    schema = ExtractionSchema.for_variables(names)
+    x = bound_row(initial).tolist()
+    acc = _Accelerator(cfg, len(x)) if cfg.mode == "accel" else None
     if acc is not None:
         acc.push(x)
 
@@ -339,22 +401,20 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                     if cfg.inject_policy == "once":
                         accel_done = True
 
-        exact = x == prev
-        change = 0.0 if exact else _max_change(prev, x)
-        if exact:
+        if x == prev:
             reason = "converged"
             converged_flag = True
         elif (
             not injected_now
             and cfg.stop_tol > 0.0
-            and change <= cfg.stop_tol
+            and _moved_at_most(prev, x, cfg.stop_tol)
         ):
             reason = "converged-tolerance"
             converged_flag = True
 
         if converged_flag:
             event = "converged"
-        trace.records.append(TraceRecord(i, x, accel_row, event))
+        trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
         if converged_flag:
             break
 
@@ -367,10 +427,10 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
             accel_done = True
 
     trace.reason = reason
-    invariant = x
     if reason == "converged-tolerance":
-        invariant = _seal(p, invariant)
+        x = _seal(p, x)
         sealed = True
+    invariant = state_from_row(names, x)
     sound = verify_postfixpoint(p, invariant)
     report = FixpointReport(
         invariant=invariant,

@@ -70,6 +70,14 @@ def bound_row(x: AbstractState) -> np.ndarray:
     return row
 
 
+def state_from_row(names: Sequence[str], row: Sequence[float]) -> AbstractState:
+    """The inverse of ``bound_row``: the state with one interval per
+    (lo, hi) pair of ``row``, named by ``names``."""
+    return AbstractState(
+        (name, Interval(row[2 * j], row[2 * j + 1])) for j, name in enumerate(names)
+    )
+
+
 @dataclass(frozen=True)
 class ExtractionResult:
     """The finite coordinates of a state plus the excluded coordinates."""

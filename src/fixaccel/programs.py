@@ -17,24 +17,37 @@ affine: an optional constant plus coefficient*variable terms.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import gt
 
-from .intervals import AbstractState, Interval, affine_eval
+from .extraction import bound_row, state_from_row
+from .intervals import INF, AbstractState, Interval
 
 _KEYWORDS = {"state", "input", "loop", "in"}
 
+# One anchored match per token: skip whitespace and comments, then
+# capture a number, a name, a punctuation mark, or one unexpected
+# character.  Only the matches that end the text capture nothing.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[;,\[\]{}=*+-])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (
+        (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?
+      | [A-Za-z_][A-Za-z_0-9]*
+      | [;,\[\]{}=*+-]
+      | .
+    )?
     """,
     re.VERBOSE,
 )
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUM_START = frozenset("0123456789.")
+# the one-character texts a token may have; any other is an unexpected character
+_SHORT_TOKENS = _NAME_START | frozenset("0123456789;,[]{}=*+-")
 
 
 class ParseError(ValueError):
@@ -46,34 +59,29 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(raw)
-        else:
-            tokens.append(Token(kind, raw, line, col))
-            col += len(raw)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, ending with one ``""`` for the end of
+    input.  A token's kind follows from its first character."""
+    tokens = _TOKEN_RE.findall(text)
+    while tokens and not tokens[-1]:
+        tokens.pop()
+    bad = {tok for tok in set(tokens) if len(tok) == 1} - _SHORT_TOKENS
+    if bad:
+        k = min(map(tokens.index, bad))
+        raise _error(text, k, f"unexpected character {tokens[k]!r}")
+    tokens.append("")
     return tokens
+
+
+def _error(text: str, k: int, message: str) -> ParseError:
+    """A ParseError at the ``k``-th token of ``text`` (one past the last:
+    the end of the input).  The offset comes from matching the text
+    again; line and column are worked out from it, a tab or CR counting
+    as one column."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
+    offset = m.start(1) if m.group(1) else len(text)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 @dataclass(frozen=True)
@@ -101,51 +109,164 @@ class Program:
         """The declared initial intervals, used as X_0 at the loop head."""
         return AbstractState(self.state_vars)
 
+    @cached_property
+    def lowered(self) -> LoweredBody:
+        """The body lowered to slot arithmetic, built on first use."""
+        return LoweredBody(self)
+
+    def row_of(self, x: AbstractState) -> list[float]:
+        """The bound row of ``x``, which must hold this program's state
+        variables in declaration order."""
+        if x.names != self.state_names:
+            raise ValueError(
+                f"state variables {x.names} do not match program {self.state_names}"
+            )
+        return bound_row(x).tolist()
+
+
+def _finite(value: float, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
+# (target, lo_slot, hi_slot, const, terms, reads); see LoweredBody
+Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int, ...]]
+
+
+class LoweredBody:
+    """A loop body as slot arithmetic on a flat list of bounds.
+
+    Variable ``k`` owns slots ``2k`` (lower bound) and ``2k + 1`` (upper
+    bound): the state variables first, in declaration order, so the
+    first ``width`` slots are laid out like ``extraction.bound_row``;
+    then the inputs, whose declared bounds are constant slots (``tail``
+    holds them, then a placeholder pair per temporary); then the
+    temporaries.  A step ``(target, lo_slot, hi_slot, const, terms,
+    reads)`` is one assignment.  Each term ``(coeff, src_for_lo,
+    src_for_hi)`` has its source slots picked by the sign of ``coeff``,
+    and zero coefficients are dropped.  ``reads`` lists every variable
+    the right-hand side names, zero coefficients included, so that a
+    Bottom read still makes the target Bottom.
+    """
+
+    __slots__ = ("width", "tail", "steps", "bottom_inputs")
+
+    def __init__(self, p: Program):
+        """Lower ``p``.  Raises ValueError on a non-finite constant or
+        coefficient or on an input that shares a state variable's name,
+        and KeyError on a variable read before it has a value."""
+        ids = {name: k for k, (name, _) in enumerate(p.state_vars)}
+        tail: list[float] = []
+        bottom_inputs: set[int] = set()
+        for name, rng in p.input_vars:
+            if name in ids:
+                raise ValueError(f"input {name!r} is also a state variable")
+            ids[name] = len(ids)
+            tail += (rng.lo, rng.hi)
+            if rng.is_bottom:
+                bottom_inputs.add(ids[name])
+        steps: list[Step] = []
+        for a in p.body:
+            const = _finite(a.const, "constant term")
+            terms: list[tuple[float, int, int]] = []
+            reads: list[int] = []
+            for coeff, var in a.terms:
+                coeff = _finite(coeff, "coefficient")
+                k = ids[var]
+                reads.append(k)
+                if coeff > 0.0:
+                    terms.append((coeff, 2 * k, 2 * k + 1))
+                elif coeff < 0.0:
+                    terms.append((coeff, 2 * k + 1, 2 * k))
+            if a.target not in ids:
+                ids[a.target] = len(ids)
+                tail += (0.0, 0.0)
+            k = ids[a.target]
+            steps.append((k, 2 * k, 2 * k + 1, const, tuple(terms), tuple(reads)))
+        self.width = 2 * len(p.state_vars)
+        self.tail = tuple(tail)
+        self.steps = tuple(steps)
+        self.bottom_inputs = frozenset(bottom_inputs)
+
+    def image(self, row: list[float]) -> list[float]:
+        """One pass of the body over a bound row of the state variables.
+
+        Each assignment accumulates ``lo += coeff * b[src_for_lo]`` and
+        ``hi += coeff * b[src_for_hi]`` in body order from ``const``:
+        exactly the float operations of ``affine_eval``, so the new row
+        is bit-identical to the interval evaluation.  A target that reads
+        a Bottom variable becomes Bottom, ``(inf, -inf)``.
+        """
+        b = [*row, *self.tail]
+        bottom = set(self.bottom_inputs)
+        if any(map(gt, row[::2], row[1::2])):
+            bottom.update(k for k in range(len(row) // 2) if row[2 * k] > row[2 * k + 1])
+        for target, lo_slot, hi_slot, const, terms, reads in self.steps:
+            if bottom:
+                if not bottom.isdisjoint(reads):
+                    bottom.add(target)
+                    b[lo_slot] = INF
+                    b[hi_slot] = -INF
+                    continue
+                bottom.discard(target)
+            lo = hi = const
+            for coeff, src_lo, src_hi in terms:
+                lo += coeff * b[src_lo]
+                hi += coeff * b[src_hi]
+            if lo != lo or hi != hi:
+                raise ValueError("NaN produced in affine interval evaluation")
+            b[lo_slot] = lo
+            b[hi_slot] = hi
+        return b[: self.width]
+
 
 class _Parser:
+    """Recursive descent over the token texts; ``pos`` indexes the next
+    token, and errors are reported at a token index."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, k: int | None = None) -> ParseError:
+        return _error(self.text, self.pos if k is None else k, message)
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.peek()
-        if tok.text != text:
-            shown = tok.text or "end of input"
-            raise self.error(f"expected {text!r}, found {shown!r}", tok)
-        return self.advance()
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
 
-    def expect_name(self, what: str) -> Token:
+    def expect_name(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "name" or tok.text in _KEYWORDS:
-            shown = tok.text or "end of input"
-            raise self.error(f"expected {what}, found {shown!r}", tok)
-        return self.advance()
+        if tok[:1] not in _NAME_START or tok in _KEYWORDS:
+            raise self.error(f"expected {what}, found {tok or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
     def number(self) -> float:
         sign = 1.0
         tok = self.peek()
-        if tok.text in ("+", "-"):
+        if tok in ("+", "-"):
             self.advance()
-            sign = -1.0 if tok.text == "-" else 1.0
+            sign = -1.0 if tok == "-" else 1.0
             tok = self.peek()
-        if tok.kind != "num":
-            shown = tok.text or "end of input"
-            raise self.error(f"expected a number, found {shown!r}", tok)
+        if tok[:1] not in _NUM_START:
+            raise self.error(f"expected a number, found {tok or 'end of input'!r}")
         self.advance()
-        return sign * float(tok.text)
+        return sign * float(tok)
 
     def interval(self) -> Interval:
         self.expect("[")
@@ -161,24 +282,23 @@ class _Parser:
         states: list[tuple[str, Interval]] = []
         inputs: list[tuple[str, Interval]] = []
         declared: set[str] = set()
-        while self.peek().text in ("state", "input"):
+        while self.peek() in ("state", "input"):
             kw = self.advance()
-            name_tok = self.expect_name("a variable name")
-            if name_tok.text in declared:
-                raise self.error(
-                    f"variable {name_tok.text!r} declared twice", name_tok
-                )
-            declared.add(name_tok.text)
+            at = self.pos
+            name = self.expect_name("a variable name")
+            if name in declared:
+                raise self.error(f"variable {name!r} declared twice", at)
+            declared.add(name)
             self.expect("in")
             iv = self.interval()
             self.expect(";")
-            (states if kw.text == "state" else inputs).append((name_tok.text, iv))
+            (states if kw == "state" else inputs).append((name, iv))
         if not states:
             raise self.error("program declares no state variables")
         body = self.loop_body({n for n, _ in states}, {n for n, _ in inputs})
         tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.text!r}", tok)
+        if tok:
+            raise self.error(f"unexpected trailing input {tok!r}")
         return Program(tuple(states), tuple(inputs), tuple(body))
 
     def loop_body(self, states: set[str], inputs: set[str]) -> list[Assignment]:
@@ -186,71 +306,66 @@ class _Parser:
         self.expect("{")
         in_scope = states | inputs
         body: list[Assignment] = []
-        while self.peek().text != "}":
-            if self.peek().kind == "eof":
+        while self.peek() != "}":
+            if not self.peek():
                 raise self.error("unterminated loop body (missing '}')")
+            at = self.pos
             target = self.expect_name("an assignment target")
-            if target.text in inputs:
-                raise self.error(
-                    f"cannot assign to input variable {target.text!r}", target
-                )
+            if target in inputs:
+                raise self.error(f"cannot assign to input variable {target!r}", at)
             self.expect("=")
             const, terms = self.affine_expr(in_scope)
             self.expect(";")
-            body.append(Assignment(target.text, const, tuple(terms)))
-            in_scope.add(target.text)
+            body.append(Assignment(target, const, tuple(terms)))
+            in_scope.add(target)
         self.advance()  # '}'
         return body
 
     def affine_expr(
         self, in_scope: set[str]
     ) -> tuple[float, list[tuple[float, str]]]:
+        """``[+|-] term {(+|-) term}``, a term being ``num``, ``num*var``
+        or ``var``."""
+        tokens = self.tokens
         const = 0.0
         terms: list[tuple[float, str]] = []
-        first = True
+        sign = 1.0
+        if tokens[self.pos] in ("+", "-"):
+            sign = -1.0 if tokens[self.pos] == "-" else 1.0
+            self.pos += 1
         while True:
-            tok = self.peek()
-            if first:
-                sign = 1.0
-                if tok.text in ("+", "-"):
-                    self.advance()
-                    sign = -1.0 if tok.text == "-" else 1.0
-            else:
-                if tok.text not in ("+", "-"):
-                    break
-                self.advance()
-                sign = -1.0 if tok.text == "-" else 1.0
-            first = False
-            tok = self.peek()
-            if tok.kind == "num":
-                self.advance()
-                value = sign * float(tok.text)
-                if self.peek().text == "*":
-                    self.advance()
+            tok = tokens[self.pos]
+            if tok[:1] in _NUM_START:
+                self.pos += 1
+                value = sign * float(tok)
+                if tokens[self.pos] == "*":
+                    self.pos += 1
+                    at = self.pos
                     var = self.expect_name("a variable name")
-                    self.check_scope(var, in_scope)
-                    terms.append((value, var.text))
+                    self.check_scope(var, in_scope, at)
+                    terms.append((value, var))
                 else:
                     const += value
-            elif tok.kind == "name" and tok.text not in _KEYWORDS:
-                self.advance()
-                self.check_scope(tok, in_scope)
-                if self.peek().text == "*":
-                    raise self.error(
-                        "non-affine expression: variable*... is not allowed"
-                    )
-                terms.append((sign, tok.text))
+            elif tok[:1] in _NAME_START and tok not in _KEYWORDS:
+                self.check_scope(tok, in_scope, self.pos)
+                self.pos += 1
+                if tokens[self.pos] == "*":
+                    raise self.error("non-affine expression: variable*... is not allowed")
+                terms.append((sign, tok))
             else:
-                shown = tok.text or "end of input"
-                raise self.error(f"expected a term, found {shown!r}", tok)
-        return const, terms
+                raise self.error(f"expected a term, found {tok or 'end of input'!r}")
+            tok = tokens[self.pos]
+            if tok not in ("+", "-"):
+                return const, terms
+            sign = -1.0 if tok == "-" else 1.0
+            self.pos += 1
 
-    def check_scope(self, tok: Token, in_scope: set[str]) -> None:
-        if tok.text not in in_scope:
+    def check_scope(self, name: str, in_scope: set[str], at: int) -> None:
+        if name not in in_scope:
             raise self.error(
-                f"variable {tok.text!r} is not declared and not assigned "
+                f"variable {name!r} is not declared and not assigned "
                 "earlier in the body",
-                tok,
+                at,
             )
 
 
@@ -301,17 +416,7 @@ def transfer(p: Program, x: AbstractState) -> AbstractState:
 
     Assignments run sequentially on a working environment seeded with
     the state intervals from ``x`` and the declared input ranges; the
-    result is the final value of each state variable.
+    result is the final value of each state variable.  The work is done
+    by the lowered body (``Program.lowered``) on ``x``'s bound row.
     """
-    if x.names != p.state_names:
-        raise ValueError(
-            f"state variables {x.names} do not match program {p.state_names}"
-        )
-    env: dict[str, Interval] = dict(x)
-    for name, rng in p.input_vars:
-        env[name] = rng
-    for a in p.body:
-        env[a.target] = affine_eval(
-            a.const, [(coeff, env[var]) for coeff, var in a.terms]
-        )
-    return AbstractState((name, env[name]) for name in p.state_names)
+    return state_from_row(x.names, p.lowered.image(p.row_of(x)))

@@ -148,6 +148,7 @@ class TestAnalyze:
             ("--fallback-after", "0"),
             ("--delta", "0"),
             ("--stop-tol", "-1"),
+            ("--stop-tol", "nan"),
             ("--widen-delay", "-1"),
         ],
     )
@@ -159,6 +160,13 @@ class TestAnalyze:
 
 
 class TestAccelerate:
+    @pytest.mark.parametrize("flag, value", [("--stall-tol", "0"), ("--stall-tol", "-1")])
+    def test_exit_one_on_out_of_range_value(self, capsys, flag, value):
+        code, out, err = run(capsys, "accelerate", ITERATES, flag, value)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_summary_on_bundled_iterates(self, capsys):
         code, out, _ = run(
             capsys, "accelerate", ITERATES, "--delta", "1e-5"

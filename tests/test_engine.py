@@ -259,6 +259,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EngineConfig(stop_tol=-1e-9)
         with pytest.raises(ValueError):
+            EngineConfig(stop_tol=math.nan)
+        with pytest.raises(ValueError):
             EngineConfig(inject_policy="thrice")
 
     def test_analyze_dispatches_on_mode(self):

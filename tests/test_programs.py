@@ -72,15 +72,71 @@ class TestParsing:
 
 
 class TestParseErrors:
-    def expect(self, text, fragment, line=None):
+    def expect(self, text, fragment, line=None, col=None):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert fragment in str(exc.value)
         if line is not None:
             assert exc.value.line == line
+        if col is not None:
+            assert exc.value.col == col
 
     def test_unexpected_character(self):
-        self.expect("state x in [0, 1]!;", "unexpected character", line=1)
+        self.expect("state x in [0, 1]!;", "unexpected character", line=1, col=18)
+
+    def test_unexpected_character_inside_body(self):
+        self.expect(
+            "state x in [0, 1];\nloop {\n  x = 0.5*x @ 1;\n}",
+            "unexpected character '@'",
+            line=3,
+            col=13,
+        )
+
+    def test_position_after_trailing_comment(self):
+        self.expect(
+            "state x in [0, 1]; # note\nloop { x = y; }",
+            "not declared",
+            line=2,
+            col=12,
+        )
+
+    def test_position_after_comment_lines(self):
+        self.expect(
+            "# header\n  # indented comment\nstate x in [0, 1];\nloop { x = 2*x*x; }",
+            "expected ';'",
+            line=4,
+            col=15,
+        )
+
+    def test_position_after_blank_lines(self):
+        self.expect(
+            "state x in [0, 1];\n\n\nloop { x = x }", "expected ';'", line=4, col=14
+        )
+
+    def test_tab_counts_as_one_column(self):
+        self.expect(
+            "state x in [0, 1];\nloop {\n\tx =\t0.5*y;\n}",
+            "not declared",
+            line=3,
+            col=10,
+        )
+
+    def test_position_with_crlf_line_endings(self):
+        self.expect(
+            "state x in [0, 1];\r\ninput u in [0, 1];\r\nloop {\r\n  u = x;\r\n}\r\n",
+            "cannot assign to input",
+            line=4,
+            col=3,
+        )
+
+    def test_unterminated_loop_at_end_of_input(self):
+        self.expect("state x in [0, 1];\nloop {", "unterminated loop", line=2, col=7)
+        self.expect(
+            "state x in [0, 1];\r\nloop {\r\n  x = x;\r\n",
+            "unterminated loop",
+            line=4,
+            col=1,
+        )
 
     def test_keyword_as_name(self):
         self.expect("state loop in [0, 1];\nloop { }", "expected a variable name")
