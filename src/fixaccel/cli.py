@@ -20,7 +20,8 @@ bound (as widening can produce) is rejected as unusable input.
 
 Exit status: 0 for a converged, verified analysis (and for any
 successful acceleration), 2 when the analysis did not converge or the
-result could not be verified, 1 for unusable input.
+result could not be verified, 1 for unusable input or an output file
+that cannot be written.
 """
 from __future__ import annotations
 
@@ -162,6 +163,16 @@ def _parse_thresholds(text: str) -> ThresholdSet:
         raise argparse.ArgumentTypeError(f"bad threshold list {text!r}: {exc}")
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure report it and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         source = Path(args.program).read_text()
@@ -191,10 +202,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     report, trace = analyze(program, cfg)
 
-    if args.trace is not None:
-        Path(args.trace).write_text(_trace_csv(trace))
-    if args.report is not None:
-        Path(args.report).write_text(_report_json(report, cfg, args.program))
+    if args.trace is not None and not _write(args.trace, _trace_csv(trace)):
+        return 1
+    if args.report is not None and not _write(
+        args.report, _report_json(report, cfg, args.program)
+    ):
+        return 1
 
     print(f"program: {args.program}")
     print(f"mode: {cfg.mode}  method: {cfg.method}")
@@ -306,7 +319,8 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
             lines.append(
                 ",".join([str(i)] + [_fmt(v) for v in vals] + [str(st)])
             )
-        Path(args.output).write_text("\n".join(lines) + "\n")
+        if not _write(args.output, "\n".join(lines) + "\n"):
+            return 1
     return 0
 
 

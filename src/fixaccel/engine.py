@@ -35,13 +35,9 @@ from .extraction import (
 )
 from .intervals import INF, AbstractState, Interval, ThresholdSet, join
 from .programs import Program
-from .transforms import (
-    TransformConfig,
-    aitken,
-    converged,
-    epsilon_diagonal,
-    vector_epsilon_diagonal,
-)
+from .transforms import EstimateStream, TransformConfig, converged
+# not called here; bound because the benchmark tracer wraps these names
+from .transforms import aitken, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
 Method = Literal["aitken", "epsilon", "vector-epsilon"]
@@ -234,17 +230,16 @@ def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
 class _Accelerator:
     """Watches the iterate rows and produces injection candidates.
 
-    Keeps the full prefix of bound rows; on request recomputes the
-    transformation over the finite coordinates of the latest row and
-    reports a fresh estimate whenever new accelerated evidence exists
-    (a new transformed element for Aitken, a deeper even-diagonal entry
-    for the epsilon methods).  Estimates are compared only while the
-    finite-coordinate set is unchanged.
+    Feeds the finite coordinates of each row to an ``EstimateStream``
+    and reports a fresh estimate whenever new accelerated evidence
+    exists (a new transformed element for Aitken, a deeper even-diagonal
+    entry for the epsilon methods).  Estimates are compared only while
+    the finite-coordinate set is unchanged.
     """
 
     def __init__(self, cfg: EngineConfig, n_coords: int):
         self.cfg = cfg
-        self.rows: list[np.ndarray] = []
+        self.stream: EstimateStream | None = None
         self.active: tuple[int, ...] = ()
         self.depth = 0
         self.y_prev: np.ndarray | None = None
@@ -254,42 +249,48 @@ class _Accelerator:
         self.n_coords = n_coords
 
     def push(self, x: list[float]) -> None:
-        self.rows.append(np.array(x))
+        row = self._follow(x)
+        if row is not None:
+            self.stream.push(row)
 
     def replace_last(self, x: list[float]) -> None:
-        self.rows[-1] = np.array(x)
+        row = self._follow(x)
+        if row is not None:
+            self.stream.replace_last(row)
 
-    def _estimate(self) -> np.ndarray | None:
-        """Fresh accelerated estimate over active coords, or None."""
-        current = self.rows[-1]
-        active = tuple(int(j) for j in np.flatnonzero(np.isfinite(current)))
+    def _follow(self, x: list[float]) -> np.ndarray | None:
+        """The finite coordinates of ``x``, after fitting the stream to
+        them; None when there are none."""
+        row = np.array(x)
+        idx = np.flatnonzero(np.isfinite(row))
+        active = tuple(idx.tolist())
         if not active:
-            return None  # nothing to accelerate
+            self.stream, self.active = None, ()
+            return None
         if active != self.active:
             # coordinate set changed: restart the comparison chain
+            if self.stream is not None and set(active) <= set(self.active):
+                self.stream.keep([self.active.index(j) for j in active])
+            else:
+                # new coordinates (a Bottom variable that became finite)
+                # have no finite history: the stream starts from this row
+                self.stream = EstimateStream(self.cfg.method, self.cfg.transform)
             self.active = active
             self.depth = 0
             self.y_prev = None
-        m = len(self.rows)
-        idx = list(active)
-        matrix = np.array([row[idx] for row in self.rows])
-        tf = self.cfg.transform
+        return row[idx]
+
+    def _estimate(self) -> np.ndarray | None:
+        """Fresh accelerated estimate over active coords, or None."""
+        if self.stream is None:
+            return None  # nothing to accelerate
         if self.cfg.method == "aitken":
-            if m < 3:
-                return None
-            y = np.array([aitken(matrix[:, c], tf)[-1].value
-                          for c in range(matrix.shape[1])])
-            return y
-        depth = (m - 1) // 2
+            return self.stream.estimate()
+        depth = (self.stream.count - 1) // 2
         if depth <= self.depth or depth < 1:
             return None
         self.depth = depth
-        if self.cfg.method == "vector-epsilon":
-            diag = vector_epsilon_diagonal(matrix, tf)
-            return np.asarray(diag[depth].value, dtype=float)
-        # componentwise scalar epsilon diagonal
-        return np.array([epsilon_diagonal(matrix[:, c], tf)[depth].value
-                         for c in range(matrix.shape[1])])
+        return self.stream.estimate()
 
     def candidate(self) -> np.ndarray | None:
         """Return an estimate ready for injection (two consecutive
@@ -393,13 +394,14 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                 candidate = _inject(x, y, schema)
                 if candidate != x:
                     x = candidate
-                    acc.replace_last(x)
                     injections += 1
                     last_injection_iter = i
                     injected_now = True
                     event = "injection"
                     if cfg.inject_policy == "once":
                         accel_done = True
+                    else:
+                        acc.replace_last(x)
 
         if x == prev:
             reason = "converged"

@@ -136,6 +136,15 @@ class TestAnalyze:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    @pytest.mark.parametrize("target", ["missing-dir/out", "."])
+    def test_exit_one_on_unwritable_output(self, capsys, tmp_path, flag, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "analyze", FILTER3, flag, path)
+        assert code == 1
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert out == ""
+
     def test_exit_one_on_bad_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", FILTER3, "--mode", "sideways"])
@@ -166,6 +175,13 @@ class TestAccelerate:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""
+
+    @pytest.mark.parametrize("target", ["missing-dir/out.csv", "."])
+    def test_exit_one_on_unwritable_output(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, _, err = run(capsys, "accelerate", ITERATES, "--output", path)
+        assert code == 1
+        assert err.startswith(f"error: cannot write {path}: ")
 
     def test_summary_on_bundled_iterates(self, capsys):
         code, out, _ = run(

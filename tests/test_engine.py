@@ -16,6 +16,8 @@ from fixaccel import (
     transfer,
     verify_postfixpoint,
 )
+from fixaccel.intervals import BOTTOM
+from fixaccel.programs import Assignment, Program
 
 # limits of the bundled programs, from solving the stationary bound
 # equations of each loop directly (see tests below for the 2-state case)
@@ -146,6 +148,27 @@ class TestWidening:
 
 
 class TestAccelerated:
+    @pytest.mark.parametrize("method", ["aitken", "epsilon", "vector-epsilon"])
+    def test_bottom_variable_that_becomes_finite(self, method):
+        # ``a`` starts as Bottom and is finite from the first iterate on;
+        # its Bottom row has no finite history, so the estimator starts
+        # over from the first row in which it is finite
+        p = Program(
+            state_vars=(("a", BOTTOM), ("b", Interval(0.0, 1.0))),
+            input_vars=(("w", Interval(-1.0, 1.0)),),
+            body=(
+                Assignment("a", 0.0, ((0.5, "b"), (0.1, "w"))),
+                Assignment("b", 0.0, ((0.5, "a"), (0.25, "b"), (0.1, "w"))),
+            ),
+        )
+        exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
+        report, _ = analyze(p, EngineConfig(method=method))
+        assert report.converged and report.sound
+        assert report.injections >= 1
+        for (_, iv), (_, ref) in zip(report.invariant, exact.invariant):
+            assert iv.lo == pytest.approx(ref.lo, abs=1e-6)
+            assert iv.hi == pytest.approx(ref.hi, abs=1e-6)
+
     def test_three_state_filter_short_circuits(self):
         p = load_bundled("filter3")
         report, trace = analyze(p, EngineConfig())

@@ -2,10 +2,17 @@
 
 The values below were recorded from the interval engine before the
 loop body was lowered to a flat plan; the lowered engine must reproduce
-them bit for bit.  Every path pinned here is pure-Python float
-arithmetic (no BLAS, no transcendental functions), so the hashes do not
-depend on the platform.  The accel modes go through NumPy transforms and
-are not pinned here.
+them bit for bit.  Every path pinned by the CLI hashes and the Kleene
+results is pure-Python float arithmetic (no BLAS, no transcendental
+functions), so they do not depend on the platform.
+
+The accel results were recorded from the engine that rebuilt the whole
+epsilon-table at every step, before the estimator became incremental;
+the incremental estimator must reproduce them bit for bit.  They go
+through NumPy elementwise arithmetic, which is correctly rounded, and
+vector-epsilon also through ``np.einsum`` dot products, whose summation
+order is NumPy's (the pins held with its AVX512, AVX2 and baseline x86-64
+kernels); the Gaussian program's coefficients come from ``random.gauss``.
 """
 import hashlib
 import math
@@ -13,7 +20,7 @@ import random
 
 import pytest
 
-from fixaccel import EngineConfig, analyze, bundled_source, parse
+from fixaccel import EngineConfig, analyze, bundled_source, load_bundled, parse
 from fixaccel.cli import main
 
 CONFIGS = {
@@ -143,3 +150,176 @@ def test_random_program_results_are_bit_identical(form):
     report, _ = analyze(p, EngineConfig(mode="kleene"))
     bounds = tuple((iv.lo.hex(), iv.hi.hex()) for iv in report.invariant.intervals)
     assert (report.iterations, report.reason, bounds) == GOLDEN_RANDOM[form]
+
+
+METHODS = ("aitken", "epsilon", "vector-epsilon")
+
+# (program, method, inject policy) -> (iterations, injections, reason,
+# invariant bounds as float.hex pairs); default EngineConfig otherwise
+GOLDEN_ACCEL = {
+    ('filter3', 'aitken', 'once'): (25, 1, 'converged-tolerance+sealed', (
+        ('-0x1.4ca527f54160cp+2', '0x1.1bf26602acc0dp+3'),
+        ('-0x1.4ff7942e738eep+1', '0x1.640b3b9049225p+3'),
+        ('-0x1.2e022ddfcd262p+2', '0x1.4000002ffd491p+4'),
+    )),
+    ('filter3', 'aitken', 'repeat'): (24, 9, 'converged', (
+        ('-0x1.4ca5c9874279fp+2', '0x1.1bf28b9de6155p+3'),
+        ('-0x1.4ff792ae89466p+1', '0x1.640b61fdcda83p+3'),
+        ('-0x1.2e022d1fd801ep+2', '0x1.4000000000000p+4'),
+    )),
+    ('filter3', 'epsilon', 'once'): (11, 1, 'converged-tolerance+sealed', (
+        ('-0x1.4ca3ee652a67ap+2', '0x1.1bf220c917581p+3'),
+        ('-0x1.4fedcebe81fbep+1', '0x1.640b33a83500dp+3'),
+        ('-0x1.2dff9aeaaa522p+2', '0x1.4000000000119p+4'),
+    )),
+    ('filter3', 'epsilon', 'repeat'): (11, 1, 'converged-tolerance+sealed', (
+        ('-0x1.4ca3ee652a67ap+2', '0x1.1bf220c917581p+3'),
+        ('-0x1.4fedcebe81fbep+1', '0x1.640b33a83500dp+3'),
+        ('-0x1.2dff9aeaaa522p+2', '0x1.4000000000119p+4'),
+    )),
+    ('filter3', 'vector-epsilon', 'once'): (13, 1, 'converged-tolerance+sealed', (
+        ('-0x1.4ca3ee652a6adp+2', '0x1.1bf220c917580p+3'),
+        ('-0x1.4fedcebe820bdp+1', '0x1.640b33a83500cp+3'),
+        ('-0x1.2dff9aeaaa5bdp+2', '0x1.4000000000119p+4'),
+    )),
+    ('filter3', 'vector-epsilon', 'repeat'): (13, 1, 'converged-tolerance+sealed', (
+        ('-0x1.4ca3ee652a6adp+2', '0x1.1bf220c917580p+3'),
+        ('-0x1.4fedcebe820bdp+1', '0x1.640b33a83500cp+3'),
+        ('-0x1.2dff9aeaaa5bdp+2', '0x1.4000000000119p+4'),
+    )),
+    ('lowpass1', 'aitken', 'once'): (5, 1, 'converged-tolerance+sealed', (
+        ('-0x1.19799812dea11p-40', '0x1.40226b90227ccp+4'),
+        ('-0x1.19799812dea11p-40', '0x1.001b89401c176p+1'),
+        ('0x1.e7a0f9096986ap-1', '0x1.40226b90227ccp+4'),
+    )),
+    ('lowpass1', 'aitken', 'repeat'): (5, 1, 'converged-tolerance+sealed', (
+        ('-0x1.19799812dea11p-40', '0x1.40226b90227ccp+4'),
+        ('-0x1.19799812dea11p-40', '0x1.001b89401c176p+1'),
+        ('0x1.e7a0f9096986ap-1', '0x1.40226b90227ccp+4'),
+    )),
+    ('lowpass1', 'epsilon', 'once'): (6, 1, 'converged', (
+        ('0x0.0p+0', '0x1.40226b90226c1p+4'),
+        ('0x0.0p+0', '0x1.001b89401b89bp+1'),
+        ('0x1.e7a0f9096bb99p-1', '0x1.40226b90226c1p+4'),
+    )),
+    ('lowpass1', 'epsilon', 'repeat'): (6, 1, 'converged', (
+        ('0x0.0p+0', '0x1.40226b90226c1p+4'),
+        ('0x0.0p+0', '0x1.001b89401b89bp+1'),
+        ('0x1.e7a0f9096bb99p-1', '0x1.40226b90226c1p+4'),
+    )),
+    ('lowpass1', 'vector-epsilon', 'once'): (23, 0, 'converged', (
+        ('0x0.0p+0', 'inf'),
+        ('0x0.0p+0', 'inf'),
+        ('0x1.e7a0f9096bb99p-1', 'inf'),
+    )),
+    ('lowpass1', 'vector-epsilon', 'repeat'): (23, 0, 'converged', (
+        ('0x0.0p+0', 'inf'),
+        ('0x0.0p+0', 'inf'),
+        ('0x1.e7a0f9096bb99p-1', 'inf'),
+    )),
+    ('contraction2', 'aitken', 'once'): (17, 1, 'converged-tolerance+sealed', (
+        ('-0x1.5566807172a98p-2', '0x1.0000033217124p+0'),
+        ('-0x1.1133641734a74p-2', '0x1.0000033217124p+0'),
+    )),
+    ('contraction2', 'aitken', 'repeat'): (15, 8, 'converged-tolerance+sealed', (
+        ('-0x1.556678743cbc6p-2', '0x1.0000000001198p+0'),
+        ('-0x1.1133574edcc40p-2', '0x1.0000000001198p+0'),
+    )),
+    ('contraction2', 'epsilon', 'once'): (24, 1, 'converged-tolerance+sealed', (
+        ('-0x1.5555630000002p-2', '0x1.0000036aaaaabp+0'),
+        ('-0x1.1111199bbbbbep-2', '0x1.0000036aaaaabp+0'),
+    )),
+    ('contraction2', 'epsilon', 'repeat'): (24, 1, 'converged-tolerance+sealed', (
+        ('-0x1.5555630000002p-2', '0x1.0000036aaaaabp+0'),
+        ('-0x1.1111199bbbbbep-2', '0x1.0000036aaaaabp+0'),
+    )),
+    ('contraction2', 'vector-epsilon', 'once'): (7, 1, 'converged', (
+        ('-0x1.5555555555559p-2', '0x1.0000000000000p+0'),
+        ('-0x1.1111111111117p-2', '0x1.0000000000000p+0'),
+    )),
+    ('contraction2', 'vector-epsilon', 'repeat'): (7, 1, 'converged', (
+        ('-0x1.5555555555559p-2', '0x1.0000000000000p+0'),
+        ('-0x1.1111111111117p-2', '0x1.0000000000000p+0'),
+    )),
+}
+
+# method -> the same, for gaussian_program(1, 8, 0.97) with the repeat
+# policy and fallback after 200 iterations
+GOLDEN_GAUSSIAN = {
+    'aitken': (37, 17, 'converged', (
+        ('-0x1.004e0397bd305p+2', '0x1.004e01c7f63fbp+2'),
+        ('-0x1.3774747252babp+1', '0x1.37747d1792fcap+1'),
+        ('-0x1.83af6b5dc846ap+1', '0x1.83af43ff985e4p+1'),
+        ('-0x1.2b53970d7a4d7p+1', '0x1.2b53ade2fb6a3p+1'),
+        ('-0x1.3c0e3fbdb5734p+1', '0x1.3c0e3ea2c9505p+1'),
+        ('-0x1.11e08eead3cc1p+2', '0x1.11e086d269e83p+2'),
+        ('-0x1.1ba0344f62f11p+2', '0x1.1ba000c9b2821p+2'),
+        ('-0x1.b7c01f2cafca7p+1', '0x1.b7c0537956d61p+1'),
+    )),
+    'epsilon': (106, 2, 'converged-tolerance+sealed', (
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+    )),
+    'vector-epsilon': (34, 1, 'converged-tolerance+sealed', (
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+        ('-inf', 'inf'),
+    )),
+}
+
+
+def _pinned(report):
+    bounds = tuple((iv.lo.hex(), iv.hi.hex()) for iv in report.invariant.intervals)
+    return (report.iterations, report.injections, report.reason, bounds)
+
+
+@pytest.mark.parametrize("program", ["filter3", "lowpass1", "contraction2"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("policy", ["once", "repeat"])
+def test_accel_results_are_bit_identical(program, method, policy):
+    cfg = EngineConfig(mode="accel", method=method, inject_policy=policy)
+    report, _ = analyze(load_bundled(program), cfg)
+    assert _pinned(report) == GOLDEN_ACCEL[program, method, policy]
+
+
+def gaussian_program(seed: int, n: int, rho: float) -> str:
+    """A Jacobi loop with N(0, 1) coefficients scaled so that the
+    spectral radius of |A| is about ``rho``, found by power iteration in
+    plain floats; at rho = 0.97 the iterates have a long tail."""
+    rng = random.Random(seed)
+    rows = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
+    v = [1.0] * n
+    for _ in range(100):
+        w = [math.fsum(abs(a) * vj for a, vj in zip(row, v)) for row in rows]
+        top = max(w)
+        v = [wi / top for wi in w]
+    scale = rho / top
+    lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
+    lines += [f"input u{i} in [-1.0, 1.0];" for i in range(n)]
+    lines.append("loop {")
+    for i, row in enumerate(rows):
+        terms = [f"{a * scale!r}*x{j}" for j, a in enumerate(row)] + [f"0.1*u{i}"]
+        lines.append(f"  t{i} = " + " + ".join(terms).replace("+ -", "- ") + ";")
+    lines += [f"  x{i} = t{i};" for i in range(n)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_gaussian_accel_results_are_bit_identical(method):
+    p = parse(gaussian_program(1, 8, 0.97))
+    cfg = EngineConfig(mode="accel", method=method, inject_policy="repeat",
+                       fallback_after=200)
+    report, _ = analyze(p, cfg)
+    assert _pinned(report) == GOLDEN_GAUSSIAN[method]

@@ -3,14 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixaccel import (
+    EngineConfig,
     TransformConfig,
     aitken,
+    analyze,
     converged,
     epsilon_diagonal,
+    load_bundled,
     vector_epsilon_diagonal,
 )
+from fixaccel.transforms import EstimateStream
+
+METHODS = ("aitken", "epsilon", "vector-epsilon")
 
 
 def geometric(limit, coeff, ratio, n):
@@ -179,6 +187,125 @@ class TestVectorEpsilon:
             vector_epsilon_diagonal(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             vector_epsilon_diagonal(np.array([[1.0], [math.inf]]))
+
+
+def full_table_last(method, rows):
+    """The last element of the full-table function on ``rows``: the
+    reference ``EstimateStream.estimate()`` must equal bit for bit."""
+    m = np.array(rows)
+    if method == "aitken":
+        if len(m) < 3:
+            return None
+        return np.array([aitken(m[:, c])[-1].value for c in range(m.shape[1])])
+    if method == "epsilon":
+        return np.array([epsilon_diagonal(m[:, c])[-1].value for c in range(m.shape[1])])
+    return np.asarray(vector_epsilon_diagonal(m)[-1].value, dtype=float)
+
+
+def bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def stream_cases(draw):
+    """Rows of one of four shapes, each followed by an optional
+    replacement of the newest row or a shrink of the coordinate set.  A
+    replacement nudges the row, repeats the row before (a zero first
+    difference) or extends the two before linearly (a zero second
+    difference), so that it can stall cells the original row did not."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["random", "geometric", "rank1", "two-modes"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(m)[:, None]
+    if kind == "random":
+        rows = np.array(draw(st.lists(finite, min_size=m * d, max_size=m * d))).reshape(m, d)
+    elif kind == "geometric":  # one ratio per coordinate
+        rows = rng.normal(size=d) + rng.normal(size=d) * rng.uniform(-0.95, 0.95, d) ** k
+    elif kind == "rank1":  # the lowpass1 stall: a transient, then one shared ratio
+        rows = rng.normal(size=d) + rng.normal(size=d) * rng.uniform(-0.95, 0.95) ** k
+        rows[0] += rng.normal(size=d)
+    else:
+        rows = rng.normal(size=d) + rng.uniform(-0.95, 0.95, 2) ** k @ rng.normal(size=(2, d))
+    if d > 1 and draw(st.booleans()):
+        rows[:, 0] = 3.0  # a constant coordinate
+    ops = []
+    for i in range(m):
+        ops.append(("push", rows[i]))
+        action = draw(st.sampled_from(["none", "none", "nudge", "repeat", "linear", "keep"]))
+        if action == "nudge":
+            ops.append(("replace", rows[i] + rng.normal(size=d) * 10.0 ** rng.integers(-12, 0)))
+        elif action == "repeat" and i >= 1:
+            ops.append(("replace", rows[i - 1].copy()))
+        elif action == "linear" and i >= 2:
+            ops.append(("replace", 2.0 * rows[i - 1] - rows[i - 2]))
+        elif action == "keep":
+            ops.append(("keep", draw(st.lists(st.booleans(), min_size=d, max_size=d))))
+    return ops
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=150, deadline=None)
+@given(ops=stream_cases())
+def test_stream_equals_full_table_on_every_prefix(method, ops):
+    stream = EstimateStream(method)
+    seen = []  # full rows pushed so far
+    cols = None  # the coordinates the stream still keeps
+    for op, arg in ops:
+        if cols is None:
+            cols = np.arange(len(arg))
+        if op == "push":
+            seen.append(arg)
+            stream.push(arg[cols])
+        elif op == "replace":
+            seen[-1] = arg
+            stream.replace_last(arg[cols])
+        else:
+            positions = [j for j, flag in enumerate(arg[: len(cols)]) if flag] or [0]
+            cols = cols[positions]
+            stream.keep(positions)
+        want = full_table_last(method, [r[cols] for r in seen])
+        assert bits(stream.estimate()) == bits(want)
+        assert stream.count == len(seen)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stream_follows_lowpass1_stall(method):
+    # lowpass1's Kleene bounds are exactly geometric after row 0, so the
+    # epsilon tables stall; the stream must retain what the table retains
+    _, trace = analyze(load_bundled("lowpass1"), EngineConfig(mode="kleene"))
+    rows = [np.array(r.row) for r in trace.records[:40]]
+    stream = EstimateStream(method)
+    for i, row in enumerate(rows):
+        stream.push(row)
+        assert bits(stream.estimate()) == bits(full_table_last(method, rows[: i + 1]))
+
+
+def test_vector_stream_of_dimension_one_takes_the_scalar_rule():
+    x = 2.0 + 1.5 * 0.6 ** np.arange(9.0)
+    vec, sca = EstimateStream("vector-epsilon"), EstimateStream("epsilon")
+    for v in x:
+        vec.push([v])
+        sca.push([v])
+        assert bits(vec.estimate()) == bits(sca.estimate())
+
+
+def test_stream_rejects_bad_input():
+    with pytest.raises(ValueError):
+        EstimateStream("richardson")
+    s = EstimateStream("epsilon")
+    with pytest.raises(ValueError):
+        s.replace_last([1.0])
+    with pytest.raises(ValueError):
+        s.push([1.0, math.nan])
+    s.push([1.0, 2.0])
+    with pytest.raises(ValueError):
+        s.push([1.0])
+    with pytest.raises(ValueError):
+        s.push([[1.0, 2.0]])
 
 
 class TestConverged:
