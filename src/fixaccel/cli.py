@@ -200,7 +200,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report, trace = analyze(program, cfg)
+    try:
+        report, trace = analyze(program, cfg)
+    except ValueError as exc:  # a non-finite coefficient, or NaN in evaluation
+        print(f"error: {args.program}: {exc}", file=sys.stderr)
+        return 1
 
     if args.trace is not None and not _write(args.trace, _trace_csv(trace)):
         return 1

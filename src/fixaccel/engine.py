@@ -26,14 +26,10 @@ from typing import Literal
 
 import numpy as np
 
-from .extraction import (
-    ExtractionSchema,
-    bound_row,
-    combine_detailed,
-    extract,
-    state_from_row,
-)
-from .intervals import INF, AbstractState, Interval, ThresholdSet, join
+from .extraction import bound_row, state_from_row
+# not called here; bound because the benchmark tracer wraps these names
+from .extraction import combine_detailed  # noqa: F401
+from .intervals import INF, AbstractState, ThresholdSet
 from .programs import Program
 from .transforms import EstimateStream, TransformConfig, converged
 # not called here; bound because the benchmark tracer wraps these names
@@ -328,16 +324,39 @@ def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
     return ThresholdSet(tuple(sorted(values)))
 
 
-def _inject(x: list[float], y: np.ndarray, schema: ExtractionSchema) -> list[float]:
-    """Join the combined estimate into the row ``x``, skipping variables
-    whose accelerated pair arrived inverted.  ``y`` covers the
-    coordinates that are finite in ``x``."""
-    state = state_from_row(schema.variables, x)
-    combined, swapped = combine_detailed(y, extract(state, schema).excluded, schema)
-    merged: list[tuple[str, Interval]] = []
-    for (name, iv), cv in zip(state, combined.intervals):
-        merged.append((name, iv if name in swapped else join(iv, cv)))
-    return bound_row(AbstractState(merged)).tolist()
+def _inject(x: list[float], y: np.ndarray) -> list[float]:
+    """Join the estimate ``y`` into the row ``x``.
+
+    ``y`` fills the finite coordinates of ``x`` in order; the others take
+    -inf (lower bounds) and inf (upper bounds).  A variable whose filled
+    pair is inverted keeps its bounds, a Bottom component takes the
+    filled pair, and every other bound is joined, a tie keeping the
+    bound of ``x``.  Raises ValueError on a non-finite estimate or one
+    that does not cover the finite coordinates of ``x``.
+    """
+    est = y.tolist()
+    if not all(map(math.isfinite, est)):
+        raise ValueError("combined vector must contain only finite values")
+    finite = list(map(math.isfinite, x))
+    if len(est) != sum(finite):
+        raise ValueError(
+            f"vector has {len(est)} coordinates, the row has {sum(finite)} finite ones"
+        )
+    it = iter(est)
+    filled = [next(it) if ok else (INF if j % 2 else -INF) for j, ok in enumerate(finite)]
+    out = [*x]
+    for j in range(0, len(x), 2):
+        lo, hi = filled[j], filled[j + 1]
+        if lo > hi:
+            continue
+        if x[j] > x[j + 1]:
+            out[j], out[j + 1] = lo, hi
+            continue
+        if lo < x[j]:
+            out[j] = lo
+        if hi > x[j + 1]:
+            out[j + 1] = hi
+    return out
 
 
 def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
@@ -353,7 +372,6 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
-    schema = ExtractionSchema.for_variables(names)
     x = bound_row(initial).tolist()
     acc = _Accelerator(cfg, len(x)) if cfg.mode == "accel" else None
     if acc is not None:
@@ -391,7 +409,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
             if acc.fresh is not None:
                 accel_row = acc.full_estimate_row(acc.fresh)
             if y is not None:
-                candidate = _inject(x, y, schema)
+                candidate = _inject(x, y)
                 if candidate != x:
                     x = candidate
                     injections += 1

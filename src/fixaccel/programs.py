@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import gt
 
+import numpy as np
+
 from .extraction import bound_row, state_from_row
 from .intervals import INF, AbstractState, Interval
 
@@ -134,6 +136,142 @@ def _finite(value: float, what: str) -> float:
 # (target, lo_slot, hi_slot, const, terms, reads); see LoweredBody
 Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int, ...]]
 
+# The fewest products (terms, plus one per step for its constant) a run
+# of independent steps must hold to be evaluated as one batch of NumPy
+# operations; smaller runs cost less as a Python loop.
+BATCH_MIN_PRODUCTS = 256
+
+_NAN_MESSAGE = "NaN produced in affine interval evaluation"
+
+
+class _Batch:
+    """A run of independent steps evaluated as arrays.
+
+    Row ``r`` of ``coeff`` and ``src`` is the run's ``r``-th step:
+    column 0 holds its constant times the slot that holds 1.0, column
+    ``k`` its ``k``-th term, and the columns past its last term ``0.0``
+    times that slot.  ``src[r, 0]`` lists the slots the lower bound
+    reads, ``src[r, 1]`` those of the upper bound (the other slot of
+    each pair).  ``pick`` indexes, in the flattened running sums, each
+    bound's sum after the step's own last term, so the padding never
+    enters a result (adding ``+0.0`` would turn ``-0.0`` into
+    ``+0.0``); ``dst`` is the slot each bound is written to.
+    """
+
+    __slots__ = ("coeff", "src", "pick", "dst")
+
+    def __init__(self, steps: list[Step], one: int):
+        depth = 1 + max(len(step[4]) for step in steps)
+        coeffs: list[float] = []
+        srcs: list[int] = []
+        zeros, ones = [0.0] * depth, [one] * depth
+        for _, _, _, const, terms, _ in steps:
+            coeffs.append(const)
+            srcs.append(one)
+            if terms:
+                coeff, src, _ = zip(*terms)
+                coeffs += coeff
+                srcs += src
+            pad = depth - 1 - len(terms)
+            coeffs += zeros[:pad]
+            srcs += ones[:pad]
+        counts = [len(step[4]) for step in steps]
+        targets = [step[0] for step in steps]
+        table = np.array(coeffs + srcs + counts + targets)  # one conversion per run
+        size, n = len(coeffs), len(steps)
+        self.coeff = table[:size].reshape(n, 1, depth)
+        index = table[size:].astype(np.intp)
+        src = index[:size].reshape(n, 1, depth)
+        self.src = np.concatenate((src, src ^ 1), axis=1)
+        # bound h of step r sums in row 2r + h of the flattened (n, 2, depth)
+        self.pick = np.arange(2 * n).reshape(n, 2) * depth + index[size : size + n, None]
+        self.dst = (2 * index[size + n :, None] + (0, 1)).ravel()
+
+    def run(self, b: np.ndarray) -> None:
+        """Write the run's targets into ``b``.  Each bound sums its
+        products left to right from the constant, as the per-step loop
+        does, so every value is bit-identical to it."""
+        acc = self.coeff * b.take(self.src)
+        np.add.accumulate(acc, axis=2, out=acc)
+        values = acc.take(self.pick)
+        low = values.min()  # NaN if any value is NaN
+        if low != low:
+            raise ValueError(_NAN_MESSAGE)
+        b.put(self.dst, values)
+
+
+class _Plan:
+    """A body as ``_Batch``es and tuples of steps for the per-step loop,
+    in body order.  ``slots`` is the layout of the bounds, the state's
+    left as zeros, with an extra last pair of slots that hold 1.0."""
+
+    __slots__ = ("width", "slots", "parts")
+
+    def __init__(self, runs: list[tuple[list[Step], bool]], width: int, tail: list[float]):
+        """``runs`` pairs each run with whether it is a batch."""
+        self.width = width
+        self.slots = np.array([0.0] * width + tail + [1.0, 1.0])
+        one = len(self.slots) - 2
+        parts: list = []
+        for run, batched in runs:
+            if batched:
+                parts.append(_Batch(run, one))
+            elif parts and type(parts[-1]) is tuple:
+                parts[-1] += tuple(run)
+            else:
+                parts.append(tuple(run))
+        self.parts = tuple(parts)
+
+    def image(self, row: list[float]) -> list[float]:
+        """``LoweredBody.image`` of a row without Bottom: the bounds move
+        to an array for each batch and back to a list for the per-step
+        runs.  Overflow to inf stays silent, as in Python float
+        arithmetic."""
+        b = self.slots.copy()
+        b[: self.width] = row
+        with np.errstate(over="ignore", invalid="ignore"):
+            for part in self.parts:
+                if type(part) is not tuple:
+                    if type(b) is list:
+                        b = np.array(b)
+                    part.run(b)
+                    continue
+                if type(b) is not list:
+                    b = b.tolist()
+                for _, lo_slot, hi_slot, const, terms, _ in part:
+                    lo = hi = const
+                    for coeff, src_lo, src_hi in terms:
+                        lo += coeff * b[src_lo]
+                        hi += coeff * b[src_hi]
+                    if lo != lo or hi != hi:
+                        raise ValueError(_NAN_MESSAGE)
+                    b[lo_slot] = lo
+                    b[hi_slot] = hi
+        return b[: self.width] if type(b) is list else b[: self.width].tolist()
+
+
+def _plan(steps: tuple[Step, ...], width: int, tail: list[float]) -> _Plan | None:
+    """Split ``steps`` into maximal runs of consecutive steps that read
+    and write no variable an earlier step of the same run writes; a run
+    of at least BATCH_MIN_PRODUCTS products is a batch.  None, for the
+    per-step loop, unless the batches hold at least half of the body's
+    products: each switch between a batch and the per-step loop copies
+    every slot, which a long body with a few wide runs among many
+    narrow ones (a sparse Gauss-Seidel sweep) would not win back."""
+    runs: list[list[Step]] = [[]]
+    written: set[int] = set()
+    for step in steps:
+        if step[0] in written or not written.isdisjoint(step[5]):
+            runs.append([])
+            written = set()
+        runs[-1].append(step)
+        written.add(step[0])
+    sizes = [sum(1 + len(step[4]) for step in run) for run in runs]
+    batched = [size >= BATCH_MIN_PRODUCTS for size in sizes]
+    if 2 * sum(size for size, b in zip(sizes, batched) if b) < sum(sizes):
+        return None
+    return _Plan(list(zip(runs, batched)), width, tail)
+
 
 class LoweredBody:
     """A loop body as slot arithmetic on a flat list of bounds.
@@ -149,9 +287,13 @@ class LoweredBody:
     and zero coefficients are dropped.  ``reads`` lists every variable
     the right-hand side names, zero coefficients included, so that a
     Bottom read still makes the target Bottom.
+
+    ``plan`` groups the steps into runs that ``image`` may evaluate as
+    arrays (see ``_plan``); it is None for a body with a Bottom input or
+    without wide enough runs.
     """
 
-    __slots__ = ("width", "tail", "steps", "bottom_inputs")
+    __slots__ = ("width", "tail", "steps", "bottom_inputs", "plan")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -189,6 +331,8 @@ class LoweredBody:
         self.tail = tuple(tail)
         self.steps = tuple(steps)
         self.bottom_inputs = frozenset(bottom_inputs)
+        # a Bottom input makes the targets that read it Bottom: per-step loop
+        self.plan = None if bottom_inputs else _plan(self.steps, self.width, tail)
 
     def image(self, row: list[float]) -> list[float]:
         """One pass of the body over a bound row of the state variables.
@@ -197,8 +341,12 @@ class LoweredBody:
         ``hi += coeff * b[src_for_hi]`` in body order from ``const``:
         exactly the float operations of ``affine_eval``, so the new row
         is bit-identical to the interval evaluation.  A target that reads
-        a Bottom variable becomes Bottom, ``(inf, -inf)``.
+        a Bottom variable becomes Bottom, ``(inf, -inf)``.  On a row
+        without Bottom, a planned body runs its wide runs as arrays, with
+        the same operations in the same order.
         """
+        if self.plan is not None and not any(map(gt, row[::2], row[1::2])):
+            return self.plan.image(row)
         b = [*row, *self.tail]
         bottom = set(self.bottom_inputs)
         if any(map(gt, row[::2], row[1::2])):
@@ -216,7 +364,7 @@ class LoweredBody:
                 lo += coeff * b[src_lo]
                 hi += coeff * b[src_hi]
             if lo != lo or hi != hi:
-                raise ValueError("NaN produced in affine interval evaluation")
+                raise ValueError(_NAN_MESSAGE)
             b[lo_slot] = lo
             b[hi_slot] = hi
         return b[: self.width]

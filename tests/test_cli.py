@@ -136,6 +136,29 @@ class TestAnalyze:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            # the literal overflows to inf, which lowering rejects
+            ("state x in [0, 1];\nloop { x = 1e400*x; }\n", "coefficient must be finite"),
+            # 1e308*u overflows to inf, and inf - inf is NaN
+            (
+                "state x in [0, 1];\ninput u in [1e308, 1e308];\n"
+                "loop { t = 1e308*u - 1e308*u; x = 0.5*x; }\n",
+                "NaN produced",
+            ),
+        ],
+        ids=["overflowing-literal", "nan-in-evaluation"],
+    )
+    def test_exit_one_when_analysis_rejects_program(self, capsys, tmp_path, source, message):
+        bad = tmp_path / "bad.loop"
+        bad.write_text(source)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+        assert message in err
+
     @pytest.mark.parametrize("flag", ["--trace", "--report"])
     @pytest.mark.parametrize("target", ["missing-dir/out", "."])
     def test_exit_one_on_unwritable_output(self, capsys, tmp_path, flag, target):
