@@ -226,131 +226,99 @@ def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
 class _Accelerator:
     """Watches the iterate rows and produces injection candidates.
 
-    Feeds the finite coordinates of each row to an ``EstimateStream``
-    and reports a fresh estimate whenever new accelerated evidence
-    exists (a new transformed element for Aitken, a deeper even-diagonal
-    entry for the epsilon methods).  Estimates are compared only while
-    the finite-coordinate set is unchanged.
+    ``active`` lists the finite coordinates of the newest row pushed.
+    The ``EstimateStream`` sees only those coordinates, and ``last``, the
+    newest estimate, holds one value per entry of ``active``.  Estimates
+    are compared only while the finite-coordinate set is unchanged.
     """
 
-    def __init__(self, cfg: EngineConfig, n_coords: int):
+    def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
         self.stream: EstimateStream | None = None
-        self.active: tuple[int, ...] = ()
+        self.active: list[int] = []
         self.depth = 0
-        self.y_prev: np.ndarray | None = None
-        self.fresh: np.ndarray | None = None
-        self.last_estimate: np.ndarray | None = None
-        self.last_active: tuple[int, ...] = ()
-        self.n_coords = n_coords
+        self.prev: np.ndarray | None = None  # the estimate ``ready`` saw last
+        self.last: np.ndarray | None = None
 
-    def push(self, x: list[float]) -> None:
-        row = self._follow(x)
-        if row is not None:
-            self.stream.push(row)
-
-    def replace_last(self, x: list[float]) -> None:
-        row = self._follow(x)
-        if row is not None:
-            self.stream.replace_last(row)
-
-    def _follow(self, x: list[float]) -> np.ndarray | None:
-        """The finite coordinates of ``x``, after fitting the stream to
-        them; None when there are none."""
+    def push(self, x: list[float], replace: bool = False) -> np.ndarray | None:
+        """Feed the finite coordinates of ``x`` to the stream, as a new
+        row or in place of the newest one, and return the fresh estimate
+        if there is new accelerated evidence (a new transformed element
+        for Aitken, a deeper even-diagonal entry for the epsilon
+        methods), else None."""
         row = np.array(x)
         idx = np.flatnonzero(np.isfinite(row))
-        active = tuple(idx.tolist())
-        if not active:
-            self.stream, self.active = None, ()
-            return None
+        active = idx.tolist()
         if active != self.active:
             # coordinate set changed: restart the comparison chain
-            if self.stream is not None and set(active) <= set(self.active):
+            if not active:
+                self.stream = None
+            elif self.stream is not None and set(active) <= set(self.active):
                 self.stream.keep([self.active.index(j) for j in active])
             else:
                 # new coordinates (a Bottom variable that became finite)
                 # have no finite history: the stream starts from this row
                 self.stream = EstimateStream(self.cfg.method, self.cfg.transform)
-            self.active = active
-            self.depth = 0
-            self.y_prev = None
-        return row[idx]
-
-    def _estimate(self) -> np.ndarray | None:
-        """Fresh accelerated estimate over active coords, or None."""
+            self.active, self.depth, self.prev, self.last = active, 0, None, None
         if self.stream is None:
             return None  # nothing to accelerate
-        if self.cfg.method == "aitken":
-            return self.stream.estimate()
-        depth = (self.stream.count - 1) // 2
-        if depth <= self.depth or depth < 1:
-            return None
-        self.depth = depth
-        return self.stream.estimate()
+        with np.errstate(over="ignore", invalid="ignore"):
+            (self.stream.replace_last if replace else self.stream.push)(row[idx])
+        if self.cfg.method != "aitken":
+            depth = (self.stream.count - 1) // 2
+            if depth <= self.depth:
+                return None
+            self.depth = depth
+        self.last = self.stream.estimate()
+        return self.last
 
-    def candidate(self) -> np.ndarray | None:
-        """Return an estimate ready for injection (two consecutive
-        estimates within delta), else None.  ``self.fresh`` holds the
-        estimate newly computed by this call, if any."""
-        y = self._estimate()
-        self.fresh = y
-        if y is None:
-            return None
-        self.last_estimate = y
-        self.last_active = self.active
-        prev, self.y_prev = self.y_prev, y
-        if prev is not None and converged(y, prev, self.cfg.delta, self.cfg.transform):
-            return y
-        return None
-
-    def full_estimate_row(self, y: np.ndarray) -> tuple[float | None, ...]:
-        """Embed an active-coordinate estimate into the full layout."""
-        full: list[float | None] = [None] * self.n_coords
-        for pos, coord in enumerate(self.active):
-            full[coord] = float(y[pos])
-        return tuple(full)
+    def ready(self, y: np.ndarray) -> bool:
+        """True when the fresh estimate ``y`` agrees within delta with
+        the one passed here before it."""
+        prev, self.prev = self.prev, y
+        if prev is None:
+            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            return converged(y, prev, self.cfg.delta, self.cfg.transform)
 
 
 def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
     """Thresholds for the emergency widening: the last accelerated
-    estimate with each bound relaxed outward by a relative margin."""
-    if acc.last_estimate is None:
-        return ThresholdSet(())
+    estimate with each bound relaxed outward by a relative margin.  A
+    bound whose threshold is not finite adds none: the implicit
+    infinities of ``ThresholdSet`` already stand for it."""
     values: set[float] = set()
-    for pos, coord in enumerate(acc.last_active):
-        v = float(acc.last_estimate[pos])
-        margin = max(1e-6, 1e-6 * abs(v))
-        values.add(v - margin if coord % 2 == 0 else v + margin)
+    if acc.last is not None:
+        for coord, v in zip(acc.active, acc.last.tolist()):
+            margin = max(1e-6, 1e-6 * abs(v))
+            t = v - margin if coord % 2 == 0 else v + margin
+            if math.isfinite(t):
+                values.add(t)
     return ThresholdSet(tuple(sorted(values)))
 
 
-def _inject(x: list[float], y: np.ndarray) -> list[float]:
-    """Join the estimate ``y`` into the row ``x``.
+def _inject(x: list[float], active: list[int], y: np.ndarray) -> list[float]:
+    """Join the estimate ``y`` of the coordinates ``active`` into the
+    row ``x``.
 
-    ``y`` fills the finite coordinates of ``x`` in order; the others take
-    -inf (lower bounds) and inf (upper bounds).  A variable whose filled
-    pair is inverted keeps its bounds, a Bottom component takes the
-    filled pair, and every other bound is joined, a tie keeping the
-    bound of ``x``.  Raises ValueError on a non-finite estimate or one
-    that does not cover the finite coordinates of ``x``.
+    Every other coordinate keeps its value, so a Bottom component stays
+    Bottom.  A variable whose estimated pair is inverted keeps its
+    bounds, and every other bound is joined, a tie keeping the bound of
+    ``x``.  Raises ValueError on a non-finite estimate or one whose
+    length differs from that of ``active``.
     """
     est = y.tolist()
     if not all(map(math.isfinite, est)):
         raise ValueError("combined vector must contain only finite values")
-    finite = list(map(math.isfinite, x))
-    if len(est) != sum(finite):
-        raise ValueError(
-            f"vector has {len(est)} coordinates, the row has {sum(finite)} finite ones"
-        )
-    it = iter(est)
-    filled = [next(it) if ok else (INF if j % 2 else -INF) for j, ok in enumerate(finite)]
+    if len(est) != len(active):
+        raise ValueError(f"vector has {len(est)} coordinates for {len(active)} active ones")
+    filled = [*x]
+    for j, v in zip(active, est):
+        filled[j] = v
     out = [*x]
     for j in range(0, len(x), 2):
         lo, hi = filled[j], filled[j + 1]
         if lo > hi:
-            continue
-        if x[j] > x[j + 1]:
-            out[j], out[j + 1] = lo, hi
             continue
         if lo < x[j]:
             out[j] = lo
@@ -369,11 +337,12 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     standard widening via the implicit infinities), guaranteeing
     termination.
     """
+    p.lowered  # lower the body before the loop, not inside a transfer
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
     x = bound_row(initial).tolist()
-    acc = _Accelerator(cfg, len(x)) if cfg.mode == "accel" else None
+    acc = _Accelerator(cfg) if cfg.mode == "accel" else None
     if acc is not None:
         acc.push(x)
 
@@ -404,12 +373,14 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
         accel_row: tuple[float | None, ...] | None = None
         injected_now = False
         if acc is not None and fallback is None and not accel_done:
-            acc.push(x)
-            y = acc.candidate()
-            if acc.fresh is not None:
-                accel_row = acc.full_estimate_row(acc.fresh)
+            y = acc.push(x)
             if y is not None:
-                candidate = _inject(x, y)
+                est: list[float | None] = [None] * len(x)
+                for j, v in zip(acc.active, y.tolist()):
+                    est[j] = v
+                accel_row = tuple(est)
+            if y is not None and acc.ready(y):
+                candidate = _inject(x, acc.active, y)
                 if candidate != x:
                     x = candidate
                     injections += 1
@@ -419,7 +390,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                     if cfg.inject_policy == "once":
                         accel_done = True
                     else:
-                        acc.replace_last(x)
+                        acc.push(x, replace=True)
 
         if x == prev:
             reason = "converged"

@@ -1,5 +1,6 @@
 """Fixpoint engine: plain iteration, widening, acceleration, soundness."""
 import math
+import warnings
 
 import pytest
 
@@ -16,8 +17,11 @@ from fixaccel import (
     transfer,
     verify_postfixpoint,
 )
-from fixaccel.intervals import BOTTOM
+from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
+
+METHODS = ["aitken", "epsilon", "vector-epsilon"]
+POLICIES = ["once", "repeat"]
 
 # limits of the bundled programs, from solving the stationary bound
 # equations of each loop directly (see tests below for the 2-state case)
@@ -263,6 +267,112 @@ class TestAccelerated:
                 for v in p.state_names:
                     assert abs(report.invariant[v].lo - base.invariant[v].lo) < 1e-3
                     assert abs(report.invariant[v].hi - base.invariant[v].hi) < 1e-3
+
+
+def _shrinking_program(with_y=True):
+    """``x`` reads an unbounded input, so it is finite only in the
+    initial row; ``y`` converges to [1, 6]."""
+    states = [("x", Interval(0.0, 1.0))]
+    inputs = [("u", TOP)]
+    body = [Assignment("x", 0.0, ((0.5, "x"), (1.0, "u")))]
+    if with_y:
+        states.append(("y", Interval(1.0, 2.0)))
+        inputs.append(("w", Interval(1.0, 6.0)))
+        body.append(Assignment("y", 0.0, ((0.9, "y"), (0.1, "w"))))
+    return Program(tuple(states), tuple(inputs), tuple(body))
+
+
+# exact results of the shrinking program per method: the upper bound of
+# ``y``, the iteration count and the iterations with a fresh estimate
+SHRINK_RESULTS = {
+    "aitken": (6.0000000000000036, 4, [2, 3]),
+    "epsilon": (6.000000000000002, 5, [2, 4]),
+    "vector-epsilon": (6.000000000000007, 5, [2, 4]),
+}
+
+
+class TestAcceleratorBranches:
+    """Exact results of the estimator's rarer paths: the finite
+    coordinates shrinking, all of them vanishing, and a fallback that
+    fires before any estimate exists."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shrinking_coordinates_keep_their_history(self, method, policy):
+        # ``x`` leaves the finite set after the first step; the stream
+        # keeps the history of ``y``, so Aitken estimates already at
+        # iteration 2 from the rows 0..2
+        report, trace = analyze(
+            _shrinking_program(), EngineConfig(method=method, inject_policy=policy)
+        )
+        y_hi, iterations, with_estimate = SHRINK_RESULTS[method]
+        if method == "aitken" and policy == "repeat":
+            with_estimate = [*with_estimate, iterations]
+        assert report.invariant["x"] == TOP
+        assert report.invariant["y"] == Interval(1.0, y_hi)
+        assert report.iterations == iterations
+        assert report.injections == 1
+        assert report.reason == "converged"
+        assert [r.index for r in trace.records if r.accel is not None] == with_estimate
+        assert all(r.accel[:2] == (None, None) for r in trace.records if r.accel)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_finite_coordinate_left(self, method, policy):
+        report, trace = analyze(
+            _shrinking_program(with_y=False),
+            EngineConfig(method=method, inject_policy=policy),
+        )
+        assert report.invariant["x"] == TOP
+        assert (report.iterations, report.injections) == (2, 0)
+        assert report.reason == "converged"
+        assert [r.event for r in trace.records] == ["plain-step", "converged"]
+        assert all(r.accel is None for r in trace.records)
+
+    def test_fallback_before_any_estimate(self):
+        # the epsilon table has no even column after two rows, so the
+        # fallback widens without thresholds
+        p = load_bundled("lowpass1")
+        report, trace = analyze(p, EngineConfig(method="epsilon", fallback_after=1))
+        assert [r.event for r in trace.records] == [
+            "plain-step", "fallback-widen", "converged"
+        ]
+        assert all(r.accel is None for r in trace.records)
+        assert report.invariant["x1"] == Interval(0.0, math.inf)
+        assert report.converged and report.sound
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_injection_keeps_bottom_variable(self, method, policy):
+        p = Program(
+            state_vars=(("x", Interval(1.0, 2.0)), ("y", BOTTOM)),
+            input_vars=(("u", Interval(1.0, 6.0)),),
+            body=(
+                Assignment("x", 0.0, ((0.5, "x"), (0.1, "u"))),
+                Assignment("y", 0.0, ((1.0, "y"),)),
+            ),
+        )
+        exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
+        assert exact.invariant["y"] == BOTTOM
+        report, _ = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        assert report.converged and report.sound
+        assert report.injections == 1
+        assert report.invariant["y"] == BOTTOM
+        assert report.invariant["x"].lo == pytest.approx(0.2, abs=1e-6)
+        assert report.invariant["x"].hi == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_estimate_is_no_threshold(self, method, policy):
+        # Aitken's squared difference overflows to an infinite estimate;
+        # it must neither warn nor reach the fallback's threshold set
+        p = parse("state x in [0, 1];\nloop {\n  x = 0.5*x + 1e200;\n}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        assert report.converged and report.sound
+        iv = report.invariant["x"]
+        assert iv.lo <= 0.0 and iv.hi >= 2e200
 
 
 class TestConfigValidation:

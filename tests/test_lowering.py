@@ -287,12 +287,13 @@ def test_batched_row_keeps_negative_zero_when_others_pad():
 
 def interval_inject(names, x, y):
     """The engine's injection through the interval operations: combine
-    the estimate into a state, skip swapped variables, join the rest."""
+    the estimate into a state, skip swapped and Bottom variables, join
+    the rest."""
     schema = ExtractionSchema.for_variables(names)
     state = state_from_row(names, x)
     combined, swapped = combine_detailed(y, extract(state, schema).excluded, schema)
     return AbstractState(
-        (name, iv if name in swapped else join(iv, cv))
+        (name, iv if name in swapped or iv.is_bottom else join(iv, cv))
         for (name, iv), cv in zip(state, combined.intervals)
     )
 
@@ -311,11 +312,12 @@ def test_row_inject_equals_interval_join(seed, n):
             continue
         r = rng.random()
         y.append(v if r < 0.2 else -v if r < 0.4 else v + float(rng.normal(scale=5)))
-    got = engine._inject(x, np.array(y, dtype=float))
+    active = [j for j, v in enumerate(x) if math.isfinite(v)]
+    got = engine._inject(x, active, np.array(y, dtype=float))
     assert bits(state_from_row(names, got)) == bits(interval_inject(names, x, y))
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [1.0]])
 def test_row_inject_rejects_bad_estimates(bad):
     with pytest.raises(ValueError):
-        engine._inject([0.0, 1.0], np.array(bad))
+        engine._inject([0.0, 1.0], [0, 1], np.array(bad))
