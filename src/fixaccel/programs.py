@@ -310,12 +310,14 @@ class LoweredBody:
             if rng.is_bottom:
                 bottom_inputs.add(ids[name])
         steps: list[Step] = []
+        isfinite = math.isfinite
         for a in p.body:
             const = _finite(a.const, "constant term")
             terms: list[tuple[float, int, int]] = []
             reads: list[int] = []
             for coeff, var in a.terms:
-                coeff = _finite(coeff, "coefficient")
+                if type(coeff) is not float or not isfinite(coeff):
+                    coeff = _finite(coeff, "coefficient")  # converts, or raises
                 k = ids[var]
                 reads.append(k)
                 if coeff > 0.0:
@@ -517,12 +519,157 @@ class _Parser:
             )
 
 
+# ASCII characters str.split() breaks at that the tokenizer does not skip
+_OTHER_SPACE = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _literal(tok: str) -> float:
+    """The value of the number token ``tok`` (ASCII, without
+    whitespace); ValueError if it is not one.
+
+    Of the ASCII texts that start with a digit or ``.``, ``float``
+    accepts the number tokens of ``_TOKEN_RE`` and, besides them, only
+    the same with underscores (``1_0``); ``inf``, ``nan`` and signs
+    cannot come first.  So a text that passes holds only ``0-9 . e E +
+    -`` and is one number token.
+    """
+    if tok[:1] not in _NUM_START or "_" in tok:
+        raise ValueError(tok)
+    return float(tok)
+
+
+def _signed(text: str) -> float:
+    """The value of ``[+|-] literal``, with or without whitespace after
+    the sign, as ``_Parser.number`` computes it; ValueError if ``text``
+    is not that."""
+    words = text.split()
+    if not (len(words) == 1 or len(words) == 2 and words[0] in ("+", "-")):
+        raise ValueError(text)
+    tok = "".join(words)
+    sign = 1.0
+    if tok[0] in "+-":
+        sign = -1.0 if tok[0] == "-" else 1.0
+        tok = tok[1:]
+    return sign * _literal(tok)
+
+
+def _read(text: str) -> Program | None:
+    """The program of ``text`` read with string methods, or None when a
+    statement is not one this reader verifies.
+
+    Comments go first (``#`` always starts one).  The text is then split
+    at ``{``, ``}`` and ``;`` into statements, which always end a token,
+    and each statement at whitespace into chunks.  A chunk is accepted
+    only as a whole: a keyword, a name, a sign, ``[sign] literal``,
+    ``[sign] literal*name`` or ``[sign] name``.  Every value is made by
+    the float operations of ``_Parser``, and every scope, keyword,
+    duplicate, input-target and empty-interval check that could raise
+    makes this return None instead, so ``_Parser`` reports it.  A
+    chunk that must be a literal and is not one raises ValueError from
+    ``_literal``, which means the same.
+    """
+    if "#" in text:
+        text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
+    if not text.isascii() or any(c in text for c in _OTHER_SPACE):
+        return None
+    head, _, rest = text.partition("{")
+    body, brace, tail = rest.partition("}")
+    *decls, loop = head.split(";")
+    if not brace or tail.strip() or loop.split() != ["loop"]:
+        return None
+    states: list[tuple[str, Interval]] = []
+    inputs: list[tuple[str, Interval]] = []
+    in_scope: set[str] = set()  # the declared names, then the targets too
+    intervals: dict[str, Interval] = {}  # by the text after "[", read once per text
+    for decl in decls:
+        left, _, bounds = decl.partition("[")
+        words = left.split()
+        if len(words) != 3 or words[2] != "in":
+            return None
+        kw, name, _ = words
+        if kw not in ("state", "input") or not name.isidentifier() or name in _KEYWORDS:
+            return None
+        if name in in_scope:
+            return None
+        iv = intervals.get(bounds)
+        if iv is None:
+            lo, _, hi = bounds.partition(",")
+            hi, bracket, after = hi.partition("]")
+            if not bracket or after.strip():
+                return None
+            lo, hi = _signed(lo), _signed(hi)
+            if lo > hi:
+                return None
+            iv = intervals[bounds] = Interval(lo, hi)
+        in_scope.add(name)
+        (states if kw == "state" else inputs).append((name, iv))
+    if not states:
+        return None
+    input_names = {name for name, _ in inputs}
+    *statements, last = body.split(";")
+    if last.strip():
+        return None
+    assignments: list[Assignment] = []
+    for statement in statements:
+        target, eq, rhs = statement.partition("=")
+        words = target.split()
+        if len(words) != 1 or not eq:
+            return None
+        (target,) = words
+        if not target.isidentifier() or target in _KEYWORDS or target in input_names:
+            return None
+        const = 0.0
+        terms: list[tuple[float, str]] = []
+        op = ""  # the sign read since the last term, if any
+        after_term = False
+        for chunk in rhs.split():
+            if chunk[0] in "+-":
+                if op:
+                    return None
+                op = chunk[0]
+                if len(chunk) == 1:
+                    continue
+                chunk = chunk[1:]
+            elif after_term and not op:
+                return None
+            sign = -1.0 if op == "-" else 1.0
+            num, star, var = chunk.partition("*")
+            if star:
+                if var not in in_scope:
+                    return None
+                terms.append((sign * _literal(num), var))
+            elif chunk in in_scope:
+                terms.append((sign, chunk))
+            else:
+                const += sign * _literal(chunk)
+            op = ""
+            after_term = True
+        if op or not after_term:
+            return None
+        assignments.append(Assignment(target, const, tuple(terms)))
+        in_scope.add(target)
+    return Program(tuple(states), tuple(inputs), tuple(assignments))
+
+
 def parse(text: str) -> Program:
-    """Parse program source text, raising ParseError with line/column."""
-    return _Parser(text).program()
+    """Parse program source text, raising ParseError with line/column.
+
+    ``_read`` reads well-formed text; any text it cannot verify, which
+    includes every malformed text, goes whole to the token-level
+    ``_Parser``, the one source of ParseError.
+    """
+    try:
+        program = _read(text)
+    except ValueError:
+        program = None
+    return program if program is not None else _Parser(text).program()
 
 
 def _fmt_num(x: float) -> str:
+    if math.isinf(x):
+        # ``inf`` would read back as a name; a literal past the float
+        # range reads back as the same infinity
+        return "1e999" if x > 0 else "-1e999"
     return repr(float(x))
 
 

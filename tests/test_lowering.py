@@ -109,6 +109,19 @@ def test_bottom_read_with_zero_coefficient_makes_target_bottom():
     assert out["y"] == Interval(2.0, 2.0)
 
 
+def test_coefficients_of_other_numeric_types_lower_as_floats():
+    # np.float64 arithmetic would warn on overflow where float stays silent
+    p = Program(
+        (("x", Interval(0, 1)),),
+        (),
+        (Assignment("x", 0.0, ((2, "x"), (np.float64(0.5), "x"), (0.25, "x"))),),
+    )
+    (step,) = p.lowered.steps
+    assert [(type(c), c) for c, _, _ in step[4]] == [(float, 2.0), (float, 0.5), (float, 0.25)]
+    with pytest.raises(ValueError, match="coefficient must be finite, got inf"):
+        Program(p.state_vars, (), (Assignment("x", 0.0, ((np.float64("inf"), "x"),)),)).lowered
+
+
 SIGNED_ZEROS = [Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(-0.0, 1.0)]
 
 

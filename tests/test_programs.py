@@ -1,7 +1,10 @@
 """Loop-program parsing, printing, and the abstract transfer function."""
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fixaccel import (
     AbstractState,
@@ -13,6 +16,7 @@ from fixaccel import (
     transfer,
     unparse,
 )
+from fixaccel import programs
 
 SMALL = """
 # a one-state decaying accumulator
@@ -22,6 +26,14 @@ loop {
   x = 0.5*x + 0.25*u;
 }
 """
+
+
+# Declarations and a first assignment as loops.render and unparse lay
+# them out; the hand-off tests append the statement under test.
+CANONICAL = (
+    "state x in [0.0, 1.0];\nstate z in [-1.0, 1.0];\ninput u in [-1.0, 1.0];\n"
+    "loop {\n  z = 0.25*x - 0.5*u;\n"
+)
 
 
 class TestParsing:
@@ -62,6 +74,12 @@ class TestParsing:
         p = parse("state x in [0, 1e2];\nloop { x = 1.5e-1*x; }")
         assert dict(p.state_vars)["x"] == Interval(0, 100)
         assert p.body[0].terms == ((0.15, "x"),)
+
+    def test_non_ascii_digit_inside_a_literal(self):
+        # the token grammar's \d takes any Unicode digit after the first
+        # character; the string reader hands such text over unchanged
+        p = parse(CANONICAL + "  x = 0.\u0665*x;\n}\n")
+        assert p.body[1].terms == ((0.5, "x"),)
 
     def test_temporaries_are_not_state(self):
         p = parse(
@@ -188,6 +206,107 @@ class TestParseErrors:
             "trailing input",
         )
 
+    # Errors inside otherwise canonical statements, where the string
+    # reader hands the text to the token parser; recorded before the
+    # reader existed.
+    def test_undeclared_variable_in_canonical_term(self):
+        self.expect(
+            CANONICAL + "  x = 0.5*x + 0.5*y;\n}\n",
+            "variable 'y' is not declared and not assigned earlier in the body",
+            line=6,
+            col=19,
+        )
+
+    def test_keyword_after_star(self):
+        self.expect(
+            CANONICAL + "  x = 0.5*in;\n}\n",
+            "expected a variable name, found 'in'",
+            line=6,
+            col=11,
+        )
+
+    def test_two_signs_in_a_row(self):
+        self.expect(
+            CANONICAL + "  x = 0.5*x + -0.5*u;\n}\n", "expected a term, found '-'", line=6, col=15
+        )
+        self.expect(CANONICAL + "  x = - -x;\n}\n", "expected a term, found '-'", line=6, col=9)
+
+    def test_missing_operator_between_canonical_terms(self):
+        self.expect(CANONICAL + "  x = 0.5*x 0.25*u;\n}\n", "expected ';', found '0.25'", line=6, col=13)
+
+    def test_trailing_sign(self):
+        self.expect(CANONICAL + "  x = 0.5*x + ;\n}\n", "expected a term, found ';'", line=6, col=15)
+
+    def test_keyword_as_canonical_target(self):
+        self.expect(
+            CANONICAL + "  in = 0.5*x;\n}\n", "expected an assignment target, found 'in'", line=6, col=3
+        )
+
+    @pytest.mark.parametrize("rhs, col", [("inf*x", 7), ("0.5*x + nan", 15)])
+    def test_float_spellings_are_names(self, rhs, col):
+        # float() reads "inf" and "nan", the language reads names
+        self.expect(CANONICAL + f"  x = {rhs};\n}}\n", "is not declared", line=6, col=col)
+
+    def test_duplicate_state_in_canonical_declarations(self):
+        self.expect(
+            CANONICAL.replace("loop {", "state x in [0.0, 1.0];\nloop {") + "}\n",
+            "variable 'x' declared twice",
+            line=4,
+            col=7,
+        )
+
+    def test_declared_interval_from_inf_to_minus_inf(self):
+        # (inf, -inf) is how Interval spells Bottom, which no declaration may be
+        self.expect(
+            CANONICAL.replace("loop {", "state w in [1e400, -1e400];\nloop {") + "}\n",
+            "empty declared interval [inf, -inf]",
+            line=4,
+            col=27,
+        )
+
+    def test_underscore_in_literal(self):
+        self.expect(CANONICAL + "  x = 1_0*x;\n}\n", "expected ';', found '_0'", line=6, col=8)
+
+    def test_non_ascii_digit(self):
+        self.expect(
+            CANONICAL + "  x = \u0662*x;\n}\n", "unexpected character '\u0662'", line=6, col=7
+        )
+
+    @pytest.mark.parametrize(
+        "statement, char, col",
+        [
+            ("x = 0.5*x +\xa00.5*z", "\xa0", 14),  # whitespace to str.split only
+            ("x\x0c= 0.5*x", "\x0c", 4),
+            ("\xe9 = 0.5*x", "\xe9", 3),  # a letter to str.isidentifier only
+        ],
+    )
+    def test_characters_outside_the_token_grammar(self, statement, char, col):
+        self.expect(
+            CANONICAL + f"  {statement};\n}}\n", f"unexpected character {char!r}", line=6, col=col
+        )
+
+    def test_fractional_exponent(self):
+        self.expect(CANONICAL + "  x = 1e5.5*x;\n}\n", "expected ';', found '.5'", line=6, col=10)
+
+    def test_nonlinear_product_in_canonical_layout(self):
+        self.expect(CANONICAL + "  x = 2*x*x;\n}\n", "expected ';', found '*'", line=6, col=10)
+
+    def test_missing_semicolon_between_canonical_assignments(self):
+        self.expect(
+            CANONICAL.replace("0.5*u;", "0.5*u") + "  x = 0.5*x;\n}\n",
+            "expected ';', found 'x'",
+            line=6,
+            col=3,
+        )
+
+    def test_empty_interval_after_canonical_declarations(self):
+        self.expect(
+            CANONICAL.replace("loop {", "state w in [2.0, 1.0];\nloop {") + "}\n",
+            "empty declared interval [2, 1]",
+            line=4,
+            col=22,
+        )
+
 
 class TestUnparse:
     def test_round_trip_small(self):
@@ -197,6 +316,22 @@ class TestUnparse:
     @pytest.mark.parametrize("name", ["filter3", "lowpass1", "contraction2"])
     def test_round_trip_bundled(self, name):
         p = load_bundled(name)
+        assert parse(unparse(p)) == p
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "state x in [0, 1e400]; loop { x = 0.5*x; }",
+            "state x in [0, 1];\ninput u in [-1e400, 1]; loop { x = 0.5*x + u; }",
+            "state x in [0, 1]; loop { x = 0.5*x + 1e400; }",
+            "state x in [0, 1]; loop { x = 0.5*x - 1e400; }",
+            "state x in [0, 1]; loop { x = -1e400*x; }",
+        ],
+    )
+    def test_round_trip_of_infinite_values(self, text):
+        # a literal past the float range reads as an infinity, which
+        # unparse must write back as such a literal, not as "inf"
+        p = parse(text)
         assert parse(unparse(p)) == p
 
     def test_round_trip_preserves_exact_floats(self):
@@ -269,3 +404,171 @@ class TestTransfer:
             from fixaccel import state_leq
 
             assert state_leq(transfer(p, small), transfer(p, big))
+
+
+# ---- the string reader against the token parser -------------------------
+
+NAMES = ["x", "y1", "_t", "e1", "E", "inf", "nan", "loopy", "in_", "Input"]
+TEMPS = ["t0", "t_1", "tmp"]
+LITERALS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(
+        ["0", "00", "0.0", "1.", ".5", "1e400", "1E-400", "2.5e+3", "5e-324", "1e-320",
+         "0e0", "1.e5", "123456789012345678901234567890", "4.9406564584124654e-324"]
+    ),
+    st.builds(
+        lambda m, e, s, exp: f"{m}{e}{s}{exp}",
+        st.sampled_from(["1", "7.25", ".5", "3."]),
+        st.sampled_from("eE"),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 400).map(str),
+    ),
+)
+SIGNS = st.sampled_from(["", "+", "-"])
+# between two tokens; an empty separator only where no name or number
+# would run into the next token
+SEPARATORS = [" ", " ", " ", "", "", "  ", "\t", "\n", "\r\n", " # note\n", "#;{}*=[\n", "\n# x = y;\r\n"]
+# tokens an edit may put in place of another
+VOCABULARY = [
+    "state", "input", "loop", "in", "inf", "nan", "x", "y1", "q", "+", "-", "*", ";", "=",
+    ",", "[", "]", "{", "}", "0.5", "-1", "1e400", "1_0", "2.",
+]
+CORRUPTIONS = [*";*+-+-[]{}=,x1.e_# \t\n@", "\u0663", "\x0b", "\x0c", "\x1c", "\xa0"]
+
+
+@st.composite
+def program_tokens(draw):
+    """The tokens of a random well-formed program: signed literals with
+    any exponent and magnitude, bare variables, constant-only right-hand
+    sides and temporaries."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
+    n_states = draw(st.integers(1, len(names)))
+    decls = [("state", name) for name in names[:n_states]]
+    decls += [("input", name) for name in names[n_states:]]
+    tokens = []
+    for kw, name in draw(st.permutations(decls)):
+        bounds = []
+        for _ in range(2):
+            sign, lit = draw(SIGNS), draw(LITERALS)
+            bounds.append((-float(lit) if sign == "-" else float(lit), [sign, lit] if sign else [lit]))
+        lo, hi = sorted(bounds, key=lambda b: b[0])
+        tokens += [kw, name, "in", "[", *lo[1], ",", *hi[1], "]", ";"]
+    tokens += ["loop", "{"]
+    scope = list(names)
+    for _ in range(draw(st.integers(0, 5))):
+        target = draw(st.sampled_from(names[:n_states] + TEMPS))
+        rhs = []
+        for k in range(draw(st.integers(1, 4))):
+            sign = draw(SIGNS) if k == 0 else draw(st.sampled_from("+-"))
+            rhs += [sign] if sign else []
+            kind = draw(st.sampled_from(["product", "product", "variable", "constant"]))
+            if kind == "product":
+                rhs += [draw(LITERALS), "*", draw(st.sampled_from(scope))]
+            elif kind == "variable":
+                rhs.append(draw(st.sampled_from(scope)))
+            else:
+                rhs.append(draw(LITERALS))
+        tokens += [target, "=", *rhs, ";"]
+        if target not in scope:
+            scope.append(target)
+    return tokens + ["}"]
+
+
+def _wordy(ch):
+    return ch.isalnum() or ch in "_."
+
+
+def _render(tokens, rng):
+    """``tokens`` as text, with random separators between them."""
+    parts = [rng.choice(["", "\n", "# head\n", " \r\n"]), tokens[0]]
+    for prev, tok in zip(tokens, tokens[1:]):
+        sep = rng.choice(SEPARATORS)
+        if not sep and _wordy(prev[-1]) and _wordy(tok[0]):
+            sep = " "
+        parts += [sep, tok]
+    parts.append(rng.choice(["", "\n", "\r\n", "  # tail", "\n\n"]))
+    return "".join(parts)
+
+
+@st.composite
+def layouts(draw):
+    """A random program in a random layout."""
+    tokens = draw(program_tokens())
+    # one draw for the layout, not one per token
+    return _render(tokens, random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def _key(p):
+    """Every float of ``p`` by ``float.hex``: dataclass equality takes
+    -0.0 for 0.0."""
+    h = float.hex
+    return (
+        [(name, h(iv.lo), h(iv.hi)) for name, iv in p.state_vars],
+        [(name, h(iv.lo), h(iv.hi)) for name, iv in p.input_vars],
+        [(a.target, h(a.const), [(h(c), v) for c, v in a.terms]) for a in p.body],
+    )
+
+
+def _outcome(read, text):
+    try:
+        return ("program", _key(read(text)))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def _token_parse(text):
+    return programs._Parser(text).program()
+
+
+class TestReaderMatchesTokenParser:
+    @settings(max_examples=150, deadline=None)
+    @given(layouts())
+    def test_random_layouts(self, text):
+        expected = _outcome(_token_parse, text)
+        assert expected[0] == "program"
+        assert _outcome(parse, text) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(program_tokens())
+    def test_unparse_output_takes_the_fast_path(self, tokens):
+        p = _token_parse(" ".join(tokens))
+        # 1e400 - 1e400 sums to a NaN constant, which no literal spells
+        assume(not any(math.isnan(a.const) for a in p.body))
+        text = unparse(p)
+        assert programs._read(text) is not None
+        assert _outcome(parse, text) == _outcome(_token_parse, text)
+
+    @settings(max_examples=120, deadline=None)
+    @given(layouts(), st.lists(st.tuples(
+        st.integers(0, 10**6), st.sampled_from(CORRUPTIONS), st.sampled_from(["insert", "replace", "delete"])
+    ), min_size=4, max_size=4))
+    def test_single_character_corruptions(self, text, edits):
+        # each edit is applied alone to the well-formed text
+        for at, ch, edit in edits:
+            at %= len(text) + 1
+            if edit == "insert":
+                bad = text[:at] + ch + text[at:]
+            elif edit == "replace":
+                bad = text[:at] + ch + text[at + 1 :]
+            else:
+                bad = text[:at] + text[at + 1 :]
+            assert _outcome(parse, bad) == _outcome(_token_parse, bad)
+
+    @settings(max_examples=120, deadline=None)
+    @given(program_tokens(), st.integers(0, 2**32 - 1))
+    def test_token_edits(self, tokens, seed):
+        # a deleted, repeated or replaced token breaks one rule of the
+        # grammar or of scope at a time, in a random layout
+        rng = random.Random(seed)
+        for _ in range(4):
+            edited = list(tokens)
+            at = rng.randrange(len(edited))
+            edit = rng.choice(["delete", "repeat", "replace"])
+            if edit == "delete":
+                del edited[at]
+            elif edit == "repeat":
+                edited.insert(at, edited[at])
+            else:
+                edited[at] = rng.choice(VOCABULARY)
+            text = _render(edited, rng)
+            assert _outcome(parse, text) == _outcome(_token_parse, text)
