@@ -246,9 +246,8 @@ class _Accelerator:
         if there is new accelerated evidence (a new transformed element
         for Aitken, a deeper even-diagonal entry for the epsilon
         methods), else None."""
-        row = np.array(x)
-        idx = np.flatnonzero(np.isfinite(row))
-        active = idx.tolist()
+        # v - v is 0.0 for a finite v and NaN for an infinite one
+        active = [j for j, v in enumerate(x) if v - v == 0.0]
         if active != self.active:
             # coordinate set changed: restart the comparison chain
             if not active:
@@ -262,8 +261,9 @@ class _Accelerator:
             self.active, self.depth, self.prev, self.last = active, 0, None, None
         if self.stream is None:
             return None  # nothing to accelerate
+        row = x if len(active) == len(x) else [x[j] for j in active]
         with np.errstate(over="ignore", invalid="ignore"):
-            (self.stream.replace_last if replace else self.stream.push)(row[idx])
+            (self.stream.replace_last if replace else self.stream.push)(row)
         if self.cfg.method != "aitken":
             depth = (self.stream.count - 1) // 2
             if depth <= self.depth:

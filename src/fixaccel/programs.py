@@ -38,7 +38,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?:[ \t\r\n]+|\#[^\n]*)*
     (
-        (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?
+        (?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
       | [A-Za-z_][A-Za-z_0-9]*
       | [;,\[\]{}=*+-]
       | .
@@ -678,10 +678,12 @@ def _fmt_expr(const: float, terms: tuple[tuple[float, str], ...]) -> str:
     for coeff, var in terms:
         mag = abs(coeff)
         body = var if mag == 1.0 else f"{_fmt_num(mag)}*{var}"
+        # the sign bit, not ``coeff >= 0``, so that -0.0 reads back as -0.0
+        negative = math.copysign(1.0, coeff) < 0
         if not parts:
-            parts.append(body if coeff >= 0 else f"-{body}")
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f"{'+' if coeff >= 0 else '-'} {body}")
+            parts.append(f"{'-' if negative else '+'} {body}")
     if const != 0.0 or not parts:
         text = _fmt_num(abs(const))
         if not parts:

@@ -289,7 +289,7 @@ class EstimateStream:
 
     def _checked(self, row: Sequence[float]) -> np.ndarray:
         arr = np.array(row, dtype=float)
-        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+        if arr.ndim != 1 or not np.isfinite(arr).all():
             raise ValueError("a row must be a 1-D sequence of finite values")
         if self._width is None:
             self._width = arr.size
@@ -342,25 +342,31 @@ def _scalar_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -
     d = eps_k^(n-k) - eps_k^(n-k-1), i.e. new[k] - prev[k], on top of
     prev[k-1] (zero for k = 0): the operations of ``_scalar_columns``.
     A NaN cell is invalid; it makes d NaN, which no threshold passes.
+
+    Every cell is first computed without masking, then the stall rule is
+    applied to the whole antidiagonal at once: cell k+1 of a coordinate
+    is valid when the d of levels 0..k all pass the threshold.  A valid
+    cell depends only on valid cells, so it holds what the masked
+    recursion gives it; the others are set to NaN, and the antidiagonal
+    ends after the last level that has a valid cell.
     """
     if prev is None:
         return row[None, :]
-    vals = np.full((len(prev) + 1, row.size), np.nan)
+    m = len(prev)
+    vals = np.empty((m + 1, row.size))
     vals[0] = row
-    thr = tol * np.maximum(1.0, np.abs(prev))
+    d = np.empty((m, row.size))
     below = np.zeros(row.size)
-    n = 1
-    for k in range(len(prev)):
-        d = vals[k] - prev[k]
-        live = np.abs(d) >= thr[k]
-        if not np.count_nonzero(live):
-            break
-        cell = vals[k + 1]
-        np.divide(1.0, d, out=cell, where=live)
-        cell += below
-        below = prev[k]
-        n = k + 2
-    return vals[:n]
+    with np.errstate(all="ignore"):
+        for src, p, dk, cell in zip(vals, prev, d, vals[1:]):
+            np.subtract(src, p, out=dk)
+            np.divide(1.0, dk, out=cell)
+            cell += below
+            below = p
+        live = np.abs(d) >= tol * np.maximum(1.0, np.abs(prev))
+    np.logical_and.accumulate(live, axis=0, out=live)
+    np.copyto(vals[1:], np.nan, where=~live)
+    return vals[: 1 + np.count_nonzero(live.any(axis=1))]
 
 
 def _vector_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -> np.ndarray:

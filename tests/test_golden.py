@@ -323,3 +323,49 @@ def test_gaussian_accel_results_are_bit_identical(method):
                        fallback_after=200)
     report, _ = analyze(p, cfg)
     assert _pinned(report) == GOLDEN_GAUSSIAN[method]
+
+
+# (seed, n, rho, method, inject policy) -> (number of estimate rows,
+# sha256 of their ``float.hex`` text, as ``_accel_digest`` writes it);
+# gaussian_program(seed, n, rho), once with fallback after 20 iterations
+# and repeat with fallback after 200, as in the benchmark's accel-tail.
+# The invariants of the epsilon methods above are [-inf, inf], so these
+# pin the estimates themselves.  They were recorded from the estimator
+# that applied the stall rule cell by cell along each antidiagonal.
+GOLDEN_GAUSSIAN_ESTIMATES = {
+    (1, 8, 0.97, 'aitken', 'once'): (19, '96eb8a990b650f16a34a1e4207517d2d33016bd63df62ad86696fd59a9090c34'),
+    (1, 8, 0.97, 'aitken', 'repeat'): (36, '4c0c2753b3409dfed918d401e359d7fd21b125ae9e60acfa95db1b0444a1f819'),
+    (1, 8, 0.97, 'epsilon', 'once'): (10, 'bb505032bc4325681b98fbbddb0603aed1a26539c345ca38d4174be74cd63b14'),
+    (1, 8, 0.97, 'epsilon', 'repeat'): (53, 'f59040eca0e7a38d0a7f38ae80a2da885dbefd0e95f047cf96d75f3a56a39aa1'),
+    (1, 8, 0.97, 'vector-epsilon', 'once'): (10, '05df29d457cc1c00f52c0907f99753dd2800af141a181407ff989ff7ce974527'),
+    (1, 8, 0.97, 'vector-epsilon', 'repeat'): (17, 'c62bab488e6f1c089e12e683ae259d79291f52e40c1c9dbb6c4aae61e72a3b7f'),
+    (2, 16, 0.9, 'aitken', 'once'): (14, '2ca04d374a2016653fdbe0e35321fadaa3b302eb68f5ec9d7aa07fa4c396f9c2'),
+    (2, 16, 0.9, 'aitken', 'repeat'): (33, 'e779636c84197e37d559c8d35eaa612840988dca63228004ee5b92616d3807a1'),
+    (2, 16, 0.9, 'epsilon', 'once'): (10, 'ce48d0e0d10e0f4579df3d75bb4572579ca892ca9d96754bea1213436548291a'),
+    (2, 16, 0.9, 'epsilon', 'repeat'): (19, 'f5b5960cae6fde643ae0b346e3d997d59212cc9426c60c6d36c756e506318be6'),
+    (2, 16, 0.9, 'vector-epsilon', 'once'): (9, '5df3557da3441ba7fc658443ba38a680f269476b72c9faf67d052c5d2eb528ed'),
+    (2, 16, 0.9, 'vector-epsilon', 'repeat'): (29, 'c7a5cd5dfacd65aafdfcc59c22857ce9b7eab6b93b37595bfa28d7c7965a8464'),
+}
+
+
+def _accel_digest(trace):
+    """The number of trace records with an estimate, and the sha256 of
+    one line per such record: its index, then every coordinate's
+    estimate as ``float.hex`` (``-`` where there is none)."""
+    h = hashlib.sha256()
+    rows = [r for r in trace.records if r.accel is not None]
+    for r in rows:
+        cells = ",".join("-" if v is None else v.hex() for v in r.accel)
+        h.update(f"{r.index}:{cells}\n".encode())
+    return len(rows), h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, n, rho", [(1, 8, 0.97), (2, 16, 0.9)])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("policy, fallback", [("once", 20), ("repeat", 200)])
+def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, policy, fallback):
+    p = parse(gaussian_program(seed, n, rho))
+    cfg = EngineConfig(mode="accel", method=method, inject_policy=policy,
+                       fallback_after=fallback)
+    _, trace = analyze(p, cfg)
+    assert _accel_digest(trace) == GOLDEN_GAUSSIAN_ESTIMATES[seed, n, rho, method, policy]

@@ -76,10 +76,11 @@ class TestParsing:
         assert p.body[0].terms == ((0.15, "x"),)
 
     def test_non_ascii_digit_inside_a_literal(self):
-        # the token grammar's \d takes any Unicode digit after the first
-        # character; the string reader hands such text over unchanged
-        p = parse(CANONICAL + "  x = 0.\u0665*x;\n}\n")
-        assert p.body[1].terms == ((0.5, "x"),)
+        # a literal takes ASCII digits only, after its first character
+        # too; the string reader hands such text to the token parser
+        with pytest.raises(ParseError, match="unexpected character '\u0665'") as exc:
+            parse(CANONICAL + "  x = 0.\u0665*x;\n}\n")
+        assert (exc.value.line, exc.value.col) == (6, 9)
 
     def test_temporaries_are_not_state(self):
         p = parse(
@@ -333,6 +334,11 @@ class TestUnparse:
         # unparse must write back as such a literal, not as "inf"
         p = parse(text)
         assert parse(unparse(p)) == p
+
+    def test_round_trip_keeps_the_sign_of_a_zero_coefficient(self):
+        p = parse("state x in [0, 1]; loop { x = -0.0*x + 0.5*x - 0.0*x; }")
+        assert [c.hex() for c, _ in p.body[0].terms] == ["-0x0.0p+0", "0x1.0000000000000p-1", "-0x0.0p+0"]
+        assert _key(parse(unparse(p))) == _key(p)
 
     def test_round_trip_preserves_exact_floats(self):
         p = parse("state x in [0, 0.1];\nloop { x = 0.30000000000000004*x; }")

@@ -247,14 +247,13 @@ def stream_cases(draw):
     return ops
 
 
-@pytest.mark.parametrize("method", METHODS)
-@settings(max_examples=150, deadline=None)
-@given(ops=stream_cases())
-def test_stream_equals_full_table_on_every_prefix(method, ops):
+def replay(method, ops, check):
+    """Apply ``ops`` to a stream and, after each op flagged in ``check``,
+    compare its estimate with the full table on the rows it was fed."""
     stream = EstimateStream(method)
     seen = []  # full rows pushed so far
     cols = None  # the coordinates the stream still keeps
-    for op, arg in ops:
+    for (op, arg), compare in zip(ops, check):
         if cols is None:
             cols = np.arange(len(arg))
         if op == "push":
@@ -267,9 +266,70 @@ def test_stream_equals_full_table_on_every_prefix(method, ops):
             positions = [j for j, flag in enumerate(arg[: len(cols)]) if flag] or [0]
             cols = cols[positions]
             stream.keep(positions)
-        want = full_table_last(method, [r[cols] for r in seen])
-        assert bits(stream.estimate()) == bits(want)
-        assert stream.count == len(seen)
+        if compare:
+            want = full_table_last(method, [r[cols] for r in seen])
+            assert bits(stream.estimate()) == bits(want)
+            assert stream.count == len(seen)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=150, deadline=None)
+@given(ops=stream_cases())
+def test_stream_equals_full_table_on_every_prefix(method, ops):
+    replay(method, ops, [True] * len(ops))
+
+
+@st.composite
+def long_stream_cases(draw):
+    """Runs as long and wide as the engine's: up to 70 rows of up to 40
+    coordinates, with replacements and shrinks as in ``stream_cases``.
+    Coordinates have magnitudes up to 1e300, so that the vector method's
+    squared norms overflow to inf and Aitken's estimates to -inf or inf;
+    some runs do not converge at all.  Returns the ops and, for each op,
+    whether to compare the estimate after it."""
+    d = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["geometric", "modes", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(m)[:, None]
+    if kind == "geometric":  # one ratio per coordinate: stalls early
+        rows = rng.normal(size=d) + rng.normal(size=d) * rng.uniform(-0.99, 0.99, d) ** k
+    elif kind == "modes":  # shared ratios, as in an affine loop's iterates
+        q = draw(st.integers(2, 16))
+        rows = rng.normal(size=d) + rng.uniform(-0.99, 0.99, q) ** k @ rng.normal(size=(q, d))
+    else:  # no stall: antidiagonals as deep as the run
+        rows = rng.normal(size=(m, d))
+    scale = 10.0 ** rng.choice([0, 0, 0, 3, 150, 300], size=d)
+    rows = np.clip(rows * scale, -1e300, 1e300)
+    flat = rng.random(d) < 0.1
+    rows[:, flat] = rows[0, flat]  # constant coordinates
+    # a repeated row stalls every coordinate and so restarts the
+    # antidiagonals: only runs with few replacements reach full depth
+    rate = draw(st.sampled_from([0.0, 0.03, 0.2]))
+    ops = []
+    for i in range(m):
+        ops.append(("push", rows[i]))
+        action = rng.choice(["nudge", "repeat", "linear", "keep"]) if rng.random() < rate else "none"
+        if action == "nudge":
+            ops.append(("replace", np.clip(rows[i] * (1.0 + rng.normal(size=d) * 1e-9), -1e300, 1e300)))
+        elif action == "repeat" and i >= 1:
+            ops.append(("replace", rows[i - 1].copy()))
+        elif action == "linear" and i >= 2:
+            ops.append(("replace", np.clip(2.0 * rows[i - 1] - rows[i - 2], -1e300, 1e300)))
+        elif action == "keep":
+            ops.append(("keep", rng.random(d) < 0.9))
+    check = rng.random(len(ops)) < 4.0 / len(ops)
+    check[-1] = True
+    return ops, check
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=60, deadline=None)
+@given(case=long_stream_cases())
+def test_stream_equals_full_table_on_long_wide_runs(method, case):
+    # both sides overflow on huge magnitudes, and tier-1 makes a warning fail
+    with np.errstate(all="ignore"):
+        replay(method, *case)
 
 
 @pytest.mark.parametrize("method", METHODS)
