@@ -280,6 +280,9 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not args.delta > 0:  # NaN included, as in EngineConfig
+        print("error: delta must be positive", file=sys.stderr)
+        return 1
     n = len(data)
     print(f"columns: {', '.join(names)}")
     print(f"rows: {n}")

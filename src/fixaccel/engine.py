@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import le
+from operator import le, sub
 from typing import Literal
 
 import numpy as np
@@ -185,7 +185,8 @@ def state_widen_thresholds(x: list[float], y: list[float], t: ThresholdSet) -> l
 def verify_postfixpoint(p: Program, x: AbstractState) -> bool:
     """True iff one more abstract loop execution stays inside ``x``."""
     row = p.row_of(x)
-    return state_leq(transfer(p, row), row)
+    with np.errstate(all="ignore"):
+        return state_leq(transfer(p, row), row)
 
 
 def _moved_at_most(a: list[float], b: list[float], tol: float) -> bool:
@@ -209,9 +210,8 @@ def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
     """
     for r in range(max_rounds):
         fx = transfer(p, x)
-        escape = 0.0
-        for j in range(0, len(x), 2):
-            escape = max(escape, x[j] - fx[j], fx[j + 1] - x[j + 1])
+        # one max, so that 0.0 comes first and a NaN is never selected
+        escape = max(0.0, *map(sub, x[::2], fx[::2]), *map(sub, fx[1::2], x[1::2]))
         if escape <= 0.0:
             return x
         if math.isinf(escape):
@@ -230,6 +230,8 @@ class _Accelerator:
     The ``EstimateStream`` sees only those coordinates, and ``last``, the
     newest estimate, holds one value per entry of ``active``.  Estimates
     are compared only while the finite-coordinate set is unchanged.
+    ``push`` and ``ready`` enter no error state: they run inside the
+    one ``analyze`` holds.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -262,8 +264,7 @@ class _Accelerator:
         if self.stream is None:
             return None  # nothing to accelerate
         row = x if len(active) == len(x) else [x[j] for j in active]
-        with np.errstate(over="ignore", invalid="ignore"):
-            (self.stream.replace_last if replace else self.stream.push)(row)
+        self.stream._feed(row, replace)
         if self.cfg.method != "aitken":
             depth = (self.stream.count - 1) // 2
             if depth <= self.depth:
@@ -278,8 +279,7 @@ class _Accelerator:
         prev, self.prev = self.prev, y
         if prev is None:
             return False
-        with np.errstate(over="ignore", invalid="ignore"):
-            return converged(y, prev, self.cfg.delta, self.cfg.transform)
+        return converged(y, prev, self.cfg.delta, self.cfg.transform)
 
 
 def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
@@ -343,9 +343,6 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     trace = IterationTrace(variables=names, initial=initial)
     x = bound_row(initial).tolist()
     acc = _Accelerator(cfg) if cfg.mode == "accel" else None
-    if acc is not None:
-        acc.push(x)
-
     injections = 0
     last_injection_iter = 0
     accel_done = False  # once-policy budget spent
@@ -354,75 +351,84 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     reason = "max-iter"
     converged_flag = False
 
-    for i in range(1, cfg.max_iter + 1):
-        prev = x
-        joined = state_join(x, transfer(p, x))
-        if cfg.mode == "widen" and i > cfg.widen_delay:
-            if cfg.thresholds is not None:
-                x = state_widen_thresholds(prev, joined, cfg.thresholds)
+    # one error state for the loop, the seal and the verification: a
+    # bound may overflow to inf, and the estimators divide by zero and
+    # make NaN where a denominator vanishes, all of which they handle
+    with np.errstate(all="ignore"):
+        if acc is not None:
+            acc.push(x)
+
+        for i in range(1, cfg.max_iter + 1):
+            prev = x
+            joined = state_join(x, transfer(p, x))
+            if cfg.mode == "widen" and i > cfg.widen_delay:
+                if cfg.thresholds is not None:
+                    x = state_widen_thresholds(prev, joined, cfg.thresholds)
+                else:
+                    x = state_widen_std(prev, joined)
+                event = "widen-step" if x != joined else "plain-step"
+            elif cfg.mode == "accel" and fallback is not None:
+                x = state_widen_thresholds(prev, joined, fallback)
+                event = "fallback-widen"
             else:
-                x = state_widen_std(prev, joined)
-            event = "widen-step" if x != joined else "plain-step"
-        elif cfg.mode == "accel" and fallback is not None:
-            x = state_widen_thresholds(prev, joined, fallback)
-            event = "fallback-widen"
-        else:
-            x = joined
-            event = "plain-step"
+                x = joined
+                event = "plain-step"
 
-        accel_row: tuple[float | None, ...] | None = None
-        injected_now = False
-        if acc is not None and fallback is None and not accel_done:
-            y = acc.push(x)
-            if y is not None:
-                est: list[float | None] = [None] * len(x)
-                for j, v in zip(acc.active, y.tolist()):
-                    est[j] = v
-                accel_row = tuple(est)
-            if y is not None and acc.ready(y):
-                candidate = _inject(x, acc.active, y)
-                if candidate != x:
-                    x = candidate
-                    injections += 1
-                    last_injection_iter = i
-                    injected_now = True
-                    event = "injection"
-                    if cfg.inject_policy == "once":
-                        accel_done = True
-                    else:
-                        acc.push(x, replace=True)
+            accel_row: tuple[float | None, ...] | None = None
+            injected_now = False
+            if acc is not None and fallback is None and not accel_done:
+                y = acc.push(x)
+                if y is not None and len(acc.active) == len(x):
+                    accel_row = tuple(y.tolist())
+                elif y is not None:
+                    est: list[float | None] = [None] * len(x)
+                    for j, v in zip(acc.active, y.tolist()):
+                        est[j] = v
+                    accel_row = tuple(est)
+                if y is not None and acc.ready(y):
+                    candidate = _inject(x, acc.active, y)
+                    if candidate != x:
+                        x = candidate
+                        injections += 1
+                        last_injection_iter = i
+                        injected_now = True
+                        event = "injection"
+                        if cfg.inject_policy == "once":
+                            accel_done = True
+                        else:
+                            acc.push(x, replace=True)
 
-        if x == prev:
-            reason = "converged"
-            converged_flag = True
-        elif (
-            not injected_now
-            and cfg.stop_tol > 0.0
-            and _moved_at_most(prev, x, cfg.stop_tol)
-        ):
-            reason = "converged-tolerance"
-            converged_flag = True
+            if x == prev:
+                reason = "converged"
+                converged_flag = True
+            elif (
+                not injected_now
+                and cfg.stop_tol > 0.0
+                and _moved_at_most(prev, x, cfg.stop_tol)
+            ):
+                reason = "converged-tolerance"
+                converged_flag = True
 
-        if converged_flag:
-            event = "converged"
-        trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
-        if converged_flag:
-            break
+            if converged_flag:
+                event = "converged"
+            trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
+            if converged_flag:
+                break
 
-        if (
-            acc is not None
-            and fallback is None
-            and i - last_injection_iter >= cfg.fallback_after
-        ):
-            fallback = _fallback_thresholds(acc)
-            accel_done = True
+            if (
+                acc is not None
+                and fallback is None
+                and i - last_injection_iter >= cfg.fallback_after
+            ):
+                fallback = _fallback_thresholds(acc)
+                accel_done = True
 
-    trace.reason = reason
-    if reason == "converged-tolerance":
-        x = _seal(p, x)
-        sealed = True
-    invariant = state_from_row(names, x)
-    sound = verify_postfixpoint(p, invariant)
+        trace.reason = reason
+        if reason == "converged-tolerance":
+            x = _seal(p, x)
+            sealed = True
+        invariant = state_from_row(names, x)
+        sound = verify_postfixpoint(p, invariant)
     report = FixpointReport(
         invariant=invariant,
         iterations=trace.iterations,

@@ -13,13 +13,15 @@ initialized state variables and interval-valued inputs::
 
 Assignments execute sequentially, so later right-hand sides see the
 values written earlier in the same body pass.  Right-hand sides are
-affine: an optional constant plus coefficient*variable terms.
+affine: an optional constant plus coefficient*variable terms, where the
+constants may not sum to NaN.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import gt
@@ -147,65 +149,60 @@ _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 class _Batch:
     """A run of independent steps evaluated as arrays.
 
-    Row ``r`` of ``coeff`` and ``src`` is the run's ``r``-th step:
-    column 0 holds its constant times the slot that holds 1.0, column
-    ``k`` its ``k``-th term, and the columns past its last term ``0.0``
-    times that slot.  ``src[r, 0]`` lists the slots the lower bound
-    reads, ``src[r, 1]`` those of the upper bound (the other slot of
-    each pair).  ``pick`` indexes, in the flattened running sums, each
-    bound's sum after the step's own last term, so the padding never
-    enters a result (adding ``+0.0`` would turn ``-0.0`` into
-    ``+0.0``); ``dst`` is the slot each bound is written to.
+    Column ``2r + h`` of ``coeff`` and ``src`` is bound ``h`` (0 for the
+    lower, 1 for the upper) of the run's ``r``-th step, with the steps
+    in the order of their targets.  Row 0 holds its constant times the
+    slot that holds 1.0, row ``k`` its ``k``-th term, and the rows past
+    its last term ``-0.0`` times that slot.  ``src`` lists the slots the
+    bound reads: the upper bound reads the other slot of each pair.
+    Since ``v + -0.0`` is ``v`` for every ``v``, ``-0.0`` included, the
+    last row of the running sums holds every bound's result; ``dst`` is
+    the slot each is written to.
     """
 
-    __slots__ = ("coeff", "src", "pick", "dst")
+    __slots__ = ("coeff", "src", "dst")
 
     def __init__(self, steps: list[Step], one: int):
+        steps = sorted(steps)  # by target; the steps are independent
         depth = 1 + max(len(step[4]) for step in steps)
+        pad = depth - 1
         coeffs: list[float] = []
         srcs: list[int] = []
-        zeros, ones = [0.0] * depth, [one] * depth
         for _, _, _, const, terms, _ in steps:
-            coeffs.append(const)
-            srcs.append(one)
-            if terms:
-                coeff, src, _ = zip(*terms)
-                coeffs += coeff
-                srcs += src
-            pad = depth - 1 - len(terms)
-            coeffs += zeros[:pad]
-            srcs += ones[:pad]
-        counts = [len(step[4]) for step in steps]
-        targets = [step[0] for step in steps]
-        table = np.array(coeffs + srcs + counts + targets)  # one conversion per run
-        size, n = len(coeffs), len(steps)
-        self.coeff = table[:size].reshape(n, 1, depth)
-        index = table[size:].astype(np.intp)
-        src = index[:size].reshape(n, 1, depth)
-        self.src = np.concatenate((src, src ^ 1), axis=1)
-        # bound h of step r sums in row 2r + h of the flattened (n, 2, depth)
-        self.pick = np.arange(2 * n).reshape(n, 2) * depth + index[size : size + n, None]
-        self.dst = (2 * index[size + n :, None] + (0, 1)).ravel()
+            coeff = [const, *(c for c, _, _ in terms)] + [-0.0] * (pad - len(terms))
+            src = [one, *(lo for _, lo, _ in terms)] + [one] * (pad - len(terms))
+            coeffs += coeff + coeff
+            srcs += src + [k ^ 1 for k in src]
+        n = len(steps)
+        self.coeff = np.array(coeffs).reshape(2 * n, depth).T.copy()
+        self.src = np.array(srcs, dtype=np.intp).reshape(2 * n, depth).T.copy()
+        self.dst = np.array([2 * step[0] + h for step in steps for h in (0, 1)], dtype=np.intp)
 
-    def run(self, b: np.ndarray) -> None:
-        """Write the run's targets into ``b``.  Each bound sums its
-        products left to right from the constant, as the per-step loop
-        does, so every value is bit-identical to it."""
+    def sums(self, b: np.ndarray) -> np.ndarray:
+        """Every bound's result, computed from the slots ``b``.  Each
+        bound sums its products left to right from the constant, as the
+        per-step loop does, so every value is bit-identical to it."""
         acc = self.coeff * b.take(self.src)
-        np.add.accumulate(acc, axis=2, out=acc)
-        values = acc.take(self.pick)
-        low = values.min()  # NaN if any value is NaN
+        np.add.accumulate(acc, axis=0, out=acc)
+        last = acc[-1]
+        low = last.min()  # NaN if any value is NaN
         if low != low:
             raise ValueError(_NAN_MESSAGE)
-        b.put(self.dst, values)
+        return last
+
+    def run(self, b: np.ndarray) -> None:
+        """Write the run's targets into ``b``."""
+        b.put(self.dst, self.sums(b))
 
 
 class _Plan:
     """A body as ``_Batch``es and tuples of steps for the per-step loop,
     in body order.  ``slots`` is the layout of the bounds, the state's
-    left as zeros, with an extra last pair of slots that hold 1.0."""
+    left as zeros, with an extra last pair of slots that hold 1.0.
+    ``whole`` is set when the body is one batch that writes every state
+    bound and nothing else: its results are then the image itself."""
 
-    __slots__ = ("width", "slots", "parts")
+    __slots__ = ("width", "slots", "parts", "whole")
 
     def __init__(self, runs: list[tuple[list[Step], bool]], width: int, tail: list[float]):
         """``runs`` pairs each run with whether it is a batch."""
@@ -221,43 +218,74 @@ class _Plan:
             else:
                 parts.append(tuple(run))
         self.parts = tuple(parts)
+        self.whole = None
+        if len(parts) == 1 and type(parts[0]) is _Batch and parts[0].dst.tolist() == list(range(width)):
+            self.whole = parts[0]
 
     def image(self, row: list[float]) -> list[float]:
         """``LoweredBody.image`` of a row without Bottom: the bounds move
         to an array for each batch and back to a list for the per-step
-        runs.  Overflow to inf stays silent, as in Python float
-        arithmetic."""
+        runs.  It enters no error state: overflow to inf is silent in
+        Python float arithmetic, and in NumPy's only under the caller's
+        ``np.errstate``."""
         b = self.slots.copy()
         b[: self.width] = row
-        with np.errstate(over="ignore", invalid="ignore"):
-            for part in self.parts:
-                if type(part) is not tuple:
-                    if type(b) is list:
-                        b = np.array(b)
-                    part.run(b)
-                    continue
-                if type(b) is not list:
-                    b = b.tolist()
-                for _, lo_slot, hi_slot, const, terms, _ in part:
-                    lo = hi = const
-                    for coeff, src_lo, src_hi in terms:
-                        lo += coeff * b[src_lo]
-                        hi += coeff * b[src_hi]
-                    if lo != lo or hi != hi:
-                        raise ValueError(_NAN_MESSAGE)
-                    b[lo_slot] = lo
-                    b[hi_slot] = hi
+        if self.whole is not None:
+            return self.whole.sums(b).tolist()
+        for part in self.parts:
+            if type(part) is not tuple:
+                if type(b) is list:
+                    b = np.array(b)
+                part.run(b)
+                continue
+            if type(b) is not list:
+                b = b.tolist()
+            for _, lo_slot, hi_slot, const, terms, _ in part:
+                lo = hi = const
+                for coeff, src_lo, src_hi in terms:
+                    lo += coeff * b[src_lo]
+                    hi += coeff * b[src_hi]
+                if lo != lo or hi != hi:
+                    raise ValueError(_NAN_MESSAGE)
+                b[lo_slot] = lo
+                b[hi_slot] = hi
         return b[: self.width] if type(b) is list else b[: self.width].tolist()
+
+
+def _fold_copies(batch: list[Step], run: list[Step], reads: Counter, width: int,
+                 one: int) -> list[Step] | None:
+    """``batch`` with the unit copies of ``run`` folded in, or None
+    unless every step of ``run`` is one.
+
+    A unit copy is ``x = c + 1.0*t``, where ``t`` is a temporary that
+    ``batch`` computes, no other step reads, and ``x`` is no target of
+    ``batch``.  Its folded step computes what ``t``'s does, plus a term
+    ``c`` times the slot that holds 1.0, and writes ``x``: ``S + c``
+    rounds as ``c + S`` does, and ``1.0*S`` is ``S``.
+    """
+    sources = {step[0]: step for step in batch}
+    folded = dict(sources)
+    for target, lo, hi, const, terms, read in run:
+        if len(read) != 1 or len(terms) != 1 or terms[0][0] != 1.0:
+            return None
+        t = read[0]
+        if 2 * t < width or t not in sources or reads[t] != 1 or target in sources:
+            return None
+        _, _, _, t_const, t_terms, t_reads = folded.pop(t)
+        folded[target] = (target, lo, hi, t_const, (*t_terms, (const, one, one)), t_reads)
+    return list(folded.values())
 
 
 def _plan(steps: tuple[Step, ...], width: int, tail: list[float]) -> _Plan | None:
     """Split ``steps`` into maximal runs of consecutive steps that read
     and write no variable an earlier step of the same run writes; a run
-    of at least BATCH_MIN_PRODUCTS products is a batch.  None, for the
-    per-step loop, unless the batches hold at least half of the body's
-    products: each switch between a batch and the per-step loop copies
-    every slot, which a long body with a few wide runs among many
-    narrow ones (a sparse Gauss-Seidel sweep) would not win back."""
+    of at least BATCH_MIN_PRODUCTS products is a batch, and a run of
+    unit copies right after a batch is folded into it (see
+    ``_fold_copies``).  None, for the per-step loop, unless the batches
+    hold at least half of the body's products: each switch between a
+    batch and the per-step loop copies every slot, which a long body
+    with a few wide runs among many narrow ones (a sparse Gauss-Seidel
+    sweep) would not win back."""
     runs: list[list[Step]] = [[]]
     written: set[int] = set()
     for step in steps:
@@ -268,6 +296,17 @@ def _plan(steps: tuple[Step, ...], width: int, tail: list[float]) -> _Plan | Non
         written.add(step[0])
     sizes = [sum(1 + len(step[4]) for step in run) for run in runs]
     batched = [size >= BATCH_MIN_PRODUCTS for size in sizes]
+    if not any(batched):
+        return None
+    reads = Counter(k for step in steps for k in step[5])
+    one = width + len(tail)
+    for i in range(len(runs) - 2, -1, -1):
+        if batched[i]:
+            folded = _fold_copies(runs[i], runs[i + 1], reads, width, one)
+            if folded is not None:
+                runs[i : i + 2] = [folded]
+                sizes[i : i + 2] = [sizes[i] + sizes[i + 1]]
+                batched[i : i + 2] = [True]
     if 2 * sum(size for size, b in zip(sizes, batched) if b) < sum(sizes):
         return None
     return _Plan(list(zip(runs, batched)), width, tail)
@@ -345,7 +384,8 @@ class LoweredBody:
         is bit-identical to the interval evaluation.  A target that reads
         a Bottom variable becomes Bottom, ``(inf, -inf)``.  On a row
         without Bottom, a planned body runs its wide runs as arrays, with
-        the same operations in the same order.
+        the same operations in the same order.  No NumPy error state is
+        entered here: a caller that lets a bound overflow holds one.
         """
         if self.plan is not None and not any(map(gt, row[::2], row[1::2])):
             return self.plan.image(row)
@@ -466,6 +506,8 @@ class _Parser:
             self.expect("=")
             const, terms = self.affine_expr(in_scope)
             self.expect(";")
+            if const != const:
+                raise self.error("the constant terms sum to NaN", at)
             body.append(Assignment(target, const, tuple(terms)))
             in_scope.add(target)
         self.advance()  # '}'
@@ -564,7 +606,8 @@ def _read(text: str) -> Program | None:
     ``[sign] literal*name`` or ``[sign] name``.  Every value is made by
     the float operations of ``_Parser``, and every scope, keyword,
     duplicate, input-target and empty-interval check that could raise
-    makes this return None instead, so ``_Parser`` reports it.  A
+    makes this return None instead, so ``_Parser`` reports it; so does
+    a right-hand side whose constants sum to NaN (``1e400 - 1e400``).  A
     chunk that must be a literal and is not one raises ValueError from
     ``_literal``, which means the same.
     """
@@ -644,7 +687,7 @@ def _read(text: str) -> Program | None:
                 const += sign * _literal(chunk)
             op = ""
             after_term = True
-        if op or not after_term:
+        if op or not after_term or const != const:
             return None
         assignments.append(Assignment(target, const, tuple(terms)))
         in_scope.add(target)
@@ -714,6 +757,9 @@ def transfer(p: Program, x: AbstractState) -> AbstractState:
     Assignments run sequentially on a working environment seeded with
     the state intervals from ``x`` and the declared input ranges; the
     result is the final value of each state variable.  The work is done
-    by the lowered body (``Program.lowered``) on ``x``'s bound row.
+    by the lowered body (``Program.lowered``) on ``x``'s bound row; a
+    bound that overflows to inf does so silently.
     """
-    return state_from_row(x.names, p.lowered.image(p.row_of(x)))
+    row = p.row_of(x)
+    with np.errstate(all="ignore"):
+        return state_from_row(x.names, p.lowered.image(row))

@@ -241,26 +241,35 @@ class EstimateStream:
 
     def push(self, row: Sequence[float]) -> None:
         """Append one row of finite values, one per coordinate."""
-        row = self._checked(row)
-        self.count += 1
-        self._kept_before, self._has_before = self._kept, self._has
-        if self.method == "aitken":
-            self._last3 = [*self._last3[-2:], row]
-        else:
-            self._prev = self._cur
-            if self.method == "vector-epsilon":
-                self._rows.append(row)
-        self._advance(row)
+        with np.errstate(all="ignore"):
+            self._feed(row)
 
     def replace_last(self, row: Sequence[float]) -> None:
         """Replace the newest row, recomputing only what depends on it."""
-        if not self.count:
+        with np.errstate(all="ignore"):
+            self._feed(row, replace=True)
+
+    def _feed(self, row: Sequence[float], replace: bool = False) -> None:
+        """``push``, or ``replace_last`` if ``replace``, without an error
+        state of its own: the caller holds one in which overflow, invalid
+        operations and division by zero pass silently."""
+        if replace and not self.count:
             raise ValueError("no row to replace")
         row = self._checked(row)
-        if self.method == "aitken":
-            self._last3[-1] = row
-        elif self.method == "vector-epsilon":
-            self._rows[-1] = row
+        if replace:
+            if self.method == "aitken":
+                self._last3[-1] = row
+            elif self.method == "vector-epsilon":
+                self._rows[-1] = row
+        else:
+            self.count += 1
+            self._kept_before, self._has_before = self._kept, self._has
+            if self.method == "aitken":
+                self._last3 = [*self._last3[-2:], row]
+            else:
+                self._prev = self._cur
+                if self.method == "vector-epsilon":
+                    self._rows.append(row)
         self._advance(row)
 
     def keep(self, positions: Sequence[int]) -> None:
@@ -271,8 +280,9 @@ class EstimateStream:
             rows = [r[idx] for r in self._rows]
             self._rows = []
             self._clear()
-            for r in rows:
-                self.push(r)
+            with np.errstate(all="ignore"):
+                for r in rows:
+                    self._feed(r)
             return
         self._width = len(idx)
         self._last3 = [r[idx] for r in self._last3]
@@ -357,13 +367,12 @@ def _scalar_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -
     vals[0] = row
     d = np.empty((m, row.size))
     below = np.zeros(row.size)
-    with np.errstate(all="ignore"):
-        for src, p, dk, cell in zip(vals, prev, d, vals[1:]):
-            np.subtract(src, p, out=dk)
-            np.divide(1.0, dk, out=cell)
-            cell += below
-            below = p
-        live = np.abs(d) >= tol * np.maximum(1.0, np.abs(prev))
+    for src, p, dk, cell in zip(vals, prev, d, vals[1:]):
+        np.subtract(src, p, out=dk)
+        np.reciprocal(dk, out=cell)
+        cell += below
+        below = p
+    live = np.abs(d) >= tol * np.maximum(1.0, np.abs(prev))
     np.logical_and.accumulate(live, axis=0, out=live)
     np.copyto(vals[1:], np.nan, where=~live)
     return vals[: 1 + np.count_nonzero(live.any(axis=1))]
@@ -414,4 +423,9 @@ def converged(
     b = np.asarray(y_prev, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return seq_norm(a - b, cfg) <= delta
+    d = a - b
+    if cfg.norm == "euclidean" or not d.ndim:  # a 0-d difference is a scalar
+        return seq_norm(d, cfg) <= delta
+    # the infinity norm of ``seq_norm``, 0.0 for an empty vector; a NaN
+    # difference makes it NaN, which no delta passes
+    return float(np.abs(d, out=d).max()) <= delta if d.size else True

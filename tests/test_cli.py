@@ -199,6 +199,14 @@ class TestAccelerate:
         assert err.startswith("error: ")
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_exit_one_on_delta_not_positive(self, capsys, value):
+        # the values ``analyze`` rejects: none of them can be an agreement tolerance
+        code, out, err = run(capsys, "accelerate", ITERATES, "--delta", value)
+        assert code == 1
+        assert err == "error: delta must be positive\n"
+        assert out == ""
+
     @pytest.mark.parametrize("target", ["missing-dir/out.csv", "."])
     def test_exit_one_on_unwritable_output(self, capsys, tmp_path, target):
         path = str(tmp_path / target)

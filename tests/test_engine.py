@@ -17,8 +17,10 @@ from fixaccel import (
     transfer,
     verify_postfixpoint,
 )
+from fixaccel import programs
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
+from fixaccel.transforms import EstimateStream
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
 POLICIES = ["once", "repeat"]
@@ -401,3 +403,56 @@ class TestConfigValidation:
         for mode in ("kleene", "widen", "accel"):
             report, _ = analyze(p, EngineConfig(mode=mode))
             assert report.converged and report.sound
+
+
+# The public entry points each hold their own NumPy error state, so that
+# they stay silent when called on their own (``analyze`` holds one for
+# the whole run).  Tier-1 turns a warning into an error.
+
+def batched_program(t0_terms):
+    """A Jacobi body wide enough to run as one batch, with ``t0`` (and so
+    ``x0``) computed from ``t0_terms`` over an input ``u`` in [2, 3]."""
+    n = programs.BATCH_MIN_PRODUCTS // 8
+    body = [Assignment(f"t{i}", 0.0, ((0.5, f"x{i}"),) * 8) for i in range(n)]
+    body[0] = Assignment("t0", 0.0, t0_terms)
+    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
+    states = tuple((f"x{i}", Interval(0, 1)) for i in range(n))
+    p = Program(states, (("u", Interval(2.0, 3.0)),), tuple(body))
+    assert p.lowered.plan is not None
+    return p
+
+
+def test_transfer_and_verify_stay_silent_on_overflow():
+    p = batched_program(((1e308, "u"),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert transfer(p, p.initial_state())["x0"] == Interval(math.inf, math.inf)
+        assert verify_postfixpoint(p, p.initial_state()) is False
+
+
+def test_transfer_and_verify_raise_on_nan_without_warning():
+    # inf - inf inside the batch: the NaN check raises, NumPy stays silent
+    p = batched_program(((1e308, "u"), (-1e308, "u")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            transfer(p, p.initial_state())
+        with pytest.raises(ValueError, match="NaN"):
+            verify_postfixpoint(p, p.initial_state())
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stream_methods_stay_silent_on_overflow_and_division_by_zero(method):
+    # column 0 never moves (1/0 for the epsilon methods); column 1
+    # squares past the float range (Aitken's numerator, the vector
+    # method's norms); column 2 moves by 5e-324, whose inverse overflows
+    rows = [[1.0, 1e300, 0.0], [1.0, -1e300, 5e-324]] * 3
+    stream = EstimateStream(method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in rows:
+            stream.push(row)
+            stream.replace_last(row)
+        stream.keep([0, 1])
+        stream.push([1.0, 1e300])
+    assert stream.estimate() is not None

@@ -18,6 +18,8 @@ from fixaccel import (
     affine_eval,
     join,
     leq,
+    load_bundled,
+    parse,
     transfer,
     widen_std,
     widen_thresholds,
@@ -334,3 +336,133 @@ def test_row_inject_equals_interval_join(seed, n):
 def test_row_inject_rejects_bad_estimates(bad):
     with pytest.raises(ValueError):
         engine._inject([0.0, 1.0], [0, 1], np.array(bad))
+
+
+FOLD_SHAPES = ["fold", "fold", "subset", "shared", "coeff", "partial", "state", "rewrite"]
+
+
+@st.composite
+def jacobi_copy_bodies(draw):
+    """A Jacobi-form body, temporaries then copies back into the states,
+    and the shape of its copies.
+
+    ``fold`` copies every temporary into its state as ``x = c + t`` with
+    c in {0.0, -0.0, random}, and ``subset`` copies only some of them:
+    both fold into the temporaries' batch.  The others must not fold:
+    ``shared`` has a temporary read by one more step, ``coeff`` a copy
+    with a coefficient other than 1.0, ``partial`` a step among the
+    copies that is no copy, ``state`` a copy of a state variable the
+    temporaries' run writes, and ``rewrite`` a copy into a state that
+    run writes.  The copies come in random order.  The products total from half to twice
+    ``BATCH_MIN_PRODUCTS``; coefficients include zeros and negatives,
+    bounds include signed zeros, and a huge coefficient may overflow a
+    temporary to inf or, with its negation, to NaN.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(FOLD_SHAPES))
+    overflow = draw(st.sampled_from([None, None, "inf", "nan"]))
+    n = draw(st.integers(2, 24))
+    states = [f"x{i}" for i in range(n)]
+    inputs = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    scope = states + inputs
+    products = int(rng.integers(programs.BATCH_MIN_PRODUCTS // 2, 2 * programs.BATCH_MIN_PRODUCTS))
+    counts = rng.multinomial(max(0, products - n), np.ones(n) / n)
+    body = [
+        Assignment(f"t{i}", wide_const(rng), tuple(
+            (wide_coeff(rng), scope[rng.integers(len(scope))]) for _ in range(k)
+        ))
+        for i, k in enumerate(counts)
+    ]
+    if overflow is not None:
+        k = rng.integers(n)
+        big = ((1e308, "u0"),) + (((-1e308, "u0"),) if overflow == "nan" else ())
+        body[k] = Assignment(body[k].target, body[k].const, body[k].terms + big)
+    sources = rng.permutation(n)
+    consts = [[0.0, -0.0, float(rng.normal(scale=10))][rng.integers(3)] for _ in states]
+    copies = [Assignment(x, c, ((1.0, f"t{j}"),)) for x, c, j in zip(states, consts, sources)]
+    k = int(rng.integers(n))
+    if shape == "subset":
+        # x_k and a few others keep their bounds; their temporaries go too
+        kept = [i for i in range(n) if i != k and rng.random() < 0.9] or [(k + 1) % n]
+        body = [body[sources[i]] for i in kept]
+        copies = [copies[i] for i in kept]
+    elif shape == "shared":
+        copies.append(Assignment("extra", 0.0, ((0.5, f"t{sources[k]}"),)))
+    elif shape == "coeff":
+        c = [0.5, -1.0, 1.0000000000000002, 0.0][rng.integers(4)]
+        copies[k] = Assignment(states[k], consts[k], ((c, f"t{sources[k]}"),))
+    elif shape == "partial":
+        copies[k] = Assignment(states[k], 1.0, ((0.5, f"t{sources[k]}"),) * 2)
+    elif shape == "state":
+        # the temporaries' run writes x_j itself, which only x_k's copy reads
+        j = (k + 1) % n
+        body = [Assignment(a.target, a.const, tuple(t for t in a.terms if t[1] != states[j])) for a in body]
+        t = body[sources[j]]
+        body[sources[j]] = Assignment(states[j], t.const, t.terms)
+        copies = [a for a in copies if a.target != states[j]]
+        copies = [Assignment(states[k], consts[k], ((1.0, states[j]),)) if a.target == states[k] else a for a in copies]
+    elif shape == "rewrite":
+        # the temporaries' run also writes x_k, which its copy overwrites
+        body.append(Assignment(states[k], 0.25, ((0.5, "u0"),)))
+    copies = [copies[i] for i in rng.permutation(len(copies))]  # any order is the same body
+    init = [(x, wide_interval(rng)) for x in states]
+    input_vars = [(u, wide_interval(rng)) for u in inputs]
+    if overflow is not None:
+        input_vars[0] = ("u0", Interval(2.0, 3.0))
+    p = Program(tuple((x, Interval(0, 1)) for x in states), tuple(input_vars), tuple(body + copies))
+    return shape, p, AbstractState(init)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobi_copy_bodies())
+def test_folded_copies_equal_fold_of_affine_eval(case):
+    shape, p, x = case
+    plan, width = p.lowered.plan, p.lowered.width
+    if plan is not None and shape in ("fold", "subset"):
+        # one batch, which writes no temporary
+        assert [type(part) for part in plan.parts] == [programs._Batch]
+        assert plan.parts[0].dst.max() < width
+        assert (plan.whole is not None) == (shape == "fold")
+    elif plan is not None:
+        # every batch still writes a temporary
+        assert all(part.dst.max() >= width for part in plan.parts if type(part) is programs._Batch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(transfer, p, x)
+    assert got == outcome(fold_affine_eval, p, x)
+
+
+def test_folded_copy_of_a_nan_temporary_raises():
+    n = programs.BATCH_MIN_PRODUCTS // 8
+    body = [Assignment(f"t{i}", 0.0, ((0.5, f"x{i}"),) * 8) for i in range(n)]
+    body[3] = Assignment("t3", 0.0, ((1e308, "u"), (-1e308, "u")))
+    body += [Assignment(f"x{i}", -0.0, ((1.0, f"t{i}"),)) for i in range(n)]
+    states = tuple((f"x{i}", Interval(0, 1)) for i in range(n))
+    p = Program(states, (("u", Interval(2.0, 3.0)),), tuple(body))
+    assert p.lowered.plan.whole is not None
+    assert outcome(fold_affine_eval, p, p.initial_state()) == "ValueError"
+    assert outcome(transfer, p, p.initial_state()) == "ValueError"
+
+
+def sparse_jacobi_program(seed, n, nnz):
+    rng = np.random.default_rng(seed)
+    lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
+    lines += [f"input u{i} in [-1.0, 1.0];" for i in range(n)]
+    lines.append("loop {")
+    for i in range(n):
+        terms = [f"{rng.normal() / nnz!r}*x{j}" for j in rng.choice(n, nnz, replace=False)]
+        lines.append(f"  t{i} = " + " + ".join(terms + [f"0.1*u{i}"]).replace("+ -", "- ") + ";")
+    lines += [f"  x{i} = t{i};" for i in range(n)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_jacobi_bodies_plan_to_one_batch():
+    from test_golden import gaussian_program
+
+    for text in (gaussian_program(2, 16, 0.9), sparse_jacobi_program(3, 256, 8)):
+        plan = parse(text).lowered.plan
+        assert [type(part) for part in plan.parts] == [programs._Batch]
+        assert plan.whole is plan.parts[0]
+    # below the threshold the per-step loop stays
+    for p in (load_bundled("filter3"), load_bundled("contraction2"), parse(gaussian_program(2, 8, 0.9))):
+        assert p.lowered.plan is None
