@@ -264,7 +264,10 @@ class _Accelerator:
         if self.stream is None:
             return None  # nothing to accelerate
         row = x if len(active) == len(x) else [x[j] for j in active]
-        self.stream._feed(row, replace)
+        if replace:
+            self.stream.replace_last_unguarded(row)
+        else:
+            self.stream.push_unguarded(row)
         if self.cfg.method != "aitken":
             depth = (self.stream.count - 1) // 2
             if depth <= self.depth:

@@ -242,34 +242,39 @@ class EstimateStream:
     def push(self, row: Sequence[float]) -> None:
         """Append one row of finite values, one per coordinate."""
         with np.errstate(all="ignore"):
-            self._feed(row)
+            self.push_unguarded(row)
 
     def replace_last(self, row: Sequence[float]) -> None:
         """Replace the newest row, recomputing only what depends on it."""
         with np.errstate(all="ignore"):
-            self._feed(row, replace=True)
+            self.replace_last_unguarded(row)
 
-    def _feed(self, row: Sequence[float], replace: bool = False) -> None:
-        """``push``, or ``replace_last`` if ``replace``, without an error
-        state of its own: the caller holds one in which overflow, invalid
-        operations and division by zero pass silently."""
-        if replace and not self.count:
+    # The unguarded forms enter no NumPy error state: the caller holds
+    # one in which overflow, invalid operations and division by zero
+    # pass silently, as the engine does for a whole analysis.
+
+    def push_unguarded(self, row: Sequence[float]) -> None:
+        """``push`` under the caller's ``np.errstate``."""
+        row = self._checked(row)
+        self.count += 1
+        self._kept_before, self._has_before = self._kept, self._has
+        if self.method == "aitken":
+            self._last3 = [*self._last3[-2:], row]
+        else:
+            self._prev = self._cur
+            if self.method == "vector-epsilon":
+                self._rows.append(row)
+        self._advance(row)
+
+    def replace_last_unguarded(self, row: Sequence[float]) -> None:
+        """``replace_last`` under the caller's ``np.errstate``."""
+        if not self.count:
             raise ValueError("no row to replace")
         row = self._checked(row)
-        if replace:
-            if self.method == "aitken":
-                self._last3[-1] = row
-            elif self.method == "vector-epsilon":
-                self._rows[-1] = row
-        else:
-            self.count += 1
-            self._kept_before, self._has_before = self._kept, self._has
-            if self.method == "aitken":
-                self._last3 = [*self._last3[-2:], row]
-            else:
-                self._prev = self._cur
-                if self.method == "vector-epsilon":
-                    self._rows.append(row)
+        if self.method == "aitken":
+            self._last3[-1] = row
+        elif self.method == "vector-epsilon":
+            self._rows[-1] = row
         self._advance(row)
 
     def keep(self, positions: Sequence[int]) -> None:
@@ -282,7 +287,7 @@ class EstimateStream:
             self._clear()
             with np.errstate(all="ignore"):
                 for r in rows:
-                    self._feed(r)
+                    self.push_unguarded(r)
             return
         self._width = len(idx)
         self._last3 = [r[idx] for r in self._last3]
@@ -407,7 +412,7 @@ def seq_norm(v: Sequence[float], cfg: TransformConfig = TransformConfig()) -> fl
     arr = np.asarray(v, dtype=float)
     if cfg.norm == "euclidean":
         return float(math.sqrt(np.dot(arr, arr)))
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def converged(
@@ -423,9 +428,4 @@ def converged(
     b = np.asarray(y_prev, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    if cfg.norm == "euclidean" or not d.ndim:  # a 0-d difference is a scalar
-        return seq_norm(d, cfg) <= delta
-    # the infinity norm of ``seq_norm``, 0.0 for an empty vector; a NaN
-    # difference makes it NaN, which no delta passes
-    return float(np.abs(d, out=d).max()) <= delta if d.size else True
+    return seq_norm(a - b, cfg) <= delta

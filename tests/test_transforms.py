@@ -379,6 +379,13 @@ class TestConverged:
         assert not converged(a, b, 4.9e-4, cfg)
         assert converged(a, b, 5.1e-4, cfg)
 
+    def test_nan_empty_and_scalar_differences(self):
+        assert not converged([1.0, math.nan], [1.0, 2.0], 1e-3)
+        assert not converged([math.nan], [math.nan], 1e-3, TransformConfig(norm="euclidean"))
+        assert converged([], [], 1e-3)
+        assert converged(1.0, 1.0005, 1e-3)
+        assert not converged(1.0, 1.002, 1e-3)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             converged([1.0, 2.0], [1.0], 1e-3)
