@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from pathlib import Path
@@ -54,13 +55,19 @@ def _fmt(v: float) -> str:
     return "%.17g" % v
 
 
+# json.dumps(value, ensure_ascii=False) for a string, without building
+# an encoder per call
+_json_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _json(value, indent: int = 0) -> str:
     """Serialize to JSON with 17-significant-digit floats.
 
     The standard serializer renders floats in shortest-round-trip form
     and rejects infinities, so the few shapes we emit are handled here:
     floats go through ``_fmt`` (non-finite ones as quoted strings) and
-    dict keys keep insertion order.
+    dict keys, which are names, keep insertion order.  String values go
+    through the standard encoder, which escapes control characters.
     """
     pad = "  " * indent
     if isinstance(value, dict):
@@ -80,7 +87,7 @@ def _json(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return _json_str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

@@ -138,32 +138,36 @@ def _finite(value: float, what: str) -> float:
 # (target, lo_slot, hi_slot, const, terms, reads); see LoweredBody
 Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int, ...]]
 
-# The fewest products (terms, plus one per step for its constant) a run
-# of independent steps must hold to be evaluated as one batch of NumPy
-# operations; smaller runs cost less as a Python loop.
+# The fewest products (terms, plus one per step for its constant) the
+# first run of a body must hold for the body to run as one ``_Batch``;
+# a smaller body costs less as the per-step loop.
 BATCH_MIN_PRODUCTS = 256
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 
 
 class _Batch:
-    """A run of independent steps evaluated as arrays.
+    """A loop body evaluated as one batch of array operations: every
+    step is independent and writes one state variable, each once.
 
-    Column ``2r + h`` of ``coeff`` and ``src`` is bound ``h`` (0 for the
-    lower, 1 for the upper) of the run's ``r``-th step, with the steps
-    in the order of their targets.  Row 0 holds its constant times the
-    slot that holds 1.0, row ``k`` its ``k``-th term, and the rows past
-    its last term ``-0.0`` times that slot.  ``src`` lists the slots the
-    bound reads: the upper bound reads the other slot of each pair.
-    Since ``v + -0.0`` is ``v`` for every ``v``, ``-0.0`` included, the
-    last row of the running sums holds every bound's result; ``dst`` is
-    the slot each is written to.
+    ``slots`` is the layout of the bounds, the state's left as zeros,
+    with an extra last pair of slots that hold 1.0.  Column ``2r + h``
+    of ``coeff`` and ``src`` is bound ``h`` (0 for the lower, 1 for the
+    upper) of state variable ``r``.  Row 0 holds its step's constant
+    times the slot that holds 1.0, row ``k`` its ``k``-th term, and the
+    rows past its last term ``-0.0`` times that slot.  ``src`` lists the
+    slots the bound reads: the upper bound reads the other slot of each
+    pair.  Since ``v + -0.0`` is ``v`` for every ``v``, ``-0.0``
+    included, the last row of the running sums is the new bound row.
     """
 
-    __slots__ = ("coeff", "src", "dst")
+    __slots__ = ("width", "slots", "coeff", "src")
 
-    def __init__(self, steps: list[Step], one: int):
-        steps = sorted(steps)  # by target; the steps are independent
+    def __init__(self, steps: list[Step], width: int, tail: list[float]):
+        self.width = width
+        self.slots = np.array([0.0] * width + tail + [1.0, 1.0])
+        one = len(self.slots) - 2
+        steps = sorted(steps)  # by target, which is the state's order
         depth = 1 + max(len(step[4]) for step in steps)
         pad = depth - 1
         coeffs: list[float] = []
@@ -173,83 +177,24 @@ class _Batch:
             src = [one, *(lo for _, lo, _ in terms)] + [one] * (pad - len(terms))
             coeffs += coeff + coeff
             srcs += src + [k ^ 1 for k in src]
-        n = len(steps)
-        self.coeff = np.array(coeffs).reshape(2 * n, depth).T.copy()
-        self.src = np.array(srcs, dtype=np.intp).reshape(2 * n, depth).T.copy()
-        self.dst = np.array([2 * step[0] + h for step in steps for h in (0, 1)], dtype=np.intp)
+        self.coeff = np.array(coeffs).reshape(width, depth).T.copy()
+        self.src = np.array(srcs, dtype=np.intp).reshape(width, depth).T.copy()
 
-    def sums(self, b: np.ndarray) -> np.ndarray:
-        """Every bound's result, computed from the slots ``b``.  Each
-        bound sums its products left to right from the constant, as the
-        per-step loop does, so every value is bit-identical to it."""
+    def image(self, row: list[float]) -> list[float]:
+        """``LoweredBody.image`` of a row without Bottom.  Each bound
+        sums its products left to right from the constant, as the
+        per-step loop does, so every value is bit-identical to it.  It
+        enters no error state: overflow to inf is silent only under the
+        caller's ``np.errstate``."""
+        b = self.slots.copy()
+        b[: self.width] = row
         acc = self.coeff * b.take(self.src)
         np.add.accumulate(acc, axis=0, out=acc)
         last = acc[-1]
         low = last.min()  # NaN if any value is NaN
         if low != low:
             raise ValueError(_NAN_MESSAGE)
-        return last
-
-    def run(self, b: np.ndarray) -> None:
-        """Write the run's targets into ``b``."""
-        b.put(self.dst, self.sums(b))
-
-
-class _Plan:
-    """A body as ``_Batch``es and tuples of steps for the per-step loop,
-    in body order.  ``slots`` is the layout of the bounds, the state's
-    left as zeros, with an extra last pair of slots that hold 1.0.
-    ``whole`` is set when the body is one batch that writes every state
-    bound and nothing else: its results are then the image itself."""
-
-    __slots__ = ("width", "slots", "parts", "whole")
-
-    def __init__(self, runs: list[tuple[list[Step], bool]], width: int, tail: list[float]):
-        """``runs`` pairs each run with whether it is a batch."""
-        self.width = width
-        self.slots = np.array([0.0] * width + tail + [1.0, 1.0])
-        one = len(self.slots) - 2
-        parts: list = []
-        for run, batched in runs:
-            if batched:
-                parts.append(_Batch(run, one))
-            elif parts and type(parts[-1]) is tuple:
-                parts[-1] += tuple(run)
-            else:
-                parts.append(tuple(run))
-        self.parts = tuple(parts)
-        self.whole = None
-        if len(parts) == 1 and type(parts[0]) is _Batch and parts[0].dst.tolist() == list(range(width)):
-            self.whole = parts[0]
-
-    def image(self, row: list[float]) -> list[float]:
-        """``LoweredBody.image`` of a row without Bottom: the bounds move
-        to an array for each batch and back to a list for the per-step
-        runs.  It enters no error state: overflow to inf is silent in
-        Python float arithmetic, and in NumPy's only under the caller's
-        ``np.errstate``."""
-        b = self.slots.copy()
-        b[: self.width] = row
-        if self.whole is not None:
-            return self.whole.sums(b).tolist()
-        for part in self.parts:
-            if type(part) is not tuple:
-                if type(b) is list:
-                    b = np.array(b)
-                part.run(b)
-                continue
-            if type(b) is not list:
-                b = b.tolist()
-            for _, lo_slot, hi_slot, const, terms, _ in part:
-                lo = hi = const
-                for coeff, src_lo, src_hi in terms:
-                    lo += coeff * b[src_lo]
-                    hi += coeff * b[src_hi]
-                if lo != lo or hi != hi:
-                    raise ValueError(_NAN_MESSAGE)
-                b[lo_slot] = lo
-                b[hi_slot] = hi
-        return b[: self.width] if type(b) is list else b[: self.width].tolist()
+        return last.tolist()
 
 
 def _fold_copies(batch: list[Step], run: list[Step], reads: Counter, width: int,
@@ -276,40 +221,40 @@ def _fold_copies(batch: list[Step], run: list[Step], reads: Counter, width: int,
     return list(folded.values())
 
 
-def _plan(steps: tuple[Step, ...], width: int, tail: list[float]) -> _Plan | None:
-    """Split ``steps`` into maximal runs of consecutive steps that read
-    and write no variable an earlier step of the same run writes; a run
-    of at least BATCH_MIN_PRODUCTS products is a batch, and a run of
-    unit copies right after a batch is folded into it (see
-    ``_fold_copies``).  None, for the per-step loop, unless the batches
-    hold at least half of the body's products: each switch between a
-    batch and the per-step loop copies every slot, which a long body
-    with a few wide runs among many narrow ones (a sparse Gauss-Seidel
-    sweep) would not win back."""
+def _batch(steps: tuple[Step, ...], width: int, tail: list[float]) -> _Batch | None:
+    """The whole-body kernel of ``steps``, or None for the per-step loop.
+
+    The body splits into runs of consecutive steps that read and write
+    no variable an earlier step of the same run writes.  It is one batch
+    when it is one such run, optionally followed by a second run of unit
+    copies that ``_fold_copies`` folds into the first; the first run
+    alone holds at least BATCH_MIN_PRODUCTS products; and the batch, the
+    copies folded, writes every state variable exactly once.  A Jacobi
+    body, temporaries and then the copies back into the states, is the
+    traffic this serves; a Gauss-Seidel sweep starts a new run at nearly
+    every step.
+    """
     runs: list[list[Step]] = [[]]
     written: set[int] = set()
     for step in steps:
         if step[0] in written or not written.isdisjoint(step[5]):
+            if len(runs) == 2:
+                return None
             runs.append([])
             written = set()
         runs[-1].append(step)
         written.add(step[0])
-    sizes = [sum(1 + len(step[4]) for step in run) for run in runs]
-    batched = [size >= BATCH_MIN_PRODUCTS for size in sizes]
-    if not any(batched):
+    batch = runs[0]
+    if sum(1 + len(step[4]) for step in batch) < BATCH_MIN_PRODUCTS:
         return None
-    reads = Counter(k for step in steps for k in step[5])
-    one = width + len(tail)
-    for i in range(len(runs) - 2, -1, -1):
-        if batched[i]:
-            folded = _fold_copies(runs[i], runs[i + 1], reads, width, one)
-            if folded is not None:
-                runs[i : i + 2] = [folded]
-                sizes[i : i + 2] = [sizes[i] + sizes[i + 1]]
-                batched[i : i + 2] = [True]
-    if 2 * sum(size for size, b in zip(sizes, batched) if b) < sum(sizes):
+    if len(runs) == 2:
+        reads = Counter(k for step in steps for k in step[5])
+        batch = _fold_copies(batch, runs[1], reads, width, width + len(tail))
+        if batch is None:
+            return None
+    if sorted(step[0] for step in batch) != list(range(width // 2)):
         return None
-    return _Plan(list(zip(runs, batched)), width, tail)
+    return _Batch(batch, width, tail)
 
 
 class LoweredBody:
@@ -327,12 +272,12 @@ class LoweredBody:
     the right-hand side names, zero coefficients included, so that a
     Bottom read still makes the target Bottom.
 
-    ``plan`` groups the steps into runs that ``image`` may evaluate as
-    arrays (see ``_plan``); it is None for a body with a Bottom input or
-    without wide enough runs.
+    ``batch`` is the whole body as one ``_Batch`` of array operations
+    (see ``_batch``), or None for the per-step loop, always so for a
+    body with a Bottom input.  ``image`` runs exactly one of the two.
     """
 
-    __slots__ = ("width", "tail", "steps", "bottom_inputs", "plan")
+    __slots__ = ("width", "tail", "steps", "bottom_inputs", "batch")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -373,7 +318,7 @@ class LoweredBody:
         self.steps = tuple(steps)
         self.bottom_inputs = frozenset(bottom_inputs)
         # a Bottom input makes the targets that read it Bottom: per-step loop
-        self.plan = None if bottom_inputs else _plan(self.steps, self.width, tail)
+        self.batch = None if bottom_inputs else _batch(self.steps, self.width, tail)
 
     def image(self, row: list[float]) -> list[float]:
         """One pass of the body over a bound row of the state variables.
@@ -383,15 +328,16 @@ class LoweredBody:
         exactly the float operations of ``affine_eval``, so the new row
         is bit-identical to the interval evaluation.  A target that reads
         a Bottom variable becomes Bottom, ``(inf, -inf)``.  On a row
-        without Bottom, a planned body runs its wide runs as arrays, with
-        the same operations in the same order.  No NumPy error state is
-        entered here: a caller that lets a bound overflow holds one.
+        without Bottom, a body with a ``batch`` runs as arrays instead,
+        with the same operations in the same order.  No NumPy error state
+        is entered here: a caller that lets a bound overflow holds one.
         """
-        if self.plan is not None and not any(map(gt, row[::2], row[1::2])):
-            return self.plan.image(row)
+        has_bottom = any(map(gt, row[::2], row[1::2]))
+        if self.batch is not None and not has_bottom:
+            return self.batch.image(row)
         b = [*row, *self.tail]
         bottom = set(self.bottom_inputs)
-        if any(map(gt, row[::2], row[1::2])):
+        if has_bottom:
             bottom.update(k for k in range(len(row) // 2) if row[2 * k] > row[2 * k + 1])
         for target, lo_slot, hi_slot, const, terms, reads in self.steps:
             if bottom:

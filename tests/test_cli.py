@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,16 @@ class TestAnalyze:
         doc = json.loads(report.read_text())
         assert doc["invariant"]["x1"]["upper"] == "inf"
         assert doc["invariant"]["xn1"]["lower"] == "-inf"
+
+    def test_report_escapes_control_characters_in_the_program_path(self, capsys, tmp_path):
+        program = tmp_path / "a\tb\nc.loop"
+        program.write_text(Path(FILTER3).read_text())
+        report = tmp_path / "r.json"
+        code, *_ = run(capsys, "analyze", str(program), "--report", str(report))
+        assert code == 0
+        with report.open() as f:
+            doc = json.load(f)
+        assert doc["program"] == str(program)
 
     def test_infinities_are_bare_in_csv(self, capsys, tmp_path):
         trace = tmp_path / "t.csv"

@@ -418,7 +418,7 @@ def batched_program(t0_terms):
     body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
     states = tuple((f"x{i}", Interval(0, 1)) for i in range(n))
     p = Program(states, (("u", Interval(2.0, 3.0)),), tuple(body))
-    assert p.lowered.plan is not None
+    assert p.lowered.batch is not None
     return p
 
 

@@ -209,31 +209,40 @@ def wide_const(rng):
     return 0.0 if r < 0.2 else -0.0 if r < 0.4 else float(rng.normal(scale=10))
 
 
+WIDE_SHAPES = ["batch", "batch", "shared", "extra", "second"]
+
+
 @st.composite
 def wide_jacobi_bodies(draw):
-    """A Jacobi-form body whose first run is wide enough to be batched.
+    """A Jacobi-form body whose first run is wide enough to be batched,
+    and its shape.
 
     Temporaries read the states and inputs, with from zero to many terms
     each (a fifth have none, so the batch pads the short rows), together
     at least ``BATCH_MIN_PRODUCTS`` products; the copies back into the
-    states depend on them.  Optionally a second wide run of temporaries reads
-    the copied states, and a last step reads those.  Bounds and
-    constants include signed zeros and infinite bounds; the state or an
-    input may hold a Bottom, and a temporary may overflow to inf or to
-    NaN (1e308 times an input, minus the same).
+    states depend on them.  Two in five draws have the ``batch`` shape:
+    one temporary per state, each copied into its own state, which
+    lowers to one batch unless an input is Bottom.  The others go to the
+    per-step loop: ``shared`` has fewer temporaries than states, so a
+    temporary is copied twice; ``extra`` has more, so the batch would
+    write a temporary; ``second`` is the ``batch`` shape followed by a
+    second wide run of temporaries that reads the copied states, and a
+    last step that reads those.  Bounds and constants include signed
+    zeros and infinite bounds; the state or an input may hold a Bottom,
+    and a temporary may overflow to inf or to NaN (1e308 times an input,
+    minus the same).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_states = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(WIDE_SHAPES))
+    n_states = draw(st.integers(1, 12)) + (shape == "shared")
     n_inputs = draw(st.integers(1, 3))
     bottom = draw(st.sampled_from([None, None, None, "state", "input"]))
     overflow = draw(st.sampled_from([None, None, "inf", "nan"]))
-    second = draw(st.booleans())
     states = [f"x{i}" for i in range(n_states)]
     inputs = [f"u{i}" for i in range(n_inputs)]
     body = []
 
-    def wide_run(prefix, scope):
-        n_temps = int(rng.integers(8, 25))
+    def wide_run(prefix, scope, n_temps):
         rows = [
             [(wide_coeff(rng), scope[rng.integers(len(scope))]) for _ in range(k)]
             for k in rng.integers(0, 30, size=n_temps) * (rng.random(n_temps) < 0.8)
@@ -245,17 +254,23 @@ def wide_jacobi_bodies(draw):
         rows[0] += [(1.5, scope[0])] * max(1, short)
         for i, row in enumerate(rows):
             body.append(Assignment(f"{prefix}{i}", wide_const(rng), tuple(row)))
-        return n_temps
 
-    n_temps = wide_run("t", states + inputs)
+    if shape == "shared":
+        n_temps = int(rng.integers(1, n_states))
+    elif shape == "extra":
+        n_temps = n_states + int(rng.integers(1, 13))
+    else:
+        n_temps = n_states
+    wide_run("t", states + inputs, n_temps)
     if overflow is not None:
         k = rng.integers(n_temps)
         big = ((1e308, "u0"),) + (((-1e308, "u0"),) if overflow == "nan" else ())
         body[k] = Assignment(body[k].target, body[k].const, body[k].terms + big)
     # the constant -0.0 keeps a -0.0 temporary's sign in the state
     body += [Assignment(x, -0.0, ((1.0, f"t{i % n_temps}"),)) for i, x in enumerate(states)]
-    if second:
-        n_more = wide_run("s", states + inputs)
+    if shape == "second":
+        n_more = int(rng.integers(8, 25))
+        wide_run("s", states + inputs, n_more)
         body.append(Assignment(states[0], -0.0, ((0.5, "s0"), (-1.0, f"s{n_more - 1}"))))
     input_vars = [(u, wide_interval(rng)) for u in inputs]
     if overflow is not None:
@@ -268,18 +283,16 @@ def wide_jacobi_bodies(draw):
         k = rng.integers(n_inputs)
         input_vars[k] = (inputs[k], BOTTOM)
     p = Program(tuple((x, Interval(0, 1)) for x in states), tuple(input_vars), tuple(body))
-    return p, AbstractState(state)
+    return shape, p, AbstractState(state)
 
 
 @settings(max_examples=200, deadline=None)
 @given(wide_jacobi_bodies())
 def test_batched_runs_equal_fold_of_affine_eval(case):
-    p, x = case
-    plan = p.lowered.plan
-    if p.lowered.bottom_inputs:
-        assert plan is None  # the per-step loop handles a Bottom input
-    else:
-        assert any(isinstance(part, programs._Batch) for part in plan.parts)
+    shape, p, x = case
+    # the per-step loop handles a Bottom input, and every shape but one
+    one_batch = shape == "batch" and not p.lowered.bottom_inputs
+    assert (p.lowered.batch is not None) == one_batch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(transfer, p, x)
@@ -290,13 +303,16 @@ def test_batched_row_keeps_negative_zero_when_others_pad():
     # t0 has no term, so every other row pads past it; adding a padding
     # +0.0 to its -0.0 constant would give +0.0
     n = programs.BATCH_MIN_PRODUCTS // 8
-    body = [Assignment("t0", -0.0, ()), Assignment("t1", -0.0, ((2.0, "x"),))]
-    body += [Assignment(f"t{i}", 1.0, ((0.5, "x"),) * 8) for i in range(2, n)]
-    body += [Assignment("x", 0.0, ((1.0, "t2"),)), Assignment("y", -0.0, ((1.0, "t0"),))]
-    p = Program((("x", Interval(-0.0, -0.0)), ("y", Interval(0, 1))), (), tuple(body))
-    assert any(isinstance(part, programs._Batch) for part in p.lowered.plan.parts)
+    body = [Assignment("t0", -0.0, ()), Assignment("t1", -0.0, ((2.0, "x1"),))]
+    body += [Assignment(f"t{i}", 1.0, ((0.5, f"x{i}"),) * 8) for i in range(2, n)]
+    body += [Assignment(f"x{i}", -0.0, ((1.0, f"t{i}"),)) for i in range(n)]
+    states = [(f"x{i}", Interval(0, 1)) for i in range(n)]
+    states[1] = ("x1", Interval(-0.0, -0.0))
+    p = Program(tuple(states), (), tuple(body))
+    assert p.lowered.batch is not None
     out = transfer(p, p.initial_state())
-    assert out["y"].lo.hex() == out["y"].hi.hex() == (-0.0).hex()
+    for name in ("x0", "x1"):
+        assert out[name].lo.hex() == out[name].hi.hex() == (-0.0).hex()
     assert bits(out) == bits(fold_affine_eval(p, p.initial_state()))
 
 
@@ -417,15 +433,10 @@ def jacobi_copy_bodies(draw):
 @given(jacobi_copy_bodies())
 def test_folded_copies_equal_fold_of_affine_eval(case):
     shape, p, x = case
-    plan, width = p.lowered.plan, p.lowered.width
-    if plan is not None and shape in ("fold", "subset"):
-        # one batch, which writes no temporary
-        assert [type(part) for part in plan.parts] == [programs._Batch]
-        assert plan.parts[0].dst.max() < width
-        assert (plan.whole is not None) == (shape == "fold")
-    elif plan is not None:
-        # every batch still writes a temporary
-        assert all(part.dst.max() >= width for part in plan.parts if type(part) is programs._Batch)
+    # the temporaries' run decides, the copies folded in do not count
+    products = sum(1 + sum(c != 0.0 for c, _ in a.terms) for a in p.body if a.target[0] == "t")
+    one_batch = shape == "fold" and products >= programs.BATCH_MIN_PRODUCTS
+    assert (p.lowered.batch is not None) == one_batch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(transfer, p, x)
@@ -439,30 +450,54 @@ def test_folded_copy_of_a_nan_temporary_raises():
     body += [Assignment(f"x{i}", -0.0, ((1.0, f"t{i}"),)) for i in range(n)]
     states = tuple((f"x{i}", Interval(0, 1)) for i in range(n))
     p = Program(states, (("u", Interval(2.0, 3.0)),), tuple(body))
-    assert p.lowered.plan.whole is not None
+    assert p.lowered.batch is not None
     assert outcome(fold_affine_eval, p, p.initial_state()) == "ValueError"
     assert outcome(transfer, p, p.initial_state()) == "ValueError"
 
 
-def sparse_jacobi_program(seed, n, nnz):
+def test_three_runs_take_the_per_step_loop():
+    # b = 1.0 + 0.0*a reads a only through a dropped zero term, so its
+    # copy x = 1.0 + 1.0*b is no copy of a; x is 2.0, not 0.5*x + 1.0
+    n = programs.BATCH_MIN_PRODUCTS
+    body = [Assignment(f"a{i}", 0.0, ((0.5, f"x{i}"),)) for i in range(n)]
+    body += [Assignment(f"b{i}", 1.0, ((0.0, f"a{i}"),)) for i in range(n)]
+    body += [Assignment(f"x{i}", 1.0, ((1.0, f"b{i}"),)) for i in range(n)]
+    p = Program(tuple((f"x{i}", Interval(0, 1)) for i in range(n)), (), tuple(body))
+    assert p.lowered.batch is None
+    out = transfer(p, p.initial_state())
+    assert out["x0"] == Interval(2.0, 2.0)
+    assert bits(out) == bits(fold_affine_eval(p, p.initial_state()))
+
+
+def row_program(seed, n, nnz, gauss_seidel=False):
+    """A loop over ``n`` states whose rows have ``nnz`` random terms
+    (all ``n`` if None), in Jacobi form (temporaries, then copies) or as
+    a Gauss-Seidel sweep: the four body forms of the kleene-wide
+    benchmark."""
     rng = np.random.default_rng(seed)
     lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
     lines += [f"input u{i} in [-1.0, 1.0];" for i in range(n)]
     lines.append("loop {")
     for i in range(n):
-        terms = [f"{rng.normal() / nnz!r}*x{j}" for j in rng.choice(n, nnz, replace=False)]
-        lines.append(f"  t{i} = " + " + ".join(terms + [f"0.1*u{i}"]).replace("+ -", "- ") + ";")
-    lines += [f"  x{i} = t{i};" for i in range(n)]
+        cols = range(n) if nnz is None else rng.choice(n, nnz, replace=False)
+        terms = [f"{rng.normal() / len(cols)!r}*x{j}" for j in cols]
+        target = f"x{i}" if gauss_seidel else f"t{i}"
+        lines.append(f"  {target} = " + " + ".join(terms + [f"0.1*u{i}"]).replace("+ -", "- ") + ";")
+    if not gauss_seidel:
+        lines += [f"  x{i} = t{i};" for i in range(n)]
     return "\n".join(lines + ["}"]) + "\n"
 
 
 def test_jacobi_bodies_plan_to_one_batch():
     from test_golden import gaussian_program
 
-    for text in (gaussian_program(2, 16, 0.9), sparse_jacobi_program(3, 256, 8)):
-        plan = parse(text).lowered.plan
-        assert [type(part) for part in plan.parts] == [programs._Batch]
-        assert plan.whole is plan.parts[0]
-    # below the threshold the per-step loop stays
-    for p in (load_bundled("filter3"), load_bundled("contraction2"), parse(gaussian_program(2, 8, 0.9))):
-        assert p.lowered.plan is None
+    jacobi = (gaussian_program(2, 16, 0.9), row_program(3, 256, 8), row_program(3, 64, None))
+    for text in jacobi:
+        batch = parse(text).lowered.batch
+        assert isinstance(batch, programs._Batch)
+        assert batch.coeff.shape[1] == batch.width
+    # below the threshold, and for Gauss-Seidel sweeps, the per-step loop stays
+    sweeps = (row_program(3, 256, 8, gauss_seidel=True), row_program(3, 64, None, gauss_seidel=True))
+    small = (load_bundled("filter3"), load_bundled("contraction2"), parse(gaussian_program(2, 8, 0.9)))
+    for p in (*map(parse, sweeps), *small):
+        assert p.lowered.batch is None
