@@ -2,9 +2,11 @@
 
 Runs the three-state filter loop twice: once with ordinary interval
 iteration until the bounds settle, and once with the vector epsilon
-accelerator watching the iterates and injecting its limit estimate as
-soon as two consecutive estimates agree.  Prints both invariants side
-by side and the full event log of the accelerated run.
+accelerator watching the iterates: as soon as two consecutive estimates
+agree, their limit, padded outward a hair, is checked as an invariant,
+and the first one that the loop body maps into itself ends the run.
+Prints both invariants side by side and the full event log of the
+accelerated run.
 
 Run with:  python3 demos/01_plain_vs_accelerated.py
 """
@@ -19,8 +21,7 @@ print(f"plain iteration:       {plain_report.iterations} steps "
       f"({plain_report.reason})")
 
 # --- accelerated iteration -------------------------------------------
-cfg = fa.EngineConfig(mode="accel", method="vector-epsilon",
-                      delta=1e-3, inject_policy="once")
+cfg = fa.EngineConfig(mode="accel", method="vector-epsilon", inject_policy="once")
 accel_report, accel_trace = fa.analyze(program, cfg)
 print(f"accelerated iteration: {accel_report.iterations} steps "
       f"({accel_report.injections} injection, {accel_report.reason})")

@@ -174,7 +174,7 @@ def _write(path: str, text: str) -> bool:
     """Write ``text`` to ``path``; on failure report it and return False."""
     try:
         Path(path).write_text(text)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # also text naming a non-UTF-8 path
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
     return True
@@ -377,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--delta",
         type=float,
-        default=1e-3,
-        help="agreement tolerance between consecutive accelerated "
-        "estimates (default: 1e-3)",
+        default=1e-6,
+        help="relative agreement tolerance between consecutive "
+        "accelerated estimates; agreeing estimates are tried as a "
+        "verified post-fixpoint (default: 1e-6)",
     )
     pa.add_argument(
         "--widen-delay",
@@ -398,14 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject",
         choices=("once", "repeat"),
         default="once",
-        help="how many accelerated injections to allow (default: once)",
+        help="what to do with an estimate that does not verify: once "
+        "drops it, repeat joins it in unverified and restarts the "
+        "estimator; the first one that verifies ends the run "
+        "(default: once)",
     )
     pa.add_argument(
         "--fallback-after",
         type=int,
         default=20,
-        help="iterations without an injection before switching to "
-        "widening (default: 20)",
+        help="acceleration budget: switch to widening after twice "
+        "this many rejected estimates, or twice this many iterations "
+        "since estimates last agreed (default: 20)",
     )
     pa.add_argument(
         "--max-iter", type=int, default=10000, help="iteration budget"

@@ -6,15 +6,18 @@ Three modes share one iteration loop:
 * ``widen`` — joins replaced by (threshold) widening after an optional
   delay, guaranteeing termination;
 * ``accel`` — plain joins plus a sequence transformation watching the
-  iterate bounds; when two consecutive accelerated estimates agree to
-  ``delta``, the estimate is joined into the current iterate (an
-  "injection"), short-circuiting the remaining convergence tail.
+  iterate bounds; when two consecutive estimates agree to a relative
+  ``delta``, the current iterate joined with the estimate and padded
+  outward is tried as a post-fixpoint (``_verify``).  The first
+  candidate that verifies is the result (an "injection"), which cuts
+  off the remaining convergence tail.
 
-Stabilization is detected either bit-exactly or, by default, when the
-largest bound movement in one iteration falls under ``stop_tol``; a
-tolerance-detected result is then "sealed" — inflated outward a hair
-until the transfer function maps it into itself — so every reported
-convergent invariant is a machine-checked post-fixpoint.
+Stabilization is detected either bit-exactly or, in kleene and widen
+mode and after an accel run's fallback, when the largest bound movement
+in one iteration falls under ``stop_tol``; a tolerance-detected result
+is then "sealed" — inflated outward a hair until the transfer function
+maps it into itself — so every reported convergent invariant is a
+machine-checked post-fixpoint.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ class EngineConfig:
 
     mode: Mode = "accel"
     method: Method = "vector-epsilon"
-    delta: float = 1e-3
+    delta: float = 1e-6
     widen_delay: int = 0
     thresholds: ThresholdSet | None = None
     inject_policy: Literal["once", "repeat"] = "once"
@@ -102,7 +105,7 @@ class IterationTrace:
     variables: tuple[str, ...]
     initial: AbstractState
     records: list[TraceRecord] = field(default_factory=list)
-    reason: str = "running"  # converged | converged-tolerance | max-iter
+    reason: str = "running"  # converged | converged-tolerance | verified-injection | max-iter
 
     @property
     def iterations(self) -> int:
@@ -223,6 +226,48 @@ def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
     return x
 
 
+# Verified injection (Rump, "Verification methods", Acta Numerica 2010):
+# a candidate is scaled outward by 1 + VERIFY_PAD and mapped through
+# x ⊔ F, inflated again after each image, up to VERIFY_ROUNDS images.
+VERIFY_PAD = 1e-9
+VERIFY_ROUNDS = 12
+
+
+def _inflate(x: list[float]) -> list[float]:
+    """Move every bound of a row outward by VERIFY_PAD times its
+    magnitude.  A zero or infinite bound stays where it is, and so does
+    Bottom's (inf, -inf)."""
+    up, down = 1.0 + VERIFY_PAD, 1.0 - VERIFY_PAD
+    out = [*x]
+    out[::2] = [v * down if v > 0.0 else v * up for v in x[::2]]
+    out[1::2] = [v * up if v > 0.0 else v * down for v in x[1::2]]
+    return out
+
+
+def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None:
+    """A row above ``c`` that ``base ⊔ F`` maps into itself, or None.
+
+    Starts from ``c`` inflated; while the image base ⊔ F(c) is not
+    inside c, the inflated image is the next c.  The pad is relative
+    and fixed, so for a contracting body the slack settles at about
+    (I - |A|)^-1 applied to the pads, and c closes in a few rounds.  A
+    row that passes contains ``base`` and F of itself.
+
+    The engine passes its current state x_i as ``base``.  On a Kleene
+    iterate, x_i = x0 ⊔ F(x_{i-1}), so base ⊔ F(c) equals x0 ⊔ F(c) for
+    every c above x_i (F is monotone): the check is Rump's.  After an
+    unverified join under the ``repeat`` policy, it keeps the result
+    above the joined state, so that every injection grows the state.
+    """
+    c = _inflate(c)
+    for _ in range(VERIFY_ROUNDS):
+        image = state_join(base, transfer(p, c))
+        if state_leq(image, c):
+            return c
+        c = _inflate(image)
+    return None
+
+
 class _Accelerator:
     """Watches the iterate rows and produces injection candidates.
 
@@ -238,16 +283,16 @@ class _Accelerator:
         self.cfg = cfg
         self.stream: EstimateStream | None = None
         self.active: list[int] = []
-        self.depth = 0
         self.prev: np.ndarray | None = None  # the estimate ``ready`` saw last
         self.last: np.ndarray | None = None
 
-    def push(self, x: list[float], replace: bool = False) -> np.ndarray | None:
-        """Feed the finite coordinates of ``x`` to the stream, as a new
-        row or in place of the newest one, and return the fresh estimate
-        if there is new accelerated evidence (a new transformed element
-        for Aitken, a deeper even-diagonal entry for the epsilon
-        methods), else None."""
+    def restart(self) -> None:
+        """Forget every row: the next one pushed starts a new stream."""
+        self.stream, self.active, self.prev = None, [], None
+
+    def push(self, x: list[float]) -> np.ndarray | None:
+        """Feed the finite coordinates of ``x`` to the stream and return
+        its newest estimate, or None while it has none."""
         # v - v is 0.0 for a finite v and NaN for an infinite one
         active = [j for j, v in enumerate(x) if v - v == 0.0]
         if active != self.active:
@@ -260,25 +305,16 @@ class _Accelerator:
                 # new coordinates (a Bottom variable that became finite)
                 # have no finite history: the stream starts from this row
                 self.stream = EstimateStream(self.cfg.method, self.cfg.transform)
-            self.active, self.depth, self.prev, self.last = active, 0, None, None
+            self.active, self.prev, self.last = active, None, None
         if self.stream is None:
             return None  # nothing to accelerate
-        row = x if len(active) == len(x) else [x[j] for j in active]
-        if replace:
-            self.stream.replace_last_unguarded(row)
-        else:
-            self.stream.push_unguarded(row)
-        if self.cfg.method != "aitken":
-            depth = (self.stream.count - 1) // 2
-            if depth <= self.depth:
-                return None
-            self.depth = depth
+        self.stream.push_unguarded(x if len(active) == len(x) else [x[j] for j in active])
         self.last = self.stream.estimate()
         return self.last
 
     def ready(self, y: np.ndarray) -> bool:
-        """True when the fresh estimate ``y`` agrees within delta with
-        the one passed here before it."""
+        """True when every coordinate of the fresh estimate ``y`` is
+        within delta * max(1, |y|) of the one passed here before it."""
         prev, self.prev = self.prev, y
         if prev is None:
             return False
@@ -333,12 +369,18 @@ def _inject(x: list[float], active: list[int], y: np.ndarray) -> list[float]:
 def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
     """Iterate from the declared initial state in the mode ``cfg`` selects.
 
-    In accel mode, estimates that would not change the state are not
-    counted as injections and do not consume the once-policy budget.
-    If no injection lands for ``fallback_after`` iterations, the run
-    switches to threshold widening seeded from the last estimate (then
-    standard widening via the implicit infinities), guaranteeing
-    termination.
+    In accel mode, whenever a fresh estimate agrees with the one before
+    it, the state joined with the estimate is tried as a verified
+    post-fixpoint (``_verify``).  One that verifies is the result: the
+    run records it as an injection and stops.  A rejected candidate is
+    dropped under the ``once`` policy; under ``repeat`` it is joined in
+    unverified, as long as it changes the state, and the estimator
+    restarts from the joined state.  The tolerance stop waits for the
+    fallback.  After 2 * ``fallback_after`` rejected candidates, or
+    2 * ``fallback_after`` iterations since the last agreement (since
+    the start while there is none), the run switches to threshold
+    widening seeded from the last estimate (then standard widening via
+    the implicit infinities), guaranteeing termination.
     """
     p.lowered  # lower the body before the loop, not inside a transfer
     names = p.state_names
@@ -347,14 +389,14 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     x = bound_row(initial).tolist()
     acc = _Accelerator(cfg) if cfg.mode == "accel" else None
     injections = 0
-    last_injection_iter = 0
-    accel_done = False  # once-policy budget spent
+    rejected = 0  # candidates that did not verify
+    agreed = 0  # the iteration of the newest agreement
     fallback: ThresholdSet | None = None
     sealed = False
     reason = "max-iter"
     converged_flag = False
 
-    # one error state for the loop, the seal and the verification: a
+    # one error state for the loop, the verification and the seal: a
     # bound may overflow to inf, and the estimators divide by zero and
     # make NaN where a denominator vanishes, all of which they handle
     with np.errstate(all="ignore"):
@@ -378,8 +420,8 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                 event = "plain-step"
 
             accel_row: tuple[float | None, ...] | None = None
-            injected_now = False
-            if acc is not None and fallback is None and not accel_done:
+            # an exact fixpoint needs no estimate
+            if acc is not None and fallback is None and x != prev:
                 y = acc.push(x)
                 if y is not None and len(acc.active) == len(x):
                     accel_row = tuple(y.tolist())
@@ -389,23 +431,30 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                         est[j] = v
                     accel_row = tuple(est)
                 if y is not None and acc.ready(y):
+                    agreed = i
                     candidate = _inject(x, acc.active, y)
-                    if candidate != x:
+                    verified = _verify(p, x, candidate)
+                    if verified is not None:
+                        x = verified
+                        injections += 1
+                        reason = "verified-injection"
+                        converged_flag = True
+                        trace.records.append(TraceRecord(i, tuple(x), accel_row, "injection", names))
+                        break
+                    rejected += 1
+                    if cfg.inject_policy == "repeat" and candidate != x:
                         x = candidate
                         injections += 1
-                        last_injection_iter = i
-                        injected_now = True
                         event = "injection"
-                        if cfg.inject_policy == "once":
-                            accel_done = True
-                        else:
-                            acc.push(x, replace=True)
+                        acc.restart()
+                        acc.push(x)
 
             if x == prev:
                 reason = "converged"
                 converged_flag = True
             elif (
-                not injected_now
+                # until the fallback, an accel run ends at a verified injection
+                (acc is None or fallback is not None)
                 and cfg.stop_tol > 0.0
                 and _moved_at_most(prev, x, cfg.stop_tol)
             ):
@@ -418,13 +467,10 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
             if converged_flag:
                 break
 
-            if (
-                acc is not None
-                and fallback is None
-                and i - last_injection_iter >= cfg.fallback_after
+            if acc is not None and fallback is None and (
+                rejected >= 2 * cfg.fallback_after or i - agreed >= 2 * cfg.fallback_after
             ):
                 fallback = _fallback_thresholds(acc)
-                accel_done = True
 
         trace.reason = reason
         if reason == "converged-tolerance":

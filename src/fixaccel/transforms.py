@@ -7,13 +7,16 @@ watch for near-zero denominators ("stalls"): a stalled element keeps
 the last valid value so downstream convergence detection still has
 something to compare.
 
-The functions transform a whole sequence at once, column by column;
-``EstimateStream`` keeps the newest element of the same transformation
-up to date as rows arrive, one antidiagonal of the table per row.
+The functions transform a whole sequence at once; the epsilon ones
+report the tip of each even column.  ``EstimateStream`` is the
+engine's estimator: it updates one antidiagonal of the table per row as
+rows arrive, and reports the newest valid cell of the deepest even
+column, with a stall test relative to the element.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -24,8 +27,12 @@ import numpy as np
 class TransformConfig:
     """Numerical guards shared by all transformations.
 
-    ``stall_tolerance`` is relative: a denominator d built from an
-    element b stalls when |d| < stall_tolerance * max(1, |b|).
+    ``stall_tolerance`` is relative: in the whole-sequence functions a
+    denominator d built from an element b stalls when
+    |d| < stall_tolerance * max(1, |b|); ``EstimateStream``'s epsilon
+    methods drop the floor of 1, |d| < max(stall_tolerance * |b|,
+    smallest normal float), so that a sequence of any scale forms its
+    columns.
     """
 
     stall_tolerance: float = 1e-12
@@ -194,28 +201,37 @@ def vector_epsilon_diagonal(
     return _diagonal_from_columns(_vector_columns(arr, cfg.stall_tolerance))
 
 
-class EstimateStream:
-    """The newest element of a transformation over a growing sequence of
-    rows, updated in O(m*d) per row instead of rebuilding the table.
+# The deepest column of the epsilon-table that ``EstimateStream`` keeps:
+# an antidiagonal holds at most MAX_COLUMN + 1 cells, so that a row costs
+# O(MAX_COLUMN * d) however long the sequence grows.
+MAX_COLUMN = 8
+# A denominator under the smallest normal float stalls whatever the scale
+# of its element: its inverse would overflow.
+_TINY = sys.float_info.min
 
-    After rows r_0 .. r_{m-1} have been pushed, ``estimate()`` equals,
-    bit for bit, the last element of the full-table function on that
-    prefix: per coordinate ``aitken(...)[-1]`` or
-    ``epsilon_diagonal(...)[-1]`` for ``"aitken"`` and ``"epsilon"``,
-    ``vector_epsilon_diagonal(...)[-1]`` for ``"vector-epsilon"``.  Each
-    cell does the float operations of the full table.
+
+class EstimateStream:
+    """The newest limit estimate of a transformation over a growing
+    sequence of rows, updated in O(d) per row of d coordinates.
 
     Aitken keeps the last three rows and the last valid element of each
-    coordinate.  The epsilon methods keep the previous and the current
-    ascending antidiagonal eps_k^(n-k), k = 0..n, of the table and the
-    last valid even tip eps_2j^(0) (the retained diagonal entry); Wynn's
-    rhombus rule builds each antidiagonal from the one before.  A stall
-    invalidates every cell that depends on it, so the valid cells of an
-    antidiagonal form a prefix, and only the longest prefix that holds a
-    valid cell is stored.  Cells of the scalar method are arrays over the
-    coordinates, NaN where a coordinate's cell is invalid; cells of the
-    vector method are whole rows, and rows of dimension 1 take the
-    scalar rule, as in ``vector_epsilon_diagonal``.
+    coordinate: after rows r_0 .. r_{m-1}, ``estimate()`` equals, bit for
+    bit, ``aitken(...)[-1]`` per coordinate.
+
+    The epsilon methods keep the newest ascending antidiagonal
+    eps_k^(n-k), k = 0..min(n, MAX_COLUMN), of the table; Wynn's rhombus
+    rule builds each from the one before.  Their estimate is the newest
+    valid cell of the deepest live even column, eps_2j^(n-2j) for the
+    largest even 2j <= MAX_COLUMN whose cell is valid: per coordinate for
+    the scalar method, as a whole row for the vector method, where rows
+    of dimension 1 take the scalar rule.  Unlike the tip eps_2j^(0) that
+    ``epsilon_diagonal`` reports, it leaves the transient of the first
+    rows behind.  A stall invalidates every cell that depends on it, so
+    the valid cells of an antidiagonal form a prefix, and column 0, the
+    row itself, is always valid.  Cells of the scalar method are arrays
+    over the coordinates, NaN where a coordinate's cell is invalid.
+
+    Every method has an estimate from the third row on.
     """
 
     def __init__(self, method: str, cfg: TransformConfig = TransformConfig()):
@@ -231,51 +247,38 @@ class EstimateStream:
     def _clear(self) -> None:
         self.count = 0
         self._width: int | None = None
-        self._value: np.ndarray | None = None  # the newest element
+        self._value: np.ndarray | None = None  # the newest estimate
         self._last3: list[np.ndarray] = []  # aitken
-        self._prev = self._cur = None  # epsilon: antidiagonals n-1 and n
-        # the last valid element (aitken) or even tip (epsilon) before
-        # and after the newest row, and where Aitken has one
-        self._kept_before = self._kept = None
-        self._has_before = self._has = None
+        # aitken: the last valid element of each coordinate, and where one exists
+        self._valid = self._has = None
+        self._cur = None  # epsilon: the newest antidiagonal
 
     def push(self, row: Sequence[float]) -> None:
         """Append one row of finite values, one per coordinate."""
         with np.errstate(all="ignore"):
             self.push_unguarded(row)
 
-    def replace_last(self, row: Sequence[float]) -> None:
-        """Replace the newest row, recomputing only what depends on it."""
-        with np.errstate(all="ignore"):
-            self.replace_last_unguarded(row)
-
-    # The unguarded forms enter no NumPy error state: the caller holds
-    # one in which overflow, invalid operations and division by zero
-    # pass silently, as the engine does for a whole analysis.
-
     def push_unguarded(self, row: Sequence[float]) -> None:
-        """``push`` under the caller's ``np.errstate``."""
+        """``push`` under the caller's ``np.errstate``: it enters none, so
+        overflow, invalid operations and division by zero must pass
+        silently there, as they do for a whole ``analyze`` run."""
         row = self._checked(row)
         self.count += 1
-        self._kept_before, self._has_before = self._kept, self._has
         if self.method == "aitken":
             self._last3 = [*self._last3[-2:], row]
-        else:
-            self._prev = self._cur
-            if self.method == "vector-epsilon":
-                self._rows.append(row)
-        self._advance(row)
-
-    def replace_last_unguarded(self, row: Sequence[float]) -> None:
-        """``replace_last`` under the caller's ``np.errstate``."""
-        if not self.count:
-            raise ValueError("no row to replace")
-        row = self._checked(row)
-        if self.method == "aitken":
-            self._last3[-1] = row
-        elif self.method == "vector-epsilon":
-            self._rows[-1] = row
-        self._advance(row)
+            if self.count >= 3:
+                self._aitken()
+            return
+        if self.method == "vector-epsilon":
+            self._rows.append(row)
+            if row.size != 1:
+                cur = self._cur = _vector_antidiagonal(self._cur, row, self.tol)
+                if self.count >= 3:
+                    self._value = cur[(len(cur) - 1) & -2]
+                return
+        self._cur, valid = _scalar_antidiagonal(self._cur, row, self.tol)
+        if self.count >= 3:
+            self._value = self._cur[(valid - 1) & -2, np.arange(row.size)]
 
     def keep(self, positions: Sequence[int]) -> None:
         """Restrict the stream to the coordinates at ``positions``, as if
@@ -291,15 +294,13 @@ class EstimateStream:
             return
         self._width = len(idx)
         self._last3 = [r[idx] for r in self._last3]
-        (self._value, self._prev, self._cur, self._kept, self._kept_before,
-         self._has, self._has_before) = (
+        self._value, self._valid, self._has, self._cur = (
             None if a is None else a[..., idx]
-            for a in (self._value, self._prev, self._cur, self._kept,
-                      self._kept_before, self._has, self._has_before)
+            for a in (self._value, self._valid, self._has, self._cur)
         )
 
     def estimate(self) -> np.ndarray | None:
-        """The newest element, or None while Aitken has < 3 rows."""
+        """The newest estimate, or None before the third row."""
         return None if self._value is None else self._value.copy()
 
     def _checked(self, row: Sequence[float]) -> np.ndarray:
@@ -312,51 +313,33 @@ class EstimateStream:
             raise ValueError(f"row of {arr.size} values, expected {self._width}")
         return arr
 
-    def _advance(self, row: np.ndarray) -> None:
-        """Compute the newest element from the state before the newest row."""
-        if self.method == "aitken":
-            if self.count >= 3:
-                self._aitken()
-            return
-        tip = self.count - 1
-        self._kept = self._kept_before
-        if self.method == "vector-epsilon" and row.size != 1:
-            self._cur = _vector_antidiagonal(self._prev, row, self.tol)
-            if tip % 2 == 0 and len(self._cur) == tip + 1:
-                self._kept = self._cur[tip]
-        else:
-            self._cur = _scalar_antidiagonal(self._prev, row, self.tol)
-            if tip % 2 == 0 and len(self._cur) == tip + 1:
-                cell = self._cur[tip]
-                if self._kept is not None:
-                    cell = np.where(np.isnan(cell), self._kept, cell)
-                self._kept = cell
-        self._value = self._kept
-
     def _aitken(self) -> None:
         x0, x1, x2 = self._last3
         den = x2 - 2.0 * x1 + x0
         stalled = np.abs(den) < self.tol * np.maximum(1.0, np.abs(x0))
         num = x1 - x0
         y = x0 - num * num / np.where(stalled, 1.0, den)
-        if self._has_before is None:
-            kept, has = x0, np.zeros(x0.shape, dtype=bool)
-        else:
-            kept, has = self._kept_before, self._has_before
-        self._value = np.where(stalled, np.where(has, kept, x0), y)
-        self._kept = np.where(stalled, kept, y)
-        self._has = has | ~stalled
+        if self._has is None:
+            self._valid, self._has = x0, np.zeros(x0.shape, dtype=bool)
+        self._value = np.where(stalled, np.where(self._has, self._valid, x0), y)
+        self._valid = np.where(stalled, self._valid, y)
+        self._has = self._has | ~stalled
 
 
-def _scalar_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -> np.ndarray:
+def _scalar_antidiagonal(
+    prev: np.ndarray | None, row: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Antidiagonal n of the scalar epsilon-tables of all coordinates,
     shape (cells, coordinates), from antidiagonal n-1 ``prev`` (None for
-    n = 0) and row x_n.
+    n = 0) and row x_n, up to column MAX_COLUMN, and the number of valid
+    cells of each coordinate.
 
     Cell k+1 is eps_{k+1}^(n-k-1) = eps_{k-1}^(n-k) + 1/d with
     d = eps_k^(n-k) - eps_k^(n-k-1), i.e. new[k] - prev[k], on top of
-    prev[k-1] (zero for k = 0): the operations of ``_scalar_columns``.
-    A NaN cell is invalid; it makes d NaN, which no threshold passes.
+    prev[k-1] (zero for k = 0).  d stalls when
+    |d| < max(tol * |prev[k]|, smallest normal float), a test that does
+    not depend on the scale of the sequence.  A NaN cell is invalid; it
+    makes d NaN, which no threshold passes.
 
     Every cell is first computed without masking, then the stall rule is
     applied to the whole antidiagonal at once: cell k+1 of a coordinate
@@ -366,32 +349,35 @@ def _scalar_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -
     ends after the last level that has a valid cell.
     """
     if prev is None:
-        return row[None, :]
-    m = len(prev)
-    vals = np.empty((m + 1, row.size))
+        return row[None, :], np.ones(row.size, dtype=int)
+    top = prev[:MAX_COLUMN]
+    vals = np.empty((len(top) + 1, row.size))
     vals[0] = row
-    d = np.empty((m, row.size))
+    d = np.empty(top.shape)
     below = np.zeros(row.size)
-    for src, p, dk, cell in zip(vals, prev, d, vals[1:]):
+    for src, p, dk, cell in zip(vals, top, d, vals[1:]):
         np.subtract(src, p, out=dk)
         np.reciprocal(dk, out=cell)
         cell += below
         below = p
-    live = np.abs(d) >= tol * np.maximum(1.0, np.abs(prev))
+    live = np.abs(d) >= np.maximum(tol * np.abs(top), _TINY)
     np.logical_and.accumulate(live, axis=0, out=live)
     np.copyto(vals[1:], np.nan, where=~live)
-    return vals[: 1 + np.count_nonzero(live.any(axis=1))]
+    valid = len(vals) - np.count_nonzero(np.isnan(vals), axis=0)
+    return vals[: valid.max()], valid
 
 
 def _vector_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -> np.ndarray:
     """``_scalar_antidiagonal`` with row cells: the Samelson inverse
-    d / (d . d) and whole-cell stalls, the operations of
-    ``_vector_columns``.  Every stored cell is valid."""
+    d / (d . d), and whole-cell stalls when
+    d . d < max(tol**2 * (b . b), smallest normal float).  Every stored
+    cell is valid."""
     if prev is None:
         return row[None, :]
+    prev = prev[:MAX_COLUMN]
     vals = np.empty((len(prev) + 1, row.size))
     vals[0] = row
-    lim = (tol * tol) * np.maximum(1.0, np.einsum("ij,ij->i", prev, prev))
+    lim = np.maximum((tol * tol) * np.einsum("ij,ij->i", prev, prev), _TINY)
     below = np.zeros(row.size)
     n = 1
     for k in range(len(prev)):
@@ -421,11 +407,13 @@ def converged(
     delta: float,
     cfg: TransformConfig = TransformConfig(),
 ) -> bool:
-    """True when the configured norm of y_i - y_prev is <= delta."""
+    """True when the configured norm of (y_i - y_prev) / max(1, |y_i|),
+    taken coordinate by coordinate, is <= delta: agreement relative to
+    the size of each coordinate, and absolute below 1."""
     if not delta > 0:
         raise ValueError("delta must be positive")
     a = np.asarray(y_i, dtype=float)
     b = np.asarray(y_prev, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return seq_norm(a - b, cfg) <= delta
+    return seq_norm((a - b) / np.maximum(1.0, np.abs(a)), cfg) <= delta

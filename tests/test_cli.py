@@ -2,12 +2,14 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
 from fixaccel import bundled_path
 from fixaccel.cli import main
+from fixaccel.transforms import EstimateStream
 
 
 def run(capsys, *argv):
@@ -25,7 +27,7 @@ class TestAnalyze:
     def test_summary_and_exit_zero(self, capsys):
         code, out, err = run(capsys, "analyze", FILTER3)
         assert code == 0
-        assert "iterations: 13" in out
+        assert "iterations: 12" in out
         assert "injections: 1" in out
         assert "converged: true" in out
         assert "sound: true" in out
@@ -82,8 +84,8 @@ class TestAnalyze:
         assert rows[0]["event"] == "initial"
         assert rows[0]["x1_lo"] == "1"
         assert [r["index"] for r in rows[1:]] == [str(i) for i in range(1, len(rows))]
-        assert rows[-1]["event"] == "converged"
-        assert any(r["event"] == "injection" for r in rows)
+        # the run ends at the injection that verified
+        assert rows[-1]["event"] == "injection"
         # estimates appear exactly on the rows that computed one
         for r in rows:
             cells = [r[k] for k in r if k.startswith("accel_")]
@@ -177,6 +179,18 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", FILTER3, flag, path)
         assert code == 1
         assert err.startswith(f"error: cannot write {path}: ")
+        assert out == ""
+
+    def test_exit_one_when_report_names_a_non_utf8_path(self, capsys, tmp_path):
+        # the byte 0xff of the file name decodes to the lone surrogate
+        # U+DCFF, which the report's UTF-8 text cannot hold
+        program = tmp_path / os.fsdecode(b"bad\xff.loop")
+        program.write_text(Path(FILTER3).read_text())
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "analyze", str(program), "--report", str(report))
+        assert code == 1
+        assert err.startswith(f"error: cannot write {report}: ")
+        assert "surrogates not allowed" in err
         assert out == ""
 
     def test_exit_one_on_bad_flag(self, capsys):
@@ -276,25 +290,22 @@ class TestAccelerate:
 
 class TestTraceReplay:
     def test_exported_trace_reproduces_engine_estimates(self, capsys, tmp_path):
-        """Feeding an exported trace back through the transform yields
-        the exact estimates the engine computed along the way."""
+        """Feeding the rows of an exported trace to an ``EstimateStream``
+        yields the exact estimates the engine computed along the way."""
         trace = tmp_path / "trace.csv"
-        out_csv = tmp_path / "accel.csv"
         run(capsys, "analyze", FILTER3, "--trace", str(trace))
-        run(capsys, "accelerate", str(trace), "--output", str(out_csv))
         trows = list(csv.DictReader(trace.read_text().splitlines()))
-        arows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        names = [f"{var}_{side}" for var in ("x1", "x2", "x3") for side in ("lo", "hi")]
+        stream = EstimateStream("vector-epsilon")
         checked = 0
         for row in trows:
-            if row["event"] == "injection" or not row.get("accel_x1_lo"):
-                continue
-            depth = int(row["index"]) // 2
-            for var in ("x1", "x2", "x3"):
-                for side in ("lo", "hi"):
-                    assert (
-                        row[f"accel_{var}_{side}"] == arows[depth][f"{var}_{side}"]
-                    )
-                    checked += 1
+            if row["event"] == "injection":
+                break
+            stream.push([float(row[k]) for k in names])
+            if row["accel_x1_lo"]:
+                estimate = ["%.17g" % v for v in stream.estimate()]
+                assert [row[f"accel_{k}"] for k in names] == estimate
+                checked += 6
         assert checked >= 24
 
     def test_widen_trace_with_infinite_bounds_exits_one(self, capsys, tmp_path):

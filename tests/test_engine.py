@@ -2,7 +2,10 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixaccel import (
     AbstractState,
@@ -21,6 +24,7 @@ from fixaccel import programs
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
 from fixaccel.transforms import EstimateStream
+from test_golden import gaussian_program
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
 POLICIES = ["once", "repeat"]
@@ -228,22 +232,29 @@ class TestAccelerated:
 
     def test_degenerate_transient_never_injects_noise(self):
         # the delayed state xn1 kills its own history in one step, which
-        # collapses the vector table early; estimates then repeat by
-        # retention and must not be counted as injections
+        # collapses the vector table early; the newest cell of its
+        # deepest column leaves row 0 behind, so the one injection is
+        # the verified limit, not noise
         p = load_bundled("lowpass1")
         report, trace = analyze(p, EngineConfig())
-        assert report.injections == 0
-        assert report.sound
-        assert all(r.event != "injection" for r in trace.records)
+        assert report.injections == 1
+        assert report.sound and report.reason == "verified-injection"
+        assert report.iterations <= 10
+        assert [r.event for r in trace.records].count("injection") == 1
+        assert report.invariant["x1"].hi == pytest.approx(LOWPASS1_UPPER, rel=1e-8)
+        assert report.invariant["x1"].hi >= LOWPASS1_UPPER
 
     def test_fallback_widening_guarantees_termination(self):
-        p = load_bundled("lowpass1")
+        # a divergent bound: estimates never agree, so the fallback
+        # fires after 2 * fallback_after iterations
+        p = parse("state x in [0, 1];\nloop { x = x + 1; }")
         cfg = EngineConfig(fallback_after=10)
         report, trace = analyze(p, cfg)
         assert report.converged and report.sound
         events = [r.event for r in trace.records]
-        assert "fallback-widen" in events
+        assert events.index("fallback-widen") == 20
         assert report.iterations < 30
+        assert report.invariant["x"] == Interval(0.0, math.inf)
         # fallback costs precision, never soundness
         assert verify_postfixpoint(p, report.invariant)
 
@@ -251,9 +262,9 @@ class TestAccelerated:
         p = load_bundled("filter3")
         _, trace = analyze(p, EngineConfig())
         with_estimate = [r.index for r in trace.records if r.accel is not None]
-        # the vector method gains a new diagonal entry every other step
-        assert with_estimate == [i for i in with_estimate if i % 2 == 0]
-        assert all(b - a == 2 for a, b in zip(with_estimate, with_estimate[1:]))
+        # every row adds a newest cell to each column, and the stream
+        # has an estimate from its third row, the iterate of step 2
+        assert with_estimate == list(range(2, trace.iterations + 1))
 
     def test_agreement_between_plain_and_accelerated_bounds(self):
         # whenever acceleration converges without falling back, its
@@ -285,11 +296,12 @@ def _shrinking_program(with_y=True):
 
 
 # exact results of the shrinking program per method: the upper bound of
-# ``y``, the iteration count and the iterations with a fresh estimate
+# ``y``, the iteration count and the iterations with a fresh estimate;
+# the verified injection pads the estimate by 1e-9 of its magnitude
 SHRINK_RESULTS = {
-    "aitken": (6.0000000000000036, 4, [2, 3]),
-    "epsilon": (6.000000000000002, 5, [2, 4]),
-    "vector-epsilon": (6.000000000000007, 5, [2, 4]),
+    "aitken": (6.000000006000004, 3, [2, 3]),
+    "epsilon": (6.000000006000006, 3, [2, 3]),
+    "vector-epsilon": (6.0000000060000005, 3, [2, 3]),
 }
 
 
@@ -308,13 +320,11 @@ class TestAcceleratorBranches:
             _shrinking_program(), EngineConfig(method=method, inject_policy=policy)
         )
         y_hi, iterations, with_estimate = SHRINK_RESULTS[method]
-        if method == "aitken" and policy == "repeat":
-            with_estimate = [*with_estimate, iterations]
         assert report.invariant["x"] == TOP
-        assert report.invariant["y"] == Interval(1.0, y_hi)
+        assert report.invariant["y"] == Interval(1.0 - 1e-9, y_hi)
         assert report.iterations == iterations
         assert report.injections == 1
-        assert report.reason == "converged"
+        assert report.reason == "verified-injection"
         assert [r.index for r in trace.records if r.accel is not None] == with_estimate
         assert all(r.accel[:2] == (None, None) for r in trace.records if r.accel)
 
@@ -332,15 +342,24 @@ class TestAcceleratorBranches:
         assert all(r.accel is None for r in trace.records)
 
     def test_fallback_before_any_estimate(self):
-        # the epsilon table has no even column after two rows, so the
-        # fallback widens without thresholds
-        p = load_bundled("lowpass1")
+        # ``b`` and then ``c`` turn finite in the first two steps, so the
+        # stream starts over at each and has one row when the fallback
+        # fires at step 2: it widens without thresholds
+        p = Program(
+            state_vars=(("a", Interval(0.0, 1.0)), ("b", BOTTOM), ("c", BOTTOM)),
+            input_vars=(),
+            body=(
+                Assignment("c", 0.0, ((1.0, "b"),)),
+                Assignment("b", 0.0, ((1.0, "a"),)),
+                Assignment("a", 1.0, ((0.5, "a"),)),
+            ),
+        )
         report, trace = analyze(p, EngineConfig(method="epsilon", fallback_after=1))
         assert [r.event for r in trace.records] == [
-            "plain-step", "fallback-widen", "converged"
+            "plain-step", "plain-step", "fallback-widen", "converged"
         ]
         assert all(r.accel is None for r in trace.records)
-        assert report.invariant["x1"] == Interval(0.0, math.inf)
+        assert report.invariant["a"] == Interval(0.0, math.inf)
         assert report.converged and report.sound
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -375,6 +394,136 @@ class TestAcceleratorBranches:
         assert report.converged and report.sound
         iv = report.invariant["x"]
         assert iv.lo <= 0.0 and iv.hi >= 2e200
+
+
+def exact_kleene(p):
+    """The reference: Kleene iteration to a bit-exact fixpoint."""
+    report, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
+    assert report.reason == "converged"
+    return report.invariant
+
+
+def assert_contains_and_near(invariant, ref, tol):
+    """Every bound of ``invariant`` contains the reference bound and
+    lies within tol * max(1, |reference|) of it."""
+    for (name, iv), (_, r) in zip(invariant, ref):
+        assert iv.lo <= r.lo and iv.hi >= r.hi, name
+        for b, rb in ((iv.lo, r.lo), (iv.hi, r.hi)):
+            assert abs(b - rb) <= tol * max(1.0, abs(rb)), (name, b, rb)
+
+
+class TestPrecision:
+    """Accelerated results against an exact-stop Kleene run: a verified
+    result contains the least fixpoint, and its bounds lie within 1e-6."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", ["filter3", "lowpass1", "contraction2"])
+    def test_bundled_programs_match_exact_kleene(self, name, method, policy):
+        p = load_bundled(name)
+        report, _ = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        assert report.converged and report.sound
+        assert report.reason == "verified-injection"
+        assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("c", [1e12, 1e14, 1e20])
+    def test_large_steps_do_not_stall(self, c, method):
+        # the stall test is relative to the element, so a sequence of
+        # any scale forms its epsilon columns
+        p = parse(f"state x in [0, 1];\nloop {{\n  x = 0.5*x + {c!r};\n}}\n")
+        report, _ = analyze(p, EngineConfig(method=method))
+        assert report.converged and report.sound
+        x = report.invariant["x"]
+        assert x.lo == 0.0
+        assert 2 * c <= x.hi == pytest.approx(2 * c, rel=1e-6)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_divergent_bound_beside_a_contracting_one(self, method, policy):
+        # the estimates of x never agree, so the fallback widens x to
+        # +inf and the threshold from y's estimate keeps y bounded
+        p = parse("state x in [0, 1];\nstate y in [0, 1];\n"
+                  "loop {\n  x = x + 1;\n  y = 0.5*y + 1;\n}\n")
+        report, trace = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        assert report.converged and report.sound
+        assert "fallback-widen" in [r.event for r in trace.records]
+        assert report.invariant["x"] == Interval(0.0, math.inf)
+        y = report.invariant["y"]
+        assert y.lo == 0.0
+        assert 2.0 <= y.hi == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["aitken", "epsilon"])
+    def test_repeat_verifies_after_unverified_joins(self, method):
+        # Both methods join a rejected candidate in unverified first.  The
+        # next Kleene steps then move less than stop_tol; a tolerance stop
+        # there would seal a row whose |A| rows sum past 1, and the seal
+        # runs away to infinite bounds.  The verified result is checked
+        # against the state it grows from, so it contains every iterate.
+        p = parse(gaussian_program(2, 4, 0.97))
+        cfg = EngineConfig(method=method, inject_policy="repeat", fallback_after=200)
+        report, trace = analyze(p, cfg)
+        assert report.reason == "verified-injection"
+        assert report.injections >= 2
+        states = {0: trace.initial, **{r.index: r.state for r in trace.records}}
+        for r in trace.records:
+            if r.event == "injection":
+                before = states[r.index - 1]
+                assert state_leq(state_join(before, transfer(p, before)), r.state)
+        assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="a bound that moves every other step "
+                       "stalls the componentwise tables; the vector method "
+                       "verifies this loop in 6 iterations")
+    @pytest.mark.parametrize("method", ["aitken", "epsilon"])
+    def test_componentwise_methods_on_alternating_bounds(self, method):
+        # the negative coefficient makes x's lower bound follow its upper
+        # bound and back, so each moves only every other step and the
+        # fallback fires before the estimates agree
+        p = parse("state x in [0, 1];\ninput u in [-1, 1];\nloop {\n  x = -0.955*x + 0.1*u;\n}\n")
+        report, _ = analyze(p, EngineConfig(method=method))
+        assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
+
+
+@st.composite
+def gaussian_jacobi_programs(draw):
+    """A Jacobi loop ``t = A x + 0.1 u; x = t`` over x in [0, 1] and
+    u in [-1, 1], with N(0, 1) coefficients scaled so that the spectral
+    radius of |A| is drawn from [0.5, 0.97]."""
+    n = draw(st.integers(1, 6))
+    rho = draw(st.floats(0.5, 0.97))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n))
+    a *= rho / np.max(np.abs(np.linalg.eigvals(np.abs(a))))
+    body = [
+        Assignment(f"t{i}", 0.0, (*((float(a[i, j]), f"x{j}") for j in range(n)), (0.1, f"u{i}")))
+        for i in range(n)
+    ]
+    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
+    return Program(
+        tuple((f"x{i}", Interval(0.0, 1.0)) for i in range(n)),
+        tuple((f"u{i}", Interval(-1.0, 1.0)) for i in range(n)),
+        tuple(body),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=gaussian_jacobi_programs())
+def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
+    # The fallback budget is the benchmark's repeat budget, so that this
+    # checks the estimates and their verification rather than the clock.
+    # Every result contains the least fixpoint.  The epsilon methods'
+    # bounds are finite and within 1e-6 of it; Aitken's agreement gate
+    # does not bound its error on these multi-mode sequences, so its
+    # bounds are only checked to contain the least fixpoint.
+    ref = exact_kleene(p)
+    for method in METHODS:
+        for policy in POLICIES:
+            cfg = EngineConfig(method=method, inject_policy=policy, fallback_after=200)
+            report, _ = analyze(p, cfg)
+            assert report.converged and report.sound
+            tol = math.inf if method == "aitken" else 1e-6
+            assert_contains_and_near(report.invariant, ref, tol)
 
 
 class TestConfigValidation:
@@ -452,7 +601,7 @@ def test_stream_methods_stay_silent_on_overflow_and_division_by_zero(method):
         warnings.simplefilter("error")
         for row in rows:
             stream.push(row)
-            stream.replace_last(row)
+            stream.push(row)
         stream.keep([0, 1])
         stream.push([1.0, 1e300])
     assert stream.estimate() is not None

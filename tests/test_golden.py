@@ -6,9 +6,12 @@ them bit for bit.  Every path pinned by the CLI hashes and the Kleene
 results is pure-Python float arithmetic (no BLAS, no transcendental
 functions), so they do not depend on the platform.
 
-The accel results were recorded from the engine that rebuilt the whole
-epsilon-table at every step, before the estimator became incremental;
-the incremental estimator must reproduce them bit for bit.  They go
+The accel results were recorded from the engine that verifies each
+injection and ends at the first one that verifies, with epsilon
+estimates taken from the newest cell of the deepest even column.  The
+kleene and widen files were recorded earlier; their reports were
+re-recorded when the default ``delta`` moved to 1e-6, which is the only
+line of them that changed.  The accel results go
 through NumPy elementwise arithmetic, which is correctly rounded, and
 vector-epsilon also through ``np.einsum`` dot products, whose summation
 order is NumPy's (the pins held with its AVX512, AVX2 and baseline x86-64
@@ -34,39 +37,39 @@ CONFIGS = {
 GOLDEN_FILES = {
     ('filter3', 'kleene'): (
         '430ccc74cdbdcecb01ffac360118c1a87d807ef59e6a15b3d74e42c9524115c2',
-        '0c96b9a2dde5b5bdfe6939c7fb300b4404dff360a9b32a4f4e46f8675f90140f',
+        '2f8286ae777c62dc9258dfd199b77234bdc757de1e180c25dd7356b6951a3e3d',
     ),
     ('filter3', 'widen'): (
         '0f455770f6e73c0ec59971138e6b46419702192e255e2a11905f453358d18756',
-        '1fb73ecbc3dfa4b5f3a33ab9584d8b1b579dd5d782fc6f28a0ba0719cd5efc7c',
+        'c933ee1f33be699258857274991220bf2329700d874d56c66d53f3759871204a',
     ),
     ('filter3', 'widen-ladder'): (
         'd6fa3bed6759456aba54ef34d45d9b07e42245b0e766c9a8c008d608d88c3aed',
-        '5ab4d3fea94387ebb2caa1585bc230ed6801533bef446c3340870a84e6047f9d',
+        '2a2db5fbcbad5757b8e7ceb4cf1bed892ee24fef94aff085b24c472507bc9f40',
     ),
     ('lowpass1', 'kleene'): (
         'fdb85bd35c2e453bda574b0b99d720a92f9d699edb0efc7865f7a62e43554248',
-        '7df85313855497d7738aae4a5d511cb3dcb6853966b06626c68f65d9257032ce',
+        '35de24c0c7b10b01b317e2e66b2014466a5c2a1009a0af1e0d2e2fb4431d83d2',
     ),
     ('lowpass1', 'widen'): (
         '7c6b60fdb6757f1949897fc278dcbe16ba62d026d53a89d12ced18e5e0ffa63b',
-        '95bf8efeb313bd36cfa1d99f52cc6fbdd98c57966fb22c4ff042b0af3d6246e5',
+        '0125244329faa16a2b120d890fb3ff9de6a4f71005a64e50d55bbec3e0cd257e',
     ),
     ('lowpass1', 'widen-ladder'): (
         'ec28fce4ee7a7e6143d5af7df72bade99703ade3858b19746ddc95af6d548efb',
-        '6d87d47aaf2eaa804b20e2bc5f2dda8ddc8d4bce780aac165ea219d7cbcf3c7e',
+        '41588372b620e3b52ec54e3211db1b7c5852c0b5dea5d3bbd2d78b843af7c50f',
     ),
     ('contraction2', 'kleene'): (
         '08b01bfcaa12ceb75f990a62e7962e1d7a0650da9e2191c32213fa7e974a1ad5',
-        '34cd453bc12842d4464a9ec653c8101e6c29755f94e08e61cd4322243fba435e',
+        'f8e7ed2fcd50d4d6c983ab0573b7c75b926d5c2cd13654ff15b43f036592f98b',
     ),
     ('contraction2', 'widen'): (
         'c53ed93e3c0afb9160b3e406ed8829cca6c2faf989cf615e3fcfc590c9781369',
-        'e2602b5888de972eaff0e3de0933bf997ea2e8e757151221609b9ed8ecc308fe',
+        '60afcd950d15cf2c00b7de8fbb3b293a3772cad4ce0187d80f025bd5fd982565',
     ),
     ('contraction2', 'widen-ladder'): (
         'f7a7a389c8b32f663c941646707bcea4e1520ef5faae577f24daa39eddf2ebaf',
-        'b7fd137ada12df7fe7019571cb05b7b2194d3bdb3878ccb6d3cba3aee7a4e6f6',
+        '5c4e754d61d0be9a8ba604ff8bf60c37e3d84982a1db9f88cfe93c3386ceb215',
     ),
 }
 
@@ -157,124 +160,124 @@ METHODS = ("aitken", "epsilon", "vector-epsilon")
 # (program, method, inject policy) -> (iterations, injections, reason,
 # invariant bounds as float.hex pairs); default EngineConfig otherwise
 GOLDEN_ACCEL = {
-    ('filter3', 'aitken', 'once'): (25, 1, 'converged-tolerance+sealed', (
-        ('-0x1.4ca527f54160cp+2', '0x1.1bf26602acc0dp+3'),
-        ('-0x1.4ff7942e738eep+1', '0x1.640b3b9049225p+3'),
-        ('-0x1.2e022ddfcd262p+2', '0x1.4000002ffd491p+4'),
+    ('filter3', 'aitken', 'once'): (21, 1, 'verified-injection', (
+        ('-0x1.4ca3ee7b03f0fp+2', '0x1.1bf220d3eba50p+3'),
+        ('-0x1.4fedcef1cbf62p+1', '0x1.640b33b0e60c2p+3'),
+        ('-0x1.2dff9b0726c89p+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'aitken', 'repeat'): (24, 9, 'converged', (
-        ('-0x1.4ca5c9874279fp+2', '0x1.1bf28b9de6155p+3'),
-        ('-0x1.4ff792ae89466p+1', '0x1.640b61fdcda83p+3'),
-        ('-0x1.2e022d1fd801ep+2', '0x1.4000000000000p+4'),
+    ('filter3', 'aitken', 'repeat'): (21, 1, 'verified-injection', (
+        ('-0x1.4ca3ee7b03f0fp+2', '0x1.1bf220d3eba50p+3'),
+        ('-0x1.4fedcef1cbf62p+1', '0x1.640b33b0e60c2p+3'),
+        ('-0x1.2dff9b0726c89p+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'epsilon', 'once'): (11, 1, 'converged-tolerance+sealed', (
-        ('-0x1.4ca3ee652a67ap+2', '0x1.1bf220c917581p+3'),
-        ('-0x1.4fedcebe81fbep+1', '0x1.640b33a83500dp+3'),
-        ('-0x1.2dff9aeaaa522p+2', '0x1.4000000000119p+4'),
+    ('filter3', 'epsilon', 'once'): (12, 1, 'verified-injection', (
+        ('-0x1.4ca3ee7a5a444p+2', '0x1.1bf220d5e87d5p+3'),
+        ('-0x1.4fedced77784bp+1', '0x1.640b33b91a496p+3'),
+        ('-0x1.2dff9afee3378p+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'epsilon', 'repeat'): (11, 1, 'converged-tolerance+sealed', (
-        ('-0x1.4ca3ee652a67ap+2', '0x1.1bf220c917581p+3'),
-        ('-0x1.4fedcebe81fbep+1', '0x1.640b33a83500dp+3'),
-        ('-0x1.2dff9aeaaa522p+2', '0x1.4000000000119p+4'),
+    ('filter3', 'epsilon', 'repeat'): (12, 1, 'verified-injection', (
+        ('-0x1.4ca3ee7a5a444p+2', '0x1.1bf220d5e87d5p+3'),
+        ('-0x1.4fedced77784bp+1', '0x1.640b33b91a496p+3'),
+        ('-0x1.2dff9afee3378p+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'vector-epsilon', 'once'): (13, 1, 'converged-tolerance+sealed', (
-        ('-0x1.4ca3ee652a6adp+2', '0x1.1bf220c917580p+3'),
-        ('-0x1.4fedcebe820bdp+1', '0x1.640b33a83500cp+3'),
-        ('-0x1.2dff9aeaaa5bdp+2', '0x1.4000000000119p+4'),
+    ('filter3', 'vector-epsilon', 'once'): (12, 1, 'verified-injection', (
+        ('-0x1.4ca3ee78cb1cep+2', '0x1.1bf220d540529p+3'),
+        ('-0x1.4fedced6035d8p+1', '0x1.640b33b811120p+3'),
+        ('-0x1.2dff9afd8cc5ep+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'vector-epsilon', 'repeat'): (13, 1, 'converged-tolerance+sealed', (
-        ('-0x1.4ca3ee652a6adp+2', '0x1.1bf220c917580p+3'),
-        ('-0x1.4fedcebe820bdp+1', '0x1.640b33a83500cp+3'),
-        ('-0x1.2dff9aeaaa5bdp+2', '0x1.4000000000119p+4'),
+    ('filter3', 'vector-epsilon', 'repeat'): (12, 1, 'verified-injection', (
+        ('-0x1.4ca3ee78cb1cep+2', '0x1.1bf220d540529p+3'),
+        ('-0x1.4fedced6035d8p+1', '0x1.640b33b811120p+3'),
+        ('-0x1.2dff9afd8cc5ep+2', '0x1.400000055e63cp+4'),
     )),
-    ('lowpass1', 'aitken', 'once'): (5, 1, 'converged-tolerance+sealed', (
-        ('-0x1.19799812dea11p-40', '0x1.40226b90227ccp+4'),
-        ('-0x1.19799812dea11p-40', '0x1.001b89401c176p+1'),
-        ('0x1.e7a0f9096986ap-1', '0x1.40226b90227ccp+4'),
+    ('lowpass1', 'aitken', 'once'): (4, 1, 'verified-injection', (
+        ('0x0.0p+0', '0x1.40226b9581629p+4'),
+        ('0x0.0p+0', '0x1.001b89446783ep+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b9581629p+4'),
     )),
-    ('lowpass1', 'aitken', 'repeat'): (5, 1, 'converged-tolerance+sealed', (
-        ('-0x1.19799812dea11p-40', '0x1.40226b90227ccp+4'),
-        ('-0x1.19799812dea11p-40', '0x1.001b89401c176p+1'),
-        ('0x1.e7a0f9096986ap-1', '0x1.40226b90227ccp+4'),
+    ('lowpass1', 'aitken', 'repeat'): (4, 1, 'verified-injection', (
+        ('0x0.0p+0', '0x1.40226b9581629p+4'),
+        ('0x0.0p+0', '0x1.001b89446783ep+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b9581629p+4'),
     )),
-    ('lowpass1', 'epsilon', 'once'): (6, 1, 'converged', (
-        ('0x0.0p+0', '0x1.40226b90226c1p+4'),
-        ('0x0.0p+0', '0x1.001b89401b89bp+1'),
-        ('0x1.e7a0f9096bb99p-1', '0x1.40226b90226c1p+4'),
+    ('lowpass1', 'epsilon', 'once'): (4, 1, 'verified-injection', (
+        ('0x0.0p+0', '0x1.40226b958162bp+4'),
+        ('0x0.0p+0', '0x1.001b89446783ap+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
     )),
-    ('lowpass1', 'epsilon', 'repeat'): (6, 1, 'converged', (
-        ('0x0.0p+0', '0x1.40226b90226c1p+4'),
-        ('0x0.0p+0', '0x1.001b89401b89bp+1'),
-        ('0x1.e7a0f9096bb99p-1', '0x1.40226b90226c1p+4'),
+    ('lowpass1', 'epsilon', 'repeat'): (4, 1, 'verified-injection', (
+        ('0x0.0p+0', '0x1.40226b958162bp+4'),
+        ('0x0.0p+0', '0x1.001b89446783ap+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
     )),
-    ('lowpass1', 'vector-epsilon', 'once'): (23, 0, 'converged', (
-        ('0x0.0p+0', 'inf'),
-        ('0x0.0p+0', 'inf'),
-        ('0x1.e7a0f9096bb99p-1', 'inf'),
+    ('lowpass1', 'vector-epsilon', 'once'): (4, 1, 'verified-injection', (
+        ('0x0.0p+0', '0x1.40226b958161fp+4'),
+        ('0x0.0p+0', '0x1.001b894467833p+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b958161fp+4'),
     )),
-    ('lowpass1', 'vector-epsilon', 'repeat'): (23, 0, 'converged', (
-        ('0x0.0p+0', 'inf'),
-        ('0x0.0p+0', 'inf'),
-        ('0x1.e7a0f9096bb99p-1', 'inf'),
+    ('lowpass1', 'vector-epsilon', 'repeat'): (4, 1, 'verified-injection', (
+        ('0x0.0p+0', '0x1.40226b958161fp+4'),
+        ('0x0.0p+0', '0x1.001b894467833p+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b958161fp+4'),
     )),
-    ('contraction2', 'aitken', 'once'): (17, 1, 'converged-tolerance+sealed', (
-        ('-0x1.5566807172a98p-2', '0x1.0000033217124p+0'),
-        ('-0x1.1133641734a74p-2', '0x1.0000033217124p+0'),
+    ('contraction2', 'aitken', 'once'): (12, 1, 'verified-injection', (
+        ('-0x1.55555564eb372p-2', '0x1.000000044b830p+0'),
+        ('-0x1.11111123645f8p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'aitken', 'repeat'): (15, 8, 'converged-tolerance+sealed', (
-        ('-0x1.556678743cbc6p-2', '0x1.0000000001198p+0'),
-        ('-0x1.1133574edcc40p-2', '0x1.0000000001198p+0'),
+    ('contraction2', 'aitken', 'repeat'): (12, 1, 'verified-injection', (
+        ('-0x1.55555564eb372p-2', '0x1.000000044b830p+0'),
+        ('-0x1.11111123645f8p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'epsilon', 'once'): (24, 1, 'converged-tolerance+sealed', (
-        ('-0x1.5555630000002p-2', '0x1.0000036aaaaabp+0'),
-        ('-0x1.1111199bbbbbep-2', '0x1.0000036aaaaabp+0'),
+    ('contraction2', 'epsilon', 'once'): (6, 1, 'verified-injection', (
+        ('-0x1.5555555b0f5b2p-2', '0x1.000000044b830p+0'),
+        ('-0x1.11111115a5e12p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'epsilon', 'repeat'): (24, 1, 'converged-tolerance+sealed', (
-        ('-0x1.5555630000002p-2', '0x1.0000036aaaaabp+0'),
-        ('-0x1.1111199bbbbbep-2', '0x1.0000036aaaaabp+0'),
+    ('contraction2', 'epsilon', 'repeat'): (6, 1, 'verified-injection', (
+        ('-0x1.5555555b0f5b2p-2', '0x1.000000044b830p+0'),
+        ('-0x1.11111115a5e12p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'vector-epsilon', 'once'): (7, 1, 'converged', (
-        ('-0x1.5555555555559p-2', '0x1.0000000000000p+0'),
-        ('-0x1.1111111111117p-2', '0x1.0000000000000p+0'),
+    ('contraction2', 'vector-epsilon', 'once'): (5, 1, 'verified-injection', (
+        ('-0x1.5555555b0f576p-2', '0x1.000000044b830p+0'),
+        ('-0x1.11111115a5e06p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'vector-epsilon', 'repeat'): (7, 1, 'converged', (
-        ('-0x1.5555555555559p-2', '0x1.0000000000000p+0'),
-        ('-0x1.1111111111117p-2', '0x1.0000000000000p+0'),
+    ('contraction2', 'vector-epsilon', 'repeat'): (5, 1, 'verified-injection', (
+        ('-0x1.5555555b0f576p-2', '0x1.000000044b830p+0'),
+        ('-0x1.11111115a5e06p-2', '0x1.000000044b830p+0'),
     )),
 }
 
 # method -> the same, for gaussian_program(1, 8, 0.97) with the repeat
 # policy and fallback after 200 iterations
 GOLDEN_GAUSSIAN = {
-    'aitken': (37, 17, 'converged', (
-        ('-0x1.004e0397bd305p+2', '0x1.004e01c7f63fbp+2'),
-        ('-0x1.3774747252babp+1', '0x1.37747d1792fcap+1'),
-        ('-0x1.83af6b5dc846ap+1', '0x1.83af43ff985e4p+1'),
-        ('-0x1.2b53970d7a4d7p+1', '0x1.2b53ade2fb6a3p+1'),
-        ('-0x1.3c0e3fbdb5734p+1', '0x1.3c0e3ea2c9505p+1'),
-        ('-0x1.11e08eead3cc1p+2', '0x1.11e086d269e83p+2'),
-        ('-0x1.1ba0344f62f11p+2', '0x1.1ba000c9b2821p+2'),
-        ('-0x1.b7c01f2cafca7p+1', '0x1.b7c0537956d61p+1'),
+    'aitken': (25, 1, 'verified-injection', (
+        ('-0x1.004b6f45d76c3p+2', '0x1.004b6f456df45p+2'),
+        ('-0x1.37716071c7222p+1', '0x1.37716072f7e2fp+1'),
+        ('-0x1.83ab86247078bp+1', '0x1.83ab8622e94edp+1'),
+        ('-0x1.2b50b2abd8a4fp+1', '0x1.2b50b2ac8b563p+1'),
+        ('-0x1.3c0b2c264814ep+1', '0x1.3c0b2c2527908p+1'),
+        ('-0x1.11ddd9072e323p+2', '0x1.11ddd906941c2p+2'),
+        ('-0x1.1b9d2c6555441p+2', '0x1.1b9d2c6518051p+2'),
+        ('-0x1.b7bb563f996b2p+1', '0x1.b7bb563f6e82bp+1'),
     )),
-    'epsilon': (106, 2, 'converged-tolerance+sealed', (
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
+    'epsilon': (24, 1, 'verified-injection', (
+        ('-0x1.004b6f39ecb3bp+2', '0x1.004b6f3a223e2p+2'),
+        ('-0x1.3771606451103p+1', '0x1.37716064c186bp+1'),
+        ('-0x1.83ab861175b66p+1', '0x1.83ab861350901p+1'),
+        ('-0x1.2b50b29e542ebp+1', '0x1.2b50b29f8995ap+1'),
+        ('-0x1.3c0b2c172462ap+1', '0x1.3c0b2c1815c4dp+1'),
+        ('-0x1.11ddd8f9f8371p+2', '0x1.11ddd8fad240bp+2'),
+        ('-0x1.1b9d2c5824f3dp+2', '0x1.1b9d2c5898518p+2'),
+        ('-0x1.b7bb562b8d812p+1', '0x1.b7bb562b9f9c5p+1'),
     )),
-    'vector-epsilon': (34, 1, 'converged-tolerance+sealed', (
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
-        ('-inf', 'inf'),
+    'vector-epsilon': (24, 1, 'verified-injection', (
+        ('-0x1.004b6f3e81ca0p+2', '0x1.004b6f3eff324p+2'),
+        ('-0x1.3771606a75e2cp+1', '0x1.37716069ea80ep+1'),
+        ('-0x1.83ab86186b4f0p+1', '0x1.83ab861a7cec2p+1'),
+        ('-0x1.2b50b2a3e19a8p+1', '0x1.2b50b2a4caa91p+1'),
+        ('-0x1.3c0b2c1caee39p+1', '0x1.3c0b2c1e055bcp+1'),
+        ('-0x1.11ddd8ff2a10bp+2', '0x1.11ddd8ffc9b08p+2'),
+        ('-0x1.1b9d2c5d7fdc7p+2', '0x1.1b9d2c5db8241p+2'),
+        ('-0x1.b7bb5633db3afp+1', '0x1.b7bb56337d968p+1'),
     )),
 }
 
@@ -329,22 +332,20 @@ def test_gaussian_accel_results_are_bit_identical(method):
 # sha256 of their ``float.hex`` text, as ``_accel_digest`` writes it);
 # gaussian_program(seed, n, rho), once with fallback after 20 iterations
 # and repeat with fallback after 200, as in the benchmark's accel-tail.
-# The invariants of the epsilon methods above are [-inf, inf], so these
-# pin the estimates themselves.  They were recorded from the estimator
-# that applied the stall rule cell by cell along each antidiagonal.
+# These pin the estimates themselves, every one the trace records.
 GOLDEN_GAUSSIAN_ESTIMATES = {
-    (1, 8, 0.97, 'aitken', 'once'): (19, '96eb8a990b650f16a34a1e4207517d2d33016bd63df62ad86696fd59a9090c34'),
-    (1, 8, 0.97, 'aitken', 'repeat'): (36, '4c0c2753b3409dfed918d401e359d7fd21b125ae9e60acfa95db1b0444a1f819'),
-    (1, 8, 0.97, 'epsilon', 'once'): (10, 'bb505032bc4325681b98fbbddb0603aed1a26539c345ca38d4174be74cd63b14'),
-    (1, 8, 0.97, 'epsilon', 'repeat'): (53, 'f59040eca0e7a38d0a7f38ae80a2da885dbefd0e95f047cf96d75f3a56a39aa1'),
-    (1, 8, 0.97, 'vector-epsilon', 'once'): (10, '05df29d457cc1c00f52c0907f99753dd2800af141a181407ff989ff7ce974527'),
-    (1, 8, 0.97, 'vector-epsilon', 'repeat'): (17, 'c62bab488e6f1c089e12e683ae259d79291f52e40c1c9dbb6c4aae61e72a3b7f'),
-    (2, 16, 0.9, 'aitken', 'once'): (14, '2ca04d374a2016653fdbe0e35321fadaa3b302eb68f5ec9d7aa07fa4c396f9c2'),
-    (2, 16, 0.9, 'aitken', 'repeat'): (33, 'e779636c84197e37d559c8d35eaa612840988dca63228004ee5b92616d3807a1'),
-    (2, 16, 0.9, 'epsilon', 'once'): (10, 'ce48d0e0d10e0f4579df3d75bb4572579ca892ca9d96754bea1213436548291a'),
-    (2, 16, 0.9, 'epsilon', 'repeat'): (19, 'f5b5960cae6fde643ae0b346e3d997d59212cc9426c60c6d36c756e506318be6'),
-    (2, 16, 0.9, 'vector-epsilon', 'once'): (9, '5df3557da3441ba7fc658443ba38a680f269476b72c9faf67d052c5d2eb528ed'),
-    (2, 16, 0.9, 'vector-epsilon', 'repeat'): (29, 'c7a5cd5dfacd65aafdfcc59c22857ce9b7eab6b93b37595bfa28d7c7965a8464'),
+    (1, 8, 0.97, 'aitken', 'once'): (24, '8473e9d6b71f31b87de97c83b2fb7bd32514bbd9e48c0b57188362d0c1d1660c'),
+    (1, 8, 0.97, 'aitken', 'repeat'): (24, '8473e9d6b71f31b87de97c83b2fb7bd32514bbd9e48c0b57188362d0c1d1660c'),
+    (1, 8, 0.97, 'epsilon', 'once'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
+    (1, 8, 0.97, 'epsilon', 'repeat'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
+    (1, 8, 0.97, 'vector-epsilon', 'once'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
+    (1, 8, 0.97, 'vector-epsilon', 'repeat'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
+    (2, 16, 0.9, 'aitken', 'once'): (30, '1b5e49db73803b229e525c572afd77d70607324bf3c1265ef890dee733485004'),
+    (2, 16, 0.9, 'aitken', 'repeat'): (27, '644f21c955441652052af5f1ba658cc2aa4326b739dcd9cb5fcfd076d201122d'),
+    (2, 16, 0.9, 'epsilon', 'once'): (31, 'bba39d124641ba9ad6f9b4f8a44c20fbdac3885697d4eccf1a0fe04bc81f84ed'),
+    (2, 16, 0.9, 'epsilon', 'repeat'): (29, '436aa742c8550a263126b609398510fc9d7b4979888b5414d01da4a39241a93c'),
+    (2, 16, 0.9, 'vector-epsilon', 'once'): (30, '173a4ed5e3e4721b34971ef4b1aae497591b6011bef020e8dcbbdfb4a3b6e4c7'),
+    (2, 16, 0.9, 'vector-epsilon', 'repeat'): (28, '5196638c4510941bbbcd53a60dc2c1053f6136f72f9648ed48bf6d3e4c79fb61'),
 }
 
 

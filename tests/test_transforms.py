@@ -16,7 +16,7 @@ from fixaccel import (
     load_bundled,
     vector_epsilon_diagonal,
 )
-from fixaccel.transforms import EstimateStream
+from fixaccel.transforms import MAX_COLUMN, EstimateStream
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 
@@ -189,17 +189,61 @@ class TestVectorEpsilon:
             vector_epsilon_diagonal(np.array([[1.0], [math.inf]]))
 
 
-def full_table_last(method, rows):
-    """The last element of the full-table function on ``rows``: the
-    reference ``EstimateStream.estimate()`` must equal bit for bit."""
-    m = np.array(rows)
+TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _columns(arr, tol):
+    """Columns 0..MAX_COLUMN of the epsilon-table of ``arr`` as (values,
+    valid) pairs: one scalar table per coordinate for a 2-D (rows,
+    coordinates) array, with the scale-invariant stall rule
+    |d| >= max(tol * |b|, TINY); a vector table of row cells for a list
+    of rows, with d . d >= max(tol**2 * (b . b), TINY).  The float
+    operations are those of ``EstimateStream``, one column at a time."""
+    vector = isinstance(arr, list)
+    arr = np.array(arr, dtype=float)
+    ok = np.ones(arr.shape if not vector else len(arr), dtype=bool)
+    cols = [(arr, ok)]
+    below_vals = np.zeros((len(arr) + 1, *arr.shape[1:]))
+    below_ok = np.ones((len(arr) + 1, *ok.shape[1:]), dtype=bool)
+    while len(cols) <= MAX_COLUMN and len(cols[-1][0]) >= 2:
+        vals, ok = cols[-1]
+        d = vals[1:] - vals[:-1]
+        deps = ok[1:] & ok[:-1] & below_ok[1: len(vals)]
+        if vector:
+            dd = np.einsum("ij,ij->i", d, d)
+            base2 = np.einsum("ij,ij->i", vals[:-1], vals[:-1])
+            live = deps & (dd >= np.maximum((tol * tol) * base2, TINY))
+            new_vals = below_vals[1: len(vals)] + d / np.where(live, dd, 1.0)[:, None]
+        else:
+            live = deps & (np.abs(d) >= np.maximum(tol * np.abs(vals[:-1]), TINY))
+            new_vals = below_vals[1: len(vals)] + 1.0 / np.where(live, d, 1.0)
+        below_vals, below_ok = vals, ok
+        cols.append((new_vals, live))
+    return cols
+
+
+def newest_cell(method, rows, tol=TransformConfig().stall_tolerance):
+    """The full-table reference that ``EstimateStream.estimate()`` must
+    equal bit for bit, None before the third row.  Aitken: the last
+    element of ``aitken`` per coordinate.  The epsilon methods: the
+    newest valid cell of the deepest even column up to MAX_COLUMN that
+    holds one, per coordinate for the scalar method, as a row for the
+    vector method (whose rows of dimension 1 take the scalar rule)."""
+    m = np.array(rows, dtype=float)
+    if len(m) < 3:
+        return None
     if method == "aitken":
-        if len(m) < 3:
-            return None
         return np.array([aitken(m[:, c])[-1].value for c in range(m.shape[1])])
-    if method == "epsilon":
-        return np.array([epsilon_diagonal(m[:, c])[-1].value for c in range(m.shape[1])])
-    return np.asarray(vector_epsilon_diagonal(m)[-1].value, dtype=float)
+    if method == "vector-epsilon" and m.shape[1] != 1:
+        cols = _columns(list(m), tol)
+        k = max(k for k in range(0, len(cols), 2) if cols[k][1][-1])
+        return cols[k][0][-1]
+    cols = _columns(m, tol)
+    out = np.empty(m.shape[1])
+    for c in range(m.shape[1]):
+        k = max(k for k in range(0, len(cols), 2) if cols[k][1][-1, c])
+        out[c] = cols[k][0][-1, c]
+    return out
 
 
 def bits(a):
@@ -211,11 +255,10 @@ finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def stream_cases(draw):
-    """Rows of one of four shapes, each followed by an optional
-    replacement of the newest row or a shrink of the coordinate set.  A
-    replacement nudges the row, repeats the row before (a zero first
-    difference) or extends the two before linearly (a zero second
-    difference), so that it can stall cells the original row did not."""
+    """Rows of one of four shapes, each followed by an optional extra
+    row or a shrink of the coordinate set.  An extra row nudges the row,
+    repeats it (a zero first difference) or extends the two before it
+    linearly (a zero second difference), so that it stalls cells."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(1, 16))
     kind = draw(st.sampled_from(["random", "geometric", "rank1", "two-modes"]))
@@ -237,11 +280,11 @@ def stream_cases(draw):
         ops.append(("push", rows[i]))
         action = draw(st.sampled_from(["none", "none", "nudge", "repeat", "linear", "keep"]))
         if action == "nudge":
-            ops.append(("replace", rows[i] + rng.normal(size=d) * 10.0 ** rng.integers(-12, 0)))
-        elif action == "repeat" and i >= 1:
-            ops.append(("replace", rows[i - 1].copy()))
-        elif action == "linear" and i >= 2:
-            ops.append(("replace", 2.0 * rows[i - 1] - rows[i - 2]))
+            ops.append(("push", rows[i] + rng.normal(size=d) * 10.0 ** rng.integers(-12, 0)))
+        elif action == "repeat":
+            ops.append(("push", rows[i].copy()))
+        elif action == "linear" and i >= 1:
+            ops.append(("push", 2.0 * rows[i] - rows[i - 1]))
         elif action == "keep":
             ops.append(("keep", draw(st.lists(st.booleans(), min_size=d, max_size=d))))
     return ops
@@ -259,15 +302,12 @@ def replay(method, ops, check):
         if op == "push":
             seen.append(arg)
             stream.push(arg[cols])
-        elif op == "replace":
-            seen[-1] = arg
-            stream.replace_last(arg[cols])
         else:
             positions = [j for j, flag in enumerate(arg[: len(cols)]) if flag] or [0]
             cols = cols[positions]
             stream.keep(positions)
         if compare:
-            want = full_table_last(method, [r[cols] for r in seen])
+            want = newest_cell(method, [r[cols] for r in seen])
             assert bits(stream.estimate()) == bits(want)
             assert stream.count == len(seen)
 
@@ -282,7 +322,7 @@ def test_stream_equals_full_table_on_every_prefix(method, ops):
 @st.composite
 def long_stream_cases(draw):
     """Runs as long and wide as the engine's: up to 70 rows of up to 40
-    coordinates, with replacements and shrinks as in ``stream_cases``.
+    coordinates, with extra rows and shrinks as in ``stream_cases``.
     Coordinates have magnitudes up to 1e300, so that the vector method's
     squared norms overflow to inf and Aitken's estimates to -inf or inf;
     some runs do not converge at all.  Returns the ops and, for each op,
@@ -304,18 +344,18 @@ def long_stream_cases(draw):
     flat = rng.random(d) < 0.1
     rows[:, flat] = rows[0, flat]  # constant coordinates
     # a repeated row stalls every coordinate and so restarts the
-    # antidiagonals: only runs with few replacements reach full depth
+    # antidiagonals: only runs with few extra rows reach full depth
     rate = draw(st.sampled_from([0.0, 0.03, 0.2]))
     ops = []
     for i in range(m):
         ops.append(("push", rows[i]))
         action = rng.choice(["nudge", "repeat", "linear", "keep"]) if rng.random() < rate else "none"
         if action == "nudge":
-            ops.append(("replace", np.clip(rows[i] * (1.0 + rng.normal(size=d) * 1e-9), -1e300, 1e300)))
-        elif action == "repeat" and i >= 1:
-            ops.append(("replace", rows[i - 1].copy()))
-        elif action == "linear" and i >= 2:
-            ops.append(("replace", np.clip(2.0 * rows[i - 1] - rows[i - 2], -1e300, 1e300)))
+            ops.append(("push", np.clip(rows[i] * (1.0 + rng.normal(size=d) * 1e-9), -1e300, 1e300)))
+        elif action == "repeat":
+            ops.append(("push", rows[i].copy()))
+        elif action == "linear" and i >= 1:
+            ops.append(("push", np.clip(2.0 * rows[i] - rows[i - 1], -1e300, 1e300)))
         elif action == "keep":
             ops.append(("keep", rng.random(d) < 0.9))
     check = rng.random(len(ops)) < 4.0 / len(ops)
@@ -335,13 +375,47 @@ def test_stream_equals_full_table_on_long_wide_runs(method, case):
 @pytest.mark.parametrize("method", METHODS)
 def test_stream_follows_lowpass1_stall(method):
     # lowpass1's Kleene bounds are exactly geometric after row 0, so the
-    # epsilon tables stall; the stream must retain what the table retains
+    # epsilon tables stall; the stream must follow the table's stalls
     _, trace = analyze(load_bundled("lowpass1"), EngineConfig(mode="kleene"))
     rows = [np.array(r.row) for r in trace.records[:40]]
     stream = EstimateStream(method)
     for i, row in enumerate(rows):
         stream.push(row)
-        assert bits(stream.estimate()) == bits(full_table_last(method, rows[: i + 1]))
+        assert bits(stream.estimate()) == bits(newest_cell(method, rows[: i + 1]))
+
+
+@pytest.mark.parametrize("method", ["epsilon", "vector-epsilon"])
+def test_newest_cell_leaves_the_transient_behind(method):
+    # the tip eps_2j^(0) always reaches back to row 0; the newest cell
+    # of a deep column does not, so a transient in row 0 is forgotten
+    # once the column's cells have moved past it
+    x = 2.0 + 1.5 * 0.9 ** np.arange(30.0) + 0.7 * 0.5 ** np.arange(30.0)
+    x[0] += 5.0
+    stream = EstimateStream(method)
+    for v in x:
+        stream.push([v, -v])
+    tip = epsilon_diagonal(x)[-1].value
+    assert abs(stream.estimate()[0] - 2.0) < 1e-12 < abs(tip - 2.0)
+    assert stream.estimate()[1] == pytest.approx(-2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["epsilon", "vector-epsilon"])
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_stall_rule_is_scale_invariant(method, scale):
+    # scale * (2 - 0.5**k) is geometric at every scale, so its column 2
+    # forms from three rows and holds the limit 2 * scale
+    stream = EstimateStream(method)
+    for k in range(3):
+        stream.push([scale * (2.0 - 0.5**k), -scale])
+    assert stream.estimate()[0] == pytest.approx(2.0 * scale, rel=1e-12)
+
+
+def test_stream_keeps_at_most_max_column_plus_one_cells():
+    stream = EstimateStream("epsilon")
+    for v in np.random.default_rng(5).normal(size=(40, 3)):
+        stream.push(v)
+        assert len(stream._cur) <= MAX_COLUMN + 1
+    assert len(stream._cur) == MAX_COLUMN + 1
 
 
 def test_vector_stream_of_dimension_one_takes_the_scalar_rule():
@@ -357,8 +431,6 @@ def test_stream_rejects_bad_input():
     with pytest.raises(ValueError):
         EstimateStream("richardson")
     s = EstimateStream("epsilon")
-    with pytest.raises(ValueError):
-        s.replace_last([1.0])
     with pytest.raises(ValueError):
         s.push([1.0, math.nan])
     s.push([1.0, 2.0])
@@ -385,6 +457,12 @@ class TestConverged:
         assert converged([], [], 1e-3)
         assert converged(1.0, 1.0005, 1e-3)
         assert not converged(1.0, 1.002, 1e-3)
+
+    def test_relative_to_each_coordinate(self):
+        # |y - y'| <= delta * max(1, |y|) for every coordinate
+        assert converged([1e6, 0.5], [1e6 + 0.5, 0.5 + 5e-7], 1e-6)
+        assert not converged([1e6, 0.5], [1e6 + 2.0, 0.5], 1e-6)
+        assert not converged([1e6, 0.5], [1e6, 0.5 + 2e-6], 1e-6)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
