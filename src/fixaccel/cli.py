@@ -265,6 +265,10 @@ def _read_sequence_csv(path: str) -> tuple[list[str], np.ndarray]:
                 f"line {lineno}: expected {len(header)} cells, found {len(cells)}"
             )
         try:
+            # float() also reads non-ASCII digits and "_" separators,
+            # which program literals reject
+            if not all(cells[j].isascii() and "_" not in cells[j] for j in keep):
+                raise ValueError
             values = [float(cells[j]) for j in keep]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value in data column")
@@ -296,6 +300,9 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
     print(f"method: {method}")
     if n < 3:
         print(f"insufficient data: {n} rows, {method} needs at least 3")
+        # a header-only file, so that no earlier output stays behind
+        if args.output is not None and not _write(args.output, _elements_csv(names, [], [])):
+            return 1
         return 0
 
     if method == "vector-epsilon":
@@ -327,15 +334,18 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
         print(f"first agreement at delta={_fmt(args.delta)}: index {agree}")
     print(f"final element: {', '.join(_fmt(v) for v in values[-1])}")
 
-    if args.output is not None:
-        lines = [",".join(["index"] + names + ["stalled"])]
-        for i, (vals, st) in enumerate(zip(values, stalled)):
-            lines.append(
-                ",".join([str(i)] + [_fmt(v) for v in vals] + [str(st)])
-            )
-        if not _write(args.output, "\n".join(lines) + "\n"):
-            return 1
+    if args.output is not None and not _write(args.output, _elements_csv(names, values, stalled)):
+        return 1
     return 0
+
+
+def _elements_csv(names: list[str], values: list[np.ndarray], stalled: list[int]) -> str:
+    """The transformed elements as CSV: index, one column per name, and
+    the stalled count."""
+    lines = [",".join(["index"] + names + ["stalled"])]
+    for i, (vals, st) in enumerate(zip(values, stalled)):
+        lines.append(",".join([str(i)] + [_fmt(v) for v in vals] + [str(st)]))
+    return "\n".join(lines) + "\n"
 
 
 class _ArgumentParser(argparse.ArgumentParser):

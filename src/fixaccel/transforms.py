@@ -9,8 +9,9 @@ something to compare.
 
 The functions transform a whole sequence at once; the epsilon ones
 report the tip of each even column.  ``EstimateStream`` is the
-engine's estimator: it updates one antidiagonal of the table per row as
-rows arrive, and reports the newest valid cell of the deepest even
+engine's estimator: it takes rows in blocks, extends the table over a
+whole block column by column, and returns the estimate after each row:
+for the epsilon methods the newest valid cell of the deepest even
 column, with a stall test relative to the element.
 """
 from __future__ import annotations
@@ -214,22 +215,31 @@ class EstimateStream:
     """The newest limit estimate of a transformation over a growing
     sequence of rows, updated in O(d) per row of d coordinates.
 
-    Aitken keeps the last three rows and the last valid element of each
+    Rows arrive in blocks of one or more (``push_rows_unguarded``), and
+    the stream returns the estimate after each row of a block.  Each
+    method extends its table over the whole block at once, so the NumPy
+    calls are paid per block, not per row; a block gives exactly the
+    estimates that pushing its rows one at a time gives.
+
+    Aitken keeps the last two rows and the last valid element of each
     coordinate: after rows r_0 .. r_{m-1}, ``estimate()`` equals, bit for
-    bit, ``aitken(...)[-1]`` per coordinate.
+    bit, ``aitken(...)[-1]`` per coordinate.  A block computes the
+    elements of all its rows at once and carries the last valid one
+    forward into the stalled ones.
 
     The epsilon methods keep the newest ascending antidiagonal
-    eps_k^(n-k), k = 0..min(n, MAX_COLUMN), of the table; Wynn's rhombus
-    rule builds each from the one before.  Their estimate is the newest
-    valid cell of the deepest live even column, eps_2j^(n-2j) for the
-    largest even 2j <= MAX_COLUMN whose cell is valid: per coordinate for
-    the scalar method, as a whole row for the vector method, where rows
-    of dimension 1 take the scalar rule.  Unlike the tip eps_2j^(0) that
+    eps_k^(n-k), k = 0..min(n, MAX_COLUMN), of the table.  A block of rows
+    extends the table column by column with Wynn's rhombus rule: column
+    k+1 on all the block's antidiagonals at once, from column k on them
+    and on the antidiagonal before.  The estimate is the newest valid
+    cell of the deepest live even column, eps_2j^(n-2j) for the largest
+    even 2j <= MAX_COLUMN whose cell is valid: per coordinate for the
+    scalar method, as a whole row for the vector method, where rows of
+    dimension 1 take the scalar rule.  Unlike the tip eps_2j^(0) that
     ``epsilon_diagonal`` reports, it leaves the transient of the first
     rows behind.  A stall invalidates every cell that depends on it, so
     the valid cells of an antidiagonal form a prefix, and column 0, the
-    row itself, is always valid.  Cells of the scalar method are arrays
-    over the coordinates, NaN where a coordinate's cell is invalid.
+    row itself, is always valid.  Invalid cells hold NaN.
 
     Every method has an estimate from the third row on.
     """
@@ -240,7 +250,7 @@ class EstimateStream:
         self.method = method
         self.tol = cfg.stall_tolerance
         # vector-epsilon only: every cell couples all coordinates, so
-        # ``keep`` replays the rows
+        # ``keep`` replays the blocks of rows
         self._rows: list[np.ndarray] = []
         self._clear()
 
@@ -248,7 +258,7 @@ class EstimateStream:
         self.count = 0
         self._width: int | None = None
         self._value: np.ndarray | None = None  # the newest estimate
-        self._last3: list[np.ndarray] = []  # aitken
+        self._tail: np.ndarray | None = None  # aitken: the last two rows
         # aitken: the last valid element of each coordinate, and where one exists
         self._valid = self._has = None
         self._cur = None  # epsilon: the newest antidiagonal
@@ -256,141 +266,145 @@ class EstimateStream:
     def push(self, row: Sequence[float]) -> None:
         """Append one row of finite values, one per coordinate."""
         with np.errstate(all="ignore"):
-            self.push_unguarded(row)
+            self.push_rows_unguarded([row])
 
-    def push_unguarded(self, row: Sequence[float]) -> None:
-        """``push`` under the caller's ``np.errstate``: it enters none, so
-        overflow, invalid operations and division by zero must pass
-        silently there, as they do for a whole ``analyze`` run."""
-        row = self._checked(row)
-        self.count += 1
+    def push_rows_unguarded(self, rows: Sequence[Sequence[float]]) -> list[np.ndarray | None]:
+        """Append a block of one or more rows and return the estimate
+        after each of them, None for the first two rows of the stream.
+
+        It enters no ``np.errstate``: overflow, invalid operations and
+        division by zero must pass silently under the caller's, as they
+        do for a whole ``analyze`` run.  The estimates are fresh arrays
+        that the stream does not change later.
+        """
+        rows = self._checked(rows)
+        m = len(rows)
+        missing = min(m, max(0, 2 - self.count))  # rows without an estimate
+        self.count += m
         if self.method == "aitken":
-            self._last3 = [*self._last3[-2:], row]
-            if self.count >= 3:
-                self._aitken()
-            return
-        if self.method == "vector-epsilon":
-            self._rows.append(row)
-            if row.size != 1:
-                cur = self._cur = _vector_antidiagonal(self._cur, row, self.tol)
-                if self.count >= 3:
-                    self._value = cur[(len(cur) - 1) & -2]
-                return
-        self._cur, valid = _scalar_antidiagonal(self._cur, row, self.tol)
-        if self.count >= 3:
-            self._value = self._cur[(valid - 1) & -2, np.arange(row.size)]
+            est = self._aitken(rows)
+        else:
+            if self.method == "vector-epsilon":
+                self._rows.append(rows)
+            # rows of dimension 1 take the scalar rule
+            vector = self.method == "vector-epsilon" and rows.shape[1] != 1
+            self._cur, est = _epsilon_block(self._cur, rows, self.tol, vector)
+        out: list[np.ndarray | None] = [None] * missing
+        out.extend(est[len(est) - (m - missing):])
+        if out[-1] is not None:
+            self._value = out[-1]
+        return out
 
     def keep(self, positions: Sequence[int]) -> None:
         """Restrict the stream to the coordinates at ``positions``, as if
         only those had been pushed all along."""
         idx = np.asarray(positions, dtype=int)
         if self.method == "vector-epsilon":
-            rows = [r[idx] for r in self._rows]
+            rows = np.concatenate(self._rows)[:, idx]
             self._rows = []
             self._clear()
             with np.errstate(all="ignore"):
-                for r in rows:
-                    self.push_unguarded(r)
+                self.push_rows_unguarded(rows)
             return
         self._width = len(idx)
-        self._last3 = [r[idx] for r in self._last3]
-        self._value, self._valid, self._has, self._cur = (
+        self._value, self._tail, self._valid, self._has, self._cur = (
             None if a is None else a[..., idx]
-            for a in (self._value, self._valid, self._has, self._cur)
+            for a in (self._value, self._tail, self._valid, self._has, self._cur)
         )
 
     def estimate(self) -> np.ndarray | None:
         """The newest estimate, or None before the third row."""
         return None if self._value is None else self._value.copy()
 
-    def _checked(self, row: Sequence[float]) -> np.ndarray:
-        arr = np.array(row, dtype=float)
-        if arr.ndim != 1 or not np.isfinite(arr).all():
-            raise ValueError("a row must be a 1-D sequence of finite values")
+    def _checked(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
+        arr = np.array(rows, dtype=float)
+        if arr.ndim != 2 or not len(arr) or not np.isfinite(arr).all():
+            raise ValueError("rows must be 1-D sequences of finite values, at least one")
         if self._width is None:
-            self._width = arr.size
-        elif arr.size != self._width:
-            raise ValueError(f"row of {arr.size} values, expected {self._width}")
+            self._width = arr.shape[1]
+        elif arr.shape[1] != self._width:
+            raise ValueError(f"row of {arr.shape[1]} values, expected {self._width}")
         return arr
 
-    def _aitken(self) -> None:
-        x0, x1, x2 = self._last3
+    def _aitken(self, rows: np.ndarray) -> np.ndarray:
+        """The elements of every row of the block that completes a
+        triple, each stalled one replaced by the last valid element
+        before it, or by its own x_n where none exists yet."""
+        seq = rows if self._tail is None else np.concatenate((self._tail, rows))
+        self._tail = seq[-2:]
+        x0, x1, x2 = seq[:-2], seq[1:-1], seq[2:]
         den = x2 - 2.0 * x1 + x0
         stalled = np.abs(den) < self.tol * np.maximum(1.0, np.abs(x0))
         num = x1 - x0
         y = x0 - num * num / np.where(stalled, 1.0, den)
         if self._has is None:
-            self._valid, self._has = x0, np.zeros(x0.shape, dtype=bool)
-        self._value = np.where(stalled, np.where(self._has, self._valid, x0), y)
-        self._valid = np.where(stalled, self._valid, y)
-        self._has = self._has | ~stalled
+            self._valid, self._has = np.zeros(rows.shape[1]), np.zeros(rows.shape[1], dtype=bool)
+        # row 0 stands for the elements before the block; the index of
+        # the last valid element at or before each row, -1 while none
+        found = np.vstack((self._has, ~stalled))
+        last = np.where(found, np.arange(len(found))[:, None], -1)
+        np.maximum.accumulate(last, axis=0, out=last)
+        filled = np.take_along_axis(np.vstack((self._valid, y)), np.maximum(last, 0), axis=0)
+        self._valid, self._has = filled[-1], last[-1] >= 0
+        return np.where(last[1:] >= 0, filled[1:], x0)
 
 
-def _scalar_antidiagonal(
-    prev: np.ndarray | None, row: np.ndarray, tol: float
+def _epsilon_block(
+    prev: np.ndarray | None, rows: np.ndarray, tol: float, vector: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Antidiagonal n of the scalar epsilon-tables of all coordinates,
-    shape (cells, coordinates), from antidiagonal n-1 ``prev`` (None for
-    n = 0) and row x_n, up to column MAX_COLUMN, and the number of valid
-    cells of each coordinate.
+    """Extend the epsilon-table by a block of rows x_n .. x_{n+m-1},
+    shape (m, coordinates): one scalar table per coordinate, or with
+    ``vector`` one table whose cells are rows.  ``prev`` is antidiagonal
+    n-1, shape (cells, coordinates), None for n = 0.  Returns antidiagonal
+    n+m-1, cut after its last column with a valid cell, and the estimate
+    after each row: the cell of the deepest valid even column of its
+    antidiagonal, per coordinate for the scalar tables.
 
-    Cell k+1 is eps_{k+1}^(n-k-1) = eps_{k-1}^(n-k) + 1/d with
-    d = eps_k^(n-k) - eps_k^(n-k-1), i.e. new[k] - prev[k], on top of
-    prev[k-1] (zero for k = 0).  d stalls when
-    |d| < max(tol * |prev[k]|, smallest normal float), a test that does
-    not depend on the scale of the sequence.  A NaN cell is invalid; it
-    makes d NaN, which no threshold passes.
-
-    Every cell is first computed without masking, then the stall rule is
-    applied to the whole antidiagonal at once: cell k+1 of a coordinate
-    is valid when the d of levels 0..k all pass the threshold.  A valid
-    cell depends only on valid cells, so it holds what the masked
-    recursion gives it; the others are set to NaN, and the antidiagonal
-    ends after the last level that has a valid cell.
+    ``table[k, t]`` is column k's cell eps_k^(n-1+t-k) on antidiagonal
+    n-1+t (t = 0 is ``prev``), NaN where it is invalid or absent.  The
+    rhombus rule gives column k+1 on all the block's antidiagonals at
+    once: eps_{k+1}^(n+t-k-1) = table[k-1, t] + inv(d) (zero for k = 0)
+    with d = table[k, t+1] - table[k, t].  For the scalar tables inv(d)
+    is 1/d, and d stalls when |d| < max(tol * |table[k, t]|, smallest
+    normal float), a test that does not depend on the scale of the
+    sequence.  For the vector table it is the Samelson inverse
+    d / (d . d), and the whole cell stalls when
+    d . d < max(tol**2 * (b . b), smallest normal float).  A NaN operand
+    makes d NaN, which no threshold passes, so every cell that depends on
+    a stalled one is invalid too.  A valid cell takes the same float
+    operations as on a block of one row; a valid vector cell may hold
+    NaN entries where its differences overflowed, so validity is the
+    stall test's, not NaN.
     """
-    if prev is None:
-        return row[None, :], np.ones(row.size, dtype=int)
-    top = prev[:MAX_COLUMN]
-    vals = np.empty((len(top) + 1, row.size))
-    vals[0] = row
-    d = np.empty(top.shape)
-    below = np.zeros(row.size)
-    for src, p, dk, cell in zip(vals, top, d, vals[1:]):
-        np.subtract(src, p, out=dk)
-        np.reciprocal(dk, out=cell)
+    m, w = rows.shape
+    table = np.full((MAX_COLUMN + 1, m + 1, w), np.nan)
+    if prev is not None:
+        table[: len(prev), 0] = prev
+    table[0, 1:] = rows
+    est = rows.copy()
+    below = np.zeros((m, w))
+    depth = 1  # columns with a valid cell on the newest antidiagonal
+    for k in range(MAX_COLUMN):
+        col, cell = table[k], table[k + 1, 1:]
+        d = col[1:] - col[:-1]
+        if vector:
+            dd = np.einsum("ij,ij->i", d, d)
+            base = np.einsum("ij,ij->i", col[:-1], col[:-1])
+            live = (dd >= np.maximum((tol * tol) * base, _TINY))[:, None]
+            np.divide(d, dd[:, None], out=cell)
+        else:
+            live = np.abs(d) >= np.maximum(tol * np.abs(col[:-1]), _TINY)
+            np.reciprocal(d, out=cell)
         cell += below
-        below = p
-    live = np.abs(d) >= np.maximum(tol * np.abs(top), _TINY)
-    np.logical_and.accumulate(live, axis=0, out=live)
-    np.copyto(vals[1:], np.nan, where=~live)
-    valid = len(vals) - np.count_nonzero(np.isnan(vals), axis=0)
-    return vals[: valid.max()], valid
-
-
-def _vector_antidiagonal(prev: np.ndarray | None, row: np.ndarray, tol: float) -> np.ndarray:
-    """``_scalar_antidiagonal`` with row cells: the Samelson inverse
-    d / (d . d), and whole-cell stalls when
-    d . d < max(tol**2 * (b . b), smallest normal float).  Every stored
-    cell is valid."""
-    if prev is None:
-        return row[None, :]
-    prev = prev[:MAX_COLUMN]
-    vals = np.empty((len(prev) + 1, row.size))
-    vals[0] = row
-    lim = np.maximum((tol * tol) * np.einsum("ij,ij->i", prev, prev), _TINY)
-    below = np.zeros(row.size)
-    n = 1
-    for k in range(len(prev)):
-        cell = vals[k + 1]
-        np.subtract(vals[k], prev[k], out=cell)
-        dd = np.einsum("i,i->", cell, cell)
-        if not dd >= lim[k]:
-            break
-        cell /= dd
-        cell += below
-        below = prev[k]
-        n = k + 2
-    return vals[:n]
+        np.copyto(cell, np.nan, where=~live)
+        if k % 2:
+            np.copyto(est, cell, where=live)
+        if live[-1].any():
+            depth = k + 2
+        elif not live.any():
+            break  # every deeper cell of the block is invalid
+        below = col[:-1]
+    return table[:depth, -1].copy(), est
 
 
 def seq_norm(v: Sequence[float], cfg: TransformConfig = TransformConfig()) -> float:

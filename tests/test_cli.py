@@ -254,6 +254,13 @@ class TestAccelerate:
         code, out, _ = run(capsys, "accelerate", str(two), "--method", "epsilon")
         assert code == 0
         assert "insufficient data" in out
+        # an earlier output file gives way to a header-only one
+        out_csv = tmp_path / "acc.csv"
+        out_csv.write_text("stale\n")
+        code, out, _ = run(capsys, "accelerate", str(two), "--output", str(out_csv))
+        assert code == 0
+        assert "insufficient data" in out
+        assert out_csv.read_text() == "index,a,b,stalled\n"
 
     def test_output_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "acc.csv"
@@ -286,6 +293,17 @@ class TestAccelerate:
         bad.write_text("a,b\n1,2\n3,oops\n")
         code, _, err = run(capsys, "accelerate", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize("cell", ["\u0665", "1_0", "0.\u0665"])
+    def test_exit_one_on_a_number_program_literals_reject(self, capsys, tmp_path, cell):
+        # float() reads these as 5, 10 and 0.5; a program literal takes
+        # ASCII digits only and no "_"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b\n1,2\n3,{cell}\n4,5\n", encoding="utf-8")
+        code, out, err = run(capsys, "accelerate", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "line 3: non-numeric value in data column" in err
 
 
 class TestTraceReplay:

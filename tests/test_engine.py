@@ -20,7 +20,7 @@ from fixaccel import (
     transfer,
     verify_postfixpoint,
 )
-from fixaccel import programs
+from fixaccel import engine, programs
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
 from fixaccel.transforms import EstimateStream
@@ -524,6 +524,87 @@ def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
             assert report.converged and report.sound
             tol = math.inf if method == "aitken" else 1e-6
             assert_contains_and_near(report.invariant, ref, tol)
+
+
+# Programs whose runs put each event inside a block of rows computed
+# ahead: an exact fixpoint, a bound overflowing to inf (the finite
+# coordinates change), unverified joins that restart the stream, a
+# fallback, a Bottom variable turning finite and one turning infinite.
+LOOKAHEAD_PROGRAMS = {
+    "filter3": load_bundled("filter3"),
+    "zero": parse("state x in [0, 0];\nstate y in [0, 1];\nloop {\n  x = 0.5*x;\n  y = 0.5*y + 1;\n}\n"),
+    "chain": parse("state x in [0, 0];\nstate y in [0, 0];\nstate z in [0, 0];\n"
+                   "loop {\n  z = y;\n  y = x;\n  x = 1;\n}\n"),
+    "overflow": parse("state x in [1, 2];\nstate y in [0, 1];\nloop {\n  x = 1e200*x;\n  y = 0.5*y + 1;\n}\n"),
+    "overflow-late": parse("state x in [1, 2];\nstate y in [0, 1];\n"
+                           "loop {\n  x = 1e100*x;\n  y = 0.5*y + 1;\n}\n"),
+    "divergent": parse("state x in [0, 1];\nstate y in [0, 1];\nloop {\n  x = x + 1;\n  y = 0.5*y + 1;\n}\n"),
+    "alternating": parse("state x in [0, 1];\ninput u in [-1, 1];\nloop {\n  x = -0.955*x + 0.1*u;\n}\n"),
+    "restarts": parse(gaussian_program(2, 4, 0.97)),
+    "shrinking": _shrinking_program(),
+    "bottom": Program(
+        state_vars=(("a", BOTTOM), ("b", Interval(0.0, 1.0))),
+        input_vars=(("w", Interval(-1.0, 1.0)),),
+        body=(
+            Assignment("a", 0.0, ((0.5, "b"), (0.1, "w"))),
+            Assignment("b", 0.0, ((0.5, "a"), (0.25, "b"), (0.1, "w"))),
+        ),
+    ),
+}
+LOOKAHEAD_CONFIGS = [
+    *({"max_iter": n} for n in (1, 2, 3, 5, 9, 17)),
+    *({"fallback_after": n} for n in (1, 2, 5)),
+    {"fallback_after": 200},
+]
+
+
+def _run_record(p, cfg):
+    """Everything a run reports, with floats written by ``repr``."""
+    report, trace = analyze(p, cfg)
+    rows = [(r.index, r.row, r.accel, r.event) for r in trace.records]
+    bounds = [(iv.lo, iv.hi) for iv in report.invariant.intervals]
+    fields = (report.iterations, report.injections, report.sound, report.converged, report.reason)
+    return repr((rows, trace.reason, bounds, fields))
+
+
+class TestLookahead:
+    """The rows an accel run computes ahead change none of its results,
+    and none is computed past max_iter or the fallback."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", LOOKAHEAD_PROGRAMS)
+    def test_same_run_as_one_row_at_a_time(self, monkeypatch, name, method, policy):
+        p = LOOKAHEAD_PROGRAMS[name]
+        cfgs = [EngineConfig(method=method, inject_policy=policy, **c) for c in LOOKAHEAD_CONFIGS]
+        assert engine.LOOKAHEAD > 1
+        blocks = [_run_record(p, cfg) for cfg in cfgs]
+        monkeypatch.setattr(engine, "LOOKAHEAD", 1)
+        assert [_run_record(p, cfg) for cfg in cfgs] == blocks
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", ["filter3", "divergent", "alternating", "restarts"])
+    def test_no_row_past_max_iter_or_the_fallback(self, monkeypatch, name, method):
+        # every candidate is rejected, so each of these runs ends at
+        # max_iter or falls back, on the clock or on the rejections
+        p = LOOKAHEAD_PROGRAMS[name]
+        monkeypatch.setattr(engine, "_verify", lambda p, base, c: None)
+        calls, image = [], engine.transfer
+        monkeypatch.setattr(engine, "transfer", lambda p, x: calls.append(1) or image(p, x))
+        cfgs = [EngineConfig(method=method, **c) for c in LOOKAHEAD_CONFIGS]
+
+        def transfers():
+            counts = []
+            for cfg in cfgs:
+                calls.clear()
+                report, _ = analyze(p, cfg)
+                assert report.injections == 0
+                counts.append(len(calls))
+            return counts
+
+        blocks = transfers()
+        monkeypatch.setattr(engine, "LOOKAHEAD", 1)
+        assert transfers() == blocks
 
 
 class TestConfigValidation:

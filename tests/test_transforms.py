@@ -1,4 +1,5 @@
 """Aitken delta-squared, the epsilon-algorithm, and stall handling."""
+import itertools
 import math
 
 import numpy as np
@@ -222,28 +223,34 @@ def _columns(arr, tol):
     return cols
 
 
-def newest_cell(method, rows, tol=TransformConfig().stall_tolerance):
-    """The full-table reference that ``EstimateStream.estimate()`` must
-    equal bit for bit, None before the third row.  Aitken: the last
-    element of ``aitken`` per coordinate.  The epsilon methods: the
-    newest valid cell of the deepest even column up to MAX_COLUMN that
-    holds one, per coordinate for the scalar method, as a row for the
-    vector method (whose rows of dimension 1 take the scalar rule)."""
+def newest_cells(method, rows, tol=TransformConfig().stall_tolerance):
+    """The full-table reference that ``EstimateStream`` must equal bit
+    for bit: the estimate after each row, None for the first two.
+    Aitken: the elements of ``aitken`` per coordinate.  The epsilon
+    methods: the newest valid cell of the deepest even column up to
+    MAX_COLUMN that holds one, per coordinate for the scalar method, as
+    a row for the vector method (whose rows of dimension 1 take the
+    scalar rule).  The cell eps_k^(t-k) depends only on rows up to t, so
+    one table gives the estimate after every row."""
     m = np.array(rows, dtype=float)
+    out = [None] * min(2, len(m))
     if len(m) < 3:
-        return None
+        return out
     if method == "aitken":
-        return np.array([aitken(m[:, c])[-1].value for c in range(m.shape[1])])
-    if method == "vector-epsilon" and m.shape[1] != 1:
-        cols = _columns(list(m), tol)
-        k = max(k for k in range(0, len(cols), 2) if cols[k][1][-1])
-        return cols[k][0][-1]
-    cols = _columns(m, tol)
-    out = np.empty(m.shape[1])
-    for c in range(m.shape[1]):
-        k = max(k for k in range(0, len(cols), 2) if cols[k][1][-1, c])
-        out[c] = cols[k][0][-1, c]
-    return out
+        per = [aitken(m[:, c]) for c in range(m.shape[1])]
+        return out + [np.array([e[t].value for e in per]) for t in range(len(m) - 2)]
+    vector = method == "vector-epsilon" and m.shape[1] != 1
+    cols = _columns(list(m) if vector else m, tol)
+    est = m.copy()  # row t holds the estimate after row t
+    for k in range(2, len(cols), 2):
+        vals, ok = cols[k]  # cell k, t - k is on antidiagonal t
+        np.copyto(est[k:], vals, where=ok[:, None] if vector else ok)
+    return out + list(est[2:])
+
+
+def newest_cell(method, rows):
+    """The estimate after the last of ``rows``, None before the third."""
+    return newest_cells(method, rows)[-1]
 
 
 def bits(a):
@@ -290,33 +297,65 @@ def stream_cases(draw):
     return ops
 
 
-def replay(method, ops, check):
-    """Apply ``ops`` to a stream and, after each op flagged in ``check``,
-    compare its estimate with the full table on the rows it was fed."""
+def replay(method, ops, sizes):
+    """Apply ``ops`` to a stream, pushing each run of consecutive rows
+    through ``push_rows_unguarded`` in blocks whose sizes cycle through
+    ``sizes``.  Every estimate a block returns, and ``estimate()`` after
+    each block and each ``keep``, must equal the full table's on the
+    rows fed so far, bit for bit."""
     stream = EstimateStream(method)
     seen = []  # full rows pushed so far
+    got = []  # (rows fed, estimate) since the coordinates last changed
     cols = None  # the coordinates the stream still keeps
-    for (op, arg), compare in zip(ops, check):
-        if cols is None:
-            cols = np.arange(len(arg))
-        if op == "push":
-            seen.append(arg)
-            stream.push(arg[cols])
-        else:
+    block = []
+    size = itertools.cycle(sizes)
+
+    def push_block():
+        if block:
+            estimates = stream.push_rows_unguarded([r[cols] for r in block])
+            assert len(estimates) == len(block)
+            got.extend(zip(range(len(seen) + 1, len(seen) + len(block) + 1), estimates))
+            seen.extend(block)
+            got.append((len(seen), stream.estimate()))
+            assert stream.count == len(seen)
+            block.clear()
+
+    def compare():
+        want = newest_cells(method, [r[cols] for r in seen])
+        for n, estimate in got:
+            assert bits(estimate) == bits(want[n - 1])
+        got.clear()
+
+    # tier-1 makes a warning fail, and the stream enters no error state
+    with np.errstate(all="ignore"):
+        limit = next(size)
+        for op, arg in ops:
+            if cols is None:
+                cols = np.arange(len(arg))
+            if op == "push":
+                block.append(arg)
+                if len(block) == limit:
+                    push_block()
+                    limit = next(size)
+                continue
+            push_block()
+            compare()
             positions = [j for j, flag in enumerate(arg[: len(cols)]) if flag] or [0]
             cols = cols[positions]
             stream.keep(positions)
-        if compare:
-            want = newest_cell(method, [r[cols] for r in seen])
-            assert bits(stream.estimate()) == bits(want)
-            assert stream.count == len(seen)
+            got.append((len(seen), stream.estimate()))
+        push_block()
+        compare()
+
+
+block_sizes = st.lists(st.integers(1, 24), min_size=1, max_size=6)
 
 
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=150, deadline=None)
-@given(ops=stream_cases())
-def test_stream_equals_full_table_on_every_prefix(method, ops):
-    replay(method, ops, [True] * len(ops))
+@given(ops=stream_cases(), sizes=block_sizes)
+def test_stream_equals_full_table_on_every_prefix(method, ops, sizes):
+    replay(method, ops, sizes)
 
 
 @st.composite
@@ -325,8 +364,7 @@ def long_stream_cases(draw):
     coordinates, with extra rows and shrinks as in ``stream_cases``.
     Coordinates have magnitudes up to 1e300, so that the vector method's
     squared norms overflow to inf and Aitken's estimates to -inf or inf;
-    some runs do not converge at all.  Returns the ops and, for each op,
-    whether to compare the estimate after it."""
+    some runs do not converge at all."""
     d = draw(st.integers(1, 40))
     m = draw(st.integers(1, 70))
     kind = draw(st.sampled_from(["geometric", "modes", "random"]))
@@ -358,18 +396,16 @@ def long_stream_cases(draw):
             ops.append(("push", np.clip(2.0 * rows[i] - rows[i - 1], -1e300, 1e300)))
         elif action == "keep":
             ops.append(("keep", rng.random(d) < 0.9))
-    check = rng.random(len(ops)) < 4.0 / len(ops)
-    check[-1] = True
-    return ops, check
+    return ops
 
 
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=60, deadline=None)
-@given(case=long_stream_cases())
-def test_stream_equals_full_table_on_long_wide_runs(method, case):
+@given(ops=long_stream_cases(), sizes=block_sizes)
+def test_stream_equals_full_table_on_long_wide_runs(method, ops, sizes):
     # both sides overflow on huge magnitudes, and tier-1 makes a warning fail
     with np.errstate(all="ignore"):
-        replay(method, *case)
+        replay(method, ops, sizes)
 
 
 @pytest.mark.parametrize("method", METHODS)
