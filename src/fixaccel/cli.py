@@ -305,26 +305,29 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if method == "vector-epsilon":
-        elements = vector_epsilon_diagonal(data, tf)
-        values = [np.asarray(e.value, dtype=float) for e in elements]
-        stalled = [1 if e.stalled else 0 for e in elements]
-    else:
-        transform = aitken if method == "aitken" else epsilon_diagonal
-        per_column = [transform(data[:, c], tf) for c in range(data.shape[1])]
-        count = len(per_column[0])
-        values = [
-            np.array([col[i].value for col in per_column]) for i in range(count)
-        ]
-        stalled = [
-            sum(1 for col in per_column if col[i].stalled) for i in range(count)
-        ]
+    # differences of finite data may overflow; the elements then hold inf
+    # or NaN silently, as ``analyze`` holds one error state per analysis
+    with np.errstate(all="ignore"):
+        if method == "vector-epsilon":
+            elements = vector_epsilon_diagonal(data, tf)
+            values = [np.asarray(e.value, dtype=float) for e in elements]
+            stalled = [1 if e.stalled else 0 for e in elements]
+        else:
+            transform = aitken if method == "aitken" else epsilon_diagonal
+            per_column = [transform(data[:, c], tf) for c in range(data.shape[1])]
+            count = len(per_column[0])
+            values = [
+                np.array([col[i].value for col in per_column]) for i in range(count)
+            ]
+            stalled = [
+                sum(1 for col in per_column if col[i].stalled) for i in range(count)
+            ]
 
-    agree = None
-    for i in range(1, len(values)):
-        if seq_norm(values[i] - values[i - 1], tf) <= args.delta:
-            agree = i
-            break
+        agree = None
+        for i in range(1, len(values)):
+            if seq_norm(values[i] - values[i - 1], tf) <= args.delta:
+                agree = i
+                break
 
     print(f"elements: {len(values)}")
     print(f"stalled elements: {sum(1 for s in stalled if s)}")

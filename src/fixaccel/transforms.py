@@ -1,18 +1,22 @@
 """Sequence transformations with stall detection.
 
-Implements Aitken's delta-squared transformation and the even diagonal
-of the scalar epsilon-algorithm and of the vector epsilon-algorithm
-(the latter with the Samelson inverse v / (v . v)).  All transformations
-watch for near-zero denominators ("stalls"): a stalled element keeps
-the last valid value so downstream convergence detection still has
-something to compare.
+Implements Aitken's delta-squared transformation and Wynn's scalar and
+vector epsilon-algorithm (the latter with the Samelson inverse
+v / (v . v)).  All transformations watch for near-zero denominators
+("stalls"): a stalled element keeps the last valid value so downstream
+convergence detection still has something to compare.
 
-The functions transform a whole sequence at once; the epsilon ones
-report the tip of each even column.  ``EstimateStream`` is the
+One kernel, ``_epsilon_table``, applies the rhombus rule, with one stall
+test: a difference d of two cells stalls when |d| < max(tol * |b|,
+floor), b being the earlier cell (d . d < max(tol**2 * (b . b), floor)
+for the vector table).  It has two readers.  ``epsilon_diagonal`` and
+``vector_epsilon_diagonal`` transform a whole sequence at once and read
+the tip of each even column; their floor is tol (tol**2 for vectors),
+which is the rule |d| < tol * max(1, |b|).  ``EstimateStream`` is the
 engine's estimator: it takes rows in blocks, extends the table over a
-whole block column by column, and returns the estimate after each row:
-for the epsilon methods the newest valid cell of the deepest even
-column, with a stall test relative to the element.
+whole block column by column, and reads the newest valid cell of the
+deepest even column; its floor is the smallest normal float, so that a
+sequence of any scale forms its columns.
 """
 from __future__ import annotations
 
@@ -28,12 +32,12 @@ import numpy as np
 class TransformConfig:
     """Numerical guards shared by all transformations.
 
-    ``stall_tolerance`` is relative: in the whole-sequence functions a
-    denominator d built from an element b stalls when
-    |d| < stall_tolerance * max(1, |b|); ``EstimateStream``'s epsilon
-    methods drop the floor of 1, |d| < max(stall_tolerance * |b|,
-    smallest normal float), so that a sequence of any scale forms its
-    columns.
+    ``stall_tolerance`` is relative.  Aitken's denominator d stalls when
+    |d| < stall_tolerance * max(1, |x_n|).  The difference d = b' - b of
+    two epsilon-table cells stalls when |d| < max(stall_tolerance * |b|,
+    floor).  The floor is stall_tolerance in the whole-sequence functions
+    (its square for the vector method, which compares d . d), and the
+    smallest normal float in ``EstimateStream``.
     """
 
     stall_tolerance: float = 1e-12
@@ -88,78 +92,6 @@ def aitken(
     return out
 
 
-def _scalar_columns(
-    arr: np.ndarray, tol: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Columns of the scalar epsilon-table as (values, valid) pairs.
-
-    Stalled or dependency-poisoned cells hold a placeholder 0.0 and a
-    False validity flag; validity propagates to every dependent cell.
-    """
-    m = len(arr)
-    cols = [(arr.astype(float), np.ones(m, dtype=bool))]
-    below_vals, below_ok = np.zeros(m + 1), np.ones(m + 1, dtype=bool)
-    while len(cols[-1][0]) >= 2:
-        vals, ok = cols[-1]
-        d = vals[1:] - vals[:-1]
-        deps = ok[1:] & ok[:-1] & below_ok[1 : len(vals)]
-        live = deps & (np.abs(d) >= tol * np.maximum(1.0, np.abs(vals[:-1])))
-        safe = np.where(live, d, 1.0)
-        new_vals = np.where(live, below_vals[1 : len(vals)] + 1.0 / safe, 0.0)
-        below_vals, below_ok = vals, ok
-        cols.append((new_vals, live))
-    return cols
-
-
-def _vector_columns(
-    arr: np.ndarray, tol: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vector epsilon-table columns; cells are rows, stalled as a whole."""
-    m, p = arr.shape
-    cols = [(arr.astype(float), np.ones(m, dtype=bool))]
-    below_vals, below_ok = np.zeros((m + 1, p)), np.ones(m + 1, dtype=bool)
-    tol2 = tol * tol
-    while len(cols[-1][0]) >= 2:
-        vals, ok = cols[-1]
-        d = vals[1:] - vals[:-1]
-        dd = np.einsum("ij,ij->i", d, d)
-        base2 = np.einsum("ij,ij->i", vals[:-1], vals[:-1])
-        deps = ok[1:] & ok[:-1] & below_ok[1 : len(vals)]
-        live = deps & (dd >= tol2 * np.maximum(1.0, base2))
-        safe = np.where(live, dd, 1.0)
-        inv = d / safe[:, None]
-        new_vals = np.where(
-            live[:, None], below_vals[1 : len(vals)] + inv, 0.0
-        )
-        below_vals, below_ok = vals, ok
-        cols.append((new_vals, live))
-    return cols
-
-
-def _diagonal_from_columns(
-    cols: list[tuple[np.ndarray, np.ndarray]]
-) -> list[TransformedElement]:
-    """Even-diagonal entries d_k = cell (2k, 0) with stall retention."""
-    out: list[TransformedElement] = []
-    retained = None
-    for k in range(0, len(cols), 2):
-        vals, ok = cols[k]
-        if len(vals) == 0:
-            break
-        if bool(ok[0]):
-            retained = vals[0]
-            out.append(TransformedElement(_copy_cell(retained), False))
-        else:
-            out.append(TransformedElement(_copy_cell(retained), True))
-    return out
-
-
-def _copy_cell(v):
-    if isinstance(v, np.ndarray):
-        return v.copy()
-    return float(v)
-
-
 def epsilon_diagonal(
     x: Sequence[float], cfg: TransformConfig = TransformConfig()
 ) -> list[TransformedElement]:
@@ -171,7 +103,10 @@ def epsilon_diagonal(
     arr = _as_clean_array(x, "input sequence")
     if arr.ndim != 1 or len(arr) < 1:
         raise ValueError("epsilon_diagonal needs a scalar sequence of length >= 1")
-    return _diagonal_from_columns(_scalar_columns(arr, cfg.stall_tolerance))
+    return [
+        TransformedElement(float(tip[0]), stalled)
+        for tip, stalled in _tips(arr[:, None], cfg.stall_tolerance, False)
+    ]
 
 
 def vector_epsilon_diagonal(
@@ -181,8 +116,8 @@ def vector_epsilon_diagonal(
 
     The recursion matches the scalar table with vector addition and the
     Samelson inverse; each cell stalls as a whole when its denominator
-    norm falls under the stall tolerance.  Dimension-1 input routes
-    through the scalar code so the two agree bit-for-bit.
+    norm falls under the stall tolerance.  Dimension-1 input takes the
+    scalar rule, so the two agree bit-for-bit.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -192,14 +127,27 @@ def vector_epsilon_diagonal(
         )
     if not np.all(np.isfinite(arr)):
         raise ValueError("input sequence must contain only finite values")
-    if arr.shape[1] == 1:
-        scalar = _diagonal_from_columns(
-            _scalar_columns(arr[:, 0], cfg.stall_tolerance)
+    return [
+        TransformedElement(tip.copy(), stalled)
+        for tip, stalled in _tips(arr, cfg.stall_tolerance, arr.shape[1] != 1)
+    ]
+
+
+def _tips(rows: np.ndarray, tol: float, vector: bool) -> list[tuple[np.ndarray, bool]]:
+    """The tip eps_2k^(0) of each even column of the whole table of
+    ``rows`` as (cell, stalled), a stalled tip replaced by the last valid
+    one.  Validity is the live mask's: a valid vector cell may hold NaN."""
+    with np.errstate(all="ignore"):  # the kernel takes 1/d of every d
+        table, live, _, _ = _epsilon_table(
+            None, rows, tol, tol * tol if vector else tol, len(rows) - 1, vector
         )
-        return [
-            TransformedElement(np.array([e.value]), e.stalled) for e in scalar
-        ]
-    return _diagonal_from_columns(_vector_columns(arr, cfg.stall_tolerance))
+    out, tip = [], None
+    for k in range(0, len(rows), 2):
+        valid = live[k, k + 1, 0]
+        if valid:
+            tip = table[k, k + 1]
+        out.append((tip, not valid))
+    return out
 
 
 # The deepest column of the epsilon-table that ``EstimateStream`` keeps:
@@ -228,18 +176,14 @@ class EstimateStream:
     forward into the stalled ones.
 
     The epsilon methods keep the newest ascending antidiagonal
-    eps_k^(n-k), k = 0..min(n, MAX_COLUMN), of the table.  A block of rows
-    extends the table column by column with Wynn's rhombus rule: column
-    k+1 on all the block's antidiagonals at once, from column k on them
-    and on the antidiagonal before.  The estimate is the newest valid
-    cell of the deepest live even column, eps_2j^(n-2j) for the largest
-    even 2j <= MAX_COLUMN whose cell is valid: per coordinate for the
-    scalar method, as a whole row for the vector method, where rows of
-    dimension 1 take the scalar rule.  Unlike the tip eps_2j^(0) that
-    ``epsilon_diagonal`` reports, it leaves the transient of the first
-    rows behind.  A stall invalidates every cell that depends on it, so
-    the valid cells of an antidiagonal form a prefix, and column 0, the
-    row itself, is always valid.  Invalid cells hold NaN.
+    eps_k^(n-k), k = 0..min(n, MAX_COLUMN), of the table, and
+    ``_epsilon_table`` extends it over each block.  The estimate is the
+    newest valid cell of the deepest live even column, eps_2j^(n-2j) for
+    the largest even 2j <= MAX_COLUMN whose cell is valid: per coordinate
+    for the scalar method, as a whole row for the vector method, where
+    rows of dimension 1 take the scalar rule.  Unlike the tip eps_2j^(0)
+    that ``epsilon_diagonal`` reports, it leaves the transient of the
+    first rows behind.
 
     Every method has an estimate from the third row on.
     """
@@ -288,7 +232,10 @@ class EstimateStream:
                 self._rows.append(rows)
             # rows of dimension 1 take the scalar rule
             vector = self.method == "vector-epsilon" and rows.shape[1] != 1
-            self._cur, est = _epsilon_block(self._cur, rows, self.tol, vector)
+            table, _, est, depth = _epsilon_table(
+                self._cur, rows, self.tol, _TINY, MAX_COLUMN, vector
+            )
+            self._cur = table[:depth, -1].copy()
         out: list[np.ndarray | None] = [None] * missing
         out.extend(est[len(est) - (m - missing):])
         if out[-1] is not None:
@@ -349,62 +296,69 @@ class EstimateStream:
         return np.where(last[1:] >= 0, filled[1:], x0)
 
 
-def _epsilon_block(
-    prev: np.ndarray | None, rows: np.ndarray, tol: float, vector: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend the epsilon-table by a block of rows x_n .. x_{n+m-1},
-    shape (m, coordinates): one scalar table per coordinate, or with
-    ``vector`` one table whose cells are rows.  ``prev`` is antidiagonal
-    n-1, shape (cells, coordinates), None for n = 0.  Returns antidiagonal
-    n+m-1, cut after its last column with a valid cell, and the estimate
-    after each row: the cell of the deepest valid even column of its
-    antidiagonal, per coordinate for the scalar tables.
+def _epsilon_table(
+    prev: np.ndarray | None,
+    rows: np.ndarray,
+    tol: float,
+    floor: float,
+    columns: int,
+    vector: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Extend the epsilon-table by columns 1..``columns`` over a block of
+    rows x_n .. x_{n+m-1}, shape (m, coordinates): one scalar table per
+    coordinate, or with ``vector`` one table whose cells are rows.
+    ``prev`` is antidiagonal n-1, shape (cells, coordinates), None for
+    n = 0.  Returns ``table``, ``live``, the estimate after each row (the
+    cell of the deepest valid even column of its antidiagonal, per
+    coordinate for the scalar tables) and the depth of antidiagonal
+    n+m-1 (its columns up to the last with a valid cell).
 
     ``table[k, t]`` is column k's cell eps_k^(n-1+t-k) on antidiagonal
-    n-1+t (t = 0 is ``prev``), NaN where it is invalid or absent.  The
-    rhombus rule gives column k+1 on all the block's antidiagonals at
-    once: eps_{k+1}^(n+t-k-1) = table[k-1, t] + inv(d) (zero for k = 0)
-    with d = table[k, t+1] - table[k, t].  For the scalar tables inv(d)
-    is 1/d, and d stalls when |d| < max(tol * |table[k, t]|, smallest
-    normal float), a test that does not depend on the scale of the
-    sequence.  For the vector table it is the Samelson inverse
-    d / (d . d), and the whole cell stalls when
-    d . d < max(tol**2 * (b . b), smallest normal float).  A NaN operand
+    n-1+t (t = 0 is ``prev``), NaN where it is invalid or absent, and
+    ``live[k, t]`` says whether it is valid (one flag per cell of the
+    vector table; never for t = 0).  The rhombus rule gives column k+1 on
+    all the block's antidiagonals at once: eps_{k+1}^(n+t-k-1) =
+    table[k-1, t] + inv(d) (zero for k = 0) with d = table[k, t+1] -
+    table[k, t] and b = table[k, t].  For the scalar tables inv(d) is
+    1/d, and d stalls when |d| < max(tol * |b|, floor).  For the vector
+    table it is the Samelson inverse d / (d . d), and the whole cell
+    stalls when d . d < max(tol**2 * (b . b), floor).  A NaN operand
     makes d NaN, which no threshold passes, so every cell that depends on
     a stalled one is invalid too.  A valid cell takes the same float
-    operations as on a block of one row; a valid vector cell may hold
-    NaN entries where its differences overflowed, so validity is the
-    stall test's, not NaN.
+    operations on any block; a valid vector cell may hold NaN entries
+    where its differences overflowed, so validity is ``live``, not NaN.
     """
     m, w = rows.shape
-    table = np.full((MAX_COLUMN + 1, m + 1, w), np.nan)
+    table = np.full((columns + 1, m + 1, w), np.nan)
+    live = np.zeros((columns + 1, m + 1, 1 if vector else w), dtype=bool)
     if prev is not None:
         table[: len(prev), 0] = prev
     table[0, 1:] = rows
+    live[0, 1:] = True
     est = rows.copy()
     below = np.zeros((m, w))
-    depth = 1  # columns with a valid cell on the newest antidiagonal
-    for k in range(MAX_COLUMN):
-        col, cell = table[k], table[k + 1, 1:]
+    depth = 1
+    for k in range(columns):
+        col, cell, ok = table[k], table[k + 1, 1:], live[k + 1, 1:]
         d = col[1:] - col[:-1]
         if vector:
             dd = np.einsum("ij,ij->i", d, d)
             base = np.einsum("ij,ij->i", col[:-1], col[:-1])
-            live = (dd >= np.maximum((tol * tol) * base, _TINY))[:, None]
+            np.greater_equal(dd, np.maximum((tol * tol) * base, floor), out=ok[:, 0])
             np.divide(d, dd[:, None], out=cell)
         else:
-            live = np.abs(d) >= np.maximum(tol * np.abs(col[:-1]), _TINY)
+            np.greater_equal(np.abs(d), np.maximum(tol * np.abs(col[:-1]), floor), out=ok)
             np.reciprocal(d, out=cell)
         cell += below
-        np.copyto(cell, np.nan, where=~live)
+        np.copyto(cell, np.nan, where=~ok)
         if k % 2:
-            np.copyto(est, cell, where=live)
-        if live[-1].any():
+            np.copyto(est, cell, where=ok)
+        if ok[-1].any():
             depth = k + 2
-        elif not live.any():
+        elif not ok.any():
             break  # every deeper cell of the block is invalid
         below = col[:-1]
-    return table[:depth, -1].copy(), est
+    return table, live, est, depth
 
 
 def seq_norm(v: Sequence[float], cfg: TransformConfig = TransformConfig()) -> float:

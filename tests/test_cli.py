@@ -21,6 +21,7 @@ def run(capsys, *argv):
 FILTER3 = str(bundled_path("filter3.loop"))
 LOWPASS1 = str(bundled_path("lowpass1.loop"))
 ITERATES = str(bundled_path("lowpass2_iterates.csv"))
+OVERFLOWING_CSV = "a,b\n1.7e308,1\n-1.7e308,2\n1.7e308,2.5\n-1.6e308,2.75\n1.5e308,2.875\n"
 
 
 class TestAnalyze:
@@ -293,6 +294,18 @@ class TestAccelerate:
         bad.write_text("a,b\n1,2\n3,oops\n")
         code, _, err = run(capsys, "accelerate", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize("norm", ["infinity", "euclidean"])
+    @pytest.mark.parametrize("method", ["aitken", "epsilon", "vea"])
+    def test_differences_that_overflow_pass_silently(self, capsys, tmp_path, method, norm):
+        # finite data whose differences overflow to inf; tier-1 turns a
+        # NumPy RuntimeWarning into an error
+        data = tmp_path / "overflow.csv"
+        data.write_text(OVERFLOWING_CSV)
+        code, out, err = run(capsys, "accelerate", str(data), "--method", method, "--norm", norm)
+        assert code == 0
+        assert err == ""
+        assert "rows: 5" in out
 
     @pytest.mark.parametrize("cell", ["\u0665", "1_0", "0.\u0665"])
     def test_exit_one_on_a_number_program_literals_reject(self, capsys, tmp_path, cell):

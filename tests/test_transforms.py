@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixaccel import (
@@ -188,6 +188,113 @@ class TestVectorEpsilon:
             vector_epsilon_diagonal(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             vector_epsilon_diagonal(np.array([[1.0], [math.inf]]))
+
+
+def reference_diagonal(x, tol, vector):
+    """The even diagonal from a full epsilon-table with explicit validity
+    flags: cell (k, n) is eps_k^(n), and a cell is valid when its three
+    operands are and its denominator d passes the literal stall rule
+    |d| >= tol * max(1, |b|), or d . d >= tol**2 * max(1, b . b) for a
+    vector table, where d = eps_{k-1}^(n+1) - eps_{k-1}^(n) and
+    b = eps_{k-1}^(n).
+    Returns (value, stalled) pairs; a stalled entry repeats the last valid
+    one.  Vector cells are 1-D arrays whose dot products are NumPy's, so
+    that their summation order is the code's."""
+
+    def dot(u, v):
+        return float(np.einsum("ij,ij->i", u[None], v[None])[0])
+
+    m = len(x)
+    col = [(v, True) for v in x]
+    table = [col]
+    below = [(0.0 * x[0], True)] * (m + 1)
+    for _ in range(m - 1):
+        nxt = []
+        for n in range(len(col) - 1):
+            (b, b_ok), (a, a_ok), (c, c_ok) = col[n], col[n + 1], below[n + 1]
+            if not (b_ok and a_ok and c_ok):
+                nxt.append((None, False))
+                continue
+            d = a - b
+            if vector:
+                ok = dot(d, d) >= (tol * tol) * max(1.0, dot(b, b))
+                nxt.append((c + d / dot(d, d) if ok else None, ok))
+            else:
+                ok = abs(d) >= tol * max(1.0, abs(b))
+                nxt.append((c + 1.0 / d if ok else None, ok))
+        below, col = col, nxt
+        table.append(col)
+    out, last = [], None
+    for k in range(0, m, 2):
+        value, ok = table[k][0]
+        if ok:
+            last = value
+        out.append((last, not ok))
+    return out
+
+
+@st.composite
+def diagonal_cases(draw):
+    """Rows of up to 4 coordinates with magnitudes up to 1e300, each
+    optionally followed by a repeat (a zero first difference), a linear
+    extension (a zero second difference) or a nudge, and a stall
+    tolerance.  The square of 1e-200 underflows to 0, so that a zero
+    vector difference passes and its cell, a valid one, holds 0/0 = NaN."""
+    w = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["random", "geometric", "two-modes"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(m)[:, None]
+    if kind == "random":
+        rows = np.array(draw(st.lists(finite, min_size=m * w, max_size=m * w))).reshape(m, w)
+    elif kind == "geometric":
+        rows = rng.normal(size=w) + rng.normal(size=w) * rng.uniform(-0.95, 0.95, w) ** k
+    else:
+        rows = rng.normal(size=w) + rng.uniform(-0.95, 0.95, 2) ** k @ rng.normal(size=(2, w))
+    scale = 10.0 ** rng.choice([0, 0, 0, -150, 150, 300, 308], size=w)
+    actions = draw(st.lists(st.sampled_from(["none", "none", "nudge", "repeat", "linear"]),
+                            min_size=m, max_size=m))
+    out = []
+    with np.errstate(all="ignore"):  # clipped below
+        rows = np.clip(rows * scale, -1.7e308, 1.7e308)
+        for i, action in enumerate(actions):
+            out.append(rows[i])
+            if action == "nudge":
+                out.append(rows[i] * (1.0 + rng.normal(size=w) * 10.0 ** rng.integers(-15, 0)))
+            elif action == "repeat":
+                out.append(rows[i].copy())
+            elif action == "linear" and i >= 1:
+                out.append(2.0 * rows[i] - rows[i - 1])
+    rows = np.clip(np.array(out), -1.7e308, 1.7e308)
+    return rows, draw(st.sampled_from([1e-12, 1e-12, 1e-8, 1e-3, 1e-200]))
+
+
+def value_bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=diagonal_cases())
+@example(case=(np.array([[1.7e308, 1], [-1.7e308, 2], [1.7e308, 2.5], [-1.6e308, 2.75],
+                         [1.5e308, 2.875]]), 1e-12))
+@example(case=(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), 1e-200))
+def test_diagonals_equal_the_reference_table(case):
+    rows, tol = case
+    cfg = TransformConfig(stall_tolerance=tol)
+    # the reference overflows like the code; tier-1 makes a warning fail
+    with np.errstate(all="ignore"):
+        for c in range(rows.shape[1]):
+            got = epsilon_diagonal(rows[:, c], cfg)
+            want = reference_diagonal([float(v) for v in rows[:, c]], tol, False)
+            assert [e.stalled for e in got] == [s for _, s in want]
+            assert all(isinstance(e.value, float) for e in got)
+            assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
+        got = vector_epsilon_diagonal(rows, cfg)
+        # rows of dimension 1 take the scalar rule
+        want = reference_diagonal(list(rows), tol, rows.shape[1] != 1)
+        assert [e.stalled for e in got] == [s for _, s in want]
+        assert all(e.value.shape == rows.shape[1:] for e in got)
+        assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
 
 
 TINY = np.finfo(float).tiny  # the smallest normal float
