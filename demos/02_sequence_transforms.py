@@ -47,7 +47,7 @@ print(f"|x_2 - limit|        = {abs(uppers[2] - limit):.3e}  "
 # --- stall behaviour late in the sequence ----------------------------
 onset = next(i for i, el in enumerate(ait) if el.stalled)
 print(f"\naitken stalls from element {onset}: floating-point round-off "
-      f"leaves no usable second difference that far into the tail.")
+      f"leaves no usable difference that far into the tail.")
 tail = ait[onset:onset + 3]
 for i, el in enumerate(tail, start=onset):
     print(f"  element {i}: value {el.value:.12f}  stalled={el.stalled}")

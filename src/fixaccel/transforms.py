@@ -9,14 +9,17 @@ convergence detection still has something to compare.
 One kernel, ``_epsilon_table``, applies the rhombus rule, with one stall
 test: a difference d of two cells stalls when |d| < max(tol * |b|,
 floor), b being the earlier cell (d . d < max(tol**2 * (b . b), floor)
-for the vector table).  It has two readers.  ``epsilon_diagonal`` and
-``vector_epsilon_diagonal`` transform a whole sequence at once and read
-the tip of each even column; their floor is tol (tol**2 for vectors),
-which is the rule |d| < tol * max(1, |b|).  ``EstimateStream`` is the
-engine's estimator: it takes rows in blocks, extends the table over a
-whole block column by column, and reads the newest valid cell of the
-deepest even column; its floor is the smallest normal float, so that a
-sequence of any scale forms its columns.
+for the vector table).  Aitken's element y_n is the table's cell
+eps_2^(n), so Aitken is the kernel capped at column 2.  The kernel has
+two readers.  ``aitken`` reads column 2 of the whole table of a
+sequence, and ``epsilon_diagonal`` and ``vector_epsilon_diagonal`` the
+tip of each even column; their floor is tol, which is the rule
+|d| < tol * max(1, |b|) (tol**2, but at least the smallest normal float,
+for vectors).  ``EstimateStream`` is the engine's estimator: it takes
+rows in blocks, extends the table over a whole block column by column,
+and reads the newest valid cell of the deepest even column; its floor is
+the smallest normal float, so that a sequence of any scale forms its
+columns.
 """
 from __future__ import annotations
 
@@ -27,16 +30,25 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+# The deepest column of the epsilon-table that ``EstimateStream`` keeps
+# for the epsilon methods: an antidiagonal holds at most MAX_COLUMN + 1
+# cells, so that a row costs O(MAX_COLUMN * d) however long the sequence
+# grows.
+MAX_COLUMN = 8
+# A denominator under the smallest normal float stalls whatever the scale
+# of its element: its inverse would overflow.
+_TINY = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class TransformConfig:
     """Numerical guards shared by all transformations.
 
-    ``stall_tolerance`` is relative.  Aitken's denominator d stalls when
-    |d| < stall_tolerance * max(1, |x_n|).  The difference d = b' - b of
-    two epsilon-table cells stalls when |d| < max(stall_tolerance * |b|,
-    floor).  The floor is stall_tolerance in the whole-sequence functions
-    (its square for the vector method, which compares d . d), and the
+    ``stall_tolerance`` is relative.  The difference d = b' - b of two
+    epsilon-table cells, Aitken's included, stalls when |d| <
+    max(stall_tolerance * |b|, floor).  The floor is stall_tolerance in
+    the whole-sequence functions (its square, but at least the smallest
+    normal float, for the vector method, which compares d . d), and the
     smallest normal float in ``EstimateStream``.
     """
 
@@ -70,26 +82,20 @@ def aitken(
 ) -> list[TransformedElement]:
     """Aitken delta-squared: y_n = x_n - (x_{n+1}-x_n)^2 / (x_{n+2}-2x_{n+1}+x_n).
 
-    Element n consumes x_n, x_{n+1}, x_{n+2}.  Stalled elements carry
-    the previous valid value (or the base element when none exists yet,
-    as for a constant input sequence).
+    Element n consumes x_n, x_{n+1}, x_{n+2}.  It is the epsilon-table's
+    cell eps_2^(n) = x_{n+1} + 1 / (1/(x_{n+2}-x_{n+1}) - 1/(x_{n+1}-x_n)),
+    computed in that form, and stalls when one of its differences does.
+    Stalled elements carry the previous valid value (or their own x_n
+    when none exists yet, as for a constant input sequence).
     """
     arr = _as_clean_array(x, "input sequence")
     if arr.ndim != 1 or len(arr) < 3:
         raise ValueError("aitken needs a scalar sequence of length >= 3")
-    out: list[TransformedElement] = []
-    last_valid: float | None = None
-    for n in range(len(arr) - 2):
-        den = arr[n + 2] - 2.0 * arr[n + 1] + arr[n]
-        if abs(den) < cfg.stall_tolerance * max(1.0, abs(arr[n])):
-            retained = last_valid if last_valid is not None else float(arr[n])
-            out.append(TransformedElement(retained, True))
-        else:
-            num = arr[n + 1] - arr[n]
-            y = float(arr[n] - num * num / den)
-            last_valid = y
-            out.append(TransformedElement(y, False))
-    return out
+    cells = [(2, n) for n in range(len(arr) - 2)]
+    return [
+        TransformedElement(float(y[0]), stalled)
+        for y, stalled in _carried(arr[:, None], cfg.stall_tolerance, False, cells)
+    ]
 
 
 def epsilon_diagonal(
@@ -105,7 +111,7 @@ def epsilon_diagonal(
         raise ValueError("epsilon_diagonal needs a scalar sequence of length >= 1")
     return [
         TransformedElement(float(tip[0]), stalled)
-        for tip, stalled in _tips(arr[:, None], cfg.stall_tolerance, False)
+        for tip, stalled in _carried(arr[:, None], cfg.stall_tolerance, False, _tips(len(arr)))
     ]
 
 
@@ -129,34 +135,33 @@ def vector_epsilon_diagonal(
         raise ValueError("input sequence must contain only finite values")
     return [
         TransformedElement(tip.copy(), stalled)
-        for tip, stalled in _tips(arr, cfg.stall_tolerance, arr.shape[1] != 1)
+        for tip, stalled in _carried(arr, cfg.stall_tolerance, arr.shape[1] != 1, _tips(len(arr)))
     ]
 
 
-def _tips(rows: np.ndarray, tol: float, vector: bool) -> list[tuple[np.ndarray, bool]]:
-    """The tip eps_2k^(0) of each even column of the whole table of
-    ``rows`` as (cell, stalled), a stalled tip replaced by the last valid
-    one.  Validity is the live mask's: a valid vector cell may hold NaN."""
+def _tips(m: int) -> list[tuple[int, int]]:
+    """The tips eps_2k^(0) of the even columns of a table of m rows."""
+    return [(k, 0) for k in range(0, m, 2)]
+
+
+def _carried(
+    rows: np.ndarray, tol: float, vector: bool, cells: list[tuple[int, int]]
+) -> list[tuple[np.ndarray, bool]]:
+    """The cells eps_k^(n) at ``cells``, (k, n) pairs with the deepest
+    column last, of the whole table of ``rows`` as (cell, stalled), a
+    stalled cell replaced by the last valid one before it in ``cells``,
+    or by x_n while none exists.  Validity is the live mask's: a valid
+    vector cell may hold NaN."""
+    floor = max(tol * tol, _TINY) if vector else tol
     with np.errstate(all="ignore"):  # the kernel takes 1/d of every d
-        table, live, _, _ = _epsilon_table(
-            None, rows, tol, tol * tol if vector else tol, len(rows) - 1, vector
-        )
-    out, tip = [], None
-    for k in range(0, len(rows), 2):
-        valid = live[k, k + 1, 0]
+        table, live, _, _ = _epsilon_table(None, rows, tol, floor, cells[-1][0], vector)
+    out, last = [], None
+    for k, n in cells:
+        valid = live[k, n + k + 1, 0]  # eps_k^(n) is on antidiagonal n + k
         if valid:
-            tip = table[k, k + 1]
-        out.append((tip, not valid))
+            last = table[k, n + k + 1]
+        out.append((rows[n] if last is None else last, not valid))
     return out
-
-
-# The deepest column of the epsilon-table that ``EstimateStream`` keeps:
-# an antidiagonal holds at most MAX_COLUMN + 1 cells, so that a row costs
-# O(MAX_COLUMN * d) however long the sequence grows.
-MAX_COLUMN = 8
-# A denominator under the smallest normal float stalls whatever the scale
-# of its element: its inverse would overflow.
-_TINY = sys.float_info.min
 
 
 class EstimateStream:
@@ -164,26 +169,22 @@ class EstimateStream:
     sequence of rows, updated in O(d) per row of d coordinates.
 
     Rows arrive in blocks of one or more (``push_rows_unguarded``), and
-    the stream returns the estimate after each row of a block.  Each
-    method extends its table over the whole block at once, so the NumPy
-    calls are paid per block, not per row; a block gives exactly the
-    estimates that pushing its rows one at a time gives.
+    the stream returns the estimate after each row of a block.  The
+    stream keeps the newest ascending antidiagonal eps_k^(n-k),
+    k = 0..min(n, cap), of the epsilon-table, and ``_epsilon_table``
+    extends it over each block at once, so the NumPy calls are paid per
+    block, not per row; a block gives exactly the estimates that pushing
+    its rows one at a time gives.  The cap is column 2 for Aitken, whose
+    element y_{n-2} is the cell eps_2^(n-2), and MAX_COLUMN for the
+    epsilon methods.
 
-    Aitken keeps the last two rows and the last valid element of each
-    coordinate: after rows r_0 .. r_{m-1}, ``estimate()`` equals, bit for
-    bit, ``aitken(...)[-1]`` per coordinate.  A block computes the
-    elements of all its rows at once and carries the last valid one
-    forward into the stalled ones.
-
-    The epsilon methods keep the newest ascending antidiagonal
-    eps_k^(n-k), k = 0..min(n, MAX_COLUMN), of the table, and
-    ``_epsilon_table`` extends it over each block.  The estimate is the
-    newest valid cell of the deepest live even column, eps_2j^(n-2j) for
-    the largest even 2j <= MAX_COLUMN whose cell is valid: per coordinate
-    for the scalar method, as a whole row for the vector method, where
-    rows of dimension 1 take the scalar rule.  Unlike the tip eps_2j^(0)
-    that ``epsilon_diagonal`` reports, it leaves the transient of the
-    first rows behind.
+    The estimate is the newest valid cell of the deepest live even
+    column, eps_2j^(n-2j) for the largest even 2j up to the cap whose
+    cell is valid, or the row itself where none is: per coordinate for
+    Aitken and the scalar method, as a whole row for the vector method,
+    where rows of dimension 1 take the scalar rule.  Unlike the tip
+    eps_2j^(0) that ``epsilon_diagonal`` reports, it leaves the transient
+    of the first rows behind.
 
     Every method has an estimate from the third row on.
     """
@@ -193,19 +194,15 @@ class EstimateStream:
             raise ValueError(f"unknown method {method!r}")
         self.method = method
         self.tol = cfg.stall_tolerance
-        # vector-epsilon only: every cell couples all coordinates, so
-        # ``keep`` replays the blocks of rows
-        self._rows: list[np.ndarray] = []
+        self._columns = 2 if method == "aitken" else MAX_COLUMN
         self._clear()
 
     def _clear(self) -> None:
         self.count = 0
         self._width: int | None = None
         self._value: np.ndarray | None = None  # the newest estimate
-        self._tail: np.ndarray | None = None  # aitken: the last two rows
-        # aitken: the last valid element of each coordinate, and where one exists
-        self._valid = self._has = None
-        self._cur = None  # epsilon: the newest antidiagonal
+        self._cur = None  # the newest antidiagonal
+        self._rows: list[np.ndarray] = []  # the blocks pushed, for ``keep``
 
     def push(self, row: Sequence[float]) -> None:
         """Append one row of finite values, one per coordinate."""
@@ -225,39 +222,27 @@ class EstimateStream:
         m = len(rows)
         missing = min(m, max(0, 2 - self.count))  # rows without an estimate
         self.count += m
-        if self.method == "aitken":
-            est = self._aitken(rows)
-        else:
-            if self.method == "vector-epsilon":
-                self._rows.append(rows)
-            # rows of dimension 1 take the scalar rule
-            vector = self.method == "vector-epsilon" and rows.shape[1] != 1
-            table, _, est, depth = _epsilon_table(
-                self._cur, rows, self.tol, _TINY, MAX_COLUMN, vector
-            )
-            self._cur = table[:depth, -1].copy()
+        self._rows.append(rows)
+        # rows of dimension 1 take the scalar rule
+        vector = self.method == "vector-epsilon" and rows.shape[1] != 1
+        table, _, est, depth = _epsilon_table(
+            self._cur, rows, self.tol, _TINY, self._columns, vector
+        )
+        self._cur = table[:depth, -1].copy()
         out: list[np.ndarray | None] = [None] * missing
-        out.extend(est[len(est) - (m - missing):])
+        out.extend(est[missing:])
         if out[-1] is not None:
             self._value = out[-1]
         return out
 
     def keep(self, positions: Sequence[int]) -> None:
         """Restrict the stream to the coordinates at ``positions``, as if
-        only those had been pushed all along."""
-        idx = np.asarray(positions, dtype=int)
-        if self.method == "vector-epsilon":
-            rows = np.concatenate(self._rows)[:, idx]
-            self._rows = []
-            self._clear()
-            with np.errstate(all="ignore"):
-                self.push_rows_unguarded(rows)
-            return
-        self._width = len(idx)
-        self._value, self._tail, self._valid, self._has, self._cur = (
-            None if a is None else a[..., idx]
-            for a in (self._value, self._tail, self._valid, self._has, self._cur)
-        )
+        only those had been pushed all along: it replays the rows pushed
+        so far on them, since a vector cell couples all coordinates."""
+        rows = np.concatenate(self._rows)[:, np.asarray(positions, dtype=int)]
+        self._clear()
+        with np.errstate(all="ignore"):
+            self.push_rows_unguarded(rows)
 
     def estimate(self) -> np.ndarray | None:
         """The newest estimate, or None before the third row."""
@@ -273,28 +258,6 @@ class EstimateStream:
             raise ValueError(f"row of {arr.shape[1]} values, expected {self._width}")
         return arr
 
-    def _aitken(self, rows: np.ndarray) -> np.ndarray:
-        """The elements of every row of the block that completes a
-        triple, each stalled one replaced by the last valid element
-        before it, or by its own x_n where none exists yet."""
-        seq = rows if self._tail is None else np.concatenate((self._tail, rows))
-        self._tail = seq[-2:]
-        x0, x1, x2 = seq[:-2], seq[1:-1], seq[2:]
-        den = x2 - 2.0 * x1 + x0
-        stalled = np.abs(den) < self.tol * np.maximum(1.0, np.abs(x0))
-        num = x1 - x0
-        y = x0 - num * num / np.where(stalled, 1.0, den)
-        if self._has is None:
-            self._valid, self._has = np.zeros(rows.shape[1]), np.zeros(rows.shape[1], dtype=bool)
-        # row 0 stands for the elements before the block; the index of
-        # the last valid element at or before each row, -1 while none
-        found = np.vstack((self._has, ~stalled))
-        last = np.where(found, np.arange(len(found))[:, None], -1)
-        np.maximum.accumulate(last, axis=0, out=last)
-        filled = np.take_along_axis(np.vstack((self._valid, y)), np.maximum(last, 0), axis=0)
-        self._valid, self._has = filled[-1], last[-1] >= 0
-        return np.where(last[1:] >= 0, filled[1:], x0)
-
 
 def _epsilon_table(
     prev: np.ndarray | None,
@@ -309,9 +272,10 @@ def _epsilon_table(
     coordinate, or with ``vector`` one table whose cells are rows.
     ``prev`` is antidiagonal n-1, shape (cells, coordinates), None for
     n = 0.  Returns ``table``, ``live``, the estimate after each row (the
-    cell of the deepest valid even column of its antidiagonal, per
-    coordinate for the scalar tables) and the depth of antidiagonal
-    n+m-1 (its columns up to the last with a valid cell).
+    cell of the deepest valid even column of its antidiagonal, or the row
+    itself where none is, per coordinate for the scalar tables) and the
+    depth of antidiagonal n+m-1 (its columns up to the last with a valid
+    cell).
 
     ``table[k, t]`` is column k's cell eps_k^(n-1+t-k) on antidiagonal
     n-1+t (t = 0 is ``prev``), NaN where it is invalid or absent, and

@@ -307,6 +307,19 @@ class TestAccelerate:
         assert err == ""
         assert "rows: 5" in out
 
+    def test_vector_stall_floor_does_not_underflow(self, capsys, tmp_path):
+        # the square of 1e-200 underflows to 0; the zero difference of the
+        # first column must still stall, not make element 1 0/0 = NaN
+        data = tmp_path / "linear.csv"
+        data.write_text("a,b\n0,0\n1,2\n2,4\n3,6\n")
+        out_csv = tmp_path / "acc.csv"
+        code, out, _ = run(capsys, "accelerate", str(data), "--method", "vea",
+                           "--stall-tol", "1e-200", "--output", str(out_csv))
+        assert code == 0
+        assert "stalled elements: 1" in out
+        assert "final element: 0, 0" in out
+        assert out_csv.read_text().splitlines()[2] == "1,0,0,1"
+
     @pytest.mark.parametrize("cell", ["\u0665", "1_0", "0.\u0665"])
     def test_exit_one_on_a_number_program_literals_reject(self, capsys, tmp_path, cell):
         # float() reads these as 5, 10 and 0.5; a program literal takes

@@ -299,7 +299,7 @@ def _shrinking_program(with_y=True):
 # ``y``, the iteration count and the iterations with a fresh estimate;
 # the verified injection pads the estimate by 1e-9 of its magnitude
 SHRINK_RESULTS = {
-    "aitken": (6.000000006000004, 3, [2, 3]),
+    "aitken": (6.000000006000006, 3, [2, 3]),
     "epsilon": (6.000000006000006, 3, [2, 3]),
     "vector-epsilon": (6.0000000060000005, 3, [2, 3]),
 }
@@ -437,6 +437,19 @@ class TestPrecision:
         x = report.invariant["x"]
         assert x.lo == 0.0
         assert 2 * c <= x.hi == pytest.approx(2 * c, rel=1e-6)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("c", [1e-20, 1e-12])
+    def test_small_steps_do_not_stall(self, c, method):
+        # no absolute floor under the stall test: every method, Aitken's
+        # column 2 included, forms its columns at any scale and verifies
+        # its first estimate, after the same 3 iterations
+        p = parse(f"state x in [0, {c!r}];\nloop {{\n  x = 0.5*x + {c!r};\n}}\n")
+        report, _ = analyze(p, EngineConfig(method=method))
+        assert (report.reason, report.iterations) == ("verified-injection", 3)
+        x = report.invariant["x"]
+        assert x.lo == 0.0
+        assert 2 * c <= x.hi == pytest.approx(2 * c, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("method", METHODS)

@@ -9,6 +9,8 @@ functions), so they do not depend on the platform.
 The accel results were recorded from the engine that verifies each
 injection and ends at the first one that verifies, with epsilon
 estimates taken from the newest cell of the deepest even column.  The
+Aitken entries were re-recorded when Aitken became column 2 of the
+epsilon-table, which rounds its element in the rhombus form.  The
 kleene and widen files were recorded earlier; their reports were
 re-recorded when the default ``delta`` moved to 1e-6, which is the only
 line of them that changed.  The accel results go
@@ -191,14 +193,14 @@ GOLDEN_ACCEL = {
         ('-0x1.2dff9afd8cc5ep+2', '0x1.400000055e63cp+4'),
     )),
     ('lowpass1', 'aitken', 'once'): (4, 1, 'verified-injection', (
-        ('0x0.0p+0', '0x1.40226b9581629p+4'),
-        ('0x0.0p+0', '0x1.001b89446783ep+1'),
-        ('0x1.e7a0f9013d601p-1', '0x1.40226b9581629p+4'),
+        ('0x0.0p+0', '0x1.40226b958162bp+4'),
+        ('0x0.0p+0', '0x1.001b89446783ap+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
     )),
     ('lowpass1', 'aitken', 'repeat'): (4, 1, 'verified-injection', (
-        ('0x0.0p+0', '0x1.40226b9581629p+4'),
-        ('0x0.0p+0', '0x1.001b89446783ep+1'),
-        ('0x1.e7a0f9013d601p-1', '0x1.40226b9581629p+4'),
+        ('0x0.0p+0', '0x1.40226b958162bp+4'),
+        ('0x0.0p+0', '0x1.001b89446783ap+1'),
+        ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
     )),
     ('lowpass1', 'epsilon', 'once'): (4, 1, 'verified-injection', (
         ('0x0.0p+0', '0x1.40226b958162bp+4'),
@@ -252,7 +254,7 @@ GOLDEN_GAUSSIAN = {
     'aitken': (25, 1, 'verified-injection', (
         ('-0x1.004b6f45d76c3p+2', '0x1.004b6f456df45p+2'),
         ('-0x1.37716071c7222p+1', '0x1.37716072f7e2fp+1'),
-        ('-0x1.83ab86247078bp+1', '0x1.83ab8622e94edp+1'),
+        ('-0x1.83ab86247078bp+1', '0x1.83ab8622e94eep+1'),
         ('-0x1.2b50b2abd8a4fp+1', '0x1.2b50b2ac8b563p+1'),
         ('-0x1.3c0b2c264814ep+1', '0x1.3c0b2c2527908p+1'),
         ('-0x1.11ddd9072e323p+2', '0x1.11ddd906941c2p+2'),
@@ -334,14 +336,14 @@ def test_gaussian_accel_results_are_bit_identical(method):
 # and repeat with fallback after 200, as in the benchmark's accel-tail.
 # These pin the estimates themselves, every one the trace records.
 GOLDEN_GAUSSIAN_ESTIMATES = {
-    (1, 8, 0.97, 'aitken', 'once'): (24, '8473e9d6b71f31b87de97c83b2fb7bd32514bbd9e48c0b57188362d0c1d1660c'),
-    (1, 8, 0.97, 'aitken', 'repeat'): (24, '8473e9d6b71f31b87de97c83b2fb7bd32514bbd9e48c0b57188362d0c1d1660c'),
+    (1, 8, 0.97, 'aitken', 'once'): (24, '396a2cd93d6c4a54bc11c79bad0c635aa8eed304bc8dbb58ab039c2ef216b594'),
+    (1, 8, 0.97, 'aitken', 'repeat'): (24, '396a2cd93d6c4a54bc11c79bad0c635aa8eed304bc8dbb58ab039c2ef216b594'),
     (1, 8, 0.97, 'epsilon', 'once'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
     (1, 8, 0.97, 'epsilon', 'repeat'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
     (1, 8, 0.97, 'vector-epsilon', 'once'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
     (1, 8, 0.97, 'vector-epsilon', 'repeat'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
-    (2, 16, 0.9, 'aitken', 'once'): (30, '1b5e49db73803b229e525c572afd77d70607324bf3c1265ef890dee733485004'),
-    (2, 16, 0.9, 'aitken', 'repeat'): (27, '644f21c955441652052af5f1ba658cc2aa4326b739dcd9cb5fcfd076d201122d'),
+    (2, 16, 0.9, 'aitken', 'once'): (30, 'ad9bc3e3a44becedf4e5e5c977592c1f3912c5756bfd52b839860c0977d8c3b0'),
+    (2, 16, 0.9, 'aitken', 'repeat'): (27, 'e7ac4d9a444689ac63a71ce3f75e631ce78622f9f76f8269542f6fd794e21bc8'),
     (2, 16, 0.9, 'epsilon', 'once'): (31, 'bba39d124641ba9ad6f9b4f8a44c20fbdac3885697d4eccf1a0fe04bc81f84ed'),
     (2, 16, 0.9, 'epsilon', 'repeat'): (29, '436aa742c8550a263126b609398510fc9d7b4979888b5414d01da4a39241a93c'),
     (2, 16, 0.9, 'vector-epsilon', 'once'): (30, '173a4ed5e3e4721b34971ef4b1aae497591b6011bef020e8dcbbdfb4a3b6e4c7'),

@@ -20,6 +20,7 @@ from fixaccel import (
 from fixaccel.transforms import MAX_COLUMN, EstimateStream
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def geometric(limit, coeff, ratio, n):
@@ -190,16 +191,15 @@ class TestVectorEpsilon:
             vector_epsilon_diagonal(np.array([[1.0], [math.inf]]))
 
 
-def reference_diagonal(x, tol, vector):
-    """The even diagonal from a full epsilon-table with explicit validity
-    flags: cell (k, n) is eps_k^(n), and a cell is valid when its three
-    operands are and its denominator d passes the literal stall rule
-    |d| >= tol * max(1, |b|), or d . d >= tol**2 * max(1, b . b) for a
-    vector table, where d = eps_{k-1}^(n+1) - eps_{k-1}^(n) and
-    b = eps_{k-1}^(n).
-    Returns (value, stalled) pairs; a stalled entry repeats the last valid
-    one.  Vector cells are 1-D arrays whose dot products are NumPy's, so
-    that their summation order is the code's."""
+def reference_table(x, tol, vector):
+    """The full epsilon-table of ``x`` with explicit validity flags:
+    ``table[k][n]`` is eps_k^(n) as (value, valid), and a cell is valid
+    when its three operands are and its denominator d passes the literal
+    stall rule |d| >= tol * max(1, |b|), or d . d >= max(tol**2 *
+    max(1, b . b), TINY) for a vector table, where d = eps_{k-1}^(n+1) -
+    eps_{k-1}^(n) and b = eps_{k-1}^(n).  Vector cells are 1-D arrays
+    whose dot products are NumPy's, so that their summation order is the
+    code's."""
 
     def dot(u, v):
         return float(np.einsum("ij,ij->i", u[None], v[None])[0])
@@ -207,7 +207,8 @@ def reference_diagonal(x, tol, vector):
     m = len(x)
     col = [(v, True) for v in x]
     table = [col]
-    below = [(0.0 * x[0], True)] * (m + 1)
+    # column -1 is +0.0, as in the code; 0.0 * x[0] would copy the sign of x[0]
+    below = [(np.zeros_like(x[0]) if vector else 0.0, True)] * (m + 1)
     for _ in range(m - 1):
         nxt = []
         for n in range(len(col) - 1):
@@ -217,20 +218,38 @@ def reference_diagonal(x, tol, vector):
                 continue
             d = a - b
             if vector:
-                ok = dot(d, d) >= (tol * tol) * max(1.0, dot(b, b))
+                ok = dot(d, d) >= max((tol * tol) * max(1.0, dot(b, b)), TINY)
                 nxt.append((c + d / dot(d, d) if ok else None, ok))
             else:
                 ok = abs(d) >= tol * max(1.0, abs(b))
                 nxt.append((c + 1.0 / d if ok else None, ok))
         below, col = col, nxt
         table.append(col)
+    return table
+
+
+def carried(cells, bases):
+    """(value, stalled) for each (value, valid) cell, a stalled cell
+    replaced by the last valid one before it, or by its base while none
+    exists."""
     out, last = [], None
-    for k in range(0, m, 2):
-        value, ok = table[k][0]
+    for (value, ok), base in zip(cells, bases):
         if ok:
             last = value
-        out.append((last, not ok))
+        out.append((base if last is None else last, not ok))
     return out
+
+
+def reference_diagonal(x, tol, vector):
+    """The tip eps_2k^(0) of each even column, as (value, stalled)."""
+    tips = [col[0] for col in reference_table(x, tol, vector)[::2]]
+    return carried(tips, [x[0]] * len(tips))
+
+
+def reference_aitken(x, tol):
+    """Column 2, eps_2^(n) = y_n, as (value, stalled); a stalled y_n
+    carries the last valid one, or x_n while none exists."""
+    return carried(reference_table(x, tol, False)[2], x)
 
 
 @st.composite
@@ -238,8 +257,9 @@ def diagonal_cases(draw):
     """Rows of up to 4 coordinates with magnitudes up to 1e300, each
     optionally followed by a repeat (a zero first difference), a linear
     extension (a zero second difference) or a nudge, and a stall
-    tolerance.  The square of 1e-200 underflows to 0, so that a zero
-    vector difference passes and its cell, a valid one, holds 0/0 = NaN."""
+    tolerance.  The square of 1e-200 underflows to 0; the vector floor
+    is then the smallest normal float, so that a zero vector difference
+    stalls instead of making its cell 0/0 = NaN."""
     w = draw(st.integers(1, 4))
     m = draw(st.integers(1, 20))
     kind = draw(st.sampled_from(["random", "geometric", "two-modes"]))
@@ -278,17 +298,22 @@ def value_bits(v):
 @example(case=(np.array([[1.7e308, 1], [-1.7e308, 2], [1.7e308, 2.5], [-1.6e308, 2.75],
                          [1.5e308, 2.875]]), 1e-12))
 @example(case=(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), 1e-200))
+@example(case=(np.array([[-0.0, 1e150, 1e150], [-0.0, 0.0, -1.0], [-1e150, -1.7e308, -0.0],
+                         [-1.0, 1e300, 1e150], [1.7e308, 1e150, 1.7e308]]), 1e-200))
 def test_diagonals_equal_the_reference_table(case):
     rows, tol = case
     cfg = TransformConfig(stall_tolerance=tol)
     # the reference overflows like the code; tier-1 makes a warning fail
     with np.errstate(all="ignore"):
         for c in range(rows.shape[1]):
-            got = epsilon_diagonal(rows[:, c], cfg)
-            want = reference_diagonal([float(v) for v in rows[:, c]], tol, False)
-            assert [e.stalled for e in got] == [s for _, s in want]
-            assert all(isinstance(e.value, float) for e in got)
-            assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
+            x = [float(v) for v in rows[:, c]]
+            pairs = [(epsilon_diagonal(x, cfg), reference_diagonal(x, tol, False))]
+            if len(x) >= 3:
+                pairs.append((aitken(x, cfg), reference_aitken(x, tol)))
+            for got, want in pairs:
+                assert [e.stalled for e in got] == [s for _, s in want]
+                assert all(isinstance(e.value, float) for e in got)
+                assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
         got = vector_epsilon_diagonal(rows, cfg)
         # rows of dimension 1 take the scalar rule
         want = reference_diagonal(list(rows), tol, rows.shape[1] != 1)
@@ -297,11 +322,21 @@ def test_diagonals_equal_the_reference_table(case):
         assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
 
 
-TINY = np.finfo(float).tiny  # the smallest normal float
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=12),
+       tol=st.sampled_from([1e-12, 1e-8, 1e-3, 1e-200]))
+def test_aitken_is_column_two_of_the_epsilon_table(x, tol):
+    # y_n is eps_2^(n), the tip of column 2 of the table of x_n, x_n+1, ...
+    cfg = TransformConfig(stall_tolerance=tol)
+    for n, y in enumerate(aitken(x, cfg)):
+        tip = epsilon_diagonal(x[n:], cfg)[1]
+        assert y.stalled == tip.stalled
+        if n == 0 or not y.stalled:  # both carry x_0 when y_0 stalls
+            assert value_bits(y.value) == value_bits(tip.value)
 
 
-def _columns(arr, tol):
-    """Columns 0..MAX_COLUMN of the epsilon-table of ``arr`` as (values,
+def _columns(arr, tol, cap):
+    """Columns 0..``cap`` of the epsilon-table of ``arr`` as (values,
     valid) pairs: one scalar table per coordinate for a 2-D (rows,
     coordinates) array, with the scale-invariant stall rule
     |d| >= max(tol * |b|, TINY); a vector table of row cells for a list
@@ -313,7 +348,7 @@ def _columns(arr, tol):
     cols = [(arr, ok)]
     below_vals = np.zeros((len(arr) + 1, *arr.shape[1:]))
     below_ok = np.ones((len(arr) + 1, *ok.shape[1:]), dtype=bool)
-    while len(cols) <= MAX_COLUMN and len(cols[-1][0]) >= 2:
+    while len(cols) <= cap and len(cols[-1][0]) >= 2:
         vals, ok = cols[-1]
         d = vals[1:] - vals[:-1]
         deps = ok[1:] & ok[:-1] & below_ok[1: len(vals)]
@@ -332,22 +367,20 @@ def _columns(arr, tol):
 
 def newest_cells(method, rows, tol=TransformConfig().stall_tolerance):
     """The full-table reference that ``EstimateStream`` must equal bit
-    for bit: the estimate after each row, None for the first two.
-    Aitken: the elements of ``aitken`` per coordinate.  The epsilon
-    methods: the newest valid cell of the deepest even column up to
-    MAX_COLUMN that holds one, per coordinate for the scalar method, as
-    a row for the vector method (whose rows of dimension 1 take the
-    scalar rule).  The cell eps_k^(t-k) depends only on rows up to t, so
-    one table gives the estimate after every row."""
+    for bit: the estimate after each row, None for the first two.  It is
+    the newest valid cell of the deepest even column that holds one, up
+    to column 2 for Aitken and MAX_COLUMN for the epsilon methods, or
+    the row itself where none does: per coordinate for Aitken and the
+    scalar method, as a row for the vector method (whose rows of
+    dimension 1 take the scalar rule).  The cell eps_k^(t-k) depends
+    only on rows up to t, so one table gives the estimate after every
+    row."""
     m = np.array(rows, dtype=float)
     out = [None] * min(2, len(m))
     if len(m) < 3:
         return out
-    if method == "aitken":
-        per = [aitken(m[:, c]) for c in range(m.shape[1])]
-        return out + [np.array([e[t].value for e in per]) for t in range(len(m) - 2)]
     vector = method == "vector-epsilon" and m.shape[1] != 1
-    cols = _columns(list(m) if vector else m, tol)
+    cols = _columns(list(m) if vector else m, tol, 2 if method == "aitken" else MAX_COLUMN)
     est = m.copy()  # row t holds the estimate after row t
     for k in range(2, len(cols), 2):
         vals, ok = cols[k]  # cell k, t - k is on antidiagonal t
@@ -470,7 +503,7 @@ def long_stream_cases(draw):
     """Runs as long and wide as the engine's: up to 70 rows of up to 40
     coordinates, with extra rows and shrinks as in ``stream_cases``.
     Coordinates have magnitudes up to 1e300, so that the vector method's
-    squared norms overflow to inf and Aitken's estimates to -inf or inf;
+    squared norms overflow to inf and differences to -inf or inf;
     some runs do not converge at all."""
     d = draw(st.integers(1, 40))
     m = draw(st.integers(1, 70))
@@ -542,7 +575,7 @@ def test_newest_cell_leaves_the_transient_behind(method):
     assert stream.estimate()[1] == pytest.approx(-2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["epsilon", "vector-epsilon"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
 def test_stall_rule_is_scale_invariant(method, scale):
     # scale * (2 - 0.5**k) is geometric at every scale, so its column 2
@@ -550,7 +583,7 @@ def test_stall_rule_is_scale_invariant(method, scale):
     stream = EstimateStream(method)
     for k in range(3):
         stream.push([scale * (2.0 - 0.5**k), -scale])
-    assert stream.estimate()[0] == pytest.approx(2.0 * scale, rel=1e-12)
+    assert stream.estimate()[0] == pytest.approx(2.0 * scale, rel=1e-12, abs=0.0)
 
 
 def test_stream_keeps_at_most_max_column_plus_one_cells():
