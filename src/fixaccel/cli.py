@@ -30,15 +30,19 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from .engine import EngineConfig, FixpointReport, IterationTrace, analyze
+from .engine import InjectPolicy, Method, Mode
 from .extraction import bound_row
 from .intervals import ThresholdSet
 from .programs import ParseError, parse
 from .transforms import (
+    Norm,
     TransformConfig,
     aitken,
     epsilon_diagonal,
@@ -47,7 +51,7 @@ from .transforms import (
 )
 
 _METHOD_ALIASES = {"vea": "vector-epsilon"}
-_METHODS = ("aitken", "epsilon", "vector-epsilon", "vea")
+_METHODS = (*get_args(Method), *_METHOD_ALIASES)
 
 
 def _fmt(v: float) -> str:
@@ -131,10 +135,16 @@ def _trace_csv(trace: IterationTrace) -> str:
 def _report_json(
     report: FixpointReport, cfg: EngineConfig, program: str
 ) -> str:
+    """The JSON report.  Its ``config`` block holds the fields of ``cfg``
+    in declaration order, then the estimator's fixed stall tolerance and
+    agreement norm (``TransformConfig``'s defaults)."""
     invariant = {
         name: {"lower": iv.lo, "upper": iv.hi}
         for name, iv in report.invariant
     }
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    if cfg.thresholds is not None:
+        config["thresholds"] = list(cfg.thresholds.values)
     doc = {
         "program": program,
         "invariant": invariant,
@@ -143,21 +153,7 @@ def _report_json(
         "converged": report.converged,
         "sound": report.sound,
         "reason": report.reason,
-        "config": {
-            "mode": cfg.mode,
-            "method": cfg.method,
-            "delta": cfg.delta,
-            "widen_delay": cfg.widen_delay,
-            "thresholds": None
-            if cfg.thresholds is None
-            else list(cfg.thresholds.values),
-            "inject_policy": cfg.inject_policy,
-            "fallback_after": cfg.fallback_after,
-            "max_iter": cfg.max_iter,
-            "stop_tol": cfg.stop_tol,
-            "stall_tolerance": cfg.transform.stall_tolerance,
-            "norm": cfg.transform.norm,
-        },
+        "config": config | asdict(TransformConfig()),
     }
     return _json(doc) + "\n"
 
@@ -192,18 +188,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {args.program}: {exc}", file=sys.stderr)
         return 1
 
+    values = {f.name: getattr(args, f.name) for f in fields(EngineConfig)}
+    values["method"] = _METHOD_ALIASES.get(args.method, args.method)
     try:
-        cfg = EngineConfig(
-            mode=args.mode,
-            method=_METHOD_ALIASES.get(args.method, args.method),
-            delta=args.delta,
-            widen_delay=args.widen_delay,
-            thresholds=args.thresholds,
-            inject_policy=args.inject,
-            fallback_after=args.fallback_after,
-            max_iter=args.max_iter,
-            stop_tol=args.stop_tol,
-        )
+        cfg = EngineConfig(**values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -287,7 +275,7 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
 
     method = _METHOD_ALIASES.get(args.method, args.method)
     try:
-        tf = TransformConfig(stall_tolerance=args.stall_tol, norm=args.norm)
+        tf = TransformConfig(**{f.name: getattr(args, f.name) for f in fields(TransformConfig)})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -374,71 +362,62 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the fixpoint engine over a loop program file.",
     )
     pa.add_argument("program", help="path to the loop program")
+    # the dests are EngineConfig's fields, whose defaults set_defaults reads
     pa.add_argument(
-        "--mode",
-        choices=("kleene", "widen", "accel"),
-        default="accel",
-        help="iteration strategy (default: accel)",
+        "--mode", choices=get_args(Mode), help="iteration strategy (default: %(default)s)"
     )
     pa.add_argument(
         "--method",
         choices=_METHODS,
-        default="vea",
-        help="sequence transformation in accel mode (default: vea, "
-        "an alias of vector-epsilon)",
+        help="sequence transformation in accel mode; vea is an alias of "
+        "vector-epsilon (default: %(default)s)",
     )
     pa.add_argument(
         "--delta",
         type=float,
-        default=1e-6,
         help="relative agreement tolerance between consecutive "
         "accelerated estimates; agreeing estimates are tried as a "
-        "verified post-fixpoint (default: 1e-6)",
+        "verified post-fixpoint (default: %(default)s)",
     )
     pa.add_argument(
         "--widen-delay",
         type=int,
-        default=0,
-        help="plain-join iterations before widening kicks in (widen mode)",
+        help="plain-join iterations before widening kicks in (widen mode; default: %(default)s)",
     )
     pa.add_argument(
         "--thresholds",
         type=_parse_thresholds,
-        default=None,
         metavar="A,B,C",
-        help="comma-separated widening thresholds (widen mode)",
+        help="comma-separated widening thresholds; without them an "
+        "unstable bound widens to infinity (widen mode; default: %(default)s)",
     )
     pa.add_argument(
         "--inject",
-        choices=("once", "repeat"),
-        default="once",
+        dest="inject_policy",
+        choices=get_args(InjectPolicy),
         help="what to do with an estimate that does not verify: once "
         "drops it, repeat joins it in unverified and restarts the "
         "estimator; the first one that verifies ends the run "
-        "(default: once)",
+        "(default: %(default)s)",
     )
     pa.add_argument(
         "--fallback-after",
         type=int,
-        default=20,
         help="acceleration budget: switch to widening after twice "
         "this many rejected estimates, or twice this many iterations "
-        "since estimates last agreed (default: 20)",
+        "since estimates last agreed (default: %(default)s)",
     )
-    pa.add_argument(
-        "--max-iter", type=int, default=10000, help="iteration budget"
-    )
+    pa.add_argument("--max-iter", type=int, help="iteration budget (default: %(default)s)")
     pa.add_argument(
         "--stop-tol",
         type=float,
-        default=3e-7,
         help="maximum bound movement treated as stabilization; the "
         "result is then inflated into a verified post-fixpoint "
-        "(0 demands bit-exact stabilization; default: 3e-7)",
+        "(0 demands bit-exact stabilization; default: %(default)s)",
     )
     pa.add_argument("--trace", metavar="PATH", help="write the iteration trace CSV here")
     pa.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    pa.set_defaults(func=cmd_analyze)
+    pa.set_defaults(func=cmd_analyze, **{f.name: f.default for f in fields(EngineConfig)})
 
     pc = sub.add_parser(
         "accelerate",
@@ -451,32 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--method",
         choices=_METHODS,
-        default="vea",
-        help="sequence transformation (default: vea)",
+        help="sequence transformation; vea is an alias of vector-epsilon (default: %(default)s)",
     )
     pc.add_argument(
         "--delta",
         type=float,
         default=1e-3,
-        help="agreement tolerance between consecutive elements",
+        help="agreement tolerance between consecutive elements (default: %(default)s)",
     )
+    # the dests of --stall-tol and --norm are TransformConfig's fields
     pc.add_argument(
         "--stall-tol",
+        dest="stall_tolerance",
         type=float,
-        default=1e-12,
+        metavar="STALL_TOL",
         help="relative threshold under which a difference counts as a "
-        "stall (default: 1e-12)",
+        "stall (default: %(default)s)",
     )
     pc.add_argument(
-        "--norm",
-        choices=("infinity", "euclidean"),
-        default="infinity",
-        help="norm for agreement checks (default: infinity)",
+        "--norm", choices=get_args(Norm), help="norm for agreement checks (default: %(default)s)"
     )
-    pc.add_argument(
-        "--output", metavar="PATH", help="write the accelerated elements CSV here"
-    )
-    pc.set_defaults(func=cmd_accelerate)
+    pc.add_argument("--output", metavar="PATH", help="write the accelerated elements CSV here")
+    pc.set_defaults(func=cmd_accelerate, method=EngineConfig.method, **asdict(TransformConfig()))
     return parser
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import le, sub
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -39,36 +39,37 @@ from .extraction import bound_row, state_from_row
 from .extraction import combine_detailed  # noqa: F401
 from .intervals import INF, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import EstimateStream, TransformConfig, converged
+from .transforms import EstimateStream, converged
 # not called here; bound because the benchmark tracer wraps these names
 from .transforms import aitken, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
 Method = Literal["aitken", "epsilon", "vector-epsilon"]
+InjectPolicy = Literal["once", "repeat"]
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Everything a fixpoint run needs besides the program itself."""
+    """Everything a fixpoint run needs besides the program itself: the
+    one statement of each setting's name, default and choices (the
+    ``Literal`` types), from which the CLI's ``analyze`` options and the
+    ``config`` block of its JSON report are read."""
 
     mode: Mode = "accel"
     method: Method = "vector-epsilon"
     delta: float = 1e-6
     widen_delay: int = 0
     thresholds: ThresholdSet | None = None
-    inject_policy: Literal["once", "repeat"] = "once"
+    inject_policy: InjectPolicy = "once"
     fallback_after: int = 20
     max_iter: int = 10000
     stop_tol: float = 3e-7
-    transform: TransformConfig = field(default_factory=TransformConfig)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("kleene", "widen", "accel"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.method not in ("aitken", "epsilon", "vector-epsilon"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.inject_policy not in ("once", "repeat"):
-            raise ValueError(f"unknown inject policy {self.inject_policy!r}")
+        for name, choices in (("mode", Mode), ("method", Method), ("inject_policy", InjectPolicy)):
+            value = getattr(self, name)
+            if value not in get_args(choices):
+                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
         if self.mode == "accel" and not self.delta > 0:
             raise ValueError("delta must be positive in accel mode")
         if self.max_iter < 1:
@@ -204,7 +205,16 @@ def _moved_at_most(a: list[float], b: list[float], tol: float) -> bool:
     return all(u == v or abs(u - v) <= tol for u, v in zip(a, b))
 
 
-def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
+# A tolerance-detected result is sealed in at most SEAL_ROUNDS rounds.
+# Verified injection (Rump, "Verification methods", Acta Numerica 2010):
+# a candidate is scaled outward by 1 + VERIFY_PAD and mapped through
+# x ⊔ F, inflated again after each image, up to VERIFY_ROUNDS images.
+SEAL_ROUNDS = 60
+VERIFY_PAD = 1e-9
+VERIFY_ROUNDS = 12
+
+
+def _seal(p: Program, x: list[float]) -> list[float]:
     """Inflate a nearly-stable row outward until it verifies as a
     post-fixpoint.
 
@@ -216,7 +226,7 @@ def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
     convergent affine system the uniform pad closes the loop in a few
     rounds with slack on the order of the stop tolerance.
     """
-    for r in range(max_rounds):
+    for r in range(SEAL_ROUNDS):
         fx = transfer(p, x)
         # one max, so that 0.0 comes first and a NaN is never selected
         escape = max(0.0, *map(sub, x[::2], fx[::2]), *map(sub, fx[1::2], x[1::2]))
@@ -229,13 +239,6 @@ def _seal(p: Program, x: list[float], max_rounds: int = 60) -> list[float]:
         x[::2] = [v if math.isinf(v) else v - pad for v in x[::2]]
         x[1::2] = [v if math.isinf(v) else v + pad for v in x[1::2]]
     return x
-
-
-# Verified injection (Rump, "Verification methods", Acta Numerica 2010):
-# a candidate is scaled outward by 1 + VERIFY_PAD and mapped through
-# x ⊔ F, inflated again after each image, up to VERIFY_ROUNDS images.
-VERIFY_PAD = 1e-9
-VERIFY_ROUNDS = 12
 
 
 def _inflate(x: list[float]) -> list[float]:
@@ -379,7 +382,7 @@ class _Accelerator:
         else:
             # new coordinates (a Bottom variable that became finite)
             # have no finite history: the stream starts from this row
-            self.stream = EstimateStream(self.cfg.method, self.cfg.transform)
+            self.stream = EstimateStream(self.cfg.method)
         self.pushed = active
 
     def _estimates(self, rows: list[list[float]]) -> list:
@@ -395,7 +398,7 @@ class _Accelerator:
         prev, self.prev = self.prev, y
         if prev is None:
             return False
-        return converged(y, prev, self.cfg.delta, self.cfg.transform)
+        return converged(y, prev, self.cfg.delta)
 
 
 def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
@@ -419,9 +422,9 @@ def _inject(x: list[float], active: list[int], y: np.ndarray) -> list[float]:
 
     Every other coordinate keeps its value, so a Bottom component stays
     Bottom.  A variable whose estimated pair is inverted keeps its
-    bounds, and every other bound is joined, a tie keeping the bound of
-    ``x``.  Raises ValueError on a non-finite estimate or one whose
-    length differs from that of ``active``.
+    bounds, and every other bound is joined (``state_join``, a tie
+    keeping the bound of ``x``).  Raises ValueError on a non-finite
+    estimate or one whose length differs from that of ``active``.
     """
     est = y.tolist()
     if not all(map(math.isfinite, est)):
@@ -431,16 +434,10 @@ def _inject(x: list[float], active: list[int], y: np.ndarray) -> list[float]:
     filled = [*x]
     for j, v in zip(active, est):
         filled[j] = v
-    out = [*x]
     for j in range(0, len(x), 2):
-        lo, hi = filled[j], filled[j + 1]
-        if lo > hi:
-            continue
-        if lo < x[j]:
-            out[j] = lo
-        if hi > x[j + 1]:
-            out[j + 1] = hi
-    return out
+        if filled[j] > filled[j + 1]:
+            filled[j], filled[j + 1] = x[j], x[j + 1]
+    return state_join(x, filled)
 
 
 def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
@@ -469,9 +466,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     rejected = 0  # candidates that did not verify
     agreed = 0  # the iteration of the newest agreement
     fallback: ThresholdSet | None = None
-    sealed = False
-    reason = "max-iter"
-    converged_flag = False
+    reason = "max-iter"  # until the run stops
     budget = 2 * cfg.fallback_after
 
     # one error state for the loop, the verification and the seal: a
@@ -504,7 +499,6 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                         x = verified
                         injections += 1
                         reason = "verified-injection"
-                        converged_flag = True
                         trace.records.append(TraceRecord(i, tuple(x), accel_row, "injection", names))
                         break
                     rejected += 1
@@ -530,7 +524,6 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
 
             if x == prev:
                 reason = "converged"
-                converged_flag = True
             elif (
                 # until the fallback, an accel run ends at a verified injection
                 (acc is None or fallback is not None)
@@ -538,13 +531,10 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                 and _moved_at_most(prev, x, cfg.stop_tol)
             ):
                 reason = "converged-tolerance"
-                converged_flag = True
-
-            if converged_flag:
-                event = "converged"
-            trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
-            if converged_flag:
+            if reason != "max-iter":
+                trace.records.append(TraceRecord(i, tuple(x), accel_row, "converged", names))
                 break
+            trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
 
             if acc is not None and fallback is None and (
                 rejected >= budget or i - agreed >= budget
@@ -554,7 +544,6 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
         trace.reason = reason
         if reason == "converged-tolerance":
             x = _seal(p, x)
-            sealed = True
         invariant = state_from_row(names, x)
         sound = verify_postfixpoint(p, invariant)
     report = FixpointReport(
@@ -562,7 +551,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
         iterations=trace.iterations,
         injections=injections,
         sound=sound,
-        converged=converged_flag,
-        reason=reason + ("+sealed" if sealed else ""),
+        converged=reason != "max-iter",
+        reason=reason + ("+sealed" if reason == "converged-tolerance" else ""),
     )
     return report, trace

@@ -9,6 +9,7 @@ pointwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -108,17 +109,13 @@ class ThresholdSet:
 
     def snap_up(self, x: float) -> float:
         """Smallest threshold >= x (or +inf)."""
-        for t in self.values:
-            if t >= x:
-                return t
-        return INF
+        i = bisect_left(self.values, x)
+        return self.values[i] if i < len(self.values) else INF
 
     def snap_down(self, x: float) -> float:
         """Largest threshold <= x (or -inf)."""
-        for t in reversed(self.values):
-            if t <= x:
-                return t
-        return -INF
+        i = bisect_right(self.values, x)
+        return self.values[i - 1] if i else -INF
 
 
 def widen_thresholds(a: Interval, b: Interval, t: ThresholdSet) -> Interval:

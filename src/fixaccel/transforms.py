@@ -8,16 +8,17 @@ convergence detection still has something to compare.
 
 One kernel, ``_epsilon_table``, applies the rhombus rule, with one stall
 test: a difference d of two cells stalls when |d| < max(tol * |b|,
-floor), b being the earlier cell (d . d < max(tol**2 * (b . b), floor)
-for the vector table).  Aitken's element y_n is the table's cell
-eps_2^(n), so Aitken is the kernel capped at column 2.  The kernel has
-two readers.  ``aitken`` reads column 2 of the whole table of a
-sequence, and ``epsilon_diagonal`` and ``vector_epsilon_diagonal`` the
-tip of each even column; their floor is tol, which is the rule
-|d| < tol * max(1, |b|) (tol**2, but at least the smallest normal float,
-for vectors).  ``EstimateStream`` is the engine's estimator: it takes
-rows in blocks, extends the table over a whole block column by column,
-and reads the newest valid cell of the deepest even column; its floor is
+floor), b being the earlier cell; for the vector table |.| is the
+Euclidean norm, taken so that it neither overflows nor underflows.
+Aitken's element y_n is the table's cell eps_2^(n), so Aitken is the
+kernel capped at column 2.  The kernel has two readers.  ``aitken``
+reads column 2 of the whole table of a sequence, and
+``epsilon_diagonal`` and ``vector_epsilon_diagonal`` the tip of each
+even column; their floor is tol, which is the rule
+|d| < tol * max(1, |b|) (but at least the smallest normal float, for
+vectors).  ``EstimateStream`` is the engine's estimator: it takes rows
+in blocks, extends the table over a whole block column by column, and
+reads the newest valid cell of the deepest even column; its floor is
 the smallest normal float, so that a sequence of any scale forms its
 columns.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -39,6 +40,8 @@ MAX_COLUMN = 8
 # of its element: its inverse would overflow.
 _TINY = sys.float_info.min
 
+Norm = Literal["infinity", "euclidean"]
+
 
 @dataclass(frozen=True)
 class TransformConfig:
@@ -46,19 +49,24 @@ class TransformConfig:
 
     ``stall_tolerance`` is relative.  The difference d = b' - b of two
     epsilon-table cells, Aitken's included, stalls when |d| <
-    max(stall_tolerance * |b|, floor).  The floor is stall_tolerance in
-    the whole-sequence functions (its square, but at least the smallest
-    normal float, for the vector method, which compares d . d), and the
-    smallest normal float in ``EstimateStream``.
+    max(stall_tolerance * |b|, floor), with Euclidean norms for the
+    vector method.  The floor is stall_tolerance in the whole-sequence
+    functions (but at least the smallest normal float for the vector
+    method), and the smallest normal float in ``EstimateStream``.
+
+    The engine's estimator has the defaults as fixed values:
+    ``EstimateStream`` stalls at the default ``stall_tolerance``, and the
+    engine calls ``converged`` in the default ``norm``.  The one-shot
+    functions, and so ``fixaccel accelerate``, take any.
     """
 
     stall_tolerance: float = 1e-12
-    norm: str = "infinity"  # "infinity" | "euclidean"
+    norm: Norm = "infinity"
 
     def __post_init__(self) -> None:
         if not self.stall_tolerance > 0:
             raise ValueError("stall_tolerance must be positive")
-        if self.norm not in ("infinity", "euclidean"):
+        if self.norm not in get_args(Norm):
             raise ValueError(f"unknown norm {self.norm!r}")
 
 
@@ -152,7 +160,7 @@ def _carried(
     stalled cell replaced by the last valid one before it in ``cells``,
     or by x_n while none exists.  Validity is the live mask's: a valid
     vector cell may hold NaN."""
-    floor = max(tol * tol, _TINY) if vector else tol
+    floor = max(tol, _TINY) if vector else tol
     with np.errstate(all="ignore"):  # the kernel takes 1/d of every d
         table, live, _, _ = _epsilon_table(None, rows, tol, floor, cells[-1][0], vector)
     out, last = [], None
@@ -186,14 +194,15 @@ class EstimateStream:
     eps_2j^(0) that ``epsilon_diagonal`` reports, it leaves the transient
     of the first rows behind.
 
-    Every method has an estimate from the third row on.
+    Every method has an estimate from the third row on.  The stall
+    tolerance is ``TransformConfig``'s default.
     """
 
-    def __init__(self, method: str, cfg: TransformConfig = TransformConfig()):
+    def __init__(self, method: str):
         if method not in ("aitken", "epsilon", "vector-epsilon"):
             raise ValueError(f"unknown method {method!r}")
         self.method = method
-        self.tol = cfg.stall_tolerance
+        self.tol = TransformConfig().stall_tolerance
         self._columns = 2 if method == "aitken" else MAX_COLUMN
         self._clear()
 
@@ -286,11 +295,13 @@ def _epsilon_table(
     table[k, t] and b = table[k, t].  For the scalar tables inv(d) is
     1/d, and d stalls when |d| < max(tol * |b|, floor).  For the vector
     table it is the Samelson inverse d / (d . d), and the whole cell
-    stalls when d . d < max(tol**2 * (b . b), floor).  A NaN operand
-    makes d NaN, which no threshold passes, so every cell that depends on
-    a stalled one is invalid too.  A valid cell takes the same float
-    operations on any block; a valid vector cell may hold NaN entries
-    where its differences overflowed, so validity is ``live``, not NaN.
+    stalls when ||d|| < max(tol * ||b||, floor), with the norms and the
+    inverse of ``_norms_and_inverses``, which no overflow or underflow of
+    a dot product changes.  A NaN operand makes d NaN, which no
+    threshold passes, so every cell that depends on a stalled one is
+    invalid too.  A valid cell takes the same float operations on any
+    block; a valid vector cell may hold NaN entries where its differences
+    overflowed, so validity is ``live``, not NaN.
     """
     m, w = rows.shape
     table = np.full((columns + 1, m + 1, w), np.nan)
@@ -306,10 +317,9 @@ def _epsilon_table(
         col, cell, ok = table[k], table[k + 1, 1:], live[k + 1, 1:]
         d = col[1:] - col[:-1]
         if vector:
-            dd = np.einsum("ij,ij->i", d, d)
-            base = np.einsum("ij,ij->i", col[:-1], col[:-1])
-            np.greater_equal(dd, np.maximum((tol * tol) * base, floor), out=ok[:, 0])
-            np.divide(d, dd[:, None], out=cell)
+            # the norms of the rows of d, then of b, and the inverses of d
+            norm = _norms_and_inverses(np.concatenate((d, col[:-1])), cell)
+            np.greater_equal(norm[:m], np.maximum(tol * norm[m:], floor), out=ok)
         else:
             np.greater_equal(np.abs(d), np.maximum(tol * np.abs(col[:-1]), floor), out=ok)
             np.reciprocal(d, out=cell)
@@ -323,6 +333,31 @@ def _epsilon_table(
             break  # every deeper cell of the block is invalid
         below = col[:-1]
     return table, live, est, depth
+
+
+def _norms_and_inverses(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of ``v``, as a column; the Samelson
+    inverses v / (v . v) of its first len(out) rows go to ``out``.
+
+    A row whose v . v is a normal float (or NaN) takes it as it is.  A
+    row whose v . v underflowed or overflowed is first scaled, exactly,
+    by the power of two that puts its largest entry in [0.5, 1) in
+    magnitude, and its norm and inverse are scaled back.  Each row's
+    result depends on that row only.
+    """
+    m = len(out)
+    vv = np.einsum("ij,ij->i", v, v)[:, None]
+    wild = (vv < _TINY) | (vv == math.inf)
+    if not wild.any():
+        np.divide(v[:m], vv[:m], out=out)
+        return np.sqrt(vv)
+    # e = 0, which changes nothing, for the other rows, and for one of
+    # zeros or holding an infinity or NaN
+    e = np.where(wild, np.frexp(np.abs(v).max(axis=1, keepdims=True))[1], 0)
+    s = np.ldexp(v, -e)
+    ss = np.einsum("ij,ij->i", s, s)[:, None]
+    np.ldexp(s[:m] / ss[:m], -e[:m], out=out)
+    return np.ldexp(np.sqrt(ss), e)
 
 
 def seq_norm(v: Sequence[float], cfg: TransformConfig = TransformConfig()) -> float:

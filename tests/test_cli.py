@@ -1,5 +1,7 @@
 """Command-line behavior: output formats, determinism, exit codes."""
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from fixaccel import bundled_path
-from fixaccel.cli import main
+from fixaccel import EngineConfig, TransformConfig, analyze, bundled_path, load_bundled
+from fixaccel.bundled import PROGRAM_NAMES
+from fixaccel.cli import build_parser, main
 from fixaccel.transforms import EstimateStream
 
 
@@ -215,6 +218,48 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""
+
+
+def subcommand_options(name):
+    """The options of one subcommand of ``build_parser()``, by dest."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[name]._actions if a.option_strings}
+
+
+class TestSettings:
+    """EngineConfig and TransformConfig state each setting once: the
+    options, their defaults and the report's config block are theirs."""
+
+    @pytest.mark.parametrize(
+        "command, config", [("analyze", EngineConfig), ("accelerate", TransformConfig)]
+    )
+    def test_every_config_field_is_an_option_with_its_default(self, command, config):
+        options = subcommand_options(command)
+        for f in dataclasses.fields(config):
+            assert f.name in options, f.name
+            assert options[f.name].default == f.default, f.name
+
+    @pytest.mark.parametrize("name", PROGRAM_NAMES)
+    def test_analyze_without_options_reports_the_default_config(self, capsys, tmp_path, name):
+        report = tmp_path / "r.json"
+        code, *_ = run(capsys, "analyze", str(bundled_path(f"{name}.loop")), "--report", str(report))
+        want, _ = analyze(load_bundled(name), EngineConfig())
+        assert code == (0 if want.converged and want.sound else 2)
+        doc = json.loads(report.read_text())
+        assert (doc["iterations"], doc["reason"]) == (want.iterations, want.reason)
+        bounds = {v: (float(b["lower"]).hex(), float(b["upper"]).hex())
+                  for v, b in doc["invariant"].items()}
+        assert bounds == {v: (iv.lo.hex(), iv.hi.hex()) for v, iv in want.invariant}
+        defaults = dataclasses.asdict(EngineConfig()) | dataclasses.asdict(TransformConfig())
+        assert doc["config"] == defaults
+        assert list(doc["config"]) == list(defaults)
+
+    @pytest.mark.parametrize("command", ["analyze", "accelerate"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert "(default: " in capsys.readouterr().out
 
 
 class TestAccelerate:

@@ -451,6 +451,19 @@ class TestPrecision:
         assert x.lo == 0.0
         assert 2 * c <= x.hi == pytest.approx(2 * c, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+    def test_extreme_scales_take_the_same_iterations_with_every_method(self, c):
+        # the vector stall test compares norms of rows scaled by a power
+        # of two, so no dot product underflows or overflows: every method
+        # verifies its first estimate, after the same 3 iterations
+        p = parse(f"state x in [0, {c!r}];\nloop {{\n  x = 0.5*x + {c!r};\n}}\n")
+        for method in METHODS:
+            report, _ = analyze(p, EngineConfig(method=method))
+            assert (report.reason, report.iterations) == ("verified-injection", 3), method
+            x = report.invariant["x"]
+            assert x.lo == 0.0
+            assert 2 * c <= x.hi == pytest.approx(2 * c, rel=1e-6, abs=0.0)
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("method", METHODS)
     def test_divergent_bound_beside_a_contracting_one(self, method, policy):

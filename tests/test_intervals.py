@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixaccel import (
     BOTTOM,
@@ -131,6 +133,21 @@ class TestWidening:
         with pytest.raises(ValueError):
             ThresholdSet((math.inf,))  # not finite
         assert len(ThresholdSet((1.0, 2.0))) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_snaps_equal_a_linear_scan(self, values, data):
+        # ThresholdSet holds no two equal values, so not both 0.0 and -0.0
+        t = ThresholdSet(tuple(sorted(values)))
+        points = st.sampled_from([0.0, -0.0, math.inf, -math.inf, *t.values])
+        for x in data.draw(st.lists(points | st.floats(allow_nan=False), min_size=1)):
+            up = next((v for v in t.values if v >= x), math.inf)
+            down = next((v for v in reversed(t.values) if v <= x), -math.inf)
+            assert t.snap_up(x).hex() == up.hex()
+            assert t.snap_down(x).hex() == down.hex()
 
     def test_widening_covers_both_arguments(self):
         rng = np.random.default_rng(13)

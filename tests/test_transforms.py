@@ -191,18 +191,34 @@ class TestVectorEpsilon:
             vector_epsilon_diagonal(np.array([[1.0], [math.inf]]))
 
 
+def scaled_norms(v):
+    """Row by row, the Euclidean norm of ``v`` and its Samelson inverse
+    v / (v . v).  A row whose v . v underflows or overflows is scaled
+    exactly by the power of two that puts its largest entry in [0.5, 1)
+    in magnitude, and its norm and inverse are scaled back.  The dot
+    products are NumPy's, so that their summation order is the code's.
+    A zero row's inverse is NaN, and a norm past the largest float inf;
+    the callers stall the first."""
+    vv = np.einsum("ij,ij->i", v, v)[:, None]
+    wild = (vv < TINY) | (vv == np.inf)
+    e = np.where(wild, np.frexp(np.abs(v).max(axis=1))[1][:, None], 0)
+    s = np.ldexp(v, -e)
+    ss = np.einsum("ij,ij->i", s, s)[:, None]
+    with np.errstate(all="ignore"):
+        return np.ldexp(np.sqrt(ss), e)[:, 0], np.ldexp(s / ss, -e)
+
+
 def reference_table(x, tol, vector):
     """The full epsilon-table of ``x`` with explicit validity flags:
     ``table[k][n]`` is eps_k^(n) as (value, valid), and a cell is valid
     when its three operands are and its denominator d passes the literal
-    stall rule |d| >= tol * max(1, |b|), or d . d >= max(tol**2 *
-    max(1, b . b), TINY) for a vector table, where d = eps_{k-1}^(n+1) -
-    eps_{k-1}^(n) and b = eps_{k-1}^(n).  Vector cells are 1-D arrays
-    whose dot products are NumPy's, so that their summation order is the
-    code's."""
+    stall rule |d| >= tol * max(1, |b|), or ||d|| >= max(tol * max(1,
+    ||b||), TINY) for a vector table (``scaled_norms``), where d =
+    eps_{k-1}^(n+1) - eps_{k-1}^(n) and b = eps_{k-1}^(n).  Vector cells
+    are 1-D arrays."""
 
-    def dot(u, v):
-        return float(np.einsum("ij,ij->i", u[None], v[None])[0])
+    def norm(v):
+        return float(scaled_norms(v[None])[0][0])
 
     m = len(x)
     col = [(v, True) for v in x]
@@ -218,8 +234,8 @@ def reference_table(x, tol, vector):
                 continue
             d = a - b
             if vector:
-                ok = dot(d, d) >= max((tol * tol) * max(1.0, dot(b, b)), TINY)
-                nxt.append((c + d / dot(d, d) if ok else None, ok))
+                ok = norm(d) >= max(tol * max(1.0, norm(b)), TINY)
+                nxt.append((c + scaled_norms(d[None])[1][0] if ok else None, ok))
             else:
                 ok = abs(d) >= tol * max(1.0, abs(b))
                 nxt.append((c + 1.0 / d if ok else None, ok))
@@ -340,8 +356,9 @@ def _columns(arr, tol, cap):
     valid) pairs: one scalar table per coordinate for a 2-D (rows,
     coordinates) array, with the scale-invariant stall rule
     |d| >= max(tol * |b|, TINY); a vector table of row cells for a list
-    of rows, with d . d >= max(tol**2 * (b . b), TINY).  The float
-    operations are those of ``EstimateStream``, one column at a time."""
+    of rows, with ||d|| >= max(tol * ||b||, TINY) (``scaled_norms``).
+    The float operations are those of ``EstimateStream``, one column at
+    a time."""
     vector = isinstance(arr, list)
     arr = np.array(arr, dtype=float)
     ok = np.ones(arr.shape if not vector else len(arr), dtype=bool)
@@ -353,10 +370,9 @@ def _columns(arr, tol, cap):
         d = vals[1:] - vals[:-1]
         deps = ok[1:] & ok[:-1] & below_ok[1: len(vals)]
         if vector:
-            dd = np.einsum("ij,ij->i", d, d)
-            base2 = np.einsum("ij,ij->i", vals[:-1], vals[:-1])
-            live = deps & (dd >= np.maximum((tol * tol) * base2, TINY))
-            new_vals = below_vals[1: len(vals)] + d / np.where(live, dd, 1.0)[:, None]
+            norm_d, inverse = scaled_norms(d)
+            live = deps & (norm_d >= np.maximum(tol * scaled_norms(vals[:-1])[0], TINY))
+            new_vals = below_vals[1: len(vals)] + np.where(live[:, None], inverse, 0.0)
         else:
             live = deps & (np.abs(d) >= np.maximum(tol * np.abs(vals[:-1]), TINY))
             new_vals = below_vals[1: len(vals)] + 1.0 / np.where(live, d, 1.0)
@@ -502,9 +518,9 @@ def test_stream_equals_full_table_on_every_prefix(method, ops, sizes):
 def long_stream_cases(draw):
     """Runs as long and wide as the engine's: up to 70 rows of up to 40
     coordinates, with extra rows and shrinks as in ``stream_cases``.
-    Coordinates have magnitudes up to 1e300, so that the vector method's
-    squared norms overflow to inf and differences to -inf or inf;
-    some runs do not converge at all."""
+    Coordinates have magnitudes up to 1e300, so that differences overflow
+    to -inf or inf, and so would the vector method's unscaled dot
+    products; some runs do not converge at all."""
     d = draw(st.integers(1, 40))
     m = draw(st.integers(1, 70))
     kind = draw(st.sampled_from(["geometric", "modes", "random"]))
@@ -542,6 +558,10 @@ def long_stream_cases(draw):
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=60, deadline=None)
 @given(ops=long_stream_cases(), sizes=block_sizes)
+# d . d overflows: the vector cells come from rows scaled by a power of two
+@example(ops=[("push", np.array([230.63, -6.6777e299, 1.002])),
+              ("push", np.array([230.63, -3.7551e299, 1.002])),
+              ("push", np.array([230.63, -2.4271e299, 1.002]))], sizes=[1])
 def test_stream_equals_full_table_on_long_wide_runs(method, ops, sizes):
     # both sides overflow on huge magnitudes, and tier-1 makes a warning fail
     with np.errstate(all="ignore"):
@@ -576,7 +596,7 @@ def test_newest_cell_leaves_the_transient_behind(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300])
 def test_stall_rule_is_scale_invariant(method, scale):
     # scale * (2 - 0.5**k) is geometric at every scale, so its column 2
     # forms from three rows and holds the limit 2 * scale
