@@ -209,7 +209,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 1
 
     print(f"program: {args.program}")
-    print(f"mode: {cfg.mode}  method: {cfg.method}")
+    # only accel mode runs an estimator
+    print(f"mode: {cfg.mode}" + (f"  method: {cfg.method}" if cfg.mode == "accel" else ""))
     print(f"iterations: {report.iterations}  injections: {report.injections}")
     print(
         f"converged: {'true' if report.converged else 'false'}  "

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import gt
@@ -138,123 +137,114 @@ def _finite(value: float, what: str) -> float:
 # (target, lo_slot, hi_slot, const, terms, reads); see LoweredBody
 Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int, ...]]
 
-# The fewest products (terms, plus one per step for its constant) the
-# first run of a body must hold for the body to run as one ``_Batch``;
-# a smaller body costs less as the per-step loop.
+# A body is scheduled when it holds BATCH_MIN_PRODUCTS products (terms,
+# plus one per step for its constant) and LEVEL_MIN_PRODUCTS per level:
+# below either, the per-step loop costs less, lowering included.
 BATCH_MIN_PRODUCTS = 256
+LEVEL_MIN_PRODUCTS = 40
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 
 
-class _Batch:
-    """A loop body evaluated as one batch of array operations: every
-    step is independent and writes one state variable, each once.
+def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
+              inputs: list[float]) -> tuple | None:
+    """The level schedule ``(slots, levels, final)`` of ``body`` over the
+    state and input variables ``ids``, or None for the per-step loop.
 
-    ``slots`` is the layout of the bounds, the state's left as zeros,
-    with an extra last pair of slots that hold 1.0.  Column ``2r + h``
-    of ``coeff`` and ``src`` is bound ``h`` (0 for the lower, 1 for the
-    upper) of state variable ``r``.  Row 0 holds its step's constant
-    times the slot that holds 1.0, row ``k`` its ``k``-th term, and the
-    rows past its last term ``-0.0`` times that slot.  ``src`` lists the
-    slots the bound reads: the upper bound reads the other slot of each
-    pair.  Since ``v + -0.0`` is ``v`` for every ``v``, ``-0.0``
-    included, the last row of the running sums is the new bound row.
+    Each step writes its own slot pair, so only read-after-write orders
+    the steps: a step's level is one more than the highest level of the
+    values it reads.  Node ``k < n_vars`` is variable ``k``'s value on
+    entry, node ``n_vars + s`` the value step ``s`` writes.  Each term is
+    a cell that reads its variable's node, or a pad if its coefficient is
+    zero.  A unit copy ``x = c + 1.0*t`` folds into the step that writes
+    ``t`` if no other cell reads that value and no state ends with it;
+    that step then adds ``c`` times 1.0 and writes ``x`` (``S + c`` is
+    ``c + S``).  Raises like ``LoweredBody``.
+
+    ``slots`` holds the state's bounds (zeros here), the inputs', a pair
+    of 1.0 and the steps' level by level.  A level ``(src, coeff, start,
+    stop)`` writes ``slots[start:stop]``: column ``2j + h`` is bound ``h``
+    (0 lower, 1 upper) of its ``j``-th step, row 0 the step's constant
+    times 1.0, row ``r`` its ``r``-th cell, and ``-0.0`` times 1.0 past
+    its last cell; the upper bound reads the other slot of each pair.  As
+    ``v + -0.0`` is ``v`` for every ``v``, the last row of the running
+    sums is the new bounds.  ``final`` picks the state's.
     """
-
-    __slots__ = ("width", "slots", "coeff", "src")
-
-    def __init__(self, steps: list[Step], width: int, tail: list[float]):
-        self.width = width
-        self.slots = np.array([0.0] * width + tail + [1.0, 1.0])
-        one = len(self.slots) - 2
-        steps = sorted(steps)  # by target, which is the state's order
-        depth = 1 + max(len(step[4]) for step in steps)
-        pad = depth - 1
-        coeffs: list[float] = []
-        srcs: list[int] = []
-        for _, _, _, const, terms, _ in steps:
-            coeff = [const, *(c for c, _, _ in terms)] + [-0.0] * (pad - len(terms))
-            src = [one, *(lo for _, lo, _ in terms)] + [one] * (pad - len(terms))
-            coeffs += coeff + coeff
-            srcs += src + [k ^ 1 for k in src]
-        self.coeff = np.array(coeffs).reshape(width, depth).T.copy()
-        self.src = np.array(srcs, dtype=np.intp).reshape(width, depth).T.copy()
-
-    def image(self, row: list[float]) -> list[float]:
-        """``LoweredBody.image`` of a row without Bottom.  Each bound
-        sums its products left to right from the constant, as the
-        per-step loop does, so every value is bit-identical to it.  It
-        enters no error state: overflow to inf is silent only under the
-        caller's ``np.errstate``."""
-        b = self.slots.copy()
-        b[: self.width] = row
-        acc = self.coeff * b.take(self.src)
-        np.add.accumulate(acc, axis=0, out=acc)
-        last = acc[-1]
-        low = last.min()  # NaN if any value is NaN
-        if low != low:
-            raise ValueError(_NAN_MESSAGE)
-        return last.tolist()
-
-
-def _fold_copies(batch: list[Step], run: list[Step], reads: Counter, width: int,
-                 one: int) -> list[Step] | None:
-    """``batch`` with the unit copies of ``run`` folded in, or None
-    unless every step of ``run`` is one.
-
-    A unit copy is ``x = c + 1.0*t``, where ``t`` is a temporary that
-    ``batch`` computes, no other step reads, and ``x`` is no target of
-    ``batch``.  Its folded step computes what ``t``'s does, plus a term
-    ``c`` times the slot that holds 1.0, and writes ``x``: ``S + c``
-    rounds as ``c + S`` does, and ``1.0*S`` is ``S``.
-    """
-    sources = {step[0]: step for step in batch}
-    folded = dict(sources)
-    for target, lo, hi, const, terms, read in run:
-        if len(read) != 1 or len(terms) != 1 or terms[0][0] != 1.0:
-            return None
-        t = read[0]
-        if 2 * t < width or t not in sources or reads[t] != 1 or target in sources:
-            return None
-        _, _, _, t_const, t_terms, t_reads = folded.pop(t)
-        folded[target] = (target, lo, hi, t_const, (*t_terms, (const, one, one)), t_reads)
-    return list(folded.values())
-
-
-def _batch(steps: tuple[Step, ...], width: int, tail: list[float]) -> _Batch | None:
-    """The whole-body kernel of ``steps``, or None for the per-step loop.
-
-    The body splits into runs of consecutive steps that read and write
-    no variable an earlier step of the same run writes.  It is one batch
-    when it is one such run, optionally followed by a second run of unit
-    copies that ``_fold_copies`` folds into the first; the first run
-    alone holds at least BATCH_MIN_PRODUCTS products; and the batch, the
-    copies folded, writes every state variable exactly once.  A Jacobi
-    body, temporaries and then the copies back into the states, is the
-    traffic this serves; a Gauss-Seidel sweep starts a new run at nearly
-    every step.
-    """
-    runs: list[list[Step]] = [[]]
-    written: set[int] = set()
-    for step in steps:
-        if step[0] in written or not written.isdisjoint(step[5]):
-            if len(runs) == 2:
-                return None
-            runs.append([])
-            written = set()
-        runs[-1].append(step)
-        written.add(step[0])
-    batch = runs[0]
-    if sum(1 + len(step[4]) for step in batch) < BATCH_MIN_PRODUCTS:
+    n_vars, one = len(ids), width + len(inputs)
+    size = [0] * n_vars + [len(a.terms) for a in body]  # cells by node
+    products = len(body) + sum(size)
+    if products < BATCH_MIN_PRODUCTS:
         return None
-    if len(runs) == 2:
-        reads = Counter(k for step in steps for k in step[5])
-        batch = _fold_copies(batch, runs[1], reads, width, width + len(tail))
-        if batch is None:
-            return None
-    if sorted(step[0] for step in batch) != list(range(width // 2)):
+    node_of, level = dict(ids), [0] * n_vars  # each variable's node; by node
+    coeffs, nodes = [], []  # by cell
+    copies = []  # (node, cell) of each unit copy of a step's value
+    for s, a in enumerate(body, n_vars):
+        start = len(nodes)
+        for c, var in a.terms:
+            coeffs.append(c)
+            nodes.append(node_of[var])
+        level.append(1 + max(map(level.__getitem__, nodes[start:]), default=0))
+        if len(a.terms) == 1 and c == 1.0 and nodes[start] >= n_vars:
+            copies.append((s, start))
+        node_of[a.target] = s
+    consts = [0.0] * n_vars + [_finite(a.const, "constant term") for a in body]
+    coeff = np.array(coeffs, dtype=float)
+    if not np.isfinite(coeff).all():
+        _finite(coeff[~np.isfinite(coeff)][0], "coefficient")  # raises
+    node, count = np.array(nodes, dtype=np.intp), np.array(size)
+    row = np.arange(len(nodes)) + 1 - (count.cumsum() - count).repeat(count)
+    pad = coeff == 0.0
+    readers = np.bincount(node[~pad], minlength=len(size)).tolist()
+    final = list(node_of.values())[: width // 2]  # each state's last value
+    finals = set(final)
+    into = list(range(len(size)))  # the step whose cells a step's go to
+    folds: list[tuple[int, int, float]] = []  # (cell, row, constant) of each folded copy
+    for s, j in copies:
+        t = nodes[j]
+        if readers[t] == 1 and t not in finals:
+            folds.append((j, size[t] + 1, consts[s]))
+            into[t], size[s], consts[s], level[s] = s, size[t] + 1, consts[t], level[t]
+    for j, _, _ in reversed(folds):
+        into[nodes[j]] = into[into[nodes[j]]]
+    kept = [s for s in range(n_vars, len(size)) if into[s] == s]
+    kept.sort(key=level.__getitem__)  # level by level, each in body order
+    if products < LEVEL_MIN_PRODUCTS * len({level[s] for s in kept}):
         return None
-    return _Batch(batch, width, tail)
+    # by kept step: where its row 0 lower bound goes among the cells, and its
+    # row stride; by level: its first cell, depth, width and first slot
+    col, stride, levels = [], [], []
+    base, cells = one + 2, 0
+    for _, group in itertools.groupby(range(len(kept)), key=lambda r: level[kept[r]]):
+        group = list(group)
+        d, w = 1 + max(size[kept[r]] for r in group), 2 * len(group)
+        col += range(cells, cells + w, 2)
+        stride += [w] * len(group)
+        levels.append((cells, d, w, base + 2 * group[0]))
+        cells += d * w
+    rank = np.zeros(len(size), dtype=np.intp)
+    rank[kept] = np.arange(len(kept))
+    slot = np.arange(0, 2 * len(size), 2)
+    slot[kept] = base + 2 * np.arange(len(kept))
+    col, stride = np.array(col), np.array(stride)
+    cell = [j for j, _, _ in folds]
+    row[cell] = [r for _, r, _ in folds]
+    owner = rank[np.array(into).repeat(count)]
+    pos = col[owner] + row * stride[owner]
+    src = slot[node] + (coeff < 0.0)
+    coeff[pad] = -0.0
+    src[pad] = src[cell] = one
+    coeff[cell] = [c for _, _, c in folds]
+    cb, sb = np.full(cells, -0.0), np.full(cells, one)
+    cb[col] = cb[col + 1] = [consts[s] for s in kept]
+    cb[pos] = cb[pos + 1] = coeff
+    sb[pos], sb[pos + 1] = src, src ^ 1
+    slots = np.ones(base + 2 * len(kept))
+    slots[:width], slots[width:one] = 0.0, inputs
+    levels = [(sb[o : o + d * w].reshape(d, w), cb[o : o + d * w].reshape(d, w), a, a + w)
+              for o, d, w, a in levels]
+    f = slot[final]  # a slice when the state's bounds are contiguous
+    final = slice(f[0], f[-1] + 2) if (f[1:] - f[:-1] == 2).all() else np.ravel([f, f + 1], "F")
+    return slots, levels, final
 
 
 class LoweredBody:
@@ -272,12 +262,12 @@ class LoweredBody:
     the right-hand side names, zero coefficients included, so that a
     Bottom read still makes the target Bottom.
 
-    ``batch`` is the whole body as one ``_Batch`` of array operations
-    (see ``_batch``), or None for the per-step loop, always so for a
-    body with a Bottom input.  ``image`` runs exactly one of the two.
+    ``schedule`` is the body's level schedule, or None for the per-step
+    loop, always so for a body with a Bottom input.  A scheduled body
+    builds ``tail`` and ``steps`` at its first row with Bottom.
     """
 
-    __slots__ = ("width", "tail", "steps", "bottom_inputs", "batch")
+    __slots__ = ("width", "tail", "steps", "bottom_inputs", "schedule", "_source")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -293,9 +283,20 @@ class LoweredBody:
             tail += (rng.lo, rng.hi)
             if rng.is_bottom:
                 bottom_inputs.add(ids[name])
+        self.width = 2 * len(p.state_vars)
+        self.bottom_inputs = frozenset(bottom_inputs)
+        self._source = (p.body, ids, tail)
+        self.tail = self.steps = None
+        # a Bottom input makes the targets that read it Bottom: per-step loop
+        self.schedule = None if bottom_inputs else _schedule(p.body, ids, self.width, tail)
+        if self.schedule is None:
+            self._lower_steps()
+
+    def _lower_steps(self) -> None:
+        body, ids, tail = self._source  # extended here, once _schedule has read them
         steps: list[Step] = []
         isfinite = math.isfinite
-        for a in p.body:
+        for a in body:
             const = _finite(a.const, "constant term")
             terms: list[tuple[float, int, int]] = []
             reads: list[int] = []
@@ -313,28 +314,36 @@ class LoweredBody:
                 tail += (0.0, 0.0)
             k = ids[a.target]
             steps.append((k, 2 * k, 2 * k + 1, const, tuple(terms), tuple(reads)))
-        self.width = 2 * len(p.state_vars)
         self.tail = tuple(tail)
         self.steps = tuple(steps)
-        self.bottom_inputs = frozenset(bottom_inputs)
-        # a Bottom input makes the targets that read it Bottom: per-step loop
-        self.batch = None if bottom_inputs else _batch(self.steps, self.width, tail)
 
     def image(self, row: list[float]) -> list[float]:
         """One pass of the body over a bound row of the state variables.
 
         Each assignment accumulates ``lo += coeff * b[src_for_lo]`` and
-        ``hi += coeff * b[src_for_hi]`` in body order from ``const``:
-        exactly the float operations of ``affine_eval``, so the new row
-        is bit-identical to the interval evaluation.  A target that reads
-        a Bottom variable becomes Bottom, ``(inf, -inf)``.  On a row
-        without Bottom, a body with a ``batch`` runs as arrays instead,
-        with the same operations in the same order.  No NumPy error state
+        ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
+        as ``affine_eval`` does, so the row is bit-identical to interval
+        evaluation; the schedule, run on a row without Bottom, makes the
+        same operations in the same order.  A target that reads a Bottom
+        variable becomes Bottom, ``(inf, -inf)``.  No NumPy error state
         is entered here: a caller that lets a bound overflow holds one.
         """
         has_bottom = any(map(gt, row[::2], row[1::2]))
-        if self.batch is not None and not has_bottom:
-            return self.batch.image(row)
+        if self.schedule is not None and not has_bottom:
+            slots, levels, final = self.schedule
+            b = slots.copy()
+            b[: self.width] = row
+            for src, coeff, start, stop in levels:
+                acc = b.take(src)
+                acc *= coeff
+                np.add.accumulate(acc, axis=0, out=acc)
+                b[start:stop] = acc[-1]
+            low = b[levels[0][2] :].min()  # NaN if any step's bound is NaN
+            if low != low:
+                raise ValueError(_NAN_MESSAGE)
+            return b[final].tolist()
+        if self.steps is None:
+            self._lower_steps()
         b = [*row, *self.tail]
         bottom = set(self.bottom_inputs)
         if has_bottom:

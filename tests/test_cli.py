@@ -130,6 +130,17 @@ class TestAnalyze:
         assert doc["config"]["thresholds"] == [21.0]
         assert doc["invariant"]["x1"]["upper"] == 21.0
 
+    @pytest.mark.parametrize("mode", ["kleene", "widen", "accel"])
+    def test_header_names_the_method_only_in_accel_mode(self, capsys, tmp_path, mode):
+        report = tmp_path / "r.json"
+        code, out, _ = run(capsys, "analyze", FILTER3, "--mode", mode, "--method", "aitken",
+                           "--report", str(report))
+        assert code in (0, 2)
+        header = out.splitlines()[1]
+        assert header == ("mode: accel  method: aitken" if mode == "accel" else f"mode: {mode}")
+        # the report keeps every setting
+        assert json.loads(report.read_text())["config"]["method"] == "aitken"
+
     def test_method_alias(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         run(capsys, "analyze", FILTER3, "--method", "vea", "--report", str(report))

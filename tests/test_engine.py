@@ -666,15 +666,16 @@ class TestConfigValidation:
 # the whole run).  Tier-1 turns a warning into an error.
 
 def batched_program(t0_terms):
-    """A Jacobi body wide enough to run as one batch, with ``t0`` (and so
-    ``x0``) computed from ``t0_terms`` over an input ``u`` in [2, 3]."""
+    """A Jacobi body wide enough to run as a one-level schedule, with
+    ``t0`` (and so ``x0``) computed from ``t0_terms`` over an input ``u``
+    in [2, 3]."""
     n = programs.BATCH_MIN_PRODUCTS // 8
     body = [Assignment(f"t{i}", 0.0, ((0.5, f"x{i}"),) * 8) for i in range(n)]
     body[0] = Assignment("t0", 0.0, t0_terms)
     body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
     states = tuple((f"x{i}", Interval(0, 1)) for i in range(n))
     p = Program(states, (("u", Interval(2.0, 3.0)),), tuple(body))
-    assert p.lowered.batch is not None
+    assert len(p.lowered.schedule[1]) == 1
     return p
 
 
@@ -687,7 +688,7 @@ def test_transfer_and_verify_stay_silent_on_overflow():
 
 
 def test_transfer_and_verify_raise_on_nan_without_warning():
-    # inf - inf inside the batch: the NaN check raises, NumPy stays silent
+    # inf - inf inside the schedule: the NaN check raises, NumPy stays silent
     p = batched_program(((1e308, "u"), (-1e308, "u")))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

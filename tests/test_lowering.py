@@ -210,22 +210,24 @@ def wide_const(rng):
 
 
 WIDE_SHAPES = ["batch", "batch", "shared", "extra", "second"]
+SHAPE_LEVELS = {"batch": 1, "shared": 2, "extra": 1, "second": 3}
 
 
 @st.composite
 def wide_jacobi_bodies(draw):
-    """A Jacobi-form body whose first run is wide enough to be batched,
+    """A Jacobi-form body whose first run is wide enough to be scheduled,
     and its shape.
 
     Temporaries read the states and inputs, with from zero to many terms
-    each (a fifth have none, so the batch pads the short rows), together
+    each (a fifth have none, so the level pads the short rows), together
     at least ``BATCH_MIN_PRODUCTS`` products; the copies back into the
-    states depend on them.  Two in five draws have the ``batch`` shape:
-    one temporary per state, each copied into its own state, which
-    lowers to one batch unless an input is Bottom.  The others go to the
-    per-step loop: ``shared`` has fewer temporaries than states, so a
-    temporary is copied twice; ``extra`` has more, so the batch would
-    write a temporary; ``second`` is the ``batch`` shape followed by a
+    states depend on them.  Unless an input is Bottom, every shape is
+    scheduled, with ``SHAPE_LEVELS`` levels.  Two in five draws have the
+    ``batch`` shape: one temporary per state, each copied into its own
+    state, whose copies fold into one level.  ``shared`` has fewer
+    temporaries than states, so a temporary is copied twice and its
+    copies take a second level; ``extra`` has more, so the level also
+    writes temporaries; ``second`` is the ``batch`` shape followed by a
     second wide run of temporaries that reads the copied states, and a
     last step that reads those.  Bounds and constants include signed
     zeros and infinite bounds; the state or an input may hold a Bottom,
@@ -290,9 +292,11 @@ def wide_jacobi_bodies(draw):
 @given(wide_jacobi_bodies())
 def test_batched_runs_equal_fold_of_affine_eval(case):
     shape, p, x = case
-    # the per-step loop handles a Bottom input, and every shape but one
-    one_batch = shape == "batch" and not p.lowered.bottom_inputs
-    assert (p.lowered.batch is not None) == one_batch
+    # the per-step loop handles a Bottom input
+    if p.lowered.bottom_inputs:
+        assert p.lowered.schedule is None
+    else:
+        assert len(p.lowered.schedule[1]) == SHAPE_LEVELS[shape]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(transfer, p, x)
@@ -309,7 +313,7 @@ def test_batched_row_keeps_negative_zero_when_others_pad():
     states = [(f"x{i}", Interval(0, 1)) for i in range(n)]
     states[1] = ("x1", Interval(-0.0, -0.0))
     p = Program(tuple(states), (), tuple(body))
-    assert p.lowered.batch is not None
+    assert len(p.lowered.schedule[1]) == 1
     out = transfer(p, p.initial_state())
     for name in ("x0", "x1"):
         assert out[name].lo.hex() == out[name].hi.hex() == (-0.0).hex()
@@ -364,12 +368,14 @@ def jacobi_copy_bodies(draw):
 
     ``fold`` copies every temporary into its state as ``x = c + t`` with
     c in {0.0, -0.0, random}, and ``subset`` copies only some of them:
-    both fold into the temporaries' batch.  The others must not fold:
+    both fold into the temporaries' level.  So does ``rewrite``, which
+    also writes a state in that level that a copy then overwrites.  One
+    copy of each other shape must not fold, and takes a second level:
     ``shared`` has a temporary read by one more step, ``coeff`` a copy
     with a coefficient other than 1.0, ``partial`` a step among the
-    copies that is no copy, ``state`` a copy of a state variable the
-    temporaries' run writes, and ``rewrite`` a copy into a state that
-    run writes.  The copies come in random order.  The products total from half to twice
+    copies that is no copy, and ``state`` a copy of a state variable the
+    temporaries' level writes last.  The copies come in random order.
+    The temporaries' products total from half to twice
     ``BATCH_MIN_PRODUCTS``; coefficients include zeros and negatives,
     bounds include signed zeros, and a huge coefficient may overflow a
     temporary to inf or, with its negation, to NaN.
@@ -433,10 +439,13 @@ def jacobi_copy_bodies(draw):
 @given(jacobi_copy_bodies())
 def test_folded_copies_equal_fold_of_affine_eval(case):
     shape, p, x = case
-    # the temporaries' run decides, the copies folded in do not count
-    products = sum(1 + sum(c != 0.0 for c, _ in a.terms) for a in p.body if a.target[0] == "t")
-    one_batch = shape == "fold" and products >= programs.BATCH_MIN_PRODUCTS
-    assert (p.lowered.batch is not None) == one_batch
+    # the products of the whole body, zero terms included, decide
+    products = sum(1 + len(a.terms) for a in p.body)
+    levels = 1 if shape in ("fold", "subset", "rewrite") else 2
+    if products >= max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * levels):
+        assert len(p.lowered.schedule[1]) == levels
+    else:
+        assert p.lowered.schedule is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(transfer, p, x)
@@ -450,23 +459,104 @@ def test_folded_copy_of_a_nan_temporary_raises():
     body += [Assignment(f"x{i}", -0.0, ((1.0, f"t{i}"),)) for i in range(n)]
     states = tuple((f"x{i}", Interval(0, 1)) for i in range(n))
     p = Program(states, (("u", Interval(2.0, 3.0)),), tuple(body))
-    assert p.lowered.batch is not None
+    assert len(p.lowered.schedule[1]) == 1
     assert outcome(fold_affine_eval, p, p.initial_state()) == "ValueError"
     assert outcome(transfer, p, p.initial_state()) == "ValueError"
 
 
-def test_three_runs_take_the_per_step_loop():
+def test_copy_of_a_zero_term_step_folds_into_its_constant():
     # b = 1.0 + 0.0*a reads a only through a dropped zero term, so its
-    # copy x = 1.0 + 1.0*b is no copy of a; x is 2.0, not 0.5*x + 1.0
+    # copy x = 1.0 + 1.0*b is no copy of a; x is 2.0, not 0.5*x + 1.0.
+    # The zero term still orders b after a: two levels, x folded into b
     n = programs.BATCH_MIN_PRODUCTS
     body = [Assignment(f"a{i}", 0.0, ((0.5, f"x{i}"),)) for i in range(n)]
     body += [Assignment(f"b{i}", 1.0, ((0.0, f"a{i}"),)) for i in range(n)]
     body += [Assignment(f"x{i}", 1.0, ((1.0, f"b{i}"),)) for i in range(n)]
     p = Program(tuple((f"x{i}", Interval(0, 1)) for i in range(n)), (), tuple(body))
-    assert p.lowered.batch is None
+    assert len(p.lowered.schedule[1]) == 2
     out = transfer(p, p.initial_state())
     assert out["x0"] == Interval(2.0, 2.0)
     assert bits(out) == bits(fold_affine_eval(p, p.initial_state()))
+
+
+@st.composite
+def scheduled_bodies(draw):
+    """A body in any order, wide enough to be scheduled, a state, and
+    whether the state, an input or nothing holds Bottom.
+
+    Each step writes a state, in Gauss-Seidel order, or a temporary, a
+    new one or one already written, and reads the latest value of up to
+    40 states, inputs and temporaries, so a temporary can be read after a
+    later write of it.  Some steps also read the step before, which
+    chains them; some copy a temporary, at times twice.  The first step
+    is padded so that the body holds ``BATCH_MIN_PRODUCTS`` products and
+    ``LEVEL_MIN_PRODUCTS`` per step, so it is scheduled whatever its
+    levels unless an input is Bottom.  Bounds and constants include
+    signed zeros and, in some draws, infinite bounds; an unread temporary
+    may overflow to NaN (1e308 times an input, minus the same).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_states = draw(st.integers(1, 16))
+    bottom = draw(st.sampled_from([None, None, None, "state", "input"]))
+    nan = draw(st.sampled_from([False, False, False, True]))
+    p_inf = draw(st.sampled_from([0.0, 0.0, 0.02]))
+    states = [f"x{i}" for i in range(n_states)]
+    inputs = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    scope, temps, body = states + inputs, [], []
+    for i in range(int(rng.integers(2, 30))):
+        if temps and rng.random() < 0.2:
+            t = temps[rng.integers(len(temps))]
+            for _ in range(1 + (rng.random() < 0.3)):
+                target = [states[rng.integers(n_states)], f"c{len(body)}"][rng.random() < 0.3]
+                body.append(Assignment(target, wide_const(rng), ((1.0, t),)))
+        else:
+            terms = [(wide_coeff(rng), scope[rng.integers(len(scope))]) for _ in range(rng.integers(0, 40))]
+            if body and rng.random() < 0.3:
+                terms.append((wide_coeff(rng), body[-1].target))
+            r = rng.random()
+            target = states[i % n_states] if r < 0.4 else temps[rng.integers(len(temps))] if temps and r < 0.6 else f"t{i}"
+            body.append(Assignment(target, wide_const(rng), tuple(terms)))
+        if body[-1].target not in scope:
+            scope.append(body[-1].target)
+            temps += [body[-1].target] * (body[-1].target[0] == "t")
+    if nan:
+        body.insert(int(rng.integers(len(body) + 1)), Assignment("d", 0.0, ((1e308, "u0"), (-1e308, "u0"))))
+    products = sum(1 + len(a.terms) for a in body)
+    short = max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * len(body)) - products
+    body[0] = Assignment(body[0].target, body[0].const, body[0].terms + ((1.5, "x0"),) * max(0, short))
+
+    def pick():
+        if rng.random() < 0.15:
+            return SIGNED_ZEROS[rng.integers(len(SIGNED_ZEROS))]
+        return rand_interval(rng, p_bottom=0.0, p_inf=p_inf)
+
+    input_vars = [(u, pick()) for u in inputs]
+    if nan:
+        input_vars[0] = ("u0", Interval(2.0, 3.0))
+    state = [(x, pick()) for x in states]
+    if bottom == "state":
+        k = rng.integers(n_states)
+        state[k] = (states[k], BOTTOM)
+    elif bottom == "input":
+        input_vars[-1] = (inputs[-1], BOTTOM)
+    p = Program(tuple((x, Interval(0, 1)) for x in states), tuple(input_vars), tuple(body))
+    return p, AbstractState(state), bottom, nan
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduled_bodies())
+def test_scheduled_bodies_equal_fold_of_affine_eval(case):
+    p, x, bottom, nan = case
+    lowered = p.lowered
+    assert (lowered.schedule is None) == (bottom == "input")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(transfer, p, x)
+    assert got == outcome(fold_affine_eval, p, x)
+    if nan and bottom is None:
+        assert got == "ValueError"
+    # a scheduled body builds the per-step loop only for a row with Bottom
+    assert (lowered.steps is None) == (bottom is None)
 
 
 def row_program(seed, n, nnz, gauss_seidel=False):
@@ -488,16 +578,44 @@ def row_program(seed, n, nnz, gauss_seidel=False):
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def test_jacobi_bodies_plan_to_one_batch():
+def test_jacobi_bodies_schedule_to_one_level():
     from test_golden import gaussian_program
 
     jacobi = (gaussian_program(2, 16, 0.9), row_program(3, 256, 8), row_program(3, 64, None))
     for text in jacobi:
-        batch = parse(text).lowered.batch
-        assert isinstance(batch, programs._Batch)
-        assert batch.coeff.shape[1] == batch.width
-    # below the threshold, and for Gauss-Seidel sweeps, the per-step loop stays
-    sweeps = (row_program(3, 256, 8, gauss_seidel=True), row_program(3, 64, None, gauss_seidel=True))
+        lowered = parse(text).lowered
+        ((src, coeff, start, stop),) = lowered.schedule[1]
+        assert coeff.shape == src.shape and coeff.shape[1] == stop - start == lowered.width
+    # below the threshold the per-step loop stays
     small = (load_bundled("filter3"), load_bundled("contraction2"), parse(gaussian_program(2, 8, 0.9)))
-    for p in (*map(parse, sweeps), *small):
-        assert p.lowered.batch is None
+    for p in small:
+        assert p.lowered.schedule is None
+
+
+def dataflow_levels(p):
+    """The longest chain of assignments that read each other's values."""
+    level = dict.fromkeys((*p.state_names, *(name for name, _ in p.input_vars)), 0)
+    for a in p.body:
+        level[a.target] = 1 + max((level[var] for _, var in a.terms), default=0)
+    return max(level.values())
+
+
+def test_gauss_seidel_sweeps_are_scheduled():
+    # one level per step of the dense sweep's chain, far fewer for the sparse one
+    for text, most in ((row_program(3, 256, 8, gauss_seidel=True), 32),
+                       (row_program(3, 64, None, gauss_seidel=True), 64)):
+        p = parse(text)
+        levels = p.lowered.schedule[1]
+        assert len(levels) == dataflow_levels(p) <= most
+        x = p.initial_state()
+        assert bits(transfer(p, x)) == bits(fold_affine_eval(p, x))
+
+
+def test_one_product_chain_takes_the_loop():
+    # 512 products, but two per level
+    n = programs.BATCH_MIN_PRODUCTS
+    body = [Assignment(f"x{i}", 0.0, ((0.5, f"x{i - 1}"),)) for i in range(1, n)]
+    body.insert(0, Assignment("x0", 0.0, ((0.5, f"x{n - 1}"),)))
+    p = Program(tuple((f"x{i}", Interval(0, 1)) for i in range(n)), (), tuple(body))
+    assert p.lowered.schedule is None
+    assert bits(transfer(p, p.initial_state())) == bits(fold_affine_eval(p, p.initial_state()))
