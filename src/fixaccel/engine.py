@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import le, sub
+from operator import eq, le, sub
 from typing import Literal, get_args
 
 import numpy as np
@@ -82,22 +82,37 @@ class EngineConfig:
             raise ValueError("stop_tol must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRecord:
     """One iteration: the resulting bounds, the fresh accelerated
     estimate if one was computed (full coordinate layout, None where no
     estimate exists), and what kind of step happened.
 
-    ``row`` holds the bounds as (lo, hi) pairs in the order of
-    ``variables``; ``state`` is the same as an AbstractState, built on
-    first access.
+    ``bounds`` holds the row the loop carried, as it was given: a tuple
+    of floats, or a read-only float64 array from a run that keeps its
+    rows in arrays.  ``row`` holds the bounds as a tuple of floats, (lo,
+    hi) pairs in the order of ``variables`` (the tuple itself, or one
+    built from the array on first access), and ``state`` the same as an
+    AbstractState, built on first access.  Records compare by identity,
+    as an array has no truth value.
     """
 
     index: int
-    row: tuple[float, ...]
+    bounds: tuple[float, ...] | np.ndarray
     accel: tuple[float | None, ...] | None
     event: str  # plain-step | widen-step | injection | fallback-widen | converged
     variables: tuple[str, ...]
+
+    @property
+    def row(self) -> tuple[float, ...]:
+        # a plain property: a cached one costs the CLI's trace writer
+        # about 0.6 us per record of a list run, whose row is its tuple
+        b = self.bounds
+        return b if type(b) is tuple else self._array_row
+
+    @cached_property
+    def _array_row(self) -> tuple[float, ...]:
+        return tuple(self.bounds.tolist())
 
     @cached_property
     def state(self) -> AbstractState:
@@ -130,43 +145,56 @@ class FixpointReport:
     reason: str
 
 
-# The loop carries the state as a bound row: a list of floats laid out
-# like ``extraction.bound_row``, (lo_1, hi_1, ..., lo_v, hi_v), with a
-# Bottom component as (inf, -inf).  The row operations below compute
-# exactly what their interval counterparts in ``intervals`` and
-# ``programs`` compute, and carry the same names, under which the
-# benchmark's tracer (perfbench/tracer.py) times them.
+# The loop carries the state as a bound row laid out like
+# ``extraction.bound_row``, (lo_1, hi_1, ..., lo_v, hi_v), with a Bottom
+# component as (inf, -inf): a float64 array in a kleene or widen run on a
+# body with a level schedule, whose rows are wide, and a list of floats
+# otherwise, where NumPy's per-call cost would exceed the work (see
+# ``analyze``).  The row operations below compute exactly what their
+# interval counterparts in ``intervals`` and ``programs`` compute, on
+# either type, and carry the same names, under which the benchmark's
+# tracer (perfbench/tracer.py) times them.
+
+Row = list[float] | np.ndarray
 
 
-def transfer(p: Program, x: list[float]) -> list[float]:
+def transfer(p: Program, x: Row) -> Row:
     """``programs.transfer`` on a bound row, through the lowered body."""
     return p.lowered.image(x)
 
 
-def state_join(x: list[float], y: list[float]) -> list[float]:
-    """Bound-wise join: min of the lower, max of the upper bounds.
+def state_join(x: Row, y: Row) -> Row:
+    """Bound-wise join: min of the lower, max of the upper bounds, as a
+    row of the type of ``x`` (both rows are of one type).
 
     The (inf, -inf) encoding makes Bottom the identity of both, so this
     equals ``intervals.join`` on every component.  Like ``min`` and
     ``max``, a tie keeps the bound of ``x`` (which matters for 0.0 and
     -0.0).
     """
+    if type(x) is not list:
+        grow = np.less(y, x)  # the lower bounds; then the upper ones
+        np.greater(y[1::2], x[1::2], out=grow[1::2])
+        return np.where(grow, y, x)
     out = [*x]
     out[::2] = [b if b < a else a for a, b in zip(x[::2], y[::2])]
     out[1::2] = [b if b > a else a for a, b in zip(x[1::2], y[1::2])]
     return out
 
 
-def state_leq(x: list[float], y: list[float]) -> bool:
+def state_leq(x: Row, y: Row) -> bool:
     """Inclusion of ``x`` in ``y``, bound by bound; with Bottom encoded
     as (inf, -inf) this equals ``intervals.leq`` on every component."""
     return all(map(le, y[::2], x[::2])) and all(map(le, x[1::2], y[1::2]))
 
 
-def _widen_rows(x: list[float], y: list[float], down, up) -> list[float]:
+def _widen_rows(x: Row, y: Row, down, up) -> Row:
     """Keep each stable bound of ``x``; send an unstable lower bound of
     ``y`` to ``down(lo)`` and an unstable upper bound to ``up(hi)``.
-    Bottom on either side yields the other operand's component."""
+    Bottom on either side yields the other operand's component.  Array
+    rows are widened as lists."""
+    if type(x) is not list:
+        return np.array(_widen_rows(x.tolist(), y.tolist(), down, up))
     out = [*y]
     for j in range(0, len(x), 2):
         alo, ahi, blo, bhi = x[j], x[j + 1], y[j], y[j + 1]
@@ -180,12 +208,12 @@ def _widen_rows(x: list[float], y: list[float], down, up) -> list[float]:
     return out
 
 
-def state_widen_std(x: list[float], y: list[float]) -> list[float]:
+def state_widen_std(x: Row, y: Row) -> Row:
     """``intervals.widen_std`` on every component of two bound rows."""
     return _widen_rows(x, y, lambda lo: -INF, lambda hi: INF)
 
 
-def state_widen_thresholds(x: list[float], y: list[float], t: ThresholdSet) -> list[float]:
+def state_widen_thresholds(x: Row, y: Row, t: ThresholdSet) -> Row:
     """``intervals.widen_thresholds`` on every component of two bound
     rows: unstable bounds snap to the nearest threshold beyond them."""
     return _widen_rows(x, y, t.snap_down, t.snap_up)
@@ -203,6 +231,23 @@ def _moved_at_most(a: list[float], b: list[float], tol: float) -> bool:
     infinite bound that changed counts as an infinite move.  Stops at the
     first bound that moved further."""
     return all(u == v or abs(u - v) <= tol for u, v in zip(a, b))
+
+
+def _arrays_moved_at_most(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """``_moved_at_most`` on two array rows (inf - inf is NaN, and no
+    NaN is at most ``tol``); the caller holds the NumPy error state."""
+    return bool(((a == b) | (abs(a - b) <= tol)).all())
+
+
+def _arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``a == b`` of the two rows as lists (the loop's rows hold no NaN)."""
+    return bool((a == b).all())
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    """``x``, which a trace record then shares, made read-only."""
+    x.flags.writeable = False
+    return x
 
 
 # A tolerance-detected result is sealed in at most SEAL_ROUNDS rounds.
@@ -456,11 +501,20 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     widening seeded from the last estimate (then standard widening via
     the implicit infinities), guaranteeing termination.
     """
-    p.lowered  # lower the body before the loop, not inside a transfer
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
-    x = bound_row(initial).tolist()
+    # lowered here, before the loop, not inside a transfer.  A run without
+    # the estimator on a scheduled body keeps its rows in float64 arrays
+    # up to the seal; on rows of a few dozen bounds, which the other runs
+    # have, NumPy's per-call cost exceeds the list operations'
+    arrays = cfg.mode != "accel" and p.lowered.schedule is not None
+    if arrays:
+        x = bound_row(initial)
+        same, moved, record = _arrays_equal, _arrays_moved_at_most, _read_only
+    else:
+        x = bound_row(initial).tolist()
+        same, moved, record = eq, _moved_at_most, tuple
     acc = _Accelerator(p, cfg, x) if cfg.mode == "accel" else None
     injections = 0
     rejected = 0  # candidates that did not verify
@@ -499,7 +553,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                         x = verified
                         injections += 1
                         reason = "verified-injection"
-                        trace.records.append(TraceRecord(i, tuple(x), accel_row, "injection", names))
+                        trace.records.append(TraceRecord(i, record(x), accel_row, "injection", names))
                         break
                     rejected += 1
                     if cfg.inject_policy == "repeat" and candidate != x:
@@ -514,7 +568,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                         x = state_widen_thresholds(prev, joined, cfg.thresholds)
                     else:
                         x = state_widen_std(prev, joined)
-                    event = "widen-step" if x != joined else "plain-step"
+                    event = "plain-step" if same(x, joined) else "widen-step"
                 elif fallback is not None:
                     x = state_widen_thresholds(prev, joined, fallback)
                     event = "fallback-widen"
@@ -522,19 +576,19 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                     x = joined
                     event = "plain-step"
 
-            if x == prev:
+            if same(x, prev):
                 reason = "converged"
             elif (
                 # until the fallback, an accel run ends at a verified injection
                 (acc is None or fallback is not None)
                 and cfg.stop_tol > 0.0
-                and _moved_at_most(prev, x, cfg.stop_tol)
+                and moved(prev, x, cfg.stop_tol)
             ):
                 reason = "converged-tolerance"
             if reason != "max-iter":
-                trace.records.append(TraceRecord(i, tuple(x), accel_row, "converged", names))
+                trace.records.append(TraceRecord(i, record(x), accel_row, "converged", names))
                 break
-            trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
+            trace.records.append(TraceRecord(i, record(x), accel_row, event, names))
 
             if acc is not None and fallback is None and (
                 rejected >= budget or i - agreed >= budget
@@ -542,6 +596,8 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
                 fallback = _fallback_thresholds(acc)
 
         trace.reason = reason
+        if arrays:
+            x = x.tolist()
         if reason == "converged-tolerance":
             x = _seal(p, x)
         invariant = state_from_row(names, x)

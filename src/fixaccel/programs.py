@@ -317,31 +317,29 @@ class LoweredBody:
         self.tail = tuple(tail)
         self.steps = tuple(steps)
 
-    def image(self, row: list[float]) -> list[float]:
-        """One pass of the body over a bound row of the state variables.
+    def image(self, row: list[float] | np.ndarray) -> list[float] | np.ndarray:
+        """One pass of the body over a bound row of the state variables,
+        given as a list of floats or a float64 array; the image is of the
+        same type.
 
         Each assignment accumulates ``lo += coeff * b[src_for_lo]`` and
         ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
         as ``affine_eval`` does, so the row is bit-identical to interval
         evaluation; the schedule, run on a row without Bottom, makes the
-        same operations in the same order.  A target that reads a Bottom
-        variable becomes Bottom, ``(inf, -inf)``.  No NumPy error state
-        is entered here: a caller that lets a bound overflow holds one.
+        same operations in the same order, and an array row takes and
+        gives arrays there without a conversion.  An array row that the
+        schedule cannot take goes through the per-step loop as a list.
+        A target that reads a Bottom variable becomes Bottom,
+        ``(inf, -inf)``.  No NumPy error state is entered here: a caller
+        that lets a bound overflow holds one.
         """
+        if type(row) is not list:
+            if self.schedule is not None and not (row[::2] > row[1::2]).any():
+                return self._levels(row)
+            return np.array(self.image(row.tolist()))
         has_bottom = any(map(gt, row[::2], row[1::2]))
         if self.schedule is not None and not has_bottom:
-            slots, levels, final = self.schedule
-            b = slots.copy()
-            b[: self.width] = row
-            for src, coeff, start, stop in levels:
-                acc = b.take(src)
-                acc *= coeff
-                np.add.accumulate(acc, axis=0, out=acc)
-                b[start:stop] = acc[-1]
-            low = b[levels[0][2] :].min()  # NaN if any step's bound is NaN
-            if low != low:
-                raise ValueError(_NAN_MESSAGE)
-            return b[final].tolist()
+            return self._levels(row).tolist()
         if self.steps is None:
             self._lower_steps()
         b = [*row, *self.tail]
@@ -365,6 +363,21 @@ class LoweredBody:
             b[lo_slot] = lo
             b[hi_slot] = hi
         return b[: self.width]
+
+    def _levels(self, row: list[float] | np.ndarray) -> np.ndarray:
+        """The schedule's image of a row without Bottom."""
+        slots, levels, final = self.schedule
+        b = slots.copy()
+        b[: self.width] = row
+        for src, coeff, start, stop in levels:
+            acc = b.take(src)
+            acc *= coeff
+            np.add.accumulate(acc, axis=0, out=acc)
+            b[start:stop] = acc[-1]
+        low = b[levels[0][2] :].min()  # NaN if any step's bound is NaN
+        if low != low:
+            raise ValueError(_NAN_MESSAGE)
+        return b[final]
 
 
 class _Parser:

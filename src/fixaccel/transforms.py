@@ -361,11 +361,26 @@ def _norms_and_inverses(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def seq_norm(v: Sequence[float], cfg: TransformConfig = TransformConfig()) -> float:
-    """The configured vector norm (infinity or euclidean)."""
+    """The configured vector norm (infinity or euclidean).
+
+    The Euclidean norm is sqrt(v . v) where v . v is a normal float (or
+    NaN); where it underflowed or overflowed, v is first scaled, exactly,
+    by the power of two that puts its largest entry in [0.5, 1) in
+    magnitude, as in ``_norms_and_inverses``, so that neither happens.
+    """
     arr = np.asarray(v, dtype=float)
-    if cfg.norm == "euclidean":
-        return float(math.sqrt(np.dot(arr, arr)))
-    return float(np.abs(arr).max()) if arr.size else 0.0
+    if not arr.size:
+        return 0.0
+    if cfg.norm == "infinity":
+        return float(np.abs(arr).max())
+    with np.errstate(over="ignore", under="ignore"):
+        vv = float(np.dot(arr, arr))
+        if not (vv < _TINY or vv == math.inf):
+            return math.sqrt(vv)
+        # e = 0, which changes nothing, for zeros and for an infinity
+        e = int(np.frexp(np.abs(arr).max())[1])
+        s = np.ldexp(arr, -e)
+        return float(np.ldexp(math.sqrt(float(np.dot(s, s))), e))
 
 
 def converged(

@@ -363,6 +363,18 @@ class TestAccelerate:
         assert err == ""
         assert "rows: 5" in out
 
+    def test_norms_agree_on_one_column_of_tiny_values(self, capsys, tmp_path):
+        # the squared differences, about 1e-384, underflow to 0
+        data = tmp_path / "tiny.csv"
+        data.write_text("a\n" + "".join(f"{1e-190 * (1 + 1 / (n + 1))!r}\n" for n in range(12)))
+        lines = {}
+        for norm in ("infinity", "euclidean"):
+            code, out, err = run(capsys, "accelerate", str(data), "--method", "aitken",
+                                 "--delta", "1e-300", "--norm", norm)
+            assert code == 0 and err == ""
+            lines[norm] = [line for line in out.splitlines() if "first agreement" in line]
+        assert lines["euclidean"] == lines["infinity"] == ["first agreement at delta=1e-300: none"]
+
     def test_vector_stall_floor_does_not_underflow(self, capsys, tmp_path):
         # the square of 1e-200 underflows to 0; the zero difference of the
         # first column must still stall, not make element 1 0/0 = NaN

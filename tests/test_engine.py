@@ -21,6 +21,7 @@ from fixaccel import (
     verify_postfixpoint,
 )
 from fixaccel import engine, programs
+from fixaccel.extraction import bound_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
 from fixaccel.transforms import EstimateStream
@@ -631,6 +632,92 @@ class TestLookahead:
         blocks = transfers()
         monkeypatch.setattr(engine, "LOOKAHEAD", 1)
         assert transfers() == blocks
+
+
+def list_kleene(p, cfg):
+    """The kleene and widen runs of ``analyze`` as a loop over lists of
+    floats, through ``LoweredBody.image`` and the engine's list row
+    operations: (rows, reason, invariant row)."""
+    x, rows = bound_row(p.initial_state()).tolist(), []
+    for i in range(1, cfg.max_iter + 1):
+        prev, x = x, engine.state_join(x, p.lowered.image(x))
+        if cfg.mode == "widen" and i > cfg.widen_delay:
+            if cfg.thresholds is None:
+                x = engine.state_widen_std(prev, x)
+            else:
+                x = engine.state_widen_thresholds(prev, x, cfg.thresholds)
+        rows.append(tuple(x))
+        if x == prev:
+            return rows, "converged", x
+        if all(u == v or abs(u - v) <= cfg.stop_tol for u, v in zip(prev, x)):
+            return rows, "converged-tolerance", engine._seal(p, x)
+    return rows, "max-iter", x
+
+
+def scheduled_programs():
+    """``row_program`` bodies with a level schedule: dense and sparse,
+    Jacobi and Gauss-Seidel; and two built through the API with a Bottom
+    state, whose rows with Bottom take the per-step loop: the first
+    state, which the first join makes finite, or a new state ``z`` that
+    reads only itself and stays Bottom."""
+    from test_lowering import row_program
+
+    texts = {
+        "dense-jacobi": row_program(11, 32, None),
+        "dense-gauss-seidel": row_program(12, 64, None, gauss_seidel=True),
+        "sparse-jacobi": row_program(13, 96, 4),
+        "sparse-gauss-seidel": row_program(14, 256, 8, gauss_seidel=True),
+    }
+    out = {name: parse(text) for name, text in texts.items()}
+    p = out["sparse-jacobi"]
+    out["bottom-state"] = Program(((p.state_vars[0][0], BOTTOM), *p.state_vars[1:]), p.input_vars, p.body)
+    out["bottom-forever"] = Program(
+        (*p.state_vars, ("z", BOTTOM)), p.input_vars, (*p.body, Assignment("z", 0.0, ((0.5, "z"),)))
+    )
+    return out
+
+
+SCHEDULED = scheduled_programs()
+ROW_CONFIGS = [
+    EngineConfig(mode="kleene"),
+    EngineConfig(mode="kleene", stop_tol=0.0, max_iter=400),
+    EngineConfig(mode="widen", widen_delay=8),
+    EngineConfig(mode="widen", widen_delay=3, thresholds=ThresholdSet((-2.0, -0.5, 0.5, 2.0, 8.0))),
+]
+
+
+@pytest.mark.parametrize("cfg", ROW_CONFIGS)
+@pytest.mark.parametrize("name", SCHEDULED)
+def test_array_rows_equal_a_loop_over_lists(name, cfg):
+    # kleene and widen runs on a scheduled body carry float64 arrays
+    p = SCHEDULED[name]
+    assert p.lowered.schedule is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, trace = analyze(p, cfg)
+    rows, reason, invariant = list_kleene(p, cfg)
+    assert [r.index for r in trace.records] == list(range(1, len(rows) + 1))
+    for r, row in zip(trace.records, rows):
+        assert type(r.bounds) is np.ndarray and not r.bounds.flags.writeable
+        assert all(type(v) is float for v in r.row)
+        assert [v.hex() for v in r.row] == [v.hex() for v in row]
+    assert trace.reason == reason
+    bounds = [b for iv in report.invariant.intervals for b in (iv.lo, iv.hi)]
+    assert all(type(v) is float for v in bounds)
+    assert [v.hex() for v in bounds] == [v.hex() for v in invariant]
+    if name == "bottom-state":
+        assert trace.initial.intervals[0].is_bottom
+    if name == "bottom-forever":
+        assert all(r.state["z"].is_bottom for r in trace.records)
+
+
+def test_array_rows_raise_on_nan_without_warning():
+    p = batched_program(((1e308, "u"), (-1e308, "u")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("kleene", "widen"):
+            with pytest.raises(ValueError, match="NaN"):
+                analyze(p, EngineConfig(mode=mode))
 
 
 class TestConfigValidation:

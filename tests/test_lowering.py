@@ -151,21 +151,36 @@ def per_interval(op, a, b, *extra):
     )
 
 
+def row_types(a, b):
+    """Two states as bound rows: lists of floats, then read-only float64
+    arrays, as the engine's loop carries them."""
+    yield bound_row(a).tolist(), bound_row(b).tolist()
+    ra, rb = bound_row(a), bound_row(b)
+    ra.flags.writeable = rb.flags.writeable = False
+    yield ra, rb
+
+
+def row_bits(names, row, kind):
+    """``bits`` of a row the engine returned, which must be of type ``kind``."""
+    assert type(row) is kind
+    return bits(state_from_row(names, [float(v) for v in row]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_row_operations_equal_interval_operations(seed, n):
     names, a, b, t = rows_and_states(seed, n)
-    ra, rb = bound_row(a).tolist(), bound_row(b).tolist()
-    cases = [
-        (engine.state_join(ra, rb), per_interval(join, a, b)),
-        (engine.state_widen_std(ra, rb), per_interval(widen_std, a, b)),
-        (engine.state_widen_thresholds(ra, rb, t), per_interval(widen_thresholds, a, b, t)),
-    ]
-    for row, expected in cases:
-        assert bits(state_from_row(names, row)) == bits(expected)
-    assert engine.state_leq(ra, rb) == all(
-        leq(u, v) for u, v in zip(a.intervals, b.intervals)
-    )
+    for ra, rb in row_types(a, b):
+        cases = [
+            (engine.state_join(ra, rb), per_interval(join, a, b)),
+            (engine.state_widen_std(ra, rb), per_interval(widen_std, a, b)),
+            (engine.state_widen_thresholds(ra, rb, t), per_interval(widen_thresholds, a, b, t)),
+        ]
+        for row, expected in cases:
+            assert row_bits(names, row, type(ra)) == bits(expected)
+        assert engine.state_leq(ra, rb) == all(
+            leq(u, v) for u, v in zip(a.intervals, b.intervals)
+        )
 
 
 def test_nan_in_any_assignment_raises_like_affine_eval():
@@ -183,8 +198,9 @@ def test_row_join_keeps_signed_zeros_like_join():
     names = ("a", "b")
     x = AbstractState(zip(names, [Interval(-0.0, 0.0), Interval(0.0, -0.0)]))
     y = AbstractState(zip(names, [Interval(0.0, -0.0), Interval(-0.0, 0.0)]))
-    row = engine.state_join(bound_row(x).tolist(), bound_row(y).tolist())
-    assert bits(state_from_row(names, row)) == bits(per_interval(join, x, y))
+    for rx, ry in row_types(x, y):
+        row = engine.state_join(rx, ry)
+        assert row_bits(names, row, type(rx)) == bits(per_interval(join, x, y))
 
 
 def wide_interval(rng):
@@ -557,6 +573,21 @@ def test_scheduled_bodies_equal_fold_of_affine_eval(case):
         assert got == "ValueError"
     # a scheduled body builds the per-step loop only for a row with Bottom
     assert (lowered.steps is None) == (bottom is None)
+    # an array row has an array image of the same bits, or the same error
+    row = p.row_of(x)
+    assert image_bits(lowered, np.array(row)) == image_bits(lowered, row)
+
+
+def image_bits(lowered, row):
+    """The hex bounds of ``lowered.image(row)``, which must be of the
+    type of ``row``, or "ValueError"."""
+    try:
+        with np.errstate(all="ignore"):
+            out = lowered.image(row)
+    except ValueError:
+        return "ValueError"
+    assert type(out) is type(row)
+    return [float(v).hex() for v in out]
 
 
 def row_program(seed, n, nnz, gauss_seidel=False):

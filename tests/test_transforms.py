@@ -17,7 +17,7 @@ from fixaccel import (
     load_bundled,
     vector_epsilon_diagonal,
 )
-from fixaccel.transforms import MAX_COLUMN, EstimateStream
+from fixaccel.transforms import MAX_COLUMN, EstimateStream, seq_norm
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 TINY = np.finfo(float).tiny  # the smallest normal float
@@ -659,6 +659,24 @@ class TestConverged:
         assert converged([1e6, 0.5], [1e6 + 0.5, 0.5 + 5e-7], 1e-6)
         assert not converged([1e6, 0.5], [1e6 + 2.0, 0.5], 1e-6)
         assert not converged([1e6, 0.5], [1e6, 0.5 + 2e-6], 1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+    def test_euclidean_norm_neither_underflows_nor_overflows(self, scale):
+        # tier-1 turns a NumPy RuntimeWarning into an error
+        cfg = TransformConfig(norm="euclidean")
+        assert seq_norm([3 * scale, 4 * scale], cfg) == pytest.approx(5 * scale, rel=1e-15)
+        assert seq_norm([scale, scale], cfg) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
+        assert seq_norm([-scale], cfg) == seq_norm([scale], TransformConfig()) == scale
+
+    def test_euclidean_norm_of_normal_squares_is_sqrt_of_dot(self):
+        v = np.random.default_rng(3).normal(size=(14, 7)) * 10.0 ** np.arange(-140, 140, 20)[:, None]
+        cfg = TransformConfig(norm="euclidean")
+        for row in v:
+            assert seq_norm(row, cfg) == math.sqrt(np.dot(row, row))
+        assert seq_norm([0.0, -0.0], cfg) == seq_norm([], cfg) == 0.0
+        assert seq_norm([math.inf, 1.0], cfg) == math.inf
+        assert math.isnan(seq_norm([math.nan, 1e-300], cfg))
+        assert seq_norm([1.7e308, 1.7e308], cfg) == math.inf
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
