@@ -1,7 +1,5 @@
 """Fixpoint computation strategies over affine loop programs.
 
-Three modes share one iteration loop:
-
 * ``kleene`` — plain joins until the iterates stabilize;
 * ``widen`` — joins replaced by (threshold) widening after an optional
   delay, guaranteeing termination;
@@ -12,20 +10,23 @@ Three modes share one iteration loop:
   candidate that verifies is the result (an "injection"), which cuts
   off the remaining convergence tail.  The plain rows are computed up
   to ``LOOKAHEAD`` at a time and fed to the transformation as one block
-  (``_Accelerator``); the loop takes them one iteration at a time, so
-  the block size changes no result.
+  (``_Accelerator.block``), which yields them one iteration at a time,
+  so the block size changes no result.  When the estimates fail, the
+  run falls back to threshold widening.
 
-Stabilization is detected either bit-exactly or, in kleene and widen
-mode and after an accel run's fallback, when the largest bound movement
-in one iteration falls under ``stop_tol``; a tolerance-detected result
-is then "sealed" — inflated outward a hair until the transfer function
-maps it into itself — so every reported convergent invariant is a
+An accel run has two phases: the accel phase (``_accelerate``) and,
+after a fallback, the plain loop (``_iterate``), which kleene and widen
+runs use from the start.  Stabilization is detected either bit-exactly
+or, in the plain loop only, when the largest bound movement in one
+iteration falls under ``stop_tol``; a tolerance-detected result is then
+"sealed" — inflated outward a hair until the transfer function maps it
+into itself — so every reported convergent invariant is a
 machine-checked post-fixpoint.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -147,10 +148,10 @@ class FixpointReport:
 
 # The loop carries the state as a bound row laid out like
 # ``extraction.bound_row``, (lo_1, hi_1, ..., lo_v, hi_v), with a Bottom
-# component as (inf, -inf): a float64 array in a kleene or widen run on a
-# body with a level schedule, whose rows are wide, and a list of floats
+# component as (inf, -inf): a float64 array in the plain loop on a body
+# with a level schedule, whose rows are wide, and a list of floats
 # otherwise, where NumPy's per-call cost would exceed the work (see
-# ``analyze``).  The row operations below compute exactly what their
+# ``_iterate``).  The row operations below compute exactly what their
 # interval counterparts in ``intervals`` and ``programs`` compute, on
 # either type, and carry the same names, under which the benchmark's
 # tracer (perfbench/tracer.py) times them.
@@ -237,11 +238,6 @@ def _arrays_moved_at_most(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """``_moved_at_most`` on two array rows (inf - inf is NaN, and no
     NaN is at most ``tol``); the caller holds the NumPy error state."""
     return bool(((a == b) | (abs(a - b) <= tol)).all())
-
-
-def _arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """``a == b`` of the two rows as lists (the loop's rows hold no NaN)."""
-    return bool((a == b).all())
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -336,22 +332,21 @@ def _finite(x: list[float]) -> list[int]:
 
 
 class _Accelerator:
-    """Computes the plain Kleene rows of an accel run ahead, feeds them
-    to the estimator in blocks, and hands them out one iteration at a
-    time with their estimates.
+    """Hands out the plain Kleene rows of an accel run in blocks, each
+    with its estimate.
 
     Until an injection changes the state or the fallback starts, the
-    run's rows are x_{i+1} = x_i ⊔ F(x_i), so ``take`` computes up to n of
-    them at once, through the same ``transfer`` and ``state_join`` as the
-    loop, pushes them to the ``EstimateStream`` as one block, and queues
-    each with its estimate and its finite coordinates.  A row equal to
-    the one before it, an exact fixpoint, ends the block and is not
-    pushed.  ``start`` drops the queue and begins a new stream.
+    run's rows are x_{i+1} = x_i ⊔ F(x_i), so ``block`` computes up to n
+    of them at once, through the same ``transfer`` and ``state_join`` as
+    the plain loop, pushes them to the ``EstimateStream`` as one block,
+    and yields them one at a time.  A row equal to the one before it, an
+    exact fixpoint, ends the block and is not pushed.  ``start`` begins
+    a new stream; the caller then leaves the block it is in.
 
     The stream sees only the finite coordinates of each row; when the
     set changes, it keeps the surviving coordinates or starts over.
-    ``active``, ``last`` and ``prev`` describe the newest row taken, not
-    the newest row pushed: ``active`` lists its finite coordinates,
+    ``active``, ``last`` and ``prev`` describe the newest row yielded,
+    not the newest row pushed: ``active`` lists its finite coordinates,
     ``last`` is its estimate, one value per entry of ``active``, and
     ``prev`` is the estimate ``ready`` saw last.  Estimates are compared
     only while the finite-coordinate set is unchanged.  Nothing here
@@ -361,49 +356,36 @@ class _Accelerator:
     def __init__(self, p: Program, cfg: EngineConfig, x: list[float]):
         self.p = p
         self.cfg = cfg
-        self.queue: deque[tuple[list[float], np.ndarray | None, list[int] | None]] = deque()
         self.start(x)
 
     def start(self, x: list[float]) -> None:
-        """Forget every row: ``x`` starts a new stream, pushed as the
+        """Begin a new stream: ``x`` is pushed, but not yielded, as the
         first row of the next block."""
         self.stream: EstimateStream | None = None
         self.pushed: list[int] = []  # the finite coordinates of the newest row pushed
-        self.queue.clear()
-        self.tip = x  # the newest row computed
-        self.taken = [x]  # rows taken but not pushed yet
+        self.pending = [x]
         self.active, self.prev, self.last = _finite(x), None, None
 
-    def take(self, n: int) -> tuple[list[float], np.ndarray | None]:
-        """The next Kleene row and its estimate (None while the stream
-        has none, and for an exact fixpoint).  When no row is queued,
-        the next n are computed first."""
-        if not self.queue:
-            self._ahead(n)
-        x, y, active = self.queue.popleft()
-        if active is not None:
-            if active != self.active:
-                # coordinate set changed: restart the comparison chain
-                self.active, self.prev = active, None
-            self.last = y
-        return x, y
-
-    def _ahead(self, n: int) -> None:
-        """Compute up to n Kleene rows after ``tip``, push them, after
-        the rows taken but not pushed yet, and queue them."""
-        x, rows = self.tip, []
+    def block(self, x: list[float], n: int) -> Iterator[tuple[list[float], np.ndarray | None]]:
+        """Yield up to n Kleene rows after ``x``, each with its estimate
+        (None while the stream has none); an exact fixpoint ends the
+        block, yielded with None."""
+        rows = []
         while len(rows) < n:
             nxt = state_join(x, transfer(self.p, x))
             if nxt == x:
                 break
             rows.append(nxt)
             x = nxt
-        self.tip = x
-        self.queue.extend(self._push(self.taken + rows)[len(self.taken):])
-        self.taken = []
+        pending, self.pending = self.pending, []
+        for x, y, active in self._push(pending + rows)[len(pending):]:
+            if active != self.active:
+                # coordinate set changed: restart the comparison chain
+                self.active, self.prev = active, None
+            self.last = y
+            yield x, y
         if len(rows) < n:
-            # an exact fixpoint needs no estimate: the run stops there
-            self.queue.append((nxt, None, None))
+            yield nxt, None
 
     def _push(self, rows: list[list[float]]) -> list:
         """Feed the finite coordinates of ``rows`` to the stream, one
@@ -485,119 +467,132 @@ def _inject(x: list[float], active: list[int], y: np.ndarray) -> list[float]:
     return state_join(x, filled)
 
 
-def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
-    """Iterate from the declared initial state in the mode ``cfg`` selects.
+def _iterate(
+    p: Program, cfg: EngineConfig, x: list[float], start: int, trace: IterationTrace,
+    fallback: ThresholdSet | None,
+) -> tuple[list[float], str]:
+    """The plain loop from iteration ``start``: joins, widened after the
+    delay in widen mode or by the ``fallback`` thresholds of an accel
+    run, until the row is stable, bit-exactly or (unless ``stop_tol`` is
+    0) to ``stop_tol``, or ``max_iter``.  Returns the final row, as a
+    list, and the reason.  On a scheduled body the rows are float64
+    arrays (see the row comment above)."""
+    if p.lowered.schedule is not None:
+        x = np.array(x)
+        # np.array_equal is == of the rows as lists: they hold no NaN
+        same, moved, record = np.array_equal, _arrays_moved_at_most, _read_only
+    else:
+        same, moved, record = eq, _moved_at_most, tuple
+    names = trace.variables
+    reason = "max-iter"
+    for i in range(start, cfg.max_iter + 1):
+        prev = x
+        joined = state_join(x, transfer(p, x))
+        if fallback is not None:
+            x = state_widen_thresholds(prev, joined, fallback)
+            event = "fallback-widen"
+        elif cfg.mode == "widen" and i > cfg.widen_delay:
+            if cfg.thresholds is not None:
+                x = state_widen_thresholds(prev, joined, cfg.thresholds)
+            else:
+                x = state_widen_std(prev, joined)
+            event = "plain-step" if same(x, joined) else "widen-step"
+        else:
+            x = joined
+            event = "plain-step"
+        if same(x, prev):
+            reason, event = "converged", "converged"
+        elif cfg.stop_tol > 0.0 and moved(prev, x, cfg.stop_tol):
+            reason, event = "converged-tolerance", "converged"
+        trace.records.append(TraceRecord(i, record(x), None, event, names))
+        if reason != "max-iter":
+            break
+    return (x if type(x) is list else x.tolist()), reason
 
-    In accel mode, whenever a fresh estimate agrees with the one before
-    it, the state joined with the estimate is tried as a verified
-    post-fixpoint (``_verify``).  One that verifies is the result: the
-    run records it as an injection and stops.  A rejected candidate is
-    dropped under the ``once`` policy; under ``repeat`` it is joined in
-    unverified, as long as it changes the state, and the estimator
-    restarts from the joined state.  The tolerance stop waits for the
-    fallback.  After 2 * ``fallback_after`` rejected candidates, or
-    2 * ``fallback_after`` iterations since the last agreement (since
-    the start while there is none), the run switches to threshold
-    widening seeded from the last estimate (then standard widening via
-    the implicit infinities), guaranteeing termination.
+
+def _accelerate(
+    p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrace
+) -> tuple[list[float], str]:
+    """The accel phase: Kleene rows from the initial row ``x``, watched
+    by the estimator.  Returns the final row and the reason the run
+    stopped.
+
+    Whenever a fresh estimate agrees with the one before it, the state
+    joined with the estimate is tried as a verified post-fixpoint
+    (``_verify``).  One that verifies is the result: the run records it
+    as an injection and stops.  A rejected candidate is dropped under
+    the ``once`` policy; under ``repeat`` it is joined in unverified, as
+    long as it changes the state, and the estimator restarts from the
+    joined state.  The phase also stops at an exact fixpoint and at
+    ``max_iter``.  After 2 * ``fallback_after`` rejected candidates, or
+    2 * ``fallback_after`` iterations since the last agreement (since the
+    start while there is none), it hands the run to the plain loop with
+    threshold widening seeded from the last estimate (then standard
+    widening via the implicit infinities), guaranteeing termination.
     """
+    acc = _Accelerator(p, cfg, x)
+    names = trace.variables
+    budget = 2 * cfg.fallback_after
+    i = rejected = 0
+    agreed = 0  # the iteration of the newest agreement
+    while i < cfg.max_iter:
+        # a block stops at max_iter and at the iteration where the
+        # fallback would fire: that of the clock, or of the last
+        # rejection the budget allows
+        n = min(LOOKAHEAD, cfg.max_iter - i, agreed + budget - i, budget - rejected)
+        for row, y in acc.block(x, n):
+            i += 1
+            prev, x = x, row
+            accel_row: tuple[float | None, ...] | None = None
+            if y is not None and len(acc.active) == len(x):
+                accel_row = tuple(y.tolist())
+            elif y is not None:
+                est: list[float | None] = [None] * len(x)
+                for j, v in zip(acc.active, y.tolist()):
+                    est[j] = v
+                accel_row = tuple(est)
+            event = "plain-step"
+            if y is not None and acc.ready(y):
+                agreed = i
+                candidate = _inject(x, acc.active, y)
+                verified = _verify(p, x, candidate)
+                if verified is not None:
+                    trace.records.append(TraceRecord(i, tuple(verified), accel_row, "injection", names))
+                    return verified, "verified-injection"
+                rejected += 1
+                if cfg.inject_policy == "repeat" and candidate != x:
+                    x = candidate
+                    event = "injection"
+                    acc.start(x)
+            if x == prev:
+                trace.records.append(TraceRecord(i, tuple(x), accel_row, "converged", names))
+                return x, "converged"
+            trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
+            if rejected >= budget or i - agreed >= budget:
+                return _iterate(p, cfg, x, i + 1, trace, _fallback_thresholds(acc))
+            if event == "injection":
+                break  # the rest of the block follows the state before the join
+    return x, "max-iter"
+
+
+def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
+    """Iterate from the declared initial state: the accel phase in accel
+    mode, the plain loop otherwise.  A tolerance stop is then sealed,
+    and the result checked as a post-fixpoint."""
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
-    # lowered here, before the loop, not inside a transfer.  A run without
-    # the estimator on a scheduled body keeps its rows in float64 arrays
-    # up to the seal; on rows of a few dozen bounds, which the other runs
-    # have, NumPy's per-call cost exceeds the list operations'
-    arrays = cfg.mode != "accel" and p.lowered.schedule is not None
-    if arrays:
-        x = bound_row(initial)
-        same, moved, record = _arrays_equal, _arrays_moved_at_most, _read_only
-    else:
-        x = bound_row(initial).tolist()
-        same, moved, record = eq, _moved_at_most, tuple
-    acc = _Accelerator(p, cfg, x) if cfg.mode == "accel" else None
-    injections = 0
-    rejected = 0  # candidates that did not verify
-    agreed = 0  # the iteration of the newest agreement
-    fallback: ThresholdSet | None = None
-    reason = "max-iter"  # until the run stops
-    budget = 2 * cfg.fallback_after
-
-    # one error state for the loop, the verification and the seal: a
+    x = bound_row(initial).tolist()
+    p.lowered  # lowered here, so that no traced transfer's time holds the lowering
+    # one error state for the loops, the verification and the seal: a
     # bound may overflow to inf, and the estimators divide by zero and
     # make NaN where a denominator vanishes, all of which they handle
     with np.errstate(all="ignore"):
-        for i in range(1, cfg.max_iter + 1):
-            prev = x
-            accel_row: tuple[float | None, ...] | None = None
-            if acc is not None and fallback is None:
-                # rows computed ahead stop at max_iter and at the
-                # iteration where the fallback would fire: that of the
-                # clock, or of the last rejection the budget allows
-                x, y = acc.take(1 + min(
-                    LOOKAHEAD - 1, cfg.max_iter - i, agreed + budget - i, budget - 1 - rejected
-                ))
-                event = "plain-step"
-                if y is not None and len(acc.active) == len(x):
-                    accel_row = tuple(y.tolist())
-                elif y is not None:
-                    est: list[float | None] = [None] * len(x)
-                    for j, v in zip(acc.active, y.tolist()):
-                        est[j] = v
-                    accel_row = tuple(est)
-                if y is not None and acc.ready(y):
-                    agreed = i
-                    candidate = _inject(x, acc.active, y)
-                    verified = _verify(p, x, candidate)
-                    if verified is not None:
-                        x = verified
-                        injections += 1
-                        reason = "verified-injection"
-                        trace.records.append(TraceRecord(i, record(x), accel_row, "injection", names))
-                        break
-                    rejected += 1
-                    if cfg.inject_policy == "repeat" and candidate != x:
-                        x = candidate
-                        injections += 1
-                        event = "injection"
-                        acc.start(x)
-            else:
-                joined = state_join(x, transfer(p, x))
-                if cfg.mode == "widen" and i > cfg.widen_delay:
-                    if cfg.thresholds is not None:
-                        x = state_widen_thresholds(prev, joined, cfg.thresholds)
-                    else:
-                        x = state_widen_std(prev, joined)
-                    event = "plain-step" if same(x, joined) else "widen-step"
-                elif fallback is not None:
-                    x = state_widen_thresholds(prev, joined, fallback)
-                    event = "fallback-widen"
-                else:
-                    x = joined
-                    event = "plain-step"
-
-            if same(x, prev):
-                reason = "converged"
-            elif (
-                # until the fallback, an accel run ends at a verified injection
-                (acc is None or fallback is not None)
-                and cfg.stop_tol > 0.0
-                and moved(prev, x, cfg.stop_tol)
-            ):
-                reason = "converged-tolerance"
-            if reason != "max-iter":
-                trace.records.append(TraceRecord(i, record(x), accel_row, "converged", names))
-                break
-            trace.records.append(TraceRecord(i, record(x), accel_row, event, names))
-
-            if acc is not None and fallback is None and (
-                rejected >= budget or i - agreed >= budget
-            ):
-                fallback = _fallback_thresholds(acc)
-
+        if cfg.mode == "accel":
+            x, reason = _accelerate(p, cfg, x, trace)
+        else:
+            x, reason = _iterate(p, cfg, x, 1, trace, None)
         trace.reason = reason
-        if arrays:
-            x = x.tolist()
         if reason == "converged-tolerance":
             x = _seal(p, x)
         invariant = state_from_row(names, x)
@@ -605,7 +600,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     report = FixpointReport(
         invariant=invariant,
         iterations=trace.iterations,
-        injections=injections,
+        injections=sum(r.event == "injection" for r in trace.records),
         sound=sound,
         converged=reason != "max-iter",
         reason=reason + ("+sealed" if reason == "converged-tolerance" else ""),

@@ -5,10 +5,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fixaccel
 from fixaccel import EngineConfig, TransformConfig, analyze, bundled_path, load_bundled
 from fixaccel.bundled import PROGRAM_NAMES
 from fixaccel.cli import build_parser, main
@@ -435,3 +438,19 @@ class TestTraceReplay:
         code, out, _ = run(capsys, "accelerate", str(trace))
         assert code == 0
         assert "columns: x1_lo, x1_hi, x2_lo, x2_hi, x3_lo, x3_hi" in out
+
+
+@pytest.mark.parametrize("argv", [["analyze", FILTER3], ["accelerate", ITERATES]])
+def test_closed_stdout_exits_one_without_a_traceback(argv):
+    # a pipe whose read end is closed before the command starts: its
+    # first write to standard output fails, as under ``| head``
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(fixaccel.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "fixaccel.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""

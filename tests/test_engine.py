@@ -556,7 +556,8 @@ def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
 # Programs whose runs put each event inside a block of rows computed
 # ahead: an exact fixpoint, a bound overflowing to inf (the finite
 # coordinates change), unverified joins that restart the stream, a
-# fallback, a Bottom variable turning finite and one turning infinite.
+# fallback, a Bottom variable turning finite and one turning infinite;
+# and a body with a level schedule, whose fallback iterates on arrays.
 LOOKAHEAD_PROGRAMS = {
     "filter3": load_bundled("filter3"),
     "zero": parse("state x in [0, 0];\nstate y in [0, 1];\nloop {\n  x = 0.5*x;\n  y = 0.5*y + 1;\n}\n"),
@@ -568,6 +569,7 @@ LOOKAHEAD_PROGRAMS = {
     "divergent": parse("state x in [0, 1];\nstate y in [0, 1];\nloop {\n  x = x + 1;\n  y = 0.5*y + 1;\n}\n"),
     "alternating": parse("state x in [0, 1];\ninput u in [-1, 1];\nloop {\n  x = -0.955*x + 0.1*u;\n}\n"),
     "restarts": parse(gaussian_program(2, 4, 0.97)),
+    "scheduled": parse(gaussian_program(3, 16, 0.97)),
     "shrinking": _shrinking_program(),
     "bottom": Program(
         state_vars=(("a", BOTTOM), ("b", Interval(0.0, 1.0))),
@@ -610,7 +612,7 @@ class TestLookahead:
         assert [_run_record(p, cfg) for cfg in cfgs] == blocks
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("name", ["filter3", "divergent", "alternating", "restarts"])
+    @pytest.mark.parametrize("name", ["filter3", "divergent", "alternating", "restarts", "scheduled"])
     def test_no_row_past_max_iter_or_the_fallback(self, monkeypatch, name, method):
         # every candidate is rejected, so each of these runs ends at
         # max_iter or falls back, on the clock or on the rejections
@@ -632,6 +634,49 @@ class TestLookahead:
         blocks = transfers()
         monkeypatch.setattr(engine, "LOOKAHEAD", 1)
         assert transfers() == blocks
+
+
+def _hex_run(report, trace):
+    """A run's rows, estimates, events, reasons and invariant, with every
+    bound written by ``float.hex``."""
+    rows = [(r.index, [v.hex() for v in r.row], r.accel, r.event) for r in trace.records]
+    bounds = [v.hex() for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
+    return rows, trace.reason, report.reason, report.injections, bounds
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("method", METHODS)
+def test_accel_fallback_on_arrays_equals_the_per_step_loop(method, policy):
+    # the fallback on a scheduled body iterates on arrays; with the
+    # schedule removed, the same run takes the per-step loop on lists
+    text = gaussian_program(3, 16, 0.97)
+    p, q = parse(text), parse(text)
+    assert p.lowered.schedule is not None
+    q.lowered.schedule = None
+    for c in ({"fallback_after": 1}, {"fallback_after": 5}, {"fallback_after": 1, "max_iter": 6}):
+        cfg = EngineConfig(method=method, inject_policy=policy, **c)
+        (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
+        assert "fallback-widen" in [r.event for r in tp.records]
+        assert [r.index for r in tp.records] == list(range(1, min(len(tp.records), cfg.max_iter) + 1))
+        assert type(tp.records[-1].bounds) is np.ndarray and type(tq.records[-1].bounds) is tuple
+        assert _hex_run(rp, tp) == _hex_run(rq, tq)
+
+
+@pytest.mark.parametrize("mode", ["kleene", "widen", "accel"])
+@pytest.mark.parametrize(
+    "text", [gaussian_program(3, 16, 0.97), gaussian_program(2, 4, 0.97)], ids=["scheduled", "per-step"]
+)
+def test_analyze_lowers_the_body_before_the_first_transfer(monkeypatch, mode, text):
+    # so that the traced transfer time holds no lowering
+    p, image = parse(text), engine.transfer
+
+    def transfer(prog, x):
+        assert "lowered" in prog.__dict__
+        return image(prog, x)
+
+    monkeypatch.setattr(engine, "transfer", transfer)
+    report, _ = analyze(p, EngineConfig(mode=mode))
+    assert report.sound
 
 
 def list_kleene(p, cfg):
