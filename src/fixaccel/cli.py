@@ -38,11 +38,12 @@ from typing import get_args
 import numpy as np
 
 from .engine import EngineConfig, FixpointReport, IterationTrace, analyze
-from .engine import InjectPolicy, Method, Mode
+from .engine import InjectPolicy, Mode
 from .extraction import bound_row
 from .intervals import ThresholdSet
 from .programs import ParseError, parse
 from .transforms import (
+    Method,
     Norm,
     TransformConfig,
     aitken,

@@ -29,7 +29,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from operator import eq, le, sub
 from typing import Literal, get_args
 
@@ -40,12 +39,11 @@ from .extraction import bound_row, state_from_row
 from .extraction import combine_detailed  # noqa: F401
 from .intervals import INF, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import EstimateStream, converged
+from .transforms import EstimateStream, Method, converged
 # not called here; bound because the benchmark tracer wraps these names
 from .transforms import aitken, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
-Method = Literal["aitken", "epsilon", "vector-epsilon"]
 InjectPolicy = Literal["once", "repeat"]
 
 
@@ -73,12 +71,11 @@ class EngineConfig:
                 raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
         if self.mode == "accel" and not self.delta > 0:
             raise ValueError("delta must be positive in accel mode")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.widen_delay < 0:
-            raise ValueError("widen_delay must be non-negative")
-        if self.fallback_after < 1:
-            raise ValueError("fallback_after must be at least 1")
+        for name, least in (("max_iter", 1), ("widen_delay", 0), ("fallback_after", 1)):
+            value = getattr(self, name)
+            # __index__ is what operator.index takes: an int or a NumPy integer
+            if not hasattr(value, "__index__") or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
         if not self.stop_tol >= 0:
             raise ValueError("stop_tol must be non-negative")
 
@@ -325,12 +322,6 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
 LOOKAHEAD = 12
 
 
-def _finite(x: list[float]) -> list[int]:
-    """The positions of the finite bounds of a row."""
-    # v - v is 0.0 for a finite v and NaN for an infinite one
-    return [j for j, v in enumerate(x) if v - v == 0.0]
-
-
 class _Accelerator:
     """Hands out the plain Kleene rows of an accel run in blocks, each
     with its estimate.
@@ -339,18 +330,17 @@ class _Accelerator:
     run's rows are x_{i+1} = x_i ⊔ F(x_i), so ``block`` computes up to n
     of them at once, through the same ``transfer`` and ``state_join`` as
     the plain loop, pushes them to the ``EstimateStream`` as one block,
-    and yields them one at a time.  A row equal to the one before it, an
-    exact fixpoint, ends the block and is not pushed.  ``start`` begins
-    a new stream; the caller then leaves the block it is in.
+    and yields them one at a time.  The stream decides which finite
+    coordinates each estimate covers.  A row equal to the one before it,
+    an exact fixpoint, ends the block and is not pushed.  ``start``
+    begins a new stream; the caller then leaves the block it is in.
 
-    The stream sees only the finite coordinates of each row; when the
-    set changes, it keeps the surviving coordinates or starts over.
-    ``active``, ``last`` and ``prev`` describe the newest row yielded,
-    not the newest row pushed: ``active`` lists its finite coordinates,
-    ``last`` is its estimate, one value per entry of ``active``, and
-    ``prev`` is the estimate ``ready`` saw last.  Estimates are compared
-    only while the finite-coordinate set is unchanged.  Nothing here
-    enters an error state: it runs inside the one ``analyze`` holds.
+    ``active`` and ``prev`` describe the newest row yielded, not the
+    newest row pushed: ``active`` lists the positions of its estimate's
+    coordinates, and ``prev`` is the estimate ``ready`` saw last.
+    Estimates are compared only while ``active`` is unchanged.  Nothing
+    here enters an error state: it runs inside the one ``analyze``
+    holds.
     """
 
     def __init__(self, p: Program, cfg: EngineConfig, x: list[float]):
@@ -361,10 +351,9 @@ class _Accelerator:
     def start(self, x: list[float]) -> None:
         """Begin a new stream: ``x`` is pushed, but not yielded, as the
         first row of the next block."""
-        self.stream: EstimateStream | None = None
-        self.pushed: list[int] = []  # the finite coordinates of the newest row pushed
+        self.stream = EstimateStream(self.cfg.method)
         self.pending = [x]
-        self.active, self.prev, self.last = _finite(x), None, None
+        self.active, self.prev = None, None
 
     def block(self, x: list[float], n: int) -> Iterator[tuple[list[float], np.ndarray | None]]:
         """Yield up to n Kleene rows after ``x``, each with its estimate
@@ -377,47 +366,16 @@ class _Accelerator:
                 break
             rows.append(nxt)
             x = nxt
-        pending, self.pending = self.pending, []
-        for x, y, active in self._push(pending + rows)[len(pending):]:
-            if active != self.active:
-                # coordinate set changed: restart the comparison chain
-                self.active, self.prev = active, None
-            self.last = y
-            yield x, y
+        if rows:
+            pending, self.pending = self.pending, []
+            estimates = self.stream.push_rows_unguarded(pending + rows)[len(pending):]
+            for x, (y, active) in zip(rows, estimates):
+                if active != self.active:
+                    # coordinate set changed: restart the comparison chain
+                    self.active, self.prev = active, None
+                yield x, y
         if len(rows) < n:
             yield nxt, None
-
-    def _push(self, rows: list[list[float]]) -> list:
-        """Feed the finite coordinates of ``rows`` to the stream, one
-        block per run of rows with the same finite coordinates, and
-        return (row, estimate, finite coordinates) for each."""
-        out: list = []
-        first = 0
-        for k, x in enumerate(rows):
-            active = _finite(x)
-            if active != self.pushed:
-                out += self._estimates(rows[first:k])
-                self._switch(active)
-                first = k
-        return out + self._estimates(rows[first:])
-
-    def _switch(self, active: list[int]) -> None:
-        if not active:
-            self.stream = None  # nothing to accelerate
-        elif self.stream is not None and set(active) <= set(self.pushed):
-            self.stream.keep([self.pushed.index(j) for j in active])
-        else:
-            # new coordinates (a Bottom variable that became finite)
-            # have no finite history: the stream starts from this row
-            self.stream = EstimateStream(self.cfg.method)
-        self.pushed = active
-
-    def _estimates(self, rows: list[list[float]]) -> list:
-        active = self.pushed
-        if self.stream is None or not rows:
-            return [(x, None, active) for x in rows]
-        block = rows if len(active) == len(rows[0]) else [[x[j] for j in active] for x in rows]
-        return list(zip(rows, self.stream.push_rows_unguarded(block), repeat(active)))
 
     def ready(self, y: np.ndarray) -> bool:
         """True when every coordinate of the fresh estimate ``y`` is
@@ -428,14 +386,18 @@ class _Accelerator:
         return converged(y, prev, self.cfg.delta)
 
 
-def _fallback_thresholds(acc: _Accelerator) -> ThresholdSet:
-    """Thresholds for the emergency widening: the last accelerated
-    estimate with each bound relaxed outward by a relative margin.  A
-    bound whose threshold is not finite adds none: the implicit
-    infinities of ``ThresholdSet`` already stand for it."""
+def _fallback_thresholds(record: TraceRecord) -> ThresholdSet:
+    """Thresholds for the emergency widening: the estimate of the newest
+    record with each bound relaxed outward by a relative margin.  An
+    unverified join restarts the estimator, which then holds none, so a
+    record of one adds none.  A bound whose threshold is not finite adds
+    none either: the implicit infinities of ``ThresholdSet`` already
+    stand for it."""
     values: set[float] = set()
-    if acc.last is not None:
-        for coord, v in zip(acc.active, acc.last.tolist()):
+    if record.accel is not None and record.event != "injection":
+        for coord, v in enumerate(record.accel):
+            if v is None:
+                continue
             margin = max(1e-6, 1e-6 * abs(v))
             t = v - margin if coord % 2 == 0 else v + margin
             if math.isfinite(t):
@@ -569,7 +531,7 @@ def _accelerate(
                 return x, "converged"
             trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
             if rejected >= budget or i - agreed >= budget:
-                return _iterate(p, cfg, x, i + 1, trace, _fallback_thresholds(acc))
+                return _iterate(p, cfg, x, i + 1, trace, _fallback_thresholds(trace.records[-1]))
             if event == "injection":
                 break  # the rest of the block follows the state before the join
     return x, "max-iter"

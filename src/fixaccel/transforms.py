@@ -16,8 +16,9 @@ reads column 2 of the whole table of a sequence, and
 ``epsilon_diagonal`` and ``vector_epsilon_diagonal`` the tip of each
 even column; their floor is tol, which is the rule
 |d| < tol * max(1, |b|) (but at least the smallest normal float, for
-vectors).  ``EstimateStream`` is the engine's estimator: it takes rows
-in blocks, extends the table over a whole block column by column, and
+vectors).  ``EstimateStream`` is the engine's estimator: it takes bound
+rows in blocks, decides which of their coordinates, the finite ones,
+enter the table, extends it over a whole block column by column, and
 reads the newest valid cell of the deepest even column; its floor is
 the smallest normal float, so that a sequence of any scale forms its
 columns.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
@@ -40,6 +42,7 @@ MAX_COLUMN = 8
 # of its element: its inverse would overflow.
 _TINY = sys.float_info.min
 
+Method = Literal["aitken", "epsilon", "vector-epsilon"]
 Norm = Literal["infinity", "euclidean"]
 
 
@@ -174,11 +177,19 @@ def _carried(
 
 class EstimateStream:
     """The newest limit estimate of a transformation over a growing
-    sequence of rows, updated in O(d) per row of d coordinates.
+    sequence of bound rows, updated in O(d) per row of d finite
+    coordinates.
 
     Rows arrive in blocks of one or more (``push_rows_unguarded``), and
     the stream returns the estimate after each row of a block.  The
-    stream keeps the newest ascending antidiagonal eps_k^(n-k),
+    table holds the finite coordinates of the rows; a bound may be
+    infinite, but not NaN.  When some coordinates turn infinite, the
+    stream replays the rows since it last started on the others, since a
+    vector cell couples all coordinates.  When one turns finite, which
+    has no finite history, the stream starts over from that row.  A row
+    with no finite coordinate has no estimate.
+
+    The stream keeps the newest ascending antidiagonal eps_k^(n-k),
     k = 0..min(n, cap), of the epsilon-table, and ``_epsilon_table``
     extends it over each block at once, so the NumPy calls are paid per
     block, not per row; a block gives exactly the estimates that pushing
@@ -194,44 +205,87 @@ class EstimateStream:
     eps_2j^(0) that ``epsilon_diagonal`` reports, it leaves the transient
     of the first rows behind.
 
-    Every method has an estimate from the third row on.  The stall
-    tolerance is ``TransformConfig``'s default.
+    Every method has an estimate once the table holds three rows.  The
+    stall tolerance is ``TransformConfig``'s default.
     """
 
     def __init__(self, method: str):
-        if method not in ("aitken", "epsilon", "vector-epsilon"):
+        if method not in get_args(Method):
             raise ValueError(f"unknown method {method!r}")
         self.method = method
         self.tol = TransformConfig().stall_tolerance
         self._columns = 2 if method == "aitken" else MAX_COLUMN
-        self._clear()
-
-    def _clear(self) -> None:
-        self.count = 0
-        self._width: int | None = None
+        self._finite: np.ndarray | None = None  # the table's coordinates, as a mask
+        self.count = 0  # the rows in the table
         self._value: np.ndarray | None = None  # the newest estimate
+
+    def _restart(self, finite: np.ndarray) -> None:
+        """Empty the table, which then holds the coordinates ``finite``."""
+        self.count = 0
+        self._value = None
         self._cur = None  # the newest antidiagonal
-        self._rows: list[np.ndarray] = []  # the blocks pushed, for ``keep``
+        self._rows: list[np.ndarray] = []  # the blocks in the table, whole, for a replay
+        self._finite = finite
+        self._positions: list[int] = np.flatnonzero(finite).tolist()
 
     def push(self, row: Sequence[float]) -> None:
-        """Append one row of finite values, one per coordinate."""
+        """Append one row of values, infinite or finite, one per
+        coordinate."""
         with np.errstate(all="ignore"):
             self.push_rows_unguarded([row])
 
-    def push_rows_unguarded(self, rows: Sequence[Sequence[float]]) -> list[np.ndarray | None]:
-        """Append a block of one or more rows and return the estimate
-        after each of them, None for the first two rows of the stream.
+    def push_rows_unguarded(
+        self, rows: Sequence[Sequence[float]]
+    ) -> list[tuple[np.ndarray | None, list[int]]]:
+        """Append a block of one or more rows; return, after each, the
+        estimate (None while the table holds fewer than three rows, and
+        for a row with no finite coordinate) and the positions of the
+        finite coordinates it covers, a list shared by such rows.
 
         It enters no ``np.errstate``: overflow, invalid operations and
         division by zero must pass silently under the caller's, as they
-        do for a whole ``analyze`` run.  The estimates are fresh arrays
-        that the stream does not change later.
+        do for a whole ``analyze`` run.  The stream changes no estimate
+        or positions list it returned.
         """
-        rows = self._checked(rows)
+        arr = np.array(rows, dtype=float)
+        if arr.ndim != 2 or not len(arr):
+            raise ValueError("rows must be 1-D sequences of numbers, at least one")
+        if self._finite is not None and arr.shape[1] != len(self._finite):
+            raise ValueError(f"row of {arr.shape[1]} values, expected {len(self._finite)}")
+        finite = np.isfinite(arr)
+        cuts = []  # where a run of rows with the same finite coordinates starts
+        if not finite.all():
+            if np.isnan(arr).any():
+                raise ValueError("rows must not contain NaN")
+            cuts = (np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1).tolist()
+        out: list[tuple[np.ndarray | None, list[int]]] = []
+        for a, b in zip([0, *cuts], [*cuts, len(arr)]):
+            out += self._push_run(arr[a:b], finite[a])
+        return out
+
+    def _push_run(self, rows: np.ndarray, finite: np.ndarray) -> list:
+        """``push_rows_unguarded`` on rows whose finite coordinates are
+        those of the mask ``finite``."""
+        if self._finite is None or (finite & ~self._finite).any():
+            self._restart(finite)  # a coordinate turned finite
+        elif (finite != self._finite).any():  # some turned infinite
+            history = self._rows
+            self._restart(finite)
+            if self._positions:
+                self._extend(np.concatenate(history))
+        if not self._positions:
+            return [(None, self._positions)] * len(rows)
+        return list(zip(self._extend(rows), repeat(self._positions)))
+
+    def _extend(self, rows: np.ndarray) -> list[np.ndarray | None]:
+        """Extend the table by ``rows``, whole rows finite on its
+        coordinates, and return the estimate after each."""
+        self._rows.append(rows)
+        if len(self._positions) < len(self._finite):
+            rows = rows[:, self._finite]
         m = len(rows)
         missing = min(m, max(0, 2 - self.count))  # rows without an estimate
         self.count += m
-        self._rows.append(rows)
         # rows of dimension 1 take the scalar rule
         vector = self.method == "vector-epsilon" and rows.shape[1] != 1
         table, _, est, depth = _epsilon_table(
@@ -244,28 +298,10 @@ class EstimateStream:
             self._value = out[-1]
         return out
 
-    def keep(self, positions: Sequence[int]) -> None:
-        """Restrict the stream to the coordinates at ``positions``, as if
-        only those had been pushed all along: it replays the rows pushed
-        so far on them, since a vector cell couples all coordinates."""
-        rows = np.concatenate(self._rows)[:, np.asarray(positions, dtype=int)]
-        self._clear()
-        with np.errstate(all="ignore"):
-            self.push_rows_unguarded(rows)
-
     def estimate(self) -> np.ndarray | None:
-        """The newest estimate, or None before the third row."""
+        """The newest estimate, over the finite coordinates of the newest
+        row, or None before it has one."""
         return None if self._value is None else self._value.copy()
-
-    def _checked(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
-        arr = np.array(rows, dtype=float)
-        if arr.ndim != 2 or not len(arr) or not np.isfinite(arr).all():
-            raise ValueError("rows must be 1-D sequences of finite values, at least one")
-        if self._width is None:
-            self._width = arr.shape[1]
-        elif arr.shape[1] != self._width:
-            raise ValueError(f"row of {arr.shape[1]} values, expected {self._width}")
-        return arr
 
 
 def _epsilon_table(

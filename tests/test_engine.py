@@ -363,6 +363,27 @@ class TestAcceleratorBranches:
         assert report.invariant["a"] == Interval(0.0, math.inf)
         assert report.converged and report.sound
 
+    def test_fallback_thresholds_come_from_the_newest_record(self, monkeypatch):
+        # with delta = 0.5 the estimates agree early; under ``repeat``
+        # every candidate is rejected and joined, so the fallback fires
+        # at a join, after which the restarted estimator holds no
+        # estimate; under ``once`` it fires at a plain row
+        seen, run = [], engine._iterate
+
+        def spy(p, cfg, x, start, trace, fallback):
+            seen.append((trace.records[-1], fallback))
+            return run(p, cfg, x, start, trace, fallback)
+
+        monkeypatch.setattr(engine, "_iterate", spy)
+        for policy in POLICIES:
+            analyze(load_bundled("filter3"), EngineConfig(inject_policy=policy, fallback_after=2, delta=0.5))
+        (plain, thresholds), (joined, none) = seen
+        assert (joined.index, joined.event, none) == (13, "injection", ThresholdSet(()))
+        assert joined.accel is not None
+        assert (plain.index, plain.event) == (7, "plain-step")
+        relaxed = [v + (1 if j % 2 else -1) * max(1e-6, 1e-6 * abs(v)) for j, v in enumerate(plain.accel)]
+        assert thresholds == ThresholdSet(tuple(sorted(relaxed)))
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("method", METHODS)
     def test_injection_keeps_bottom_variable(self, method, policy):
@@ -395,6 +416,16 @@ class TestAcceleratorBranches:
         assert report.converged and report.sound
         iv = report.invariant["x"]
         assert iv.lo <= 0.0 and iv.hi >= 2e200
+
+
+def test_seal_stops_at_an_infinite_escape(monkeypatch):
+    # the first pad takes x to [-2e300, 4e300], whose image overflows:
+    # the seal returns its join with that image
+    p = parse("state x in [1, 2];\nloop {\n  x = 1e300*x;\n}\n")
+    calls, image = [], engine.transfer
+    monkeypatch.setattr(engine, "transfer", lambda p, x: calls.append(x) or image(p, x))
+    assert engine._seal(p, [1.0, 2.0]) == [-math.inf, math.inf]
+    assert calls == [[1.0, 2.0], [-2e300, 4e300]]
 
 
 def exact_kleene(p):
@@ -786,6 +817,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EngineConfig(inject_policy="thrice")
 
+    @pytest.mark.parametrize("name", ["max_iter", "widen_delay", "fallback_after"])
+    def test_counts_must_be_integers(self, name):
+        # a float count used to fail in ``range`` or overrun max_iter
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=name):
+                EngineConfig(mode="kleene", **{name: bad})
+        for mode in ("kleene", "widen", "accel"):
+            report, _ = analyze(load_bundled("filter3"), EngineConfig(mode=mode, **{name: np.int64(3)}))
+            assert report.iterations <= 3 if name == "max_iter" else report.converged
+
     def test_analyze_dispatches_on_mode(self):
         p = load_bundled("contraction2")
         for mode in ("kleene", "widen", "accel"):
@@ -842,6 +883,7 @@ def test_stream_methods_stay_silent_on_overflow_and_division_by_zero(method):
         for row in rows:
             stream.push(row)
             stream.push(row)
-        stream.keep([0, 1])
-        stream.push([1.0, 1e300])
+        # the third coordinate turns infinite: the stream replays the
+        # rows on the other two
+        stream.push([1.0, 1e300, math.inf])
     assert stream.estimate() is not None

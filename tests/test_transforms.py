@@ -416,12 +416,20 @@ def bits(a):
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
+def _bounds(rows, alive):
+    """``rows`` with every coordinate that ``alive`` rules out set to an
+    infinite bound: -inf at an even position, inf at an odd one."""
+    return np.where(alive, rows, np.where(np.arange(len(alive)) % 2, np.inf, -np.inf))
+
+
 @st.composite
 def stream_cases(draw):
     """Rows of one of four shapes, each followed by an optional extra
-    row or a shrink of the coordinate set.  An extra row nudges the row,
-    repeats it (a zero first difference) or extends the two before it
-    linearly (a zero second difference), so that it stalls cells."""
+    row, a shrink or a gain of the finite coordinates.  An extra row
+    nudges the row, repeats it (a zero first difference) or extends the
+    two before it linearly (a zero second difference), so that it stalls
+    cells.  After a shrink, the dropped coordinates are infinite (all of
+    them, at times); a gain makes one of them finite again."""
     d = draw(st.integers(1, 4))
     m = draw(st.integers(1, 16))
     kind = draw(st.sampled_from(["random", "geometric", "rank1", "two-modes"]))
@@ -438,70 +446,72 @@ def stream_cases(draw):
         rows = rng.normal(size=d) + rng.uniform(-0.95, 0.95, 2) ** k @ rng.normal(size=(2, d))
     if d > 1 and draw(st.booleans()):
         rows[:, 0] = 3.0  # a constant coordinate
-    ops = []
+    alive = np.ones(d, dtype=bool)
+    out = []
     for i in range(m):
-        ops.append(("push", rows[i]))
-        action = draw(st.sampled_from(["none", "none", "nudge", "repeat", "linear", "keep"]))
+        out.append(_bounds(rows[i], alive))
+        action = draw(st.sampled_from(["none", "none", "nudge", "repeat", "linear", "keep", "gain"]))
         if action == "nudge":
-            ops.append(("push", rows[i] + rng.normal(size=d) * 10.0 ** rng.integers(-12, 0)))
+            out.append(_bounds(rows[i] + rng.normal(size=d) * 10.0 ** rng.integers(-12, 0), alive))
         elif action == "repeat":
-            ops.append(("push", rows[i].copy()))
+            out.append(out[-1].copy())
         elif action == "linear" and i >= 1:
-            ops.append(("push", 2.0 * rows[i] - rows[i - 1]))
+            out.append(_bounds(2.0 * rows[i] - rows[i - 1], alive))
         elif action == "keep":
-            ops.append(("keep", draw(st.lists(st.booleans(), min_size=d, max_size=d))))
-    return ops
+            alive &= draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        elif action == "gain" and not alive.all():
+            alive[draw(st.sampled_from(np.flatnonzero(~alive).tolist()))] = True
+    return out
 
 
-def replay(method, ops, sizes):
-    """Apply ``ops`` to a stream, pushing each run of consecutive rows
-    through ``push_rows_unguarded`` in blocks whose sizes cycle through
-    ``sizes``.  Every estimate a block returns, and ``estimate()`` after
-    each block and each ``keep``, must equal the full table's on the
-    rows fed so far, bit for bit."""
+def expected_stream(method, rows):
+    """What the stream returns after each of ``rows``, with its count:
+    the full table's estimate over the row's finite coordinates, their
+    positions and the rows in the table.  The table holds the rows since
+    the last one that gained a finite coordinate, on the finite
+    coordinates of the newest; a row with no finite coordinate has no
+    estimate and empties it."""
+    out, table, cols = [], [], None
+    finite = np.isfinite(rows)
+    for run in np.split(np.arange(len(rows)), np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1):
+        mask = finite[run[0]]
+        if cols is None or (mask & ~cols).any():
+            table = []  # a coordinate turned finite: start over
+        cols = mask
+        positions = np.flatnonzero(mask).tolist()
+        if not positions:
+            table = []
+            out += [(None, positions, 0)] * len(run)
+            continue
+        table += [rows[t] for t in run]
+        estimates = newest_cells(method, [r[mask] for r in table])[-len(run):]
+        out += [(y, positions, len(table) - len(run) + j) for j, y in enumerate(estimates, 1)]
+    return out
+
+
+def replay(method, rows, sizes):
+    """Push ``rows`` through ``push_rows_unguarded`` in blocks whose
+    sizes cycle through ``sizes``.  Every estimate and positions list a
+    block returns, and ``estimate()`` and ``count`` after each block,
+    must equal those of the full table on the rows fed so far, bit for
+    bit."""
+    want = expected_stream(method, rows)
     stream = EstimateStream(method)
-    seen = []  # full rows pushed so far
-    got = []  # (rows fed, estimate) since the coordinates last changed
-    cols = None  # the coordinates the stream still keeps
-    block = []
+    got = []
     size = itertools.cycle(sizes)
-
-    def push_block():
-        if block:
-            estimates = stream.push_rows_unguarded([r[cols] for r in block])
-            assert len(estimates) == len(block)
-            got.extend(zip(range(len(seen) + 1, len(seen) + len(block) + 1), estimates))
-            seen.extend(block)
-            got.append((len(seen), stream.estimate()))
-            assert stream.count == len(seen)
-            block.clear()
-
-    def compare():
-        want = newest_cells(method, [r[cols] for r in seen])
-        for n, estimate in got:
-            assert bits(estimate) == bits(want[n - 1])
-        got.clear()
-
     # tier-1 makes a warning fail, and the stream enters no error state
     with np.errstate(all="ignore"):
-        limit = next(size)
-        for op, arg in ops:
-            if cols is None:
-                cols = np.arange(len(arg))
-            if op == "push":
-                block.append(arg)
-                if len(block) == limit:
-                    push_block()
-                    limit = next(size)
-                continue
-            push_block()
-            compare()
-            positions = [j for j, flag in enumerate(arg[: len(cols)]) if flag] or [0]
-            cols = cols[positions]
-            stream.keep(positions)
-            got.append((len(seen), stream.estimate()))
-        push_block()
-        compare()
+        while len(got) < len(rows):
+            block = rows[len(got): len(got) + next(size)]
+            estimates = stream.push_rows_unguarded(block)
+            assert len(estimates) == len(block)
+            got += estimates
+            y, _, count = want[len(got) - 1]
+            assert bits(stream.estimate()) == bits(y)
+            assert stream.count == count
+    assert [(bits(y), positions) for y, positions in got] == [
+        (bits(y), positions) for y, positions, _ in want
+    ]
 
 
 block_sizes = st.lists(st.integers(1, 24), min_size=1, max_size=6)
@@ -509,18 +519,18 @@ block_sizes = st.lists(st.integers(1, 24), min_size=1, max_size=6)
 
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=150, deadline=None)
-@given(ops=stream_cases(), sizes=block_sizes)
-def test_stream_equals_full_table_on_every_prefix(method, ops, sizes):
-    replay(method, ops, sizes)
+@given(rows=stream_cases(), sizes=block_sizes)
+def test_stream_equals_full_table_on_every_prefix(method, rows, sizes):
+    replay(method, rows, sizes)
 
 
 @st.composite
 def long_stream_cases(draw):
     """Runs as long and wide as the engine's: up to 70 rows of up to 40
-    coordinates, with extra rows and shrinks as in ``stream_cases``.
-    Coordinates have magnitudes up to 1e300, so that differences overflow
-    to -inf or inf, and so would the vector method's unscaled dot
-    products; some runs do not converge at all."""
+    coordinates, with extra rows, shrinks and gains as in
+    ``stream_cases``.  Coordinates have magnitudes up to 1e300, so that
+    differences overflow to -inf or inf, and so would the vector
+    method's unscaled dot products; some runs do not converge at all."""
     d = draw(st.integers(1, 40))
     m = draw(st.integers(1, 70))
     kind = draw(st.sampled_from(["geometric", "modes", "random"]))
@@ -540,32 +550,35 @@ def long_stream_cases(draw):
     # a repeated row stalls every coordinate and so restarts the
     # antidiagonals: only runs with few extra rows reach full depth
     rate = draw(st.sampled_from([0.0, 0.03, 0.2]))
-    ops = []
+    alive = np.ones(d, dtype=bool)
+    out = []
     for i in range(m):
-        ops.append(("push", rows[i]))
-        action = rng.choice(["nudge", "repeat", "linear", "keep"]) if rng.random() < rate else "none"
+        out.append(_bounds(rows[i], alive))
+        action = rng.choice(["nudge", "repeat", "linear", "keep", "gain"]) if rng.random() < rate else "none"
         if action == "nudge":
-            ops.append(("push", np.clip(rows[i] * (1.0 + rng.normal(size=d) * 1e-9), -1e300, 1e300)))
+            out.append(_bounds(np.clip(rows[i] * (1.0 + rng.normal(size=d) * 1e-9), -1e300, 1e300), alive))
         elif action == "repeat":
-            ops.append(("push", rows[i].copy()))
+            out.append(out[-1].copy())
         elif action == "linear" and i >= 1:
-            ops.append(("push", np.clip(2.0 * rows[i] - rows[i - 1], -1e300, 1e300)))
+            out.append(_bounds(np.clip(2.0 * rows[i] - rows[i - 1], -1e300, 1e300), alive))
         elif action == "keep":
-            ops.append(("keep", rng.random(d) < 0.9))
-    return ops
+            alive &= rng.random(d) < 0.9
+        elif action == "gain" and not alive.all():
+            alive[rng.choice(np.flatnonzero(~alive))] = True
+    return out
 
 
 @pytest.mark.parametrize("method", METHODS)
 @settings(max_examples=60, deadline=None)
-@given(ops=long_stream_cases(), sizes=block_sizes)
+@given(rows=long_stream_cases(), sizes=block_sizes)
 # d . d overflows: the vector cells come from rows scaled by a power of two
-@example(ops=[("push", np.array([230.63, -6.6777e299, 1.002])),
-              ("push", np.array([230.63, -3.7551e299, 1.002])),
-              ("push", np.array([230.63, -2.4271e299, 1.002]))], sizes=[1])
-def test_stream_equals_full_table_on_long_wide_runs(method, ops, sizes):
+@example(rows=[np.array([230.63, -6.6777e299, 1.002]),
+               np.array([230.63, -3.7551e299, 1.002]),
+               np.array([230.63, -2.4271e299, 1.002])], sizes=[1])
+def test_stream_equals_full_table_on_long_wide_runs(method, rows, sizes):
     # both sides overflow on huge magnitudes, and tier-1 makes a warning fail
     with np.errstate(all="ignore"):
-        replay(method, ops, sizes)
+        replay(method, rows, sizes)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -634,6 +647,13 @@ def test_stream_rejects_bad_input():
         s.push([1.0])
     with pytest.raises(ValueError):
         s.push([[1.0, 2.0]])
+    # an infinite bound is accepted and gets no estimate, and a row
+    # without a finite bound gets none at all
+    s = EstimateStream("epsilon")
+    got = s.push_rows_unguarded([[v, math.inf] for v in (1.0, 1.5, 1.75)] + [[-math.inf, math.inf]])
+    assert [positions for _, positions in got] == [[0], [0], [0], []]
+    assert got[2][0].tolist() == [2.0]
+    assert got[3][0] is None and s.estimate() is None
 
 
 class TestConverged:
