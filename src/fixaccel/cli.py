@@ -181,7 +181,7 @@ def _write(path: str, text: str) -> bool:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         source = Path(args.program).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.program}: {exc}", file=sys.stderr)
         return 1
     try:

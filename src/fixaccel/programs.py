@@ -142,6 +142,12 @@ Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int
 # below either, the per-step loop costs less, lowering included.
 BATCH_MIN_PRODUCTS = 256
 LEVEL_MIN_PRODUCTS = 40
+# A level of at least REDUCE_MIN_WIDTH bounds (two per step) sums its
+# columns with one np.add.reduce into its slots; a narrower one, such as
+# each of a dense Gauss-Seidel chain's, with np.add.accumulate and a
+# scatter, which costs less there.  From 4 to 10 bounds wide the two
+# kernels cost about the same, and reduce wins from 16 on.
+REDUCE_MIN_WIDTH = 8
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 
@@ -167,8 +173,10 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
     (0 lower, 1 upper) of its ``j``-th step, row 0 the step's constant
     times 1.0, row ``r`` its ``r``-th cell, and ``-0.0`` times 1.0 past
     its last cell; the upper bound reads the other slot of each pair.  As
-    ``v + -0.0`` is ``v`` for every ``v``, the last row of the running
-    sums is the new bounds.  ``final`` picks the state's.
+    ``v + -0.0`` is ``v`` for every ``v``, the sum of each column, added
+    row by row from row 0, is the new bound; ``LoweredBody._levels``
+    picks the kernel that adds them from the level's width.  ``final``
+    picks the state's.
     """
     n_vars, one = len(ids), width + len(inputs)
     size = [0] * n_vars + [len(a.terms) for a in body]  # cells by node
@@ -326,9 +334,10 @@ class LoweredBody:
         ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
         as ``affine_eval`` does, so the row is bit-identical to interval
         evaluation; the schedule, run on a row without Bottom, makes the
-        same operations in the same order, and an array row takes and
-        gives arrays there without a conversion.  An array row that the
-        schedule cannot take goes through the per-step loop as a list.
+        same operations in the same order, whichever kernel sums a level
+        (see ``_levels``), and an array row takes and gives arrays there
+        without a conversion.  An array row that the schedule cannot take
+        goes through the per-step loop as a list.
         A target that reads a Bottom variable becomes Bottom,
         ``(inf, -inf)``.  No NumPy error state is entered here: a caller
         that lets a bound overflow holds one.
@@ -365,15 +374,31 @@ class LoweredBody:
         return b[: self.width]
 
     def _levels(self, row: list[float] | np.ndarray) -> np.ndarray:
-        """The schedule's image of a row without Bottom."""
+        """The schedule's image of a row without Bottom.
+
+        Each level gathers its cells' bounds, multiplies them by the
+        coefficients and sums each column row by row.  A level of at least
+        ``REDUCE_MIN_WIDTH`` columns does so with ``np.add.reduce`` along
+        axis 0, straight into its slots: on a C-ordered table that axis is
+        not contiguous, so NumPy adds one whole row to the running sums at
+        a time, in row order, and does not sum pairwise as it does along a
+        contiguous axis.  The sums start from ``-0.0``, which keeps a
+        column of ``-0.0`` as ``-0.0``; reduce's own start, ``+0.0``, would
+        not.  A narrower level takes the running sums with
+        ``np.add.accumulate``, in the same order, and scatters their last
+        row.
+        """
         slots, levels, final = self.schedule
         b = slots.copy()
         b[: self.width] = row
         for src, coeff, start, stop in levels:
             acc = b.take(src)
             acc *= coeff
-            np.add.accumulate(acc, axis=0, out=acc)
-            b[start:stop] = acc[-1]
+            if stop - start >= REDUCE_MIN_WIDTH:
+                np.add.reduce(acc, axis=0, out=b[start:stop], initial=-0.0)
+            else:
+                np.add.accumulate(acc, axis=0, out=acc)
+                b[start:stop] = acc[-1]
         low = b[levels[0][2] :].min()  # NaN if any step's bound is NaN
         if low != low:
             raise ValueError(_NAN_MESSAGE)

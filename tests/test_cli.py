@@ -160,6 +160,18 @@ class TestAnalyze:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command, name, text", [
+        ("analyze", "latin1.loop", b"# caf\xe9\nstate x in [0, 1];\nloop { x = 0.5*x; }\n"),
+        ("accelerate", "latin1.csv", b"# caf\xe9\na\n1\n2\n3\n"),
+    ], ids=["analyze", "accelerate"])
+    def test_exit_one_on_a_file_that_is_not_utf8(self, capsys, tmp_path, command, name, text):
+        path = tmp_path / name
+        path.write_bytes(text)
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1
+        assert err.startswith(f"error: cannot read {path}")
+        assert "Traceback" not in err
+
     def test_exit_one_on_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.loop"
         bad.write_text("state x in [0, 1];\nloop { x = y; }\n")

@@ -584,6 +584,34 @@ def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
             assert_contains_and_near(report.invariant, ref, tol)
 
 
+# A draw of the sweep above on which two `repeat` runs verify a row that
+# an unverified join left 1.13e-6 (epsilon) and 2.18e-6 (Aitken) above
+# the least fixpoint; `once` runs end near 1e-8 on it.
+IMPRECISE_REPEAT_ROWS = (
+    (0.013444200816985039, 0.6187498099202239, 0.03296055386867317, -0.19155944484008244, -0.2523051580175215),
+    (0.06663305179751262, 0.17990556463919205, -0.10924387060128203, 0.2081427374751145, -0.05906230519303094),
+    (-0.26178838836715274, -0.5667737360660684, 0.40005346985452617, -0.24348295609570197, 0.017524891735571983),
+    (0.07180962621383123, 0.3032748845053795, 0.0174286792151395, 0.361561412656755, 0.07421568245242405),
+    (-0.052093864715413246, 0.5568367489012237, 0.2779788307029982, -0.4593024099588281, -0.18744273168771788),
+)
+
+
+@pytest.mark.xfail(strict=True, reason="a verified row must contain the state an unverified "
+                   "repeat join put above the least fixpoint; the agreement of two estimates "
+                   "does not bound its error (ROADMAP item 1, the certified stop)")
+@pytest.mark.parametrize("method", ["aitken", "epsilon"])
+def test_repeat_on_an_imprecise_sweep_program(method):
+    n = len(IMPRECISE_REPEAT_ROWS)
+    body = [Assignment(f"t{i}", 0.0, (*((c, f"x{j}") for j, c in enumerate(row)), (0.1, f"u{i}")))
+            for i, row in enumerate(IMPRECISE_REPEAT_ROWS)]
+    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
+    p = Program(tuple((f"x{i}", Interval(0.0, 1.0)) for i in range(n)),
+                tuple((f"u{i}", Interval(-1.0, 1.0)) for i in range(n)), tuple(body))
+    report, _ = analyze(p, EngineConfig(method=method, inject_policy="repeat", fallback_after=200))
+    assert report.converged and report.sound
+    assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
+
+
 # Programs whose runs put each event inside a block of rows computed
 # ahead: an exact fixpoint, a bound overflowing to inf (the finite
 # coordinates change), unverified joins that restart the stream, a

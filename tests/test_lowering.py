@@ -1,11 +1,13 @@
 """The lowered loop body and the engine's row operations, checked
 against the interval operations they replace."""
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from test_intervals import rand_interval
 
@@ -569,6 +571,10 @@ def test_scheduled_bodies_equal_fold_of_affine_eval(case):
         warnings.simplefilter("error")
         got = outcome(transfer, p, x)
     assert got == outcome(fold_affine_eval, p, x)
+    if lowered.schedule is not None:
+        kernels = {"reduce" if stop - start >= programs.REDUCE_MIN_WIDTH else "accumulate"
+                   for _, _, start, stop in lowered.schedule[1]}
+        event("level kernels: " + " and ".join(sorted(kernels)))
     if nan and bottom is None:
         assert got == "ValueError"
     # a scheduled body builds the per-step loop only for a row with Bottom
@@ -650,3 +656,59 @@ def test_one_product_chain_takes_the_loop():
     p = Program(tuple((f"x{i}", Interval(0, 1)) for i in range(n)), (), tuple(body))
     assert p.lowered.schedule is None
     assert bits(transfer(p, p.initial_state())) == bits(fold_affine_eval(p, p.initial_state()))
+
+
+# Summands that expose any order but the rows' own: 1e16 + 1.0 rounds
+# back to 1e16, so a sum of these depends on which pairs add first.
+CANCELLING = [1e16, -1e16, 1.0, -1.0, 3.0, 0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(programs.REDUCE_MIN_WIDTH, 1100),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.2]))
+def test_reduce_adds_rows_in_order(depth, width, seed, p_special):
+    # what a wide level relies on: np.add.reduce along axis 0 of a
+    # C-ordered table starts from its initial value and adds one row at a
+    # time, as a left fold down each column does.  A level is 1 + the
+    # most terms of its steps deep, so depths up to 400 cover steps of up
+    # to 399 terms, a dense n = 256 Jacobi body's 257 among them.
+    rng = np.random.default_rng(seed)
+    a = np.array(CANCELLING)[rng.integers(len(CANCELLING), size=(depth, width))]
+    scaled = rng.random(a.shape) < 0.3
+    a[scaled] *= rng.normal(size=scaled.sum())
+    special = rng.random(a.shape) < p_special
+    a[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=special.sum())
+    a[:, rng.random(width) < 0.05] = -0.0  # columns of -0.0 only
+    out = np.empty(width)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        np.add.reduce(a, axis=0, out=out, initial=-0.0)
+    fold = [functools.reduce(operator.add, column, -0.0) for column in a.T.tolist()]
+    assert [v.hex() for v in out.tolist()] == [v.hex() for v in fold]
+
+
+def test_wide_and_narrow_levels_equal_fold_of_affine_eval():
+    # a wide level writes the states y, then a chain writes the states x,
+    # one narrow level each; z is -0.0 and e is 1, so each fourth y and x
+    # is a sum of -0.0 only, which stays -0.0 only if the sums start from
+    # -0.0, and (1e16 + 1) - 1e16 is 0 only in body order
+    n = 16
+    ys, xs = [f"y{i}" for i in range(n)], [f"x{i}" for i in range(n)]
+    cancel = ((1e16, "e"), (1.0, "e"), (-1e16, "e"))
+    body = [Assignment(ys[i], -0.0, ((2.0, "z"),) * 20 if i % 4 == 0 else
+                       cancel + tuple((0.25 * (-1) ** j, xs[(i + j) % n]) for j in range(20)))
+            for i in range(n)]
+    for i in range(n):
+        if i % 4 == 0:
+            terms = ((1.0, ys[i]),) + ((2.0, "z"),) * 24
+        else:
+            terms = cancel + tuple((0.25 * (-1) ** j, ys[(i + j) % n]) for j in range(22))
+        body.append(Assignment(xs[i], -0.0, terms + ((0.0, xs[i - 1]),) * (i > 0)))
+    inputs = (("z", Interval(-0.0, -0.0)), ("e", Interval(1.0, 1.0)))
+    p = Program(tuple((v, Interval(0, 1)) for v in ys + xs), inputs, tuple(body))
+    levels = p.lowered.schedule[1]
+    assert [stop - start for _, _, start, stop in levels] == [2 * n] + [2] * n
+    x = AbstractState((v, Interval(-1.0, float(i))) for i, v in enumerate(ys + xs))
+    got = transfer(p, x)
+    assert bits(got) == bits(fold_affine_eval(p, x))
+    for v in ys[::4] + xs[::4]:
+        assert got[v].lo.hex() == got[v].hi.hex() == (-0.0).hex()
