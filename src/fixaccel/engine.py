@@ -224,17 +224,34 @@ def verify_postfixpoint(p: Program, x: AbstractState) -> bool:
         return state_leq(transfer(p, row), row)
 
 
-def _moved_at_most(a: list[float], b: list[float], tol: float) -> bool:
-    """True iff no bound moved by more than ``tol`` between two rows; an
-    infinite bound that changed counts as an infinite move.  Stops at the
-    first bound that moved further."""
-    return all(u == v or abs(u - v) <= tol for u, v in zip(a, b))
+def _stop_lists(prev: list[float], x: list[float], tol: float) -> str | None:
+    """The reason the plain loop stops at row ``x`` after ``prev``, or
+    None: "converged" when no bound moved, "converged-tolerance" when
+    none moved by more than ``tol`` > 0.  An infinite bound that changed
+    counts as an infinite move; the test stops at the first bound that
+    moved further."""
+    if x == prev:
+        return "converged"
+    if tol > 0.0 and all(u == v or abs(u - v) <= tol for u, v in zip(prev, x)):
+        return "converged-tolerance"
+    return None
 
 
-def _arrays_moved_at_most(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """``_moved_at_most`` on two array rows (inf - inf is NaN, and no
-    NaN is at most ``tol``); the caller holds the NumPy error state."""
-    return bool(((a == b) | (abs(a - b) <= tol)).all())
+def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float) -> str | None:
+    """``_stop_lists`` on array rows, with one reduction.
+
+    A bound moved by ``|x - prev|``: an infinite move is +inf, and so is
+    a finite one that overflows, while a bound that stayed infinite is
+    inf - inf, NaN, which ``fmax`` passes over (``-inf`` stands for no
+    move at all).  So the row moved iff the largest move is > 0, and by
+    more than ``tol`` iff it is > ``tol``.  The caller holds the NumPy
+    error state."""
+    moved = np.fmax.reduce(abs(x - prev), 0, None, None, False, -INF)
+    if not moved > 0.0:
+        return "converged"
+    if not moved > tol:
+        return "converged-tolerance"
+    return None
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -442,9 +459,9 @@ def _iterate(
     if p.lowered.schedule is not None:
         x = np.array(x)
         # np.array_equal is == of the rows as lists: they hold no NaN
-        same, moved, record = np.array_equal, _arrays_moved_at_most, _read_only
+        same, stop, record = np.array_equal, _stop_arrays, _read_only
     else:
-        same, moved, record = eq, _moved_at_most, tuple
+        same, stop, record = eq, _stop_lists, tuple
     names = trace.variables
     reason = "max-iter"
     for i in range(start, cfg.max_iter + 1):
@@ -462,10 +479,9 @@ def _iterate(
         else:
             x = joined
             event = "plain-step"
-        if same(x, prev):
-            reason, event = "converged", "converged"
-        elif cfg.stop_tol > 0.0 and moved(prev, x, cfg.stop_tol):
-            reason, event = "converged-tolerance", "converged"
+        stopped = stop(prev, x, cfg.stop_tol)
+        if stopped is not None:
+            reason, event = stopped, "converged"
         trace.records.append(TraceRecord(i, record(x), None, event, names))
         if reason != "max-iter":
             break

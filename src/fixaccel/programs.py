@@ -143,19 +143,24 @@ Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int
 BATCH_MIN_PRODUCTS = 256
 LEVEL_MIN_PRODUCTS = 40
 # A level of at least REDUCE_MIN_WIDTH bounds (two per step) sums its
-# columns with one np.add.reduce into its slots; a narrower one, such as
-# each of a dense Gauss-Seidel chain's, with np.add.accumulate and a
-# scatter, which costs less there.  From 4 to 10 bounds wide the two
-# kernels cost about the same, and reduce wins from 16 on.
+# columns with one np.add.reduce straight into its slots.  A narrower
+# one, such as each of a dense Gauss-Seidel chain's, keeps its table in
+# the work buffer and takes the running sums in place with
+# np.add.accumulate, whose last row is then its slots: that costs less
+# there.  From 4 to 10 bounds wide the two kernels cost about the same,
+# and reduce wins from 16 on.
 REDUCE_MIN_WIDTH = 8
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
+# the kernels' ufunc calls, looked up once
+_multiply, _accumulate, _reduce, _minimum = np.multiply, np.add.accumulate, np.add.reduce, np.minimum.reduce
 
 
 def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
               inputs: list[float]) -> tuple | None:
-    """The level schedule ``(slots, levels, final)`` of ``body`` over the
-    state and input variables ``ids``, or None for the per-step loop.
+    """The level schedule ``(slots, levels, final, base)`` of ``body``
+    over the state and input variables ``ids``, or None for the per-step
+    loop.
 
     Each step writes its own slot pair, so only read-after-write orders
     the steps: a step's level is one more than the highest level of the
@@ -167,16 +172,18 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
     that step then adds ``c`` times 1.0 and writes ``x`` (``S + c`` is
     ``c + S``).  Raises like ``LoweredBody``.
 
-    ``slots`` holds the state's bounds (zeros here), the inputs', a pair
-    of 1.0 and the steps' level by level.  A level ``(src, coeff, start,
-    stop)`` writes ``slots[start:stop]``: column ``2j + h`` is bound ``h``
-    (0 lower, 1 upper) of its ``j``-th step, row 0 the step's constant
-    times 1.0, row ``r`` its ``r``-th cell, and ``-0.0`` times 1.0 past
-    its last cell; the upper bound reads the other slot of each pair.  As
+    ``slots`` is the template of a kernel's work buffer: the state's
+    bounds (zeros here), the inputs', a pair of 1.0, and from ``base`` on
+    the steps' level by level.  A level ``(src, coeff, start, stop)``
+    writes ``slots[start:stop]``: column ``2j + h`` is bound ``h`` (0
+    lower, 1 upper) of its ``j``-th step, row 0 the step's constant times
+    1.0, row ``r`` its ``r``-th cell, and ``-0.0`` times 1.0 past its
+    last cell; the upper bound reads the other slot of each pair.  As
     ``v + -0.0`` is ``v`` for every ``v``, the sum of each column, added
-    row by row from row 0, is the new bound; ``LoweredBody._levels``
-    picks the kernel that adds them from the level's width.  ``final``
-    picks the state's.
+    row by row from row 0, is the new bound.  A level narrower than
+    ``REDUCE_MIN_WIDTH`` keeps its whole table in the buffer, ending at
+    ``stop``, so that its running sums end in its slots.  ``final``
+    indexes the state's bounds.
     """
     n_vars, one = len(ids), width + len(inputs)
     size = [0] * n_vars + [len(a.terms) for a in body]  # cells by node
@@ -196,10 +203,10 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
             copies.append((s, start))
         node_of[a.target] = s
     consts = [0.0] * n_vars + [_finite(a.const, "constant term") for a in body]
-    coeff = np.array(coeffs, dtype=float)
+    coeff = np.fromiter(coeffs, float, len(coeffs))
     if not np.isfinite(coeff).all():
         _finite(coeff[~np.isfinite(coeff)][0], "coefficient")  # raises
-    node, count = np.array(nodes, dtype=np.intp), np.array(size)
+    node, count = np.fromiter(nodes, np.intp, len(nodes)), np.array(size)
     row = np.arange(len(nodes)) + 1 - (count.cumsum() - count).repeat(count)
     pad = coeff == 0.0
     readers = np.bincount(node[~pad], minlength=len(size)).tolist()
@@ -218,21 +225,25 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
     kept.sort(key=level.__getitem__)  # level by level, each in body order
     if products < LEVEL_MIN_PRODUCTS * len({level[s] for s in kept}):
         return None
-    # by kept step: where its row 0 lower bound goes among the cells, and its
-    # row stride; by level: its first cell, depth, width and first slot
-    col, stride, levels = [], [], []
-    base, cells = one + 2, 0
-    for _, group in itertools.groupby(range(len(kept)), key=lambda r: level[kept[r]]):
+    # by kept step: where its row 0 lower bound goes among the cells, its
+    # row stride and its slot; by level: where its cells end, its depth
+    # and width, and where its slots end
+    col, stride, slot_of, plan = [], [], [], []
+    cells, stop = 0, one + 2
+    for _, group in itertools.groupby(kept, key=level.__getitem__):
         group = list(group)
-        d, w = 1 + max(size[kept[r]] for r in group), 2 * len(group)
+        d, w = 1 + max(map(size.__getitem__, group)), 2 * len(group)
         col += range(cells, cells + w, 2)
         stride += [w] * len(group)
-        levels.append((cells, d, w, base + 2 * group[0]))
+        # a narrow level's table ends with its slots
+        stop += w if w >= REDUCE_MIN_WIDTH else d * w
+        slot_of += range(stop - w, stop, 2)
         cells += d * w
+        plan.append((cells, d, w, stop))
     rank = np.zeros(len(size), dtype=np.intp)
     rank[kept] = np.arange(len(kept))
     slot = np.arange(0, 2 * len(size), 2)
-    slot[kept] = base + 2 * np.arange(len(kept))
+    slot[kept] = slot_of
     col, stride = np.array(col), np.array(stride)
     cell = [j for j, _, _ in folds]
     row[cell] = [r for _, r, _ in folds]
@@ -246,13 +257,12 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
     cb[col] = cb[col + 1] = [consts[s] for s in kept]
     cb[pos] = cb[pos + 1] = coeff
     sb[pos], sb[pos + 1] = src, src ^ 1
-    slots = np.ones(base + 2 * len(kept))
+    slots = np.ones(stop)
     slots[:width], slots[width:one] = 0.0, inputs
-    levels = [(sb[o : o + d * w].reshape(d, w), cb[o : o + d * w].reshape(d, w), a, a + w)
-              for o, d, w, a in levels]
-    f = slot[final]  # a slice when the state's bounds are contiguous
-    final = slice(f[0], f[-1] + 2) if (f[1:] - f[:-1] == 2).all() else np.ravel([f, f + 1], "F")
-    return slots, levels, final
+    levels = [(sb[end - d * w : end].reshape(d, w), cb[end - d * w : end].reshape(d, w), stop - w, stop)
+              for end, d, w, stop in plan]
+    f = slot[final]
+    return slots, levels, np.ravel([f, f + 1], "F"), one + 2
 
 
 class LoweredBody:
@@ -272,10 +282,14 @@ class LoweredBody:
 
     ``schedule`` is the body's level schedule, or None for the per-step
     loop, always so for a body with a Bottom input.  A scheduled body
-    builds ``tail`` and ``steps`` at its first row with Bottom.
+    builds ``tail`` and ``steps`` at its first row with Bottom, and keeps
+    the ``_Kernel`` objects that run its schedule, each on a work buffer
+    of its own, in ``_kernels``: an image takes a free one, or builds
+    one, and gives it back, so two images in flight never share a
+    buffer.
     """
 
-    __slots__ = ("width", "tail", "steps", "bottom_inputs", "schedule", "_source")
+    __slots__ = ("width", "tail", "steps", "bottom_inputs", "schedule", "_source", "_kernels")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -295,6 +309,7 @@ class LoweredBody:
         self.bottom_inputs = frozenset(bottom_inputs)
         self._source = (p.body, ids, tail)
         self.tail = self.steps = None
+        self._kernels: list[_Kernel] = []
         # a Bottom input makes the targets that read it Bottom: per-step loop
         self.schedule = None if bottom_inputs else _schedule(p.body, ids, self.width, tail)
         if self.schedule is None:
@@ -334,21 +349,24 @@ class LoweredBody:
         ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
         as ``affine_eval`` does, so the row is bit-identical to interval
         evaluation; the schedule, run on a row without Bottom, makes the
-        same operations in the same order, whichever kernel sums a level
-        (see ``_levels``), and an array row takes and gives arrays there
-        without a conversion.  An array row that the schedule cannot take
-        goes through the per-step loop as a list.
+        same operations in the same order, however a level sums (see
+        ``_Kernel``), and an array row takes and gives arrays there
+        without a conversion.  The image is always a new row, never a view
+        of a kernel's buffer, so a caller may keep it.  An array row that
+        the schedule cannot take goes through the per-step loop as a
+        list.
         A target that reads a Bottom variable becomes Bottom,
         ``(inf, -inf)``.  No NumPy error state is entered here: a caller
         that lets a bound overflow holds one.
         """
         if type(row) is not list:
-            if self.schedule is not None and not (row[::2] > row[1::2]).any():
-                return self._levels(row)
+            # count_nonzero costs less than any() on a short mask
+            if self.schedule is not None and not np.count_nonzero(row[::2] > row[1::2]):
+                return self._run(row)
             return np.array(self.image(row.tolist()))
         has_bottom = any(map(gt, row[::2], row[1::2]))
         if self.schedule is not None and not has_bottom:
-            return self._levels(row).tolist()
+            return self._run(row).tolist()
         if self.steps is None:
             self._lower_steps()
         b = [*row, *self.tail]
@@ -373,36 +391,70 @@ class LoweredBody:
             b[hi_slot] = hi
         return b[: self.width]
 
-    def _levels(self, row: list[float] | np.ndarray) -> np.ndarray:
-        """The schedule's image of a row without Bottom.
+    def _run(self, row: list[float] | np.ndarray) -> np.ndarray:
+        """The schedule's image of a row without Bottom, on a free kernel."""
+        kernels = self._kernels
+        try:
+            kernel = kernels.pop()
+        except IndexError:  # all in use, or none built yet
+            kernel = _Kernel(self.schedule, self.width)
+        try:
+            return kernel(row)
+        finally:
+            kernels.append(kernel)
 
-        Each level gathers its cells' bounds, multiplies them by the
-        coefficients and sums each column row by row.  A level of at least
-        ``REDUCE_MIN_WIDTH`` columns does so with ``np.add.reduce`` along
-        axis 0, straight into its slots: on a C-ordered table that axis is
-        not contiguous, so NumPy adds one whole row to the running sums at
-        a time, in row order, and does not sum pairwise as it does along a
-        contiguous axis.  The sums start from ``-0.0``, which keeps a
-        column of ``-0.0`` as ``-0.0``; reduce's own start, ``+0.0``, would
-        not.  A narrower level takes the running sums with
-        ``np.add.accumulate``, in the same order, and scatters their last
-        row.
-        """
-        slots, levels, final = self.schedule
-        b = slots.copy()
+
+class _Kernel:
+    """A level schedule's image, run on a work buffer of its own.
+
+    The buffer starts as a copy of the schedule's ``slots``, and every
+    view into it is built here, once.  Each level gathers its cells'
+    bounds, multiplies them by the coefficients and sums each column row
+    by row.  A level of at least ``REDUCE_MIN_WIDTH`` columns does so
+    with ``np.add.reduce`` along axis 0, straight into its slots: on a
+    C-ordered table that axis is not contiguous, so NumPy adds one whole
+    row to the running sums at a time, in row order, and does not sum
+    pairwise as it does along a contiguous axis.  The sums start from
+    ``-0.0``, which keeps a column of ``-0.0`` as ``-0.0``; reduce's own
+    start, ``+0.0``, would not.  A narrower level multiplies into its
+    table in the buffer and takes the running sums there with
+    ``np.add.accumulate``, in the same order: the last row, which later
+    levels and ``final`` read, is the sums.  The ufuncs take their
+    arguments by position, which costs less than by keyword.
+    """
+
+    __slots__ = ("b", "width", "levels", "final", "base")
+
+    def __init__(self, schedule: tuple, width: int):
+        slots, levels, self.final, self.base = schedule
+        self.b = b = slots.copy()
+        self.width = width
+        # (src, coeff, where the sums go, whether that is a table): a
+        # narrow level's table ends with its slots, as _schedule laid it out
+        self.levels = [
+            (src, coeff, b[stop - src.size : stop].reshape(src.shape), True)
+            if stop - start < REDUCE_MIN_WIDTH else (src, coeff, b[start:stop], False)
+            for src, coeff, start, stop in levels
+        ]
+
+    def __call__(self, row: list[float] | np.ndarray) -> np.ndarray:
+        b = self.b
         b[: self.width] = row
-        for src, coeff, start, stop in levels:
-            acc = b.take(src)
-            acc *= coeff
-            if stop - start >= REDUCE_MIN_WIDTH:
-                np.add.reduce(acc, axis=0, out=b[start:stop], initial=-0.0)
+        take = b.take
+        for src, coeff, out, table in self.levels:
+            if table:
+                _multiply(take(src), coeff, out)
+                _accumulate(out, 0, None, out)
             else:
-                np.add.accumulate(acc, axis=0, out=acc)
-                b[start:stop] = acc[-1]
-        low = b[levels[0][2] :].min()  # NaN if any step's bound is NaN
+                acc = take(src)
+                acc *= coeff
+                _reduce(acc, 0, None, out, False, -0.0)
+        # NaN if any step's bound is NaN: a NaN in a table stays in its
+        # column's running sums down to the last row
+        low = _minimum(b[self.base :])
         if low != low:
             raise ValueError(_NAN_MESSAGE)
-        return b[final]
+        return take(self.final)
 
 
 class _Parser:

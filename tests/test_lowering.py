@@ -1,8 +1,11 @@
 """The lowered loop body and the engine's row operations, checked
 against the interval operations they replace."""
 import functools
+import itertools
 import math
 import operator
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -681,17 +684,45 @@ def test_reduce_adds_rows_in_order(depth, width, seed, p_special):
     a[:, rng.random(width) < 0.05] = -0.0  # columns of -0.0 only
     out = np.empty(width)
     with np.errstate(invalid="ignore"):  # inf + -inf
-        np.add.reduce(a, axis=0, out=out, initial=-0.0)
+        # the kernel's call: axis, dtype, out, keepdims, initial by position
+        np.add.reduce(a, 0, None, out, False, -0.0)
     fold = [functools.reduce(operator.add, column, -0.0) for column in a.T.tolist()]
     assert [v.hex() for v in out.tolist()] == [v.hex() for v in fold]
 
 
-def test_wide_and_narrow_levels_equal_fold_of_affine_eval():
-    # a wide level writes the states y, then a chain writes the states x,
-    # one narrow level each; z is -0.0 and e is 1, so each fourth y and x
-    # is a sum of -0.0 only, which stays -0.0 only if the sums start from
-    # -0.0, and (1e16 + 1) - 1e16 is 0 only in body order
-    n = 16
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(2, programs.REDUCE_MIN_WIDTH - 2),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.2]))
+def test_accumulate_in_place_adds_rows_in_order(depth, width, seed, p_special):
+    # what a narrow level relies on: np.add.accumulate along axis 0 of a
+    # C-ordered table, written over that table (a view into a larger
+    # buffer, as in the kernel), leaves in each row the running sums of
+    # the rows up to it, as a left fold down each column does
+    rng = np.random.default_rng(seed)
+    a = np.array(CANCELLING)[rng.integers(len(CANCELLING), size=(depth, width))]
+    scaled = rng.random(a.shape) < 0.3
+    a[scaled] *= rng.normal(size=scaled.sum())
+    special = rng.random(a.shape) < p_special
+    a[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=special.sum())
+    a[:, rng.random(width) < 0.1] = -0.0  # columns of -0.0 only
+    buffer = np.ones(depth * width + 7)
+    t = buffer[3 : 3 + depth * width].reshape(depth, width)
+    t[...] = a
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        np.add.accumulate(t, 0, None, t)
+    folds = [list(itertools.accumulate(column, operator.add)) for column in a.T.tolist()]
+    assert [[v.hex() for v in column] for column in t.T.tolist()] == \
+        [[v.hex() for v in column] for column in folds]
+    # and writes nothing outside its table
+    assert buffer[:3].tolist() + buffer[-4:].tolist() == [1.0] * 7
+
+
+def wide_and_narrow_program(n=16):
+    """A body whose first level is wide and writes the states y, then a
+    chain writing the states x, one narrow level each; z is -0.0 and e
+    is 1, so each fourth y and x is a sum of -0.0 only, which stays -0.0
+    only if the sums start from -0.0, and (1e16 + 1) - 1e16 is 0 only in
+    body order."""
     ys, xs = [f"y{i}" for i in range(n)], [f"x{i}" for i in range(n)]
     cancel = ((1e16, "e"), (1.0, "e"), (-1e16, "e"))
     body = [Assignment(ys[i], -0.0, ((2.0, "z"),) * 20 if i % 4 == 0 else
@@ -704,7 +735,13 @@ def test_wide_and_narrow_levels_equal_fold_of_affine_eval():
             terms = cancel + tuple((0.25 * (-1) ** j, ys[(i + j) % n]) for j in range(22))
         body.append(Assignment(xs[i], -0.0, terms + ((0.0, xs[i - 1]),) * (i > 0)))
     inputs = (("z", Interval(-0.0, -0.0)), ("e", Interval(1.0, 1.0)))
-    p = Program(tuple((v, Interval(0, 1)) for v in ys + xs), inputs, tuple(body))
+    return Program(tuple((v, Interval(0, 1)) for v in ys + xs), inputs, tuple(body))
+
+
+def test_wide_and_narrow_levels_equal_fold_of_affine_eval():
+    n = 16
+    p = wide_and_narrow_program(n)
+    ys, xs = [f"y{i}" for i in range(n)], [f"x{i}" for i in range(n)]
     levels = p.lowered.schedule[1]
     assert [stop - start for _, _, start, stop in levels] == [2 * n] + [2] * n
     x = AbstractState((v, Interval(-1.0, float(i))) for i, v in enumerate(ys + xs))
@@ -712,3 +749,143 @@ def test_wide_and_narrow_levels_equal_fold_of_affine_eval():
     assert bits(got) == bits(fold_affine_eval(p, x))
     for v in ys[::4] + xs[::4]:
         assert got[v].lo.hex() == got[v].hi.hex() == (-0.0).hex()
+
+
+# bodies whose schedules have only narrow levels (a dense Gauss-Seidel
+# sweep, 64 levels 2 wide), only a wide one (a Jacobi body) and both
+WORK_BUFFER_BODIES = {
+    "narrow": lambda: parse(row_program(3, 64, None, gauss_seidel=True)),
+    "wide": lambda: parse(row_program(3, 64, None)),
+    "mixed": wide_and_narrow_program,
+}
+
+
+def work_buffer_body(kind):
+    p = WORK_BUFFER_BODIES[kind]()
+    narrow = {stop - start < programs.REDUCE_MIN_WIDTH for _, _, start, stop in p.lowered.schedule[1]}
+    assert narrow == {"narrow": {True}, "wide": {False}, "mixed": {True, False}}[kind]
+    return p
+
+
+def random_rows(p, k, seed):
+    """``k`` bound rows of ``p``'s states without Bottom, each its own array."""
+    rng = np.random.default_rng(seed)
+    lo = rng.normal(scale=10.0, size=(k, p.lowered.width // 2))
+    rows = np.repeat(lo, 2, axis=1)
+    rows[:, 1::2] += rng.exponential(size=lo.shape)
+    return list(rows)
+
+
+@pytest.mark.parametrize("kind", WORK_BUFFER_BODIES)
+def test_an_image_leaves_nothing_in_the_work_buffer(kind):
+    # row a, a row whose image is NaN (inf + -inf), then row b on one body:
+    # each image is a fresh body's, bit for bit, and none is a view of the
+    # buffer, which the next image overwrites
+    p = work_buffer_body(kind)
+    a, b = random_rows(p, 2, seed=11)
+    lowered = p.lowered
+    first = lowered.image(a)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN"):
+        lowered.image(np.repeat(np.random.default_rng(0).choice([-math.inf, math.inf], len(a) // 2), 2))
+    got = lowered.image(b)
+    listed = lowered.image(b.tolist())
+    assert len(lowered._kernels) == 1
+    buffer = lowered._kernels[0].b
+    assert got.tobytes() == programs.LoweredBody(p).image(b).tobytes()
+    assert first.tobytes() == programs.LoweredBody(p).image(a).tobytes()
+    assert np.array(listed).tobytes() == got.tobytes()
+    assert not np.shares_memory(got, buffer) and not np.shares_memory(first, buffer)
+
+
+@pytest.mark.parametrize("kind", WORK_BUFFER_BODIES)
+def test_threads_sharing_a_body_get_their_own_images(kind):
+    # four threads image 200 rows each on one body, switching as often as
+    # the interpreter allows: each gets exactly its single-thread images
+    p, n_threads, per_thread = work_buffer_body(kind), 4, 200
+    rows = random_rows(p, n_threads * per_thread, seed=5)
+    single = programs.LoweredBody(p)
+    expected = [single.image(r).tobytes() for r in rows]
+    shared, got = p.lowered, [None] * n_threads
+
+    def work(k):
+        got[k] = [shared.image(r).tobytes() for r in rows[k::n_threads]]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(n_threads):
+        assert got[k] == expected[k::n_threads]
+    assert 1 <= len(shared._kernels) <= n_threads
+
+
+def test_scheduled_body_without_states():
+    # temporaries only: the image is an empty row, and the run converges
+    body = tuple(Assignment(f"t{i}", 1.0, ((0.5, "u"),) * 3) for i in range(80))
+    p = Program((), (("u", Interval(0.0, 1.0)),), body)
+    assert p.lowered.schedule is not None
+    assert transfer(p, p.initial_state()) == AbstractState(())
+    report, _ = engine.analyze(p, engine.EngineConfig(mode="kleene"))
+    assert report.reason == "converged"
+
+
+# bound values for the stop test: signed zeros, infinities, and finite
+# bounds whose differences overflow
+STOP_VALUES = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e16, -1.7e308, 1.7e308, math.inf, -math.inf]
+STOP_STEPS = [0.0, 5e-324, 1e-7, 3e-7, 6e-7, 1.0, 1e16, 1e308, math.inf]
+
+
+@st.composite
+def growing_rows(draw):
+    """A bound row, a row that contains it, as a join or widening of it
+    gives, and a stop tolerance."""
+    value = st.one_of(st.sampled_from(STOP_VALUES), st.floats(-1e3, 1e3))
+    prev, x = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        pair = sorted([draw(value), draw(value)])
+        if draw(st.integers(0, 4)) == 0:  # Bottom, which may stay Bottom
+            prev += [math.inf, -math.inf]
+            x += [math.inf, -math.inf] if draw(st.booleans()) else pair
+            continue
+        prev += pair
+        lo, hi = pair
+        grow = draw(st.sampled_from(["step", "step", "value"]))
+        if grow == "step":
+            lo, hi = lo - draw(st.sampled_from(STOP_STEPS)), hi + draw(st.sampled_from(STOP_STEPS))
+            lo, hi = pair[0] if lo != lo else lo, pair[1] if hi != hi else hi  # inf - inf
+        else:
+            lo, hi = min(lo, draw(value)), max(hi, draw(value))
+        x += [lo, hi]
+    return prev, x, draw(st.sampled_from([0.0, 3e-7, 1.0, 1e300]))
+
+
+def stop_reason_before(prev, x, tol):
+    """The plain loop's stop test on array rows as it was: equality,
+    then every bound equal or within ``tol``."""
+    prev, x = np.array(prev), np.array(x)
+    if np.array_equal(x, prev):
+        return "converged"
+    if tol > 0.0 and ((prev == x) | (abs(prev - x) <= tol)).all():
+        return "converged-tolerance"
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(growing_rows())
+def test_one_reduction_gives_the_stop_reasons(case):
+    # on a row that grew, as the plain loop's rows do, and on one that
+    # shrank, which the test does not rely on
+    prev, x, tol = case
+    for a, b in ((prev, x), (x, prev)):
+        with np.errstate(all="ignore"):  # inf - inf, and differences that overflow
+            expected = stop_reason_before(a, b, tol)
+            got = engine._stop_arrays(np.array(a), np.array(b), tol)
+        event(f"reason: {expected}")
+        assert got == expected == engine._stop_lists(a, b, tol)
