@@ -37,7 +37,7 @@ import numpy as np
 from .extraction import bound_row, state_from_row
 # not called here; bound because the benchmark tracer wraps these names
 from .extraction import combine_detailed  # noqa: F401
-from .intervals import INF, AbstractState, ThresholdSet
+from .intervals import INF, NO_THRESHOLDS, AbstractState, ThresholdSet
 from .programs import Program
 from .transforms import EstimateStream, Method, converged
 # not called here; bound because the benchmark tracer wraps these names
@@ -186,13 +186,14 @@ def state_leq(x: Row, y: Row) -> bool:
     return all(map(le, y[::2], x[::2])) and all(map(le, x[1::2], y[1::2]))
 
 
-def _widen_rows(x: Row, y: Row, down, up) -> Row:
-    """Keep each stable bound of ``x``; send an unstable lower bound of
-    ``y`` to ``down(lo)`` and an unstable upper bound to ``up(hi)``.
-    Bottom on either side yields the other operand's component.  Array
-    rows are widened as lists."""
+def _widen_rows(x: Row, y: Row, t: ThresholdSet) -> Row:
+    """Keep each stable bound of ``x``; snap an unstable lower bound of
+    ``y`` down and an unstable upper bound up to ``t``.  Bottom on either
+    side yields the other operand's component.  Array rows are widened
+    as lists."""
     if type(x) is not list:
-        return np.array(_widen_rows(x.tolist(), y.tolist(), down, up))
+        return np.array(_widen_rows(x.tolist(), y.tolist(), t))
+    down, up = t.snap_down, t.snap_up
     out = [*y]
     for j in range(0, len(x), 2):
         alo, ahi, blo, bhi = x[j], x[j + 1], y[j], y[j + 1]
@@ -206,15 +207,16 @@ def _widen_rows(x: Row, y: Row, down, up) -> Row:
     return out
 
 
+# The tracer wraps both names below, so neither calls the other.
 def state_widen_std(x: Row, y: Row) -> Row:
     """``intervals.widen_std`` on every component of two bound rows."""
-    return _widen_rows(x, y, lambda lo: -INF, lambda hi: INF)
+    return _widen_rows(x, y, NO_THRESHOLDS)
 
 
 def state_widen_thresholds(x: Row, y: Row, t: ThresholdSet) -> Row:
     """``intervals.widen_thresholds`` on every component of two bound
     rows: unstable bounds snap to the nearest threshold beyond them."""
-    return _widen_rows(x, y, t.snap_down, t.snap_up)
+    return _widen_rows(x, y, t)
 
 
 def verify_postfixpoint(p: Program, x: AbstractState) -> bool:
@@ -405,13 +407,12 @@ class _Accelerator:
 
 def _fallback_thresholds(record: TraceRecord) -> ThresholdSet:
     """Thresholds for the emergency widening: the estimate of the newest
-    record with each bound relaxed outward by a relative margin.  An
-    unverified join restarts the estimator, which then holds none, so a
-    record of one adds none.  A bound whose threshold is not finite adds
-    none either: the implicit infinities of ``ThresholdSet`` already
-    stand for it."""
+    record with each bound relaxed outward by a relative margin.  The
+    record of an unverified join holds the estimate that was joined.  A
+    bound whose threshold is not finite adds none: the implicit
+    infinities of ``ThresholdSet`` already stand for it."""
     values: set[float] = set()
-    if record.accel is not None and record.event != "injection":
+    if record.accel is not None:
         for coord, v in enumerate(record.accel):
             if v is None:
                 continue

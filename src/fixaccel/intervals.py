@@ -75,17 +75,6 @@ def leq(a: Interval, b: Interval) -> bool:
     return b.lo <= a.lo and a.hi <= b.hi
 
 
-def widen_std(a: Interval, b: Interval) -> Interval:
-    """Standard interval widening: unstable bounds jump to +-inf."""
-    if a.is_bottom:
-        return b
-    if b.is_bottom:
-        return a
-    lo = a.lo if a.lo <= b.lo else -INF
-    hi = a.hi if a.hi >= b.hi else INF
-    return Interval(lo, hi)
-
-
 @dataclass(frozen=True)
 class ThresholdSet:
     """A finite ascending set of landing points for threshold widening.
@@ -128,6 +117,16 @@ def widen_thresholds(a: Interval, b: Interval, t: ThresholdSet) -> Interval:
     lo = a.lo if a.lo <= b.lo else t.snap_down(b.lo)
     hi = a.hi if a.hi >= b.hi else t.snap_up(b.hi)
     return Interval(lo, hi)
+
+
+# Standard widening is threshold widening with no thresholds but the
+# implicit +-inf.
+NO_THRESHOLDS = ThresholdSet()
+
+
+def widen_std(a: Interval, b: Interval) -> Interval:
+    """Standard interval widening: unstable bounds jump to +-inf."""
+    return widen_thresholds(a, b, NO_THRESHOLDS)
 
 
 def affine_eval(c0: float, terms: Iterable[tuple[float, Interval]]) -> Interval:
@@ -231,10 +230,7 @@ def state_leq(x: AbstractState, y: AbstractState) -> bool:
 
 
 def state_widen_std(x: AbstractState, y: AbstractState) -> AbstractState:
-    x._check_same_vars(y)
-    return AbstractState(
-        (n, widen_std(a, b)) for (n, a), b in zip(x, y.intervals)
-    )
+    return state_widen_thresholds(x, y, NO_THRESHOLDS)
 
 
 def state_widen_thresholds(

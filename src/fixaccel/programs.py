@@ -28,7 +28,7 @@ from operator import gt
 import numpy as np
 
 from .extraction import bound_row, state_from_row
-from .intervals import INF, AbstractState, Interval
+from .intervals import BOTTOM, AbstractState, Interval, affine_eval
 
 _KEYWORDS = {"state", "input", "loop", "in"}
 
@@ -134,8 +134,8 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-# (target, lo_slot, hi_slot, const, terms, reads); see LoweredBody
-Step = tuple[int, int, int, float, tuple[tuple[float, int, int], ...], tuple[int, ...]]
+# (lo_slot, const, terms); see LoweredBody
+Step = tuple[int, float, tuple[tuple[float, int, int], ...]]
 
 # A body is scheduled when it holds BATCH_MIN_PRODUCTS products (terms,
 # plus one per step for its constant) and LEVEL_MIN_PRODUCTS per level:
@@ -271,25 +271,27 @@ class LoweredBody:
     Variable ``k`` owns slots ``2k`` (lower bound) and ``2k + 1`` (upper
     bound): the state variables first, in declaration order, so the
     first ``width`` slots are laid out like ``extraction.bound_row``;
-    then the inputs, whose declared bounds are constant slots (``tail``
-    holds them, then a placeholder pair per temporary); then the
-    temporaries.  A step ``(target, lo_slot, hi_slot, const, terms,
-    reads)`` is one assignment.  Each term ``(coeff, src_for_lo,
+    then the inputs, whose declared bounds are constant slots; then the
+    temporaries.  A body runs one interpreter.  ``schedule`` is its level
+    schedule, or None for the per-step loop: ``tail`` then holds the
+    inputs' bounds and a placeholder pair per temporary, and ``steps``
+    the assignments, each ``(lo_slot, const, terms)``, writing slots
+    ``lo_slot`` and ``lo_slot + 1``.  Each term ``(coeff, src_for_lo,
     src_for_hi)`` has its source slots picked by the sign of ``coeff``,
-    and zero coefficients are dropped.  ``reads`` lists every variable
-    the right-hand side names, zero coefficients included, so that a
-    Bottom read still makes the target Bottom.
+    and zero coefficients are dropped.  A scheduled body has no ``tail``
+    or ``steps``, and keeps the ``_Kernel`` objects that run its
+    schedule, each on a work buffer of its own, in ``_kernels``: an image
+    takes a free one, or builds one, and gives it back, so two images in
+    flight never share a buffer.
 
-    ``schedule`` is the body's level schedule, or None for the per-step
-    loop, always so for a body with a Bottom input.  A scheduled body
-    builds ``tail`` and ``steps`` at its first row with Bottom, and keeps
-    the ``_Kernel`` objects that run its schedule, each on a work buffer
-    of its own, in ``_kernels``: an image takes a free one, or builds
-    one, and gives it back, so two images in flight never share a
-    buffer.
+    Neither interpreter knows Bottom: a row that holds it, and every row
+    of a body with a Bottom input (which has neither interpreter), goes
+    to ``_affine_eval``, which reads the state names, the inputs and the
+    body held in ``_program``.  That is not the Program itself, which
+    holds this body in ``Program.lowered``.
     """
 
-    __slots__ = ("width", "tail", "steps", "bottom_inputs", "schedule", "_source", "_kernels")
+    __slots__ = ("width", "tail", "steps", "schedule", "_program", "_kernels")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -297,37 +299,33 @@ class LoweredBody:
         and KeyError on a variable read before it has a value."""
         ids = {name: k for k, (name, _) in enumerate(p.state_vars)}
         tail: list[float] = []
-        bottom_inputs: set[int] = set()
         for name, rng in p.input_vars:
             if name in ids:
                 raise ValueError(f"input {name!r} is also a state variable")
             ids[name] = len(ids)
             tail += (rng.lo, rng.hi)
-            if rng.is_bottom:
-                bottom_inputs.add(ids[name])
         self.width = 2 * len(p.state_vars)
-        self.bottom_inputs = frozenset(bottom_inputs)
-        self._source = (p.body, ids, tail)
-        self.tail = self.steps = None
+        self._program = (p.state_names, p.input_vars, p.body)
         self._kernels: list[_Kernel] = []
-        # a Bottom input makes the targets that read it Bottom: per-step loop
-        self.schedule = None if bottom_inputs else _schedule(p.body, ids, self.width, tail)
+        self.schedule = _schedule(p.body, ids, self.width, tail)
+        self.tail = self.steps = None
         if self.schedule is None:
-            self._lower_steps()
+            self._lower_steps(p.body, ids, tail)
+        if any(rng.is_bottom for _, rng in p.input_vars):
+            # lowered all the same, so that a bad body raises here; every
+            # image then takes _affine_eval
+            self.schedule = self.tail = self.steps = None
 
-    def _lower_steps(self) -> None:
-        body, ids, tail = self._source  # extended here, once _schedule has read them
+    def _lower_steps(self, body: tuple[Assignment, ...], ids: dict[str, int], tail: list[float]) -> None:
         steps: list[Step] = []
         isfinite = math.isfinite
         for a in body:
             const = _finite(a.const, "constant term")
             terms: list[tuple[float, int, int]] = []
-            reads: list[int] = []
             for coeff, var in a.terms:
                 if type(coeff) is not float or not isfinite(coeff):
                     coeff = _finite(coeff, "coefficient")  # converts, or raises
                 k = ids[var]
-                reads.append(k)
                 if coeff > 0.0:
                     terms.append((coeff, 2 * k, 2 * k + 1))
                 elif coeff < 0.0:
@@ -335,8 +333,7 @@ class LoweredBody:
             if a.target not in ids:
                 ids[a.target] = len(ids)
                 tail += (0.0, 0.0)
-            k = ids[a.target]
-            steps.append((k, 2 * k, 2 * k + 1, const, tuple(terms), tuple(reads)))
+            steps.append((2 * ids[a.target], const, tuple(terms)))
         self.tail = tuple(tail)
         self.steps = tuple(steps)
 
@@ -348,16 +345,15 @@ class LoweredBody:
         Each assignment accumulates ``lo += coeff * b[src_for_lo]`` and
         ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
         as ``affine_eval`` does, so the row is bit-identical to interval
-        evaluation; the schedule, run on a row without Bottom, makes the
-        same operations in the same order, however a level sums (see
-        ``_Kernel``), and an array row takes and gives arrays there
-        without a conversion.  The image is always a new row, never a view
-        of a kernel's buffer, so a caller may keep it.  An array row that
-        the schedule cannot take goes through the per-step loop as a
-        list.
-        A target that reads a Bottom variable becomes Bottom,
-        ``(inf, -inf)``.  No NumPy error state is entered here: a caller
-        that lets a bound overflow holds one.
+        evaluation; the schedule makes the same operations in the same
+        order, however a level sums (see ``_Kernel``), and an array row
+        takes and gives arrays there without a conversion.  The image is
+        always a new row, never a view of a kernel's buffer, so a caller
+        may keep it.  An array row that the schedule cannot take goes
+        through the list path.  A row with a pair ``lo > hi``, which
+        counts as Bottom, and every row of a body with a Bottom input,
+        takes ``_affine_eval``.  No NumPy error state is entered here: a
+        caller that lets a bound overflow holds one.
         """
         if type(row) is not list:
             # count_nonzero costs less than any() on a short mask
@@ -367,20 +363,10 @@ class LoweredBody:
         has_bottom = any(map(gt, row[::2], row[1::2]))
         if self.schedule is not None and not has_bottom:
             return self._run(row).tolist()
-        if self.steps is None:
-            self._lower_steps()
+        if has_bottom or self.steps is None:
+            return self._affine_eval(row)
         b = [*row, *self.tail]
-        bottom = set(self.bottom_inputs)
-        if has_bottom:
-            bottom.update(k for k in range(len(row) // 2) if row[2 * k] > row[2 * k + 1])
-        for target, lo_slot, hi_slot, const, terms, reads in self.steps:
-            if bottom:
-                if not bottom.isdisjoint(reads):
-                    bottom.add(target)
-                    b[lo_slot] = INF
-                    b[hi_slot] = -INF
-                    continue
-                bottom.discard(target)
+        for lo_slot, const, terms in self.steps:
             lo = hi = const
             for coeff, src_lo, src_hi in terms:
                 lo += coeff * b[src_lo]
@@ -388,8 +374,20 @@ class LoweredBody:
             if lo != lo or hi != hi:
                 raise ValueError(_NAN_MESSAGE)
             b[lo_slot] = lo
-            b[hi_slot] = hi
+            b[lo_slot + 1] = hi
         return b[: self.width]
+
+    def _affine_eval(self, row: list[float]) -> list[float]:
+        """The image of a row through ``intervals.affine_eval``, folded
+        over the body in order: a target that reads Bottom, through any
+        coefficient, becomes Bottom, ``(inf, -inf)``."""
+        names, inputs, body = self._program
+        env = {name: BOTTOM if lo > hi else Interval(lo, hi)
+               for name, lo, hi in zip(names, row[::2], row[1::2])}
+        env.update(inputs)
+        for a in body:
+            env[a.target] = affine_eval(a.const, [(c, env[var]) for c, var in a.terms])
+        return [bound for name in names for bound in (env[name].lo, env[name].hi)]
 
     def _run(self, row: list[float] | np.ndarray) -> np.ndarray:
         """The schedule's image of a row without Bottom, on a free kernel."""

@@ -366,8 +366,8 @@ class TestAcceleratorBranches:
     def test_fallback_thresholds_come_from_the_newest_record(self, monkeypatch):
         # with delta = 0.5 the estimates agree early; under ``repeat``
         # every candidate is rejected and joined, so the fallback fires
-        # at a join, after which the restarted estimator holds no
-        # estimate; under ``once`` it fires at a plain row
+        # at a join, whose record holds the estimate just joined; under
+        # ``once`` it fires at a plain row
         seen, run = [], engine._iterate
 
         def spy(p, cfg, x, start, trace, fallback):
@@ -377,12 +377,13 @@ class TestAcceleratorBranches:
         monkeypatch.setattr(engine, "_iterate", spy)
         for policy in POLICIES:
             analyze(load_bundled("filter3"), EngineConfig(inject_policy=policy, fallback_after=2, delta=0.5))
-        (plain, thresholds), (joined, none) = seen
-        assert (joined.index, joined.event, none) == (13, "injection", ThresholdSet(()))
-        assert joined.accel is not None
+        (plain, once), (joined, repeat) = seen
         assert (plain.index, plain.event) == (7, "plain-step")
-        relaxed = [v + (1 if j % 2 else -1) * max(1e-6, 1e-6 * abs(v)) for j, v in enumerate(plain.accel)]
-        assert thresholds == ThresholdSet(tuple(sorted(relaxed)))
+        assert (joined.index, joined.event) == (13, "injection")
+        for record, thresholds in ((plain, once), (joined, repeat)):
+            relaxed = [v + (1 if j % 2 else -1) * max(1e-6, 1e-6 * abs(v)) for j, v in enumerate(record.accel)]
+            assert len(thresholds) == 6
+            assert thresholds == ThresholdSet(tuple(sorted(relaxed)))
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("method", METHODS)
@@ -705,13 +706,15 @@ def _hex_run(report, trace):
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("method", METHODS)
-def test_accel_fallback_on_arrays_equals_the_per_step_loop(method, policy):
-    # the fallback on a scheduled body iterates on arrays; with the
-    # schedule removed, the same run takes the per-step loop on lists
+def test_accel_fallback_on_arrays_equals_the_per_step_loop(monkeypatch, method, policy):
+    # the fallback on a scheduled body iterates on arrays; the same body
+    # lowered below the schedule's threshold takes the per-step loop on lists
     text = gaussian_program(3, 16, 0.97)
     p, q = parse(text), parse(text)
     assert p.lowered.schedule is not None
-    q.lowered.schedule = None
+    with monkeypatch.context() as m:
+        m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
+        assert q.lowered.schedule is None and q.lowered.steps is not None
     for c in ({"fallback_after": 1}, {"fallback_after": 5}, {"fallback_after": 1, "max_iter": 6}):
         cfg = EngineConfig(method=method, inject_policy=policy, **c)
         (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
@@ -761,7 +764,7 @@ def list_kleene(p, cfg):
 def scheduled_programs():
     """``row_program`` bodies with a level schedule: dense and sparse,
     Jacobi and Gauss-Seidel; and two built through the API with a Bottom
-    state, whose rows with Bottom take the per-step loop: the first
+    state, whose rows with Bottom take ``affine_eval``: the first
     state, which the first join makes finite, or a new state ``z`` that
     reads only itself and stays Bottom."""
     from test_lowering import row_program

@@ -123,8 +123,9 @@ def test_coefficients_of_other_numeric_types_lower_as_floats():
         (),
         (Assignment("x", 0.0, ((2, "x"), (np.float64(0.5), "x"), (0.25, "x"))),),
     )
-    (step,) = p.lowered.steps
-    assert [(type(c), c) for c, _, _ in step[4]] == [(float, 2.0), (float, 0.5), (float, 0.25)]
+    ((lo_slot, const, terms),) = p.lowered.steps
+    assert (lo_slot, const) == (0, 0.0)
+    assert [(type(c), c) for c, _, _ in terms] == [(float, 2.0), (float, 0.5), (float, 0.25)]
     with pytest.raises(ValueError, match="coefficient must be finite, got inf"):
         Program(p.state_vars, (), (Assignment("x", 0.0, ((np.float64("inf"), "x"),)),)).lowered
 
@@ -313,9 +314,9 @@ def wide_jacobi_bodies(draw):
 @given(wide_jacobi_bodies())
 def test_batched_runs_equal_fold_of_affine_eval(case):
     shape, p, x = case
-    # the per-step loop handles a Bottom input
-    if p.lowered.bottom_inputs:
-        assert p.lowered.schedule is None
+    # a Bottom input leaves the body no interpreter: affine_eval takes it
+    if any(iv.is_bottom for _, iv in p.input_vars):
+        assert p.lowered.schedule is p.lowered.steps is None
     else:
         assert len(p.lowered.schedule[1]) == SHAPE_LEVELS[shape]
     with warnings.catch_warnings():
@@ -580,8 +581,8 @@ def test_scheduled_bodies_equal_fold_of_affine_eval(case):
         event("level kernels: " + " and ".join(sorted(kernels)))
     if nan and bottom is None:
         assert got == "ValueError"
-    # a scheduled body builds the per-step loop only for a row with Bottom
-    assert (lowered.steps is None) == (bottom is None)
+    # a row with Bottom takes affine_eval: no body builds a second interpreter
+    assert lowered.steps is None
     # an array row has an array image of the same bits, or the same error
     row = p.row_of(x)
     assert image_bits(lowered, np.array(row)) == image_bits(lowered, row)
@@ -597,6 +598,90 @@ def image_bits(lowered, row):
         return "ValueError"
     assert type(out) is type(row)
     return [float(v).hex() for v in out]
+
+
+# pairs with lo > hi: each counts as Bottom, canonical or not
+BOTTOM_PAIRS = [(math.inf, -math.inf), (2.0, 1.0), (math.inf, 0.0), (0.0, -0.0), (5.0, -math.inf)]
+
+
+@st.composite
+def bottom_rows(draw):
+    """A per-step or scheduled body, a row in which at least one state
+    pair has lo > hi, and whether an input is Bottom.
+
+    The body reads a Bottom state ``xk`` through a zero coefficient,
+    then in a step whose other terms sum +inf and -inf (1e308 times an
+    input, minus the same), and then overwrites ``xk`` from that input
+    alone, so later reads of ``xk`` see no Bottom.  Random steps around these
+    read the states, the inputs and the temporaries.  A scheduled body
+    is padded, like ``scheduled_bodies``, to be scheduled whatever its
+    levels unless an input is Bottom.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheduled = draw(st.booleans())
+    bottom_input = draw(st.sampled_from([False, False, True]))
+    n_states = draw(st.integers(2, 8))
+    states = [f"x{i}" for i in range(n_states)]
+    inputs = ["big"] + [f"u{i}" for i in range(draw(st.integers(0, 2)))]
+    k = int(rng.integers(n_states))
+    scope, body = states + inputs, []
+
+    def random_steps(prefix, count, targets):
+        for i in range(count):
+            terms = [(wide_coeff(rng), scope[rng.integers(len(scope))]) for _ in range(rng.integers(0, 6))]
+            target = [targets[rng.integers(len(targets))], f"{prefix}{i}"][rng.random() < 0.5]
+            body.append(Assignment(target, wide_const(rng), tuple(terms)))
+            if target not in scope:
+                scope.append(target)
+
+    # xk stays Bottom until it is overwritten
+    random_steps("s", int(rng.integers(0, 5)), states[:k] + states[k + 1 :])
+    body.append(Assignment("zero", 1.0, ((0.5, "big"), (0.0, states[k]))))
+    nan_terms = [(1e308, "big"), (-1e308, "big"), (draw(st.sampled_from([0.0, -0.0, 2.0])), states[k])]
+    body.append(Assignment("nan", 1.0, tuple(nan_terms[i] for i in rng.permutation(3))))
+    body.append(Assignment(states[k], wide_const(rng), ((0.5, "big"),)))
+    scope += ["zero", "nan"]
+    random_steps("t", int(rng.integers(0, 5)), states)
+    if scheduled:
+        products = sum(1 + len(a.terms) for a in body)
+        short = max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * len(body)) - products
+        body[0] = Assignment(body[0].target, body[0].const, body[0].terms + ((1.5, states[0]),) * max(0, short))
+    input_vars = [("big", Interval(2.0, 3.0))] + [(u, wide_interval(rng)) for u in inputs[1:]]
+    if bottom_input and len(inputs) > 1:
+        input_vars[-1] = (inputs[-1], BOTTOM)
+    else:
+        bottom_input = False
+    row = bound_row(AbstractState((x, wide_interval(rng)) for x in states)).tolist()
+    for j in {k, *rng.choice(n_states, int(rng.integers(0, n_states)))}:
+        row[2 * j : 2 * j + 2] = BOTTOM_PAIRS[rng.integers(len(BOTTOM_PAIRS))]
+    p = Program(tuple((x, Interval(0, 1)) for x in states), tuple(input_vars), tuple(body))
+    return p, row, scheduled, bottom_input
+
+
+@settings(max_examples=200, deadline=None)
+@given(bottom_rows())
+def test_bottom_rows_equal_fold_of_affine_eval(case):
+    p, row, scheduled, bottom_input = case
+    lowered = p.lowered
+    if bottom_input:
+        assert lowered.schedule is lowered.steps is None
+    else:
+        assert (lowered.schedule is not None) == scheduled
+        assert (lowered.steps is None) == scheduled
+    state = AbstractState(
+        (name, BOTTOM if lo > hi else Interval(lo, hi))
+        for name, lo, hi in zip(p.state_names, row[::2], row[1::2])
+    )
+    expected = outcome(fold_affine_eval, p, state)
+    if expected != "ValueError":
+        expected = [v for pair in expected for v in pair]
+    event(f"scheduled: {scheduled}, Bottom input: {bottom_input}, oracle: {expected == 'ValueError'}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert image_bits(lowered, row) == expected
+        assert image_bits(lowered, np.array(row)) == expected
+        if scheduled:
+            assert lowered.steps is None
 
 
 def row_program(seed, n, nnz, gauss_seidel=False):

@@ -1,15 +1,22 @@
-"""The public namespace and the demo scripts run as shipped."""
+"""The public namespace and the demo scripts run as shipped, every
+import is used, and a Program needs no cycle collector."""
+import ast
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
+from test_golden import gaussian_program
 
 import fixaccel
+from fixaccel import EngineConfig, analyze, bundled_source, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "fixaccel").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +36,51 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(path):
+    """The names ``path`` imports and never reads, leaving out
+    ``__future__`` imports, lines marked ``# noqa: F401`` and, in
+    ``__init__``, the names of ``__all__``."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = {}  # bound name: line
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {
+        node.value.id for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    if path.name == "__init__.py":
+        read |= set(fixaccel.__all__)
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read)
+
+
+def test_every_import_is_used():
+    assert [u for path in MODULES for u in unused_imports(path)] == []
+
+
+@pytest.mark.parametrize(
+    "text", [bundled_source("filter3"), gaussian_program(3, 16, 0.97)], ids=["per-step", "scheduled"]
+)
+def test_a_program_is_freed_without_the_cycle_collector(text):
+    # the lowered body, which the Program holds, must not hold the Program
+    gc.disable()
+    try:
+        p = parse(text)
+        report, _ = analyze(p, EngineConfig())
+        assert report.sound
+        assert (p.lowered.schedule is None) == (text == bundled_source("filter3"))
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
