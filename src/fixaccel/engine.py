@@ -9,10 +9,10 @@
   outward is tried as a post-fixpoint (``_verify``).  The first
   candidate that verifies is the result (an "injection"), which cuts
   off the remaining convergence tail.  The plain rows are computed up
-  to ``LOOKAHEAD`` at a time and fed to the transformation as one block
-  (``_Accelerator.block``), which yields them one iteration at a time,
-  so the block size changes no result.  When the estimates fail, the
-  run falls back to threshold widening.
+  to ``LOOKAHEAD`` at a time and pushed to the transformation as one
+  block, then taken one iteration at a time (``_accelerate``), so the
+  block size changes no result.  When the estimates fail, the run falls
+  back to threshold widening.
 
 An accel run has two phases: the accel phase (``_accelerate``) and,
 after a fallback, the plain loop (``_iterate``), which kleene and widen
@@ -26,7 +26,6 @@ machine-checked post-fixpoint.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import eq, le, sub
@@ -73,8 +72,9 @@ class EngineConfig:
             raise ValueError("delta must be positive in accel mode")
         for name, least in (("max_iter", 1), ("widen_delay", 0), ("fallback_after", 1)):
             value = getattr(self, name)
-            # __index__ is what operator.index takes: an int or a NumPy integer
-            if not hasattr(value, "__index__") or value < least:
+            # __index__ is what operator.index takes: an int or a NumPy
+            # integer; a bool has it too, but is no count
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__") or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
         if not self.stop_tol >= 0:
             raise ValueError("stop_tol must be non-negative")
@@ -341,70 +341,6 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
 LOOKAHEAD = 12
 
 
-class _Accelerator:
-    """Hands out the plain Kleene rows of an accel run in blocks, each
-    with its estimate.
-
-    Until an injection changes the state or the fallback starts, the
-    run's rows are x_{i+1} = x_i ⊔ F(x_i), so ``block`` computes up to n
-    of them at once, through the same ``transfer`` and ``state_join`` as
-    the plain loop, pushes them to the ``EstimateStream`` as one block,
-    and yields them one at a time.  The stream decides which finite
-    coordinates each estimate covers.  A row equal to the one before it,
-    an exact fixpoint, ends the block and is not pushed.  ``start``
-    begins a new stream; the caller then leaves the block it is in.
-
-    ``active`` and ``prev`` describe the newest row yielded, not the
-    newest row pushed: ``active`` lists the positions of its estimate's
-    coordinates, and ``prev`` is the estimate ``ready`` saw last.
-    Estimates are compared only while ``active`` is unchanged.  Nothing
-    here enters an error state: it runs inside the one ``analyze``
-    holds.
-    """
-
-    def __init__(self, p: Program, cfg: EngineConfig, x: list[float]):
-        self.p = p
-        self.cfg = cfg
-        self.start(x)
-
-    def start(self, x: list[float]) -> None:
-        """Begin a new stream: ``x`` is pushed, but not yielded, as the
-        first row of the next block."""
-        self.stream = EstimateStream(self.cfg.method)
-        self.pending = [x]
-        self.active, self.prev = None, None
-
-    def block(self, x: list[float], n: int) -> Iterator[tuple[list[float], np.ndarray | None]]:
-        """Yield up to n Kleene rows after ``x``, each with its estimate
-        (None while the stream has none); an exact fixpoint ends the
-        block, yielded with None."""
-        rows = []
-        while len(rows) < n:
-            nxt = state_join(x, transfer(self.p, x))
-            if nxt == x:
-                break
-            rows.append(nxt)
-            x = nxt
-        if rows:
-            pending, self.pending = self.pending, []
-            estimates = self.stream.push_rows_unguarded(pending + rows)[len(pending):]
-            for x, (y, active) in zip(rows, estimates):
-                if active != self.active:
-                    # coordinate set changed: restart the comparison chain
-                    self.active, self.prev = active, None
-                yield x, y
-        if len(rows) < n:
-            yield nxt, None
-
-    def ready(self, y: np.ndarray) -> bool:
-        """True when every coordinate of the fresh estimate ``y`` is
-        within delta * max(1, |y|) of the one passed here before it."""
-        prev, self.prev = self.prev, y
-        if prev is None:
-            return False
-        return converged(y, prev, self.cfg.delta)
-
-
 def _fallback_thresholds(record: TraceRecord) -> ThresholdSet:
     """Thresholds for the emergency widening: the estimate of the newest
     record with each bound relaxed outward by a relative margin.  The
@@ -423,24 +359,19 @@ def _fallback_thresholds(record: TraceRecord) -> ThresholdSet:
     return ThresholdSet(tuple(sorted(values)))
 
 
-def _inject(x: list[float], active: list[int], y: np.ndarray) -> list[float]:
-    """Join the estimate ``y`` of the coordinates ``active`` into the
-    row ``x``.
+def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
+    """Join the estimate ``est``, laid out over the row (None where it
+    covers nothing), into the row ``x``.
 
-    Every other coordinate keeps its value, so a Bottom component stays
-    Bottom.  A variable whose estimated pair is inverted keeps its
-    bounds, and every other bound is joined (``state_join``, a tie
-    keeping the bound of ``x``).  Raises ValueError on a non-finite
-    estimate or one whose length differs from that of ``active``.
+    A coordinate without an estimate keeps its value, so a Bottom
+    component stays Bottom.  A variable whose estimated pair is inverted
+    keeps its bounds, and every other bound is joined (``state_join``, a
+    tie keeping the bound of ``x``).  Raises ValueError on a non-finite
+    estimate.
     """
-    est = y.tolist()
-    if not all(map(math.isfinite, est)):
+    if not all(v is None or math.isfinite(v) for v in est):
         raise ValueError("combined vector must contain only finite values")
-    if len(est) != len(active):
-        raise ValueError(f"vector has {len(est)} coordinates for {len(active)} active ones")
-    filled = [*x]
-    for j, v in zip(active, est):
-        filled[j] = v
+    filled = [a if v is None else v for a, v in zip(x, est)]
     for j in range(0, len(x), 2):
         if filled[j] > filled[j + 1]:
             filled[j], filled[j + 1] = x[j], x[j + 1]
@@ -496,22 +427,37 @@ def _accelerate(
     by the estimator.  Returns the final row and the reason the run
     stopped.
 
+    Until an injection changes the state or the fallback starts, the
+    rows are x_{i+1} = x_i ⊔ F(x_i), so each block computes up to n of
+    them ahead, through the same ``transfer`` and ``state_join`` as the
+    plain loop, pushes them to the ``EstimateStream`` as one block (after
+    the start row of a new stream, which waits in ``pending`` for it),
+    and then walks them one iteration at a time.  The stream decides
+    which finite coordinates each estimate covers, and estimates are
+    compared only while those positions stay the same: ``active`` holds
+    them and ``last`` the estimate seen last under them.  A block that
+    stops short of n rows has reached an exact fixpoint, recorded as the
+    iteration after its last row.  Nothing here enters an error state:
+    it runs inside the one ``analyze`` holds.
+
     Whenever a fresh estimate agrees with the one before it, the state
     joined with the estimate is tried as a verified post-fixpoint
     (``_verify``).  One that verifies is the result: the run records it
     as an injection and stops.  A rejected candidate is dropped under
     the ``once`` policy; under ``repeat`` it is joined in unverified, as
-    long as it changes the state, and the estimator restarts from the
-    joined state.  The phase also stops at an exact fixpoint and at
+    long as it changes the state, and a new stream and comparison chain
+    start from the joined state, leaving the rest of the block, which
+    follows the state before the join.  The phase also stops at
     ``max_iter``.  After 2 * ``fallback_after`` rejected candidates, or
-    2 * ``fallback_after`` iterations since the last agreement (since the
-    start while there is none), it hands the run to the plain loop with
-    threshold widening seeded from the last estimate (then standard
+    2 * ``fallback_after`` iterations since the last agreement (since
+    the start while there is none), it hands the run to the plain loop
+    with threshold widening seeded from the last estimate (then standard
     widening via the implicit infinities), guaranteeing termination.
     """
-    acc = _Accelerator(p, cfg, x)
     names = trace.variables
     budget = 2 * cfg.fallback_after
+    stream, pending = EstimateStream(cfg.method), [x]
+    active = last = None
     i = rejected = 0
     agreed = 0  # the iteration of the newest agreement
     while i < cfg.max_iter:
@@ -519,38 +465,50 @@ def _accelerate(
         # fallback would fire: that of the clock, or of the last
         # rejection the budget allows
         n = min(LOOKAHEAD, cfg.max_iter - i, agreed + budget - i, budget - rejected)
-        for row, y in acc.block(x, n):
+        rows, row = [], x
+        while len(rows) < n:
+            nxt = state_join(row, transfer(p, row))
+            if nxt == row:
+                break
+            rows.append(row := nxt)
+        estimates = stream.push_rows_unguarded(pending + rows)[len(pending):] if rows else []
+        pending = []
+        for x, (y, positions) in zip(rows, estimates):
             i += 1
-            prev, x = x, row
-            accel_row: tuple[float | None, ...] | None = None
-            if y is not None and len(acc.active) == len(x):
-                accel_row = tuple(y.tolist())
-            elif y is not None:
-                est: list[float | None] = [None] * len(x)
-                for j, v in zip(acc.active, y.tolist()):
-                    est[j] = v
-                accel_row = tuple(est)
-            event = "plain-step"
-            if y is not None and acc.ready(y):
-                agreed = i
-                candidate = _inject(x, acc.active, y)
-                verified = _verify(p, x, candidate)
-                if verified is not None:
-                    trace.records.append(TraceRecord(i, tuple(verified), accel_row, "injection", names))
-                    return verified, "verified-injection"
-                rejected += 1
-                if cfg.inject_policy == "repeat" and candidate != x:
-                    x = candidate
-                    event = "injection"
-                    acc.start(x)
-            if x == prev:
-                trace.records.append(TraceRecord(i, tuple(x), accel_row, "converged", names))
-                return x, "converged"
-            trace.records.append(TraceRecord(i, tuple(x), accel_row, event, names))
+            if positions != active:
+                # coordinate set changed: restart the comparison chain
+                active, last = positions, None
+            event, est = "plain-step", None
+            if y is not None:
+                est = y.tolist()
+                if len(est) < len(x):  # laid out over the row
+                    laid = [None] * len(x)
+                    for j, v in zip(positions, est):
+                        laid[j] = v
+                    est = laid
+                est = tuple(est)
+                prior, last = last, y
+                if prior is not None and converged(y, prior, cfg.delta):
+                    agreed = i
+                    candidate = _inject(x, est)
+                    verified = _verify(p, x, candidate)
+                    if verified is not None:
+                        trace.records.append(TraceRecord(i, tuple(verified), est, "injection", names))
+                        return verified, "verified-injection"
+                    rejected += 1
+                    if cfg.inject_policy == "repeat" and candidate != x:
+                        x, event = candidate, "injection"
+                        stream, pending = EstimateStream(cfg.method), [x]
+                        active = last = None
+            trace.records.append(TraceRecord(i, tuple(x), est, event, names))
             if rejected >= budget or i - agreed >= budget:
                 return _iterate(p, cfg, x, i + 1, trace, _fallback_thresholds(trace.records[-1]))
             if event == "injection":
                 break  # the rest of the block follows the state before the join
+        else:
+            if len(rows) < n:
+                trace.records.append(TraceRecord(i + 1, tuple(x), None, "converged", names))
+                return x, "converged"
     return x, "max-iter"
 
 

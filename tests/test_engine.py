@@ -696,6 +696,26 @@ class TestLookahead:
         assert transfers() == blocks
 
 
+@pytest.mark.parametrize("length", range(1, 2 * engine.LOOKAHEAD + 2))
+def test_exact_fixpoint_at_every_offset_from_a_block_boundary(monkeypatch, length):
+    # x_k = x_{k-1} down to x_1 = 1, all from [0, 0]: x_k turns [0, 1] at
+    # iteration k, so the run is an exact fixpoint at iteration length + 1,
+    # which falls at every place in a block as the length grows
+    lines = [f"state x{k} in [0, 0];" for k in range(1, length + 1)]
+    lines += ["loop {", *(f"  x{k} = x{k - 1};" for k in range(length, 1, -1)), "  x1 = 1;", "}"]
+    p = parse("\n".join(lines) + "\n")
+    cfgs = [EngineConfig(max_iter=length), EngineConfig(max_iter=length + 1), EngineConfig()]
+    for cfg in cfgs:
+        report, trace = analyze(p, cfg)
+        reason = "max-iter" if cfg.max_iter == length else "converged"
+        assert (report.reason, report.iterations) == (reason, min(length + 1, cfg.max_iter))
+        assert [r.index for r in trace.records] == list(range(1, report.iterations + 1))
+        assert trace.records[-1].event == ("converged" if reason == "converged" else "plain-step")
+    blocks = [_run_record(p, cfg) for cfg in cfgs]
+    monkeypatch.setattr(engine, "LOOKAHEAD", 1)
+    assert [_run_record(p, cfg) for cfg in cfgs] == blocks
+
+
 def _hex_run(report, trace):
     """A run's rows, estimates, events, reasons and invariant, with every
     bound written by ``float.hex``."""
@@ -851,7 +871,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["max_iter", "widen_delay", "fallback_after"])
     def test_counts_must_be_integers(self, name):
         # a float count used to fail in ``range`` or overrun max_iter
-        for bad in (2.5, 3.0, "3", None):
+        for bad in (2.5, 3.0, "3", None, True, False, np.True_):
             with pytest.raises(ValueError, match=name):
                 EngineConfig(mode="kleene", **{name: bad})
         for mode in ("kleene", "widen", "accel"):

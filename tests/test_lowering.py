@@ -369,15 +369,18 @@ def test_row_inject_equals_interval_join(seed, n):
             continue
         r = rng.random()
         y.append(v if r < 0.2 else -v if r < 0.4 else v + float(rng.normal(scale=5)))
-    active = [j for j, v in enumerate(x) if math.isfinite(v)]
-    got = engine._inject(x, active, np.array(y, dtype=float))
+    # laid out over the row as the engine lays it out: None where the
+    # row is not finite
+    values = iter(y)
+    est = tuple(next(values) if math.isfinite(v) else None for v in x)
+    got = engine._inject(x, est)
     assert bits(state_from_row(names, got)) == bits(interval_inject(names, x, y))
 
 
-@pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [1.0]])
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (math.inf, None)])
 def test_row_inject_rejects_bad_estimates(bad):
     with pytest.raises(ValueError):
-        engine._inject([0.0, 1.0], [0, 1], np.array(bad))
+        engine._inject([0.0, 1.0], bad)
 
 
 FOLD_SHAPES = ["fold", "fold", "subset", "shared", "coeff", "partial", "state", "rewrite"]
