@@ -116,21 +116,19 @@ def _trace_csv(trace: IterationTrace) -> str:
     for n in names:
         header += [f"accel_{n}_lo", f"accel_{n}_hi"]
     header.append("event")
-    lines = [",".join(header)]
-
-    def row(index: int, bounds, accel, event: str) -> str:
-        cells = [str(index)]
-        cells += [_fmt(v) for v in bounds]
-        if accel is None:
-            cells += [""] * (2 * len(names))
-        else:
-            cells += ["" if v is None else _fmt(v) for v in accel]
-        cells.append(event)
-        return ",".join(cells)
-
-    lines.append(row(0, bound_row(trace.initial).tolist(), None, "initial"))
+    # one format per row, built once: the index and each bound as
+    # ``_fmt`` writes it, then the blank estimate cells and the event
+    # of a record without an estimate
+    bounds = "%d," + "%.17g," * (2 * len(names))
+    plain = bounds + "," * (2 * len(names)) + "%s"
+    lines = [",".join(header), plain % (0, *bound_row(trace.initial).tolist(), "initial")]
     for rec in trace.records:
-        lines.append(row(rec.index, rec.row, rec.accel, rec.event))
+        if rec.accel is None:
+            lines.append(plain % (rec.index, *rec.row, rec.event))
+        else:
+            cells = ["" if v is None else _fmt(v) for v in rec.accel]
+            cells.append(rec.event)
+            lines.append(bounds % (rec.index, *rec.row) + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 

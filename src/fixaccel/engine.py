@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq, le, sub
+from operator import eq, sub
 from typing import Literal, get_args
 
 import numpy as np
@@ -151,7 +151,9 @@ class FixpointReport:
 # ``_iterate``).  The row operations below compute exactly what their
 # interval counterparts in ``intervals`` and ``programs`` compute, on
 # either type, and carry the same names, under which the benchmark's
-# tracer (perfbench/tracer.py) times them.
+# tracer (perfbench/tracer.py) times them.  On lists they are plain
+# loops over the (lo, hi) pairs, which measured faster than slices and
+# comprehensions at every width (ROADMAP item 7).
 
 Row = list[float] | np.ndarray
 
@@ -174,16 +176,22 @@ def state_join(x: Row, y: Row) -> Row:
         grow = np.less(y, x)  # the lower bounds; then the upper ones
         np.greater(y[1::2], x[1::2], out=grow[1::2])
         return np.where(grow, y, x)
-    out = [*x]
-    out[::2] = [b if b < a else a for a, b in zip(x[::2], y[::2])]
-    out[1::2] = [b if b > a else a for a, b in zip(x[1::2], y[1::2])]
+    out = []
+    xs, ys = iter(x), iter(y)
+    for lo, hi, ylo, yhi in zip(xs, xs, ys, ys):
+        out.append(ylo if ylo < lo else lo)
+        out.append(yhi if yhi > hi else hi)
     return out
 
 
 def state_leq(x: Row, y: Row) -> bool:
     """Inclusion of ``x`` in ``y``, bound by bound; with Bottom encoded
     as (inf, -inf) this equals ``intervals.leq`` on every component."""
-    return all(map(le, y[::2], x[::2])) and all(map(le, x[1::2], y[1::2]))
+    xs, ys = iter(x), iter(y)
+    for lo, hi, ylo, yhi in zip(xs, xs, ys, ys):
+        if not (ylo <= lo and hi <= yhi):
+            return False
+    return True
 
 
 def _widen_rows(x: Row, y: Row, t: ThresholdSet) -> Row:
@@ -234,9 +242,12 @@ def _stop_lists(prev: list[float], x: list[float], tol: float) -> str | None:
     moved further."""
     if x == prev:
         return "converged"
-    if tol > 0.0 and all(u == v or abs(u - v) <= tol for u, v in zip(prev, x)):
-        return "converged-tolerance"
-    return None
+    if not tol > 0.0:
+        return None
+    for u, v in zip(prev, x):
+        if u != v and not abs(u - v) <= tol:
+            return None
+    return "converged-tolerance"
 
 
 def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float) -> str | None:
@@ -303,9 +314,11 @@ def _inflate(x: list[float]) -> list[float]:
     magnitude.  A zero or infinite bound stays where it is, and so does
     Bottom's (inf, -inf)."""
     up, down = 1.0 + VERIFY_PAD, 1.0 - VERIFY_PAD
-    out = [*x]
-    out[::2] = [v * down if v > 0.0 else v * up for v in x[::2]]
-    out[1::2] = [v * up if v > 0.0 else v * down for v in x[1::2]]
+    out = []
+    xs = iter(x)
+    for lo, hi in zip(xs, xs):
+        out.append(lo * down if lo > 0.0 else lo * up)
+        out.append(hi * up if hi > 0.0 else hi * down)
     return out
 
 

@@ -9,12 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixaccel
 from fixaccel import EngineConfig, TransformConfig, analyze, bundled_path, load_bundled
 from fixaccel.bundled import PROGRAM_NAMES
-from fixaccel.cli import build_parser, main
+from fixaccel.cli import _trace_csv, build_parser, main
+from fixaccel.engine import IterationTrace, TraceRecord
+from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
 
 
@@ -413,6 +418,85 @@ class TestAccelerate:
         assert code == 1
         assert out == ""
         assert "line 3: non-numeric value in data column" in err
+
+
+def trace_csv_per_cell(trace):
+    """The trace CSV as it was first written: every cell formatted on its
+    own (``"%.17g"`` for a float, blank for a missing estimate) and the
+    cells of each row joined by commas."""
+    names = trace.variables
+    header = ["index"]
+    for n in names:
+        header += [f"{n}_lo", f"{n}_hi"]
+    for n in names:
+        header += [f"accel_{n}_lo", f"accel_{n}_hi"]
+    header.append("event")
+    lines = [",".join(header)]
+
+    def row(index, bounds, accel, event):
+        cells = [str(index)]
+        cells += ["%.17g" % v for v in bounds]
+        if accel is None:
+            cells += [""] * (2 * len(names))
+        else:
+            cells += ["" if v is None else "%.17g" % v for v in accel]
+        cells.append(event)
+        return ",".join(cells)
+
+    lines.append(row(0, bound_row(trace.initial).tolist(), None, "initial"))
+    for rec in trace.records:
+        lines.append(row(rec.index, rec.row, rec.accel, rec.event))
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, infinities, subnormals and the ends of the float range
+TRACE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3]
+
+
+@st.composite
+def traces(draw):
+    """A trace of 1-40 variables whose records carry no estimate, a full
+    one, or one with missing cells, and whose bounds are tuples or, as a
+    run on arrays leaves them, read-only float64 arrays.  Cells are picked
+    from the special floats and a few drawn ones."""
+    values = TRACE_FLOATS + draw(st.lists(st.floats(allow_nan=False), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cells(k):
+        return [values[i] for i in rng.integers(len(values), size=k)]
+
+    n = draw(st.integers(1, 40))
+    names = tuple(f"v{i}" for i in range(n))
+    pairs = []
+    for _ in names:
+        pairs += [math.inf, -math.inf] if rng.random() < 0.1 else sorted(cells(2))
+    trace = IterationTrace(variables=names, initial=state_from_row(names, pairs))
+    for index in range(1, draw(st.integers(0, 6)) + 1):
+        bounds = tuple(cells(2 * n))
+        if draw(st.booleans()):
+            bounds = np.array(bounds)
+            bounds.flags.writeable = False
+        kind = draw(st.sampled_from(["none", "full", "partial"]))
+        accel = None if kind == "none" else tuple(cells(2 * n))
+        if kind == "partial":
+            accel = tuple(None if rng.random() < 0.4 else v for v in accel)
+        event = draw(st.sampled_from(["plain-step", "widen-step", "injection", "fallback-widen", "converged"]))
+        trace.records.append(TraceRecord(index, bounds, accel, event, names))
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_trace_csv_formats_each_cell_like_the_per_cell_writer(trace):
+    assert _trace_csv(trace).encode() == trace_csv_per_cell(trace).encode()
+
+
+def test_trace_csv_of_a_program_without_states():
+    # no bound and no estimate cell: the index and the event only
+    trace = IterationTrace(variables=(), initial=fixaccel.AbstractState(()))
+    trace.records += [TraceRecord(1, (), None, "converged", ()), TraceRecord(2, (), (), "injection", ())]
+    assert _trace_csv(trace) == trace_csv_per_cell(trace) == "index,event\n0,initial\n1,converged\n2,injection\n"
 
 
 class TestTraceReplay:

@@ -209,6 +209,83 @@ def test_row_join_keeps_signed_zeros_like_join():
         assert row_bits(names, row, type(rx)) == bits(per_interval(join, x, y))
 
 
+# intervals that tie as signed zeros, reach an infinity, or hold no real
+# number: Bottom, and [inf, inf] and [-inf, -inf], which the lattice does
+# not take for Bottom and the row keeps as they are
+EDGE_INTERVALS = [
+    Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(-0.0, -0.0), Interval(0.0, 0.0),
+    Interval(-math.inf, 0.0), Interval(-0.0, math.inf), Interval(-math.inf, math.inf),
+    BOTTOM, Interval(math.inf, math.inf), Interval(-math.inf, -math.inf),
+]
+
+
+@st.composite
+def wide_row_states(draw):
+    """Two states of 1-300 variables: the second often contains the
+    first, but for at most one component, and shares or mirrors many of
+    its bounds (a signed zero for a zero), so that joins tie and
+    inclusion holds or fails at any one component."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    contains = draw(st.booleans())
+
+    def pick():
+        if rng.random() < 0.3:
+            return EDGE_INTERVALS[rng.integers(len(EDGE_INTERVALS))]
+        return rand_interval(rng)
+
+    def mirror(u):
+        if u.is_bottom:
+            return u
+        return Interval(-u.lo if u.lo == 0.0 else u.lo, -u.hi if u.hi == 0.0 else u.hi)
+
+    names = tuple(f"v{i}" for i in range(n))
+    a = [pick() for _ in names]
+    b = [[u, mirror(u), join(u, pick()), pick()][rng.integers(3 if contains else 4)] for u in a]
+    if contains and draw(st.booleans()):  # one component that may not contain
+        b[rng.integers(n)] = pick()
+    return names, AbstractState(zip(names, a)), AbstractState(zip(names, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_row_states())
+def test_list_join_and_inclusion_equal_the_interval_operations(case):
+    names, a, b = case
+    x, y = bound_row(a).tolist(), bound_row(b).tolist()
+    event(f"inclusion: {engine.state_leq(x, y)}")
+    for u, v, rows in ((a, b, (x, y)), (b, a, (y, x))):
+        assert row_bits(names, engine.state_join(*rows), list) == bits(per_interval(join, u, v))
+        assert engine.state_leq(*rows) == all(leq(s, t) for s, t in zip(u.intervals, v.intervals))
+    assert engine.state_leq(x, engine.state_join(x, y))
+    assert x == bound_row(a).tolist() and y == bound_row(b).tolist()  # neither row is written
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_row_states())
+def test_list_inflate_moves_each_bound_outward_by_its_magnitude(case):
+    names, a, _ = case
+    up, down = 1.0 + engine.VERIFY_PAD, 1.0 - engine.VERIFY_PAD
+    expected = AbstractState(
+        (name, Interval(iv.lo * (down if iv.lo > 0.0 else up), iv.hi * (up if iv.hi > 0.0 else down)))
+        for name, iv in a
+    )
+    assert row_bits(names, engine._inflate(bound_row(a).tolist()), list) == bits(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_row_states(), st.sampled_from([0.0, 3e-7, 1.0, 1e300]))
+def test_list_stop_test_on_wide_rows(case, tol):
+    # the rows of a growing run, one whose bounds moved by ulps only, and
+    # one whose zero bounds moved by exactly ``tol``
+    _, a, b = case
+    x = bound_row(a).tolist()
+    near = [v if math.isinf(v) else v + 2.0**-30 * abs(v) for v in x]
+    by_tol = [v + tol if v == 0.0 else v for v in x]
+    for prev, row in ((x, engine.state_join(x, bound_row(b).tolist())), (x, near), (x, by_tol), (x, list(x))):
+        with np.errstate(all="ignore"):  # inf - inf
+            assert engine._stop_lists(prev, row, tol) == stop_reason_before(prev, row, tol)
+
+
 def wide_interval(rng):
     """A declared or state interval: often a signed zero, sometimes
     infinite on one side, never Bottom."""
