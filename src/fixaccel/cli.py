@@ -21,7 +21,9 @@ bound (as widening can produce) is rejected as unusable input.
 Exit status: 0 for a converged, verified analysis (and for any
 successful acceleration), 2 when the analysis did not converge or the
 result could not be verified, 1 for unusable input or an output file
-that cannot be written.
+that cannot be written.  ``analyze`` also names each variable with an
+infinite bound on stderr (``warning: x has an infinite bound``), which
+leaves the exit status as it is.
 """
 from __future__ import annotations
 
@@ -122,13 +124,15 @@ def _trace_csv(trace: IterationTrace) -> str:
     bounds = "%d," + "%.17g," * (2 * len(names))
     plain = bounds + "," * (2 * len(names)) + "%s"
     lines = [",".join(header), plain % (0, *bound_row(trace.initial).tolist(), "initial")]
-    for rec in trace.records:
-        if rec.accel is None:
-            lines.append(plain % (rec.index, *rec.row, rec.event))
+    for index, (row, est, event) in enumerate(zip(trace.rows, trace.estimates, trace.events), 1):
+        if type(row) is not tuple:
+            row = row.tolist()
+        if est is None:
+            lines.append(plain % (index, *row, event))
         else:
-            cells = ["" if v is None else _fmt(v) for v in rec.accel]
-            cells.append(rec.event)
-            lines.append(bounds % (rec.index, *rec.row) + ",".join(cells))
+            cells = ["" if v is None else _fmt(v) for v in est]
+            cells.append(event)
+            lines.append(bounds % (index, *row) + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -200,6 +204,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a non-finite coefficient, or NaN in evaluation
         print(f"error: {args.program}: {exc}", file=sys.stderr)
         return 1
+    # a bound lost to infinity is sound but bounds nothing
+    for name, iv in report.invariant:
+        if iv.lo == -math.inf or iv.hi == math.inf:
+            print(f"warning: {name} has an infinite bound", file=sys.stderr)
 
     if args.trace is not None and not _write(args.trace, _trace_csv(trace)):
         return 1

@@ -86,13 +86,11 @@ class TraceRecord:
     estimate if one was computed (full coordinate layout, None where no
     estimate exists), and what kind of step happened.
 
-    ``bounds`` holds the row the loop carried, as it was given: a tuple
-    of floats, or a read-only float64 array from a run that keeps its
-    rows in arrays.  ``row`` holds the bounds as a tuple of floats, (lo,
-    hi) pairs in the order of ``variables`` (the tuple itself, or one
-    built from the array on first access), and ``state`` the same as an
-    AbstractState, built on first access.  Records compare by identity,
-    as an array has no truth value.
+    ``bounds`` holds the row the loop carried: a tuple of floats, or a
+    read-only float64 array from a run on arrays.  ``row`` holds it as a
+    tuple, (lo, hi) pairs in the order of ``variables``, and ``state``
+    as an AbstractState, each built on first access.  Records compare by
+    identity, as an array has no truth value.
     """
 
     index: int
@@ -101,34 +99,43 @@ class TraceRecord:
     event: str  # plain-step | widen-step | injection | fallback-widen | converged
     variables: tuple[str, ...]
 
-    @property
-    def row(self) -> tuple[float, ...]:
-        # a plain property: a cached one costs the CLI's trace writer
-        # about 0.6 us per record of a list run, whose row is its tuple
-        b = self.bounds
-        return b if type(b) is tuple else self._array_row
-
     @cached_property
-    def _array_row(self) -> tuple[float, ...]:
-        return tuple(self.bounds.tolist())
+    def row(self) -> tuple[float, ...]:
+        return self.bounds if type(self.bounds) is tuple else tuple(self.bounds.tolist())
 
     @cached_property
     def state(self) -> AbstractState:
         return state_from_row(self.variables, self.row)
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationTrace:
-    """The full history of one engine run."""
+    """One engine run's history in three columns, one entry per
+    iteration, iteration i at position i - 1: ``rows`` holds each
+    record's ``bounds``, ``estimates`` its ``accel``, ``events`` its
+    ``event``.  ``records`` builds the records on each access, as a
+    tuple (so a stray append raises); traces compare by identity."""
 
     variables: tuple[str, ...]
     initial: AbstractState
-    records: list[TraceRecord] = field(default_factory=list)
+    rows: list[tuple[float, ...] | np.ndarray] = field(default_factory=list)
+    estimates: list[tuple[float | None, ...] | None] = field(default_factory=list)
+    events: list[str] = field(default_factory=list)
     reason: str = "running"  # converged | converged-tolerance | verified-injection | max-iter
+
+    def append(self, row, estimate, event: str) -> None:
+        self.rows.append(row)
+        self.estimates.append(estimate)
+        self.events.append(event)
 
     @property
     def iterations(self) -> int:
-        return len(self.records)
+        return len(self.rows)
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        cols = zip(self.rows, self.estimates, self.events)
+        return tuple(TraceRecord(i, *c, self.variables) for i, c in enumerate(cols, 1))
 
 
 @dataclass(frozen=True)
@@ -268,7 +275,7 @@ def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float) -> str | None:
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
-    """``x``, which a trace record then shares, made read-only."""
+    """``x``, which the trace then shares, made read-only."""
     x.flags.writeable = False
     return x
 
@@ -354,17 +361,15 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
 LOOKAHEAD = 12
 
 
-def _fallback_thresholds(record: TraceRecord) -> ThresholdSet:
-    """Thresholds for the emergency widening: the estimate of the newest
-    record with each bound relaxed outward by a relative margin.  The
-    record of an unverified join holds the estimate that was joined.  A
-    bound whose threshold is not finite adds none: the implicit
-    infinities of ``ThresholdSet`` already stand for it."""
+def _fallback_thresholds(estimate: tuple[float | None, ...] | None) -> ThresholdSet:
+    """Thresholds for the emergency widening: the newest iteration's
+    laid-out ``estimate``, if any, with each bound relaxed outward by a
+    relative margin.  An unverified join records the estimate that was
+    joined.  A bound whose threshold is not finite adds none: the
+    implicit infinities of ``ThresholdSet`` already stand for it."""
     values: set[float] = set()
-    if record.accel is not None:
-        for coord, v in enumerate(record.accel):
-            if v is None:
-                continue
+    for coord, v in enumerate(estimate or ()):
+        if v is not None:
             margin = max(1e-6, 1e-6 * abs(v))
             t = v - margin if coord % 2 == 0 else v + margin
             if math.isfinite(t):
@@ -391,25 +396,22 @@ def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
     return state_join(x, filled)
 
 
-def _iterate(
-    p: Program, cfg: EngineConfig, x: list[float], start: int, trace: IterationTrace,
-    fallback: ThresholdSet | None,
-) -> tuple[list[float], str]:
-    """The plain loop from iteration ``start``: joins, widened after the
-    delay in widen mode or by the ``fallback`` thresholds of an accel
-    run, until the row is stable, bit-exactly or (unless ``stop_tol`` is
-    0) to ``stop_tol``, or ``max_iter``.  Returns the final row, as a
-    list, and the reason.  On a scheduled body the rows are float64
-    arrays (see the row comment above)."""
+def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrace,
+             fallback: ThresholdSet | None) -> tuple[list[float], str]:
+    """The plain loop from the iteration after the last in ``trace``:
+    joins, widened after the delay in widen mode or by the ``fallback``
+    thresholds of an accel run, until the row is stable, bit-exactly or
+    (unless ``stop_tol`` is 0) to ``stop_tol``, or ``max_iter``.  Returns
+    the final row, as a list, and the reason.  On a scheduled body the
+    rows are float64 arrays (see the row comment above)."""
     if p.lowered.schedule is not None:
         x = np.array(x)
         # np.array_equal is == of the rows as lists: they hold no NaN
         same, stop, record = np.array_equal, _stop_arrays, _read_only
     else:
         same, stop, record = eq, _stop_lists, tuple
-    names = trace.variables
     reason = "max-iter"
-    for i in range(start, cfg.max_iter + 1):
+    for i in range(trace.iterations + 1, cfg.max_iter + 1):
         prev = x
         joined = state_join(x, transfer(p, x))
         if fallback is not None:
@@ -427,15 +429,14 @@ def _iterate(
         stopped = stop(prev, x, cfg.stop_tol)
         if stopped is not None:
             reason, event = stopped, "converged"
-        trace.records.append(TraceRecord(i, record(x), None, event, names))
+        trace.append(record(x), None, event)
         if reason != "max-iter":
             break
     return (x if type(x) is list else x.tolist()), reason
 
 
-def _accelerate(
-    p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrace
-) -> tuple[list[float], str]:
+def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
+                trace: IterationTrace) -> tuple[list[float], str]:
     """The accel phase: Kleene rows from the initial row ``x``, watched
     by the estimator.  Returns the final row and the reason the run
     stopped.
@@ -467,7 +468,6 @@ def _accelerate(
     with threshold widening seeded from the last estimate (then standard
     widening via the implicit infinities), guaranteeing termination.
     """
-    names = trace.variables
     budget = 2 * cfg.fallback_after
     stream, pending = EstimateStream(cfg.method), [x]
     active = last = None
@@ -506,21 +506,21 @@ def _accelerate(
                     candidate = _inject(x, est)
                     verified = _verify(p, x, candidate)
                     if verified is not None:
-                        trace.records.append(TraceRecord(i, tuple(verified), est, "injection", names))
+                        trace.append(tuple(verified), est, "injection")
                         return verified, "verified-injection"
                     rejected += 1
                     if cfg.inject_policy == "repeat" and candidate != x:
                         x, event = candidate, "injection"
                         stream, pending = EstimateStream(cfg.method), [x]
                         active = last = None
-            trace.records.append(TraceRecord(i, tuple(x), est, event, names))
+            trace.append(tuple(x), est, event)
             if rejected >= budget or i - agreed >= budget:
-                return _iterate(p, cfg, x, i + 1, trace, _fallback_thresholds(trace.records[-1]))
+                return _iterate(p, cfg, x, trace, _fallback_thresholds(est))
             if event == "injection":
                 break  # the rest of the block follows the state before the join
         else:
             if len(rows) < n:
-                trace.records.append(TraceRecord(i + 1, tuple(x), None, "converged", names))
+                trace.append(tuple(x), None, "converged")
                 return x, "converged"
     return x, "max-iter"
 
@@ -541,7 +541,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
         if cfg.mode == "accel":
             x, reason = _accelerate(p, cfg, x, trace)
         else:
-            x, reason = _iterate(p, cfg, x, 1, trace, None)
+            x, reason = _iterate(p, cfg, x, trace, None)
         trace.reason = reason
         if reason == "converged-tolerance":
             x = _seal(p, x)
@@ -550,7 +550,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     report = FixpointReport(
         invariant=invariant,
         iterations=trace.iterations,
-        injections=sum(r.event == "injection" for r in trace.records),
+        injections=trace.events.count("injection"),
         sound=sound,
         converged=reason != "max-iter",
         reason=reason + ("+sealed" if reason == "converged-tolerance" else ""),

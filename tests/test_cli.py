@@ -18,9 +18,10 @@ import fixaccel
 from fixaccel import EngineConfig, TransformConfig, analyze, bundled_path, load_bundled
 from fixaccel.bundled import PROGRAM_NAMES
 from fixaccel.cli import _trace_csv, build_parser, main
-from fixaccel.engine import IterationTrace, TraceRecord
+from fixaccel.engine import IterationTrace
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
+from test_golden import gaussian_program
 
 
 def run(capsys, *argv):
@@ -154,6 +155,44 @@ class TestAnalyze:
         run(capsys, "analyze", FILTER3, "--method", "vea", "--report", str(report))
         doc = json.loads(report.read_text())
         assert doc["config"]["method"] == "vector-epsilon"
+
+    @pytest.mark.parametrize("mode", ["kleene", "widen", "accel"])
+    def test_warns_of_each_infinite_bound_and_keeps_the_exit_code(self, capsys, tmp_path, mode):
+        # kleene's seal and widening lose every bound of this program, and
+        # so does an accel run whose fallback fires at once
+        prog = tmp_path / "gaussian.loop"
+        prog.write_text(gaussian_program(1, 8, 0.97))
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "analyze", str(prog), "--mode", mode, "--fallback-after", "1",
+                             "--report", str(report))
+        assert code == 0 and "sound: true" in out
+        assert err.splitlines() == [f"warning: x{i} has an infinite bound" for i in range(8)]
+        assert all(v == {"lower": "-inf", "upper": "inf"} for v in json.loads(report.read_text())["invariant"].values())
+
+    def test_warns_of_the_infinite_bounds_only(self, capsys, tmp_path):
+        # z doubles up and w down until they overflow, while x contracts:
+        # widening loses z's upper and w's lower bound, and so does Kleene
+        # at iteration 1024, which is max-iter here, so the run keeps its
+        # exit code 2
+        prog = tmp_path / "doubling.loop"
+        prog.write_text("state x in [0.0, 1.0];\nstate z in [1.0, 1.0];\nstate w in [-1.0, -1.0];\n"
+                        "loop {\n  x = 0.5*x;\n  z = 2.0*z;\n  w = 2.0*w;\n}\n")
+        warnings = "warning: z has an infinite bound\nwarning: w has an infinite bound\n"
+        code, out, err = run(capsys, "analyze", str(prog), "--mode", "widen")
+        assert (code, err) == (0, warnings)
+        assert "x in [0, 1]" in out
+        code, out, err = run(capsys, "analyze", str(prog), "--mode", "kleene", "--max-iter", "1024")
+        assert (code, err) == (2, warnings)
+        assert "reason: max-iter" in out
+        code, _, err = run(capsys, "analyze", str(prog), "--mode", "kleene", "--max-iter", "1023")
+        assert (code, err) == (2, "")
+
+    @pytest.mark.parametrize("name", sorted(PROGRAM_NAMES))
+    @pytest.mark.parametrize("method", ["aitken", "epsilon", "vea"])
+    def test_accel_run_on_a_bundled_program_warns_of_nothing(self, capsys, name, method):
+        for policy in ("once", "repeat"):
+            code, _, err = run(capsys, "analyze", str(bundled_path(f"{name}.loop")), "--method", method, "--inject", policy)
+            assert (code, err) == (0, "")
 
     def test_exit_two_when_not_converged(self, capsys):
         code, out, _ = run(capsys, "analyze", FILTER3, "--mode", "kleene", "--max-iter", "10")
@@ -456,10 +495,12 @@ TRACE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
 
 @st.composite
 def traces(draw):
-    """A trace of 1-40 variables whose records carry no estimate, a full
-    one, or one with missing cells, and whose bounds are tuples or, as a
-    run on arrays leaves them, read-only float64 arrays.  Cells are picked
-    from the special floats and a few drawn ones."""
+    """A trace of 1-40 variables whose iterations carry no estimate, a
+    full one, or one with missing cells, and whose rows are tuples or, as
+    a run on arrays leaves them, read-only float64 arrays, with the number
+    of iterations drawn.  The iterations are appended to the columns, as
+    the engine appends them.  Cells are picked from the special floats
+    and a few drawn ones."""
     values = TRACE_FLOATS + draw(st.lists(st.floats(allow_nan=False), max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -472,7 +513,8 @@ def traces(draw):
     for _ in names:
         pairs += [math.inf, -math.inf] if rng.random() < 0.1 else sorted(cells(2))
     trace = IterationTrace(variables=names, initial=state_from_row(names, pairs))
-    for index in range(1, draw(st.integers(0, 6)) + 1):
+    iterations = draw(st.integers(0, 6))
+    for _ in range(iterations):
         bounds = tuple(cells(2 * n))
         if draw(st.booleans()):
             bounds = np.array(bounds)
@@ -482,20 +524,24 @@ def traces(draw):
         if kind == "partial":
             accel = tuple(None if rng.random() < 0.4 else v for v in accel)
         event = draw(st.sampled_from(["plain-step", "widen-step", "injection", "fallback-widen", "converged"]))
-        trace.records.append(TraceRecord(index, bounds, accel, event, names))
-    return trace
+        trace.append(bounds, accel, event)
+    return trace, iterations
 
 
 @settings(max_examples=200, deadline=None)
 @given(traces())
-def test_trace_csv_formats_each_cell_like_the_per_cell_writer(trace):
+def test_trace_csv_formats_each_cell_like_the_per_cell_writer(drawn):
+    # the writer reads the columns, the oracle the records built from them
+    trace, iterations = drawn
+    assert trace.iterations == len(trace.records) == iterations
     assert _trace_csv(trace).encode() == trace_csv_per_cell(trace).encode()
 
 
 def test_trace_csv_of_a_program_without_states():
     # no bound and no estimate cell: the index and the event only
     trace = IterationTrace(variables=(), initial=fixaccel.AbstractState(()))
-    trace.records += [TraceRecord(1, (), None, "converged", ()), TraceRecord(2, (), (), "injection", ())]
+    trace.append((), None, "converged")
+    trace.append((), (), "injection")
     assert _trace_csv(trace) == trace_csv_per_cell(trace) == "index,event\n0,initial\n1,converged\n2,injection\n"
 
 

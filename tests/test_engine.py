@@ -21,7 +21,7 @@ from fixaccel import (
     verify_postfixpoint,
 )
 from fixaccel import engine, programs
-from fixaccel.extraction import bound_row
+from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
 from fixaccel.transforms import EstimateStream
@@ -370,9 +370,9 @@ class TestAcceleratorBranches:
         # ``once`` it fires at a plain row
         seen, run = [], engine._iterate
 
-        def spy(p, cfg, x, start, trace, fallback):
+        def spy(p, cfg, x, trace, fallback):
             seen.append((trace.records[-1], fallback))
-            return run(p, cfg, x, start, trace, fallback)
+            return run(p, cfg, x, trace, fallback)
 
         monkeypatch.setattr(engine, "_iterate", spy)
         for policy in POLICIES:
@@ -714,6 +714,40 @@ def test_exact_fixpoint_at_every_offset_from_a_block_boundary(monkeypatch, lengt
     blocks = [_run_record(p, cfg) for cfg in cfgs]
     monkeypatch.setattr(engine, "LOOKAHEAD", 1)
     assert [_run_record(p, cfg) for cfg in cfgs] == blocks
+
+
+# runs whose traces hold each kind of row and event: the program, the
+# config, the type of the rows and an event the run must record
+COLUMN_RUNS = {
+    "list-kleene": ("lowpass1", EngineConfig(mode="kleene"), tuple, "converged"),
+    "array-kleene": (gaussian_program(3, 16, 0.97), EngineConfig(mode="kleene"), np.ndarray, "converged"),
+    "injection": ("filter3", EngineConfig(), tuple, "injection"),
+    "repeat-join": ("filter3", EngineConfig(inject_policy="repeat", fallback_after=2, delta=0.5), tuple, "injection"),
+    "fallback": ("filter3", EngineConfig(fallback_after=2, delta=0.5), tuple, "fallback-widen"),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_RUNS)
+def test_records_are_built_from_the_columns(name):
+    program, cfg, row_type, event = COLUMN_RUNS[name]
+    report, trace = analyze(parse(program) if "\n" in program else load_bundled(program), cfg)
+    assert event in trace.events
+    n = report.iterations
+    assert len(trace.rows) == len(trace.estimates) == len(trace.events) == trace.iterations == n
+    records = trace.records
+    assert [r.index for r in records] == list(range(1, n + 1))
+    for r, row, est, ev in zip(records, trace.rows, trace.estimates, trace.events):
+        assert type(row) is row_type and r.bounds is row
+        assert r.row == tuple(row if row_type is tuple else row.tolist())
+        assert (r.accel, r.event) == (est, ev)
+        assert r.state == state_from_row(trace.variables, r.row)
+    assert report.injections == trace.events.count("injection")
+    if name == "repeat-join":  # unverified joins, recorded as injections
+        assert report.injections > 1
+    # records is built on each access, and no append reaches the trace
+    with pytest.raises(AttributeError):
+        trace.records.append(records[0])
+    assert trace.records is not records and len(trace.records) == n
 
 
 def _hex_run(report, trace):
