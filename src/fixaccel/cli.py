@@ -242,10 +242,13 @@ def _read_sequence_csv(path: str) -> tuple[list[str], np.ndarray]:
     finite sequences only, so an ``inf`` cell is rejected with its line.
     """
     text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    # numbered before the blank and comment lines are dropped, so that an
+    # error names its line in the file
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), 1)
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     keep = [
         j
         for j, h in enumerate(header)
@@ -255,7 +258,7 @@ def _read_sequence_csv(path: str) -> tuple[list[str], np.ndarray]:
         raise ValueError("no data columns in header")
     names = [header[j] for j in keep]
     rows: list[list[float]] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != len(header):
             raise ValueError(

@@ -15,6 +15,11 @@ Assignments execute sequentially, so later right-hand sides see the
 values written earlier in the same body pass.  Right-hand sides are
 affine: an optional constant plus coefficient*variable terms, where the
 constants may not sum to NaN.
+
+The grammar is stated once, in ``_program``, which reads one of two
+token lists.  ``parse`` gives it the fast chunks of ``str.split`` first;
+on any chunk that is not one token, and on any error, it gives it the
+regex tokens of ``_tokenize``, which locate each ParseError.
 """
 from __future__ import annotations
 
@@ -49,6 +54,7 @@ _TOKEN_RE = re.compile(
 )
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NUM_START = frozenset("0123456789.")
+_SIGNS = frozenset("+-")
 # the one-character texts a token may have; any other is an unexpected character
 _SHORT_TOKENS = _NAME_START | frozenset("0123456789;,[]{}=*+-")
 
@@ -455,300 +461,201 @@ class _Kernel:
         return take(self.final)
 
 
-class _Parser:
-    """Recursive descent over the token texts; ``pos`` indexes the next
-    token, and errors are reported at a token index."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def advance(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok:
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, k: int | None = None) -> ParseError:
-        return _error(self.text, self.pos if k is None else k, message)
-
-    def expect(self, text: str) -> None:
-        tok = self.peek()
-        if tok != text:
-            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
-        self.pos += 1
-
-    def expect_name(self, what: str) -> str:
-        tok = self.peek()
-        if tok[:1] not in _NAME_START or tok in _KEYWORDS:
-            raise self.error(f"expected {what}, found {tok or 'end of input'!r}")
-        self.pos += 1
-        return tok
-
-    def number(self) -> float:
-        sign = 1.0
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.advance()
-            sign = -1.0 if tok == "-" else 1.0
-            tok = self.peek()
-        if tok[:1] not in _NUM_START:
-            raise self.error(f"expected a number, found {tok or 'end of input'!r}")
-        self.advance()
-        return sign * float(tok)
-
-    def interval(self) -> Interval:
-        self.expect("[")
-        lo = self.number()
-        self.expect(",")
-        hi = self.number()
-        self.expect("]")
-        if lo > hi:
-            raise self.error(f"empty declared interval [{lo:g}, {hi:g}]")
-        return Interval(lo, hi)
-
-    def program(self) -> Program:
-        states: list[tuple[str, Interval]] = []
-        inputs: list[tuple[str, Interval]] = []
-        declared: set[str] = set()
-        while self.peek() in ("state", "input"):
-            kw = self.advance()
-            at = self.pos
-            name = self.expect_name("a variable name")
-            if name in declared:
-                raise self.error(f"variable {name!r} declared twice", at)
-            declared.add(name)
-            self.expect("in")
-            iv = self.interval()
-            self.expect(";")
-            (states if kw == "state" else inputs).append((name, iv))
-        if not states:
-            raise self.error("program declares no state variables")
-        body = self.loop_body({n for n, _ in states}, {n for n, _ in inputs})
-        tok = self.peek()
-        if tok:
-            raise self.error(f"unexpected trailing input {tok!r}")
-        return Program(tuple(states), tuple(inputs), tuple(body))
-
-    def loop_body(self, states: set[str], inputs: set[str]) -> list[Assignment]:
-        self.expect("loop")
-        self.expect("{")
-        in_scope = states | inputs
-        body: list[Assignment] = []
-        while self.peek() != "}":
-            if not self.peek():
-                raise self.error("unterminated loop body (missing '}')")
-            at = self.pos
-            target = self.expect_name("an assignment target")
-            if target in inputs:
-                raise self.error(f"cannot assign to input variable {target!r}", at)
-            self.expect("=")
-            const, terms = self.affine_expr(in_scope)
-            self.expect(";")
-            if const != const:
-                raise self.error("the constant terms sum to NaN", at)
-            body.append(Assignment(target, const, tuple(terms)))
-            in_scope.add(target)
-        self.advance()  # '}'
-        return body
-
-    def affine_expr(
-        self, in_scope: set[str]
-    ) -> tuple[float, list[tuple[float, str]]]:
-        """``[+|-] term {(+|-) term}``, a term being ``num``, ``num*var``
-        or ``var``."""
-        tokens = self.tokens
-        const = 0.0
-        terms: list[tuple[float, str]] = []
-        sign = 1.0
-        if tokens[self.pos] in ("+", "-"):
-            sign = -1.0 if tokens[self.pos] == "-" else 1.0
-            self.pos += 1
-        while True:
-            tok = tokens[self.pos]
-            if tok[:1] in _NUM_START:
-                self.pos += 1
-                value = sign * float(tok)
-                if tokens[self.pos] == "*":
-                    self.pos += 1
-                    at = self.pos
-                    var = self.expect_name("a variable name")
-                    self.check_scope(var, in_scope, at)
-                    terms.append((value, var))
-                else:
-                    const += value
-            elif tok[:1] in _NAME_START and tok not in _KEYWORDS:
-                self.check_scope(tok, in_scope, self.pos)
-                self.pos += 1
-                if tokens[self.pos] == "*":
-                    raise self.error("non-affine expression: variable*... is not allowed")
-                terms.append((sign, tok))
-            else:
-                raise self.error(f"expected a term, found {tok or 'end of input'!r}")
-            tok = tokens[self.pos]
-            if tok not in ("+", "-"):
-                return const, terms
-            sign = -1.0 if tok == "-" else 1.0
-            self.pos += 1
-
-    def check_scope(self, name: str, in_scope: set[str], at: int) -> None:
-        if name not in in_scope:
-            raise self.error(
-                f"variable {name!r} is not declared and not assigned "
-                "earlier in the body",
-                at,
-            )
-
-
 # ASCII characters str.split() breaks at that the tokenizer does not skip
 _OTHER_SPACE = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _literal(tok: str) -> float:
-    """The value of the number token ``tok`` (ASCII, without
-    whitespace); ValueError if it is not one.
+def _chunks(text: str) -> list[str] | None:
+    """The fast chunks of ``text``, ending with ``""`` like the regex
+    tokens, or None for text that is not ASCII or holds whitespace the
+    tokenizer does not skip.
 
-    Of the ASCII texts that start with a digit or ``.``, ``float``
-    accepts the number tokens of ``_TOKEN_RE`` and, besides them, only
-    the same with underscores (``1_0``); ``inf``, ``nan`` and signs
-    cannot come first.  So a text that passes holds only ``0-9 . e E +
-    -`` and is one number token.
-    """
-    if tok[:1] not in _NUM_START or "_" in tok:
-        raise ValueError(tok)
-    return float(tok)
-
-
-def _signed(text: str) -> float:
-    """The value of ``[+|-] literal``, with or without whitespace after
-    the sign, as ``_Parser.number`` computes it; ValueError if ``text``
-    is not that."""
-    words = text.split()
-    if not (len(words) == 1 or len(words) == 2 and words[0] in ("+", "-")):
-        raise ValueError(text)
-    tok = "".join(words)
-    sign = 1.0
-    if tok[0] in "+-":
-        sign = -1.0 if tok[0] == "-" else 1.0
-        tok = tok[1:]
-    return sign * _literal(tok)
-
-
-def _read(text: str) -> Program | None:
-    """The program of ``text`` read with string methods, or None when a
-    statement is not one this reader verifies.
-
-    Comments go first (``#`` always starts one).  The text is then split
-    at ``{``, ``}`` and ``;`` into statements, which always end a token,
-    and each statement at whitespace into chunks.  A chunk is accepted
-    only as a whole: a keyword, a name, a sign, ``[sign] literal``,
-    ``[sign] literal*name`` or ``[sign] name``.  Every value is made by
-    the float operations of ``_Parser``, and every scope, keyword,
-    duplicate, input-target and empty-interval check that could raise
-    makes this return None instead, so ``_Parser`` reports it; so does
-    a right-hand side whose constants sum to NaN (``1e400 - 1e400``).  A
-    chunk that must be a literal and is not one raises ValueError from
-    ``_literal``, which means the same.
+    Comments go first (``#`` always starts one), then ``;,[]{}=*``,
+    which always end a token, are set apart and the text is split at
+    whitespace.  So a chunk is one token or a run of tokens that no
+    whitespace or punctuation separates (``-0.5``, ``x+1``, ``0.5x``).
     """
     if "#" in text:
         text = "\n".join([line.partition("#")[0] for line in text.split("\n")])
     if not text.isascii() or any(c in text for c in _OTHER_SPACE):
         return None
-    head, _, rest = text.partition("{")
-    body, brace, tail = rest.partition("}")
-    *decls, loop = head.split(";")
-    if not brace or tail.strip() or loop.split() != ["loop"]:
-        return None
+    for mark in ";,[]{}=*":
+        text = text.replace(mark, f" {mark} ")
+    chunks = text.split()
+    chunks.append("")
+    return chunks
+
+
+def _fail(text: str | None, k: int, message: str) -> ValueError:
+    """The error ``message`` at the ``k``-th token: a ParseError at its
+    place in ``text``, or a plain ValueError on fast chunks (``text``
+    None)."""
+    return ValueError(message) if text is None else _error(text, k, message)
+
+
+def _expected(what: str, tok: str, k: int, text: str | None) -> ValueError:
+    return _fail(text, k, f"expected {what}, found {tok or 'end of input'!r}")
+
+
+def _unread(what: str, tok: str, k: int, text: str | None) -> ValueError:
+    """The error at ``tok``, which is not a variable in scope."""
+    if tok.isidentifier() and tok not in _KEYWORDS:
+        return _fail(text, k, f"variable {tok!r} is not declared and not assigned earlier in the body")
+    return _expected(what, tok, k, text)
+
+
+def _sign(tokens: list[str], k: int) -> tuple[float, str, int]:
+    """The optional sign at ``tokens[k]`` (1.0 without one), the term's
+    token after it and that token's index.  A sign glued to its term
+    (``-0.5``, ``-x``), on fast chunks only, shares the term's index."""
+    tok = tokens[k]
+    if tok[:1] not in _SIGNS:
+        return 1.0, tok, k
+    sign = -1.0 if tok[0] == "-" else 1.0
+    return (sign, tokens[k + 1], k + 1) if len(tok) == 1 else (sign, tok[1:], k)
+
+
+def _bound(tokens: list[str], k: int, text: str | None) -> tuple[float, int]:
+    """The value of the ``[+|-] num`` at ``tokens[k]``, and the index
+    past it."""
+    sign, tok, k = _sign(tokens, k)
+    if tok[:1] not in _NUM_START or "_" in tok:
+        raise _expected("a number", tok, k, text)
+    return sign * float(tok), k + 1
+
+
+def _program(tokens: list[str], text: str | None) -> Program:
+    """The program that ``tokens`` spell: the grammar of the language.
+
+    ``tokens`` is either the regex tokens of ``_tokenize(text)``, where
+    an error raises a ParseError at its token, or the fast chunks of
+    ``_chunks`` with ``text`` None, where an error raises a plain
+    ValueError.  A fast chunk is read only as exactly one token: a name
+    must pass ``isidentifier``, and a number must start with a digit or
+    ``.``, hold no ``_`` and pass ``float`` (which then reads one number
+    token), so any other chunk is an error.  The one exception is a sign
+    glued to a declared bound or to a right-hand side's first term
+    (``-0.5``, ``-x``).  Every value comes from the same float
+    operations on both lists.
+    """
     states: list[tuple[str, Interval]] = []
     inputs: list[tuple[str, Interval]] = []
     in_scope: set[str] = set()  # the declared names, then the targets too
-    intervals: dict[str, Interval] = {}  # by the text after "[", read once per text
-    for decl in decls:
-        left, _, bounds = decl.partition("[")
-        words = left.split()
-        if len(words) != 3 or words[2] != "in":
-            return None
-        kw, name, _ = words
-        if kw not in ("state", "input") or not name.isidentifier() or name in _KEYWORDS:
-            return None
+    intervals: dict[tuple[str, ...], Interval] = {}  # by the tokens `lo , hi ]`
+    pos = 0
+    while (kw := tokens[pos]) == "state" or kw == "input":
+        pos += 1
+        name = tokens[pos]
+        if not name.isidentifier() or name in _KEYWORDS:
+            raise _expected("a variable name", name, pos, text)
         if name in in_scope:
-            return None
-        iv = intervals.get(bounds)
-        if iv is None:
-            lo, _, hi = bounds.partition(",")
-            hi, bracket, after = hi.partition("]")
-            if not bracket or after.strip():
-                return None
-            lo, hi = _signed(lo), _signed(hi)
-            if lo > hi:
-                return None
-            iv = intervals[bounds] = Interval(lo, hi)
+            raise _fail(text, pos, f"variable {name!r} declared twice")
         in_scope.add(name)
+        if tokens[pos + 1] != "in":
+            raise _expected("'in'", tokens[pos + 1], pos + 1, text)
+        pos += 2
+        if tokens[pos] != "[":
+            raise _expected("'['", tokens[pos], pos, text)
+        start, key = pos, tuple(tokens[pos + 1 : pos + 5])
+        iv = intervals.get(key)
+        if iv is not None:
+            pos += 5
+        else:
+            lo, pos = _bound(tokens, pos + 1, text)
+            if tokens[pos] != ",":
+                raise _expected("','", tokens[pos], pos, text)
+            hi, pos = _bound(tokens, pos + 1, text)
+            if tokens[pos] != "]":
+                raise _expected("']'", tokens[pos], pos, text)
+            pos += 1
+            if lo > hi:
+                raise _fail(text, pos, f"empty declared interval [{lo:g}, {hi:g}]")
+            iv = Interval(lo, hi)
+            if pos == start + 5:
+                intervals[key] = iv
+        if tokens[pos] != ";":
+            raise _expected("';'", tokens[pos], pos, text)
+        pos += 1
         (states if kw == "state" else inputs).append((name, iv))
     if not states:
-        return None
+        raise _fail(text, pos, "program declares no state variables")
+    for mark in ("loop", "{"):
+        if tokens[pos] != mark:
+            raise _expected(repr(mark), tokens[pos], pos, text)
+        pos += 1
     input_names = {name for name, _ in inputs}
-    *statements, last = body.split(";")
-    if last.strip():
-        return None
-    assignments: list[Assignment] = []
-    for statement in statements:
-        target, eq, rhs = statement.partition("=")
-        words = target.split()
-        if len(words) != 1 or not eq:
-            return None
-        (target,) = words
-        if not target.isidentifier() or target in _KEYWORDS or target in input_names:
-            return None
-        const = 0.0
-        terms: list[tuple[float, str]] = []
-        op = ""  # the sign read since the last term, if any
-        after_term = False
-        for chunk in rhs.split():
-            if chunk[0] in "+-":
-                if op:
-                    return None
-                op = chunk[0]
-                if len(chunk) == 1:
-                    continue
-                chunk = chunk[1:]
-            elif after_term and not op:
-                return None
-            sign = -1.0 if op == "-" else 1.0
-            num, star, var = chunk.partition("*")
-            if star:
-                if var not in in_scope:
-                    return None
-                terms.append((sign * _literal(num), var))
-            elif chunk in in_scope:
-                terms.append((sign, chunk))
+    body: list[Assignment] = []
+    while (target := tokens[pos]) != "}":
+        if not target:
+            raise _fail(text, pos, "unterminated loop body (missing '}')")
+        if not target.isidentifier() or target in _KEYWORDS:
+            raise _expected("an assignment target", target, pos, text)
+        if target in input_names:
+            raise _fail(text, pos, f"cannot assign to input variable {target!r}")
+        at = pos
+        pos += 1
+        if tokens[pos] != "=":
+            raise _expected("'='", tokens[pos], pos, text)
+        # [+|-] term {(+|-) term}, a term being num, num*var or var
+        sign, tok, pos = _sign(tokens, pos + 1)
+        const, terms = 0.0, []
+        while True:
+            if tok[:1] in _NUM_START and "_" not in tok:
+                value = sign * float(tok)
+                pos += 1
+                if tokens[pos] == "*":
+                    pos += 1
+                    var = tokens[pos]
+                    if var not in in_scope:
+                        raise _unread("a variable name", var, pos, text)
+                    pos += 1
+                    terms.append((value, var))
+                else:
+                    const += value
+            elif tok in in_scope:
+                pos += 1
+                if tokens[pos] == "*":
+                    raise _fail(text, pos, "non-affine expression: variable*... is not allowed")
+                terms.append((sign, tok))
             else:
-                const += sign * _literal(chunk)
-            op = ""
-            after_term = True
-        if op or not after_term or const != const:
-            return None
-        assignments.append(Assignment(target, const, tuple(terms)))
+                raise _unread("a term", tok, pos, text)
+            tok = tokens[pos]
+            if tok == "+":
+                sign = 1.0
+            elif tok == "-":
+                sign = -1.0
+            else:
+                break
+            pos += 1
+            tok = tokens[pos]
+        if tok != ";":
+            raise _expected("';'", tok, pos, text)
+        pos += 1
+        if const != const:
+            raise _fail(text, at, "the constant terms sum to NaN")
+        body.append(Assignment(target, const, tuple(terms)))
         in_scope.add(target)
-    return Program(tuple(states), tuple(inputs), tuple(assignments))
+    if tokens[pos + 1]:
+        raise _fail(text, pos + 1, f"unexpected trailing input {tokens[pos + 1]!r}")
+    return Program(tuple(states), tuple(inputs), tuple(body))
 
 
 def parse(text: str) -> Program:
     """Parse program source text, raising ParseError with line/column.
 
-    ``_read`` reads well-formed text; any text it cannot verify, which
-    includes every malformed text, goes whole to the token-level
-    ``_Parser``, the one source of ParseError.
+    ``_program`` reads the fast chunks of ``text`` first.  Where they
+    raise, because a chunk is not one token or the program has an
+    error, or where there are none, it reads the regex tokens of
+    ``_tokenize``: the same grammar, whose errors then carry their line
+    and column.
     """
-    try:
-        program = _read(text)
-    except ValueError:
-        program = None
-    return program if program is not None else _Parser(text).program()
+    chunks = _chunks(text)
+    if chunks is not None:
+        try:
+            return _program(chunks, None)
+        except ValueError:
+            pass
+    return _program(_tokenize(text), text)
 
 
 def _fmt_num(x: float) -> str:

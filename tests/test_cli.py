@@ -447,6 +447,19 @@ class TestAccelerate:
         assert "final element: 0, 0" in out
         assert out_csv.read_text().splitlines()[2] == "1,0,0,1"
 
+    @pytest.mark.parametrize("row, message", [
+        ("3,x", "line 5: non-numeric value in data column"),
+        ("3", "line 5: expected 2 cells, found 1"),
+    ])
+    def test_error_names_the_line_in_the_file(self, capsys, tmp_path, row, message):
+        # the comment and the blank line before the bad row count too
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b\n# comment\n\n1,2\n{row}\n")
+        code, out, err = run(capsys, "accelerate", str(bad))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("cell", ["\u0665", "1_0", "0.\u0665"])
     def test_exit_one_on_a_number_program_literals_reject(self, capsys, tmp_path, cell):
         # float() reads these as 5, 10 and 0.5; a program literal takes

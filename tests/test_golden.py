@@ -330,6 +330,23 @@ def test_gaussian_accel_results_are_bit_identical(method):
     assert _pinned(report) == GOLDEN_GAUSSIAN[method]
 
 
+
+@pytest.mark.xfail(strict=True, reason="the kleene seal pads every bound by the same amount, "
+                   "which closes only when every row of |A| sums below 1; on this loop it "
+                   "ends at [-inf, inf] (ROADMAP item 1, the exact finish)")
+def test_kleene_keeps_the_bounds_of_a_contracting_loop():
+    # |A| has spectral radius 0.97 but rows that sum above 1; an exact
+    # stop (stop_tol=0) ends at finite bounds after about a thousand steps
+    p = parse(gaussian_program(1, 8, 0.97))
+    report, _ = analyze(p, EngineConfig(mode="kleene"))
+    exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
+    assert exact.converged and exact.sound
+    for iv, ref in zip(report.invariant.intervals, exact.invariant.intervals):
+        assert math.isfinite(iv.lo) and math.isfinite(iv.hi)
+        assert iv.lo <= ref.lo and ref.hi <= iv.hi
+        assert ref.lo - iv.lo <= 1e-6 * max(1.0, abs(ref.lo))
+        assert iv.hi - ref.hi <= 1e-6 * max(1.0, abs(ref.hi))
+
 # (seed, n, rho, method, inject policy) -> (number of estimate rows,
 # sha256 of their ``float.hex`` text, as ``_accel_digest`` writes it);
 # gaussian_program(seed, n, rho), once with fallback after 20 iterations

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from fixaccel import (
     AbstractState,
     Interval,
+    PROGRAM_NAMES,
     ParseError,
+    bundled_source,
     load_bundled,
     parse,
     state_join,
@@ -17,6 +19,7 @@ from fixaccel import (
     unparse,
 )
 from fixaccel import programs
+from test_golden import gaussian_program
 
 SMALL = """
 # a one-state decaying accumulator
@@ -29,7 +32,8 @@ loop {
 
 
 # Declarations and a first assignment as loops.render and unparse lay
-# them out; the hand-off tests append the statement under test.
+# them out; the tests of errors that the fast chunks defer append the
+# statement under test.
 CANONICAL = (
     "state x in [0.0, 1.0];\nstate z in [-1.0, 1.0];\ninput u in [-1.0, 1.0];\n"
     "loop {\n  z = 0.25*x - 0.5*u;\n"
@@ -77,7 +81,7 @@ class TestParsing:
 
     def test_non_ascii_digit_inside_a_literal(self):
         # a literal takes ASCII digits only, after its first character
-        # too; the string reader hands such text to the token parser
+        # too; the fast chunks defer such text to the regex tokens
         with pytest.raises(ParseError, match="unexpected character '\u0665'") as exc:
             parse(CANONICAL + "  x = 0.\u0665*x;\n}\n")
         assert (exc.value.line, exc.value.col) == (6, 9)
@@ -207,9 +211,9 @@ class TestParseErrors:
             "trailing input",
         )
 
-    # Errors inside otherwise canonical statements, where the string
-    # reader hands the text to the token parser; recorded before the
-    # reader existed.
+    # Errors inside otherwise canonical statements, which the fast
+    # chunks defer to the regex tokens; recorded before the chunks
+    # existed.
     def test_undeclared_variable_in_canonical_term(self):
         self.expect(
             CANONICAL + "  x = 0.5*x + 0.5*y;\n}\n",
@@ -269,7 +273,9 @@ class TestParseErrors:
     def test_constants_that_sum_to_nan(self, rhs):
         # inf + -inf: no literal spells the NaN, so unparse could not write it
         self.expect(CANONICAL + f"  y = {rhs};\n}}\n", "the constant terms sum to NaN", line=6, col=3)
-        assert programs._read(CANONICAL + f"  y = {rhs};\n}}\n") is None
+        with pytest.raises(ValueError) as exc:
+            _fast_parse(CANONICAL + f"  y = {rhs};\n}}\n")
+        assert type(exc.value) is ValueError
 
     def test_underscore_in_literal(self):
         self.expect(CANONICAL + "  x = 1_0*x;\n}\n", "expected ';', found '_0'", line=6, col=8)
@@ -418,7 +424,7 @@ class TestTransfer:
             assert state_leq(transfer(p, small), transfer(p, big))
 
 
-# ---- the string reader against the token parser -------------------------
+# ---- the grammar on fast chunks against the grammar on regex tokens ------
 
 NAMES = ["x", "y1", "_t", "e1", "E", "inf", "nan", "loopy", "in_", "Input"]
 TEMPS = ["t0", "t_1", "tmp"]
@@ -538,10 +544,30 @@ def _outcome(read, text):
 
 
 def _token_parse(text):
-    return programs._Parser(text).program()
+    return programs._program(programs._tokenize(text), text)
+
+
+def _fast_parse(text):
+    """The program of the fast chunks of ``text``; ValueError where
+    ``parse`` reads the regex tokens instead."""
+    chunks = programs._chunks(text)
+    if chunks is None:
+        raise ValueError("not ASCII, or whitespace the tokenizer does not skip")
+    return programs._program(chunks, None)
 
 
 class TestReaderMatchesTokenParser:
+    @pytest.mark.parametrize("text", [
+        *(bundled_source(name) for name in PROGRAM_NAMES),
+        *(unparse(load_bundled(name)) for name in PROGRAM_NAMES),
+        *(gaussian_program(1, n, 0.97) for n in (3, 8, 16)),
+    ], ids=[*(f"{name}-file" for name in PROGRAM_NAMES), *(f"{name}-unparse" for name in PROGRAM_NAMES),
+            "gaussian3", "gaussian8", "gaussian16"])
+    def test_fast_chunks_read_the_bundled_and_generated_texts(self, text):
+        # laid out as the bundled files, unparse and the benchmark lay out
+        # their texts: the fast chunks read them without deferring
+        assert _key(_fast_parse(text)) == _key(_token_parse(text))
+
     @settings(max_examples=150, deadline=None)
     @given(layouts())
     def test_random_layouts(self, text):
@@ -554,7 +580,7 @@ class TestReaderMatchesTokenParser:
     def test_unparse_output_takes_the_fast_path(self, tokens):
         p = _token_parse(" ".join(tokens))
         text = unparse(p)
-        assert programs._read(text) is not None
+        _fast_parse(text)  # does not raise
         assert _outcome(parse, text) == _outcome(_token_parse, text)
 
     @settings(max_examples=120, deadline=None)
