@@ -10,9 +10,12 @@ PROGRAM_NAMES = ("filter3", "lowpass1", "contraction2")
 
 
 def bundled_path(filename: str) -> Path:
-    """Filesystem path of a bundled data file, e.g. ``"filter3.loop"``."""
-    path = Path(str(resources.files("fixaccel") / "data" / filename))
-    if not path.exists():
+    """Filesystem path of a bundled data file, e.g. ``"filter3.loop"``:
+    a file directly inside the package's ``data`` directory.  Any other
+    name, such as ``"../cli.py"`` or ``"."``, raises FileNotFoundError."""
+    data = Path(str(resources.files("fixaccel") / "data"))
+    path = data / filename
+    if path.parent != data or not path.is_file():
         raise FileNotFoundError(f"no bundled file named {filename!r}")
     return path
 

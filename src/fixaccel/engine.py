@@ -22,6 +22,14 @@ iteration falls under ``stop_tol``; a tolerance-detected result is then
 "sealed" — inflated outward a hair until the transfer function maps it
 into itself — so every reported convergent invariant is a
 machine-checked post-fixpoint.
+
+Every row and check runs the body's ``image``, bit-identical to
+interval evaluation, with one exception: on a body that keeps a
+composed linear map (a long chain of levels, such as a dense
+Gauss-Seidel sweep), the plain loop's ascending rows take their images
+from that map, a few ulps off.  An iteration that stops is computed
+again from ``image``, and the seal, the verification and the check run
+``image`` only, so a reported invariant is a post-fixpoint of ``image``.
 """
 from __future__ import annotations
 
@@ -166,8 +174,11 @@ Row = list[float] | np.ndarray
 
 
 def transfer(p: Program, x: Row) -> Row:
-    """``programs.transfer`` on a bound row, through the lowered body."""
-    return p.lowered.image(x)
+    """``programs.transfer`` on a bound row, through the lowered body: a
+    list row through ``image``, and an array row, which only the plain
+    loop carries, through ``linear_image``, the body's composed map
+    where it keeps one."""
+    return p.lowered.image(x) if type(x) is list else p.lowered.linear_image(x)
 
 
 def state_join(x: Row, y: Row) -> Row:
@@ -396,6 +407,22 @@ def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
     return state_join(x, filled)
 
 
+def _step(cfg: EngineConfig, i: int, prev: Row, fx: Row, fallback: ThresholdSet | None,
+          same) -> tuple[Row, str]:
+    """Iteration ``i`` of the plain loop from ``prev``, whose image is
+    ``fx``: the row and its event."""
+    joined = state_join(prev, fx)
+    if fallback is not None:
+        return state_widen_thresholds(prev, joined, fallback), "fallback-widen"
+    if cfg.mode == "widen" and i > cfg.widen_delay:
+        if cfg.thresholds is not None:
+            x = state_widen_thresholds(prev, joined, cfg.thresholds)
+        else:
+            x = state_widen_std(prev, joined)
+        return x, "plain-step" if same(x, joined) else "widen-step"
+    return joined, "plain-step"
+
+
 def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrace,
              fallback: ThresholdSet | None) -> tuple[list[float], str]:
     """The plain loop from the iteration after the last in ``trace``:
@@ -403,8 +430,16 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrac
     thresholds of an accel run, until the row is stable, bit-exactly or
     (unless ``stop_tol`` is 0) to ``stop_tol``, or ``max_iter``.  Returns
     the final row, as a list, and the reason.  On a scheduled body the
-    rows are float64 arrays (see the row comment above)."""
-    if p.lowered.schedule is not None:
+    rows are float64 arrays (see the row comment above).
+
+    Where the body keeps a composed map, ``transfer`` takes the rows'
+    images from it, a few ulps off ``image``'s.  So an iteration that
+    stops is computed again from ``image`` and stops only if that row
+    stops too; the loop goes on from that row if it does not.  A stop,
+    and so the seal and every check after it, rests on ``image`` alone.
+    """
+    lowered = p.lowered
+    if lowered.schedule is not None:
         x = np.array(x)
         # np.array_equal is == of the rows as lists: they hold no NaN
         same, stop, record = np.array_equal, _stop_arrays, _read_only
@@ -413,20 +448,11 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrac
     reason = "max-iter"
     for i in range(trace.iterations + 1, cfg.max_iter + 1):
         prev = x
-        joined = state_join(x, transfer(p, x))
-        if fallback is not None:
-            x = state_widen_thresholds(prev, joined, fallback)
-            event = "fallback-widen"
-        elif cfg.mode == "widen" and i > cfg.widen_delay:
-            if cfg.thresholds is not None:
-                x = state_widen_thresholds(prev, joined, cfg.thresholds)
-            else:
-                x = state_widen_std(prev, joined)
-            event = "plain-step" if same(x, joined) else "widen-step"
-        else:
-            x = joined
-            event = "plain-step"
+        x, event = _step(cfg, i, prev, transfer(p, prev), fallback, same)
         stopped = stop(prev, x, cfg.stop_tol)
+        if stopped is not None and lowered.composed is not None:
+            x, event = _step(cfg, i, prev, lowered.image(prev), fallback, same)
+            stopped = stop(prev, x, cfg.stop_tol)
         if stopped is not None:
             reason, event = stopped, "converged"
         trace.append(record(x), None, event)

@@ -20,6 +20,14 @@ The grammar is stated once, in ``_program``, which reads one of two
 token lists.  ``parse`` gives it the fast chunks of ``str.split`` first;
 on any chunk that is not one token, and on any error, it gives it the
 regex tokens of ``_tokenize``, which locate each ParseError.
+
+A body's image (``LoweredBody.image``, which ``transfer`` runs) makes
+the float operations of interval evaluation in their order.  A body
+without Bottom is also linear in the bounds, w -> M w + c with M >= 0
+in w = (-lo, hi) (``LoweredBody.linear``).  A scheduled body whose
+level schedule costs more than one product with M keeps that map
+(``LoweredBody.composed``), whose images (``linear_image``) are a few
+ulps off and serve only the engine's ascending plain-loop rows.
 """
 from __future__ import annotations
 
@@ -156,6 +164,17 @@ LEVEL_MIN_PRODUCTS = 40
 # there.  From 4 to 10 bounds wide the two kernels cost about the same,
 # and reduce wins from 16 on.
 REDUCE_MIN_WIDTH = 8
+# A scheduled body keeps its composed map (``LoweredBody.linear``) in
+# bound-row form where its schedule costs more than one product with the
+# map, W * W multiply-adds for a row W bounds wide: where W * W <
+# COMPOSE_LEVEL_PRODUCTS * levels.  Measured, the product's image costs
+# as much as the schedule's at about 2,300 products per level, 0.66-0.9
+# of it at 1,024 and 0.15-0.18 at 192-256 (dense Gauss-Seidel sweeps of
+# 48 and 64 states).  The map also costs its composition at lowering and
+# an image per stop, and its rows are a few ulps off the schedule's, so
+# the constant keeps it only where it saves most: a one-level body of 16
+# states (1,024) keeps its schedule alone.
+COMPOSE_LEVEL_PRODUCTS = 512
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 # the kernels' ufunc calls, looked up once
@@ -288,7 +307,11 @@ class LoweredBody:
     or ``steps``, and keeps the ``_Kernel`` objects that run its
     schedule, each on a work buffer of its own, in ``_kernels``: an image
     takes a free one, or builds one, and gives it back, so two images in
-    flight never share a buffer.
+    flight never share a buffer.  ``composed`` is None, or, for a
+    scheduled body that costs more than one product with its composed
+    map (see ``COMPOSE_LEVEL_PRODUCTS``), that map in bound-row form, for
+    ``linear_image``: ``(table, const)`` with ``table[k, j]`` the
+    coefficient of bound ``k`` in bound ``j`` of the image.
 
     Neither interpreter knows Bottom: a row that holds it, and every row
     of a body with a Bottom input (which has neither interpreter), goes
@@ -297,7 +320,7 @@ class LoweredBody:
     holds this body in ``Program.lowered``.
     """
 
-    __slots__ = ("width", "tail", "steps", "schedule", "_program", "_kernels")
+    __slots__ = ("width", "tail", "steps", "schedule", "composed", "_program", "_kernels")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -314,13 +337,22 @@ class LoweredBody:
         self._program = (p.state_names, p.input_vars, p.body)
         self._kernels: list[_Kernel] = []
         self.schedule = _schedule(p.body, ids, self.width, tail)
-        self.tail = self.steps = None
+        self.tail = self.steps = self.composed = None
         if self.schedule is None:
             self._lower_steps(p.body, ids, tail)
         if any(rng.is_bottom for _, rng in p.input_vars):
             # lowered all the same, so that a bad body raises here; every
             # image then takes _affine_eval
             self.schedule = self.tail = self.steps = None
+        elif (self.schedule is not None and all(map(math.isfinite, tail))
+              and self.width**2 < COMPOSE_LEVEL_PRODUCTS * len(self.schedule[1])):
+            with np.errstate(all="ignore"):  # a map that overflows is not kept
+                m, c = self.linear()
+            if np.isfinite(m).all() and np.isfinite(c).all():
+                sign = np.tile([-1.0, 1.0], self.width // 2)
+                # the bound row is sign * w: the image's bound j is
+                # sign_j * (c_j + sum over k of m[j, k] * sign_k * bound k)
+                self.composed = ((m * sign).T * sign, c * sign)
 
     def _lower_steps(self, body: tuple[Assignment, ...], ids: dict[str, int], tail: list[float]) -> None:
         steps: list[Step] = []
@@ -342,6 +374,78 @@ class LoweredBody:
             steps.append((2 * ids[a.target], const, tuple(terms)))
         self.tail = tuple(tail)
         self.steps = tuple(steps)
+
+    def linear(self) -> tuple[np.ndarray, np.ndarray]:
+        """The body as ``w -> m @ w + c`` with ``m >= 0``, in the
+        coordinates ``w = (-lo_1, hi_1, ..., -lo_v, hi_v)`` of a bound row
+        without Bottom (ROADMAP F), for a body whose input bounds are
+        finite.  Raises ValueError on an input with an infinite bound or
+        Bottom.
+
+        Composed from the steps: each node (a state's value on entry, an
+        input, the constant 1.0 and each step's value) has one form, a
+        pair of rows, ``-lo`` and ``hi``, of coefficients over ``w`` and
+        1.0.  A step's form sums those of its terms, the constant first as
+        a term over 1.0, each scaled by ``|coeff|`` with the pair swapped
+        where ``coeff < 0``, so that each step is substituted into the
+        later ones.  The sums add the terms in body order with
+        ``np.add.reduce`` along axis 0, so ``m`` and ``c`` depend on
+        neither the NumPy version nor the BLAS build.  Rounding aside,
+        the image of a row ``b`` is ``sign * (m @ (sign * b) + c)``, with
+        ``sign`` -1.0 at each lower bound and 1.0 at each upper one.
+        """
+        names, inputs, body = self._program
+        bounds = [b for _, rng in inputs for b in (-rng.lo, rng.hi)]
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("the composed map needs finite input bounds")
+        width = self.width
+        node_of = {name: k for k, name in enumerate((*names, *(name for name, _ in inputs)))}
+        one = len(node_of)
+        forms = np.zeros((2 * (one + 1 + len(body)), width + 1))
+        forms[:width, :width] = np.eye(width)
+        forms[width : 2 * one, width] = bounds
+        forms[2 * one : 2 * one + 2, width] = -1.0, 1.0
+        nodes, coeffs, ends = [], [], []  # by cell; where each step's cells end
+        for s, a in enumerate(body, one + 1):
+            nodes += [one, *(node_of[var] for _, var in a.terms)]
+            coeffs += [a.const, *(c for c, _ in a.terms)]
+            ends.append(len(nodes))
+            node_of[a.target] = s
+        coeff = np.array(coeffs)
+        src = 2 * np.array(nodes, dtype=np.intp) + (coeff < 0.0)
+        pairs = np.stack([src, src ^ 1], 1)  # the rows each cell adds to -lo and to hi
+        scale = np.abs(coeff)[:, None, None]
+        start = 0
+        for s, end in enumerate(ends, one + 1):
+            table = forms[pairs[start:end]]
+            table *= scale[start:end]
+            _reduce(table, 0, None, forms[2 * s : 2 * s + 2])
+            start = end
+        rows = forms[[2 * node_of[name] + h for name in names for h in (0, 1)]]
+        return rows[:, :width], rows[:, width]
+
+    def linear_image(self, row: np.ndarray) -> np.ndarray:
+        """The image of an array row through the composed map, where the
+        body keeps one (``composed``), and through ``image`` otherwise,
+        or where the row or its image is not finite.
+
+        The image is ``const`` plus the rows of ``table * row[:, None]``
+        summed by ``np.add.reduce`` along axis 0, one row at a time in
+        row order, not by ``@``, whose summation order is the BLAS
+        build's.  It differs from ``image`` by a few ulps of the terms'
+        magnitude, so only the plain loop's ascending rows take it.  A row
+        with an infinite bound has a non-finite image here (``0 * inf``
+        is NaN), and so does one whose image overflows: both take
+        ``image``, which also raises on NaN.
+        """
+        if self.composed is None:
+            return self.image(row)
+        table, const = self.composed
+        out = _reduce(table * row[:, None], 0)
+        out += const
+        if not np.isfinite(out).all():
+            return self.image(row)
+        return out
 
     def image(self, row: list[float] | np.ndarray) -> list[float] | np.ndarray:
         """One pass of the body over a bound row of the state variables,

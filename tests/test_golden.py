@@ -18,6 +18,10 @@ through NumPy elementwise arithmetic, which is correctly rounded, and
 vector-epsilon also through ``np.einsum`` dot products, whose summation
 order is NumPy's (the pins held with its AVX512, AVX2 and baseline x86-64
 kernels); the Gaussian program's coefficients come from ``random.gauss``.
+The Kleene rows of a dense Gauss-Seidel sweep (``GOLDEN_COMPOSED``) come
+from the body's composed linear map: NumPy elementwise multiplies and
+``np.add.reduce`` along axis 0, which adds one row at a time, so they
+do not depend on the NumPy version or the BLAS build either.
 """
 import hashlib
 import math
@@ -389,3 +393,35 @@ def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, policy, fall
                        fallback_after=fallback)
     _, trace = analyze(p, cfg)
     assert _accel_digest(trace) == GOLDEN_GAUSSIAN_ESTIMATES[seed, n, rho, method, policy]
+
+
+# stop_tol -> (iterations, reason, sha256 of the run as ``_kleene_digest``
+# writes it) for the kleene runs of random_program(2029, 64, True), a
+# dense Gauss-Seidel sweep whose plain loop takes its rows from the
+# body's composed linear map.  The map and its products are elementwise
+# multiplies and np.add.reduce along axis 0, never BLAS, so these pins
+# hold across NumPy versions and BLAS builds.
+GOLDEN_COMPOSED = {
+    3e-7: (138, 'converged-tolerance+sealed', '5f1853578244e63e583ce48ba9ae93dd4392ff4c31c655cb286ec6db8f72bb8c'),
+    0.0: (447, 'converged', 'e9990c78b27d41c5fa42b66844409dab90402f642987536f3a04c126c4ed49e9'),
+}
+
+
+def _kleene_digest(report, trace):
+    """The sha256 of one line per trace row, each bound by ``float.hex``,
+    then one line of the invariant's bounds."""
+    h = hashlib.sha256()
+    for row in trace.rows:
+        h.update((",".join(v.hex() for v in row.tolist()) + "\n").encode())
+    bounds = [v for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
+    h.update((",".join(v.hex() for v in bounds) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("stop_tol", sorted(GOLDEN_COMPOSED))
+def test_composed_kleene_rows_are_bit_identical(stop_tol):
+    p = parse(random_program(2029, 64, True))
+    assert p.lowered.composed is not None
+    report, trace = analyze(p, EngineConfig(mode="kleene", stop_tol=stop_tol))
+    assert report.sound
+    assert (report.iterations, report.reason, _kleene_digest(report, trace)) == GOLDEN_COMPOSED[stop_tol]

@@ -1054,3 +1054,133 @@ def test_one_reduction_gives_the_stop_reasons(case):
             got = engine._stop_arrays(np.array(a), np.array(b), tol)
         event(f"reason: {expected}")
         assert got == expected == engine._stop_lists(a, b, tol)
+
+
+@st.composite
+def linear_bodies(draw):
+    """A Bottom-free body with finite inputs, a finite row of its states,
+    and whether the body is scheduled.
+
+    The body is a Jacobi body (temporaries, then unit copies back into
+    the states) or a Gauss-Seidel sweep over 1-6 states, after 0-2
+    temporaries that later steps may read, some with a unit copy of
+    their own.  Coefficients, constants and bounds are often 0.0 or
+    -0.0.  In half the draws the first step is padded with zero
+    coefficients until the body runs the schedule; otherwise it runs the
+    per-step loop.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, gauss_seidel, scheduled = draw(st.integers(1, 6)), draw(st.booleans()), draw(st.booleans())
+    states = [f"x{i}" for i in range(n)]
+    inputs = [f"u{i}" for i in range(draw(st.integers(0, 3)))]
+    scope, body = states + inputs, []
+
+    def step(target):
+        reads = [scope[k] for k in rng.integers(len(scope), size=rng.integers(0, 2 * n + 2))]
+        body.append(Assignment(target, wide_const(rng), tuple((wide_coeff(rng), var) for var in reads)))
+
+    for i in range(rng.integers(0, 3)):
+        step(f"s{i}")
+        scope.append(f"s{i}")
+        if rng.random() < 0.5:
+            body.append(Assignment(f"c{i}", wide_const(rng), ((1.0, f"s{i}"),)))
+            scope.append(f"c{i}")
+    if gauss_seidel:
+        for x in states:
+            step(x)
+    else:
+        for i in range(n):
+            step(f"t{i}")
+        body += [Assignment(x, 0.0, ((1.0, f"t{i}"),)) for i, x in enumerate(states)]
+    if scheduled:
+        short = max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * len(body))
+        short -= sum(1 + len(a.terms) for a in body)
+        body[0] = Assignment(body[0].target, body[0].const, body[0].terms + ((0.0, "x0"),) * max(0, short))
+
+    def pick():
+        if rng.random() < 0.15:
+            return SIGNED_ZEROS[rng.integers(len(SIGNED_ZEROS))]
+        return rand_interval(rng, p_bottom=0.0, p_inf=0.0)
+
+    p = Program(tuple((x, Interval(0, 1)) for x in states), tuple((u, pick()) for u in inputs), tuple(body))
+    row = [b for _ in states for b in (lambda iv: (iv.lo, iv.hi))(pick())]
+    return p, row, scheduled
+
+
+def magnitude(p, row):
+    """The row's magnitude under ``p``'s image, bound by bound: the upper
+    bounds of the image of each bound's absolute value through the body
+    with every coefficient, constant and input bound made absolute.  Every
+    sum that makes a bound of the image, in any order, is off by at most
+    a few ulps of it per term it adds."""
+    top = [max(abs(iv.lo), abs(iv.hi)) for _, iv in p.input_vars]
+    absolute = Program(
+        p.state_vars,
+        tuple((u, Interval(0.0, t)) for (u, _), t in zip(p.input_vars, top)),
+        tuple(Assignment(a.target, abs(a.const), tuple((abs(c), v) for c, v in a.terms)) for a in p.body),
+    )
+    tops = [max(abs(lo), abs(hi)) for lo, hi in zip(row[::2], row[1::2])]
+    image = absolute.lowered.image([b for t in tops for b in (0.0, t)])
+    return np.repeat(image[1::2], 2)
+
+
+# the distance allowed between the composed map's bounds and the
+# image's: this many ulps of each bound's magnitude (3,000 draws of
+# linear_bodies came within 2.1)
+LINEAR_ULPS = 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_bodies())
+def test_composed_map_is_the_image_in_w(case):
+    # ROADMAP F: w -> m @ w + c with m >= 0, in w = (-lo, hi)
+    p, row, scheduled = case
+    lowered = p.lowered
+    assert (lowered.schedule is not None) == scheduled and (lowered.steps is None) == scheduled
+    event("scheduled" if scheduled else "per-step loop")
+    m, c = lowered.linear()
+    width = lowered.width
+    assert m.shape == (width, width) and c.shape == (width,)
+    assert (m >= 0.0).all() and np.isfinite(c).all()
+    sign = np.tile([-1.0, 1.0], width // 2)
+    w, image = sign * np.array(row), np.array(lowered.image(row))
+    composed = np.array([math.fsum([*(a * b for a, b in zip(mj, w)), cj]) for mj, cj in zip(m.tolist(), c)])
+    tol = LINEAR_ULPS * np.finfo(float).eps * magnitude(p, row)
+    assert (abs(composed - sign * image) <= tol).all()
+    if lowered.composed is not None:  # the bound-row form the plain loop runs
+        event("keeps the composed map")
+        table, const = lowered.composed
+        assert table.tobytes() == (sign[:, None] * m.T * sign).tobytes() and const.tobytes() == (c * sign).tobytes()
+        assert (abs(lowered.linear_image(np.array(row)) - image) <= tol).all()
+
+
+def test_composed_map_needs_finite_inputs():
+    text = row_program(3, 64, None, gauss_seidel=True)
+    p = parse(text.replace("input u0 in [-1.0, 1.0]", "input u0 in [-1.0, 1e999]"))
+    assert p.lowered.schedule is not None and p.lowered.composed is None
+    with pytest.raises(ValueError, match="finite input bounds"):
+        p.lowered.linear()
+    bottom = Program(p.state_vars, (("u0", BOTTOM), *p.input_vars[1:]), p.body)
+    assert bottom.lowered.composed is None
+    with pytest.raises(ValueError, match="finite input bounds"):
+        bottom.lowered.linear()
+
+
+def test_only_long_chains_of_levels_keep_the_composed_map():
+    # the kleene-wide shapes: only the dense Gauss-Seidel sweep, 64 levels
+    # of 128 bounds, costs more than one 128 x 128 product
+    from test_golden import gaussian_program
+
+    dense_gs = parse(row_program(3, 64, None, gauss_seidel=True)).lowered
+    assert len(dense_gs.schedule[1]) == 64 and dense_gs.composed is not None
+    others = {
+        "sparse-gauss-seidel": row_program(3, 256, 8, gauss_seidel=True),
+        "dense-jacobi": row_program(3, 64, None),
+        "sparse-jacobi": row_program(3, 256, 8),
+        "accel-tail": gaussian_program(1, 16, 0.97),
+    }
+    for name, text in others.items():
+        lowered = parse(text).lowered
+        assert lowered.schedule is not None and lowered.composed is None, name
+    for name in ("filter3", "lowpass1", "contraction2"):
+        assert load_bundled(name).lowered.composed is None

@@ -12,7 +12,7 @@ import pytest
 from test_golden import gaussian_program
 
 import fixaccel
-from fixaccel import EngineConfig, analyze, bundled_source, parse
+from fixaccel import EngineConfig, analyze, bundled_path, bundled_source, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,6 +22,16 @@ MODULES = sorted((ROOT / "src" / "fixaccel").glob("*.py"))
 def test_every_exported_name_resolves():
     for name in fixaccel.__all__:
         assert hasattr(fixaccel, name), name
+
+
+@pytest.mark.parametrize("name", ["../cli.py", ".", "..", "", "../data/filter3.loop", "missing.loop"])
+def test_bundled_path_takes_only_a_file_inside_data(name):
+    # "../cli.py" named the package's own module, and "." the data
+    # directory itself
+    with pytest.raises(FileNotFoundError, match="no bundled file"):
+        bundled_path(name)
+    path = bundled_path("filter3.loop")
+    assert path.is_file() and path.parent.name == "data"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
