@@ -86,6 +86,8 @@ class EngineConfig:
                 raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
         if not self.stop_tol >= 0:
             raise ValueError("stop_tol must be non-negative")
+        if self.thresholds is not None and not isinstance(self.thresholds, ThresholdSet):
+            raise ValueError(f"thresholds must be None or a ThresholdSet, not {self.thresholds!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,8 @@ on any chunk that is not one token, and on any error, it gives it the
 regex tokens of ``_tokenize``, which locate each ParseError.
 
 A body's image (``LoweredBody.image``, which ``transfer`` runs) makes
-the float operations of interval evaluation in their order.  A body
+the float operations of interval evaluation in their order; a level
+schedule sums each level's columns with one ``np.add.reduce``.  A body
 without Bottom is also linear in the bounds, w -> M w + c with M >= 0
 in w = (-lo, hi) (``LoweredBody.linear``).  A scheduled body whose
 level schedule costs more than one product with M keeps that map
@@ -156,14 +157,6 @@ Step = tuple[int, float, tuple[tuple[float, int, int], ...]]
 # below either, the per-step loop costs less, lowering included.
 BATCH_MIN_PRODUCTS = 256
 LEVEL_MIN_PRODUCTS = 40
-# A level of at least REDUCE_MIN_WIDTH bounds (two per step) sums its
-# columns with one np.add.reduce straight into its slots.  A narrower
-# one, such as each of a dense Gauss-Seidel chain's, keeps its table in
-# the work buffer and takes the running sums in place with
-# np.add.accumulate, whose last row is then its slots: that costs less
-# there.  From 4 to 10 bounds wide the two kernels cost about the same,
-# and reduce wins from 16 on.
-REDUCE_MIN_WIDTH = 8
 # A scheduled body keeps its composed map (``LoweredBody.linear``) in
 # bound-row form where its schedule costs more than one product with the
 # map, W * W multiply-adds for a row W bounds wide: where W * W <
@@ -178,7 +171,7 @@ COMPOSE_LEVEL_PRODUCTS = 512
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 # the kernels' ufunc calls, looked up once
-_multiply, _accumulate, _reduce, _minimum = np.multiply, np.add.accumulate, np.add.reduce, np.minimum.reduce
+_reduce, _minimum = np.add.reduce, np.minimum.reduce
 
 
 def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
@@ -205,10 +198,8 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
     1.0, row ``r`` its ``r``-th cell, and ``-0.0`` times 1.0 past its
     last cell; the upper bound reads the other slot of each pair.  As
     ``v + -0.0`` is ``v`` for every ``v``, the sum of each column, added
-    row by row from row 0, is the new bound.  A level narrower than
-    ``REDUCE_MIN_WIDTH`` keeps its whole table in the buffer, ending at
-    ``stop``, so that its running sums end in its slots.  ``final``
-    indexes the state's bounds.
+    row by row from row 0, is the new bound.  ``final`` indexes the
+    state's bounds.
     """
     n_vars, one = len(ids), width + len(inputs)
     size = [0] * n_vars + [len(a.terms) for a in body]  # cells by node
@@ -260,8 +251,7 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
         d, w = 1 + max(map(size.__getitem__, group)), 2 * len(group)
         col += range(cells, cells + w, 2)
         stride += [w] * len(group)
-        # a narrow level's table ends with its slots
-        stop += w if w >= REDUCE_MIN_WIDTH else d * w
+        stop += w
         slot_of += range(stop - w, stop, 2)
         cells += d * w
         plan.append((cells, d, w, stop))
@@ -456,14 +446,14 @@ class LoweredBody:
         ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
         as ``affine_eval`` does, so the row is bit-identical to interval
         evaluation; the schedule makes the same operations in the same
-        order, however a level sums (see ``_Kernel``), and an array row
-        takes and gives arrays there without a conversion.  The image is
-        always a new row, never a view of a kernel's buffer, so a caller
-        may keep it.  An array row that the schedule cannot take goes
-        through the list path.  A row with a pair ``lo > hi``, which
-        counts as Bottom, and every row of a body with a Bottom input,
-        takes ``_affine_eval``.  No NumPy error state is entered here: a
-        caller that lets a bound overflow holds one.
+        order (see ``_Kernel``), and an array row takes and gives arrays
+        there without a conversion.  The image is always a new row, never
+        a view of a kernel's buffer, so a caller may keep it.  An array
+        row that the schedule cannot take goes through the list path.  A
+        row with a pair ``lo > hi``, which counts as Bottom, and every row
+        of a body with a Bottom input, takes ``_affine_eval``.  No NumPy
+        error state is entered here: a caller that lets a bound overflow
+        holds one.
         """
         if type(row) is not list:
             # count_nonzero costs less than any() on a short mask
@@ -517,18 +507,15 @@ class _Kernel:
 
     The buffer starts as a copy of the schedule's ``slots``, and every
     view into it is built here, once.  Each level gathers its cells'
-    bounds, multiplies them by the coefficients and sums each column row
-    by row.  A level of at least ``REDUCE_MIN_WIDTH`` columns does so
-    with ``np.add.reduce`` along axis 0, straight into its slots: on a
-    C-ordered table that axis is not contiguous, so NumPy adds one whole
-    row to the running sums at a time, in row order, and does not sum
-    pairwise as it does along a contiguous axis.  The sums start from
-    ``-0.0``, which keeps a column of ``-0.0`` as ``-0.0``; reduce's own
-    start, ``+0.0``, would not.  A narrower level multiplies into its
-    table in the buffer and takes the running sums there with
-    ``np.add.accumulate``, in the same order: the last row, which later
-    levels and ``final`` read, is the sums.  The ufuncs take their
-    arguments by position, which costs less than by keyword.
+    bounds, multiplies them by the coefficients and sums each column with
+    ``np.add.reduce`` along axis 0, straight into its slots.  On a
+    C-ordered table at least two columns wide, as every level is, that
+    axis is not contiguous, so NumPy adds one whole row to the running
+    sums at a time, in row order, and does not sum pairwise as it does
+    along a contiguous axis.  The sums start from ``-0.0``, which keeps a
+    column of ``-0.0`` as ``-0.0``; reduce's own start, ``+0.0``, would
+    not.  The ufuncs take their arguments by position, which costs less
+    than by keyword.
     """
 
     __slots__ = ("b", "width", "levels", "final", "base")
@@ -537,28 +524,18 @@ class _Kernel:
         slots, levels, self.final, self.base = schedule
         self.b = b = slots.copy()
         self.width = width
-        # (src, coeff, where the sums go, whether that is a table): a
-        # narrow level's table ends with its slots, as _schedule laid it out
-        self.levels = [
-            (src, coeff, b[stop - src.size : stop].reshape(src.shape), True)
-            if stop - start < REDUCE_MIN_WIDTH else (src, coeff, b[start:stop], False)
-            for src, coeff, start, stop in levels
-        ]
+        # (src, coeff, the level's slots)
+        self.levels = [(src, coeff, b[start:stop]) for src, coeff, start, stop in levels]
 
     def __call__(self, row: list[float] | np.ndarray) -> np.ndarray:
         b = self.b
         b[: self.width] = row
         take = b.take
-        for src, coeff, out, table in self.levels:
-            if table:
-                _multiply(take(src), coeff, out)
-                _accumulate(out, 0, None, out)
-            else:
-                acc = take(src)
-                acc *= coeff
-                _reduce(acc, 0, None, out, False, -0.0)
-        # NaN if any step's bound is NaN: a NaN in a table stays in its
-        # column's running sums down to the last row
+        for src, coeff, out in self.levels:
+            acc = take(src)
+            acc *= coeff
+            _reduce(acc, 0, None, out, False, -0.0)
+        # NaN if any step's bound is NaN
         low = _minimum(b[self.base :])
         if low != low:
             raise ValueError(_NAN_MESSAGE)
@@ -792,14 +769,22 @@ def _fmt_expr(const: float, terms: tuple[tuple[float, str], ...]) -> str:
 
 def unparse(p: Program) -> str:
     """Render a Program back to source text; reparsing yields an equal
-    Program (coefficients are written in round-trip-exact form)."""
+    Program (coefficients are written in round-trip-exact form).
+
+    Raises ValueError, naming the variable or the target, on a Program
+    that no text spells, which only the API builds: one that declares a
+    Bottom variable, or holds a NaN constant or coefficient.
+    """
     lines: list[str] = []
-    for name, iv in p.state_vars:
-        lines.append(f"state {name} in [{_fmt_num(iv.lo)}, {_fmt_num(iv.hi)}];")
-    for name, iv in p.input_vars:
-        lines.append(f"input {name} in [{_fmt_num(iv.lo)}, {_fmt_num(iv.hi)}];")
+    for kind, decls in (("state", p.state_vars), ("input", p.input_vars)):
+        for name, iv in decls:
+            if iv.is_bottom:
+                raise ValueError(f"cannot unparse {kind} {name!r}: no declared interval is Bottom")
+            lines.append(f"{kind} {name} in [{_fmt_num(iv.lo)}, {_fmt_num(iv.hi)}];")
     lines.append("loop {")
     for a in p.body:
+        if a.const != a.const or any(c != c for c, _ in a.terms):
+            raise ValueError(f"cannot unparse the assignment to {a.target!r}: no literal is NaN")
         lines.append(f"  {a.target} = {_fmt_expr(a.const, a.terms)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -963,6 +963,15 @@ class TestConfigValidation:
             report, _ = analyze(load_bundled("filter3"), EngineConfig(mode=mode, **{name: np.int64(3)}))
             assert report.iterations <= 3 if name == "max_iter" else report.converged
 
+    def test_thresholds_must_be_a_threshold_set(self):
+        # a tuple or a list used to fail in the middle of a widen run
+        for bad in ((1.0, 2.0), [1.0, 2.0], 8.0, "8"):
+            with pytest.raises(ValueError, match="thresholds"):
+                EngineConfig(mode="widen", thresholds=bad)
+        for thresholds in (None, ThresholdSet((1.0, 2.0))):
+            report, _ = analyze(load_bundled("filter3"), EngineConfig(mode="widen", thresholds=thresholds))
+            assert report.converged and report.sound
+
     def test_analyze_dispatches_on_mode(self):
         p = load_bundled("contraction2")
         for mode in ("kleene", "widen", "accel"):

@@ -425,3 +425,26 @@ def test_composed_kleene_rows_are_bit_identical(stop_tol):
     report, trace = analyze(p, EngineConfig(mode="kleene", stop_tol=stop_tol))
     assert report.sound
     assert (report.iterations, report.reason, _kleene_digest(report, trace)) == GOLDEN_COMPOSED[stop_tol]
+
+
+# stop_tol -> (iterations, reason, sha256 as ``_kleene_digest`` writes it)
+# for the kleene runs of random_program(2030, 128, True), a dense
+# Gauss-Seidel sweep of 128 levels, each 2 bounds wide, that keeps no
+# composed map: every row comes from the level schedule, whose sums are
+# np.add.reduce along axis 0 of tables 130 rows deep.  The pins hold only
+# while that reduce adds the rows in order on every NumPy version.
+GOLDEN_NARROW_CHAIN = {
+    3e-7: (136, 'converged-tolerance+sealed', '4044cbd98cb0a19957ebf094bdd0fc9511cf8f4c84fa988c06807086a8dc0775'),
+    0.0: (393, 'converged', 'd4686a7d2251397fe4cda9f618e3c817f19cfa8b0bfd57e4447a954f14d0a4cd'),
+}
+
+
+@pytest.mark.parametrize("stop_tol", sorted(GOLDEN_NARROW_CHAIN))
+def test_narrow_chain_kleene_rows_are_bit_identical(stop_tol):
+    p = parse(random_program(2030, 128, True))
+    lowered = p.lowered
+    assert lowered.composed is None
+    assert [stop - start for _, _, start, stop in lowered.schedule[1]] == [2] * 128
+    report, trace = analyze(p, EngineConfig(mode="kleene", stop_tol=stop_tol))
+    assert report.sound
+    assert (report.iterations, report.reason, _kleene_digest(report, trace)) == GOLDEN_NARROW_CHAIN[stop_tol]

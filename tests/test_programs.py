@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixaccel import (
+    BOTTOM,
     AbstractState,
+    Assignment,
     Interval,
     PROGRAM_NAMES,
     ParseError,
+    Program,
     bundled_source,
     load_bundled,
     parse,
@@ -356,6 +359,23 @@ class TestUnparse:
         p = parse("state x in [0, 0.1];\nloop { x = 0.30000000000000004*x; }")
         q = parse(unparse(p))
         assert q.body[0].terms[0][0] == 0.30000000000000004
+
+    @pytest.mark.parametrize("kind", ["state", "input"])
+    def test_bottom_declaration_is_rejected(self, kind):
+        # parse rejects every empty declared interval, so the text that
+        # unparse wrote for Bottom, [1e999, -1e999], did not read back
+        x, v = ("x", Interval(0.0, 1.0)), ("v", BOTTOM)
+        states, inputs = ((x, v), ()) if kind == "state" else ((x,), (v,))
+        body = (Assignment("x", 0.0, ((0.5, "x"), (0.25, "v"))),)
+        with pytest.raises(ValueError, match=f"{kind} 'v'"):
+            unparse(Program(states, inputs, body))
+
+    @pytest.mark.parametrize("const, coeff", [(math.nan, 0.5), (0.5, math.nan), (-math.nan, -math.nan)])
+    def test_nan_constant_or_coefficient_is_rejected(self, const, coeff):
+        # a NaN was written as nan, which reads back as a name
+        body = (Assignment("y", const, ((1.0, "x"), (coeff, "x"))), Assignment("x", 0.0, ((0.5, "y"),)))
+        with pytest.raises(ValueError, match="'y'"):
+            unparse(Program((("x", Interval(0.0, 1.0)),), (), body))
 
 
 class TestTransfer:
