@@ -18,36 +18,35 @@ An accel run has two phases: the accel phase (``_accelerate``) and,
 after a fallback, the plain loop (``_iterate``), which kleene and widen
 runs use from the start.  Stabilization is detected either bit-exactly
 or, in the plain loop only, when the largest bound movement in one
-iteration falls under ``stop_tol``; a tolerance-detected result is then
-"sealed" — inflated outward a hair until the transfer function maps it
-into itself — so every reported convergent invariant is a
-machine-checked post-fixpoint.
+iteration falls under ``stop_tol``; a tolerance stop is then finished
+(``_finish``) by the vector-epsilon tip of its last rows, verified as a
+post-fixpoint, or left as it stopped where the tip does not verify.
+``sound`` is the check ``verify_postfixpoint`` on every result.
 
 Every row and check runs the body's ``image``, bit-identical to
 interval evaluation, with one exception: on a body that keeps a
 composed linear map (a long chain of levels, such as a dense
 Gauss-Seidel sweep), the plain loop's ascending rows take their images
 from that map, a few ulps off.  An iteration that stops is computed
-again from ``image``, and the seal, the verification and the check run
-``image`` only, so a reported invariant is a post-fixpoint of ``image``.
+again from ``image``, and the finish, the verification and the check run
+``image`` only, so a sound invariant is a post-fixpoint of ``image``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq, sub
+from operator import eq
 from typing import Literal, get_args
 
 import numpy as np
 
 from .extraction import bound_row, state_from_row
-# not called here; bound because the benchmark tracer wraps these names
-from .extraction import combine_detailed  # noqa: F401
 from .intervals import INF, NO_THRESHOLDS, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import EstimateStream, Method, converged
+from .transforms import EstimateStream, Method, _epsilon_table, converged
 # not called here; bound because the benchmark tracer wraps these names
+from .extraction import combine_detailed  # noqa: F401
 from .transforms import aitken, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
@@ -131,7 +130,8 @@ class IterationTrace:
     rows: list[tuple[float, ...] | np.ndarray] = field(default_factory=list)
     estimates: list[tuple[float | None, ...] | None] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
-    reason: str = "running"  # converged | converged-tolerance | verified-injection | max-iter
+    # converged | converged-tolerance (before the finish) | verified-injection | max-iter
+    reason: str = "running"
 
     def append(self, row, estimate, event: str) -> None:
         self.rows.append(row)
@@ -150,7 +150,9 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class FixpointReport:
-    """Outcome of a run: the invariant and how we got there."""
+    """Outcome of a run: the invariant and how we got there.  ``reason``
+    is the trace's, with ``+finished`` after a tolerance stop whose
+    finish verified; ``sound`` is ``verify_postfixpoint``'s verdict."""
 
     invariant: AbstractState
     iterations: int
@@ -170,7 +172,7 @@ class FixpointReport:
 # either type, and carry the same names, under which the benchmark's
 # tracer (perfbench/tracer.py) times them.  On lists they are plain
 # loops over the (lo, hi) pairs, which measured faster than slices and
-# comprehensions at every width (ROADMAP item 7).
+# comprehensions at every width (CHANGES.md, "List rows as plain loops").
 
 Row = list[float] | np.ndarray
 
@@ -293,40 +295,15 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# A tolerance-detected result is sealed in at most SEAL_ROUNDS rounds.
 # Verified injection (Rump, "Verification methods", Acta Numerica 2010):
 # a candidate is scaled outward by 1 + VERIFY_PAD and mapped through
 # x ⊔ F, inflated again after each image, up to VERIFY_ROUNDS images.
-SEAL_ROUNDS = 60
 VERIFY_PAD = 1e-9
 VERIFY_ROUNDS = 12
-
-
-def _seal(p: Program, x: list[float]) -> list[float]:
-    """Inflate a nearly-stable row outward until it verifies as a
-    post-fixpoint.
-
-    Each round joins in the transfer image and then pads *every* finite
-    bound outward by the same amount — the largest current escape,
-    floored and scaled up geometrically.  Inflating all bounds together
-    matters: the components are coupled, so growing only the escaping
-    ones can push a neighbour's image back out and oscillate.  For a
-    convergent affine system the uniform pad closes the loop in a few
-    rounds with slack on the order of the stop tolerance.
-    """
-    for r in range(SEAL_ROUNDS):
-        fx = transfer(p, x)
-        # one max, so that 0.0 comes first and a NaN is never selected
-        escape = max(0.0, *map(sub, x[::2], fx[::2]), *map(sub, fx[1::2], x[1::2]))
-        if escape <= 0.0:
-            return x
-        if math.isinf(escape):
-            return state_join(x, fx)
-        pad = 4.0**r * max(escape, 1e-12)
-        x = state_join(x, fx)
-        x[::2] = [v if math.isinf(v) else v - pad for v in x[::2]]
-        x[1::2] = [v if math.isinf(v) else v + pad for v in x[1::2]]
-    return x
+# A tolerance stop is finished from the vector-epsilon tip of this many
+# rows, eps_4^(0); on random contracting loops longer windows verified
+# fewer stops, their deeper columns stalling on the rows' tiny moves.
+FINISH_ROWS = 5
 
 
 def _inflate(x: list[float]) -> list[float]:
@@ -351,11 +328,12 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
     (I - |A|)^-1 applied to the pads, and c closes in a few rounds.  A
     row that passes contains ``base`` and F of itself.
 
-    The engine passes its current state x_i as ``base``.  On a Kleene
+    An injection passes its current state x_i as ``base``.  On a Kleene
     iterate, x_i = x0 ⊔ F(x_{i-1}), so base ⊔ F(c) equals x0 ⊔ F(c) for
     every c above x_i (F is monotone): the check is Rump's.  After an
     unverified join under the ``repeat`` policy, it keeps the result
     above the joined state, so that every injection grows the state.
+    The finish passes the initial row x0 itself.
     """
     c = _inflate(c)
     for _ in range(VERIFY_ROUNDS):
@@ -364,6 +342,22 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
             return c
         c = _inflate(image)
     return None
+
+
+def _finish(p: Program, x0: list[float], rows: list) -> list[float] | None:
+    """The vector-epsilon tip of the last FINISH_ROWS of the trace's
+    ``rows`` (``x0``, the initial row, in front while fewer), verified
+    by ``_verify`` from ``x0``; None if it is not finite or does not
+    verify.  The tip is eps_4^(0) of five rows, or where that stalls the
+    newest valid cell of a shallower even column, over the coordinates
+    finite in every row; the others keep the last row's values."""
+    rows = np.array([x0, *rows[-FINISH_ROWS:]][-FINISH_ROWS:])
+    finite = np.isfinite(rows).all(axis=0)
+    tip = _epsilon_table(None, rows[:, finite], 1e-12, 1e-12, len(rows) - 1, True)[2][-1]
+    if not np.isfinite(tip).all():
+        return None
+    rows[-1, finite] = tip
+    return _verify(p, x0, rows[-1].tolist())
 
 
 # How many Kleene rows an accel run computes ahead of the iteration it is
@@ -438,7 +432,7 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrac
     images from it, a few ulps off ``image``'s.  So an iteration that
     stops is computed again from ``image`` and stops only if that row
     stops too; the loop goes on from that row if it does not.  A stop,
-    and so the seal and every check after it, rests on ``image`` alone.
+    and so the finish and every check after it, rests on ``image`` alone.
     """
     lowered = p.lowered
     if lowered.schedule is not None:
@@ -555,24 +549,26 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
 
 def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
     """Iterate from the declared initial state: the accel phase in accel
-    mode, the plain loop otherwise.  A tolerance stop is then sealed,
-    and the result checked as a post-fixpoint."""
+    mode, the plain loop otherwise.  A tolerance stop is then finished,
+    unless the finish fails, and the result checked as a post-fixpoint."""
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
-    x = bound_row(initial).tolist()
+    x0 = bound_row(initial).tolist()
     p.lowered  # lowered here, so that no traced transfer's time holds the lowering
-    # one error state for the loops, the verification and the seal: a
-    # bound may overflow to inf, and the estimators divide by zero and
-    # make NaN where a denominator vanishes, all of which they handle
+    # one error state for the loops, the finish and the check: a bound may
+    # overflow to inf, and the estimators divide by zero and make NaN
+    # where a denominator vanishes, all of which they handle
     with np.errstate(all="ignore"):
         if cfg.mode == "accel":
-            x, reason = _accelerate(p, cfg, x, trace)
+            x, reason = _accelerate(p, cfg, x0, trace)
         else:
-            x, reason = _iterate(p, cfg, x, trace, None)
+            x, reason = _iterate(p, cfg, x0, trace, None)
         trace.reason = reason
         if reason == "converged-tolerance":
-            x = _seal(p, x)
+            finished = _finish(p, x0, trace.rows)
+            if finished is not None:
+                x, reason = finished, reason + "+finished"
         invariant = state_from_row(names, x)
         sound = verify_postfixpoint(p, invariant)
     report = FixpointReport(
@@ -581,6 +577,6 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
         injections=trace.events.count("injection"),
         sound=sound,
         converged=reason != "max-iter",
-        reason=reason + ("+sealed" if reason == "converged-tolerance" else ""),
+        reason=reason,
     )
     return report, trace

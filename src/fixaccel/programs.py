@@ -739,6 +739,12 @@ def parse(text: str) -> Program:
     return _program(_tokenize(text), text)
 
 
+def _is_name(name: str) -> bool:
+    """Whether ``name`` reads back as a variable name: an ASCII
+    identifier that is no keyword."""
+    return name.isascii() and name.isidentifier() and name not in _KEYWORDS
+
+
 def _fmt_num(x: float) -> str:
     if math.isinf(x):
         # ``inf`` would read back as a name; a literal past the float
@@ -773,16 +779,25 @@ def unparse(p: Program) -> str:
 
     Raises ValueError, naming the variable or the target, on a Program
     that no text spells, which only the API builds: one that declares a
-    Bottom variable, or holds a NaN constant or coefficient.
+    Bottom variable, names a variable or a target by a keyword or by
+    what is not an ASCII identifier, assigns to an input, or holds a NaN
+    constant or coefficient.
     """
     lines: list[str] = []
     for kind, decls in (("state", p.state_vars), ("input", p.input_vars)):
         for name, iv in decls:
+            if not _is_name(name):
+                raise ValueError(f"cannot unparse {kind} {name!r}: it is not a variable name")
             if iv.is_bottom:
                 raise ValueError(f"cannot unparse {kind} {name!r}: no declared interval is Bottom")
             lines.append(f"{kind} {name} in [{_fmt_num(iv.lo)}, {_fmt_num(iv.hi)}];")
     lines.append("loop {")
+    inputs = dict(p.input_vars)
     for a in p.body:
+        if not _is_name(a.target):
+            raise ValueError(f"cannot unparse the assignment to {a.target!r}: it is not a variable name")
+        if a.target in inputs:
+            raise ValueError(f"cannot unparse the assignment to input {a.target!r}: inputs are read-only")
         if a.const != a.const or any(c != c for c, _ in a.terms):
             raise ValueError(f"cannot unparse the assignment to {a.target!r}: no literal is NaN")
         lines.append(f"  {a.target} = {_fmt_expr(a.const, a.terms)};")

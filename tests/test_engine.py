@@ -13,6 +13,7 @@ from fixaccel import (
     Interval,
     ThresholdSet,
     analyze,
+    bundled_source,
     load_bundled,
     parse,
     state_leq,
@@ -21,6 +22,7 @@ from fixaccel import (
     verify_postfixpoint,
 )
 from fixaccel import engine, programs
+from fixaccel.cli import main
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
@@ -54,9 +56,9 @@ class TestKleene:
         p = load_bundled("filter3")
         report, trace = analyze(p, EngineConfig(mode="kleene"))
         assert report.converged and report.sound
-        assert report.reason == "converged-tolerance+sealed"
+        assert report.reason == "converged-tolerance+finished"
         assert 50 <= report.iterations <= 60
-        assert max_err(report.invariant, FILTER3_LIMIT) < 1e-4
+        assert max_err(report.invariant, FILTER3_LIMIT) < 1e-7
 
     def test_three_state_filter_exact_stop(self):
         p = load_bundled("filter3")
@@ -65,13 +67,13 @@ class TestKleene:
         assert report.iterations == 129
         assert max_err(report.invariant, FILTER3_LIMIT) < 1e-9
 
-    def test_sealed_result_contains_unsealed_iterate(self):
+    def test_finished_result_contains_the_stopped_iterate(self):
         p = load_bundled("contraction2")
         report, trace = analyze(p, EngineConfig(mode="kleene"))
         assert report.sound
         last = trace.records[-1].state
         assert state_leq(last, report.invariant)
-        assert max_err(report.invariant, CONTRACTION2_LIMIT) < 1e-4
+        assert max_err(report.invariant, CONTRACTION2_LIMIT) < 1e-8
 
     def test_max_iter_reports_non_convergence(self):
         p = load_bundled("filter3")
@@ -419,14 +421,51 @@ class TestAcceleratorBranches:
         assert iv.lo <= 0.0 and iv.hi >= 2e200
 
 
-def test_seal_stops_at_an_infinite_escape(monkeypatch):
-    # the first pad takes x to [-2e300, 4e300], whose image overflows:
-    # the seal returns its join with that image
-    p = parse("state x in [1, 2];\nloop {\n  x = 1e300*x;\n}\n")
-    calls, image = [], engine.transfer
-    monkeypatch.setattr(engine, "transfer", lambda p, x: calls.append(x) or image(p, x))
-    assert engine._seal(p, [1.0, 2.0]) == [-math.inf, math.inf]
-    assert calls == [[1.0, 2.0], [-2e300, 4e300]]
+def _tip_not_finite(monkeypatch):
+    table = engine._epsilon_table
+
+    def overflowed(*args):
+        out = table(*args)
+        out[2][-1, 0] = math.inf
+        return out
+
+    monkeypatch.setattr(engine, "_epsilon_table", overflowed)
+    monkeypatch.setattr(engine, "_verify", lambda *args: pytest.fail("verified a tip that is not finite"))
+
+
+@pytest.mark.parametrize("fail", [
+    lambda monkeypatch: monkeypatch.setattr(engine, "_verify", lambda *args: None),
+    _tip_not_finite,
+], ids=["unverified", "not-finite"])
+def test_a_failed_finish_reports_the_stopped_row(monkeypatch, capsys, tmp_path, fail):
+    # no workload's tip fails: the branch is forced, by a tip that does
+    # not verify and by one with an infinite entry
+    fail(monkeypatch)
+    p = load_bundled("filter3")
+    report, trace = analyze(p, EngineConfig(mode="kleene"))
+    assert (report.reason, trace.reason) == ("converged-tolerance", "converged-tolerance")
+    assert report.converged and not report.sound
+    assert bound_row(report.invariant).tolist() == list(trace.rows[-1])
+    assert all(math.isfinite(b) for b in trace.rows[-1])
+    prog = tmp_path / "filter3.loop"
+    prog.write_text(bundled_source("filter3"))
+    assert main(["analyze", str(prog), "--mode", "kleene"]) == 2
+    out = capsys.readouterr()
+    assert "sound: false  reason: converged-tolerance\n" in out.out and out.err == ""
+
+
+def test_finish_covers_the_bounds_finite_in_every_row():
+    # z stays Bottom, (inf, -inf) in every row, and w's input is [-inf, inf]:
+    # the tip covers x alone, and the others keep their bounds
+    p = Program((("x", Interval(0.0, 1.0)), ("z", BOTTOM), ("w", Interval(0.0, 0.0))),
+                (("u", TOP),),
+                (Assignment("x", 1.0, ((0.5, "x"),)), Assignment("z", 0.0, ((0.5, "z"),)),
+                 Assignment("w", 0.0, ((1.0, "u"),))))
+    report, trace = analyze(p, EngineConfig(mode="kleene"))
+    assert report.reason == "converged-tolerance+finished" and report.sound
+    assert report.invariant["z"].is_bottom and report.invariant["w"] == TOP
+    assert report.invariant["x"].lo == 0.0
+    assert 2.0 <= report.invariant["x"].hi <= 2.0 + 1e-8
 
 
 def exact_kleene(p):
@@ -515,10 +554,10 @@ class TestPrecision:
     @pytest.mark.parametrize("method", ["aitken", "epsilon"])
     def test_repeat_verifies_after_unverified_joins(self, method):
         # Both methods join a rejected candidate in unverified first.  The
-        # next Kleene steps then move less than stop_tol; a tolerance stop
-        # there would seal a row whose |A| rows sum past 1, and the seal
-        # runs away to infinite bounds.  The verified result is checked
-        # against the state it grows from, so it contains every iterate.
+        # next Kleene steps then move less than stop_tol, which stops the
+        # plain loop only, not the accel phase.  The verified result is
+        # checked against the state it grows from, so it contains every
+        # iterate.
         p = parse(gaussian_program(2, 4, 0.97))
         cfg = EngineConfig(method=method, inject_policy="repeat", fallback_after=200)
         report, trace = analyze(p, cfg)
@@ -575,7 +614,12 @@ def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
     # bounds are finite and within 1e-6 of it; Aitken's agreement gate
     # does not bound its error on these multi-mode sequences, so its
     # bounds are only checked to contain the least fixpoint.
+    # Kleene's results, finished where they stop on the tolerance, are
+    # finite and within 1e-6 of it as well.
     ref = exact_kleene(p)
+    report, _ = analyze(p, EngineConfig(mode="kleene"))
+    assert report.sound and report.reason in ("converged", "converged-tolerance+finished")
+    assert_contains_and_near(report.invariant, ref, 1e-6)
     for method in METHODS:
         for policy in POLICIES:
             cfg = EngineConfig(method=method, inject_policy=policy, fallback_after=200)
@@ -819,7 +863,8 @@ def list_kleene(p, cfg):
             return "converged-tolerance"
         return None
 
-    x, rows = bound_row(p.initial_state()).tolist(), []
+    x0 = x = bound_row(p.initial_state()).tolist()
+    rows = []
     for i in range(1, cfg.max_iter + 1):
         prev = x
         if lowered.composed is None:
@@ -835,7 +880,7 @@ def list_kleene(p, cfg):
         if reason == "converged":
             return rows, reason, x
         if reason is not None:
-            return rows, reason, engine._seal(p, x)
+            return rows, reason, engine._finish(p, x0, rows) or x
     return rows, "max-iter", x
 
 
@@ -894,6 +939,15 @@ def test_array_rows_equal_a_loop_over_lists(name, cfg):
         assert trace.initial.intervals[0].is_bottom
     if name == "bottom-forever":
         assert all(r.state["z"].is_bottom for r in trace.records)
+
+
+@pytest.mark.parametrize("name", ["dense-jacobi", "dense-gauss-seidel", "sparse-jacobi", "sparse-gauss-seidel"])
+def test_kleene_finish_on_a_scheduled_body_holds_the_exact_stop(name):
+    # the four body forms of the kleene-wide benchmark
+    p = SCHEDULED[name]
+    report, _ = analyze(p, EngineConfig(mode="kleene"))
+    assert report.sound and report.reason == "converged-tolerance+finished"
+    assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
 
 
 @pytest.mark.parametrize("cfg", ROW_CONFIGS)

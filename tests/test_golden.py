@@ -2,9 +2,10 @@
 
 The values below were recorded from the interval engine before the
 loop body was lowered to a flat plan; the lowered engine must reproduce
-them bit for bit.  Every path pinned by the CLI hashes and the Kleene
-results is pure-Python float arithmetic (no BLAS, no transcendental
-functions), so they do not depend on the platform.
+them bit for bit.  Every path pinned by the CLI traces and the Kleene
+rows is pure-Python float arithmetic (no BLAS, no transcendental
+functions), so they do not depend on the platform; the finish of a
+kleene tolerance stop goes through NumPy, as described below.
 
 The accel results were recorded from the engine that verifies each
 injection and ends at the first one that verifies, with epsilon
@@ -13,11 +14,16 @@ Aitken entries were re-recorded when Aitken became column 2 of the
 epsilon-table, which rounds its element in the rhombus form.  The
 kleene and widen files were recorded earlier; their reports were
 re-recorded when the default ``delta`` moved to 1e-6, which is the only
-line of them that changed.  The accel results go
+line of them that changed.  Every kleene result that stops on the
+tolerance (the kleene reports, ``GOLDEN_RANDOM`` and the 3e-7 entries
+of the dense sweeps) was re-recorded when the vector-epsilon finish
+replaced the seal; the trace rows and iteration counts stayed bit for
+bit, and only the invariant and the reason moved.  The accel results go
 through NumPy elementwise arithmetic, which is correctly rounded, and
 vector-epsilon also through ``np.einsum`` dot products, whose summation
 order is NumPy's (the pins held with its AVX512, AVX2 and baseline x86-64
-kernels); the Gaussian program's coefficients come from ``random.gauss``.
+kernels), and so does the kleene finish's vector table; the Gaussian
+program's coefficients come from ``random.gauss``.
 The Kleene rows of a dense Gauss-Seidel sweep (``GOLDEN_COMPOSED``) come
 from the body's composed linear map: NumPy elementwise multiplies and
 ``np.add.reduce`` along axis 0, which adds one row at a time, so they
@@ -43,7 +49,7 @@ CONFIGS = {
 GOLDEN_FILES = {
     ('filter3', 'kleene'): (
         '430ccc74cdbdcecb01ffac360118c1a87d807ef59e6a15b3d74e42c9524115c2',
-        '2f8286ae777c62dc9258dfd199b77234bdc757de1e180c25dd7356b6951a3e3d',
+        'f9d1e275f265d5ac2249a2eb8cfa1e8865121b0ec6f21026707ea8760f7d86cb',
     ),
     ('filter3', 'widen'): (
         '0f455770f6e73c0ec59971138e6b46419702192e255e2a11905f453358d18756',
@@ -55,7 +61,7 @@ GOLDEN_FILES = {
     ),
     ('lowpass1', 'kleene'): (
         'fdb85bd35c2e453bda574b0b99d720a92f9d699edb0efc7865f7a62e43554248',
-        '35de24c0c7b10b01b317e2e66b2014466a5c2a1009a0af1e0d2e2fb4431d83d2',
+        '69e561fe33945e6dd355521ec2151eb29a7b34360da8d6c25a566dcd0acc436b',
     ),
     ('lowpass1', 'widen'): (
         '7c6b60fdb6757f1949897fc278dcbe16ba62d026d53a89d12ced18e5e0ffa63b',
@@ -67,7 +73,7 @@ GOLDEN_FILES = {
     ),
     ('contraction2', 'kleene'): (
         '08b01bfcaa12ceb75f990a62e7962e1d7a0650da9e2191c32213fa7e974a1ad5',
-        'f8e7ed2fcd50d4d6c983ab0573b7c75b926d5c2cd13654ff15b43f036592f98b',
+        'ad0832f3f57173ce0b3e6a5f1ddc772d6a1abf8563cd16d8d8f41d23a0bf3556',
     ),
     ('contraction2', 'widen'): (
         'c53ed93e3c0afb9160b3e406ed8829cca6c2faf989cf615e3fcfc590c9781369',
@@ -81,33 +87,33 @@ GOLDEN_FILES = {
 
 # form -> (iterations, reason, invariant bounds as float.hex pairs)
 GOLDEN_RANDOM = {
-    'jacobi': (252, 'converged-tolerance+sealed', (
-        ('-0x1.7922fc588e0eap+1', '0x1.86dd191acd5d2p+1'),
-        ('-0x1.7432074716dc3p+1', '0x1.8bce0e2c448f5p+1'),
-        ('-0x1.6e9fe5a922508p+1', '0x1.91602fca391afp+1'),
-        ('-0x1.78656da51559ep+1', '0x1.879aa7ce4611ep+1'),
-        ('-0x1.7760e7fa00c0cp+1', '0x1.889f2d795aaaep+1'),
-        ('-0x1.7b73a4ffb6486p+1', '0x1.848c7073a5235p+1'),
-        ('-0x1.7ae3845aa28a3p+1', '0x1.851c9118b8e18p+1'),
-        ('-0x1.73d092a09906ep+1', '0x1.8c2f82d2c264bp+1'),
-        ('-0x1.670f7520c7095p+1', '0x1.98f0a05294625p+1'),
-        ('-0x1.6cae7c6fda46ep+1', '0x1.935199038124dp+1'),
-        ('-0x1.70d002ecbc4f8p+1', '0x1.8f3012869f1c3p+1'),
-        ('-0x1.6dbfe4c8be012p+1', '0x1.924030aa9d6a9p+1'),
+    'jacobi': (252, 'converged-tolerance+finished', (
+        ('-0x1.7922f1ab50ecap+1', '0x1.86dd0e6dcf345p+1'),
+        ('-0x1.7431fc99b4b50p+1', '0x1.8bce037f6b629p+1'),
+        ('-0x1.6e9fdafb95e02p+1', '0x1.9160251d8a41ep+1'),
+        ('-0x1.786562f7e26b0p+1', '0x1.879a9d213dbc2p+1'),
+        ('-0x1.7760dd4cca7dep+1', '0x1.889f22cc559fap+1'),
+        ('-0x1.7b739a52a89a5p+1', '0x1.848c65c677859p+1'),
+        ('-0x1.7ae379ad95855p+1', '0x1.851c866b8a953p+1'),
+        ('-0x1.73d087f354c78p+1', '0x1.8c2f7825cb54dp+1'),
+        ('-0x1.670f6a731a978p+1', '0x1.98f095a60587bp+1'),
+        ('-0x1.6cae71c2638e6p+1', '0x1.93518e56bc85cp+1'),
+        ('-0x1.70cff83f6e9aap+1', '0x1.8f3007d9b17c5p+1'),
+        ('-0x1.6dbfda1b5b935p+1', '0x1.924025fdc4814p+1'),
     )),
-    'gauss-seidel': (146, 'converged-tolerance+sealed', (
-        ('-0x1.7922fcff66c45p+1', '0x1.86dd19c1a612cp+1'),
-        ('-0x1.74320823b670bp+1', '0x1.8bce0f08e423cp+1'),
-        ('-0x1.6e9fe698801efp+1', '0x1.916030b996e96p+1'),
-        ('-0x1.78656ebeddbdfp+1', '0x1.879aa8e80e75ep+1'),
-        ('-0x1.7760e927ded0ep+1', '0x1.889f2ea738baep+1'),
-        ('-0x1.7b73a62d3589ap+1', '0x1.848c71a124647p+1'),
-        ('-0x1.7ae385afb6a62p+1', '0x1.851c926dccfd6p+1'),
-        ('-0x1.73d094052ab75p+1', '0x1.8c2f843754153p+1'),
-        ('-0x1.670f769a9cefcp+1', '0x1.98f0a1cc6a48dp+1'),
-        ('-0x1.6cae7e040e558p+1', '0x1.93519a97b5338p+1'),
-        ('-0x1.70d00484d464ep+1', '0x1.8f30141eb7318p+1'),
-        ('-0x1.6dbfe676f66d9p+1', '0x1.92403258d5d6ep+1'),
+    'gauss-seidel': (146, 'converged-tolerance+finished', (
+        ('-0x1.7922f1a534093p+1', '0x1.86dd0e67ae67dp+1'),
+        ('-0x1.7431fc93a7ccdp+1', '0x1.8bce03793aca1p+1'),
+        ('-0x1.6e9fdaf59b355p+1', '0x1.916025174748dp+1'),
+        ('-0x1.786562f1b83fcp+1', '0x1.879a9d1b2a490p+1'),
+        ('-0x1.7760dd469f499p+1', '0x1.889f22c6433afp+1'),
+        ('-0x1.7b739a4c66379p+1', '0x1.848c65c07c50dp+1'),
+        ('-0x1.7ae379a750102p+1', '0x1.851c86659250fp+1'),
+        ('-0x1.73d087ed2834ap+1', '0x1.8c2f781fba4cdp+1'),
+        ('-0x1.670f6a6d1f70ep+1', '0x1.98f0959fc319bp+1'),
+        ('-0x1.6cae71bc4ad84p+1', '0x1.93518e5097a1cp+1'),
+        ('-0x1.70cff8393e86bp+1', '0x1.8f3007d3a3f40p+1'),
+        ('-0x1.6dbfda1533284p+1', '0x1.924025f7af656p+1'),
     )),
 }
 
@@ -334,15 +340,12 @@ def test_gaussian_accel_results_are_bit_identical(method):
     assert _pinned(report) == GOLDEN_GAUSSIAN[method]
 
 
-
-@pytest.mark.xfail(strict=True, reason="the kleene seal pads every bound by the same amount, "
-                   "which closes only when every row of |A| sums below 1; on this loop it "
-                   "ends at [-inf, inf] (ROADMAP item 1, the exact finish)")
 def test_kleene_keeps_the_bounds_of_a_contracting_loop():
     # |A| has spectral radius 0.97 but rows that sum above 1; an exact
     # stop (stop_tol=0) ends at finite bounds after about a thousand steps
     p = parse(gaussian_program(1, 8, 0.97))
     report, _ = analyze(p, EngineConfig(mode="kleene"))
+    assert report.sound and report.reason == "converged-tolerance+finished"
     exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
     assert exact.converged and exact.sound
     for iv, ref in zip(report.invariant.intervals, exact.invariant.intervals):
@@ -402,7 +405,7 @@ def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, policy, fall
 # multiplies and np.add.reduce along axis 0, never BLAS, so these pins
 # hold across NumPy versions and BLAS builds.
 GOLDEN_COMPOSED = {
-    3e-7: (138, 'converged-tolerance+sealed', '5f1853578244e63e583ce48ba9ae93dd4392ff4c31c655cb286ec6db8f72bb8c'),
+    3e-7: (138, 'converged-tolerance+finished', 'f0484936a3eca03ef9a855597a649bdb6b876c83da65fc370a89137bc1664432'),
     0.0: (447, 'converged', 'e9990c78b27d41c5fa42b66844409dab90402f642987536f3a04c126c4ed49e9'),
 }
 
@@ -434,7 +437,7 @@ def test_composed_kleene_rows_are_bit_identical(stop_tol):
 # np.add.reduce along axis 0 of tables 130 rows deep.  The pins hold only
 # while that reduce adds the rows in order on every NumPy version.
 GOLDEN_NARROW_CHAIN = {
-    3e-7: (136, 'converged-tolerance+sealed', '4044cbd98cb0a19957ebf094bdd0fc9511cf8f4c84fa988c06807086a8dc0775'),
+    3e-7: (136, 'converged-tolerance+finished', '0cd1674c6d7baee308a81cee7935c9b05434e5ad8a03355376cabff300ea1f57'),
     0.0: (393, 'converged', 'd4686a7d2251397fe4cda9f618e3c817f19cfa8b0bfd57e4447a954f14d0a4cd'),
 }
 

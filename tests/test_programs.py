@@ -324,6 +324,30 @@ class TestParseErrors:
         )
 
 
+# short names, so that a target often repeats a declared name
+API_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]?", fullmatch=True) | st.sampled_from(
+    ["state", "input", "loop", "in"])
+API_VALUES = st.floats(allow_nan=False)
+
+
+@st.composite
+def api_programs(draw):
+    """A Program built through the API: names drawn from identifiers and
+    the keywords, bounds and coefficients from every float but NaN, and
+    a body whose terms read only the names in scope, but whose targets
+    may be inputs."""
+    names = draw(st.lists(API_NAMES, min_size=1, max_size=5, unique=True))
+    k = draw(st.integers(1, len(names)))
+    decls = [(name, Interval(*sorted(draw(st.tuples(API_VALUES, API_VALUES))))) for name in names]
+    scope, body = list(names), []
+    for _ in range(draw(st.integers(0, 4))):
+        terms = draw(st.lists(st.tuples(API_VALUES, st.sampled_from(scope)), max_size=3))
+        target = draw(st.sampled_from(scope) | API_NAMES)
+        body.append(Assignment(target, draw(API_VALUES), tuple(terms)))
+        scope.append(target)
+    return Program(tuple(decls[:k]), tuple(decls[k:]), tuple(body))
+
+
 class TestUnparse:
     def test_round_trip_small(self):
         p = parse(SMALL)
@@ -376,6 +400,38 @@ class TestUnparse:
         body = (Assignment("y", const, ((1.0, "x"), (coeff, "x"))), Assignment("x", 0.0, ((0.5, "y"),)))
         with pytest.raises(ValueError, match="'y'"):
             unparse(Program((("x", Interval(0.0, 1.0)),), (), body))
+
+
+    @pytest.mark.parametrize("name", ["in", "x y", "\u00e9"])
+    @pytest.mark.parametrize("kind", ["state", "input"])
+    def test_a_name_that_is_no_variable_name_is_rejected(self, kind, name):
+        # "state in in [0.0, 1.0];" does not read back, nor a name that is
+        # not an ASCII identifier
+        x, v = ("x", Interval(0.0, 1.0)), (name, Interval(0.0, 1.0))
+        states, inputs = ((x, v), ()) if kind == "state" else ((x,), (v,))
+        body = (Assignment("x", 0.0, ((0.5, "x"), (0.25, name))),)
+        with pytest.raises(ValueError, match=f"{kind} {name!r}"):
+            unparse(Program(states, inputs, body))
+
+    def test_a_keyword_target_is_rejected(self):
+        body = (Assignment("loop", 0.0, ((0.5, "x"),)), Assignment("x", 0.0, ((1.0, "loop"),)))
+        with pytest.raises(ValueError, match="'loop'"):
+            unparse(Program((("x", Interval(0.0, 1.0)),), (), body))
+
+    def test_an_assignment_to_an_input_is_rejected(self):
+        # parse refuses to assign to an input
+        body = (Assignment("u", 1.0, ()), Assignment("x", 0.0, ((0.5, "x"), (1.0, "u"))))
+        with pytest.raises(ValueError, match="input 'u'"):
+            unparse(Program((("x", Interval(0.0, 1.0)),), (("u", Interval(-1.0, 1.0)),), body))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=api_programs())
+    def test_unparse_refuses_or_round_trips(self, p):
+        try:
+            text = unparse(p)
+        except ValueError:
+            return
+        assert parse(text) == p
 
 
 class TestTransfer:
