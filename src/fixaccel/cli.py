@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject",
         dest="inject_policy",
         choices=get_args(InjectPolicy),
-        help="what to do with an estimate that does not verify: once "
-        "drops it, repeat joins it in unverified and restarts the "
-        "estimator; the first one that verifies ends the run "
+        help="injection policy: once drops an estimate that does not "
+        "verify, and the first one that verifies ends the run; repeat, "
+        "a retired policy, is accepted as an alias of once "
         "(default: %(default)s)",
     )
     pa.add_argument(
@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stop-tol",
         type=float,
         help="maximum bound movement treated as stabilization; the "
-        "result is then inflated into a verified post-fixpoint "
+        "stop is then finished by the vector-epsilon tip of the last "
+        "rows, kept where it verifies as a post-fixpoint "
         "(0 demands bit-exact stabilization; default: %(default)s)",
     )
     pa.add_argument("--trace", metavar="PATH", help="write the iteration trace CSV here")

@@ -50,6 +50,8 @@ from .extraction import combine_detailed  # noqa: F401
 from .transforms import aitken, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
+# "repeat", a retired policy that joined a rejected estimate into the
+# state, is accepted as an alias of "once" for one release
 InjectPolicy = Literal["once", "repeat"]
 
 
@@ -75,6 +77,8 @@ class EngineConfig:
             value = getattr(self, name)
             if value not in get_args(choices):
                 raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
+        if self.inject_policy == "repeat":
+            object.__setattr__(self, "inject_policy", "once")
         if self.mode == "accel" and not self.delta > 0:
             raise ValueError("delta must be positive in accel mode")
         for name, least in (("max_iter", 1), ("widen_delay", 0), ("fallback_after", 1)):
@@ -105,7 +109,9 @@ class TraceRecord:
     index: int
     bounds: tuple[float, ...] | np.ndarray
     accel: tuple[float | None, ...] | None
-    event: str  # plain-step | widen-step | injection | fallback-widen | converged
+    # plain-step | widen-step | injection (the verified final row) |
+    # fallback-widen | converged
+    event: str
     variables: tuple[str, ...]
 
     @cached_property
@@ -330,10 +336,8 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
 
     An injection passes its current state x_i as ``base``.  On a Kleene
     iterate, x_i = x0 ⊔ F(x_{i-1}), so base ⊔ F(c) equals x0 ⊔ F(c) for
-    every c above x_i (F is monotone): the check is Rump's.  After an
-    unverified join under the ``repeat`` policy, it keeps the result
-    above the joined state, so that every injection grows the state.
-    The finish passes the initial row x0 itself.
+    every c above x_i (F is monotone): the check is Rump's.  The finish
+    passes the initial row x0 itself.
     """
     c = _inflate(c)
     for _ in range(VERIFY_ROUNDS):
@@ -371,8 +375,7 @@ LOOKAHEAD = 12
 def _fallback_thresholds(estimate: tuple[float | None, ...] | None) -> ThresholdSet:
     """Thresholds for the emergency widening: the newest iteration's
     laid-out ``estimate``, if any, with each bound relaxed outward by a
-    relative margin.  An unverified join records the estimate that was
-    joined.  A bound whose threshold is not finite adds none: the
+    relative margin.  A bound whose threshold is not finite adds none: the
     implicit infinities of ``ThresholdSet`` already stand for it."""
     values: set[float] = set()
     for coord, v in enumerate(estimate or ()):
@@ -463,32 +466,28 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
     by the estimator.  Returns the final row and the reason the run
     stopped.
 
-    Until an injection changes the state or the fallback starts, the
-    rows are x_{i+1} = x_i ⊔ F(x_i), so each block computes up to n of
-    them ahead, through the same ``transfer`` and ``state_join`` as the
-    plain loop, pushes them to the ``EstimateStream`` as one block (after
-    the start row of a new stream, which waits in ``pending`` for it),
-    and then walks them one iteration at a time.  The stream decides
-    which finite coordinates each estimate covers, and estimates are
-    compared only while those positions stay the same: ``active`` holds
-    them and ``last`` the estimate seen last under them.  A block that
-    stops short of n rows has reached an exact fixpoint, recorded as the
-    iteration after its last row.  Nothing here enters an error state:
-    it runs inside the one ``analyze`` holds.
+    The rows are x_{i+1} = x_i ⊔ F(x_i), so each block computes up to n
+    of them ahead, through the same ``transfer`` and ``state_join`` as
+    the plain loop, pushes them to the ``EstimateStream`` as one block
+    (the first after the initial row, which waits in ``pending`` for
+    it), and then walks them one iteration at a time.  The stream
+    decides which finite coordinates each estimate covers, and estimates
+    are compared only while those positions stay the same: ``active``
+    holds them and ``last`` the estimate seen last under them.  A block
+    that stops short of n rows has reached an exact fixpoint, recorded
+    as the iteration after its last row.  Nothing here enters an error
+    state: it runs inside the one ``analyze`` holds.
 
     Whenever a fresh estimate agrees with the one before it, the state
     joined with the estimate is tried as a verified post-fixpoint
     (``_verify``).  One that verifies is the result: the run records it
-    as an injection and stops.  A rejected candidate is dropped under
-    the ``once`` policy; under ``repeat`` it is joined in unverified, as
-    long as it changes the state, and a new stream and comparison chain
-    start from the joined state, leaving the rest of the block, which
-    follows the state before the join.  The phase also stops at
-    ``max_iter``.  After 2 * ``fallback_after`` rejected candidates, or
-    2 * ``fallback_after`` iterations since the last agreement (since
-    the start while there is none), it hands the run to the plain loop
-    with threshold widening seeded from the last estimate (then standard
-    widening via the implicit infinities), guaranteeing termination.
+    as an injection and stops.  A rejected candidate is dropped.  The
+    phase also stops at ``max_iter``.  After 2 * ``fallback_after``
+    rejected candidates, or 2 * ``fallback_after`` iterations since the
+    last agreement (since the start while there is none), it hands the
+    run to the plain loop with threshold widening seeded from the last
+    estimate (then standard widening via the implicit infinities),
+    guaranteeing termination.
     """
     budget = 2 * cfg.fallback_after
     stream, pending = EstimateStream(cfg.method), [x]
@@ -513,7 +512,7 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
             if positions != active:
                 # coordinate set changed: restart the comparison chain
                 active, last = positions, None
-            event, est = "plain-step", None
+            est = None
             if y is not None:
                 est = y.tolist()
                 if len(est) < len(x):  # laid out over the row
@@ -525,25 +524,17 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
                 prior, last = last, y
                 if prior is not None and converged(y, prior, cfg.delta):
                     agreed = i
-                    candidate = _inject(x, est)
-                    verified = _verify(p, x, candidate)
+                    verified = _verify(p, x, _inject(x, est))
                     if verified is not None:
                         trace.append(tuple(verified), est, "injection")
                         return verified, "verified-injection"
                     rejected += 1
-                    if cfg.inject_policy == "repeat" and candidate != x:
-                        x, event = candidate, "injection"
-                        stream, pending = EstimateStream(cfg.method), [x]
-                        active = last = None
-            trace.append(tuple(x), est, event)
+            trace.append(tuple(x), est, "plain-step")
             if rejected >= budget or i - agreed >= budget:
                 return _iterate(p, cfg, x, trace, _fallback_thresholds(est))
-            if event == "injection":
-                break  # the rest of the block follows the state before the join
-        else:
-            if len(rows) < n:
-                trace.append(tuple(x), None, "converged")
-                return x, "converged"
+        if len(rows) < n:
+            trace.append(tuple(x), None, "converged")
+            return x, "converged"
     return x, "max-iter"
 
 

@@ -424,11 +424,11 @@ class LoweredBody:
         row order, not by ``@``, whose summation order is the BLAS
         build's.  It differs from ``image`` by a few ulps of the terms'
         magnitude, so only the plain loop's ascending rows take it.  A row
-        with an infinite bound has a non-finite image here (``0 * inf``
-        is NaN), and so does one whose image overflows: both take
-        ``image``, which also raises on NaN.
+        with an infinite bound takes ``image`` before any product, as its
+        product would hold ``0 * inf``, NaN; so does one whose image
+        overflows, after it.  ``image`` also raises on NaN.
         """
-        if self.composed is None:
+        if self.composed is None or not np.isfinite(row).all():
             return self.image(row)
         table, const = self.composed
         out = _reduce(table * row[:, None], 0)

@@ -194,10 +194,18 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", sorted(PROGRAM_NAMES))
     @pytest.mark.parametrize("method", ["aitken", "epsilon", "vea"])
-    def test_accel_run_on_a_bundled_program_warns_of_nothing(self, capsys, name, method):
+    def test_accel_run_on_a_bundled_program_warns_of_nothing(self, capsys, tmp_path, name, method):
+        # "repeat", a retired policy, is an alias of "once": it writes the
+        # same trace and report, whose config names the policy that ran
+        files = {}
         for policy in ("once", "repeat"):
-            code, _, err = run(capsys, "analyze", str(bundled_path(f"{name}.loop")), "--method", method, "--inject", policy)
+            trace, report = tmp_path / f"{policy}.csv", tmp_path / f"{policy}.json"
+            code, _, err = run(capsys, "analyze", str(bundled_path(f"{name}.loop")), "--method", method,
+                               "--inject", policy, "--trace", str(trace), "--report", str(report))
             assert (code, err) == (0, "")
+            files[policy] = trace.read_bytes(), report.read_bytes()
+        assert files["repeat"] == files["once"]
+        assert json.loads(files["once"][1])["config"]["inject_policy"] == "once"
 
     def test_exit_two_when_not_converged(self, capsys):
         code, out, _ = run(capsys, "analyze", FILTER3, "--mode", "kleene", "--max-iter", "10")

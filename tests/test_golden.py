@@ -169,97 +169,56 @@ def test_random_program_results_are_bit_identical(form):
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 
-# (program, method, inject policy) -> (iterations, injections, reason,
-# invariant bounds as float.hex pairs); default EngineConfig otherwise
+# (program, method) -> (iterations, injections, reason, invariant
+# bounds as float.hex pairs); default EngineConfig otherwise, under either
+# accepted inject policy ("repeat" is a retired alias of "once")
 GOLDEN_ACCEL = {
-    ('filter3', 'aitken', 'once'): (21, 1, 'verified-injection', (
+    ('filter3', 'aitken'): (21, 1, 'verified-injection', (
         ('-0x1.4ca3ee7b03f0fp+2', '0x1.1bf220d3eba50p+3'),
         ('-0x1.4fedcef1cbf62p+1', '0x1.640b33b0e60c2p+3'),
         ('-0x1.2dff9b0726c89p+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'aitken', 'repeat'): (21, 1, 'verified-injection', (
-        ('-0x1.4ca3ee7b03f0fp+2', '0x1.1bf220d3eba50p+3'),
-        ('-0x1.4fedcef1cbf62p+1', '0x1.640b33b0e60c2p+3'),
-        ('-0x1.2dff9b0726c89p+2', '0x1.400000055e63cp+4'),
-    )),
-    ('filter3', 'epsilon', 'once'): (12, 1, 'verified-injection', (
+    ('filter3', 'epsilon'): (12, 1, 'verified-injection', (
         ('-0x1.4ca3ee7a5a444p+2', '0x1.1bf220d5e87d5p+3'),
         ('-0x1.4fedced77784bp+1', '0x1.640b33b91a496p+3'),
         ('-0x1.2dff9afee3378p+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'epsilon', 'repeat'): (12, 1, 'verified-injection', (
-        ('-0x1.4ca3ee7a5a444p+2', '0x1.1bf220d5e87d5p+3'),
-        ('-0x1.4fedced77784bp+1', '0x1.640b33b91a496p+3'),
-        ('-0x1.2dff9afee3378p+2', '0x1.400000055e63cp+4'),
-    )),
-    ('filter3', 'vector-epsilon', 'once'): (12, 1, 'verified-injection', (
+    ('filter3', 'vector-epsilon'): (12, 1, 'verified-injection', (
         ('-0x1.4ca3ee78cb1cep+2', '0x1.1bf220d540529p+3'),
         ('-0x1.4fedced6035d8p+1', '0x1.640b33b811120p+3'),
         ('-0x1.2dff9afd8cc5ep+2', '0x1.400000055e63cp+4'),
     )),
-    ('filter3', 'vector-epsilon', 'repeat'): (12, 1, 'verified-injection', (
-        ('-0x1.4ca3ee78cb1cep+2', '0x1.1bf220d540529p+3'),
-        ('-0x1.4fedced6035d8p+1', '0x1.640b33b811120p+3'),
-        ('-0x1.2dff9afd8cc5ep+2', '0x1.400000055e63cp+4'),
-    )),
-    ('lowpass1', 'aitken', 'once'): (4, 1, 'verified-injection', (
+    ('lowpass1', 'aitken'): (4, 1, 'verified-injection', (
         ('0x0.0p+0', '0x1.40226b958162bp+4'),
         ('0x0.0p+0', '0x1.001b89446783ap+1'),
         ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
     )),
-    ('lowpass1', 'aitken', 'repeat'): (4, 1, 'verified-injection', (
+    ('lowpass1', 'epsilon'): (4, 1, 'verified-injection', (
         ('0x0.0p+0', '0x1.40226b958162bp+4'),
         ('0x0.0p+0', '0x1.001b89446783ap+1'),
         ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
     )),
-    ('lowpass1', 'epsilon', 'once'): (4, 1, 'verified-injection', (
-        ('0x0.0p+0', '0x1.40226b958162bp+4'),
-        ('0x0.0p+0', '0x1.001b89446783ap+1'),
-        ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
-    )),
-    ('lowpass1', 'epsilon', 'repeat'): (4, 1, 'verified-injection', (
-        ('0x0.0p+0', '0x1.40226b958162bp+4'),
-        ('0x0.0p+0', '0x1.001b89446783ap+1'),
-        ('0x1.e7a0f9013d601p-1', '0x1.40226b958162bp+4'),
-    )),
-    ('lowpass1', 'vector-epsilon', 'once'): (4, 1, 'verified-injection', (
+    ('lowpass1', 'vector-epsilon'): (4, 1, 'verified-injection', (
         ('0x0.0p+0', '0x1.40226b958161fp+4'),
         ('0x0.0p+0', '0x1.001b894467833p+1'),
         ('0x1.e7a0f9013d601p-1', '0x1.40226b958161fp+4'),
     )),
-    ('lowpass1', 'vector-epsilon', 'repeat'): (4, 1, 'verified-injection', (
-        ('0x0.0p+0', '0x1.40226b958161fp+4'),
-        ('0x0.0p+0', '0x1.001b894467833p+1'),
-        ('0x1.e7a0f9013d601p-1', '0x1.40226b958161fp+4'),
-    )),
-    ('contraction2', 'aitken', 'once'): (12, 1, 'verified-injection', (
+    ('contraction2', 'aitken'): (12, 1, 'verified-injection', (
         ('-0x1.55555564eb372p-2', '0x1.000000044b830p+0'),
         ('-0x1.11111123645f8p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'aitken', 'repeat'): (12, 1, 'verified-injection', (
-        ('-0x1.55555564eb372p-2', '0x1.000000044b830p+0'),
-        ('-0x1.11111123645f8p-2', '0x1.000000044b830p+0'),
-    )),
-    ('contraction2', 'epsilon', 'once'): (6, 1, 'verified-injection', (
+    ('contraction2', 'epsilon'): (6, 1, 'verified-injection', (
         ('-0x1.5555555b0f5b2p-2', '0x1.000000044b830p+0'),
         ('-0x1.11111115a5e12p-2', '0x1.000000044b830p+0'),
     )),
-    ('contraction2', 'epsilon', 'repeat'): (6, 1, 'verified-injection', (
-        ('-0x1.5555555b0f5b2p-2', '0x1.000000044b830p+0'),
-        ('-0x1.11111115a5e12p-2', '0x1.000000044b830p+0'),
-    )),
-    ('contraction2', 'vector-epsilon', 'once'): (5, 1, 'verified-injection', (
-        ('-0x1.5555555b0f576p-2', '0x1.000000044b830p+0'),
-        ('-0x1.11111115a5e06p-2', '0x1.000000044b830p+0'),
-    )),
-    ('contraction2', 'vector-epsilon', 'repeat'): (5, 1, 'verified-injection', (
+    ('contraction2', 'vector-epsilon'): (5, 1, 'verified-injection', (
         ('-0x1.5555555b0f576p-2', '0x1.000000044b830p+0'),
         ('-0x1.11111115a5e06p-2', '0x1.000000044b830p+0'),
     )),
 }
 
-# method -> the same, for gaussian_program(1, 8, 0.97) with the repeat
-# policy and fallback after 200 iterations
+# method -> the same, for gaussian_program(1, 8, 0.97) with fallback
+# after 200 iterations
 GOLDEN_GAUSSIAN = {
     'aitken': (25, 1, 'verified-injection', (
         ('-0x1.004b6f45d76c3p+2', '0x1.004b6f456df45p+2'),
@@ -305,7 +264,7 @@ def _pinned(report):
 def test_accel_results_are_bit_identical(program, method, policy):
     cfg = EngineConfig(mode="accel", method=method, inject_policy=policy)
     report, _ = analyze(load_bundled(program), cfg)
-    assert _pinned(report) == GOLDEN_ACCEL[program, method, policy]
+    assert _pinned(report) == GOLDEN_ACCEL[program, method]
 
 
 def gaussian_program(seed: int, n: int, rho: float) -> str:
@@ -334,9 +293,7 @@ def gaussian_program(seed: int, n: int, rho: float) -> str:
 @pytest.mark.parametrize("method", METHODS)
 def test_gaussian_accel_results_are_bit_identical(method):
     p = parse(gaussian_program(1, 8, 0.97))
-    cfg = EngineConfig(mode="accel", method=method, inject_policy="repeat",
-                       fallback_after=200)
-    report, _ = analyze(p, cfg)
+    report, _ = analyze(p, EngineConfig(mode="accel", method=method, fallback_after=200))
     assert _pinned(report) == GOLDEN_GAUSSIAN[method]
 
 
@@ -354,24 +311,20 @@ def test_kleene_keeps_the_bounds_of_a_contracting_loop():
         assert ref.lo - iv.lo <= 1e-6 * max(1.0, abs(ref.lo))
         assert iv.hi - ref.hi <= 1e-6 * max(1.0, abs(ref.hi))
 
-# (seed, n, rho, method, inject policy) -> (number of estimate rows,
-# sha256 of their ``float.hex`` text, as ``_accel_digest`` writes it);
-# gaussian_program(seed, n, rho), once with fallback after 20 iterations
-# and repeat with fallback after 200, as in the benchmark's accel-tail.
-# These pin the estimates themselves, every one the trace records.
+# (seed, n, rho, method) -> (number of estimate rows, sha256 of their
+# ``float.hex`` text, as ``_accel_digest`` writes it) for
+# gaussian_program(seed, n, rho), which each run reaches with fallback
+# after 20 iterations and after 200.  The runs are the benchmark's
+# accel-tail configs, which pass "once" with 20 and the retired alias
+# "repeat" with 200.  These pin the estimates themselves, every one the
+# trace records.
 GOLDEN_GAUSSIAN_ESTIMATES = {
-    (1, 8, 0.97, 'aitken', 'once'): (24, '396a2cd93d6c4a54bc11c79bad0c635aa8eed304bc8dbb58ab039c2ef216b594'),
-    (1, 8, 0.97, 'aitken', 'repeat'): (24, '396a2cd93d6c4a54bc11c79bad0c635aa8eed304bc8dbb58ab039c2ef216b594'),
-    (1, 8, 0.97, 'epsilon', 'once'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
-    (1, 8, 0.97, 'epsilon', 'repeat'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
-    (1, 8, 0.97, 'vector-epsilon', 'once'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
-    (1, 8, 0.97, 'vector-epsilon', 'repeat'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
-    (2, 16, 0.9, 'aitken', 'once'): (30, 'ad9bc3e3a44becedf4e5e5c977592c1f3912c5756bfd52b839860c0977d8c3b0'),
-    (2, 16, 0.9, 'aitken', 'repeat'): (27, 'e7ac4d9a444689ac63a71ce3f75e631ce78622f9f76f8269542f6fd794e21bc8'),
-    (2, 16, 0.9, 'epsilon', 'once'): (31, 'bba39d124641ba9ad6f9b4f8a44c20fbdac3885697d4eccf1a0fe04bc81f84ed'),
-    (2, 16, 0.9, 'epsilon', 'repeat'): (29, '436aa742c8550a263126b609398510fc9d7b4979888b5414d01da4a39241a93c'),
-    (2, 16, 0.9, 'vector-epsilon', 'once'): (30, '173a4ed5e3e4721b34971ef4b1aae497591b6011bef020e8dcbbdfb4a3b6e4c7'),
-    (2, 16, 0.9, 'vector-epsilon', 'repeat'): (28, '5196638c4510941bbbcd53a60dc2c1053f6136f72f9648ed48bf6d3e4c79fb61'),
+    (1, 8, 0.97, 'aitken'): (24, '396a2cd93d6c4a54bc11c79bad0c635aa8eed304bc8dbb58ab039c2ef216b594'),
+    (1, 8, 0.97, 'epsilon'): (23, '7831fce206a55ea8db6ab176a3d5619d2056189e0a82211e4346ca29a923eb81'),
+    (1, 8, 0.97, 'vector-epsilon'): (23, '7c55c5f219a886754164d60baec438fa3c17e928d13e56d79f2179146c4aaa08'),
+    (2, 16, 0.9, 'aitken'): (30, 'ad9bc3e3a44becedf4e5e5c977592c1f3912c5756bfd52b839860c0977d8c3b0'),
+    (2, 16, 0.9, 'epsilon'): (31, 'bba39d124641ba9ad6f9b4f8a44c20fbdac3885697d4eccf1a0fe04bc81f84ed'),
+    (2, 16, 0.9, 'vector-epsilon'): (30, '173a4ed5e3e4721b34971ef4b1aae497591b6011bef020e8dcbbdfb4a3b6e4c7'),
 }
 
 
@@ -395,7 +348,7 @@ def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, policy, fall
     cfg = EngineConfig(mode="accel", method=method, inject_policy=policy,
                        fallback_after=fallback)
     _, trace = analyze(p, cfg)
-    assert _accel_digest(trace) == GOLDEN_GAUSSIAN_ESTIMATES[seed, n, rho, method, policy]
+    assert _accel_digest(trace) == GOLDEN_GAUSSIAN_ESTIMATES[seed, n, rho, method]
 
 
 # stop_tol -> (iterations, reason, sha256 of the run as ``_kleene_digest``

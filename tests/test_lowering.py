@@ -1142,6 +1142,20 @@ def test_composed_map_needs_finite_inputs():
         bottom.lowered.linear()
 
 
+def test_a_row_with_an_infinite_bound_skips_the_composed_product():
+    # 0 * inf would make the product NaN: such a row goes to image before
+    # any product, so no floating-point error is raised
+    from test_golden import random_program
+
+    lowered = parse(random_program(2029, 64, True)).lowered
+    assert lowered.composed is not None
+    row = np.tile([0.0, 1.0], 64)
+    row[[5, 40]] = math.inf, -math.inf
+    with np.errstate(all="raise"):
+        got = lowered.linear_image(row)
+    assert got.tobytes() == lowered.image(row).tobytes()
+
+
 def test_only_long_chains_of_levels_keep_the_composed_map():
     # the kleene-wide shapes: only the dense Gauss-Seidel sweep, 64 levels
     # of 128 bounds, costs more than one 128 x 128 product
