@@ -9,10 +9,11 @@
   outward is tried as a post-fixpoint (``_verify``).  The first
   candidate that verifies is the result (an "injection"), which cuts
   off the remaining convergence tail.  The plain rows are computed up
-  to ``LOOKAHEAD`` at a time and pushed to the transformation as one
-  block, then taken one iteration at a time (``_accelerate``), so the
-  block size changes no result.  When the estimates fail, the run falls
-  back to threshold widening.
+  to ``FIRST_BLOCK`` at first and ``LOOKAHEAD`` after that at a time,
+  pushed to the transformation as one block and tested for agreement
+  as one block, then taken one iteration at a time (``_accelerate``),
+  so the block sizes change no result.  When the estimates fail, the
+  run falls back to threshold widening.
 
 An accel run has two phases: the accel phase (``_accelerate``) and,
 after a fallback, the plain loop (``_iterate``), which kleene and widen
@@ -36,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq
+from itertools import groupby
+from operator import eq, itemgetter
 from typing import Literal, get_args
 
 import numpy as np
@@ -44,10 +46,10 @@ import numpy as np
 from .extraction import bound_row, state_from_row
 from .intervals import INF, NO_THRESHOLDS, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import EstimateStream, Method, _epsilon_table, converged
+from .transforms import EstimateStream, Method, _epsilon_table, agreements
 # not called here; bound because the benchmark tracer wraps these names
 from .extraction import combine_detailed  # noqa: F401
-from .transforms import aitken, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
+from .transforms import aitken, converged, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
 # "repeat", a retired policy that joined a rejected estimate into the
@@ -368,8 +370,15 @@ def _finish(p: Program, x0: list[float], rows: list) -> list[float] | None:
 # at, to push them to the estimator as one block.  A larger block spreads
 # the estimator's NumPy calls over more rows but computes more rows past
 # the one that verifies; of 8, 12 and 16, 12 ran the accel-tail benchmark
-# fastest.
+# fastest.  The first block is twice as long, because an estimator call
+# costs about the same on 12 rows as on 24 (the cost is per column) and
+# the accel-tail benchmark's 288 analyses verify at iteration 14 to 37,
+# 198 of them by row 24: a first block of 24 makes 1.32 estimator calls a
+# run where one of 12 made 2.32, and computes no more rows there, since
+# the blocks still end at rows 24, 36 and 48.  A run that verifies within
+# 12 rows computes up to 12 rows more.
 LOOKAHEAD = 12
+FIRST_BLOCK = 2 * LOOKAHEAD
 
 
 def _fallback_thresholds(estimate: tuple[float | None, ...] | None) -> ThresholdSet:
@@ -404,6 +413,31 @@ def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
         if filled[j] > filled[j + 1]:
             filled[j], filled[j + 1] = x[j], x[j + 1]
     return state_join(x, filled)
+
+
+def _agreements(estimates: list, active: list[int] | None, last: np.ndarray | None,
+                delta: float) -> tuple[list[bool], list[int] | None, np.ndarray | None]:
+    """Whether each estimate of a block, (estimate, positions) pairs from
+    ``EstimateStream``, agrees to ``delta`` with the one before it under
+    the same positions, as ``converged`` would say, with one test per run
+    of equal positions.  The block starts under the positions ``active``
+    with the estimate ``last`` seen last (None for none), and a change of
+    positions restarts the chain.  Returns the flags, then the positions
+    and the estimate seen last after the block."""
+    flags: list[bool] = []
+    for positions, run in groupby(estimates, itemgetter(1)):
+        if positions != active:
+            active, last = positions, None
+        run = [y for y, _ in run]
+        ys = [y for y in run if y is not None]
+        chain = np.array(ys if last is None else [last, *ys])
+        agree = agreements(chain[1:], chain[:-1], delta).tolist() if len(chain) > 1 else []
+        # the first estimate of a chain has none before it
+        agree = iter([False] * (len(ys) - len(agree)) + agree)
+        flags += [y is not None and next(agree) for y in run]
+        if ys:
+            last = ys[-1]
+    return flags, active, last
 
 
 def _step(cfg: EngineConfig, i: int, prev: Row, fx: Row, fallback: ThresholdSet | None,
@@ -467,16 +501,19 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
     stopped.
 
     The rows are x_{i+1} = x_i ⊔ F(x_i), so each block computes up to n
-    of them ahead, through the same ``transfer`` and ``state_join`` as
-    the plain loop, pushes them to the ``EstimateStream`` as one block
-    (the first after the initial row, which waits in ``pending`` for
-    it), and then walks them one iteration at a time.  The stream
-    decides which finite coordinates each estimate covers, and estimates
-    are compared only while those positions stay the same: ``active``
-    holds them and ``last`` the estimate seen last under them.  A block
-    that stops short of n rows has reached an exact fixpoint, recorded
-    as the iteration after its last row.  Nothing here enters an error
-    state: it runs inside the one ``analyze`` holds.
+    of them ahead, n being ``FIRST_BLOCK`` for the first block and
+    ``LOOKAHEAD`` for the others, through the same ``transfer`` and
+    ``state_join`` as the plain loop, pushes them to the
+    ``EstimateStream`` as one block (the first after the initial row,
+    which waits in ``pending`` for it), tests all their estimates for
+    agreement at once (``_agreements``), and then walks them one
+    iteration at a time.  The stream decides which finite coordinates
+    each estimate covers, and estimates are compared only while those
+    positions stay the same: ``active`` holds them and ``last`` the
+    estimate seen last under them.  A block that stops short of n rows
+    has reached an exact fixpoint, recorded as the iteration after its
+    last row.  Nothing here enters an error state: it runs inside the
+    one ``analyze`` holds.
 
     Whenever a fresh estimate agrees with the one before it, the state
     joined with the estimate is tried as a verified post-fixpoint
@@ -498,7 +535,8 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
         # a block stops at max_iter and at the iteration where the
         # fallback would fire: that of the clock, or of the last
         # rejection the budget allows
-        n = min(LOOKAHEAD, cfg.max_iter - i, agreed + budget - i, budget - rejected)
+        n = min(FIRST_BLOCK if pending else LOOKAHEAD, cfg.max_iter - i,
+                agreed + budget - i, budget - rejected)
         rows, row = [], x
         while len(rows) < n:
             nxt = state_join(row, transfer(p, row))
@@ -507,11 +545,9 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
             rows.append(row := nxt)
         estimates = stream.push_rows_unguarded(pending + rows)[len(pending):] if rows else []
         pending = []
-        for x, (y, positions) in zip(rows, estimates):
+        agree, active, last = _agreements(estimates, active, last, cfg.delta)
+        for x, (y, positions), agrees in zip(rows, estimates, agree):
             i += 1
-            if positions != active:
-                # coordinate set changed: restart the comparison chain
-                active, last = positions, None
             est = None
             if y is not None:
                 est = y.tolist()
@@ -521,14 +557,13 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
                         laid[j] = v
                     est = laid
                 est = tuple(est)
-                prior, last = last, y
-                if prior is not None and converged(y, prior, cfg.delta):
-                    agreed = i
-                    verified = _verify(p, x, _inject(x, est))
-                    if verified is not None:
-                        trace.append(tuple(verified), est, "injection")
-                        return verified, "verified-injection"
-                    rejected += 1
+            if agrees:
+                agreed = i
+                verified = _verify(p, x, _inject(x, est))
+                if verified is not None:
+                    trace.append(tuple(verified), est, "injection")
+                    return verified, "verified-injection"
+                rejected += 1
             trace.append(tuple(x), est, "plain-step")
             if rejected >= budget or i - agreed >= budget:
                 return _iterate(p, cfg, x, trace, _fallback_thresholds(est))

@@ -59,7 +59,8 @@ class TransformConfig:
 
     The engine's estimator has the defaults as fixed values:
     ``EstimateStream`` stalls at the default ``stall_tolerance``, and the
-    engine calls ``converged`` in the default ``norm``.  The one-shot
+    engine tests agreement by ``agreements``, ``converged`` in the
+    default ``norm`` on a block of rows at once.  The one-shot
     functions, and so ``fixaccel accelerate``, take any.
     """
 
@@ -356,16 +357,18 @@ def _epsilon_table(
             # the norms of the rows of d, then of b, and the inverses of d
             norm = _norms_and_inverses(np.concatenate((d, col[:-1])), cell)
             np.greater_equal(norm[:m], np.maximum(tol * norm[m:], floor), out=ok)
+            np.copyto(cell, np.nan, where=~ok)
         else:
             np.greater_equal(np.abs(d), np.maximum(tol * np.abs(col[:-1]), floor), out=ok)
-            np.reciprocal(d, out=cell)
+            # a stalled cell keeps the NaN the table was filled with
+            np.reciprocal(d, out=cell, where=ok)
         cell += below
-        np.copyto(cell, np.nan, where=~ok)
         if k % 2:
             np.copyto(est, cell, where=ok)
-        if ok[-1].any():
+        # count_nonzero, not any: it is the cheaper call on a small mask
+        if np.count_nonzero(ok[-1]):
             depth = k + 2
-        elif not ok.any():
+        elif not np.count_nonzero(ok):
             break  # every deeper cell of the block is invalid
         below = col[:-1]
     return table, live, est, depth
@@ -383,10 +386,12 @@ def _norms_and_inverses(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     m = len(out)
     vv = np.einsum("ij,ij->i", v, v)[:, None]
-    wild = (vv < _TINY) | (vv == math.inf)
-    if not wild.any():
+    # fmin and fmax pass over a NaN row, as the mask below does; the two
+    # reductions cost less than building the mask on every call
+    if not (np.fmin.reduce(vv, None) < _TINY or np.fmax.reduce(vv, None) == math.inf):
         np.divide(v[:m], vv[:m], out=out)
         return np.sqrt(vv)
+    wild = (vv < _TINY) | (vv == math.inf)
     # e = 0, which changes nothing, for the other rows, and for one of
     # zeros or holding an infinity or NaN
     e = np.where(wild, np.frexp(np.abs(v).max(axis=1, keepdims=True))[1], 0)
@@ -434,4 +439,18 @@ def converged(
     b = np.asarray(y_prev, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return seq_norm((a - b) / np.maximum(1.0, np.abs(a)), cfg) <= delta
+    return seq_norm(_relative_change(a, b), cfg) <= delta
+
+
+def _relative_change(y: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """(y - prior) / max(1, |y|), entry by entry: the change that
+    ``converged`` and ``agreements`` measure."""
+    return (y - prior) / np.maximum(1.0, np.abs(y))
+
+
+def agreements(ys: np.ndarray, priors: np.ndarray, delta: float) -> np.ndarray:
+    """``converged`` in the infinity norm on each row of ``ys`` against
+    the same row of ``priors``, both of shape (rows, coordinates) with
+    at least one coordinate: one flag per row.  A maximum is exact, so
+    each flag is ``converged``'s bit for bit; a NaN entry fails."""
+    return np.maximum.reduce(np.abs(_relative_change(ys, priors)), 1) <= delta

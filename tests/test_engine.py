@@ -14,6 +14,7 @@ from fixaccel import (
     ThresholdSet,
     analyze,
     bundled_source,
+    converged,
     load_bundled,
     parse,
     state_leq,
@@ -652,7 +653,9 @@ def test_repeat_runs_once_on_an_imprecise_sweep_program(method):
 # ahead: an exact fixpoint, a bound overflowing to inf (the finite
 # coordinates change), candidates rejected before one verifies, a
 # fallback, a Bottom variable turning finite and one turning infinite;
-# and a body with a level schedule, whose fallback iterates on arrays.
+# a body with a level schedule, whose fallback iterates on arrays; and
+# two programs like the benchmark's accel tail, whose runs agree inside
+# the first block, after its first LOOKAHEAD rows, and past it.
 LOOKAHEAD_PROGRAMS = {
     "filter3": load_bundled("filter3"),
     "zero": parse("state x in [0, 0];\nstate y in [0, 1];\nloop {\n  x = 0.5*x;\n  y = 0.5*y + 1;\n}\n"),
@@ -665,6 +668,8 @@ LOOKAHEAD_PROGRAMS = {
     "alternating": parse("state x in [0, 1];\ninput u in [-1, 1];\nloop {\n  x = -0.955*x + 0.1*u;\n}\n"),
     "restarts": parse(gaussian_program(2, 4, 0.97)),
     "scheduled": parse(gaussian_program(3, 16, 0.97)),
+    "tail-first-block": parse(gaussian_program(2, 16, 0.97)),
+    "tail-past-first-block": parse(gaussian_program(4, 16, 0.97)),
     "shrinking": _shrinking_program(),
     "bottom": Program(
         state_vars=(("a", BOTTOM), ("b", Interval(0.0, 1.0))),
@@ -680,6 +685,12 @@ LOOKAHEAD_CONFIGS = [
     *({"fallback_after": n} for n in (1, 2, 5)),
     {"fallback_after": 200},
 ]
+
+
+def _row_by_row(monkeypatch):
+    """Make every block of an accel run, the first too, one row long."""
+    monkeypatch.setattr(engine, "FIRST_BLOCK", 1)
+    monkeypatch.setattr(engine, "LOOKAHEAD", 1)
 
 
 def _run_record(p, cfg):
@@ -701,10 +712,17 @@ class TestLookahead:
     def test_same_run_as_one_row_at_a_time(self, monkeypatch, name, method, policy):
         p = LOOKAHEAD_PROGRAMS[name]
         cfgs = [EngineConfig(method=method, inject_policy=policy, **c) for c in LOOKAHEAD_CONFIGS]
-        assert engine.LOOKAHEAD > 1
+        assert engine.FIRST_BLOCK > engine.LOOKAHEAD > 1
         blocks = [_run_record(p, cfg) for cfg in cfgs]
-        monkeypatch.setattr(engine, "LOOKAHEAD", 1)
+        _row_by_row(monkeypatch)
         assert [_run_record(p, cfg) for cfg in cfgs] == blocks
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tail_programs_verify_in_the_first_block_and_past_it(self, method):
+        first = [analyze(LOOKAHEAD_PROGRAMS[name], EngineConfig(method=method))[0]
+                 for name in ("tail-first-block", "tail-past-first-block")]
+        assert [r.reason for r in first] == ["verified-injection"] * 2
+        assert engine.LOOKAHEAD < first[0].iterations <= engine.FIRST_BLOCK < first[1].iterations
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("name", ["filter3", "divergent", "alternating", "restarts", "scheduled"])
@@ -727,15 +745,16 @@ class TestLookahead:
             return counts
 
         blocks = transfers()
-        monkeypatch.setattr(engine, "LOOKAHEAD", 1)
+        _row_by_row(monkeypatch)
         assert transfers() == blocks
 
 
-@pytest.mark.parametrize("length", range(1, 2 * engine.LOOKAHEAD + 2))
+@pytest.mark.parametrize("length", range(1, 3 * engine.LOOKAHEAD + 2))
 def test_exact_fixpoint_at_every_offset_from_a_block_boundary(monkeypatch, length):
     # x_k = x_{k-1} down to x_1 = 1, all from [0, 0]: x_k turns [0, 1] at
     # iteration k, so the run is an exact fixpoint at iteration length + 1,
-    # which falls at every place in a block as the length grows
+    # which falls at every place in the first block and in the block after
+    # it as the length grows
     lines = [f"state x{k} in [0, 0];" for k in range(1, length + 1)]
     lines += ["loop {", *(f"  x{k} = x{k - 1};" for k in range(length, 1, -1)), "  x1 = 1;", "}"]
     p = parse("\n".join(lines) + "\n")
@@ -747,8 +766,68 @@ def test_exact_fixpoint_at_every_offset_from_a_block_boundary(monkeypatch, lengt
         assert [r.index for r in trace.records] == list(range(1, report.iterations + 1))
         assert trace.records[-1].event == ("converged" if reason == "converged" else "plain-step")
     blocks = [_run_record(p, cfg) for cfg in cfgs]
-    monkeypatch.setattr(engine, "LOOKAHEAD", 1)
+    _row_by_row(monkeypatch)
     assert [_run_record(p, cfg) for cfg in cfgs] == blocks
+
+
+def _agreements_row_by_row(estimates, active, last, delta):
+    """``engine._agreements`` as a walk over the rows, each estimate
+    tested against the one before it by ``converged``."""
+    flags = []
+    for y, positions in estimates:
+        if positions != active:
+            active, last = positions, None
+        agrees = False
+        if y is not None:
+            prior, last = last, y
+            agrees = prior is not None and converged(y, prior, delta)
+        flags.append(agrees)
+    return flags, active, last
+
+
+# entries on both sides of the agreement test: ±0.0, the ends of a
+# change of exactly delta * max(1, |y|) for delta 0.5 (0.5 from 0.0,
+# 2.0 from 1.0) and 1.0, huge, infinite and NaN entries, and any float
+AGREEMENT_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, -2.0, 1.0 + 1e-6, 1e300, -1e300, math.inf, -math.inf, math.nan]
+) | st.floats(width=64)
+
+
+@st.composite
+def estimate_blocks(draw):
+    """(estimates, active, last, delta, cut): the (estimate, positions)
+    pairs of a stream, in runs of one positions list each (consecutive
+    runs may hold equal lists), None estimates among them; the positions
+    and estimate an earlier block left; and where to cut the estimates
+    into two blocks."""
+    def estimate(width):
+        return st.none() | st.lists(AGREEMENT_ENTRIES, min_size=width, max_size=width).map(np.array)
+
+    estimates = []
+    for _ in range(draw(st.integers(1, 3))):
+        start, width = draw(st.integers(0, 1)), draw(st.integers(1, 3))
+        positions = list(range(start, start + width))
+        estimates += [(y, positions) for y in draw(st.lists(estimate(width), min_size=1, max_size=5))]
+    first = estimates[0][1]
+    active = draw(st.sampled_from([None, first, list(first), [*first, len(first)]]))
+    last = None if active is None else draw(estimate(len(active)))
+    delta = draw(st.sampled_from([1e-6, 0.5, 1.0]) | st.floats(1e-300, 1e300))
+    return estimates, active, last, delta, draw(st.integers(0, len(estimates)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(estimate_blocks())
+def test_block_agreements_are_converged_row_by_row(block):
+    estimates, active, last, delta, cut = block
+    with np.errstate(all="ignore"):
+        flags, want_active, want_last = _agreements_row_by_row(estimates, active, last, delta)
+        got = engine._agreements(estimates, active, last, delta)
+        # the same estimates in two blocks: the first row of the second
+        # is tested against the last estimate of the first
+        head, active, last = engine._agreements(estimates[:cut], active, last, delta)
+        tail, active, last = engine._agreements(estimates[cut:], active, last, delta)
+    assert got[:2] == (flags, want_active) and got[2] is want_last
+    assert head + tail == flags and active == want_active and last is want_last
 
 
 # runs whose traces hold each kind of row and event: the program, the

@@ -17,7 +17,7 @@ from fixaccel import (
     load_bundled,
     vector_epsilon_diagonal,
 )
-from fixaccel.transforms import MAX_COLUMN, EstimateStream, seq_norm
+from fixaccel.transforms import MAX_COLUMN, EstimateStream, _norms_and_inverses, seq_norm
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 TINY = np.finfo(float).tiny  # the smallest normal float
@@ -206,6 +206,30 @@ def scaled_norms(v):
     ss = np.einsum("ij,ij->i", s, s)[:, None]
     with np.errstate(all="ignore"):
         return np.ldexp(np.sqrt(ss), e)[:, 0], np.ldexp(s / ss, -e)
+
+
+NAN_ROW = [math.nan, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("rows", [
+    # a NaN row beside a normal, an underflowing and an overflowing row
+    [[3.0, -4.0, 0.5], NAN_ROW, [1e-200, -3e-200, 2e-201], [1e200, 3e200, -2e200]],
+    # beside a normal row only, which needs no scaling
+    [[3.0, -4.0, 0.5], NAN_ROW],
+    # only NaN rows, and beside a zero row and a row holding an infinity
+    [NAN_ROW, [math.nan] * 3],
+    [NAN_ROW, [0.0, -0.0, 0.0], [math.inf, 1.0, 2.0]],
+], ids=["under-and-overflow", "normal", "all-nan", "zero-and-inf"])
+def test_norms_and_inverses_beside_a_nan_row_equal_the_reference(rows):
+    # the fast test for rows to scale passes over a NaN row, as the
+    # reference's mask does, whichever rows sit beside it
+    v = np.array(rows)
+    out = np.empty_like(v)
+    with np.errstate(all="ignore"):
+        norms = _norms_and_inverses(v, out)
+    want_norms, want_inverses = scaled_norms(v)
+    assert value_bits(norms[:, 0]) == value_bits(want_norms)
+    assert value_bits(out) == value_bits(want_inverses)
 
 
 def reference_table(x, tol, vector):
