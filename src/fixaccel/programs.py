@@ -21,14 +21,16 @@ token lists.  ``parse`` gives it the fast chunks of ``str.split`` first;
 on any chunk that is not one token, and on any error, it gives it the
 regex tokens of ``_tokenize``, which locate each ParseError.
 
-A body's image (``LoweredBody.image``, which ``transfer`` runs) makes
-the float operations of interval evaluation in their order; a level
-schedule sums each level's columns with one ``np.add.reduce``.  A body
-without Bottom is also linear in the bounds, w -> M w + c with M >= 0
-in w = (-lo, hi) (``LoweredBody.linear``).  A scheduled body whose
-level schedule costs more than one product with M keeps that map
-(``LoweredBody.composed``), whose images (``linear_image``) are a few
-ulps off and serve only the engine's ascending plain-loop rows.
+``_assign`` lowers a body once, to single-assignment form, with unit
+copies folded; three parts read it.  A body's image (``LoweredBody.image``,
+which ``transfer`` runs) takes the per-step loop or, for a wide body, a
+level schedule that sums each level's columns with one ``np.add.reduce``;
+both make the float operations of interval evaluation in their order.  A
+body without Bottom is also linear in the bounds, w -> M w + c with M >= 0
+in w = (-lo, hi) (``LoweredBody.linear``).  A scheduled body whose level
+schedule costs more than one product with M keeps that map
+(``composed``), whose images (``linear_image``) are a few ulps off and
+serve only the engine's ascending plain-loop rows.
 """
 from __future__ import annotations
 
@@ -142,31 +144,18 @@ class Program:
         return bound_row(x).tolist()
 
 
-def _finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value}")
-    return value
-
-
-# (lo_slot, const, terms); see LoweredBody
-Step = tuple[int, float, tuple[tuple[float, int, int], ...]]
-
 # A body is scheduled when it holds BATCH_MIN_PRODUCTS products (terms,
 # plus one per step for its constant) and LEVEL_MIN_PRODUCTS per level:
 # below either, the per-step loop costs less, lowering included.
 BATCH_MIN_PRODUCTS = 256
 LEVEL_MIN_PRODUCTS = 40
-# A scheduled body keeps its composed map (``LoweredBody.linear``) in
-# bound-row form where its schedule costs more than one product with the
-# map, W * W multiply-adds for a row W bounds wide: where W * W <
-# COMPOSE_LEVEL_PRODUCTS * levels.  Measured, the product's image costs
-# as much as the schedule's at about 2,300 products per level, 0.66-0.9
-# of it at 1,024 and 0.15-0.18 at 192-256 (dense Gauss-Seidel sweeps of
-# 48 and 64 states).  The map also costs its composition at lowering and
-# an image per stop, and its rows are a few ulps off the schedule's, so
-# the constant keeps it only where it saves most: a one-level body of 16
-# states (1,024) keeps its schedule alone.
+# A scheduled body keeps its composed map (``LoweredBody.linear``) where
+# W * W < COMPOSE_LEVEL_PRODUCTS * levels, W the row's width in bounds.
+# Measured, the product's image costs as much as the schedule's at about
+# 2,300 products per level, 0.66-0.9 of it at 1,024 and 0.15-0.18 at
+# 192-256 (dense Gauss-Seidel sweeps of 48 and 64 states).  The map also
+# costs its composition and an image per stop, and its rows are a few
+# ulps off, so a one-level body of 16 states (1,024) keeps no map.
 COMPOSE_LEVEL_PRODUCTS = 512
 
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
@@ -174,102 +163,147 @@ _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 _reduce, _minimum = np.add.reduce, np.minimum.reduce
 
 
-def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
-              inputs: list[float]) -> tuple | None:
-    """The level schedule ``(slots, levels, final, base)`` of ``body``
-    over the state and input variables ``ids``, or None for the per-step
-    loop.
+def _assign(body: tuple[Assignment, ...], ids: dict[str, int], n_states: int) -> tuple:
+    """``body`` in single-assignment form ``(coeffs, nodes, ends, steps,
+    final)`` over the variables numbered by ``ids``, states first: the
+    one place where a term's variable becomes the node it reads.
 
-    Each step writes its own slot pair, so only read-after-write orders
-    the steps: a step's level is one more than the highest level of the
-    values it reads.  Node ``k < n_vars`` is variable ``k``'s value on
-    entry, node ``n_vars + s`` the value step ``s`` writes.  Each term is
-    a cell that reads its variable's node, or a pad if its coefficient is
-    zero.  A unit copy ``x = c + 1.0*t`` folds into the step that writes
-    ``t`` if no other cell reads that value and no state ends with it;
-    that step then adds ``c`` times 1.0 and writes ``x`` (``S + c`` is
-    ``c + S``).  Raises like ``LoweredBody``.
-
-    ``slots`` is the template of a kernel's work buffer: the state's
-    bounds (zeros here), the inputs', a pair of 1.0, and from ``base`` on
-    the steps' level by level.  A level ``(src, coeff, start, stop)``
-    writes ``slots[start:stop]``: column ``2j + h`` is bound ``h`` (0
-    lower, 1 upper) of its ``j``-th step, row 0 the step's constant times
-    1.0, row ``r`` its ``r``-th cell, and ``-0.0`` times 1.0 past its
-    last cell; the upper bound reads the other slot of each pair.  As
-    ``v + -0.0`` is ``v`` for every ``v``, the sum of each column, added
-    row by row from row 0, is the new bound.  ``final`` indexes the
-    state's bounds.
-    """
-    n_vars, one = len(ids), width + len(inputs)
-    size = [0] * n_vars + [len(a.terms) for a in body]  # cells by node
-    products = len(body) + sum(size)
-    if products < BATCH_MIN_PRODUCTS:
-        return None
-    node_of, level = dict(ids), [0] * n_vars  # each variable's node; by node
-    coeffs, nodes = [], []  # by cell
-    copies = []  # (node, cell) of each unit copy of a step's value
-    for s, a in enumerate(body, n_vars):
-        start = len(nodes)
+    Node ``k < len(ids)`` is variable ``k`` on entry, node ``len(ids)``
+    1.0 and node ``len(ids) + 1 + i`` the value step ``i`` writes.  Step
+    ``i`` owns cells ``ends[i - 1]`` (0 for step 0) to ``ends[i]``: its
+    constant over 1.0, then its terms, zero ones too; cell ``j`` adds
+    ``coeffs[j]`` times node ``nodes[j]``.  ``final`` is each state's last
+    node.  ``steps[i]`` is ``(root, extra)``, step ``root``'s cells then
+    cells ``extra``, or None where a copy folds step ``i``: a copy ``x = c
+    + 1.0*t`` of a value no other nonzero cell reads and no state ends
+    with sums ``t``'s cells, then its constant (``S + c`` is ``c + S``).
+    Raises ValueError on a non-finite constant or coefficient, KeyError on
+    a variable read before it has a value."""
+    one = len(ids)
+    node_of = dict(ids)
+    coeffs, nodes, ends, copies = [], [], [], []  # by cell, by cell, by step
+    for i, a in enumerate(body):
+        coeffs.append(a.const)
+        nodes.append(one)
         for c, var in a.terms:
             coeffs.append(c)
             nodes.append(node_of[var])
-        level.append(1 + max(map(level.__getitem__, nodes[start:]), default=0))
-        if len(a.terms) == 1 and c == 1.0 and nodes[start] >= n_vars:
-            copies.append((s, start))
-        node_of[a.target] = s
-    consts = [0.0] * n_vars + [_finite(a.const, "constant term") for a in body]
-    coeff = np.fromiter(coeffs, float, len(coeffs))
-    if not np.isfinite(coeff).all():
-        _finite(coeff[~np.isfinite(coeff)][0], "coefficient")  # raises
-    node, count = np.fromiter(nodes, np.intp, len(nodes)), np.array(size)
-    row = np.arange(len(nodes)) + 1 - (count.cumsum() - count).repeat(count)
-    pad = coeff == 0.0
-    readers = np.bincount(node[~pad], minlength=len(size)).tolist()
-    final = list(node_of.values())[: width // 2]  # each state's last value
-    finals = set(final)
-    into = list(range(len(size)))  # the step whose cells a step's go to
-    folds: list[tuple[int, int, float]] = []  # (cell, row, constant) of each folded copy
-    for s, j in copies:
-        t = nodes[j]
-        if readers[t] == 1 and t not in finals:
-            folds.append((j, size[t] + 1, consts[s]))
-            into[t], size[s], consts[s], level[s] = s, size[t] + 1, consts[t], level[t]
-    for j, _, _ in reversed(folds):
-        into[nodes[j]] = into[into[nodes[j]]]
-    kept = [s for s in range(n_vars, len(size)) if into[s] == s]
-    kept.sort(key=level.__getitem__)  # level by level, each in body order
-    if products < LEVEL_MIN_PRODUCTS * len({level[s] for s in kept}):
+        ends.append(len(nodes))
+        if len(a.terms) == 1 and c == 1.0 and nodes[-1] > one:
+            copies.append(i)
+        node_of[a.target] = one + 1 + i
+    if not all(map(math.isfinite, coeffs)):
+        j = next(j for j, c in enumerate(coeffs) if not math.isfinite(c))
+        what = "constant term" if nodes[j] == one else "coefficient"
+        raise ValueError(f"{what} must be finite, got {float(coeffs[j])}")
+    final = list(node_of.values())[:n_states]
+    steps: list = [(i, ()) for i in range(len(body))]
+    finals, readers = set(final), None  # readers: by node, nonzero cells
+    for i in copies:
+        t = nodes[ends[i] - 1]
+        if t in finals:
+            continue
+        if readers is None:
+            readers = [0] * (one + 1 + len(body))
+            for k in itertools.compress(nodes, coeffs):
+                readers[k] += 1
+        if readers[t] == 1:
+            root, extra = steps[t - one - 1]
+            steps[i] = (root, (*extra, ends[i] - 2))
+            steps[t - one - 1] = None
+    return coeffs, nodes, ends, steps, final
+
+
+def _per_step(form: tuple, width: int, inputs: list[float]) -> tuple:
+    """The per-step loop's ``(tail, steps, row_twice)`` (see
+    ``LoweredBody``) of the single-assignment form ``form``, inputs'
+    bounds ``inputs``.  A folded step runs at its copy's place."""
+    coeffs, nodes, ends, steps, final = form
+    entry = width if None in steps else 0  # where the row is read
+    one = entry + width + len(inputs)  # the slot of 1.0
+    slot = list(range(entry, one + 2, 2))  # by node: each variable on entry, 1.0, each step
+    own = dict(zip(final, range(0, width, 2)))  # each state's last value: its pair
+    starts, loop, fresh = [0, *ends], [], one + 2
+    for node, step in enumerate(steps, len(slot)):
+        if step is None:  # its cells run in its copy's step
+            slot.append(None)
+            continue
+        root, extra = step
+        start, terms = starts[root], []
+        for j in range(start + 1, ends[root]):
+            c, k = float(coeffs[j]), slot[nodes[j]]
+            if c > 0.0:
+                terms.append((c, k, k + 1))
+            elif c < 0.0:
+                terms.append((c, k + 1, k))
+        for j in extra:
+            terms.append((float(coeffs[j]), one, one + 1))
+        slot.append(own.get(node, fresh))
+        fresh += 2 * (slot[-1] == fresh)  # a pair of its own if no state's last value
+        loop.append((slot[-1], float(coeffs[start]), tuple(terms)))
+    return (*inputs, 1.0, 1.0, *[0.0] * (fresh - one - 2)), tuple(loop), entry > 0
+
+
+def _schedule(form: tuple, width: int, inputs: list[float]) -> tuple | None:
+    """The level schedule ``(slots, levels, final, base)`` of the
+    single-assignment form ``form``, inputs' bounds ``inputs``, or None.
+
+    Only read-after-write orders the steps: a step's level is one more
+    than the highest level of the nodes its cells read, and a step that
+    folds copies takes its root's.  ``slots`` is the template of a
+    kernel's work buffer: the state's bounds (zeros here), the inputs', a
+    pair of 1.0, and from ``base`` on the steps' level by level.  A level
+    ``(src, coeff, start, stop)`` writes ``slots[start:stop]``: column
+    ``2j + h`` is bound ``h`` (0 lower, 1 upper) of its ``j``-th step, row
+    ``r`` the step's ``r``-th cell, the upper bound reading the other
+    slot of each pair.  A zero term, and each row past a step's last
+    cell, is ``-0.0`` times 1.0; as ``v + -0.0`` is ``v``, each column's
+    sum, added row by row, is the new bound.  ``final`` indexes the
+    state's bounds.
+    """
+    coeffs, nodes, ends, steps, final = form
+    products = len(nodes)
+    if products < BATCH_MIN_PRODUCTS:
         return None
-    # by kept step: where its row 0 lower bound goes among the cells, its
-    # row stride and its slot; by level: where its cells end, its depth
-    # and width, and where its slots end
+    one = width + len(inputs)  # the slot of 1.0, twice its node
+    base = one // 2 + 1  # the node of step 0
+    level, starts = [0] * base, [0, *ends]  # level by node
+    for start, end in zip(starts, ends):
+        level.append(1 + max(map(level.__getitem__, nodes[start:end])))
+    kept = {i: level[base + step[0]] for i, step in enumerate(steps) if step is not None}
+    if products < LEVEL_MIN_PRODUCTS * len(set(kept.values())):
+        return None
+    order = sorted(kept, key=kept.__getitem__)  # level by level, each in body order
+    cells = [[*range(starts[root], ends[root]), *extra] for root, extra in map(steps.__getitem__, order)]
+    count = list(map(len, cells))
+    # by kept step: where its row 0 lower bound goes, its row stride and
+    # its slot; by level: where its cells end, its depth, width and stop
     col, stride, slot_of, plan = [], [], [], []
-    cells, stop = 0, one + 2
-    for _, group in itertools.groupby(kept, key=level.__getitem__):
-        group = list(group)
-        d, w = 1 + max(map(size.__getitem__, group)), 2 * len(group)
-        col += range(cells, cells + w, 2)
-        stride += [w] * len(group)
+    k, size, stop = 0, 0, one + 2
+    for _, group in itertools.groupby(map(kept.__getitem__, order)):
+        n = len(list(group))
+        d, w = max(count[k : k + n]), 2 * n
+        k += n
+        col += range(size, size + w, 2)
+        stride += [w] * n
         stop += w
         slot_of += range(stop - w, stop, 2)
-        cells += d * w
-        plan.append((cells, d, w, stop))
-    rank = np.zeros(len(size), dtype=np.intp)
-    rank[kept] = np.arange(len(kept))
-    slot = np.arange(0, 2 * len(size), 2)
-    slot[kept] = slot_of
-    col, stride = np.array(col), np.array(stride)
-    cell = [j for j, _, _ in folds]
-    row[cell] = [r for _, r, _ in folds]
-    owner = rank[np.array(into).repeat(count)]
-    pos = col[owner] + row * stride[owner]
+        size += d * w
+        plan.append((size, d, w, stop))
+    slot = np.arange(0, 2 * (base + len(steps)), 2)  # by node
+    slot[base + np.array(order, dtype=np.intp)] = slot_of
+    count = np.array(count, dtype=np.intp)
+    cell = np.fromiter(itertools.chain.from_iterable(cells), np.intp, count.sum())
+    rank = np.arange(len(order)).repeat(count)  # by kept cell
+    row = np.arange(len(cell)) - (count.cumsum() - count)[rank]
+    pos = np.array(col)[rank] + row * np.array(stride)[rank]
+    coeff = np.fromiter(coeffs, float, products)[cell]
+    node = np.fromiter(nodes, np.intp, products)[cell]
     src = slot[node] + (coeff < 0.0)
+    pad = (coeff == 0.0) & (node != base - 1)
     coeff[pad] = -0.0
-    src[pad] = src[cell] = one
-    coeff[cell] = [c for _, _, c in folds]
-    cb, sb = np.full(cells, -0.0), np.full(cells, one)
-    cb[col] = cb[col + 1] = [consts[s] for s in kept]
+    src[pad] = one
+    cb, sb = np.full(size, -0.0), np.full(size, one)
     cb[pos] = cb[pos + 1] = coeff
     sb[pos], sb[pos + 1] = src, src ^ 1
     slots = np.ones(stop)
@@ -283,34 +317,33 @@ def _schedule(body: tuple[Assignment, ...], ids: dict[str, int], width: int,
 class LoweredBody:
     """A loop body as slot arithmetic on a flat list of bounds.
 
-    Variable ``k`` owns slots ``2k`` (lower bound) and ``2k + 1`` (upper
-    bound): the state variables first, in declaration order, so the
-    first ``width`` slots are laid out like ``extraction.bound_row``;
-    then the inputs, whose declared bounds are constant slots; then the
-    temporaries.  A body runs one interpreter.  ``schedule`` is its level
-    schedule, or None for the per-step loop: ``tail`` then holds the
-    inputs' bounds and a placeholder pair per temporary, and ``steps``
-    the assignments, each ``(lo_slot, const, terms)``, writing slots
-    ``lo_slot`` and ``lo_slot + 1``.  Each term ``(coeff, src_for_lo,
-    src_for_hi)`` has its source slots picked by the sign of ``coeff``,
-    and zero coefficients are dropped.  A scheduled body has no ``tail``
-    or ``steps``, and keeps the ``_Kernel`` objects that run its
-    schedule, each on a work buffer of its own, in ``_kernels``: an image
-    takes a free one, or builds one, and gives it back, so two images in
-    flight never share a buffer.  ``composed`` is None, or, for a
-    scheduled body that costs more than one product with its composed
-    map (see ``COMPOSE_LEVEL_PRODUCTS``), that map in bound-row form, for
-    ``linear_image``: ``(table, const)`` with ``table[k, j]`` the
-    coefficient of bound ``k`` in bound ``j`` of the image.
+    ``_assign`` puts the body in single-assignment form, kept in
+    ``_form``, and one interpreter runs it on a flat list of bounds in which each node owns a
+    pair of slots, its lower bound then its upper; the first ``width`` are
+    laid out like ``extraction.bound_row``.  ``schedule`` is the level
+    schedule, or None for the per-step loop on the row, the row again
+    where ``row_twice`` (a copy folds, and so may run after a state's last
+    value is written), and ``tail``: the inputs' bounds, 1.0, 1.0 and a
+    zero pair per other step.  Entry values are read from the last copy
+    of the row, and each state's last value is written to its pair in the
+    first, which is the image.  ``steps`` are ``(lo_slot, const, terms)``
+    writing slots ``lo_slot`` and ``lo_slot + 1``; a term ``(coeff,
+    src_for_lo, src_for_hi)`` has its source slots picked by the sign of
+    ``coeff``, and zero terms are dropped.  A scheduled body keeps the
+    ``_Kernel`` objects that run its schedule, each on a work buffer of
+    its own, in ``_kernels``: an image takes a free one, or builds one,
+    and gives it back.  ``composed`` is None, or, for a scheduled body
+    that costs more than one product with its composed map (see
+    ``COMPOSE_LEVEL_PRODUCTS``), that map for ``linear_image``, ``(table,
+    const)`` with ``table[k, j]`` bound ``k``'s coefficient in bound ``j``.
 
     Neither interpreter knows Bottom: a row that holds it, and every row
     of a body with a Bottom input (which has neither interpreter), goes
     to ``_affine_eval``, which reads the state names, the inputs and the
-    body held in ``_program``.  That is not the Program itself, which
-    holds this body in ``Program.lowered``.
+    body held in ``_program`` (not the Program, which holds this body).
     """
 
-    __slots__ = ("width", "tail", "steps", "schedule", "composed", "_program", "_kernels")
+    __slots__ = ("width", "tail", "steps", "row_twice", "schedule", "composed", "_program", "_form", "_kernels")
 
     def __init__(self, p: Program):
         """Lower ``p``.  Raises ValueError on a non-finite constant or
@@ -326,15 +359,14 @@ class LoweredBody:
         self.width = 2 * len(p.state_vars)
         self._program = (p.state_names, p.input_vars, p.body)
         self._kernels: list[_Kernel] = []
-        self.schedule = _schedule(p.body, ids, self.width, tail)
-        self.tail = self.steps = self.composed = None
-        if self.schedule is None:
-            self._lower_steps(p.body, ids, tail)
+        self.schedule = self.tail = self.steps = self.row_twice = self.composed = None
+        self._form = form = _assign(p.body, ids, len(p.state_vars))
         if any(rng.is_bottom for _, rng in p.input_vars):
-            # lowered all the same, so that a bad body raises here; every
-            # image then takes _affine_eval
-            self.schedule = self.tail = self.steps = None
-        elif (self.schedule is not None and all(map(math.isfinite, tail))
+            return  # every image takes _affine_eval
+        self.schedule = _schedule(form, self.width, tail)
+        if self.schedule is None:
+            self.tail, self.steps, self.row_twice = _per_step(form, self.width, tail)
+        elif (all(map(math.isfinite, tail))
               and self.width**2 < COMPOSE_LEVEL_PRODUCTS * len(self.schedule[1])):
             with np.errstate(all="ignore"):  # a map that overflows is not kept
                 m, c = self.linear()
@@ -344,27 +376,6 @@ class LoweredBody:
                 # sign_j * (c_j + sum over k of m[j, k] * sign_k * bound k)
                 self.composed = ((m * sign).T * sign, c * sign)
 
-    def _lower_steps(self, body: tuple[Assignment, ...], ids: dict[str, int], tail: list[float]) -> None:
-        steps: list[Step] = []
-        isfinite = math.isfinite
-        for a in body:
-            const = _finite(a.const, "constant term")
-            terms: list[tuple[float, int, int]] = []
-            for coeff, var in a.terms:
-                if type(coeff) is not float or not isfinite(coeff):
-                    coeff = _finite(coeff, "coefficient")  # converts, or raises
-                k = ids[var]
-                if coeff > 0.0:
-                    terms.append((coeff, 2 * k, 2 * k + 1))
-                elif coeff < 0.0:
-                    terms.append((coeff, 2 * k + 1, 2 * k))
-            if a.target not in ids:
-                ids[a.target] = len(ids)
-                tail += (0.0, 0.0)
-            steps.append((2 * ids[a.target], const, tuple(terms)))
-        self.tail = tuple(tail)
-        self.steps = tuple(steps)
-
     def linear(self) -> tuple[np.ndarray, np.ndarray]:
         """The body as ``w -> m @ w + c`` with ``m >= 0``, in the
         coordinates ``w = (-lo_1, hi_1, ..., -lo_v, hi_v)`` of a bound row
@@ -372,35 +383,25 @@ class LoweredBody:
         finite.  Raises ValueError on an input with an infinite bound or
         Bottom.
 
-        Composed from the steps: each node (a state's value on entry, an
-        input, the constant 1.0 and each step's value) has one form, a
+        Each node of the single-assignment form ``_form`` has one form, a
         pair of rows, ``-lo`` and ``hi``, of coefficients over ``w`` and
-        1.0.  A step's form sums those of its terms, the constant first as
-        a term over 1.0, each scaled by ``|coeff|`` with the pair swapped
-        where ``coeff < 0``, so that each step is substituted into the
-        later ones.  The sums add the terms in body order with
-        ``np.add.reduce`` along axis 0, so ``m`` and ``c`` depend on
-        neither the NumPy version nor the BLAS build.  Rounding aside,
-        the image of a row ``b`` is ``sign * (m @ (sign * b) + c)``, with
-        ``sign`` -1.0 at each lower bound and 1.0 at each upper one.
+        1.0.  A step's form sums those of its own cells, unfolded, each
+        scaled by ``|coeff|`` with the pair swapped where ``coeff < 0``, in
+        order, with ``np.add.reduce`` along axis 0: ``m`` and ``c`` depend
+        on neither the NumPy version nor the BLAS build.  Rounding aside,
+        the image of a row ``b`` is ``sign * (m @ (sign * b) + c)``,
+        ``sign`` -1.0 at each lower bound, 1.0 at each upper one.
         """
-        names, inputs, body = self._program
-        bounds = [b for _, rng in inputs for b in (-rng.lo, rng.hi)]
+        bounds = [b for _, rng in self._program[1] for b in (-rng.lo, rng.hi)]
         if not all(map(math.isfinite, bounds)):
             raise ValueError("the composed map needs finite input bounds")
+        coeffs, nodes, ends, _, final = self._form
         width = self.width
-        node_of = {name: k for k, name in enumerate((*names, *(name for name, _ in inputs)))}
-        one = len(node_of)
-        forms = np.zeros((2 * (one + 1 + len(body)), width + 1))
+        one = (width + len(bounds)) // 2  # the node of 1.0
+        forms = np.zeros((2 * (one + 1 + len(ends)), width + 1))
         forms[:width, :width] = np.eye(width)
         forms[width : 2 * one, width] = bounds
         forms[2 * one : 2 * one + 2, width] = -1.0, 1.0
-        nodes, coeffs, ends = [], [], []  # by cell; where each step's cells end
-        for s, a in enumerate(body, one + 1):
-            nodes += [one, *(node_of[var] for _, var in a.terms)]
-            coeffs += [a.const, *(c for c, _ in a.terms)]
-            ends.append(len(nodes))
-            node_of[a.target] = s
         coeff = np.array(coeffs)
         src = 2 * np.array(nodes, dtype=np.intp) + (coeff < 0.0)
         pairs = np.stack([src, src ^ 1], 1)  # the rows each cell adds to -lo and to hi
@@ -411,8 +412,9 @@ class LoweredBody:
             table *= scale[start:end]
             _reduce(table, 0, None, forms[2 * s : 2 * s + 2])
             start = end
-        rows = forms[[2 * node_of[name] + h for name in names for h in (0, 1)]]
+        rows = forms[[2 * f + h for f in final for h in (0, 1)]]
         return rows[:, :width], rows[:, width]
+
 
     def linear_image(self, row: np.ndarray) -> np.ndarray:
         """The image of an array row through the composed map, where the
@@ -420,13 +422,12 @@ class LoweredBody:
         or where the row or its image is not finite.
 
         The image is ``const`` plus the rows of ``table * row[:, None]``
-        summed by ``np.add.reduce`` along axis 0, one row at a time in
-        row order, not by ``@``, whose summation order is the BLAS
-        build's.  It differs from ``image`` by a few ulps of the terms'
-        magnitude, so only the plain loop's ascending rows take it.  A row
-        with an infinite bound takes ``image`` before any product, as its
-        product would hold ``0 * inf``, NaN; so does one whose image
-        overflows, after it.  ``image`` also raises on NaN.
+        summed by ``np.add.reduce`` along axis 0 in row order, not by
+        ``@``, whose order is the BLAS build's.  It is a few ulps of the
+        terms' magnitude off ``image``'s, so only the plain loop's
+        ascending rows take it.  A row with an infinite bound takes
+        ``image`` before any product (``0 * inf`` is NaN), and one whose
+        image overflows after it.
         """
         if self.composed is None or not np.isfinite(row).all():
             return self.image(row)
@@ -442,18 +443,17 @@ class LoweredBody:
         given as a list of floats or a float64 array; the image is of the
         same type.
 
-        Each assignment accumulates ``lo += coeff * b[src_for_lo]`` and
-        ``hi += coeff * b[src_for_hi]`` in body order from ``const``,
-        as ``affine_eval`` does, so the row is bit-identical to interval
-        evaluation; the schedule makes the same operations in the same
-        order (see ``_Kernel``), and an array row takes and gives arrays
-        there without a conversion.  The image is always a new row, never
-        a view of a kernel's buffer, so a caller may keep it.  An array
-        row that the schedule cannot take goes through the list path.  A
-        row with a pair ``lo > hi``, which counts as Bottom, and every row
-        of a body with a Bottom input, takes ``_affine_eval``.  No NumPy
-        error state is entered here: a caller that lets a bound overflow
-        holds one.
+        Each step accumulates ``lo += coeff * b[src_for_lo]`` and ``hi +=
+        coeff * b[src_for_hi]`` from ``const``, as ``affine_eval`` does (a
+        folded copy adds its constant last), so the row is bit-identical
+        to interval evaluation; the schedule makes the same operations in
+        the same order (see ``_Kernel``) on an array row, without a
+        conversion.  The image is a new row, never a view of a kernel's
+        buffer.  An array row that the schedule cannot take goes through
+        the list path.  A row with a pair ``lo > hi`` (Bottom), and every
+        row of a body with a Bottom input, takes ``_affine_eval``.  It
+        enters no NumPy error state: one that lets a bound overflow is the
+        caller's.
         """
         if type(row) is not list:
             # count_nonzero costs less than any() on a short mask
@@ -465,7 +465,7 @@ class LoweredBody:
             return self._run(row).tolist()
         if has_bottom or self.steps is None:
             return self._affine_eval(row)
-        b = [*row, *self.tail]
+        b = [*row, *row, *self.tail] if self.row_twice else [*row, *self.tail]
         for lo_slot, const, terms in self.steps:
             lo = hi = const
             for coeff, src_lo, src_hi in terms:
@@ -510,12 +510,10 @@ class _Kernel:
     bounds, multiplies them by the coefficients and sums each column with
     ``np.add.reduce`` along axis 0, straight into its slots.  On a
     C-ordered table at least two columns wide, as every level is, that
-    axis is not contiguous, so NumPy adds one whole row to the running
-    sums at a time, in row order, and does not sum pairwise as it does
-    along a contiguous axis.  The sums start from ``-0.0``, which keeps a
+    axis is not contiguous, so NumPy adds one whole row at a time, in row
+    order, not pairwise.  The sums start from ``-0.0``, which keeps a
     column of ``-0.0`` as ``-0.0``; reduce's own start, ``+0.0``, would
-    not.  The ufuncs take their arguments by position, which costs less
-    than by keyword.
+    not.  The ufuncs take their arguments by position, which costs less.
     """
 
     __slots__ = ("b", "width", "levels", "final", "base")

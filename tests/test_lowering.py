@@ -1,6 +1,7 @@
 """The lowered loop body and the engine's row operations, checked
 against the interval operations they replace."""
 import functools
+import hashlib
 import math
 import operator
 import sys
@@ -582,49 +583,72 @@ def test_copy_of_a_zero_term_step_folds_into_its_constant():
 
 @st.composite
 def scheduled_bodies(draw):
-    """A body in any order, wide enough to be scheduled, a state, and
-    whether the state, an input or nothing holds Bottom.
+    """A body in any order, a state, whether the state, an input or
+    nothing holds Bottom, whether a step overflows to NaN, and whether the
+    body is wide enough to be scheduled.
 
     Each step writes a state, in Gauss-Seidel order, or a temporary, a
     new one or one already written, and reads the latest value of up to
-    40 states, inputs and temporaries, so a temporary can be read after a
-    later write of it.  Some steps also read the step before, which
-    chains them; some copy a temporary, at times twice.  The first step
-    is padded so that the body holds ``BATCH_MIN_PRODUCTS`` products and
-    ``LEVEL_MIN_PRODUCTS`` per step, so it is scheduled whatever its
-    levels unless an input is Bottom.  Bounds and constants include
-    signed zeros and, in some draws, infinite bounds; an unread temporary
-    may overflow to NaN (1e308 times an input, minus the same).
+    40 states, inputs and temporaries (6 below the schedule's cut), so a
+    temporary can be read after a later write of it, or twice.  Some
+    steps also read the step before, which chains them; some copy, at
+    times twice, a temporary, a copy (a copy of a copy) or a state,
+    into a state or a new temporary, with a constant that may be nonzero.
+    A run of Jacobi temporaries and their copies back into states may
+    follow.  A scheduled body's first step is padded so that the body
+    holds ``BATCH_MIN_PRODUCTS`` products and ``LEVEL_MIN_PRODUCTS`` per
+    step, so it is scheduled whatever its levels unless an input is
+    Bottom; any other body stays below ``BATCH_MIN_PRODUCTS`` and runs the
+    per-step loop.  Bounds and constants include signed zeros and, in
+    some draws, infinite bounds; a temporary may overflow to NaN (1e308
+    times an input, minus the same) and be read by no step or only by its
+    copy.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheduled = draw(st.booleans())
     n_states = draw(st.integers(1, 16))
     bottom = draw(st.sampled_from([None, None, None, "state", "input"]))
-    nan = draw(st.sampled_from([False, False, False, True]))
+    nan = draw(st.sampled_from([None, None, None, "unread", "copied"]))
     p_inf = draw(st.sampled_from([0.0, 0.0, 0.02]))
+    most, steps = (40, 30) if scheduled else (6, 20)
     states = [f"x{i}" for i in range(n_states)]
     inputs = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
     scope, temps, body = states + inputs, [], []
-    for i in range(int(rng.integers(2, 30))):
+    for i in range(int(rng.integers(2, steps))):
         if temps and rng.random() < 0.2:
-            t = temps[rng.integers(len(temps))]
+            sources = temps + [name for name in scope if name[0] == "c"] + states
+            t = sources[rng.integers(len(sources))]
             for _ in range(1 + (rng.random() < 0.3)):
                 target = [states[rng.integers(n_states)], f"c{len(body)}"][rng.random() < 0.3]
                 body.append(Assignment(target, wide_const(rng), ((1.0, t),)))
+                scope += [target] * (target not in scope)
         else:
-            terms = [(wide_coeff(rng), scope[rng.integers(len(scope))]) for _ in range(rng.integers(0, 40))]
+            terms = [(wide_coeff(rng), scope[rng.integers(len(scope))]) for _ in range(rng.integers(0, most))]
             if body and rng.random() < 0.3:
                 terms.append((wide_coeff(rng), body[-1].target))
             r = rng.random()
             target = states[i % n_states] if r < 0.4 else temps[rng.integers(len(temps))] if temps and r < 0.6 else f"t{i}"
             body.append(Assignment(target, wide_const(rng), tuple(terms)))
-        if body[-1].target not in scope:
-            scope.append(body[-1].target)
-            temps += [body[-1].target] * (body[-1].target[0] == "t")
-    if nan:
-        body.insert(int(rng.integers(len(body) + 1)), Assignment("d", 0.0, ((1e308, "u0"), (-1e308, "u0"))))
+            if target not in scope:
+                scope.append(target)
+                temps.append(target)
+    if rng.random() < 0.3:  # Jacobi temporaries, then their copies
+        jacobi = states[: int(rng.integers(1, min(n_states, 4) + 1))]
+        for k, x in enumerate(jacobi):
+            reads = [scope[rng.integers(len(scope))] for _ in range(rng.integers(0, 4))]
+            body.append(Assignment(f"j{k}", wide_const(rng), tuple((wide_coeff(rng), v) for v in reads)))
+        body += [Assignment(x, wide_const(rng), ((1.0, f"j{k}"),)) for k, x in enumerate(jacobi)]
+    if nan is not None:
+        at = int(rng.integers(len(body) + 1))
+        body.insert(at, Assignment("d", 0.0, ((1e308, "u0"), (-1e308, "u0"))))
+        if nan == "copied":
+            body.insert(at + 1, Assignment("cd", wide_const(rng), ((1.0, "d"),)))
     products = sum(1 + len(a.terms) for a in body)
-    short = max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * len(body)) - products
-    body[0] = Assignment(body[0].target, body[0].const, body[0].terms + ((1.5, "x0"),) * max(0, short))
+    if scheduled:
+        short = max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * len(body)) - products
+        body[0] = Assignment(body[0].target, body[0].const, body[0].terms + ((1.5, "x0"),) * max(0, short))
+    else:
+        assert products < programs.BATCH_MIN_PRODUCTS
 
     def pick():
         if rng.random() < 0.15:
@@ -632,7 +656,7 @@ def scheduled_bodies(draw):
         return rand_interval(rng, p_bottom=0.0, p_inf=p_inf)
 
     input_vars = [(u, pick()) for u in inputs]
-    if nan:
+    if nan is not None:
         input_vars[0] = ("u0", Interval(2.0, 3.0))
     state = [(x, pick()) for x in states]
     if bottom == "state":
@@ -641,15 +665,17 @@ def scheduled_bodies(draw):
     elif bottom == "input":
         input_vars[-1] = (inputs[-1], BOTTOM)
     p = Program(tuple((x, Interval(0, 1)) for x in states), tuple(input_vars), tuple(body))
-    return p, AbstractState(state), bottom, nan
+    return p, AbstractState(state), bottom, nan, scheduled
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(scheduled_bodies())
 def test_scheduled_bodies_equal_fold_of_affine_eval(case):
-    p, x, bottom, nan = case
+    # and the bodies below the schedule's cut, which the per-step loop runs
+    p, x, bottom, nan, scheduled = case
     lowered = p.lowered
-    assert (lowered.schedule is None) == (bottom == "input")
+    assert (lowered.schedule is not None) == (scheduled and bottom != "input")
+    assert (lowered.steps is not None) == (not scheduled and bottom != "input")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(transfer, p, x)
@@ -658,13 +684,84 @@ def test_scheduled_bodies_equal_fold_of_affine_eval(case):
         widths = {"2 bounds" if stop - start == 2 else "wider"
                   for _, _, start, stop in lowered.schedule[1]}
         event("level widths: " + " and ".join(sorted(widths)))
-    if nan and bottom is None:
+    elif lowered.steps is not None:
+        event("per-step loop, " + ("with" if len(lowered.steps) < len(p.body) else "without") + " folded copies")
+    if nan is not None and bottom is None:
         assert got == "ValueError"
-    # a row with Bottom takes affine_eval: no body builds a second interpreter
-    assert lowered.steps is None
     # an array row has an array image of the same bits, or the same error
     row = p.row_of(x)
     assert image_bits(lowered, np.array(row)) == image_bits(lowered, row)
+
+
+def lowered_by(p, executor):
+    """A fresh lowering of ``p`` that runs ``executor``, "loop" or
+    "kernel", whatever the body's size: the cuts are patched here only."""
+    with pytest.MonkeyPatch.context() as m:
+        if executor == "loop":
+            m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
+        else:
+            m.setattr(programs, "BATCH_MIN_PRODUCTS", 1)
+            m.setattr(programs, "LEVEL_MIN_PRODUCTS", 0)
+        return programs.LoweredBody(p)
+
+
+EXECUTOR_BODIES = st.one_of(
+    programs_and_states(),
+    scheduled_bodies().map(lambda case: case[:2]),
+    jacobi_copy_bodies().map(lambda case: case[1:]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXECUTOR_BODIES, st.integers(0, 2**32 - 1))
+def test_per_step_loop_and_level_kernel_agree(case, seed):
+    # one single-assignment form, two executors: the same bits or the
+    # same error on the state's row, and on rows with signed zeros and
+    # infinite bounds, as lists and as arrays
+    p, x = case
+    loop, kernel = lowered_by(p, "loop"), lowered_by(p, "kernel")
+    if any(iv.is_bottom for _, iv in p.input_vars):
+        assert loop.steps is loop.schedule is kernel.steps is kernel.schedule is None
+    else:
+        assert loop.schedule is None and loop.steps is not None
+        assert kernel.schedule is not None and kernel.steps is None
+    rng = np.random.default_rng(seed)
+    rows = [p.row_of(x)]
+    rows += [bound_row(AbstractState((name, wide_interval(rng)) for name in p.state_names)).tolist()
+             for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in rows:
+            expected = image_bits(loop, row)
+            event("error" if expected == "ValueError" else "image")
+            assert image_bits(kernel, row) == expected
+            assert image_bits(loop, np.array(row)) == image_bits(kernel, np.array(row)) == expected
+
+
+@pytest.mark.parametrize("executor", ["loop", "kernel"])
+def test_folded_copy_adds_its_constant_after_the_sum(executor):
+    # t0 sums to -0.0, and its copy's constant 0.0 makes it +0.0, so the
+    # folded constant is added even when it is zero; t1 keeps its -0.0
+    # through the constant -0.0; 1e16 + 1.0 rounds to 1e16 before the
+    # constant -1e16 cancels it, where -1e16 first would leave 1.0
+    body = (
+        Assignment("t0", -0.0, ()),
+        Assignment("t1", -0.0, ((2.0, "z"),)),
+        Assignment("t2", 1e16, ((1.0, "e"),)),
+        Assignment("x0", 0.0, ((1.0, "t0"),)),
+        Assignment("x1", -0.0, ((1.0, "t1"),)),
+        Assignment("x2", -1e16, ((1.0, "t2"),)),
+    )
+    inputs = (("z", Interval(-0.0, -0.0)), ("e", Interval(1.0, 1.0)))
+    p = Program(tuple((f"x{i}", Interval(0, 1)) for i in range(3)), inputs, body)
+    lowered = lowered_by(p, executor)
+    if executor == "loop":
+        assert len(lowered.steps) == 3
+    else:  # one level of three steps
+        assert [stop - start for _, _, start, stop in lowered.schedule[1]] == [6]
+    out = lowered.image(p.row_of(p.initial_state()))
+    assert [v.hex() for v in out] == [0.0.hex()] * 2 + [(-0.0).hex()] * 2 + [0.0.hex()] * 2
+    assert out == [v for iv in fold_affine_eval(p, p.initial_state()).intervals for v in (iv.lo, iv.hi)]
 
 
 def image_bits(lowered, row):
@@ -1038,9 +1135,11 @@ def linear_bodies(draw):
     and whether the body is scheduled.
 
     The body is a Jacobi body (temporaries, then unit copies back into
-    the states) or a Gauss-Seidel sweep over 1-6 states, after 0-2
-    temporaries that later steps may read, some with a unit copy of
-    their own.  Coefficients, constants and bounds are often 0.0 or
+    the states, whose constants may be nonzero) or a Gauss-Seidel sweep
+    over 1-6 states, after 0-2 temporaries that later steps may read,
+    some with a unit copy of their own and a copy of that copy, all of
+    which fold.  Later steps may also read a folded value through a zero
+    coefficient.  Coefficients, constants and bounds are often 0.0 or
     -0.0.  In half the draws the first step is padded with zero
     coefficients until the body runs the schedule; otherwise it runs the
     per-step loop.
@@ -1051,23 +1150,34 @@ def linear_bodies(draw):
     inputs = [f"u{i}" for i in range(draw(st.integers(0, 3)))]
     scope, body = states + inputs, []
 
+    folded = []  # values read only by their copy
+
     def step(target):
         reads = [scope[k] for k in rng.integers(len(scope), size=rng.integers(0, 2 * n + 2))]
-        body.append(Assignment(target, wide_const(rng), tuple((wide_coeff(rng), var) for var in reads)))
+        terms = [(wide_coeff(rng), var) for var in reads]
+        if folded and rng.random() < 0.3:
+            terms.append(([0.0, -0.0][rng.integers(2)], folded[rng.integers(len(folded))]))
+        body.append(Assignment(target, wide_const(rng), tuple(terms)))
 
     for i in range(rng.integers(0, 3)):
         step(f"s{i}")
         scope.append(f"s{i}")
         if rng.random() < 0.5:
             body.append(Assignment(f"c{i}", wide_const(rng), ((1.0, f"s{i}"),)))
-            scope.append(f"c{i}")
+            folded.append(f"s{i}")
+            copied = f"c{i}"
+            if rng.random() < 0.5:
+                body.append(Assignment(f"cc{i}", wide_const(rng), ((1.0, f"c{i}"),)))
+                folded.append(f"c{i}")
+                copied = f"cc{i}"
+            scope.append(copied)
     if gauss_seidel:
         for x in states:
             step(x)
     else:
         for i in range(n):
             step(f"t{i}")
-        body += [Assignment(x, 0.0, ((1.0, f"t{i}"),)) for i, x in enumerate(states)]
+        body += [Assignment(x, [0.0, wide_const(rng)][rng.integers(2)], ((1.0, f"t{i}"),)) for i, x in enumerate(states)]
     if scheduled:
         short = max(programs.BATCH_MIN_PRODUCTS, programs.LEVEL_MIN_PRODUCTS * len(body))
         short -= sum(1 + len(a.terms) for a in body)
@@ -1128,6 +1238,31 @@ def test_composed_map_is_the_image_in_w(case):
         table, const = lowered.composed
         assert table.tobytes() == (sign[:, None] * m.T * sign).tobytes() and const.tobytes() == (c * sign).tobytes()
         assert (abs(lowered.linear_image(np.array(row)) - image) <= tol).all()
+
+
+# sha256 of composed[0].tobytes() + composed[1].tobytes() for dense
+# Gauss-Seidel sweeps, random_program(seed, n, True) and row_program(seed,
+# n, None, gauss_seidel=True), recorded before the composed map was built
+# from the single-assignment form; None where the body keeps no map
+COMPOSED_TABLES = {
+    ("random_program", 2029, 64): "f949c85fde4be03965e2ca28420fc603b47998268830c03e3c2a911bdc5e8c78",
+    ("random_program", 2030, 128): None,
+    ("random_program", 7, 48): "fad082c7707d3ad927af39c9b70f25053e38419263a245118d2e574b7dec9d77",
+    ("row_program", 3, 64): "10d059e6d186835c3b1382300a06e5d163fefee007c6ebfa9fd56837971d5ff2",
+}
+
+
+@pytest.mark.parametrize("maker, seed, n", COMPOSED_TABLES)
+def test_composed_tables_are_pinned(maker, seed, n):
+    from test_golden import random_program
+
+    if maker == "random_program":
+        text = random_program(seed, n, True)
+    else:
+        text = row_program(seed, n, None, gauss_seidel=True)
+    composed = parse(text).lowered.composed
+    digest = None if composed is None else hashlib.sha256(composed[0].tobytes() + composed[1].tobytes()).hexdigest()
+    assert digest == COMPOSED_TABLES[maker, seed, n]
 
 
 def test_composed_map_needs_finite_inputs():
