@@ -10,10 +10,11 @@
   candidate that verifies is the result (an "injection"), which cuts
   off the remaining convergence tail.  The plain rows are computed up
   to ``FIRST_BLOCK`` at first and ``LOOKAHEAD`` after that at a time,
-  pushed to the transformation as one block and tested for agreement
-  as one block, then taken one iteration at a time (``_accelerate``),
-  so the block sizes change no result.  When the estimates fail, the
-  run falls back to threshold widening.
+  pushed to the transformation (``EstimateStream``), which returns
+  each row's estimate and agreement flag for the block at once, then
+  taken one iteration at a time (``_accelerate``), so the block sizes
+  change no result.  When the estimates fail, the run falls back to
+  threshold widening.
 
 An accel run has two phases: the accel phase (``_accelerate``) and,
 after a fallback, the plain loop (``_iterate``), which kleene and widen
@@ -37,8 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import eq, itemgetter
+from operator import eq
 from typing import Literal, get_args
 
 import numpy as np
@@ -46,7 +46,7 @@ import numpy as np
 from .extraction import bound_row, state_from_row
 from .intervals import INF, NO_THRESHOLDS, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import EstimateStream, Method, _epsilon_table, agreements
+from .transforms import EstimateStream, Method, _epsilon_table
 # not called here; bound because the benchmark tracer wraps these names
 from .extraction import combine_detailed  # noqa: F401
 from .transforms import aitken, converged, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
@@ -415,31 +415,6 @@ def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
     return state_join(x, filled)
 
 
-def _agreements(estimates: list, active: list[int] | None, last: np.ndarray | None,
-                delta: float) -> tuple[list[bool], list[int] | None, np.ndarray | None]:
-    """Whether each estimate of a block, (estimate, positions) pairs from
-    ``EstimateStream``, agrees to ``delta`` with the one before it under
-    the same positions, as ``converged`` would say, with one test per run
-    of equal positions.  The block starts under the positions ``active``
-    with the estimate ``last`` seen last (None for none), and a change of
-    positions restarts the chain.  Returns the flags, then the positions
-    and the estimate seen last after the block."""
-    flags: list[bool] = []
-    for positions, run in groupby(estimates, itemgetter(1)):
-        if positions != active:
-            active, last = positions, None
-        run = [y for y, _ in run]
-        ys = [y for y in run if y is not None]
-        chain = np.array(ys if last is None else [last, *ys])
-        agree = agreements(chain[1:], chain[:-1], delta).tolist() if len(chain) > 1 else []
-        # the first estimate of a chain has none before it
-        agree = iter([False] * (len(ys) - len(agree)) + agree)
-        flags += [y is not None and next(agree) for y in run]
-        if ys:
-            last = ys[-1]
-    return flags, active, last
-
-
 def _step(cfg: EngineConfig, i: int, prev: Row, fx: Row, fallback: ThresholdSet | None,
           same) -> tuple[Row, str]:
     """Iteration ``i`` of the plain loop from ``prev``, whose image is
@@ -505,15 +480,13 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
     ``LOOKAHEAD`` for the others, through the same ``transfer`` and
     ``state_join`` as the plain loop, pushes them to the
     ``EstimateStream`` as one block (the first after the initial row,
-    which waits in ``pending`` for it), tests all their estimates for
-    agreement at once (``_agreements``), and then walks them one
-    iteration at a time.  The stream decides which finite coordinates
-    each estimate covers, and estimates are compared only while those
-    positions stay the same: ``active`` holds them and ``last`` the
-    estimate seen last under them.  A block that stops short of n rows
-    has reached an exact fixpoint, recorded as the iteration after its
-    last row.  Nothing here enters an error state: it runs inside the
-    one ``analyze`` holds.
+    which waits in ``pending`` for it), and then walks them one
+    iteration at a time, each with the estimate the stream laid out
+    over it and whether that estimate agrees, to ``delta``, with the one
+    before it on the same coordinates.  A block that stops short of n
+    rows has reached an exact fixpoint, recorded as the iteration after
+    its last row.  Nothing here enters an error state: it runs inside
+    the one ``analyze`` holds.
 
     Whenever a fresh estimate agrees with the one before it, the state
     joined with the estimate is tried as a verified post-fixpoint
@@ -527,8 +500,7 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
     guaranteeing termination.
     """
     budget = 2 * cfg.fallback_after
-    stream, pending = EstimateStream(cfg.method), [x]
-    active = last = None
+    stream, pending = EstimateStream(cfg.method, cfg.delta), [x]
     i = rejected = 0
     agreed = 0  # the iteration of the newest agreement
     while i < cfg.max_iter:
@@ -545,18 +517,8 @@ def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
             rows.append(row := nxt)
         estimates = stream.push_rows_unguarded(pending + rows)[len(pending):] if rows else []
         pending = []
-        agree, active, last = _agreements(estimates, active, last, cfg.delta)
-        for x, (y, positions), agrees in zip(rows, estimates, agree):
+        for x, (est, agrees) in zip(rows, estimates):
             i += 1
-            est = None
-            if y is not None:
-                est = y.tolist()
-                if len(est) < len(x):  # laid out over the row
-                    laid = [None] * len(x)
-                    for j, v in zip(positions, est):
-                        laid[j] = v
-                    est = laid
-                est = tuple(est)
             if agrees:
                 agreed = i
                 verified = _verify(p, x, _inject(x, est))

@@ -21,14 +21,14 @@ rows in blocks, decides which of their coordinates, the finite ones,
 enter the table, extends it over a whole block column by column, and
 reads the newest valid cell of the deepest even column; its floor is
 the smallest normal float, so that a sequence of any scale forms its
-columns.
+columns.  It also decides whether each estimate agrees with the one
+before it, so the engine reads both from one call.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
@@ -179,24 +179,30 @@ def _carried(
 class EstimateStream:
     """The newest limit estimate of a transformation over a growing
     sequence of bound rows, updated in O(d) per row of d finite
-    coordinates.
+    coordinates, and whether it agrees with the estimate before it.
 
     Rows arrive in blocks of one or more (``push_rows_unguarded``), and
-    the stream returns the estimate after each row of a block.  The
-    table holds the finite coordinates of the rows; a bound may be
-    infinite, but not NaN.  When some coordinates turn infinite, the
-    stream replays the rows since it last started on the others, since a
-    vector cell couples all coordinates.  When one turns finite, which
-    has no finite history, the stream starts over from that row.  A row
-    with no finite coordinate has no estimate.
+    the stream returns the estimate after each row of a block with its
+    agreement flag.  The table holds the finite coordinates of the rows;
+    a bound may be infinite, but not NaN.  When some coordinates turn
+    infinite, the stream replays the rows since it last started on the
+    others, since a vector cell couples all coordinates.  When one turns
+    finite, which has no finite history, the stream starts over from
+    that row.  A row with no finite coordinate has no estimate.
+
+    An estimate agrees when it is within ``delta`` > 0 of the estimate
+    before it on the same coordinates, as ``converged`` says in the
+    default norm; ``agreements`` tests each run of rows with the same
+    finite coordinates at once.  The first estimate after a start or a
+    replay has none before it, and does not agree.
 
     The stream keeps the newest ascending antidiagonal eps_k^(n-k),
     k = 0..min(n, cap), of the epsilon-table, and ``_epsilon_table``
     extends it over each block at once, so the NumPy calls are paid per
-    block, not per row; a block gives exactly the estimates that pushing
-    its rows one at a time gives.  The cap is column 2 for Aitken, whose
-    element y_{n-2} is the cell eps_2^(n-2), and MAX_COLUMN for the
-    epsilon methods.
+    block, not per row; a block gives exactly the estimates and flags
+    that pushing its rows one at a time gives.  The cap is column 2 for
+    Aitken, whose element y_{n-2} is the cell eps_2^(n-2), and
+    MAX_COLUMN for the epsilon methods.
 
     The estimate is the newest valid cell of the deepest live even
     column, eps_2j^(n-2j) for the largest even 2j up to the cap whose
@@ -210,10 +216,13 @@ class EstimateStream:
     stall tolerance is ``TransformConfig``'s default.
     """
 
-    def __init__(self, method: str):
+    def __init__(self, method: str, delta: float):
         if method not in get_args(Method):
             raise ValueError(f"unknown method {method!r}")
+        if not delta > 0:
+            raise ValueError("delta must be positive")
         self.method = method
+        self.delta = delta
         self.tol = TransformConfig().stall_tolerance
         self._columns = 2 if method == "aitken" else MAX_COLUMN
         self._finite: np.ndarray | None = None  # the table's coordinates, as a mask
@@ -237,16 +246,16 @@ class EstimateStream:
 
     def push_rows_unguarded(
         self, rows: Sequence[Sequence[float]]
-    ) -> list[tuple[np.ndarray | None, list[int]]]:
+    ) -> list[tuple[tuple[float | None, ...] | None, bool]]:
         """Append a block of one or more rows; return, after each, the
-        estimate (None while the table holds fewer than three rows, and
-        for a row with no finite coordinate) and the positions of the
-        finite coordinates it covers, a list shared by such rows.
+        estimate laid out over the row, None at each coordinate it does
+        not cover (None as a whole while the table holds fewer than
+        three rows, and for a row with no finite coordinate), and
+        whether it agrees with the estimate before it.
 
         It enters no ``np.errstate``: overflow, invalid operations and
         division by zero must pass silently under the caller's, as they
-        do for a whole ``analyze`` run.  The stream changes no estimate
-        or positions list it returned.
+        do for a whole ``analyze`` run.
         """
         arr = np.array(rows, dtype=float)
         if arr.ndim != 2 or not len(arr):
@@ -259,7 +268,7 @@ class EstimateStream:
             if np.isnan(arr).any():
                 raise ValueError("rows must not contain NaN")
             cuts = (np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1).tolist()
-        out: list[tuple[np.ndarray | None, list[int]]] = []
+        out: list[tuple[tuple[float | None, ...] | None, bool]] = []
         for a, b in zip([0, *cuts], [*cuts, len(arr)]):
             out += self._push_run(arr[a:b], finite[a])
         return out
@@ -267,6 +276,7 @@ class EstimateStream:
     def _push_run(self, rows: np.ndarray, finite: np.ndarray) -> list:
         """``push_rows_unguarded`` on rows whose finite coordinates are
         those of the mask ``finite``."""
+        prior = None  # the estimate the first of the run is tested against
         if self._finite is None or (finite & ~self._finite).any():
             self._restart(finite)  # a coordinate turned finite
         elif (finite != self._finite).any():  # some turned infinite
@@ -274,13 +284,23 @@ class EstimateStream:
             self._restart(finite)
             if self._positions:
                 self._extend(np.concatenate(history))
+        else:
+            prior = self._value
         if not self._positions:
-            return [(None, self._positions)] * len(rows)
-        return list(zip(self._extend(rows), repeat(self._positions)))
+            return [(None, False)] * len(rows)
+        ys = self._extend(rows)
+        chain = ys if prior is None else np.concatenate((prior[None], ys))
+        agree = agreements(chain[1:], chain[:-1], self.delta).tolist()
+        values = ys.tolist()
+        if len(self._positions) < len(finite):  # laid out over the row
+            values = [map(dict(zip(self._positions, v)).get, range(len(finite))) for v in values]
+        laid = [None] * (len(rows) - len(ys)) + [tuple(v) for v in values]
+        return list(zip(laid, [False] * (len(rows) - len(agree)) + agree))
 
-    def _extend(self, rows: np.ndarray) -> list[np.ndarray | None]:
+    def _extend(self, rows: np.ndarray) -> np.ndarray:
         """Extend the table by ``rows``, whole rows finite on its
-        coordinates, and return the estimate after each."""
+        coordinates, and return the estimates after those of them that
+        have one, the last rows, as the rows of an array."""
         self._rows.append(rows)
         if len(self._positions) < len(self._finite):
             rows = rows[:, self._finite]
@@ -293,11 +313,10 @@ class EstimateStream:
             self._cur, rows, self.tol, _TINY, self._columns, vector
         )
         self._cur = table[:depth, -1].copy()
-        out: list[np.ndarray | None] = [None] * missing
-        out.extend(est[missing:])
-        if out[-1] is not None:
-            self._value = out[-1]
-        return out
+        est = est[missing:]
+        if len(est):
+            self._value = est[-1]
+        return est
 
     def estimate(self) -> np.ndarray | None:
         """The newest estimate, over the finite coordinates of the newest

@@ -2,6 +2,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import fixaccel
 from fixaccel import EngineConfig, TransformConfig, analyze, bundled_path, load_bundled
 from fixaccel.bundled import PROGRAM_NAMES
-from fixaccel.cli import _trace_csv, build_parser, main
+from fixaccel.cli import _METHOD_ALIASES, _trace_csv, build_parser, main
 from fixaccel.engine import IterationTrace
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
@@ -34,6 +35,12 @@ FILTER3 = str(bundled_path("filter3.loop"))
 LOWPASS1 = str(bundled_path("lowpass1.loop"))
 ITERATES = str(bundled_path("lowpass2_iterates.csv"))
 OVERFLOWING_CSV = "a,b\n1.7e308,1\n-1.7e308,2\n1.7e308,2.5\n-1.6e308,2.75\n1.5e308,2.875\n"
+# x_hi overflows to inf mid-run, while y converges to [0, 2.5]
+OVERFLOWING_LOOP = """state x in [0, 1e300];
+state y in [0, 1];
+input u in [-1, 1];
+loop { x = 10*x + 1; y = 0.5*y + 0.25*u + 1; }
+"""
 
 
 class TestAnalyze:
@@ -574,22 +581,38 @@ def test_trace_csv_of_a_program_without_states():
 class TestTraceReplay:
     def test_exported_trace_reproduces_engine_estimates(self, capsys, tmp_path):
         """Feeding the rows of an exported trace to an ``EstimateStream``
-        yields the exact estimates the engine computed along the way."""
-        trace = tmp_path / "trace.csv"
-        run(capsys, "analyze", FILTER3, "--trace", str(trace))
-        trows = list(csv.DictReader(trace.read_text().splitlines()))
-        names = [f"{var}_{side}" for var in ("x1", "x2", "x3") for side in ("lo", "hi")]
-        stream = EstimateStream("vector-epsilon")
-        checked = 0
-        for row in trows:
-            if row["event"] == "injection":
-                break
-            stream.push([float(row[k]) for k in names])
-            if row["accel_x1_lo"]:
-                estimate = ["%.17g" % v for v in stream.estimate()]
-                assert [row[f"accel_{k}"] for k in names] == estimate
-                checked += 6
-        assert checked >= 24
+        yields the exact estimates the engine computed along the way,
+        laid out over the row: every ``accel_*`` cell, blanks included.
+        On the overflowing program x_hi turns infinite mid-run, so that
+        vector-epsilon's estimates leave it blank from then on."""
+        overflow = tmp_path / "overflow.loop"
+        overflow.write_text(OVERFLOWING_LOOP)
+        trace, report = tmp_path / "trace.csv", tmp_path / "report.json"
+        for path, method in itertools.product([FILTER3, overflow], ["aitken", "epsilon", "vea"]):
+            code, _, _ = run(capsys, "analyze", str(path), "--method", method,
+                             "--trace", str(trace), "--report", str(report))
+            assert code == 0
+            trows = list(csv.DictReader(trace.read_text().splitlines()))
+            names = list(trows[0])[1:-1]
+            bounds, accel = names[: len(names) // 2], names[len(names) // 2:]
+            stream = EstimateStream(_METHOD_ALIASES.get(method, method), EngineConfig().delta)
+            checked = partial = 0
+            for row in trows:
+                if row["event"] == "injection":
+                    break
+                # a block gives the estimates its rows give one at a time;
+                # the stream enters no error state, and the engine's ignores all
+                with np.errstate(all="ignore"):
+                    [(est, _)] = stream.push_rows_unguarded([[float(row[k]) for k in bounds]])
+                cells = ["" if v is None else "%.17g" % v for v in est or [None] * len(accel)]
+                assert [row[k] for k in accel] == cells
+                checked += est is not None
+                partial += est is not None and None in est
+            assert checked >= 2 and row["event"] == "injection"
+            if path == overflow:
+                y = json.loads(report.read_text())["invariant"]["y"]
+                assert abs(y["lower"]) < 5e-9 and abs(y["upper"] - 2.5) < 5e-9
+                assert (partial > 0) == (method == "vea")
 
     def test_widen_trace_with_infinite_bounds_exits_one(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -14,7 +14,6 @@ from fixaccel import (
     ThresholdSet,
     analyze,
     bundled_source,
-    converged,
     load_bundled,
     parse,
     state_leq,
@@ -770,66 +769,6 @@ def test_exact_fixpoint_at_every_offset_from_a_block_boundary(monkeypatch, lengt
     assert [_run_record(p, cfg) for cfg in cfgs] == blocks
 
 
-def _agreements_row_by_row(estimates, active, last, delta):
-    """``engine._agreements`` as a walk over the rows, each estimate
-    tested against the one before it by ``converged``."""
-    flags = []
-    for y, positions in estimates:
-        if positions != active:
-            active, last = positions, None
-        agrees = False
-        if y is not None:
-            prior, last = last, y
-            agrees = prior is not None and converged(y, prior, delta)
-        flags.append(agrees)
-    return flags, active, last
-
-
-# entries on both sides of the agreement test: ±0.0, the ends of a
-# change of exactly delta * max(1, |y|) for delta 0.5 (0.5 from 0.0,
-# 2.0 from 1.0) and 1.0, huge, infinite and NaN entries, and any float
-AGREEMENT_ENTRIES = st.sampled_from(
-    [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, -2.0, 1.0 + 1e-6, 1e300, -1e300, math.inf, -math.inf, math.nan]
-) | st.floats(width=64)
-
-
-@st.composite
-def estimate_blocks(draw):
-    """(estimates, active, last, delta, cut): the (estimate, positions)
-    pairs of a stream, in runs of one positions list each (consecutive
-    runs may hold equal lists), None estimates among them; the positions
-    and estimate an earlier block left; and where to cut the estimates
-    into two blocks."""
-    def estimate(width):
-        return st.none() | st.lists(AGREEMENT_ENTRIES, min_size=width, max_size=width).map(np.array)
-
-    estimates = []
-    for _ in range(draw(st.integers(1, 3))):
-        start, width = draw(st.integers(0, 1)), draw(st.integers(1, 3))
-        positions = list(range(start, start + width))
-        estimates += [(y, positions) for y in draw(st.lists(estimate(width), min_size=1, max_size=5))]
-    first = estimates[0][1]
-    active = draw(st.sampled_from([None, first, list(first), [*first, len(first)]]))
-    last = None if active is None else draw(estimate(len(active)))
-    delta = draw(st.sampled_from([1e-6, 0.5, 1.0]) | st.floats(1e-300, 1e300))
-    return estimates, active, last, delta, draw(st.integers(0, len(estimates)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(estimate_blocks())
-def test_block_agreements_are_converged_row_by_row(block):
-    estimates, active, last, delta, cut = block
-    with np.errstate(all="ignore"):
-        flags, want_active, want_last = _agreements_row_by_row(estimates, active, last, delta)
-        got = engine._agreements(estimates, active, last, delta)
-        # the same estimates in two blocks: the first row of the second
-        # is tested against the last estimate of the first
-        head, active, last = engine._agreements(estimates[:cut], active, last, delta)
-        tail, active, last = engine._agreements(estimates[cut:], active, last, delta)
-    assert got[:2] == (flags, want_active) and got[2] is want_last
-    assert head + tail == flags and active == want_active and last is want_last
-
-
 # runs whose traces hold each kind of row and event: the program, the
 # config, the type of the rows and an event the run must record
 COLUMN_RUNS = {
@@ -1151,7 +1090,7 @@ def test_stream_methods_stay_silent_on_overflow_and_division_by_zero(method):
     # squares past the float range (Aitken's numerator, the vector
     # method's norms); column 2 moves by 5e-324, whose inverse overflows
     rows = [[1.0, 1e300, 0.0], [1.0, -1e300, 5e-324]] * 3
-    stream = EstimateStream(method)
+    stream = EstimateStream(method, 1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for row in rows:

@@ -1,6 +1,7 @@
 """Aitken delta-squared, the epsilon-algorithm, and stall handling."""
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fixaccel import (
     load_bundled,
     vector_epsilon_diagonal,
 )
-from fixaccel.transforms import MAX_COLUMN, EstimateStream, _norms_and_inverses, seq_norm
+from fixaccel.transforms import MAX_COLUMN, EstimateStream, _norms_and_inverses, agreements, seq_norm
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 TINY = np.finfo(float).tiny  # the smallest normal float
@@ -513,14 +514,31 @@ def expected_stream(method, rows):
     return out
 
 
-def replay(method, rows, sizes):
+def laid_bits(est):
+    """A laid-out estimate as the bytes of each coordinate, None where
+    it covers none, or None for no estimate."""
+    return None if est is None else [v if v is None else struct.pack("d", v) for v in est]
+
+
+def laid_out(y, positions, width):
+    """``expected_stream``'s estimate ``y`` placed at its ``positions``
+    in a row of ``width`` coordinates, None elsewhere."""
+    if y is None:
+        return None
+    laid = [None] * width
+    for j, v in zip(positions, y.tolist()):
+        laid[j] = v
+    return laid
+
+
+def replay(method, rows, sizes, delta=1e-6):
     """Push ``rows`` through ``push_rows_unguarded`` in blocks whose
-    sizes cycle through ``sizes``.  Every estimate and positions list a
-    block returns, and ``estimate()`` and ``count`` after each block,
-    must equal those of the full table on the rows fed so far, bit for
-    bit."""
+    sizes cycle through ``sizes``, and return the (estimate, flag) pairs.
+    Every estimate a block returns, laid out over the row, and
+    ``estimate()`` and ``count`` after each block, must equal those of
+    the full table on the rows fed so far, bit for bit."""
     want = expected_stream(method, rows)
-    stream = EstimateStream(method)
+    stream = EstimateStream(method, delta)
     got = []
     size = itertools.cycle(sizes)
     # tier-1 makes a warning fail, and the stream enters no error state
@@ -533,9 +551,10 @@ def replay(method, rows, sizes):
             y, _, count = want[len(got) - 1]
             assert bits(stream.estimate()) == bits(y)
             assert stream.count == count
-    assert [(bits(y), positions) for y, positions in got] == [
-        (bits(y), positions) for y, positions, _ in want
+    assert [laid_bits(est) for est, _ in got] == [
+        laid_bits(laid_out(y, positions, len(row))) for (y, positions, _), row in zip(want, rows)
     ]
+    return got
 
 
 block_sizes = st.lists(st.integers(1, 24), min_size=1, max_size=6)
@@ -605,13 +624,72 @@ def test_stream_equals_full_table_on_long_wide_runs(method, rows, sizes):
         replay(method, rows, sizes)
 
 
+def walked_flags(want, delta):
+    """The agreement flag after each row of ``expected_stream``'s
+    ``want``: each estimate tested by ``converged`` against the one
+    before it under the same positions, the first estimate after a
+    change of positions, a restart or a replay, against none."""
+    flags, active, prior = [], None, None
+    for y, positions, _ in want:
+        if positions != active:
+            active, prior = positions, None
+        agrees = False
+        if y is not None:
+            agrees = prior is not None and converged(y, prior, delta)
+            prior = y
+        flags.append(agrees)
+    return flags
+
+
+DELTAS = st.sampled_from([1e-6, 1e-3, 0.5, 1.0]) | st.floats(1e-300, 1e300)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=150, deadline=None)
+@given(rows=stream_cases() | long_stream_cases(), sizes=block_sizes, delta=DELTAS)
+# the stalled rows are their own estimates, and the last moves by
+# exactly delta * max(1, |y|): a tie agrees
+@example(rows=[np.array([0.0])] * 3 + [np.array([0.5])], sizes=[1], delta=0.5)
+# the finite coordinate moves within one block, which restarts the
+# table, and the same three values estimate the same limit there: no
+# agreement across the restart
+@example(rows=[np.array([v, math.inf]) for v in (1.0, 1.5, 1.75)]
+         + [np.array([-math.inf, v]) for v in (1.0, 1.5, 1.75)], sizes=[6], delta=1e-6)
+def test_stream_flags_agreement_as_converged_does_row_by_row(method, rows, sizes, delta):
+    got = replay(method, rows, sizes, delta)
+    with np.errstate(all="ignore"):
+        want = walked_flags(expected_stream(method, rows), delta)
+    assert [agrees for _, agrees in got] == want
+
+
+# entries on both sides of the agreement test: ±0.0, the ends of a
+# change of exactly delta * max(1, |y|) for delta 0.5 (0.5 from 0.0,
+# 2.0 from 1.0) and 1.0, huge, infinite and NaN entries, and any float
+AGREEMENT_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, -2.0, 1.0 + 1e-6, 1e300, -1e300, math.inf, -math.inf, math.nan]
+) | st.floats(width=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_agreements_are_converged_row_by_row(data):
+    width, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    block = st.lists(AGREEMENT_ENTRIES, min_size=width * m, max_size=width * m)
+    ys, priors = (np.array(data.draw(block)).reshape(m, width) for _ in range(2))
+    delta = data.draw(st.sampled_from([1e-6, 0.5, 1.0]) | st.floats(1e-300, 1e300))
+    with np.errstate(all="ignore"):
+        got = agreements(ys, priors, delta)
+        want = [converged(y, p, delta) for y, p in zip(ys, priors)]
+    assert got.dtype == bool and got.tolist() == want
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_stream_follows_lowpass1_stall(method):
     # lowpass1's Kleene bounds are exactly geometric after row 0, so the
     # epsilon tables stall; the stream must follow the table's stalls
     _, trace = analyze(load_bundled("lowpass1"), EngineConfig(mode="kleene"))
     rows = [np.array(r.row) for r in trace.records[:40]]
-    stream = EstimateStream(method)
+    stream = EstimateStream(method, 1e-6)
     for i, row in enumerate(rows):
         stream.push(row)
         assert bits(stream.estimate()) == bits(newest_cell(method, rows[: i + 1]))
@@ -624,7 +702,7 @@ def test_newest_cell_leaves_the_transient_behind(method):
     # once the column's cells have moved past it
     x = 2.0 + 1.5 * 0.9 ** np.arange(30.0) + 0.7 * 0.5 ** np.arange(30.0)
     x[0] += 5.0
-    stream = EstimateStream(method)
+    stream = EstimateStream(method, 1e-6)
     for v in x:
         stream.push([v, -v])
     tip = epsilon_diagonal(x)[-1].value
@@ -637,14 +715,14 @@ def test_newest_cell_leaves_the_transient_behind(method):
 def test_stall_rule_is_scale_invariant(method, scale):
     # scale * (2 - 0.5**k) is geometric at every scale, so its column 2
     # forms from three rows and holds the limit 2 * scale
-    stream = EstimateStream(method)
+    stream = EstimateStream(method, 1e-6)
     for k in range(3):
         stream.push([scale * (2.0 - 0.5**k), -scale])
     assert stream.estimate()[0] == pytest.approx(2.0 * scale, rel=1e-12, abs=0.0)
 
 
 def test_stream_keeps_at_most_max_column_plus_one_cells():
-    stream = EstimateStream("epsilon")
+    stream = EstimateStream("epsilon", 1e-6)
     for v in np.random.default_rng(5).normal(size=(40, 3)):
         stream.push(v)
         assert len(stream._cur) <= MAX_COLUMN + 1
@@ -653,7 +731,7 @@ def test_stream_keeps_at_most_max_column_plus_one_cells():
 
 def test_vector_stream_of_dimension_one_takes_the_scalar_rule():
     x = 2.0 + 1.5 * 0.6 ** np.arange(9.0)
-    vec, sca = EstimateStream("vector-epsilon"), EstimateStream("epsilon")
+    vec, sca = EstimateStream("vector-epsilon", 1e-6), EstimateStream("epsilon", 1e-6)
     for v in x:
         vec.push([v])
         sca.push([v])
@@ -662,8 +740,11 @@ def test_vector_stream_of_dimension_one_takes_the_scalar_rule():
 
 def test_stream_rejects_bad_input():
     with pytest.raises(ValueError):
-        EstimateStream("richardson")
-    s = EstimateStream("epsilon")
+        EstimateStream("richardson", 1e-6)
+    for delta in (0.0, -1e-6, math.nan):  # as EngineConfig rejects it
+        with pytest.raises(ValueError, match="delta"):
+            EstimateStream("epsilon", delta)
+    s = EstimateStream("epsilon", 1e-6)
     with pytest.raises(ValueError):
         s.push([1.0, math.nan])
     s.push([1.0, 2.0])
@@ -673,11 +754,10 @@ def test_stream_rejects_bad_input():
         s.push([[1.0, 2.0]])
     # an infinite bound is accepted and gets no estimate, and a row
     # without a finite bound gets none at all
-    s = EstimateStream("epsilon")
+    s = EstimateStream("epsilon", 1e-6)
     got = s.push_rows_unguarded([[v, math.inf] for v in (1.0, 1.5, 1.75)] + [[-math.inf, math.inf]])
-    assert [positions for _, positions in got] == [[0], [0], [0], []]
-    assert got[2][0].tolist() == [2.0]
-    assert got[3][0] is None and s.estimate() is None
+    assert got == [(None, False), (None, False), ((2.0, None), False), (None, False)]
+    assert s.estimate() is None
 
 
 class TestConverged:
