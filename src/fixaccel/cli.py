@@ -123,7 +123,7 @@ def _trace_csv(trace: IterationTrace) -> str:
     # of a record without an estimate
     bounds = "%d," + "%.17g," * (2 * len(names))
     plain = bounds + "," * (2 * len(names)) + "%s"
-    lines = [",".join(header), plain % (0, *bound_row(trace.initial).tolist(), "initial")]
+    lines = [",".join(header), plain % (0, *bound_row(trace.initial), "initial")]
     for index, (row, est, event) in enumerate(zip(trace.rows, trace.estimates, trace.events), 1):
         if type(row) is not tuple:
             row = row.tolist()

@@ -46,7 +46,7 @@ import numpy as np
 from .extraction import bound_row, state_from_row
 from .intervals import INF, NO_THRESHOLDS, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import EstimateStream, Method, _epsilon_table
+from .transforms import STALL_TOLERANCE, EstimateStream, Method, _epsilon_table
 # not called here; bound because the benchmark tracer wraps these names
 from .extraction import combine_detailed  # noqa: F401
 from .transforms import aitken, converged, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
@@ -171,10 +171,10 @@ class FixpointReport:
 
 
 # The loop carries the state as a bound row laid out like
-# ``extraction.bound_row``, (lo_1, hi_1, ..., lo_v, hi_v), with a Bottom
-# component as (inf, -inf): a float64 array in the plain loop on a body
-# with a level schedule, whose rows are wide, and a list of floats
-# otherwise, where NumPy's per-call cost would exceed the work (see
+# ``extraction.bound_row``'s list, [lo_1, hi_1, ..., lo_v, hi_v], with a
+# Bottom component as (inf, -inf): that list itself, except in the plain
+# loop on a body with a level schedule, whose rows are wide and carried
+# as float64 arrays, where NumPy's per-call cost is paid back (see
 # ``_iterate``).  The row operations below compute exactly what their
 # interval counterparts in ``intervals`` and ``programs`` compute, on
 # either type, and carry the same names, under which the benchmark's
@@ -359,7 +359,8 @@ def _finish(p: Program, x0: list[float], rows: list) -> list[float] | None:
     finite in every row; the others keep the last row's values."""
     rows = np.array([x0, *rows[-FINISH_ROWS:]][-FINISH_ROWS:])
     finite = np.isfinite(rows).all(axis=0)
-    tip = _epsilon_table(None, rows[:, finite], 1e-12, 1e-12, len(rows) - 1, True)[2][-1]
+    tol = STALL_TOLERANCE
+    tip = _epsilon_table(None, rows[:, finite], tol, tol, len(rows) - 1, True)[2][-1]
     if not np.isfinite(tip).all():
         return None
     rows[-1, finite] = tip
@@ -542,7 +543,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
-    x0 = bound_row(initial).tolist()
+    x0 = bound_row(initial)
     p.lowered  # lowered here, so that no traced transfer's time holds the lowering
     # one error state for the loops, the finish and the check: a bound may
     # overflow to inf, and the estimators divide by zero and make NaN

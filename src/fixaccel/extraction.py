@@ -57,17 +57,14 @@ class ExtractionSchema:
         return len(self.coords)
 
 
-def bound_row(x: AbstractState) -> np.ndarray:
-    """State bounds as a flat (lo, hi, lo, hi, ...) coordinate row.
+def bound_row(x: AbstractState) -> list[float]:
+    """State bounds as a flat [lo, hi, lo, hi, ...] list of floats, the
+    row every caller reads.
 
     Infinite bounds stay in the row as they are; a Bottom component
     gives the pair (inf, -inf).
     """
-    row = np.empty(2 * len(x))
-    for j, iv in enumerate(x.intervals):
-        row[2 * j] = iv.lo
-        row[2 * j + 1] = iv.hi
-    return row
+    return [b for iv in x.intervals for b in (iv.lo, iv.hi)]
 
 
 def state_from_row(names: Sequence[str], row: Sequence[float]) -> AbstractState:
@@ -98,7 +95,7 @@ def extract(x: AbstractState, schema: ExtractionSchema) -> ExtractionResult:
         raise ValueError(
             f"state variables {x.names} do not match schema {schema.variables}"
         )
-    row = bound_row(x)
+    row = np.array(bound_row(x))
     finite = np.isfinite(row)
     excluded = frozenset(
         coord for coord, ok in zip(schema.coords, finite) if not ok
@@ -112,7 +109,12 @@ def combine_detailed(
     schema: ExtractionSchema,
 ) -> tuple[AbstractState, frozenset[str]]:
     """Rebuild an abstract state from a vector, also reporting which
-    variables had their (inverted) bound pair swapped."""
+    variables had their (inverted) bound pair swapped.
+
+    The vector fills the schema's row in order, skipping the excluded
+    coordinates, which take -inf (a lower bound) or inf (an upper one);
+    each pair with lo > hi is swapped, and the row is read back by
+    ``state_from_row``."""
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1:
         raise ValueError("combine expects a flat coordinate vector")
@@ -124,23 +126,14 @@ def combine_detailed(
             f"vector has {len(arr)} coordinates, schema minus excluded "
             f"requires {expected}"
         )
-    pos = 0
-    items: list[tuple[str, Interval]] = []
-    swapped: set[str] = set()
-    for j in range(0, schema.dimension, 2):
-        name = schema.coords[j][0]
-        if schema.coords[j] in excluded:
-            lo = -math.inf
-        else:
-            lo = float(arr[pos])
-            pos += 1
-        if schema.coords[j + 1] in excluded:
-            hi = math.inf
-        else:
-            hi = float(arr[pos])
-            pos += 1
-        if lo > hi:
-            lo, hi = hi, lo
-            swapped.add(name)
-        items.append((name, Interval(lo, hi)))
-    return AbstractState(items), frozenset(swapped)
+    values = iter(arr.tolist())
+    row = [
+        next(values) if c not in excluded else -math.inf if c[1] == "lower" else math.inf
+        for c in schema.coords
+    ]
+    swapped = set()
+    for j in range(0, len(row), 2):
+        if row[j] > row[j + 1]:
+            row[j], row[j + 1] = row[j + 1], row[j]
+            swapped.add(schema.coords[j][0])
+    return state_from_row(schema.variables, row), frozenset(swapped)

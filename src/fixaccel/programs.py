@@ -141,7 +141,7 @@ class Program:
             raise ValueError(
                 f"state variables {x.names} do not match program {self.state_names}"
             )
-        return bound_row(x).tolist()
+        return bound_row(x)
 
 
 # A body is scheduled when it holds BATCH_MIN_PRODUCTS products (terms,

@@ -41,6 +41,9 @@ MAX_COLUMN = 8
 # A denominator under the smallest normal float stalls whatever the scale
 # of its element: its inverse would overflow.
 _TINY = sys.float_info.min
+# The relative stall tolerance of the engine's estimator and finish, and
+# TransformConfig's default.
+STALL_TOLERANCE = 1e-12
 
 Method = Literal["aitken", "epsilon", "vector-epsilon"]
 Norm = Literal["infinity", "euclidean"]
@@ -64,7 +67,7 @@ class TransformConfig:
     functions, and so ``fixaccel accelerate``, take any.
     """
 
-    stall_tolerance: float = 1e-12
+    stall_tolerance: float = STALL_TOLERANCE
     norm: Norm = "infinity"
 
     def __post_init__(self) -> None:
@@ -213,7 +216,7 @@ class EstimateStream:
     of the first rows behind.
 
     Every method has an estimate once the table holds three rows.  The
-    stall tolerance is ``TransformConfig``'s default.
+    stall tolerance is STALL_TOLERANCE.
     """
 
     def __init__(self, method: str, delta: float):
@@ -223,7 +226,6 @@ class EstimateStream:
             raise ValueError("delta must be positive")
         self.method = method
         self.delta = delta
-        self.tol = TransformConfig().stall_tolerance
         self._columns = 2 if method == "aitken" else MAX_COLUMN
         self._finite: np.ndarray | None = None  # the table's coordinates, as a mask
         self.count = 0  # the rows in the table
@@ -310,7 +312,7 @@ class EstimateStream:
         # rows of dimension 1 take the scalar rule
         vector = self.method == "vector-epsilon" and rows.shape[1] != 1
         table, _, est, depth = _epsilon_table(
-            self._cur, rows, self.tol, _TINY, self._columns, vector
+            self._cur, rows, STALL_TOLERANCE, _TINY, self._columns, vector
         )
         self._cur = table[:depth, -1].copy()
         est = est[missing:]
@@ -423,24 +425,17 @@ def _norms_and_inverses(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 def seq_norm(v: Sequence[float], cfg: TransformConfig = TransformConfig()) -> float:
     """The configured vector norm (infinity or euclidean).
 
-    The Euclidean norm is sqrt(v . v) where v . v is a normal float (or
-    NaN); where it underflowed or overflowed, v is first scaled, exactly,
-    by the power of two that puts its largest entry in [0.5, 1) in
-    magnitude, as in ``_norms_and_inverses``, so that neither happens.
+    The Euclidean norm is the one the vector stall test takes, from
+    ``_norms_and_inverses``, which neither overflows nor underflows.
     """
     arr = np.asarray(v, dtype=float)
     if not arr.size:
         return 0.0
     if cfg.norm == "infinity":
         return float(np.abs(arr).max())
+    row = arr.reshape(1, -1)
     with np.errstate(over="ignore", under="ignore"):
-        vv = float(np.dot(arr, arr))
-        if not (vv < _TINY or vv == math.inf):
-            return math.sqrt(vv)
-        # e = 0, which changes nothing, for zeros and for an infinity
-        e = int(np.frexp(np.abs(arr).max())[1])
-        s = np.ldexp(arr, -e)
-        return float(np.ldexp(math.sqrt(float(np.dot(s, s))), e))
+        return float(_norms_and_inverses(row, row[:0])[0, 0])
 
 
 def converged(

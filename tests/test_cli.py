@@ -515,7 +515,7 @@ def trace_csv_per_cell(trace):
         cells.append(event)
         return ",".join(cells)
 
-    lines.append(row(0, bound_row(trace.initial).tolist(), None, "initial"))
+    lines.append(row(0, bound_row(trace.initial), None, "initial"))
     for rec in trace.records:
         lines.append(row(rec.index, rec.row, rec.accel, rec.event))
     return "\n".join(lines) + "\n"

@@ -442,7 +442,7 @@ def test_a_failed_finish_reports_the_stopped_row(monkeypatch, capsys, tmp_path, 
     report, trace = analyze(p, EngineConfig(mode="kleene"))
     assert (report.reason, trace.reason) == ("converged-tolerance", "converged-tolerance")
     assert report.converged and not report.sound
-    assert bound_row(report.invariant).tolist() == list(trace.rows[-1])
+    assert bound_row(report.invariant) == list(trace.rows[-1])
     assert all(math.isfinite(b) for b in trace.rows[-1])
     prog = tmp_path / "filter3.loop"
     prog.write_text(bundled_source("filter3"))
@@ -869,7 +869,7 @@ def list_kleene(p, cfg):
             return "converged-tolerance"
         return None
 
-    x0 = x = bound_row(p.initial_state()).tolist()
+    x0 = x = bound_row(p.initial_state())
     rows = []
     for i in range(1, cfg.max_iter + 1):
         prev = x

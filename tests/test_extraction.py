@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fixaccel import (
     BOTTOM,
@@ -14,6 +16,7 @@ from fixaccel import (
     extract,
     state_leq,
 )
+from fixaccel.extraction import bound_row, state_from_row
 
 
 def schema2():
@@ -151,3 +154,81 @@ class TestCombine:
             w[j] += -abs(rng.normal()) if j % 2 == 0 else abs(rng.normal())
             y = combine_detailed(w, frozenset(), s)[0]
             assert state_leq(x, y)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# finite bounds of every size, signed zeros and infinities
+BOUNDS = st.one_of(FINITE, st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+@st.composite
+def states(draw):
+    """A state of 1 to 6 components, each BOTTOM or [lo, hi] with lo <=
+    hi drawn from BOUNDS ([0.0, -0.0] and [inf, inf] included)."""
+    items = []
+    for j in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            iv = BOTTOM
+        else:
+            a, b = draw(BOUNDS), draw(BOUNDS)
+            iv = Interval(*((b, a) if a > b else (a, b)))
+        items.append((f"v{j}", iv))
+    return AbstractState(items)
+
+
+def hexes(row):
+    return [float.hex(v) for v in row]
+
+
+def filled_array(x):
+    """The bound row as a float64 array filled element by element."""
+    row = np.empty(2 * len(x))
+    for j, iv in enumerate(x.intervals):
+        row[2 * j] = iv.lo
+        row[2 * j + 1] = iv.hi
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+def test_bound_row_is_a_list_and_state_from_row_its_inverse(x):
+    row = bound_row(x)
+    assert type(row) is list and all(type(b) is float for b in row)
+    assert hexes(row) == hexes(filled_array(x).tolist())
+    y = state_from_row(x.names, row)
+    assert y.names == x.names and hexes(bound_row(y)) == hexes(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+def test_combine_of_extract_restores_each_excluded_bound_as_its_infinity(x):
+    # x itself, bit for bit, when each infinite bound of x is on its own
+    # side; a BOTTOM or an [inf, inf] component comes back as its pair of
+    # excluded coordinates, [-inf, inf]
+    s = ExtractionSchema.for_variables(x.names)
+    r = extract(x, s)
+    y, swapped = combine_detailed(r.vector, r.excluded, s)
+    row = bound_row(x)
+    expected = [v if math.isfinite(v) else -math.inf if j % 2 == 0 else math.inf for j, v in enumerate(row)]
+    event(f"x restored: {hexes(expected) == hexes(row)}")
+    assert hexes(bound_row(y)) == hexes(expected)
+    assert y.names == x.names and swapped == frozenset()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=6), st.data())
+def test_combine_swaps_exactly_the_inverted_pairs(pairs, data):
+    s = ExtractionSchema.for_variables([f"v{j}" for j in range(len(pairs))])
+    excluded = data.draw(st.frozensets(st.sampled_from(s.coords)))
+    flat = [v for pair in pairs for v in pair]
+    y, swapped = combine_detailed([v for v, c in zip(flat, s.coords) if c not in excluded], excluded, s)
+    expected, inverted = [], set()
+    for j, name in enumerate(s.variables):
+        lo = -math.inf if s.coords[2 * j] in excluded else flat[2 * j]
+        hi = math.inf if s.coords[2 * j + 1] in excluded else flat[2 * j + 1]
+        if lo > hi:
+            lo, hi = hi, lo
+            inverted.add(name)
+        expected += [lo, hi]
+    assert swapped == inverted
+    assert hexes(bound_row(y)) == hexes(expected)

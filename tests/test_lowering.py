@@ -160,8 +160,8 @@ def per_interval(op, a, b, *extra):
 def row_types(a, b):
     """Two states as bound rows: lists of floats, then read-only float64
     arrays, as the engine's loop carries them."""
-    yield bound_row(a).tolist(), bound_row(b).tolist()
-    ra, rb = bound_row(a), bound_row(b)
+    yield bound_row(a), bound_row(b)
+    ra, rb = np.array(bound_row(a)), np.array(bound_row(b))
     ra.flags.writeable = rb.flags.writeable = False
     yield ra, rb
 
@@ -251,13 +251,13 @@ def wide_row_states(draw):
 @given(wide_row_states())
 def test_list_join_and_inclusion_equal_the_interval_operations(case):
     names, a, b = case
-    x, y = bound_row(a).tolist(), bound_row(b).tolist()
+    x, y = bound_row(a), bound_row(b)
     event(f"inclusion: {engine.state_leq(x, y)}")
     for u, v, rows in ((a, b, (x, y)), (b, a, (y, x))):
         assert row_bits(names, engine.state_join(*rows), list) == bits(per_interval(join, u, v))
         assert engine.state_leq(*rows) == all(leq(s, t) for s, t in zip(u.intervals, v.intervals))
     assert engine.state_leq(x, engine.state_join(x, y))
-    assert x == bound_row(a).tolist() and y == bound_row(b).tolist()  # neither row is written
+    assert x == bound_row(a) and y == bound_row(b)  # neither row is written
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,7 +269,7 @@ def test_list_inflate_moves_each_bound_outward_by_its_magnitude(case):
         (name, Interval(iv.lo * (down if iv.lo > 0.0 else up), iv.hi * (up if iv.hi > 0.0 else down)))
         for name, iv in a
     )
-    assert row_bits(names, engine._inflate(bound_row(a).tolist()), list) == bits(expected)
+    assert row_bits(names, engine._inflate(bound_row(a)), list) == bits(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,10 +278,10 @@ def test_list_stop_test_on_wide_rows(case, tol):
     # the rows of a growing run, one whose bounds moved by ulps only, and
     # one whose zero bounds moved by exactly ``tol``
     _, a, b = case
-    x = bound_row(a).tolist()
+    x = bound_row(a)
     near = [v if math.isinf(v) else v + 2.0**-30 * abs(v) for v in x]
     by_tol = [v + tol if v == 0.0 else v for v in x]
-    for prev, row in ((x, engine.state_join(x, bound_row(b).tolist())), (x, near), (x, by_tol), (x, list(x))):
+    for prev, row in ((x, engine.state_join(x, bound_row(b))), (x, near), (x, by_tol), (x, list(x))):
         with np.errstate(all="ignore"):  # inf - inf
             assert engine._stop_lists(prev, row, tol) == stop_reason_before(prev, row, tol)
 
@@ -436,7 +436,7 @@ def interval_inject(names, x, y):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_row_inject_equals_interval_join(seed, n):
     names, a, b, _ = rows_and_states(seed, n)
-    x = bound_row(a).tolist()
+    x = bound_row(a)
     rng = np.random.default_rng(seed)
     # an estimate near the row: ties, signed-zero ties (-v of a zero
     # bound) and inverted pairs included
@@ -727,7 +727,7 @@ def test_per_step_loop_and_level_kernel_agree(case, seed):
         assert kernel.schedule is not None and kernel.steps is None
     rng = np.random.default_rng(seed)
     rows = [p.row_of(x)]
-    rows += [bound_row(AbstractState((name, wide_interval(rng)) for name in p.state_names)).tolist()
+    rows += [bound_row(AbstractState((name, wide_interval(rng)) for name in p.state_names))
              for _ in range(3)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -827,7 +827,7 @@ def bottom_rows(draw):
         input_vars[-1] = (inputs[-1], BOTTOM)
     else:
         bottom_input = False
-    row = bound_row(AbstractState((x, wide_interval(rng)) for x in states)).tolist()
+    row = bound_row(AbstractState((x, wide_interval(rng)) for x in states))
     for j in {k, *rng.choice(n_states, int(rng.integers(0, n_states)))}:
         row[2 * j : 2 * j + 2] = BOTTOM_PAIRS[rng.integers(len(BOTTOM_PAIRS))]
     p = Program(tuple((x, Interval(0, 1)) for x in states), tuple(input_vars), tuple(body))

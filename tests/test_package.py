@@ -1,5 +1,6 @@
 """The public namespace and the demo scripts run as shipped, every
-import is used, and a Program needs no cycle collector."""
+import is used, no call reaches BLAS, and a Program needs no cycle
+collector."""
 import ast
 import gc
 import os
@@ -76,6 +77,43 @@ def unused_imports(path):
 
 def test_every_import_is_used():
     assert [u for path in MODULES for u in unused_imports(path)] == []
+
+
+# numpy's names that reach BLAS: a result that went through one of them
+# could depend on the BLAS build
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def blas_uses(path):
+    """Where ``path`` applies the ``@`` operator, or reads or imports
+    one of BLAS_NAMES (``np.dot``, ``arr.dot``, ``np.linalg.norm``,
+    ``from numpy import dot`` ...)."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            uses.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {node.module.split(".")[-1], *(alias.name for alias in node.names)}
+            uses += [(node.lineno, f"import {name}") for name in names & BLAS_NAMES]
+    return [f"{path.name}:{line}: {use}" for line, use in sorted(uses)]
+
+
+def test_no_blas_call():
+    assert [u for path in MODULES for u in blas_uses(path)] == []
+
+
+def test_blas_uses_sees_each_spelling(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import numpy as np\nfrom numpy import inner\nfrom numpy.linalg import norm\n"
+        "a = np.dot(x, x)\nb = x.dot(x)\nc = x @ x\nc @= x\nd = np.linalg.norm(x)\ne = np.add(x, x)\n"
+    )
+    assert blas_uses(path) == [
+        "m.py:2: import inner", "m.py:3: import linalg", "m.py:4: .dot", "m.py:5: .dot",
+        "m.py:6: @", "m.py:7: @", "m.py:8: .linalg",
+    ]
 
 
 @pytest.mark.parametrize(

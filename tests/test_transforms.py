@@ -792,12 +792,23 @@ class TestConverged:
         assert seq_norm([scale, scale], cfg) == pytest.approx(math.sqrt(2) * scale, rel=1e-15)
         assert seq_norm([-scale], cfg) == seq_norm([scale], TransformConfig()) == scale
 
-    def test_euclidean_norm_of_normal_squares_is_sqrt_of_dot(self):
-        v = np.random.default_rng(3).normal(size=(14, 7)) * 10.0 ** np.arange(-140, 140, 20)[:, None]
+    def test_euclidean_norm_is_the_stall_tests_norm(self):
+        # bit for bit the norm the vector epsilon table takes of the row
+        rng = np.random.default_rng(3)
+        rows = [
+            rng.normal(size=n) * scale
+            for n in (1, 2, 7, 100)
+            for scale in 10.0 ** np.arange(-300, 301, 50)
+        ]
+        rows += [[0.0], [0.0, -0.0], [math.inf, 1.0], [1.0, -math.inf], [math.nan, 1e-300],
+                 [math.inf, math.nan], [1.7e308, 1.7e308], [5e-324], [1e-320, -3e-310]]
         cfg = TransformConfig(norm="euclidean")
-        for row in v:
-            assert seq_norm(row, cfg) == math.sqrt(np.dot(row, row))
-        assert seq_norm([0.0, -0.0], cfg) == seq_norm([], cfg) == 0.0
+        for row in rows:
+            v = np.array(row, dtype=float)[None]
+            with np.errstate(over="ignore"):
+                expected = _norms_and_inverses(v, v[:0])[0, 0]
+            assert np.float64(seq_norm(row, cfg)).tobytes() == expected.tobytes(), row
+        assert seq_norm([], cfg) == 0.0
         assert seq_norm([math.inf, 1.0], cfg) == math.inf
         assert math.isnan(seq_norm([math.nan, 1e-300], cfg))
         assert seq_norm([1.7e308, 1.7e308], cfg) == math.inf
