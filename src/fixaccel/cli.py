@@ -308,20 +308,16 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
     # differences of finite data may overflow; the elements then hold inf
     # or NaN silently, as ``analyze`` holds one error state per analysis
     with np.errstate(all="ignore"):
+        # the elements of each column; the vector method's cover them all
         if method == "vector-epsilon":
-            elements = vector_epsilon_diagonal(data, tf)
-            values = [np.asarray(e.value, dtype=float) for e in elements]
-            stalled = [1 if e.stalled else 0 for e in elements]
+            per_column = [vector_epsilon_diagonal(data, tf)]
         else:
             transform = aitken if method == "aitken" else epsilon_diagonal
             per_column = [transform(data[:, c], tf) for c in range(data.shape[1])]
-            count = len(per_column[0])
-            values = [
-                np.array([col[i].value for col in per_column]) for i in range(count)
-            ]
-            stalled = [
-                sum(1 for col in per_column if col[i].stalled) for i in range(count)
-            ]
+        # one row per index: the columns' values side by side, and how
+        # many of them stalled
+        values = list(np.column_stack([[e.value for e in col] for col in per_column]))
+        stalled = [sum(e.stalled for e in elements) for elements in zip(*per_column)]
 
         agree = None
         for i in range(1, len(values)):

@@ -23,38 +23,29 @@ Coord = tuple[str, str]  # (variable name, "lower" | "upper")
 
 @dataclass(frozen=True)
 class ExtractionSchema:
-    """Fixed coordinate layout for one analysis run."""
+    """Fixed coordinate layout for one analysis run: its variables'
+    names, each giving the coordinates (name, "lower"), (name, "upper")
+    in ``bound_row``'s order."""
 
-    coords: tuple[Coord, ...]
+    variables: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) % 2 != 0:
-            raise ValueError("schema must pair lower and upper coordinates")
-        for j in range(0, len(self.coords), 2):
-            (v1, k1), (v2, k2) = self.coords[j], self.coords[j + 1]
-            if v1 != v2 or k1 != "lower" or k2 != "upper":
-                raise ValueError(
-                    "schema coordinates must come as (var, lower), (var, upper) pairs"
-                )
-        names = [v for v, _ in self.coords[::2]]
-        if len(set(names)) != len(names):
+        if isinstance(self.variables, str) or not all(isinstance(v, str) for v in self.variables):
+            raise ValueError("schema variables must be a sequence of names")
+        if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable in extraction schema")
 
     @classmethod
     def for_variables(cls, names: Sequence[str]) -> "ExtractionSchema":
-        coords: list[Coord] = []
-        for name in names:
-            coords.append((name, "lower"))
-            coords.append((name, "upper"))
-        return cls(tuple(coords))
+        return cls(tuple(names))
 
     @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.coords[::2])
+    def coords(self) -> tuple[Coord, ...]:
+        return tuple((v, k) for v in self.variables for k in ("lower", "upper"))
 
     @property
     def dimension(self) -> int:
-        return len(self.coords)
+        return 2 * len(self.variables)
 
 
 def bound_row(x: AbstractState) -> list[float]:
@@ -135,5 +126,5 @@ def combine_detailed(
     for j in range(0, len(row), 2):
         if row[j] > row[j + 1]:
             row[j], row[j + 1] = row[j + 1], row[j]
-            swapped.add(schema.coords[j][0])
+            swapped.add(schema.variables[j // 2])
     return state_from_row(schema.variables, row), frozenset(swapped)

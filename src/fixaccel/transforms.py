@@ -61,10 +61,10 @@ class TransformConfig:
     method), and the smallest normal float in ``EstimateStream``.
 
     The engine's estimator has the defaults as fixed values:
-    ``EstimateStream`` stalls at the default ``stall_tolerance``, and the
-    engine tests agreement by ``agreements``, ``converged`` in the
-    default ``norm`` on a block of rows at once.  The one-shot
-    functions, and so ``fixaccel accelerate``, take any.
+    ``EstimateStream`` stalls at the default ``stall_tolerance`` and
+    decides agreement by ``agreements``, ``converged`` in the default
+    ``norm`` on a block of rows at once.  The one-shot functions, and so
+    ``fixaccel accelerate``, take any.
     """
 
     stall_tolerance: float = STALL_TOLERANCE
@@ -140,14 +140,12 @@ def vector_epsilon_diagonal(
     norm falls under the stall tolerance.  Dimension-1 input takes the
     scalar rule, so the two agree bit-for-bit.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _as_clean_array(x, "input sequence")
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(
             "vector_epsilon_diagonal needs a nonempty sequence of "
             "equal-dimension vectors"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input sequence must contain only finite values")
     return [
         TransformedElement(tip.copy(), stalled)
         for tip, stalled in _carried(arr, cfg.stall_tolerance, arr.shape[1] != 1, _tips(len(arr)))
@@ -184,9 +182,9 @@ class EstimateStream:
     sequence of bound rows, updated in O(d) per row of d finite
     coordinates, and whether it agrees with the estimate before it.
 
-    Rows arrive in blocks of one or more (``push_rows_unguarded``), and
-    the stream returns the estimate after each row of a block with its
-    agreement flag.  The table holds the finite coordinates of the rows;
+    Rows arrive only in blocks of one or more (``push_rows_unguarded``),
+    and the stream returns the estimate after each row of a block with
+    its agreement flag.  The table holds the finite coordinates of the rows;
     a bound may be infinite, but not NaN.  When some coordinates turn
     infinite, the stream replays the rows since it last started on the
     others, since a vector cell couples all coordinates.  When one turns
@@ -203,7 +201,7 @@ class EstimateStream:
     k = 0..min(n, cap), of the epsilon-table, and ``_epsilon_table``
     extends it over each block at once, so the NumPy calls are paid per
     block, not per row; a block gives exactly the estimates and flags
-    that pushing its rows one at a time gives.  The cap is column 2 for
+    that its rows give pushed as blocks of one.  The cap is column 2 for
     Aitken, whose element y_{n-2} is the cell eps_2^(n-2), and
     MAX_COLUMN for the epsilon methods.
 
@@ -239,12 +237,6 @@ class EstimateStream:
         self._rows: list[np.ndarray] = []  # the blocks in the table, whole, for a replay
         self._finite = finite
         self._positions: list[int] = np.flatnonzero(finite).tolist()
-
-    def push(self, row: Sequence[float]) -> None:
-        """Append one row of values, infinite or finite, one per
-        coordinate."""
-        with np.errstate(all="ignore"):
-            self.push_rows_unguarded([row])
 
     def push_rows_unguarded(
         self, rows: Sequence[Sequence[float]]
@@ -319,11 +311,6 @@ class EstimateStream:
         if len(est):
             self._value = est[-1]
         return est
-
-    def estimate(self) -> np.ndarray | None:
-        """The newest estimate, over the finite coordinates of the newest
-        row, or None before it has one."""
-        return None if self._value is None else self._value.copy()
 
 
 def _epsilon_table(

@@ -22,7 +22,7 @@ from fixaccel.cli import _METHOD_ALIASES, _trace_csv, build_parser, main
 from fixaccel.engine import IterationTrace
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
-from test_golden import gaussian_program
+from test_golden import OVERFLOWING_CSV, gaussian_program
 
 
 def run(capsys, *argv):
@@ -34,7 +34,6 @@ def run(capsys, *argv):
 FILTER3 = str(bundled_path("filter3.loop"))
 LOWPASS1 = str(bundled_path("lowpass1.loop"))
 ITERATES = str(bundled_path("lowpass2_iterates.csv"))
-OVERFLOWING_CSV = "a,b\n1.7e308,1\n-1.7e308,2\n1.7e308,2.5\n-1.6e308,2.75\n1.5e308,2.875\n"
 # x_hi overflows to inf mid-run, while y converges to [0, 2.5]
 OVERFLOWING_LOOP = """state x in [0, 1e300];
 state y in [0, 1];

@@ -44,6 +44,8 @@ class TestSchema:
             ExtractionSchema((("a", "upper"), ("a", "lower")))
         with pytest.raises(ValueError):
             ExtractionSchema.for_variables(("a", "a"))
+        with pytest.raises(ValueError):
+            ExtractionSchema("ab")
 
 
 class TestExtract:

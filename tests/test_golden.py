@@ -35,7 +35,7 @@ import random
 
 import pytest
 
-from fixaccel import EngineConfig, analyze, bundled_source, load_bundled, parse
+from fixaccel import EngineConfig, analyze, bundled_path, bundled_source, load_bundled, parse
 from fixaccel.cli import main
 
 CONFIGS = {
@@ -133,6 +133,80 @@ def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, program, co
     capsys.readouterr()
     got = (_sha(tmp_path / "t.csv"), _sha(tmp_path / "r.json"))
     assert got == GOLDEN_FILES[program, config]
+
+
+# finite data whose differences overflow
+OVERFLOWING_CSV = "a,b\n1.7e308,1\n-1.7e308,2\n1.7e308,2.5\n-1.6e308,2.75\n1.5e308,2.875\n"
+
+# (data, method, norm) -> (sha256 of the stdout of ``fixaccel accelerate``,
+# sha256 of its --output CSV), for the bundled lowpass2 iterates and for
+# OVERFLOWING_CSV, recorded before the command laid out the elements of
+# every method in one pass
+GOLDEN_ACCELERATE = {
+    ('lowpass2', 'aitken', 'infinity'): (
+        '1868678893475c5643ed7d4717dfe550b2ce62af236584d126103a9787f36bb2',
+        '35dc75694f9ca91d9dc955b1f7eb4278db6e1daa573ee2c885e161a9b95136ab',
+    ),
+    ('lowpass2', 'aitken', 'euclidean'): (
+        '1868678893475c5643ed7d4717dfe550b2ce62af236584d126103a9787f36bb2',
+        '35dc75694f9ca91d9dc955b1f7eb4278db6e1daa573ee2c885e161a9b95136ab',
+    ),
+    ('lowpass2', 'epsilon', 'infinity'): (
+        'e1334e7d061ebc5f06330e43b8794a5a11b5f8ef4e58c775bb6189c4fbae432c',
+        'd8693ce475a6ec2753af6ba76af4e1a819d71609f55020fe1bc3fbc45a9b9611',
+    ),
+    ('lowpass2', 'epsilon', 'euclidean'): (
+        'e1334e7d061ebc5f06330e43b8794a5a11b5f8ef4e58c775bb6189c4fbae432c',
+        'd8693ce475a6ec2753af6ba76af4e1a819d71609f55020fe1bc3fbc45a9b9611',
+    ),
+    ('lowpass2', 'vea', 'infinity'): (
+        'e6f100289c2182a785741584e84829507cb0778985ffc96e1053ce48c7ea1e89',
+        'a84d2835c88198fbb4763ed46c31303ea586e55457f6bbf0bab7b40a8e2ee5ff',
+    ),
+    ('lowpass2', 'vea', 'euclidean'): (
+        'e6f100289c2182a785741584e84829507cb0778985ffc96e1053ce48c7ea1e89',
+        'a84d2835c88198fbb4763ed46c31303ea586e55457f6bbf0bab7b40a8e2ee5ff',
+    ),
+    ('overflow', 'aitken', 'infinity'): (
+        'd50c5536156a1f0207565dd4d5ca80d561583627dc351cb813615a5de82a12c3',
+        '0af841de64d03f3d6b1ad869f5336b1d9ff166dd7375fe561cf65139034b4bc3',
+    ),
+    ('overflow', 'aitken', 'euclidean'): (
+        'd50c5536156a1f0207565dd4d5ca80d561583627dc351cb813615a5de82a12c3',
+        '0af841de64d03f3d6b1ad869f5336b1d9ff166dd7375fe561cf65139034b4bc3',
+    ),
+    ('overflow', 'epsilon', 'infinity'): (
+        '0dd5842435181825da637aa2cee6e7ffbd952cb9ab6dbaee0e042a48aa895bfe',
+        '294b8881c2cde8bfb8205c16de0bde052edb452d1104a2c19b5252aa2cfa3624',
+    ),
+    ('overflow', 'epsilon', 'euclidean'): (
+        '0dd5842435181825da637aa2cee6e7ffbd952cb9ab6dbaee0e042a48aa895bfe',
+        '294b8881c2cde8bfb8205c16de0bde052edb452d1104a2c19b5252aa2cfa3624',
+    ),
+    ('overflow', 'vea', 'infinity'): (
+        'a58950e2ec72d09bd35fbae048fcc456ca0e341c98e82b3a45ea8b17dd8592b9',
+        'ee4344ec77f56c9d1eed7a2555c98a7631a89894b25b2fd870356635c97867c2',
+    ),
+    ('overflow', 'vea', 'euclidean'): (
+        'a58950e2ec72d09bd35fbae048fcc456ca0e341c98e82b3a45ea8b17dd8592b9',
+        'ee4344ec77f56c9d1eed7a2555c98a7631a89894b25b2fd870356635c97867c2',
+    ),
+}
+
+
+@pytest.mark.parametrize("data", ["lowpass2", "overflow"])
+@pytest.mark.parametrize("method", ["aitken", "epsilon", "vea"])
+@pytest.mark.parametrize("norm", ["infinity", "euclidean"])
+def test_accelerate_output_is_byte_identical(tmp_path, capsys, data, method, norm):
+    path = bundled_path("lowpass2_iterates.csv")
+    if data == "overflow":
+        path = tmp_path / "overflow.csv"
+        path.write_text(OVERFLOWING_CSV)
+    out = tmp_path / "elements.csv"
+    code = main(["accelerate", str(path), "--method", method, "--norm", norm, "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert (hashlib.sha256(stdout.encode()).hexdigest(), _sha(out)) == GOLDEN_ACCELERATE[data, method, norm]
 
 
 def random_program(seed: int, n: int, gauss_seidel: bool) -> str:
