@@ -11,12 +11,16 @@ Two subcommands:
 
 All emitted numbers carry 17 significant digits, so outputs are
 byte-identical across runs.  Infinities print bare (``inf``/``-inf``)
-in CSV and as quoted strings in JSON.  A trace exported by ``analyze``
-can be fed straight back into ``accelerate``: its ``index``/``event``/
-``accel_*`` columns are ignored on read, and the row at index 0 holds
-the initial state, so the transform sees exactly the rows the engine
-saw.  Only finite data cells are accepted: a trace holding an infinite
-bound (as widening can produce) is rejected as unusable input.
+in CSV and as quoted strings in JSON.  Each output file is laid out as
+one text, a CSV with one ``%`` format per line and the report from one
+template, and written as its UTF-8 bytes in one pass; a text that
+cannot be encoded (a report naming a non-UTF-8 path) leaves no file.
+A trace exported by ``analyze`` can be fed straight back into
+``accelerate``: its ``index``/``event``/``accel_*`` columns are ignored
+on read, and the row at index 0 holds the initial state, so the
+transform sees exactly the rows the engine saw.  Only finite data cells
+are accepted: a trace holding an infinite bound (as widening can
+produce) is rejected as unusable input.
 
 Exit status: 0 for a converged, verified analysis (and for any
 successful acceleration), 2 when the analysis did not converge or the
@@ -68,39 +72,45 @@ def _fmt(v: float) -> str:
 _json_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _json(value, indent: int = 0) -> str:
-    """Serialize to JSON with 17-significant-digit floats.
-
-    The standard serializer renders floats in shortest-round-trip form
-    and rejects infinities, so the few shapes we emit are handled here:
-    floats go through ``_fmt`` (non-finite ones as quoted strings) and
-    dict keys, which are names, keep insertion order.  String values go
-    through the standard encoder, which escapes control characters.
-    """
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_json(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json(v, indent + 1)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+def _json_scalar(value) -> str:
+    """One value of the report: a float through ``_fmt`` (a non-finite one
+    quoted), a string through the standard encoder, which escapes control
+    characters, ``null``/``true``/``false``, an integer, and the config
+    block's thresholds as an indented list."""
+    if isinstance(value, float):
+        return _fmt(value) if math.isfinite(value) else '"' + _fmt(value) + '"'
     if isinstance(value, str):
         return _json_str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt(value) if np.isfinite(value) else '"' + _fmt(value) + '"'
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, ThresholdSet):
+        cells = ",\n      ".join(map(_json_scalar, value.values))
+        return "[\n      " + cells + "\n    ]" if cells else "[]"
+    return str(value)
+
+
+# the report's fixed shape: one _BOUNDS pair per state variable, then the
+# config block, which ends on TransformConfig's defaults (_TRANSFORM_CONFIG)
+_REPORT = """{
+  "program": %s,
+  "invariant": {
+%s
+  },
+  "iterations": %d,
+  "injections": %d,
+  "converged": %s,
+  "sound": %s,
+  "reason": %s,
+  "config": {
+%s%s
+  }
+}
+"""
+_BOUNDS = '    "%s": {\n      "lower": %s,\n      "upper": %s\n    }'
+_TRANSFORM_CONFIG = "".join(',\n    "%s": %s' % (k, _json_scalar(v))
+                            for k, v in asdict(TransformConfig()).items())
+# how _write opens a file; O_BINARY: no newline translation where the platform has it
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 def _trace_csv(trace: IterationTrace) -> str:
@@ -112,54 +122,39 @@ def _trace_csv(trace: IterationTrace) -> str:
     iteration), and the step event.
     """
     names = trace.variables
-    header = ["index"]
-    for n in names:
-        header += [f"{n}_lo", f"{n}_hi"]
-    for n in names:
-        header += [f"accel_{n}_lo", f"accel_{n}_hi"]
-    header.append("event")
+    header = ["index", *(f"{pre}{n}_{end}" for pre in ("", "accel_") for n in names
+                         for end in ("lo", "hi")), "event"]
     # one format per row, built once: the index and each bound as
-    # ``_fmt`` writes it, then the blank estimate cells and the event
-    # of a record without an estimate
+    # ``_fmt`` writes it, then the estimate cells (blank, or all of them
+    # as ``_fmt`` writes them) and the event
     bounds = "%d," + "%.17g," * (2 * len(names))
     plain = bounds + "," * (2 * len(names)) + "%s"
+    full = bounds + "%.17g," * (2 * len(names)) + "%s"
     lines = [",".join(header), plain % (0, *bound_row(trace.initial), "initial")]
     for index, (row, est, event) in enumerate(zip(trace.rows, trace.estimates, trace.events), 1):
         if type(row) is not tuple:
             row = row.tolist()
         if est is None:
             lines.append(plain % (index, *row, event))
-        else:
+        elif None in est:  # a bound without an estimate leaves its cell blank
             cells = ["" if v is None else _fmt(v) for v in est]
-            cells.append(event)
-            lines.append(bounds % (index, *row) + ",".join(cells))
+            lines.append(bounds % (index, *row) + ",".join(cells) + "," + event)
+        else:
+            lines.append(full % (index, *row, *est, event))
     return "\n".join(lines) + "\n"
 
 
-def _report_json(
-    report: FixpointReport, cfg: EngineConfig, program: str
-) -> str:
-    """The JSON report.  Its ``config`` block holds the fields of ``cfg``
-    in declaration order, then the estimator's fixed stall tolerance and
-    agreement norm (``TransformConfig``'s defaults)."""
-    invariant = {
-        name: {"lower": iv.lo, "upper": iv.hi}
-        for name, iv in report.invariant
-    }
-    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    if cfg.thresholds is not None:
-        config["thresholds"] = list(cfg.thresholds.values)
-    doc = {
-        "program": program,
-        "invariant": invariant,
-        "iterations": report.iterations,
-        "injections": report.injections,
-        "converged": report.converged,
-        "sound": report.sound,
-        "reason": report.reason,
-        "config": config | asdict(TransformConfig()),
-    }
-    return _json(doc) + "\n"
+def _report_json(report: FixpointReport, cfg: EngineConfig, program: str) -> str:
+    """The JSON report.  Its ``config`` block holds the fields of ``cfg`` in
+    declaration order, then the estimator's fixed values (_TRANSFORM_CONFIG)."""
+    invariant = (_BOUNDS % (name, _json_scalar(iv.lo), _json_scalar(iv.hi))
+                 for name, iv in report.invariant)
+    config = (f'    "{f.name}": {_json_scalar(getattr(cfg, f.name))}' for f in fields(cfg))
+    return _REPORT % (
+        _json_str(program), ",\n".join(invariant), report.iterations, report.injections,
+        _json_scalar(report.converged), _json_scalar(report.sound),
+        _json_str(report.reason), ",\n".join(config), _TRANSFORM_CONFIG,
+    )
 
 
 def _parse_thresholds(text: str) -> ThresholdSet:
@@ -171,10 +166,17 @@ def _parse_thresholds(text: str) -> ThresholdSet:
 
 
 def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; on failure report it and return False."""
+    """Write ``text`` to ``path`` as UTF-8, encoded before the file is
+    opened; on failure report it and return False."""
     try:
-        Path(path).write_text(text)
-    except (OSError, UnicodeEncodeError) as exc:  # also text naming a non-UTF-8 path
+        data = memoryview(text.encode())
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
     return True
@@ -319,11 +321,8 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
         values = list(np.column_stack([[e.value for e in col] for col in per_column]))
         stalled = [sum(e.stalled for e in elements) for elements in zip(*per_column)]
 
-        agree = None
-        for i in range(1, len(values)):
-            if seq_norm(values[i] - values[i - 1], tf) <= args.delta:
-                agree = i
-                break
+        agree = next((i for i in range(1, len(values))
+                      if seq_norm(values[i] - values[i - 1], tf) <= args.delta), None)
 
     print(f"elements: {len(values)}")
     print(f"stalled elements: {sum(1 for s in stalled if s)}")
@@ -341,9 +340,9 @@ def cmd_accelerate(args: argparse.Namespace) -> int:
 def _elements_csv(names: list[str], values: list[np.ndarray], stalled: list[int]) -> str:
     """The transformed elements as CSV: index, one column per name, and
     the stalled count."""
-    lines = [",".join(["index"] + names + ["stalled"])]
-    for i, (vals, st) in enumerate(zip(values, stalled)):
-        lines.append(",".join([str(i)] + [_fmt(v) for v in vals] + [str(st)]))
+    line = "%d," + "%.17g," * len(names) + "%d"  # one format, each value as _fmt writes it
+    lines = [",".join(["index", *names, "stalled"])]
+    lines += [line % (i, *vals.tolist(), st) for i, (vals, st) in enumerate(zip(values, stalled))]
     return "\n".join(lines) + "\n"
 
 

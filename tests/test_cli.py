@@ -276,7 +276,8 @@ class TestAnalyze:
 
     def test_exit_one_when_report_names_a_non_utf8_path(self, capsys, tmp_path):
         # the byte 0xff of the file name decodes to the lone surrogate
-        # U+DCFF, which the report's UTF-8 text cannot hold
+        # U+DCFF, which the report's UTF-8 text cannot hold; the text is
+        # encoded before the file is opened, so none is left behind
         program = tmp_path / os.fsdecode(b"bad\xff.loop")
         program.write_text(Path(FILTER3).read_text())
         report = tmp_path / "r.json"
@@ -285,6 +286,7 @@ class TestAnalyze:
         assert err.startswith(f"error: cannot write {report}: ")
         assert "surrogates not allowed" in err
         assert out == ""
+        assert not report.exists()
 
     def test_exit_one_on_bad_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

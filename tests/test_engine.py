@@ -622,6 +622,33 @@ def test_default_budget_keeps_the_bounds_of_a_sweep_program():
     assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
 
 
+# A 4-state program of the sweep's form (t = A x + 0.1 u; x = t) on which
+# epsilon verifies a row farther than 1e-6 from the least fixpoint.
+IMPRECISE_EPSILON_ROWS = (
+    (-0.02134307260158137, -0.18074665567034326, -0.03967460836942152, 0.22697248621942603),
+    (0.23313980028375902, 0.29865002169853816, 0.029418562689150028, -0.03628837900733807),
+    (0.06936919661884249, -0.101363769110882, -0.23862970939096723, 0.01911255030108892),
+    (-0.15581227293698993, -0.12068848439535167, 0.01075001707161895, -0.08426444128423084),
+)
+
+
+@pytest.mark.xfail(strict=True, reason="two agreeing estimates do not bound the error of "
+                   "the row they verify; ROADMAP item 1b, the error certificate")
+def test_epsilon_verifies_a_sweep_program_within_tolerance():
+    # epsilon ends verified-injection after 7 iterations with x1's lower
+    # bound 2.27e-6 below the least fixpoint's; aitken ends 1.25e-9 from
+    # it and vector-epsilon 1.0e-9
+    n = len(IMPRECISE_EPSILON_ROWS)
+    body = [Assignment(f"t{i}", 0.0, (*((c, f"x{j}") for j, c in enumerate(row)), (0.1, f"u{i}")))
+            for i, row in enumerate(IMPRECISE_EPSILON_ROWS)]
+    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
+    p = Program(tuple((f"x{i}", Interval(0.0, 1.0)) for i in range(n)),
+                tuple((f"u{i}", Interval(-1.0, 1.0)) for i in range(n)), tuple(body))
+    report, _ = analyze(p, EngineConfig(method="epsilon", fallback_after=200))
+    assert report.converged and report.sound
+    assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
+
+
 # A draw of the sweep above on which the retired `repeat` policy verified
 # a row that an unverified join had left 1.13e-6 (epsilon) and 2.18e-6
 # (Aitken) above the least fixpoint; `once` runs end near 1e-8 on it.

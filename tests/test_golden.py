@@ -30,6 +30,7 @@ from the body's composed linear map: NumPy elementwise multiplies and
 do not depend on the NumPy version or the BLAS build either.
 """
 import hashlib
+import json
 import math
 import random
 
@@ -43,9 +44,14 @@ CONFIGS = {
     "widen": ["--mode", "widen"],
     "widen-ladder": ["--mode", "widen", "--widen-delay", "5",
                      "--thresholds=-50,-5,-0.5,0.5,5,50"],
+    "accel-aitken": ["--mode", "accel", "--method", "aitken"],
+    "accel-epsilon": ["--mode", "accel", "--method", "epsilon"],
+    "accel-vea": ["--mode", "accel", "--method", "vea"],
 }
 
-# (program, config) -> (sha256 of the --trace CSV, sha256 of the --report JSON)
+# (program, config) -> (sha256 of the --trace CSV, sha256 of the --report JSON);
+# the accel entries, whose traces hold estimate rows, were recorded before
+# the CLI wrote each file in one pass
 GOLDEN_FILES = {
     ('filter3', 'kleene'): (
         '430ccc74cdbdcecb01ffac360118c1a87d807ef59e6a15b3d74e42c9524115c2',
@@ -82,6 +88,42 @@ GOLDEN_FILES = {
     ('contraction2', 'widen-ladder'): (
         'f7a7a389c8b32f663c941646707bcea4e1520ef5faae577f24daa39eddf2ebaf',
         '5c4e754d61d0be9a8ba604ff8bf60c37e3d84982a1db9f88cfe93c3386ceb215',
+    ),
+    ('filter3', 'accel-aitken'): (
+        '27867e2f1159f66a6999215bddc70e7ac5a90e94c79d08623ee24aa5f77a02c4',
+        'd0f35accb726281901d232495bba2cc3939b77b5c31f537c628e12c5c2e6304b',
+    ),
+    ('filter3', 'accel-epsilon'): (
+        '575307c06d1e4ba0b07a660a4773b35d96af2929f8d9c7d5e3d6cb46e730bec0',
+        '551e648cece5f2336d12a72d1faf34327b902be9ac5e137367ae6bd6593d0913',
+    ),
+    ('filter3', 'accel-vea'): (
+        'eb1214f955bd5b8830525a0766b45163ad812713d9b935c7ddc4efcae25b380d',
+        'cd617e9621b14e529484d19f6b6d8890ae9284b065af9dc1fb9d5bedd5f83988',
+    ),
+    ('lowpass1', 'accel-aitken'): (
+        '5d5fd7c00e322fbaabaa4fd2b500de78650a2b55cd35b91c7c889ba49dca10e3',
+        'aa66c240800bb203db9bbe39ab7378956c7ad20ecd280fec00d4d6ce6757743f',
+    ),
+    ('lowpass1', 'accel-epsilon'): (
+        '5d5fd7c00e322fbaabaa4fd2b500de78650a2b55cd35b91c7c889ba49dca10e3',
+        '9a89d90da45687e7e9420d4eacebd825eafbdeba766029ac6138f05e92d534b5',
+    ),
+    ('lowpass1', 'accel-vea'): (
+        'c2b4a92b7fd558745314d1d21e257f234580d232507797cfd6d6ba6f0d42498e',
+        'ab6d689d9f22221c154954cc2016bcfa9c54ca58dbe87d03d869d3f44a653e74',
+    ),
+    ('contraction2', 'accel-aitken'): (
+        '735776e12ad86aaa9a7d63b4d282a2e4b09341820898b95173efd7b0b476657b',
+        'd5c80cb7fe64fa1b078078adb0269678d9b0bdef25c588d788c0556545f800b7',
+    ),
+    ('contraction2', 'accel-epsilon'): (
+        '34c316c12785c9257cac6067dc623c80c1af9c5dd9e97cfaeb107c71dfcf43de',
+        '334d397cc695e96c0f085209b09617325595abdd491e6467fb40d35ce3b912df',
+    ),
+    ('contraction2', 'accel-vea'): (
+        '3b10b81049ca7fdb1eb11f1019c4935467ef1da9c628057ff4a04afe2c193591',
+        '220ecba366f88fee38be159a473cfad4508fad4873d1e8c4f2d5f259740f94fd',
     ),
 }
 
@@ -133,6 +175,21 @@ def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, program, co
     capsys.readouterr()
     got = (_sha(tmp_path / "t.csv"), _sha(tmp_path / "r.json"))
     assert got == GOLDEN_FILES[program, config]
+
+
+# the sha256 of the default run's --report JSON for lowpass1 read from
+# REPORT_PATH, a name with a quote, a backslash and a non-ASCII character
+REPORT_PATH = 'q"b\\sé.loop'
+GOLDEN_REPORT_PATH = 'ddce440be7e6aaa2b1afce4dd0046ea48d0e1d3c3c782e5c300b4e899432d137'
+
+
+def test_report_escapes_the_program_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / REPORT_PATH).write_text(bundled_source("lowpass1"))
+    assert main(["analyze", REPORT_PATH, "--report", "r.json"]) == 0
+    capsys.readouterr()
+    assert _sha(tmp_path / "r.json") == GOLDEN_REPORT_PATH
+    assert json.loads((tmp_path / "r.json").read_bytes())["program"] == REPORT_PATH
 
 
 # finite data whose differences overflow

@@ -4,6 +4,7 @@ collector."""
 import ast
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -73,6 +74,17 @@ def unused_imports(path):
     if path.name == "__init__.py":
         read |= set(fixaccel.__all__)
     return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read)
+
+
+def test_readme_counts_the_steps_of_filter3():
+    # the bundled-data table states how many iterations plain and
+    # accelerated analysis take on filter3.loop
+    row = next(ln for ln in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+               if ln.startswith("| `filter3.loop` |"))
+    plain, accelerated = map(int, re.search(r"takes (\d+) steps, accelerated (\d+)", row).groups())
+    p = parse(bundled_source("filter3"))
+    assert analyze(p, EngineConfig(mode="kleene"))[0].iterations == plain
+    assert analyze(p, EngineConfig())[0].iterations == accelerated
 
 
 def test_every_import_is_used():
