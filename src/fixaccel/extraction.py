@@ -37,7 +37,8 @@ class ExtractionSchema:
 
     @classmethod
     def for_variables(cls, names: Sequence[str]) -> "ExtractionSchema":
-        return cls(tuple(names))
+        # a bare string goes to __post_init__ as it is, which rejects it
+        return cls(names if isinstance(names, str) else tuple(names))
 
     @property
     def coords(self) -> tuple[Coord, ...]:

@@ -22,7 +22,8 @@ from fixaccel.cli import _METHOD_ALIASES, _trace_csv, build_parser, main
 from fixaccel.engine import IterationTrace
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
-from test_golden import OVERFLOWING_CSV, gaussian_program
+from test_golden import OVERFLOWING_CSV, gaussian_program, lost_bound_warnings
+from test_lowering import row_program
 
 
 def run(capsys, *argv):
@@ -40,6 +41,27 @@ state y in [0, 1];
 input u in [-1, 1];
 loop { x = 10*x + 1; y = 0.5*y + 0.25*u + 1; }
 """
+
+
+# filter3 and two contracting bodies that lowering schedules, each row of
+# |A| summing to 0.95: a dense Gauss-Seidel sweep, which keeps the
+# composed map, and a sparse Jacobi body
+WIDE_PROGRAMS = {
+    "filter3": lambda: Path(FILTER3).read_text(),
+    "dense64-gs": lambda: row_program(17, 64, None, gauss_seidel=True, rho=0.95),
+    "sparse256-jacobi": lambda: row_program(17, 256, 8, rho=0.95),
+}
+WIDE_CONFIGS = {
+    "kleene": ["--mode", "kleene"],
+    "widen": ["--mode", "widen"],
+    # widening after 20 joins, to thresholds, keeps every bound
+    "widen-ladder": ["--mode", "widen", "--widen-delay", "20", "--thresholds=-64,-8,8,64"],
+    # a budget this small makes every run fall back
+    "fallback": ["--mode", "accel", "--fallback-after", "2"],
+    "aitken": ["--mode", "accel", "--method", "aitken"],
+    "epsilon": ["--mode", "accel", "--method", "epsilon"],
+    "vea": ["--mode", "accel", "--method", "vea"],
+}
 
 
 class TestAnalyze:
@@ -110,22 +132,30 @@ class TestAnalyze:
             cells = [r[k] for k in r if k.startswith("accel_")]
             assert len(set(c == "" for c in cells)) == 1
 
-    def test_outputs_are_byte_deterministic(self, capsys, tmp_path):
+    @pytest.mark.parametrize("program", sorted(WIDE_PROGRAMS))
+    @pytest.mark.parametrize("config", sorted(WIDE_CONFIGS))
+    def test_outputs_are_byte_deterministic(self, capsys, tmp_path, program, config):
+        # two runs in one process: a work buffer that the first left
+        # stale would show in the second's files
+        path = tmp_path / "p.loop"
+        path.write_text(WIDE_PROGRAMS[program]())
         pairs = []
         for tag in ("one", "two"):
-            trace = tmp_path / f"t-{tag}.csv"
-            report = tmp_path / f"r-{tag}.json"
-            run(
-                capsys,
-                "analyze",
-                FILTER3,
-                "--trace",
-                str(trace),
-                "--report",
-                str(report),
-            )
+            trace, report = tmp_path / f"t-{tag}.csv", tmp_path / f"r-{tag}.json"
+            code, _, err = run(capsys, "analyze", str(path), *WIDE_CONFIGS[config],
+                               "--trace", str(trace), "--report", str(report))
+            assert (code, err) == (0, lost_bound_warnings(report))
             pairs.append((trace.read_bytes(), report.read_bytes()))
         assert pairs[0] == pairs[1]
+        doc = json.loads(pairs[0][1])
+        events = [line.rsplit(",", 1)[1] for line in pairs[0][0].decode().splitlines()]
+        # a header, the initial row and one row per iteration
+        assert events[:2] == ["event", "initial"] and len(events) == doc["iterations"] + 2
+        assert ("fallback-widen" in events) == (config == "fallback")
+        if config not in ("widen", "fallback"):
+            assert doc["sound"] is True and err == ""
+        if config in ("aitken", "epsilon", "vea"):
+            assert doc["reason"] == "verified-injection"
 
     def test_widen_flags(self, capsys, tmp_path):
         report = tmp_path / "r.json"
@@ -584,23 +614,27 @@ class TestTraceReplay:
         """Feeding the rows of an exported trace to an ``EstimateStream``
         yields the exact estimates the engine computed along the way,
         laid out over the row: every ``accel_*`` cell, blanks included.
-        On the overflowing program x_hi turns infinite mid-run, so that
-        vector-epsilon's estimates leave it blank from then on."""
+        On the overflowing program x_hi turns infinite mid-run, which
+        the run warns of.  Aitken and epsilon inject at that iteration;
+        vector-epsilon injects later, and its estimates leave x_hi blank
+        from then on."""
         overflow = tmp_path / "overflow.loop"
         overflow.write_text(OVERFLOWING_LOOP)
         trace, report = tmp_path / "trace.csv", tmp_path / "report.json"
         for path, method in itertools.product([FILTER3, overflow], ["aitken", "epsilon", "vea"]):
-            code, _, _ = run(capsys, "analyze", str(path), "--method", method,
-                             "--trace", str(trace), "--report", str(report))
+            code, _, err = run(capsys, "analyze", str(path), "--method", method,
+                               "--trace", str(trace), "--report", str(report))
             assert code == 0
+            assert err == lost_bound_warnings(report)
             trows = list(csv.DictReader(trace.read_text().splitlines()))
             names = list(trows[0])[1:-1]
             bounds, accel = names[: len(names) // 2], names[len(names) // 2:]
             stream = EstimateStream(_METHOD_ALIASES.get(method, method), EngineConfig().delta)
-            checked = partial = 0
+            checked = partial = infinite = 0
             for row in trows:
                 if row["event"] == "injection":
                     break
+                infinite += "inf" in [row[k] for k in bounds]
                 # a block gives the estimates its rows give one at a time;
                 # the stream enters no error state, and the engine's ignores all
                 with np.errstate(all="ignore"):
@@ -611,9 +645,11 @@ class TestTraceReplay:
                 partial += est is not None and None in est
             assert checked >= 2 and row["event"] == "injection"
             if path == overflow:
-                y = json.loads(report.read_text())["invariant"]["y"]
+                doc = json.loads(report.read_text())
+                assert err == "warning: x has an infinite bound\n" and doc["sound"] is True
+                y = doc["invariant"]["y"]
                 assert abs(y["lower"]) < 5e-9 and abs(y["upper"] - 2.5) < 5e-9
-                assert (partial > 0) == (method == "vea")
+                assert (partial > 0) == (infinite > 0) == (method == "vea")
 
     def test_widen_trace_with_infinite_bounds_exits_one(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"

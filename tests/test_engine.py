@@ -746,7 +746,8 @@ class TestLookahead:
     def test_tail_programs_verify_in_the_first_block_and_past_it(self, method):
         first = [analyze(LOOKAHEAD_PROGRAMS[name], EngineConfig(method=method))[0]
                  for name in ("tail-first-block", "tail-past-first-block")]
-        assert [r.reason for r in first] == ["verified-injection"] * 2
+        assert [(r.reason, r.sound) for r in first] == [("verified-injection", True)] * 2
+        assert all(math.isfinite(b) for r in first for b in bound_row(r.invariant))
         assert engine.LOOKAHEAD < first[0].iterations <= engine.FIRST_BLOCK < first[1].iterations
 
     @pytest.mark.parametrize("method", METHODS)

@@ -46,6 +46,8 @@ class TestSchema:
             ExtractionSchema.for_variables(("a", "a"))
         with pytest.raises(ValueError):
             ExtractionSchema("ab")
+        with pytest.raises(ValueError):
+            ExtractionSchema.for_variables("ab")
 
 
 class TestExtract:

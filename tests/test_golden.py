@@ -164,6 +164,15 @@ def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def lost_bound_warnings(report) -> str:
+    """The stderr ``fixaccel analyze`` prints with the --report file
+    ``report``: one warning per variable with an infinite bound (a string
+    in the JSON), in order, and nothing else."""
+    invariant = json.loads(report.read_bytes())["invariant"]
+    return "".join(f"warning: {v} has an infinite bound\n" for v, bounds in invariant.items()
+                   if any(isinstance(b, str) for b in bounds.values()))
+
+
 @pytest.mark.parametrize("program", ["filter3", "lowpass1", "contraction2"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, program, config):
@@ -171,8 +180,9 @@ def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, program, co
     monkeypatch.chdir(tmp_path)
     src = f"{program}.loop"
     (tmp_path / src).write_text(bundled_source(program))
-    main(["analyze", src, *CONFIGS[config], "--trace", "t.csv", "--report", "r.json"])
-    capsys.readouterr()
+    code = main(["analyze", src, *CONFIGS[config], "--trace", "t.csv", "--report", "r.json"])
+    assert code == 0
+    assert capsys.readouterr().err == lost_bound_warnings(tmp_path / "r.json")
     got = (_sha(tmp_path / "t.csv"), _sha(tmp_path / "r.json"))
     assert got == GOLDEN_FILES[program, config]
 
@@ -261,8 +271,8 @@ def test_accelerate_output_is_byte_identical(tmp_path, capsys, data, method, nor
         path.write_text(OVERFLOWING_CSV)
     out = tmp_path / "elements.csv"
     code = main(["accelerate", str(path), "--method", method, "--norm", norm, "--output", str(out)])
-    stdout = capsys.readouterr().out
-    assert code == 0
+    stdout, stderr = capsys.readouterr()
+    assert (code, stderr) == (0, "")
     assert (hashlib.sha256(stdout.encode()).hexdigest(), _sha(out)) == GOLDEN_ACCELERATE[data, method, norm]
 
 

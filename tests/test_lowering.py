@@ -860,18 +860,22 @@ def test_bottom_rows_equal_fold_of_affine_eval(case):
             assert lowered.steps is None
 
 
-def row_program(seed, n, nnz, gauss_seidel=False):
+def row_program(seed, n, nnz, gauss_seidel=False, rho=None):
     """A loop over ``n`` states whose rows have ``nnz`` random terms
     (all ``n`` if None), in Jacobi form (temporaries, then copies) or as
     a Gauss-Seidel sweep: the four body forms of the kleene-wide
-    benchmark."""
+    benchmark.  Each row's N(0, 1) coefficients are divided by their
+    number, or, with ``rho``, by the sum of their magnitudes over ``rho``,
+    so that the row of |A| sums to ``rho``."""
     rng = np.random.default_rng(seed)
     lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
     lines += [f"input u{i} in [-1.0, 1.0];" for i in range(n)]
     lines.append("loop {")
     for i in range(n):
         cols = range(n) if nnz is None else rng.choice(n, nnz, replace=False)
-        terms = [f"{rng.normal() / len(cols)!r}*x{j}" for j in cols]
+        c = [rng.normal() for _ in cols]
+        div = len(cols) if rho is None else math.fsum(map(abs, c)) / rho
+        terms = [f"{a / div!r}*x{j}" for a, j in zip(c, cols)]
         target = f"x{i}" if gauss_seidel else f"t{i}"
         lines.append(f"  {target} = " + " + ".join(terms + [f"0.1*u{i}"]).replace("+ -", "- ") + ";")
     if not gauss_seidel:
@@ -1298,6 +1302,8 @@ def test_only_long_chains_of_levels_keep_the_composed_map():
 
     dense_gs = parse(row_program(3, 64, None, gauss_seidel=True)).lowered
     assert len(dense_gs.schedule[1]) == 64 and dense_gs.composed is not None
+    # test_cli's dense sweep, whose rows of |A| sum to 0.95, keeps it too
+    assert parse(row_program(17, 64, None, gauss_seidel=True, rho=0.95)).lowered.composed is not None
     others = {
         "sparse-gauss-seidel": row_program(3, 256, 8, gauss_seidel=True),
         "dense-jacobi": row_program(3, 64, None),
