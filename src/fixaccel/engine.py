@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import eq
 from typing import Literal, get_args
 
@@ -188,8 +188,8 @@ Row = list[float] | np.ndarray
 def transfer(p: Program, x: Row) -> Row:
     """``programs.transfer`` on a bound row, through the lowered body: a
     list row through ``image``, and an array row, which only the plain
-    loop carries, through ``linear_image``, the body's composed map
-    where it keeps one."""
+    loop carries and then without Bottom, through ``linear_image``, the
+    body's composed map where it keeps one."""
     return p.lowered.image(x) if type(x) is list else p.lowered.linear_image(x)
 
 
@@ -280,8 +280,11 @@ def _stop_lists(prev: list[float], x: list[float], tol: float) -> str | None:
     return "converged-tolerance"
 
 
-def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float) -> str | None:
-    """``_stop_lists`` on array rows, with one reduction.
+def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float,
+                 out: np.ndarray | None = None) -> str | None:
+    """``_stop_lists`` on array rows, with one reduction; the moves are
+    computed into ``out``, a float64 array of the rows' length, where
+    given.
 
     A bound moved by ``|x - prev|``: an infinite move is +inf, and so is
     a finite one that overflows, while a bound that stayed infinite is
@@ -289,7 +292,8 @@ def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float) -> str | None:
     move at all).  So the row moved iff the largest move is > 0, and by
     more than ``tol`` iff it is > ``tol``.  The caller holds the NumPy
     error state."""
-    moved = np.fmax.reduce(abs(x - prev), 0, None, None, False, -INF)
+    d = np.subtract(x, prev, out)
+    moved = np.fmax.reduce(np.absolute(d, d), 0, None, None, False, -INF)
     if not moved > 0.0:
         return "converged"
     if not moved > tol:
@@ -439,7 +443,16 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrac
     thresholds of an accel run, until the row is stable, bit-exactly or
     (unless ``stop_tol`` is 0) to ``stop_tol``, or ``max_iter``.  Returns
     the final row, as a list, and the reason.  On a scheduled body the
-    rows are float64 arrays (see the row comment above).
+    rows are float64 arrays (see the row comment above), and the stop
+    test computes the bounds' moves into one buffer for the whole run.
+
+    A row is tested for Bottom only until one holds none: each row after
+    it is joined with it, a join keeps every pair that holds ``lo <= hi``
+    so, and widening only moves bounds outward.  A row that holds Bottom
+    (only a ``Program`` built through the API has one) goes to
+    ``transfer`` as a list, which ``image`` routes to ``affine_eval``;
+    every later row goes as it is, so ``linear_image`` makes no Bottom
+    test of its own.
 
     Where the body keeps a composed map, ``transfer`` takes the rows'
     images from it, a few ulps off ``image``'s.  So an iteration that
@@ -448,16 +461,21 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrac
     and so the finish and every check after it, rests on ``image`` alone.
     """
     lowered = p.lowered
+    # bottom: whether the array row may hold Bottom, until one holds none
     if lowered.schedule is not None:
         x = np.array(x)
         # np.array_equal is == of the rows as lists: they hold no NaN
-        same, stop, record = np.array_equal, _stop_arrays, _read_only
+        same, stop, record = np.array_equal, partial(_stop_arrays, out=np.empty_like(x)), _read_only
+        bottom = True
     else:
-        same, stop, record = eq, _stop_lists, tuple
+        same, stop, record, bottom = eq, _stop_lists, tuple, False
     reason = "max-iter"
     for i in range(trace.iterations + 1, cfg.max_iter + 1):
         prev = x
-        x, event = _step(cfg, i, prev, transfer(p, prev), fallback, same)
+        if bottom:
+            bottom = bool(np.count_nonzero(prev[::2] > prev[1::2]))
+        fx = np.array(transfer(p, prev.tolist())) if bottom else transfer(p, prev)
+        x, event = _step(cfg, i, prev, fx, fallback, same)
         stopped = stop(prev, x, cfg.stop_tol)
         if stopped is not None and lowered.composed is not None:
             x, event = _step(cfg, i, prev, lowered.image(prev), fallback, same)

@@ -161,6 +161,7 @@ COMPOSE_LEVEL_PRODUCTS = 512
 _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 # the kernels' ufunc calls, looked up once
 _reduce, _minimum = np.add.reduce, np.minimum.reduce
+_isfinite, _count = np.isfinite, np.count_nonzero
 
 
 def _assign(body: tuple[Assignment, ...], ids: dict[str, int], n_states: int) -> tuple:
@@ -417,25 +418,30 @@ class LoweredBody:
 
 
     def linear_image(self, row: np.ndarray) -> np.ndarray:
-        """The image of an array row through the composed map, where the
-        body keeps one (``composed``), and through ``image`` otherwise,
-        or where the row or its image is not finite.
+        """The image of an array row without Bottom (the plain loop's rows
+        on a scheduled body, which it makes no Bottom test of) through the
+        composed map where the body keeps one (``composed``), and through
+        the level schedule otherwise, or where the row or its image is not
+        finite.
 
-        The image is ``const`` plus the rows of ``table * row[:, None]``
-        summed by ``np.add.reduce`` along axis 0 in row order, not by
-        ``@``, whose order is the BLAS build's.  It is a few ulps of the
+        The image is ``const`` plus ``np.add.reduce(table.T * row, 1)``,
+        not ``@``, whose order is the BLAS build's.  ``table.T`` is
+        C-ordered, so each bound is a sum along the contiguous axis, which
+        NumPy adds pairwise, not in row order; the same pairwise sums as
+        along axis 0 of ``table * row[:, None]``.  It is a few ulps of the
         terms' magnitude off ``image``'s, so only the plain loop's
-        ascending rows take it.  A row with an infinite bound takes
-        ``image`` before any product (``0 * inf`` is NaN), and one whose
+        ascending rows take it.  A row with an infinite bound takes the
+        schedule before any product (``0 * inf`` is NaN), and one whose
         image overflows after it.
         """
-        if self.composed is None or not np.isfinite(row).all():
-            return self.image(row)
+        n = len(row)
+        if self.composed is None or _count(_isfinite(row)) < n:
+            return self._run(row)
         table, const = self.composed
-        out = _reduce(table * row[:, None], 0)
+        out = _reduce(table.T * row, 1)
         out += const
-        if not np.isfinite(out).all():
-            return self.image(row)
+        if _count(_isfinite(out)) < n:
+            return self._run(row)
         return out
 
     def image(self, row: list[float] | np.ndarray) -> list[float] | np.ndarray:
@@ -506,35 +512,40 @@ class _Kernel:
     """A level schedule's image, run on a work buffer of its own.
 
     The buffer starts as a copy of the schedule's ``slots``, and every
-    view into it is built here, once.  Each level gathers its cells'
-    bounds, multiplies them by the coefficients and sums each column with
-    ``np.add.reduce`` along axis 0, straight into its slots.  On a
-    C-ordered table at least two columns wide, as every level is, that
-    axis is not contiguous, so NumPy adds one whole row at a time, in row
-    order, not pairwise.  The sums start from ``-0.0``, which keeps a
-    column of ``-0.0`` as ``-0.0``; reduce's own start, ``+0.0``, would
-    not.  The ufuncs take their arguments by position, which costs less.
+    view into it, and each level's gather buffer, is built here, once.
+    Each level gathers its cells' bounds into its gather buffer
+    (``take`` in ``"clip"`` mode, which writes ``out`` directly, where
+    ``"raise"`` would gather into a temporary first; every index is in
+    range), multiplies them by the coefficients in place and sums each
+    column with ``np.add.reduce`` along axis 0, straight into its slots.
+    On a C-ordered table at least two columns wide, as every level is,
+    that axis is not contiguous, so NumPy adds one whole row at a time,
+    in row order, not pairwise.  The sums start from ``-0.0``, which
+    keeps a column of ``-0.0`` as ``-0.0``; reduce's own start, ``+0.0``,
+    would not.  The ufuncs take their arguments by position, which costs
+    less.  The image is a new array, never a view of either buffer.
     """
 
-    __slots__ = ("b", "width", "levels", "final", "base")
+    __slots__ = ("b", "width", "levels", "step_bounds", "final")
 
     def __init__(self, schedule: tuple, width: int):
-        slots, levels, self.final, self.base = schedule
+        slots, levels, self.final, base = schedule
         self.b = b = slots.copy()
         self.width = width
-        # (src, coeff, the level's slots)
-        self.levels = [(src, coeff, b[start:stop]) for src, coeff, start, stop in levels]
+        self.step_bounds = b[base:]  # for the NaN check
+        # (src, coeff, the gather buffer, the level's slots)
+        self.levels = [(src, coeff, np.empty(src.shape), b[start:stop]) for src, coeff, start, stop in levels]
 
     def __call__(self, row: list[float] | np.ndarray) -> np.ndarray:
         b = self.b
         b[: self.width] = row
         take = b.take
-        for src, coeff, out in self.levels:
-            acc = take(src)
+        for src, coeff, acc, out in self.levels:
+            take(src, None, acc, "clip")
             acc *= coeff
             _reduce(acc, 0, None, out, False, -0.0)
         # NaN if any step's bound is NaN
-        low = _minimum(b[self.base :])
+        low = _minimum(self.step_bounds)
         if low != low:
             raise ValueError(_NAN_MESSAGE)
         return take(self.final)

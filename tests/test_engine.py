@@ -26,7 +26,7 @@ from fixaccel.cli import main
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
-from test_golden import gaussian_program
+from test_golden import gaussian_program, random_program
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
 # the two accepted values of inject_policy: "repeat", a retired policy,
@@ -622,6 +622,22 @@ def test_default_budget_keeps_the_bounds_of_a_sweep_program():
     assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
 
 
+@pytest.mark.xfail(strict=True, reason="the tip of a kleene stop does not verify, and "
+                   "accel falls back and widens every bound to +-inf; ROADMAP item 1b, "
+                   "the solve that repairs a lost or unverified result")
+@pytest.mark.parametrize("mode", ["kleene", "accel"])
+def test_sparse_jacobi_body_with_constants_keeps_its_bounds(mode):
+    # a contracting sparse n = 256 Jacobi body with constant terms, 8
+    # columns a row: kleene mode stops on the tolerance after 192
+    # iterations and its finish does not verify (sound false); accel with
+    # vector-epsilon falls back after 52 iterations and loses all 256
+    # variables.  The exact stop takes 586 iterations
+    p = parse(random_program(2029, 256, False, nnz=8))
+    report, _ = analyze(p, EngineConfig(mode=mode))
+    assert report.converged and report.sound
+    assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
+
+
 # A 4-state program of the sweep's form (t = A x + 0.1 u; x = t) on which
 # epsilon verifies a row farther than 1e-6 from the least fixpoint.
 IMPRECISE_EPSILON_ROWS = (
@@ -951,14 +967,29 @@ ROW_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", ROW_CONFIGS)
 @pytest.mark.parametrize("name", SCHEDULED)
-def test_array_rows_equal_a_loop_over_lists(name, cfg):
-    # kleene and widen runs on a scheduled body carry float64 arrays
+def test_array_rows_equal_a_loop_over_lists(monkeypatch, name, cfg):
+    # kleene and widen runs on a scheduled body carry float64 arrays.  The
+    # loop tests its rows for Bottom only until one holds none, and hands
+    # a row holding Bottom to transfer as a list: the first row of
+    # bottom-state, every row of bottom-forever, no row of the others
     p = SCHEDULED[name]
     assert p.lowered.schedule is not None
+    rows, reason, invariant = list_kleene(p, cfg)
+    image, calls = engine.transfer, []
+
+    def transfer(prog, x):
+        calls.append((type(x) is list, any(lo > hi for lo, hi in zip(x[::2], x[1::2]))))
+        return image(prog, x)
+
+    monkeypatch.setattr(engine, "transfer", transfer)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report, trace = analyze(p, cfg)
-    rows, reason, invariant = list_kleene(p, cfg)
+    # the loop's images come first, one an iteration, then the finish's
+    # and the check's, of list rows
+    with_bottom = {"bottom-state": 1, "bottom-forever": trace.iterations}.get(name, 0)
+    assert calls[: trace.iterations] == [(True, True)] * with_bottom + [(False, False)] * (trace.iterations - with_bottom)
+    assert all(is_list for is_list, _ in calls[trace.iterations :])
     assert [r.index for r in trace.records] == list(range(1, len(rows) + 1))
     for r, row in zip(trace.records, rows):
         assert type(r.bounds) is np.ndarray and not r.bounds.flags.writeable

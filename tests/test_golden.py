@@ -276,17 +276,20 @@ def test_accelerate_output_is_byte_identical(tmp_path, capsys, data, method, nor
     assert (hashlib.sha256(stdout.encode()).hexdigest(), _sha(out)) == GOLDEN_ACCELERATE[data, method, norm]
 
 
-def random_program(seed: int, n: int, gauss_seidel: bool) -> str:
+def random_program(seed: int, n: int, gauss_seidel: bool, nnz: int | None = None) -> str:
     """A contracting loop with random signs, rows of |A| summing to 0.95,
     a constant and one input per state; the Jacobi form writes
-    temporaries, then copies.  Built with ``random`` and ``math.fsum``,
-    whose results are the same on every platform and Python version."""
+    temporaries, then copies.  Each row has ``nnz`` terms, over columns
+    drawn by ``rng.sample`` and sorted, or all ``n`` if None.  Built with
+    ``random`` and ``math.fsum``, whose results are the same on every
+    platform and Python version."""
     rng = random.Random(seed)
     rhs = []
     for i in range(n):
-        row = [rng.uniform(0.1, 1.0) * rng.choice((-1.0, 1.0)) for _ in range(n)]
+        cols = range(n) if nnz is None else sorted(rng.sample(range(n), nnz))
+        row = [rng.uniform(0.1, 1.0) * rng.choice((-1.0, 1.0)) for _ in cols]
         scale = 0.95 / math.fsum(abs(a) for a in row)
-        terms = [f"{a * scale!r}*x{j}" for j, a in enumerate(row)]
+        terms = [f"{a * scale!r}*x{j}" for j, a in zip(cols, row)]
         rhs.append(" + ".join(terms + [f"0.1*u{i}", repr(0.01 * i)]).replace("+ -", "- "))
     lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
     lines += [f"input u{i} in [-1.0, 2.0];" for i in range(n)]

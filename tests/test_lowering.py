@@ -1036,7 +1036,11 @@ def test_an_image_leaves_nothing_in_the_work_buffer(kind):
     assert got.tobytes() == programs.LoweredBody(p).image(b).tobytes()
     assert first.tobytes() == programs.LoweredBody(p).image(a).tobytes()
     assert np.array(listed).tobytes() == got.tobytes()
-    assert not np.shares_memory(got, buffer) and not np.shares_memory(first, buffer)
+    # nor of any level's gather buffer, which the next image overwrites too
+    gathers = [acc for _, _, acc, _ in lowered._kernels[0].levels]
+    assert len(gathers) == len(lowered.schedule[1])
+    for image in (got, first):
+        assert not any(np.shares_memory(image, other) for other in [buffer, *gathers])
 
 
 @pytest.mark.parametrize("kind", WORK_BUFFER_BODIES)
@@ -1293,6 +1297,25 @@ def test_a_row_with_an_infinite_bound_skips_the_composed_product():
     with np.errstate(all="raise"):
         got = lowered.linear_image(row)
     assert got.tobytes() == lowered.image(row).tobytes()
+
+
+def test_composed_image_is_a_pairwise_sum_of_the_transposed_table():
+    # composed[0] is F-ordered, so its transpose is C-ordered, and each
+    # bound of the image is a sum along that contiguous axis, which NumPy
+    # adds pairwise: bit for bit this expression, and not the row-order
+    # fold that a C-ordered table summed along axis 0 gives
+    from test_golden import random_program
+
+    p = parse(random_program(2029, 64, True))
+    table, const = p.lowered.composed
+    assert table.flags.f_contiguous and table.T.flags.c_contiguous
+    differ = 0
+    for row in random_rows(p, 40, seed=2029):
+        got = p.lowered.linear_image(row)
+        assert got.tobytes() == (np.add.reduce(table.T * row, 1) + const).tobytes()
+        in_row_order = np.add.reduce(np.ascontiguousarray(table * row[:, None]), 0) + const
+        differ += np.count_nonzero(got != in_row_order)
+    assert differ > 0
 
 
 def test_only_long_chains_of_levels_keep_the_composed_map():
