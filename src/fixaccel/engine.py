@@ -8,36 +8,34 @@
   ``delta``, the current iterate joined with the estimate and padded
   outward is tried as a post-fixpoint (``_verify``).  The first
   candidate that verifies is the result (an "injection"), which cuts
-  off the remaining convergence tail.  The plain rows are computed up
-  to ``FIRST_BLOCK`` at first and ``LOOKAHEAD`` after that at a time,
-  pushed to the transformation (``EstimateStream``), which returns
-  each row's estimate and agreement flag for the block at once, then
-  taken one iteration at a time (``_accelerate``), so the block sizes
-  change no result.  When the estimates fail, the run falls back to
-  threshold widening.
+  off the remaining convergence tail.  When the estimates fail, the run
+  falls back to threshold widening.
 
-An accel run has two phases: the accel phase (``_accelerate``) and,
-after a fallback, the plain loop (``_iterate``), which kleene and widen
-runs use from the start.  Stabilization is detected either bit-exactly
-or, in the plain loop only, when the largest bound movement in one
-iteration falls under ``stop_tol``; a tolerance stop is then finished
-(``_finish``) by the vector-epsilon tip of its last rows, verified as a
-post-fixpoint, or left as it stopped where the tip does not verify.
-``sound`` is the check ``verify_postfixpoint`` on every result.
+Every mode runs one loop, ``_iterate``: while the transformation
+(``EstimateStream``) watches, it computes the rows in blocks, pushes
+each block to the stream, which returns each row's estimate and
+agreement flag at once, and then walks it one iteration at a time, so
+the block sizes change no result.  Stabilization is detected either
+bit-exactly or, once nothing watches, when the largest bound movement
+in one iteration falls under ``stop_tol``; a tolerance stop is then
+finished (``_finish``) by the vector-epsilon tip of its last rows,
+verified as a post-fixpoint, or left as it stopped where the tip does
+not verify.  ``sound`` is the check ``verify_postfixpoint`` on every
+result.
 
 Every row and check runs the body's ``image``, bit-identical to
 interval evaluation, with one exception: on a body that keeps a
 composed linear map (a long chain of levels, such as a dense
-Gauss-Seidel sweep), the plain loop's ascending rows take their images
-from that map, a few ulps off.  An iteration that stops is computed
-again from ``image``, and the finish, the verification and the check run
+Gauss-Seidel sweep), the loop's ascending rows take their images from
+that map, a few ulps off.  An iteration that stops is computed again
+from ``image``, and the verification, the finish and the check run
 ``image`` only, so a sound invariant is a post-fixpoint of ``image``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from operator import eq
 from typing import Literal, get_args
 
@@ -101,11 +99,11 @@ class TraceRecord:
     estimate if one was computed (full coordinate layout, None where no
     estimate exists), and what kind of step happened.
 
-    ``bounds`` holds the row the loop carried: a tuple of floats, or a
-    read-only float64 array from a run on arrays.  ``row`` holds it as a
-    tuple, (lo, hi) pairs in the order of ``variables``, and ``state``
-    as an AbstractState, each built on first access.  Records compare by
-    identity, as an array has no truth value.
+    ``bounds`` holds the row the loop carried: a tuple of floats, or, on
+    a body with a level schedule, a read-only float64 array.  ``row``
+    holds it as a tuple, (lo, hi) pairs in the order of ``variables``,
+    and ``state`` as an AbstractState, each built on first access.
+    Records compare by identity, as an array has no truth value.
     """
 
     index: int
@@ -172,24 +170,25 @@ class FixpointReport:
 
 # The loop carries the state as a bound row laid out like
 # ``extraction.bound_row``'s list, [lo_1, hi_1, ..., lo_v, hi_v], with a
-# Bottom component as (inf, -inf): that list itself, except in the plain
-# loop on a body with a level schedule, whose rows are wide and carried
-# as float64 arrays, where NumPy's per-call cost is paid back (see
-# ``_iterate``).  The row operations below compute exactly what their
-# interval counterparts in ``intervals`` and ``programs`` compute, on
-# either type, and carry the same names, under which the benchmark's
-# tracer (perfbench/tracer.py) times them.  On lists they are plain
-# loops over the (lo, hi) pairs, which measured faster than slices and
-# comprehensions at every width (CHANGES.md, "List rows as plain loops").
+# Bottom component as (inf, -inf): that list itself, except on a body
+# with a level schedule, whose rows are wide and carried as float64
+# arrays, where NumPy's per-call cost is paid back (see ``_iterate``);
+# ``_inject`` and ``_verify`` take lists in every mode.  The row
+# operations below compute exactly what their interval counterparts in
+# ``intervals`` and ``programs`` compute, on either type, and carry the
+# same names, under which the benchmark's tracer (perfbench/tracer.py)
+# times them.  On lists they are plain loops over the (lo, hi) pairs,
+# which measured faster than slices and comprehensions at every width
+# (CHANGES.md, "List rows as plain loops").
 
 Row = list[float] | np.ndarray
 
 
 def transfer(p: Program, x: Row) -> Row:
     """``programs.transfer`` on a bound row, through the lowered body: a
-    list row through ``image``, and an array row, which only the plain
-    loop carries and then without Bottom, through ``linear_image``, the
-    body's composed map where it keeps one."""
+    list row through ``image``, and an array row, which the loop hands
+    over only without Bottom, through ``linear_image``, the body's
+    composed map where it keeps one."""
     return p.lowered.image(x) if type(x) is list else p.lowered.linear_image(x)
 
 
@@ -264,12 +263,12 @@ def verify_postfixpoint(p: Program, x: AbstractState) -> bool:
         return state_leq(transfer(p, row), row)
 
 
-def _stop_lists(prev: list[float], x: list[float], tol: float) -> str | None:
-    """The reason the plain loop stops at row ``x`` after ``prev``, or
-    None: "converged" when no bound moved, "converged-tolerance" when
-    none moved by more than ``tol`` > 0.  An infinite bound that changed
+def _stop_lists(prev: list[float], x: list[float], tol: float, out: None = None) -> str | None:
+    """The reason the loop stops at row ``x`` after ``prev``, or None:
+    "converged" when no bound moved, "converged-tolerance" when none
+    moved by more than ``tol`` > 0.  An infinite bound that changed
     counts as an infinite move; the test stops at the first bound that
-    moved further."""
+    moved further.  ``out`` is ``_stop_arrays``'s, unused on lists."""
     if x == prev:
         return "converged"
     if not tol > 0.0:
@@ -290,8 +289,11 @@ def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float,
     a finite one that overflows, while a bound that stayed infinite is
     inf - inf, NaN, which ``fmax`` passes over (``-inf`` stands for no
     move at all).  So the row moved iff the largest move is > 0, and by
-    more than ``tol`` iff it is > ``tol``.  The caller holds the NumPy
-    error state."""
+    more than ``tol`` iff it is > ``tol``.  Without a tolerance, the row
+    moved iff a bound is ``!=``, which one comparison tells.  The caller
+    holds the NumPy error state."""
+    if not tol > 0.0:
+        return None if np.count_nonzero(np.not_equal(x, prev)) else "converged"
     d = np.subtract(x, prev, out)
     moved = np.fmax.reduce(np.absolute(d, d), 0, None, None, False, -INF)
     if not moved > 0.0:
@@ -303,7 +305,7 @@ def _stop_arrays(prev: np.ndarray, x: np.ndarray, tol: float,
 
 def _read_only(x: np.ndarray) -> np.ndarray:
     """``x``, which the trace then shares, made read-only."""
-    x.flags.writeable = False
+    x.setflags(write=False)
     return x
 
 
@@ -371,17 +373,18 @@ def _finish(p: Program, x0: list[float], rows: list) -> list[float] | None:
     return _verify(p, x0, rows[-1].tolist())
 
 
-# How many Kleene rows an accel run computes ahead of the iteration it is
-# at, to push them to the estimator as one block.  A larger block spreads
-# the estimator's NumPy calls over more rows but computes more rows past
-# the one that verifies; of 8, 12 and 16, 12 ran the accel-tail benchmark
-# fastest.  The first block is twice as long, because an estimator call
-# costs about the same on 12 rows as on 24 (the cost is per column) and
-# the accel-tail benchmark's 288 analyses verify at iteration 14 to 37,
-# 198 of them by row 24: a first block of 24 makes 1.32 estimator calls a
-# run where one of 12 made 2.32, and computes no more rows there, since
-# the blocks still end at rows 24, 36 and 48.  A run that verifies within
-# 12 rows computes up to 12 rows more.
+# How many Kleene rows the loop computes ahead of the iteration it is at
+# while the estimator watches, to push them to it as one block.  A larger
+# block spreads the estimator's NumPy calls over more rows but computes
+# more rows past the one that verifies; of 8, 12 and 16, 12 ran the
+# accel-tail benchmark fastest.  The first block is twice as long,
+# because an estimator call costs about the same on 12 rows as on 24
+# (the cost is per column) and the accel-tail benchmark's 288 analyses
+# verify at iteration 14 to 37, 198 of them by row 24: a first block of
+# 24 makes 1.32 estimator calls a run where one of 12 made 2.32, and
+# computes no more rows there, since the blocks still end at rows 24, 36
+# and 48.  A run that verifies within 12 rows computes up to 12 rows
+# more.
 LOOKAHEAD = 12
 FIRST_BLOCK = 2 * LOOKAHEAD
 
@@ -420,11 +423,11 @@ def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
     return state_join(x, filled)
 
 
-def _step(cfg: EngineConfig, i: int, prev: Row, fx: Row, fallback: ThresholdSet | None,
+def _step(cfg: EngineConfig, i: int, prev: Row, joined: Row, fallback: ThresholdSet | None,
           same) -> tuple[Row, str]:
-    """Iteration ``i`` of the plain loop from ``prev``, whose image is
-    ``fx``: the row and its event."""
-    joined = state_join(prev, fx)
+    """Iteration ``i`` from ``prev``, whose join with its image is
+    ``joined``: the row, widened by the ``fallback`` thresholds or, in
+    widen mode, after the delay, and its event."""
     if fallback is not None:
         return state_widen_thresholds(prev, joined, fallback), "fallback-widen"
     if cfg.mode == "widen" and i > cfg.widen_delay:
@@ -436,128 +439,112 @@ def _step(cfg: EngineConfig, i: int, prev: Row, fx: Row, fallback: ThresholdSet 
     return joined, "plain-step"
 
 
-def _iterate(p: Program, cfg: EngineConfig, x: list[float], trace: IterationTrace,
-             fallback: ThresholdSet | None) -> tuple[list[float], str]:
-    """The plain loop from the iteration after the last in ``trace``:
-    joins, widened after the delay in widen mode or by the ``fallback``
-    thresholds of an accel run, until the row is stable, bit-exactly or
-    (unless ``stop_tol`` is 0) to ``stop_tol``, or ``max_iter``.  Returns
-    the final row, as a list, and the reason.  On a scheduled body the
-    rows are float64 arrays (see the row comment above), and the stop
-    test computes the bounds' moves into one buffer for the whole run.
+def _iterate(p: Program, cfg: EngineConfig, x: list[float],
+             trace: IterationTrace) -> tuple[list[float], str]:
+    """The loop of every mode, from the initial row ``x``: joins, widened
+    after the delay in widen mode or by the fallback thresholds of an
+    accel run, until the row is stable, bit-exactly or (unless the
+    tolerance is 0) to ``stop_tol``, an injection verifies, or
+    ``max_iter``.  Returns the final row, as a list, and the reason.  On
+    a scheduled body the rows are float64 arrays (see the row comment
+    above), and the stop test computes the moves into one buffer.
 
-    A row is tested for Bottom only until one holds none: each row after
-    it is joined with it, a join keeps every pair that holds ``lo <= hi``
-    so, and widening only moves bounds outward.  A row that holds Bottom
-    (only a ``Program`` built through the API has one) goes to
-    ``transfer`` as a list, which ``image`` routes to ``affine_eval``;
-    every later row goes as it is, so ``linear_image`` makes no Bottom
-    test of its own.
+    The rows are computed in blocks.  In accel mode the
+    ``EstimateStream`` watches: a block of up to ``FIRST_BLOCK`` rows,
+    then ``LOOKAHEAD``, is pushed to it (the first after the initial
+    row, ``pending``) and walked one iteration at a time with each row's
+    estimate and whether it agrees, to ``delta``, with the one before.
+    An agreeing row joined with its estimate is tried by ``_verify``, on
+    lists; the first that verifies is recorded as an injection and is
+    the result.  After 2 * ``fallback_after`` rejections, or as many
+    iterations since the newest agreement (or the start), the stream
+    stops and the rest of the run widens by thresholds from the newest
+    estimate.  A block ends at ``max_iter`` and where the fallback would
+    fire, so the block sizes change no result.  While the stream
+    watches, the stop's tolerance is 0.0; when nothing watches (kleene,
+    widen, or after a fallback), the rest of the run is one block.
+
+    A row is tested for Bottom only until one holds none: every later
+    row is joined with it, which keeps ``lo <= hi``, and widening only
+    moves bounds outward.  A row that holds Bottom (only a ``Program``
+    built through the API has one) goes to ``transfer`` as a list,
+    which ``image`` routes to ``affine_eval``; every later row goes as
+    it is, so ``linear_image`` makes no Bottom test of its own.
 
     Where the body keeps a composed map, ``transfer`` takes the rows'
     images from it, a few ulps off ``image``'s.  So an iteration that
-    stops is computed again from ``image`` and stops only if that row
-    stops too; the loop goes on from that row if it does not.  A stop,
-    and so the finish and every check after it, rests on ``image`` alone.
+    stops is computed again from the row as a list, through ``image``,
+    and stops only if that row stops too; the loop goes on from that row
+    if it does not.  A stop, and so every check after it, rests on
+    ``image`` alone.  It runs inside the error state ``analyze`` holds.
     """
     lowered = p.lowered
     # bottom: whether the array row may hold Bottom, until one holds none
     if lowered.schedule is not None:
         x = np.array(x)
         # np.array_equal is == of the rows as lists: they hold no NaN
-        same, stop, record = np.array_equal, partial(_stop_arrays, out=np.empty_like(x)), _read_only
-        bottom = True
+        new, same, stop, record = np.array, np.array_equal, _stop_arrays, _read_only
+        moves, bottom = np.empty_like(x), True
     else:
-        same, stop, record, bottom = eq, _stop_lists, tuple, False
-    reason = "max-iter"
-    for i in range(trace.iterations + 1, cfg.max_iter + 1):
-        prev = x
-        if bottom:
-            bottom = bool(np.count_nonzero(prev[::2] > prev[1::2]))
-        fx = np.array(transfer(p, prev.tolist())) if bottom else transfer(p, prev)
-        x, event = _step(cfg, i, prev, fx, fallback, same)
-        stopped = stop(prev, x, cfg.stop_tol)
-        if stopped is not None and lowered.composed is not None:
-            x, event = _step(cfg, i, prev, lowered.image(prev), fallback, same)
-            stopped = stop(prev, x, cfg.stop_tol)
-        if stopped is not None:
-            reason, event = stopped, "converged"
-        trace.append(record(x), None, event)
-        if reason != "max-iter":
-            break
-    return (x if type(x) is list else x.tolist()), reason
-
-
-def _accelerate(p: Program, cfg: EngineConfig, x: list[float],
-                trace: IterationTrace) -> tuple[list[float], str]:
-    """The accel phase: Kleene rows from the initial row ``x``, watched
-    by the estimator.  Returns the final row and the reason the run
-    stopped.
-
-    The rows are x_{i+1} = x_i ⊔ F(x_i), so each block computes up to n
-    of them ahead, n being ``FIRST_BLOCK`` for the first block and
-    ``LOOKAHEAD`` for the others, through the same ``transfer`` and
-    ``state_join`` as the plain loop, pushes them to the
-    ``EstimateStream`` as one block (the first after the initial row,
-    which waits in ``pending`` for it), and then walks them one
-    iteration at a time, each with the estimate the stream laid out
-    over it and whether that estimate agrees, to ``delta``, with the one
-    before it on the same coordinates.  A block that stops short of n
-    rows has reached an exact fixpoint, recorded as the iteration after
-    its last row.  Nothing here enters an error state: it runs inside
-    the one ``analyze`` holds.
-
-    Whenever a fresh estimate agrees with the one before it, the state
-    joined with the estimate is tried as a verified post-fixpoint
-    (``_verify``).  One that verifies is the result: the run records it
-    as an injection and stops.  A rejected candidate is dropped.  The
-    phase also stops at ``max_iter``.  After 2 * ``fallback_after``
-    rejected candidates, or 2 * ``fallback_after`` iterations since the
-    last agreement (since the start while there is none), it hands the
-    run to the plain loop with threshold widening seeded from the last
-    estimate (then standard widening via the implicit infinities),
-    guaranteeing termination.
-    """
-    budget = 2 * cfg.fallback_after
-    stream, pending = EstimateStream(cfg.method, cfg.delta), [x]
-    i = rejected = 0
-    agreed = 0  # the iteration of the newest agreement
-    while i < cfg.max_iter:
-        # a block stops at max_iter and at the iteration where the
-        # fallback would fire: that of the clock, or of the last
-        # rejection the budget allows
-        n = min(FIRST_BLOCK if pending else LOOKAHEAD, cfg.max_iter - i,
-                agreed + budget - i, budget - rejected)
-        rows, row = [], x
-        while len(rows) < n:
-            nxt = state_join(row, transfer(p, row))
-            if nxt == row:
+        new, same, stop, record, moves, bottom = list, eq, _stop_lists, tuple, None, False
+    stream = EstimateStream(cfg.method, cfg.delta) if cfg.mode == "accel" else None
+    budget, pending, fallback, stopped = 2 * cfg.fallback_after, [x], None, None
+    i = rejected = agreed = 0  # agreed: the iteration of the newest agreement
+    while stopped is None and i < cfg.max_iter:
+        if stream is None:
+            n, tol = cfg.max_iter - i, cfg.stop_tol
+        else:
+            # cut where the fallback would fire: at the clock, or at the
+            # last rejection the budget allows
+            n = min(FIRST_BLOCK if pending else LOOKAHEAD, cfg.max_iter - i,
+                    agreed + budget - i, budget - rejected)
+            tol = 0.0
+        widens = fallback is not None or cfg.mode == "widen"
+        rows, events = [], []
+        for k in range(i + 1, i + n + 1):
+            prev = x
+            if bottom:
+                bottom = bool(np.count_nonzero(prev[::2] > prev[1::2]))
+            fx = np.array(transfer(p, prev.tolist())) if bottom else transfer(p, prev)
+            x, event = state_join(prev, fx), "plain-step"
+            if widens:
+                x, event = _step(cfg, k, prev, x, fallback, same)
+            stopped = stop(prev, x, tol, moves)
+            if stopped is not None and lowered.composed is not None:
+                fx = np.array(transfer(p, prev.tolist()))
+                x, event = _step(cfg, k, prev, state_join(prev, fx), fallback, same)
+                stopped = stop(prev, x, tol, moves)
+            if stopped is not None:
                 break
-            rows.append(row := nxt)
-        estimates = stream.push_rows_unguarded(pending + rows)[len(pending):] if rows else []
-        pending = []
-        for x, (est, agrees) in zip(rows, estimates):
+            rows.append(x)
+            events.append(event)
+        if stream is None:
+            estimates = [(None, False)] * len(rows)
+        else:
+            estimates = stream.push_rows_unguarded(pending + rows)[len(pending):] if rows else []
+            pending = []
+        for row, event, (est, agrees) in zip(rows, events, estimates):
             i += 1
             if agrees:
                 agreed = i
-                verified = _verify(p, x, _inject(x, est))
+                as_list = row if type(row) is list else row.tolist()
+                verified = _verify(p, as_list, _inject(as_list, est))
                 if verified is not None:
-                    trace.append(tuple(verified), est, "injection")
+                    trace.append(record(new(verified)), est, "injection")
                     return verified, "verified-injection"
                 rejected += 1
-            trace.append(tuple(x), est, "plain-step")
-            if rejected >= budget or i - agreed >= budget:
-                return _iterate(p, cfg, x, trace, _fallback_thresholds(est))
-        if len(rows) < n:
-            trace.append(tuple(x), None, "converged")
-            return x, "converged"
-    return x, "max-iter"
+            trace.append(record(row), est, event)
+            if stream is not None and (rejected >= budget or i - agreed >= budget):
+                fallback, stream = _fallback_thresholds(est), None
+    if stopped is not None:
+        trace.append(record(x), None, "converged")
+    return (x if type(x) is list else x.tolist()), stopped or "max-iter"
 
 
 def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTrace]:
-    """Iterate from the declared initial state: the accel phase in accel
-    mode, the plain loop otherwise.  A tolerance stop is then finished,
-    unless the finish fails, and the result checked as a post-fixpoint."""
+    """Iterate from the declared initial state (``_iterate``, in every
+    mode).  A tolerance stop is then finished, unless the finish fails,
+    and the result checked as a post-fixpoint."""
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
@@ -567,10 +554,7 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     # overflow to inf, and the estimators divide by zero and make NaN
     # where a denominator vanishes, all of which they handle
     with np.errstate(all="ignore"):
-        if cfg.mode == "accel":
-            x, reason = _accelerate(p, cfg, x0, trace)
-        else:
-            x, reason = _iterate(p, cfg, x0, trace, None)
+        x, reason = _iterate(p, cfg, x0, trace)
         trace.reason = reason
         if reason == "converged-tolerance":
             finished = _finish(p, x0, trace.rows)

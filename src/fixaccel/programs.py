@@ -30,7 +30,7 @@ body without Bottom is also linear in the bounds, w -> M w + c with M >= 0
 in w = (-lo, hi) (``LoweredBody.linear``).  A scheduled body whose level
 schedule costs more than one product with M keeps that map
 (``composed``), whose images (``linear_image``) are a few ulps off and
-serve only the engine's ascending plain-loop rows.
+serve only the engine loop's ascending rows.
 """
 from __future__ import annotations
 
@@ -418,7 +418,7 @@ class LoweredBody:
 
 
     def linear_image(self, row: np.ndarray) -> np.ndarray:
-        """The image of an array row without Bottom (the plain loop's rows
+        """The image of an array row without Bottom (the engine loop's rows
         on a scheduled body, which it makes no Bottom test of) through the
         composed map where the body keeps one (``composed``), and through
         the level schedule otherwise, or where the row or its image is not
@@ -429,7 +429,7 @@ class LoweredBody:
         C-ordered, so each bound is a sum along the contiguous axis, which
         NumPy adds pairwise, not in row order; the same pairwise sums as
         along axis 0 of ``table * row[:, None]``.  It is a few ulps of the
-        terms' magnitude off ``image``'s, so only the plain loop's
+        terms' magnitude off ``image``'s, so only the engine loop's
         ascending rows take it.  A row with an infinite bound takes the
         schedule before any product (``0 * inf`` is NaN), and one whose
         image overflows after it.

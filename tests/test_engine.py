@@ -369,15 +369,18 @@ class TestAcceleratorBranches:
     def test_fallback_thresholds_come_from_the_newest_record(self, monkeypatch):
         # with delta = 0.5 the estimates agree early and every candidate
         # is rejected, so the fallback fires at the fourth rejection
-        seen, run = [], engine._iterate
+        seen, thresholds_of = [], engine._fallback_thresholds
 
-        def spy(p, cfg, x, trace, fallback):
-            seen.append((trace.records[-1], fallback))
-            return run(p, cfg, x, trace, fallback)
+        def spy(estimate):
+            seen.append((estimate, thresholds_of(estimate)))
+            return seen[-1][1]
 
-        monkeypatch.setattr(engine, "_iterate", spy)
-        analyze(load_bundled("filter3"), EngineConfig(fallback_after=2, delta=0.5))
-        [(record, thresholds)] = seen
+        monkeypatch.setattr(engine, "_fallback_thresholds", spy)
+        _, trace = analyze(load_bundled("filter3"), EngineConfig(fallback_after=2, delta=0.5))
+        [(estimate, thresholds)] = seen
+        # the record whose estimate it took is the newest with one
+        [record] = [r for r in trace.records if r.accel is estimate]
+        assert all(r.accel is None for r in trace.records[record.index :])
         assert (record.index, record.event) == (7, "plain-step")
         relaxed = [v + (1 if j % 2 else -1) * max(1e-6, 1e-6 * abs(v)) for j, v in enumerate(record.accel)]
         assert len(thresholds) == 6
@@ -846,7 +849,10 @@ def test_records_are_built_from_the_columns(name):
 def _hex_run(report, trace):
     """A run's rows, estimates, events, reasons and invariant, with every
     bound written by ``float.hex``."""
-    rows = [(r.index, [v.hex() for v in r.row], r.accel, r.event) for r in trace.records]
+    def hexed(est):
+        return est and [v if v is None else v.hex() for v in est]
+
+    rows = [(r.index, [v.hex() for v in r.row], hexed(r.accel), r.event) for r in trace.records]
     bounds = [v.hex() for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
     return rows, trace.reason, report.reason, report.injections, bounds
 
@@ -891,10 +897,11 @@ def test_analyze_lowers_the_body_before_the_first_transfer(monkeypatch, mode, te
 def list_kleene(p, cfg):
     """The kleene and widen runs of ``analyze`` as a loop over lists of
     floats, through the engine's list row operations: (rows, reason,
-    invariant row).  Each image is ``LoweredBody.image``'s, or, where
-    the body keeps a composed map, ``linear_image``'s, and then an
-    iteration that stops is taken again from ``image``'s and stops only
-    if that row stops too, as in the plain loop."""
+    invariant row, the iterations taken again).  Each image is
+    ``LoweredBody.image``'s, or, where the body keeps a composed map,
+    ``linear_image``'s, and then an iteration that stops is taken again
+    from ``image``'s and stops only if that row stops too, as in the
+    engine's loop."""
     lowered = p.lowered
 
     def step(i, prev, fx):
@@ -913,7 +920,7 @@ def list_kleene(p, cfg):
         return None
 
     x0 = x = bound_row(p.initial_state())
-    rows = []
+    rows, again = [], []
     for i in range(1, cfg.max_iter + 1):
         prev = x
         if lowered.composed is None:
@@ -923,14 +930,15 @@ def list_kleene(p, cfg):
                 x = step(i, prev, lowered.linear_image(np.array(prev)).tolist())
         reason = stop(prev, x)
         if reason is not None and lowered.composed is not None:
+            again.append(i)
             x = step(i, prev, lowered.image(prev))
             reason = stop(prev, x)
         rows.append(tuple(x))
         if reason == "converged":
-            return rows, reason, x
+            return rows, reason, x, again
         if reason is not None:
-            return rows, reason, engine._finish(p, x0, rows) or x
-    return rows, "max-iter", x
+            return rows, reason, engine._finish(p, x0, rows) or x, again
+    return rows, "max-iter", x, again
 
 
 def scheduled_programs():
@@ -974,7 +982,7 @@ def test_array_rows_equal_a_loop_over_lists(monkeypatch, name, cfg):
     # bottom-state, every row of bottom-forever, no row of the others
     p = SCHEDULED[name]
     assert p.lowered.schedule is not None
-    rows, reason, invariant = list_kleene(p, cfg)
+    rows, reason, invariant, again = list_kleene(p, cfg)
     image, calls = engine.transfer, []
 
     def transfer(prog, x):
@@ -985,11 +993,15 @@ def test_array_rows_equal_a_loop_over_lists(monkeypatch, name, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report, trace = analyze(p, cfg)
-    # the loop's images come first, one an iteration, then the finish's
-    # and the check's, of list rows
+    # the loop's images come first, one an iteration, and after each
+    # iteration taken again from image (dense-gauss-seidel's composed map)
+    # one more of a list row; then the finish's and the check's, of list rows
     with_bottom = {"bottom-state": 1, "bottom-forever": trace.iterations}.get(name, 0)
-    assert calls[: trace.iterations] == [(True, True)] * with_bottom + [(False, False)] * (trace.iterations - with_bottom)
-    assert all(is_list for is_list, _ in calls[trace.iterations :])
+    loop = [(True, True)] * with_bottom + [(False, False)] * (trace.iterations - with_bottom)
+    for i in reversed(again):
+        loop.insert(i, (True, False))
+    assert calls[: len(loop)] == loop
+    assert all(is_list for is_list, _ in calls[len(loop) :])
     assert [r.index for r in trace.records] == list(range(1, len(rows) + 1))
     for r, row in zip(trace.records, rows):
         assert type(r.bounds) is np.ndarray and not r.bounds.flags.writeable
@@ -1039,6 +1051,29 @@ def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
     for a, b in zip(rp.invariant.intervals, rq.invariant.intervals):
         for u, v in ((a.lo, b.lo), (a.hi, b.hi)):
             assert u == v or abs(u - v) <= 8 * np.finfo(float).eps * max(1.0, abs(v))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [EngineConfig(method=m) for m in METHODS] + [EngineConfig(fallback_after=1, delta=0.5)],
+    ids=[*METHODS, "fallback"],
+)
+@pytest.mark.parametrize("name", [n for n, p in SCHEDULED.items() if p.lowered.composed is None])
+def test_accel_rows_on_a_scheduled_body_equal_the_per_step_loop(monkeypatch, name, cfg):
+    # an accel run on a scheduled body carries float64 arrays, watched or
+    # not; the same body lowered below the schedule's threshold carries lists
+    p = SCHEDULED[name]
+    assert p.lowered.schedule is not None
+    with monkeypatch.context() as m:
+        m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
+        q = Program(p.state_vars, p.input_vars, p.body)
+        assert q.lowered.schedule is None and q.lowered.steps is not None
+    (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
+    if cfg.fallback_after == 1:
+        assert "fallback-widen" in tp.events
+    assert all(type(r.bounds) is np.ndarray and not r.bounds.flags.writeable for r in tp.records)
+    assert all(type(r.bounds) is tuple for r in tq.records)
+    assert _hex_run(rp, tp) == _hex_run(rq, tq)
 
 
 def test_array_rows_raise_on_nan_without_warning():

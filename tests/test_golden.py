@@ -24,10 +24,12 @@ vector-epsilon also through ``np.einsum`` dot products, whose summation
 order is NumPy's (the pins held with its AVX512, AVX2 and baseline x86-64
 kernels), and so does the kleene finish's vector table; the Gaussian
 program's coefficients come from ``random.gauss``.
-The Kleene rows of a dense Gauss-Seidel sweep (``GOLDEN_COMPOSED``) come
-from the body's composed linear map: NumPy elementwise multiplies and
-``np.add.reduce`` along axis 0, which adds one row at a time, so they
-do not depend on the NumPy version or the BLAS build either.
+The Kleene rows of a dense Gauss-Seidel sweep (``GOLDEN_COMPOSED``), and
+the rows its accel runs watch (``GOLDEN_COMPOSED_ACCEL``), come from the
+body's composed linear map: NumPy elementwise multiplies and
+``np.add.reduce`` along the contiguous axis of the transposed table,
+which NumPy sums pairwise.  They do not depend on the BLAS build; they
+hold on every NumPy version that keeps that pairwise order.
 """
 import hashlib
 import json
@@ -497,10 +499,11 @@ def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, policy, fall
 
 # stop_tol -> (iterations, reason, sha256 of the run as ``_kleene_digest``
 # writes it) for the kleene runs of random_program(2029, 64, True), a
-# dense Gauss-Seidel sweep whose plain loop takes its rows from the
+# dense Gauss-Seidel sweep whose loop takes its rows from the
 # body's composed linear map.  The map and its products are elementwise
-# multiplies and np.add.reduce along axis 0, never BLAS, so these pins
-# hold across NumPy versions and BLAS builds.
+# multiplies and np.add.reduce's pairwise sums along the contiguous axis,
+# never BLAS, so these pins hold across BLAS builds, and across NumPy
+# versions that keep that pairwise order.
 GOLDEN_COMPOSED = {
     3e-7: (138, 'converged-tolerance+finished', 'f0484936a3eca03ef9a855597a649bdb6b876c83da65fc370a89137bc1664432'),
     0.0: (447, 'converged', 'e9990c78b27d41c5fa42b66844409dab90402f642987536f3a04c126c4ed49e9'),
@@ -525,6 +528,31 @@ def test_composed_kleene_rows_are_bit_identical(stop_tol):
     report, trace = analyze(p, EngineConfig(mode="kleene", stop_tol=stop_tol))
     assert report.sound
     assert (report.iterations, report.reason, _kleene_digest(report, trace)) == GOLDEN_COMPOSED[stop_tol]
+
+
+# method -> (iterations, reason, ``_accel_digest``) for the accel runs
+# of GOLDEN_COMPOSED's body, whose watched rows also come from the
+# composed map and are a few ulps off ``image``'s; the stop, the
+# verification and the check still run ``image``.
+GOLDEN_COMPOSED_ACCEL = {
+    'aitken': (12, 'verified-injection', (11, 'ba12910b34b12dfd8aa39d3b1d9454d169a1ef83a001ba6a1033272ad52ae919')),
+    'epsilon': (13, 'verified-injection', (12, '60cc7b2eafadd9e2ee34b5a253cd1466137587346aff58988c7d251c169cb753')),
+    'vector-epsilon': (11, 'verified-injection', (10, '8e725e019b5565c0da5f0e68678b9613df55c81b4f3d7b340ed2f243256a1557')),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_composed_accel_runs_are_bit_identical(method):
+    p = parse(random_program(2029, 64, True))
+    assert p.lowered.composed is not None
+    report, trace = analyze(p, EngineConfig(method=method))
+    assert (report.iterations, report.reason, _accel_digest(trace)) == GOLDEN_COMPOSED_ACCEL[method]
+    assert report.sound
+    exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
+    for iv, ref in zip(report.invariant.intervals, exact.invariant.intervals):
+        assert iv.lo <= ref.lo and iv.hi >= ref.hi
+        assert ref.lo - iv.lo <= 1e-6 * max(1.0, abs(ref.lo))
+        assert iv.hi - ref.hi <= 1e-6 * max(1.0, abs(ref.hi))
 
 
 # stop_tol -> (iterations, reason, sha256 as ``_kleene_digest`` writes it)
