@@ -26,17 +26,17 @@ result.
 Every row and check runs the body's ``image``, bit-identical to
 interval evaluation, with one exception: on a body that keeps a
 composed linear map (a long chain of levels, such as a dense
-Gauss-Seidel sweep), the loop's ascending rows take their images from
-that map, a few ulps off.  An iteration that stops is computed again
-from ``image``, and the verification, the finish and the check run
-``image`` only, so a sound invariant is a post-fixpoint of ``image``.
+Gauss-Seidel sweep), the loop's ascending array rows take their images
+from that map, a few ulps off.  An iteration that stops is computed
+again from ``image``, and the verification, the finish and the check
+run ``image`` only, so a sound invariant is a post-fixpoint of ``image``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq
+from operator import eq, gt
 from typing import Literal, get_args
 
 import numpy as np
@@ -99,10 +99,11 @@ class TraceRecord:
     estimate if one was computed (full coordinate layout, None where no
     estimate exists), and what kind of step happened.
 
-    ``bounds`` holds the row the loop carried: a tuple of floats, or, on
-    a body with a level schedule, a read-only float64 array.  ``row``
-    holds it as a tuple, (lo, hi) pairs in the order of ``variables``,
-    and ``state`` as an AbstractState, each built on first access.
+    ``bounds`` holds the row the loop carried: a tuple of floats, or a
+    read-only float64 array on a body with a level schedule whose initial
+    state holds no Bottom.  ``row`` holds it as a tuple, (lo, hi) pairs
+    in the order of ``variables``, and ``state`` as an AbstractState,
+    each built on first access.
     Records compare by identity, as an array has no truth value.
     """
 
@@ -171,24 +172,24 @@ class FixpointReport:
 # The loop carries the state as a bound row laid out like
 # ``extraction.bound_row``'s list, [lo_1, hi_1, ..., lo_v, hi_v], with a
 # Bottom component as (inf, -inf): that list itself, except on a body
-# with a level schedule, whose rows are wide and carried as float64
-# arrays, where NumPy's per-call cost is paid back (see ``_iterate``);
-# ``_inject`` and ``_verify`` take lists in every mode.  The row
-# operations below compute exactly what their interval counterparts in
-# ``intervals`` and ``programs`` compute, on either type, and carry the
-# same names, under which the benchmark's tracer (perfbench/tracer.py)
-# times them.  On lists they are plain loops over the (lo, hi) pairs,
-# which measured faster than slices and comprehensions at every width
-# (CHANGES.md, "List rows as plain loops").
+# with a level schedule and an initial row without Bottom, whose wide
+# rows are carried as float64 arrays, where NumPy's per-call cost is paid
+# back (see ``_iterate``); ``_inject`` and ``_verify`` take lists always.
+# The row operations below compute exactly what their interval
+# counterparts in ``intervals`` and ``programs`` compute, on either type,
+# and carry the same names, under which the benchmark's tracer
+# (perfbench/tracer.py) times them.  On lists they are plain loops over
+# the (lo, hi) pairs, which measured faster than slices and
+# comprehensions at every width (CHANGES.md, "List rows as plain loops").
 
 Row = list[float] | np.ndarray
 
 
 def transfer(p: Program, x: Row) -> Row:
     """``programs.transfer`` on a bound row, through the lowered body: a
-    list row through ``image``, and an array row, which the loop hands
-    over only without Bottom, through ``linear_image``, the body's
-    composed map where it keeps one."""
+    list row through ``image``, and an array row, which holds no Bottom
+    (see ``_iterate``), through ``linear_image``, the body's composed map
+    where it keeps one."""
     return p.lowered.image(x) if type(x) is list else p.lowered.linear_image(x)
 
 
@@ -244,7 +245,8 @@ def _widen_rows(x: Row, y: Row, t: ThresholdSet) -> Row:
     return out
 
 
-# The tracer wraps both names below, so neither calls the other.
+# The tracer wraps both names below, so neither calls the other.  The
+# loop calls only the second; the first is bound for the tracer and the API.
 def state_widen_std(x: Row, y: Row) -> Row:
     """``intervals.widen_std`` on every component of two bound rows."""
     return _widen_rows(x, y, NO_THRESHOLDS)
@@ -423,20 +425,15 @@ def _inject(x: list[float], est: tuple[float | None, ...]) -> list[float]:
     return state_join(x, filled)
 
 
-def _step(cfg: EngineConfig, i: int, prev: Row, joined: Row, fallback: ThresholdSet | None,
-          same) -> tuple[Row, str]:
-    """Iteration ``i`` from ``prev``, whose join with its image is
-    ``joined``: the row, widened by the ``fallback`` thresholds or, in
-    widen mode, after the delay, and its event."""
-    if fallback is not None:
-        return state_widen_thresholds(prev, joined, fallback), "fallback-widen"
-    if cfg.mode == "widen" and i > cfg.widen_delay:
-        if cfg.thresholds is not None:
-            x = state_widen_thresholds(prev, joined, cfg.thresholds)
-        else:
-            x = state_widen_std(prev, joined)
-        return x, "plain-step" if same(x, joined) else "widen-step"
-    return joined, "plain-step"
+def _widen(prev: Row, joined: Row, widening: tuple | None, same) -> tuple[Row, str]:
+    """``joined``, the join of ``prev`` with its image, widened from
+    ``prev`` by the block's ``widening``, (thresholds, event), and the
+    event: the block's, or, if None, ``widen-step`` where a bound moved."""
+    if widening is None:
+        return joined, "plain-step"
+    t, event = widening
+    x = state_widen_thresholds(prev, joined, t)
+    return x, event or ("plain-step" if same(x, joined) else "widen-step")
 
 
 def _iterate(p: Program, cfg: EngineConfig, x: list[float],
@@ -445,97 +442,85 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float],
     after the delay in widen mode or by the fallback thresholds of an
     accel run, until the row is stable, bit-exactly or (unless the
     tolerance is 0) to ``stop_tol``, an injection verifies, or
-    ``max_iter``.  Returns the final row, as a list, and the reason.  On
-    a scheduled body the rows are float64 arrays (see the row comment
-    above), and the stop test computes the moves into one buffer.
+    ``max_iter``.  Returns the final row, as a list, and the reason.
 
-    The rows are computed in blocks.  In accel mode the
-    ``EstimateStream`` watches: a block of up to ``FIRST_BLOCK`` rows,
-    then ``LOOKAHEAD``, is pushed to it (the first after the initial
-    row, ``pending``) and walked one iteration at a time with each row's
-    estimate and whether it agrees, to ``delta``, with the one before.
-    An agreeing row joined with its estimate is tried by ``_verify``, on
-    lists; the first that verifies is recorded as an injection and is
-    the result.  After 2 * ``fallback_after`` rejections, or as many
-    iterations since the newest agreement (or the start), the stream
-    stops and the rest of the run widens by thresholds from the newest
-    estimate.  A block ends at ``max_iter`` and where the fallback would
-    fire, so the block sizes change no result.  While the stream
-    watches, the stop's tolerance is 0.0; when nothing watches (kleene,
-    widen, or after a fallback), the rest of the run is one block.
+    The rows are float64 arrays on a scheduled body whose initial row
+    holds no Bottom, lists otherwise.  No later row holds Bottom: a join
+    keeps ``lo <= hi``, widening only moves bounds outward, and a body
+    with a Bottom input has no schedule.
 
-    A row is tested for Bottom only until one holds none: every later
-    row is joined with it, which keeps ``lo <= hi``, and widening only
-    moves bounds outward.  A row that holds Bottom (only a ``Program``
-    built through the API has one) goes to ``transfer`` as a list,
-    which ``image`` routes to ``affine_eval``; every later row goes as
-    it is, so ``linear_image`` makes no Bottom test of its own.
+    The rows are computed in blocks, each widened throughout or not at
+    all, and go into the trace as they are computed.  In accel mode the
+    ``EstimateStream`` watches: each block, of ``FIRST_BLOCK`` rows and
+    then ``LOOKAHEAD``, is pushed to it (the first after the initial row,
+    ``pending``) and walked in the trace, setting each row's estimate.
+    A row whose estimate agrees, to ``delta``, with the one before is
+    joined with it and tried by ``_verify``, on lists; the first that
+    verifies replaces the rows from its iteration on, as an injection,
+    and is the result.  After 2 * ``fallback_after`` rejections, or as
+    many iterations since the newest agreement (or the start), the
+    stream stops and the rest of the run widens by thresholds from the
+    newest estimate.  A block ends at ``max_iter`` and where the fallback
+    would fire, so the block sizes change no result.  While the stream
+    watches, the stop's tolerance is 0.0.  When nothing watches, the rest
+    of the run is one block, cut in widen mode at ``widen_delay``.
 
-    Where the body keeps a composed map, ``transfer`` takes the rows'
-    images from it, a few ulps off ``image``'s.  So an iteration that
-    stops is computed again from the row as a list, through ``image``,
-    and stops only if that row stops too; the loop goes on from that row
-    if it does not.  A stop, and so every check after it, rests on
-    ``image`` alone.  It runs inside the error state ``analyze`` holds.
+    Where the body keeps a composed map, an array row that stops is
+    computed again through ``image`` (see the module docstring), and the
+    loop goes on from that row if it does not stop too.  It runs inside
+    the error state ``analyze`` holds.
     """
     lowered = p.lowered
-    # bottom: whether the array row may hold Bottom, until one holds none
-    if lowered.schedule is not None:
+    if lowered.schedule is not None and not any(map(gt, x[::2], x[1::2])):
         x = np.array(x)
         # np.array_equal is == of the rows as lists: they hold no NaN
         new, same, stop, record = np.array, np.array_equal, _stop_arrays, _read_only
-        moves, bottom = np.empty_like(x), True
+        moves, composed = np.empty_like(x), lowered.composed is not None
     else:
-        new, same, stop, record, moves, bottom = list, eq, _stop_lists, tuple, None, False
+        new, same, stop, record, moves, composed = list, eq, _stop_lists, tuple, None, False
     stream = EstimateStream(cfg.method, cfg.delta) if cfg.mode == "accel" else None
-    budget, pending, fallback, stopped = 2 * cfg.fallback_after, [x], None, None
+    budget, pending, widening, stopped = 2 * cfg.fallback_after, [x], None, None
     i = rejected = agreed = 0  # agreed: the iteration of the newest agreement
     while stopped is None and i < cfg.max_iter:
-        if stream is None:
-            n, tol = cfg.max_iter - i, cfg.stop_tol
-        else:
-            # cut where the fallback would fire: at the clock, or at the
-            # last rejection the budget allows
-            n = min(FIRST_BLOCK if pending else LOOKAHEAD, cfg.max_iter - i,
-                    agreed + budget - i, budget - rejected)
+        end, tol = cfg.max_iter, cfg.stop_tol
+        if stream is not None:
+            # cut where the fallback would fire: the clock, or the last rejection
+            end = min(i + (FIRST_BLOCK if pending else LOOKAHEAD), agreed + budget, i + budget - rejected)
             tol = 0.0
-        widens = fallback is not None or cfg.mode == "widen"
-        rows, events = [], []
-        for k in range(i + 1, i + n + 1):
+        elif cfg.mode == "widen" and i < cfg.widen_delay:
+            end = cfg.widen_delay
+        elif cfg.mode == "widen":
+            widening = (cfg.thresholds or NO_THRESHOLDS, None)
+        for _ in range(min(end, cfg.max_iter) - i):
             prev = x
-            if bottom:
-                bottom = bool(np.count_nonzero(prev[::2] > prev[1::2]))
-            fx = np.array(transfer(p, prev.tolist())) if bottom else transfer(p, prev)
-            x, event = state_join(prev, fx), "plain-step"
-            if widens:
-                x, event = _step(cfg, k, prev, x, fallback, same)
+            x, event = state_join(prev, transfer(p, prev)), "plain-step"
+            if widening is not None:
+                x, event = _widen(prev, x, widening, same)
             stopped = stop(prev, x, tol, moves)
-            if stopped is not None and lowered.composed is not None:
-                fx = np.array(transfer(p, prev.tolist()))
-                x, event = _step(cfg, k, prev, state_join(prev, fx), fallback, same)
+            if stopped is not None and composed:
+                x, event = _widen(prev, state_join(prev, np.array(transfer(p, prev.tolist()))), widening, same)
                 stopped = stop(prev, x, tol, moves)
             if stopped is not None:
                 break
-            rows.append(x)
-            events.append(event)
-        if stream is None:
-            estimates = [(None, False)] * len(rows)
-        else:
-            estimates = stream.push_rows_unguarded(pending + rows)[len(pending):] if rows else []
-            pending = []
-        for row, event, (est, agrees) in zip(rows, events, estimates):
-            i += 1
+            trace.append(record(x), None, event)
+        start, i = i, trace.iterations
+        if stream is None or i == start:
+            continue
+        pushed, pending = stream.push_rows_unguarded(pending + trace.rows[start:])[len(pending):], []
+        for j, (est, agrees) in enumerate(pushed, start):
+            trace.estimates[j] = est
             if agrees:
-                agreed = i
-                as_list = row if type(row) is list else row.tolist()
+                agreed = j + 1
+                as_list = list(trace.rows[j]) if new is list else trace.rows[j].tolist()
                 verified = _verify(p, as_list, _inject(as_list, est))
                 if verified is not None:
+                    del trace.rows[j:], trace.estimates[j:], trace.events[j:]
                     trace.append(record(new(verified)), est, "injection")
                     return verified, "verified-injection"
                 rejected += 1
-            trace.append(record(row), est, event)
-            if stream is not None and (rejected >= budget or i - agreed >= budget):
-                fallback, stream = _fallback_thresholds(est), None
+        # cut as it is, only a block's last row can fire the fallback
+        if rejected >= budget or i - agreed >= budget:
+            widening, stream = (_fallback_thresholds(trace.estimates[-1]), "fallback-widen"), None
     if stopped is not None:
         trace.append(record(x), None, "converged")
     return (x if type(x) is list else x.tolist()), stopped or "max-iter"

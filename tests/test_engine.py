@@ -26,7 +26,7 @@ from fixaccel.cli import main
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
-from test_golden import gaussian_program, random_program
+from test_golden import _hex_run, gaussian_program, random_program
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
 # the two accepted values of inject_policy: "repeat", a retired policy,
@@ -846,15 +846,23 @@ def test_records_are_built_from_the_columns(name):
     assert trace.records is not records and len(trace.records) == n
 
 
-def _hex_run(report, trace):
-    """A run's rows, estimates, events, reasons and invariant, with every
-    bound written by ``float.hex``."""
-    def hexed(est):
-        return est and [v if v is None else v.hex() for v in est]
-
-    rows = [(r.index, [v.hex() for v in r.row], hexed(r.accel), r.event) for r in trace.records]
-    bounds = [v.hex() for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
-    return rows, trace.reason, report.reason, report.injections, bounds
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("program", ["filter3", "lowpass1", "contraction2", "gaussian-16"])
+def test_an_injection_leaves_no_speculative_row(monkeypatch, program, method):
+    # the loop computes its rows a block ahead of the iteration it verifies;
+    # none of them stays in the trace past the injection, which ends where
+    # a run of one-row blocks ends.  The bundled programs verify inside the
+    # first block, on lists; the n = 16 body, scheduled, in the second, on
+    # arrays
+    p = parse(gaussian_program(4, 16, 0.97)) if program == "gaussian-16" else load_bundled(program)
+    report, trace = analyze(p, EngineConfig(method=method))
+    assert report.reason == "verified-injection"
+    assert len(trace.rows) == len(trace.estimates) == len(trace.events) == report.iterations
+    assert trace.events[-1] == "injection" and trace.events.count("injection") == 1
+    if program == "gaussian-16":
+        assert report.iterations > engine.FIRST_BLOCK and type(trace.rows[-1]) is np.ndarray
+    _row_by_row(monkeypatch)
+    assert analyze(p, EngineConfig(method=method))[0].iterations == report.iterations
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -970,17 +978,27 @@ ROW_CONFIGS = [
     EngineConfig(mode="kleene", stop_tol=0.0, max_iter=400),
     EngineConfig(mode="widen", widen_delay=8),
     EngineConfig(mode="widen", widen_delay=3, thresholds=ThresholdSet((-2.0, -0.5, 0.5, 2.0, 8.0))),
+    # widening from the first iteration: the loop's first block is empty
+    EngineConfig(mode="widen", widen_delay=0),
+]
+# the loop's first block cut at max_iter, by a delay at or past it: these
+# runs end at max_iter, where the composed-map test has no stop to compare
+CUT_AT_MAX_ITER = [
+    EngineConfig(mode="widen", widen_delay=12, max_iter=12),
+    EngineConfig(mode="widen", widen_delay=30, max_iter=12),
 ]
 
 
-@pytest.mark.parametrize("cfg", ROW_CONFIGS)
+@pytest.mark.parametrize("cfg", ROW_CONFIGS + CUT_AT_MAX_ITER)
 @pytest.mark.parametrize("name", SCHEDULED)
 def test_array_rows_equal_a_loop_over_lists(monkeypatch, name, cfg):
-    # kleene and widen runs on a scheduled body carry float64 arrays.  The
-    # loop tests its rows for Bottom only until one holds none, and hands
-    # a row holding Bottom to transfer as a list: the first row of
-    # bottom-state, every row of bottom-forever, no row of the others
+    # kleene and widen runs on a scheduled body carry float64 arrays, unless
+    # the initial row holds Bottom: then every row is a list, and its record
+    # a tuple.  No array row holding Bottom reaches transfer: a row holding
+    # Bottom goes as a list, the first row of bottom-state, every row of
+    # bottom-forever, no row of the others
     p = SCHEDULED[name]
+    from_bottom = name.startswith("bottom")
     assert p.lowered.schedule is not None
     rows, reason, invariant, again = list_kleene(p, cfg)
     image, calls = engine.transfer, []
@@ -997,14 +1015,17 @@ def test_array_rows_equal_a_loop_over_lists(monkeypatch, name, cfg):
     # iteration taken again from image (dense-gauss-seidel's composed map)
     # one more of a list row; then the finish's and the check's, of list rows
     with_bottom = {"bottom-state": 1, "bottom-forever": trace.iterations}.get(name, 0)
-    loop = [(True, True)] * with_bottom + [(False, False)] * (trace.iterations - with_bottom)
+    loop = [(True, True)] * with_bottom + [(from_bottom, False)] * (trace.iterations - with_bottom)
     for i in reversed(again):
         loop.insert(i, (True, False))
     assert calls[: len(loop)] == loop
     assert all(is_list for is_list, _ in calls[len(loop) :])
     assert [r.index for r in trace.records] == list(range(1, len(rows) + 1))
     for r, row in zip(trace.records, rows):
-        assert type(r.bounds) is np.ndarray and not r.bounds.flags.writeable
+        if from_bottom:
+            assert type(r.bounds) is tuple
+        else:
+            assert type(r.bounds) is np.ndarray and not r.bounds.flags.writeable
         assert all(type(v) is float for v in r.row)
         assert [v.hex() for v in r.row] == [v.hex() for v in row]
     assert trace.reason == reason
@@ -1054,6 +1075,27 @@ def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
 
 
 @pytest.mark.parametrize(
+    "cfg", [EngineConfig(mode="kleene", stop_tol=0.0), EngineConfig()], ids=["kleene", "accel"]
+)
+def test_rows_from_bottom_on_a_composed_body_are_image_rows(monkeypatch, cfg):
+    # a run whose initial row holds Bottom carries lists, whose images come
+    # from image, never from the composed map: its rows equal those of the
+    # body lowered without the map.  The Bottom state w reads only x0, so
+    # the first join makes it finite
+    p = SCHEDULED["dense-gauss-seidel"]
+    body = (*p.body, Assignment("w", 0.0, ((0.5, p.state_vars[0][0]),)))
+    q = Program((*p.state_vars, ("w", BOTTOM)), p.input_vars, body)
+    assert q.lowered.composed is not None
+    monkeypatch.setattr(programs, "COMPOSE_LEVEL_PRODUCTS", 0)
+    r = Program(q.state_vars, q.input_vars, q.body)
+    assert r.lowered.schedule is not None and r.lowered.composed is None
+    (rq, tq), (rr, tr) = analyze(q, cfg), analyze(r, cfg)
+    assert rq.sound and not tq.records[0].state["w"].is_bottom
+    assert all(type(row) is tuple for row in tq.rows)
+    assert _hex_run(rq, tq) == _hex_run(rr, tr)
+
+
+@pytest.mark.parametrize(
     "cfg",
     [EngineConfig(method=m) for m in METHODS] + [EngineConfig(fallback_after=1, delta=0.5)],
     ids=[*METHODS, "fallback"],
@@ -1061,7 +1103,8 @@ def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
 @pytest.mark.parametrize("name", [n for n, p in SCHEDULED.items() if p.lowered.composed is None])
 def test_accel_rows_on_a_scheduled_body_equal_the_per_step_loop(monkeypatch, name, cfg):
     # an accel run on a scheduled body carries float64 arrays, watched or
-    # not; the same body lowered below the schedule's threshold carries lists
+    # not, unless its initial row holds Bottom; the same body lowered below
+    # the schedule's threshold carries lists
     p = SCHEDULED[name]
     assert p.lowered.schedule is not None
     with monkeypatch.context() as m:
@@ -1071,7 +1114,10 @@ def test_accel_rows_on_a_scheduled_body_equal_the_per_step_loop(monkeypatch, nam
     (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
     if cfg.fallback_after == 1:
         assert "fallback-widen" in tp.events
-    assert all(type(r.bounds) is np.ndarray and not r.bounds.flags.writeable for r in tp.records)
+    if name.startswith("bottom"):
+        assert all(type(r.bounds) is tuple for r in tp.records)
+    else:
+        assert all(type(r.bounds) is np.ndarray and not r.bounds.flags.writeable for r in tp.records)
     assert all(type(r.bounds) is tuple for r in tq.records)
     assert _hex_run(rp, tp) == _hex_run(rq, tq)
 

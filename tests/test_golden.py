@@ -38,7 +38,7 @@ import random
 
 import pytest
 
-from fixaccel import EngineConfig, analyze, bundled_path, bundled_source, load_bundled, parse
+from fixaccel import EngineConfig, ThresholdSet, analyze, bundled_path, bundled_source, load_bundled, parse
 from fixaccel.cli import main
 
 CONFIGS = {
@@ -576,3 +576,58 @@ def test_narrow_chain_kleene_rows_are_bit_identical(stop_tol):
     report, trace = analyze(p, EngineConfig(mode="kleene", stop_tol=stop_tol))
     assert report.sound
     assert (report.iterations, report.reason, _kleene_digest(report, trace)) == GOLDEN_NARROW_CHAIN[stop_tol]
+
+
+def _hex_run(report, trace):
+    """A run's rows, estimates, events, reasons and invariant, with every
+    bound written by ``float.hex``."""
+    def hexed(est):
+        return est and [v if v is None else v.hex() for v in est]
+
+    rows = [(r.index, [v.hex() for v in r.row], hexed(r.accel), r.event) for r in trace.records]
+    bounds = [v.hex() for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
+    return rows, trace.reason, report.reason, report.injections, bounds
+
+
+SCHEDULED_LADDER = ThresholdSet((-2.0, -0.5, 0.5, 2.0, 8.0))
+SCHEDULED_CONFIGS = {
+    "widen-0": EngineConfig(mode="widen"),
+    "widen-3": EngineConfig(mode="widen", widen_delay=3),
+    "widen-0-thresholds": EngineConfig(mode="widen", thresholds=SCHEDULED_LADDER),
+    "widen-3-thresholds": EngineConfig(mode="widen", widen_delay=3, thresholds=SCHEDULED_LADDER),
+    "fallback": EngineConfig(fallback_after=1, delta=0.5),
+}
+
+# (body, config) -> (iterations, reason, sha256 of ``_hex_run``'s JSON) for
+# three of tests/test_engine.py's SCHEDULED bodies: a dense Gauss-Seidel
+# sweep that keeps a composed map, a sparse Jacobi body, and that body
+# with its first state Bottom.  The runs widen from the start or after a
+# delay, by the standard widening or a ladder, or fall back to threshold
+# widening after one rejected estimate.
+GOLDEN_SCHEDULED = {
+    ('dense-gauss-seidel', 'widen-0'): (3, 'converged', 'e9899f2e136abab1b041bbc41ff379b2a7e74a060b040f5348a9a19df989d0cf'),
+    ('dense-gauss-seidel', 'widen-3'): (6, 'converged', '9a7bc0804049d182a5d930f6030e7b8cd3fde2159aeb22e1d5913b9354f127fd'),
+    ('dense-gauss-seidel', 'widen-0-thresholds'): (4, 'converged', '89c2479c5864b47d479b7de22ed17313358e8cd827d6acc4422ccc6ba65bff54'),
+    ('dense-gauss-seidel', 'widen-3-thresholds'): (7, 'converged', 'babfd4343edb8e294d87c68027f4343ffb1f161b6d2858e55cd808f280c470a4'),
+    ('dense-gauss-seidel', 'fallback'): (10, 'converged', '21ffd10d7253e4ce39010030e131c015c70ceb37654c73805d38d6a3201778d8'),
+    ('sparse-jacobi', 'widen-0'): (4, 'converged', '8ea54d9208e317259bd1446bb2e805ff7032102c1eefc553bae97328e5f2ab36'),
+    ('sparse-jacobi', 'widen-3'): (6, 'converged', '898beb99db26f3f370093d8ff1cddc61dc316e7fe6d42e9d2323caf45d02e890'),
+    ('sparse-jacobi', 'widen-0-thresholds'): (7, 'converged', 'ad948d6984f08c11be636581cb7a70ab0555d88d9ef0704e51029878237fd6c8'),
+    ('sparse-jacobi', 'widen-3-thresholds'): (9, 'converged', '0af9fcf1a335ccfa75a4768d7072874bcbbbd1857032c4efc0c3616b15dbf6fb'),
+    ('sparse-jacobi', 'fallback'): (9, 'converged', '00c9e0244883de2778ae4ee90937c05b0d79ea1dcaf7a1c5a5b85fc681a07462'),
+    ('bottom-state', 'widen-0'): (4, 'converged', '815ddb7c72fba390392e06b77686847c4711d0f48eb4cfde041d91fe1d84713c'),
+    ('bottom-state', 'widen-3'): (6, 'converged', '4f3ef56376492d0ffa55d53702ce4b84d7b7fa0c84ea77b4eb250e649c9259c4'),
+    ('bottom-state', 'widen-0-thresholds'): (7, 'converged', '49e3e203fe5659151371458356fb177f4ac34028ec2c80b3f4dfd905a31e9edb'),
+    ('bottom-state', 'widen-3-thresholds'): (9, 'converged', 'c8e05ec68104ac83a03f7ed996c43e334e29ee189e1a047befe9e5d7d9e13cb0'),
+    ('bottom-state', 'fallback'): (6, 'converged', '9aea3443f384fd748d1e8305e842f2855e6cd59c684c5d30cf883abcf3872660'),
+}
+
+
+@pytest.mark.parametrize("name, config", sorted(GOLDEN_SCHEDULED))
+def test_scheduled_widening_runs_are_bit_identical(name, config):
+    from test_engine import SCHEDULED  # which imports this module
+
+    report, trace = analyze(SCHEDULED[name], SCHEDULED_CONFIGS[config])
+    assert report.sound
+    digest = hashlib.sha256(json.dumps(_hex_run(report, trace)).encode()).hexdigest()
+    assert (report.iterations, report.reason, digest) == GOLDEN_SCHEDULED[name, config]
