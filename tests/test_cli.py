@@ -22,8 +22,7 @@ from fixaccel.cli import _METHOD_ALIASES, _trace_csv, build_parser, main
 from fixaccel.engine import IterationTrace
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
-from test_golden import OVERFLOWING_CSV, gaussian_program, lost_bound_warnings
-from test_lowering import row_program
+from families import OVERFLOWING_CSV, gaussian_program, lost_bound_warnings, row_program
 
 
 def run(capsys, *argv):

@@ -26,7 +26,7 @@ from fixaccel.cli import main
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
-from test_golden import _hex_run, gaussian_program, random_program
+from families import SCHEDULED, gaussian_jacobi_program, gaussian_program, hex_run, jacobi_program, random_program
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
 # the two accepted values of inject_policy: "repeat", a retired policy,
@@ -571,25 +571,6 @@ def gaussian_jacobi_programs(draw):
                                    draw(st.integers(0, 2**32 - 1)))
 
 
-def gaussian_jacobi_program(n, rho, seed):
-    """A Jacobi loop ``t = A x + 0.1 u; x = t`` over x in [0, 1] and
-    u in [-1, 1], with N(0, 1) coefficients from ``default_rng(seed)``
-    scaled so that the spectral radius of |A| is ``rho``."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n))
-    a *= rho / np.max(np.abs(np.linalg.eigvals(np.abs(a))))
-    body = [
-        Assignment(f"t{i}", 0.0, (*((float(a[i, j]), f"x{j}") for j in range(n)), (0.1, f"u{i}")))
-        for i in range(n)
-    ]
-    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
-    return Program(
-        tuple((f"x{i}", Interval(0.0, 1.0)) for i in range(n)),
-        tuple((f"u{i}", Interval(-1.0, 1.0)) for i in range(n)),
-        tuple(body),
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(p=gaussian_jacobi_programs())
 def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
@@ -657,12 +638,7 @@ def test_epsilon_verifies_a_sweep_program_within_tolerance():
     # epsilon ends verified-injection after 7 iterations with x1's lower
     # bound 2.27e-6 below the least fixpoint's; aitken ends 1.25e-9 from
     # it and vector-epsilon 1.0e-9
-    n = len(IMPRECISE_EPSILON_ROWS)
-    body = [Assignment(f"t{i}", 0.0, (*((c, f"x{j}") for j, c in enumerate(row)), (0.1, f"u{i}")))
-            for i, row in enumerate(IMPRECISE_EPSILON_ROWS)]
-    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
-    p = Program(tuple((f"x{i}", Interval(0.0, 1.0)) for i in range(n)),
-                tuple((f"u{i}", Interval(-1.0, 1.0)) for i in range(n)), tuple(body))
+    p = jacobi_program(IMPRECISE_EPSILON_ROWS)
     report, _ = analyze(p, EngineConfig(method="epsilon", fallback_after=200))
     assert report.converged and report.sound
     assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
@@ -682,12 +658,7 @@ IMPRECISE_REPEAT_ROWS = (
 
 @pytest.mark.parametrize("method", ["aitken", "epsilon"])
 def test_repeat_runs_once_on_an_imprecise_sweep_program(method):
-    n = len(IMPRECISE_REPEAT_ROWS)
-    body = [Assignment(f"t{i}", 0.0, (*((c, f"x{j}") for j, c in enumerate(row)), (0.1, f"u{i}")))
-            for i, row in enumerate(IMPRECISE_REPEAT_ROWS)]
-    body += [Assignment(f"x{i}", 0.0, ((1.0, f"t{i}"),)) for i in range(n)]
-    p = Program(tuple((f"x{i}", Interval(0.0, 1.0)) for i in range(n)),
-                tuple((f"u{i}", Interval(-1.0, 1.0)) for i in range(n)), tuple(body))
+    p = jacobi_program(IMPRECISE_REPEAT_ROWS)
     report, _ = analyze(p, EngineConfig(method=method, inject_policy="repeat", fallback_after=200))
     assert report.converged and report.sound
     assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
@@ -882,7 +853,7 @@ def test_accel_fallback_on_arrays_equals_the_per_step_loop(monkeypatch, method, 
         assert "fallback-widen" in [r.event for r in tp.records]
         assert [r.index for r in tp.records] == list(range(1, min(len(tp.records), cfg.max_iter) + 1))
         assert type(tp.records[-1].bounds) is np.ndarray and type(tq.records[-1].bounds) is tuple
-        assert _hex_run(rp, tp) == _hex_run(rq, tq)
+        assert hex_run(rp, tp) == hex_run(rq, tq)
 
 
 @pytest.mark.parametrize("mode", ["kleene", "widen", "accel"])
@@ -949,30 +920,6 @@ def list_kleene(p, cfg):
     return rows, "max-iter", x, again
 
 
-def scheduled_programs():
-    """``row_program`` bodies with a level schedule: dense and sparse,
-    Jacobi and Gauss-Seidel; and two built through the API with a Bottom
-    state, whose rows with Bottom take ``affine_eval``: the first
-    state, which the first join makes finite, or a new state ``z`` that
-    reads only itself and stays Bottom."""
-    from test_lowering import row_program
-
-    texts = {
-        "dense-jacobi": row_program(11, 32, None),
-        "dense-gauss-seidel": row_program(12, 64, None, gauss_seidel=True),
-        "sparse-jacobi": row_program(13, 96, 4),
-        "sparse-gauss-seidel": row_program(14, 256, 8, gauss_seidel=True),
-    }
-    out = {name: parse(text) for name, text in texts.items()}
-    p = out["sparse-jacobi"]
-    out["bottom-state"] = Program(((p.state_vars[0][0], BOTTOM), *p.state_vars[1:]), p.input_vars, p.body)
-    out["bottom-forever"] = Program(
-        (*p.state_vars, ("z", BOTTOM)), p.input_vars, (*p.body, Assignment("z", 0.0, ((0.5, "z"),)))
-    )
-    return out
-
-
-SCHEDULED = scheduled_programs()
 ROW_CONFIGS = [
     EngineConfig(mode="kleene"),
     EngineConfig(mode="kleene", stop_tol=0.0, max_iter=400),
@@ -1092,7 +1039,7 @@ def test_rows_from_bottom_on_a_composed_body_are_image_rows(monkeypatch, cfg):
     (rq, tq), (rr, tr) = analyze(q, cfg), analyze(r, cfg)
     assert rq.sound and not tq.records[0].state["w"].is_bottom
     assert all(type(row) is tuple for row in tq.rows)
-    assert _hex_run(rq, tq) == _hex_run(rr, tr)
+    assert hex_run(rq, tq) == hex_run(rr, tr)
 
 
 @pytest.mark.parametrize(
@@ -1119,7 +1066,7 @@ def test_accel_rows_on_a_scheduled_body_equal_the_per_step_loop(monkeypatch, nam
     else:
         assert all(type(r.bounds) is np.ndarray and not r.bounds.flags.writeable for r in tp.records)
     assert all(type(r.bounds) is tuple for r in tq.records)
-    assert _hex_run(rp, tp) == _hex_run(rq, tq)
+    assert hex_run(rp, tp) == hex_run(rq, tq)
 
 
 def test_array_rows_raise_on_nan_without_warning():

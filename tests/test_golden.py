@@ -34,12 +34,12 @@ hold on every NumPy version that keeps that pairwise order.
 import hashlib
 import json
 import math
-import random
 
 import pytest
 
 from fixaccel import EngineConfig, ThresholdSet, analyze, bundled_path, bundled_source, load_bundled, parse
 from fixaccel.cli import main
+from families import OVERFLOWING_CSV, SCHEDULED, gaussian_program, hex_run, lost_bound_warnings, random_program
 
 CONFIGS = {
     "kleene": ["--mode", "kleene"],
@@ -166,15 +166,6 @@ def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def lost_bound_warnings(report) -> str:
-    """The stderr ``fixaccel analyze`` prints with the --report file
-    ``report``: one warning per variable with an infinite bound (a string
-    in the JSON), in order, and nothing else."""
-    invariant = json.loads(report.read_bytes())["invariant"]
-    return "".join(f"warning: {v} has an infinite bound\n" for v, bounds in invariant.items()
-                   if any(isinstance(b, str) for b in bounds.values()))
-
-
 @pytest.mark.parametrize("program", ["filter3", "lowpass1", "contraction2"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_cli_files_are_byte_identical(tmp_path, monkeypatch, capsys, program, config):
@@ -203,9 +194,6 @@ def test_report_escapes_the_program_path(tmp_path, monkeypatch, capsys):
     assert _sha(tmp_path / "r.json") == GOLDEN_REPORT_PATH
     assert json.loads((tmp_path / "r.json").read_bytes())["program"] == REPORT_PATH
 
-
-# finite data whose differences overflow
-OVERFLOWING_CSV = "a,b\n1.7e308,1\n-1.7e308,2\n1.7e308,2.5\n-1.6e308,2.75\n1.5e308,2.875\n"
 
 # (data, method, norm) -> (sha256 of the stdout of ``fixaccel accelerate``,
 # sha256 of its --output CSV), for the bundled lowpass2 iterates and for
@@ -276,33 +264,6 @@ def test_accelerate_output_is_byte_identical(tmp_path, capsys, data, method, nor
     stdout, stderr = capsys.readouterr()
     assert (code, stderr) == (0, "")
     assert (hashlib.sha256(stdout.encode()).hexdigest(), _sha(out)) == GOLDEN_ACCELERATE[data, method, norm]
-
-
-def random_program(seed: int, n: int, gauss_seidel: bool, nnz: int | None = None) -> str:
-    """A contracting loop with random signs, rows of |A| summing to 0.95,
-    a constant and one input per state; the Jacobi form writes
-    temporaries, then copies.  Each row has ``nnz`` terms, over columns
-    drawn by ``rng.sample`` and sorted, or all ``n`` if None.  Built with
-    ``random`` and ``math.fsum``, whose results are the same on every
-    platform and Python version."""
-    rng = random.Random(seed)
-    rhs = []
-    for i in range(n):
-        cols = range(n) if nnz is None else sorted(rng.sample(range(n), nnz))
-        row = [rng.uniform(0.1, 1.0) * rng.choice((-1.0, 1.0)) for _ in cols]
-        scale = 0.95 / math.fsum(abs(a) for a in row)
-        terms = [f"{a * scale!r}*x{j}" for j, a in zip(cols, row)]
-        rhs.append(" + ".join(terms + [f"0.1*u{i}", repr(0.01 * i)]).replace("+ -", "- "))
-    lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
-    lines += [f"input u{i} in [-1.0, 2.0];" for i in range(n)]
-    lines.append("loop {")
-    if gauss_seidel:
-        lines += [f"  x{i} = {rhs[i]};" for i in range(n)]
-    else:
-        lines += [f"  t{i} = {rhs[i]};" for i in range(n)]
-        lines += [f"  x{i} = t{i};" for i in range(n)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("form", ["jacobi", "gauss-seidel"])
@@ -411,29 +372,6 @@ def test_accel_results_are_bit_identical(program, method, policy):
     cfg = EngineConfig(mode="accel", method=method, inject_policy=policy)
     report, _ = analyze(load_bundled(program), cfg)
     assert _pinned(report) == GOLDEN_ACCEL[program, method]
-
-
-def gaussian_program(seed: int, n: int, rho: float) -> str:
-    """A Jacobi loop with N(0, 1) coefficients scaled so that the
-    spectral radius of |A| is about ``rho``, found by power iteration in
-    plain floats; at rho = 0.97 the iterates have a long tail."""
-    rng = random.Random(seed)
-    rows = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
-    v = [1.0] * n
-    for _ in range(100):
-        w = [math.fsum(abs(a) * vj for a, vj in zip(row, v)) for row in rows]
-        top = max(w)
-        v = [wi / top for wi in w]
-    scale = rho / top
-    lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
-    lines += [f"input u{i} in [-1.0, 1.0];" for i in range(n)]
-    lines.append("loop {")
-    for i, row in enumerate(rows):
-        terms = [f"{a * scale!r}*x{j}" for j, a in enumerate(row)] + [f"0.1*u{i}"]
-        lines.append(f"  t{i} = " + " + ".join(terms).replace("+ -", "- ") + ";")
-    lines += [f"  x{i} = t{i};" for i in range(n)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -578,17 +516,6 @@ def test_narrow_chain_kleene_rows_are_bit_identical(stop_tol):
     assert (report.iterations, report.reason, _kleene_digest(report, trace)) == GOLDEN_NARROW_CHAIN[stop_tol]
 
 
-def _hex_run(report, trace):
-    """A run's rows, estimates, events, reasons and invariant, with every
-    bound written by ``float.hex``."""
-    def hexed(est):
-        return est and [v if v is None else v.hex() for v in est]
-
-    rows = [(r.index, [v.hex() for v in r.row], hexed(r.accel), r.event) for r in trace.records]
-    bounds = [v.hex() for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
-    return rows, trace.reason, report.reason, report.injections, bounds
-
-
 SCHEDULED_LADDER = ThresholdSet((-2.0, -0.5, 0.5, 2.0, 8.0))
 SCHEDULED_CONFIGS = {
     "widen-0": EngineConfig(mode="widen"),
@@ -598,8 +525,8 @@ SCHEDULED_CONFIGS = {
     "fallback": EngineConfig(fallback_after=1, delta=0.5),
 }
 
-# (body, config) -> (iterations, reason, sha256 of ``_hex_run``'s JSON) for
-# three of tests/test_engine.py's SCHEDULED bodies: a dense Gauss-Seidel
+# (body, config) -> (iterations, reason, sha256 of ``hex_run``'s JSON) for
+# three of tests/families.py's SCHEDULED bodies: a dense Gauss-Seidel
 # sweep that keeps a composed map, a sparse Jacobi body, and that body
 # with its first state Bottom.  The runs widen from the start or after a
 # delay, by the standard widening or a ladder, or fall back to threshold
@@ -625,9 +552,7 @@ GOLDEN_SCHEDULED = {
 
 @pytest.mark.parametrize("name, config", sorted(GOLDEN_SCHEDULED))
 def test_scheduled_widening_runs_are_bit_identical(name, config):
-    from test_engine import SCHEDULED  # which imports this module
-
     report, trace = analyze(SCHEDULED[name], SCHEDULED_CONFIGS[config])
     assert report.sound
-    digest = hashlib.sha256(json.dumps(_hex_run(report, trace)).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(hex_run(report, trace)).encode()).hexdigest()
     assert (report.iterations, report.reason, digest) == GOLDEN_SCHEDULED[name, config]

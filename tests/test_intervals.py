@@ -22,20 +22,7 @@ from fixaccel import (
     widen_std,
     widen_thresholds,
 )
-
-
-def rand_interval(rng, p_bottom=0.1, p_inf=0.2):
-    if rng.random() < p_bottom:
-        return BOTTOM
-    lo = -math.inf if rng.random() < p_inf else float(rng.normal(scale=10))
-    hi = math.inf if rng.random() < p_inf else float(rng.normal(scale=10))
-    if lo > hi:
-        lo, hi = hi, lo
-    if math.isinf(lo) and lo > 0:
-        lo = -lo
-    if math.isinf(hi) and hi < 0:
-        hi = -hi
-    return Interval(lo, hi)
+from families import rand_interval
 
 
 class TestIntervalBasics:

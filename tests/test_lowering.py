@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from test_intervals import rand_interval
+from families import gaussian_program, rand_interval, random_program, row_program
 
 from fixaccel import (
     AbstractState,
@@ -860,32 +860,7 @@ def test_bottom_rows_equal_fold_of_affine_eval(case):
             assert lowered.steps is None
 
 
-def row_program(seed, n, nnz, gauss_seidel=False, rho=None):
-    """A loop over ``n`` states whose rows have ``nnz`` random terms
-    (all ``n`` if None), in Jacobi form (temporaries, then copies) or as
-    a Gauss-Seidel sweep: the four body forms of the kleene-wide
-    benchmark.  Each row's N(0, 1) coefficients are divided by their
-    number, or, with ``rho``, by the sum of their magnitudes over ``rho``,
-    so that the row of |A| sums to ``rho``."""
-    rng = np.random.default_rng(seed)
-    lines = [f"state x{i} in [0.0, 1.0];" for i in range(n)]
-    lines += [f"input u{i} in [-1.0, 1.0];" for i in range(n)]
-    lines.append("loop {")
-    for i in range(n):
-        cols = range(n) if nnz is None else rng.choice(n, nnz, replace=False)
-        c = [rng.normal() for _ in cols]
-        div = len(cols) if rho is None else math.fsum(map(abs, c)) / rho
-        terms = [f"{a / div!r}*x{j}" for a, j in zip(c, cols)]
-        target = f"x{i}" if gauss_seidel else f"t{i}"
-        lines.append(f"  {target} = " + " + ".join(terms + [f"0.1*u{i}"]).replace("+ -", "- ") + ";")
-    if not gauss_seidel:
-        lines += [f"  x{i} = t{i};" for i in range(n)]
-    return "\n".join(lines + ["}"]) + "\n"
-
-
 def test_jacobi_bodies_schedule_to_one_level():
-    from test_golden import gaussian_program
-
     jacobi = (gaussian_program(2, 16, 0.9), row_program(3, 256, 8), row_program(3, 64, None))
     for text in jacobi:
         lowered = parse(text).lowered
@@ -1262,8 +1237,6 @@ COMPOSED_TABLES = {
 
 @pytest.mark.parametrize("maker, seed, n", COMPOSED_TABLES)
 def test_composed_tables_are_pinned(maker, seed, n):
-    from test_golden import random_program
-
     if maker == "random_program":
         text = random_program(seed, n, True)
     else:
@@ -1288,8 +1261,6 @@ def test_composed_map_needs_finite_inputs():
 def test_a_row_with_an_infinite_bound_skips_the_composed_product():
     # 0 * inf would make the product NaN: such a row goes to image before
     # any product, so no floating-point error is raised
-    from test_golden import random_program
-
     lowered = parse(random_program(2029, 64, True)).lowered
     assert lowered.composed is not None
     row = np.tile([0.0, 1.0], 64)
@@ -1304,8 +1275,6 @@ def test_composed_image_is_a_pairwise_sum_of_the_transposed_table():
     # bound of the image is a sum along that contiguous axis, which NumPy
     # adds pairwise: bit for bit this expression, and not the row-order
     # fold that a C-ordered table summed along axis 0 gives
-    from test_golden import random_program
-
     p = parse(random_program(2029, 64, True))
     table, const = p.lowered.composed
     assert table.flags.f_contiguous and table.T.flags.c_contiguous
@@ -1321,8 +1290,6 @@ def test_composed_image_is_a_pairwise_sum_of_the_transposed_table():
 def test_only_long_chains_of_levels_keep_the_composed_map():
     # the kleene-wide shapes: only the dense Gauss-Seidel sweep, 64 levels
     # of 128 bounds, costs more than one 128 x 128 product
-    from test_golden import gaussian_program
-
     dense_gs = parse(row_program(3, 64, None, gauss_seidel=True)).lowered
     assert len(dense_gs.schedule[1]) == 64 and dense_gs.composed is not None
     # test_cli's dense sweep, whose rows of |A| sum to 0.95, keeps it too

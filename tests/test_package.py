@@ -11,7 +11,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from test_golden import gaussian_program
+from families import gaussian_program
 
 import fixaccel
 from fixaccel import EngineConfig, analyze, bundled_path, bundled_source, parse

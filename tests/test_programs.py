@@ -22,7 +22,7 @@ from fixaccel import (
     unparse,
 )
 from fixaccel import programs
-from test_golden import gaussian_program
+from families import gaussian_program
 
 SMALL = """
 # a one-state decaying accumulator
