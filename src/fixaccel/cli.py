@@ -28,6 +28,14 @@ result could not be verified, 1 for unusable input or an output file
 that cannot be written.  ``analyze`` also names each variable with an
 infinite bound on stderr (``warning: x has an infinite bound``), which
 leaves the exit status as it is.
+
+Every option is declared once, in ``build_parser``.  ``main`` reads a
+well-formed argv (the subcommand, its positional, and its options
+spelled out in full as ``--opt value`` or ``--opt=value``) straight
+from an option table built once from that parser's actions and
+defaults, into the Namespace argparse would return.  Any other argv
+goes to argparse itself, so help, abbreviated options and usage errors
+(exit 1) read as argparse writes them.
 """
 from __future__ import annotations
 
@@ -472,8 +480,81 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _options() -> dict[str, tuple[dict[str, argparse.Action], list[argparse.Action], dict]]:
+    """The option table ``_read`` reads argv from, built once from the
+    actions and defaults of ``_parser()``: per subcommand, its long
+    options that store one value, by option string; its positionals in
+    order; and the values its Namespace holds before any argument is read
+    (the subcommand's name, each action's default and the other values
+    of ``set_defaults``)."""
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, parser in sub.choices.items():
+        stores = [a for a in parser._actions if type(a) is argparse._StoreAction and a.nargs is None]
+        table[name] = (
+            {s: a for a in stores for s in a.option_strings if s.startswith("--")},
+            [a for a in parser._actions if not a.option_strings],
+            {sub.dest: name, **parser._defaults,
+             **{a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}},
+        )
+    return table
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``_parser().parse_args(argv)`` returns, read from the
+    option table: the subcommand first, then its positionals and exact
+    long options (``--opt value`` or ``--opt=value``) in any order, each
+    value through its action's ``type`` and ``choices``.  None where only
+    argparse can read ``argv``: any other token (``-h``, an abbreviation,
+    ``--``), a separate value starting with ``-`` (argparse's rule for
+    negative numbers), a value its type or choices reject, or a missing or
+    extra positional."""
+    entry = _options().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, positionals, defaults = entry
+    values = dict(defaults)
+    positionals = iter(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            action, value = next(positionals, None), token
+        elif token in options:
+            # a missing value reads as one starting with "-"
+            action, value = options[token], next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        else:
+            name, eq, value = token.partition("=")
+            action = options.get(name) if eq else None
+        if action is None:
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if next(positionals, None) is not None:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the subcommand ``argv`` names (``sys.argv[1:]`` when None) and
+    return its exit status.
+
+    A well-formed ``argv`` is read straight from the option table
+    (``_read``); any other goes to ``_parser().parse_args``, so help,
+    abbreviated options and usage errors (exit 1) are argparse's own.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

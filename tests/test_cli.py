@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fixaccel
 from fixaccel import EngineConfig, TransformConfig, analyze, bundled_path, load_bundled
 from fixaccel.bundled import PROGRAM_NAMES
-from fixaccel.cli import _METHOD_ALIASES, _trace_csv, build_parser, main
+from fixaccel.cli import _METHOD_ALIASES, _options, _parse_thresholds, _read, _trace_csv, build_parser, main
 from fixaccel.engine import IterationTrace
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.transforms import EstimateStream
@@ -341,9 +341,9 @@ class TestAnalyze:
 
 
 def subcommand_options(name):
-    """The options of one subcommand of ``build_parser()``, by dest."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[name]._actions if a.option_strings}
+    """The options of one subcommand as ``main`` reads them: the option
+    table's, by dest."""
+    return {a.dest: a for a in _options()[name][0].values()}
 
 
 class TestSettings:
@@ -355,9 +355,17 @@ class TestSettings:
     )
     def test_every_config_field_is_an_option_with_its_default(self, command, config):
         options = subcommand_options(command)
+        args = _read([command, "PATH"])  # no option given
         for f in dataclasses.fields(config):
             assert f.name in options, f.name
             assert options[f.name].default == f.default, f.name
+            assert getattr(args, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize("command", ["analyze", "accelerate"])
+    def test_the_table_holds_every_option_but_help(self, command):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert set(_options()[command][0]) == declared - {"-h", "--help"}
 
     @pytest.mark.parametrize("name", PROGRAM_NAMES)
     def test_analyze_without_options_reports_the_default_config(self, capsys, tmp_path, name):
@@ -380,6 +388,88 @@ class TestSettings:
             main([command, "--help"])
         assert exit_.value.code == 0
         assert "(default: " in capsys.readouterr().out
+
+
+def option_values(action):
+    """Texts of the values one option takes: its choices (aliases
+    included), or values of its type."""
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices))
+    return {
+        int: st.integers().map(str),
+        float: st.floats(allow_nan=False).map(repr),
+        _parse_thresholds: st.lists(st.floats(allow_nan=False, allow_infinity=False), unique=True)
+        .map(lambda values: ",".join(map(repr, values))),
+        None: st.text(max_size=8),
+    }[action.type]
+
+
+@st.composite
+def table_argv(draw, command):
+    """An argv the option table reads: ``command``, then its positional
+    and any of its options in any order, each option in either form and
+    possibly repeated; a value starting with ``-`` takes the ``=`` form,
+    as argparse reads it only there."""
+    options = _options()[command][0]
+    parts = [[draw(st.text(max_size=8).filter(lambda s: not s.startswith("-")))]]
+    for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=12)):
+        value = draw(option_values(options[option]))
+        parts.append([f"{option}={value}"] if value.startswith("-") or draw(st.booleans())
+                     else [option, value])
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(parts)))]
+
+
+@pytest.mark.parametrize("command", ["analyze", "accelerate"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_table_reads_what_argparse_reads(command, data):
+    argv = data.draw(table_argv(command))
+    args = _read(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def argparse_main(argv):
+    """``main`` with argparse alone reading ``argv``."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# argv that only argparse reads ("P" stands for a bundled program), with
+# the exit status main returns or exits with
+HANDED_OVER = [
+    ([], 1),
+    (["--help"], 0),
+    (["analyze", "-h"], 0),
+    (["analyze", "P", "--meth", "vea"], 0),  # an abbreviation
+    (["analyze", "--", "P"], 0),
+    (["analyze", "P", "--delta", "-1e-3"], 1),  # a separate value starting with "-"
+    (["analyze"], 1),
+    (["analyze", "P", "P"], 1),
+    (["frobnicate", "P"], 1),
+    (["analyze", "P", "--mode", "sideways"], 1),
+    (["analyze", "P", "--max-iter", "1e3"], 1),
+    (["analyze", "P", "--thresholds=1,1"], 1),
+    (["analyze", "P", "--trace"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", HANDED_OVER, ids=[" ".join(a) or "(none)" for a, _ in HANDED_OVER])
+def test_argparse_reads_what_the_table_cannot(capsys, argv, code):
+    argv = [FILTER3 if token == "P" else token for token in argv]
+    assert _read(argv) is None
+
+    def outcome(call):
+        try:
+            status = call(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out = capsys.readouterr()
+        return status, out.out, out.err
+
+    got = outcome(main)
+    assert got == outcome(argparse_main)
+    assert got[0] == code
 
 
 class TestAccelerate:
