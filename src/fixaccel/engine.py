@@ -186,10 +186,10 @@ Row = list[float] | np.ndarray
 
 
 def transfer(p: Program, x: Row) -> Row:
-    """``programs.transfer`` on a bound row, through the lowered body: a
-    list row through ``image``, and an array row, which holds no Bottom
-    (see ``_iterate``), through ``linear_image``, the body's composed map
-    where it keeps one."""
+    """``programs.transfer`` on a bound row, through the lowered body, the
+    one place that picks its image by the row's type: a list row takes the
+    exact ``image``, and an array row, the loop's, which holds no Bottom
+    (see ``_iterate``), ``linear_image``."""
     return p.lowered.image(x) if type(x) is list else p.lowered.linear_image(x)
 
 

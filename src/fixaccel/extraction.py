@@ -6,7 +6,7 @@ cannot enter the numeric transformations, so extraction reports them
 as an excluded coordinate set and combination restores them as the
 corresponding infinity.  Accelerated estimates occasionally come back
 with an inverted pair (lower > upper); combination swaps the pair and
-flags the variable so callers can skip injecting it.
+reports the variable (``engine._inject`` keeps that variable's bounds).
 """
 from __future__ import annotations
 

@@ -22,15 +22,15 @@ on any chunk that is not one token, and on any error, it gives it the
 regex tokens of ``_tokenize``, which locate each ParseError.
 
 ``_assign`` lowers a body once, to single-assignment form, with unit
-copies folded; three parts read it.  A body's image (``LoweredBody.image``,
-which ``transfer`` runs) takes the per-step loop or, for a wide body, a
-level schedule that sums each level's columns with one ``np.add.reduce``;
-both make the float operations of interval evaluation in their order.  A
-body without Bottom is also linear in the bounds, w -> M w + c with M >= 0
-in w = (-lo, hi) (``LoweredBody.linear``).  A scheduled body whose level
-schedule costs more than one product with M keeps that map
-(``composed``), whose images (``linear_image``) are a few ulps off and
-serve only the engine loop's ascending rows.
+copies folded; three parts read it.  A body's exact image
+(``LoweredBody.image``) maps a list of bounds to a list, through the
+per-step loop or, for a wide body, a level schedule that sums each
+level's columns with one ``np.add.reduce``; both make the float
+operations of interval evaluation in their order.  A body without Bottom
+is also linear in the bounds, w -> M w + c with M >= 0 in w = (-lo, hi)
+(``LoweredBody.linear``).  The engine loop's array rows take
+``linear_image``: the schedule, or M where a body whose schedule costs
+more than one product with it keeps M (``composed``), a few ulps off.
 """
 from __future__ import annotations
 
@@ -316,7 +316,8 @@ def _schedule(form: tuple, width: int, inputs: list[float]) -> tuple | None:
 
 
 class LoweredBody:
-    """A loop body as slot arithmetic on a flat list of bounds.
+    """A loop body as slot arithmetic on a flat list of bounds; ``image``
+    maps a list row to a list, ``linear_image`` an array row to an array.
 
     ``_assign`` puts the body in single-assignment form, kept in
     ``_form``, and one interpreter runs it on a flat list of bounds in which each node owns a
@@ -444,28 +445,20 @@ class LoweredBody:
             return self._run(row)
         return out
 
-    def image(self, row: list[float] | np.ndarray) -> list[float] | np.ndarray:
-        """One pass of the body over a bound row of the state variables,
-        given as a list of floats or a float64 array; the image is of the
-        same type.
+    def image(self, row: list[float]) -> list[float]:
+        """One pass of the body over a bound row of the state variables, a
+        list of floats; the image is a new list.  (The engine loop's array
+        rows take ``linear_image``.)
 
         Each step accumulates ``lo += coeff * b[src_for_lo]`` and ``hi +=
         coeff * b[src_for_hi]`` from ``const``, as ``affine_eval`` does (a
         folded copy adds its constant last), so the row is bit-identical
         to interval evaluation; the schedule makes the same operations in
-        the same order (see ``_Kernel``) on an array row, without a
-        conversion.  The image is a new row, never a view of a kernel's
-        buffer.  An array row that the schedule cannot take goes through
-        the list path.  A row with a pair ``lo > hi`` (Bottom), and every
-        row of a body with a Bottom input, takes ``_affine_eval``.  It
-        enters no NumPy error state: one that lets a bound overflow is the
-        caller's.
+        the same order (see ``_Kernel``).  A row with a pair ``lo > hi``
+        (Bottom), and every row of a body with a Bottom input, takes
+        ``_affine_eval``.  It enters no NumPy error state: one that lets a
+        bound overflow is the caller's.
         """
-        if type(row) is not list:
-            # count_nonzero costs less than any() on a short mask
-            if self.schedule is not None and not np.count_nonzero(row[::2] > row[1::2]):
-                return self._run(row)
-            return np.array(self.image(row.tolist()))
         has_bottom = any(map(gt, row[::2], row[1::2]))
         if self.schedule is not None and not has_bottom:
             return self._run(row).tolist()
@@ -790,7 +783,7 @@ def unparse(p: Program) -> str:
     that no text spells, which only the API builds: one that declares a
     Bottom variable, names a variable or a target by a keyword or by
     what is not an ASCII identifier, assigns to an input, or holds a NaN
-    constant or coefficient.
+    constant or coefficient or a ``-0.0`` constant (constants sum from 0.0).
     """
     lines: list[str] = []
     for kind, decls in (("state", p.state_vars), ("input", p.input_vars)):
@@ -809,6 +802,8 @@ def unparse(p: Program) -> str:
             raise ValueError(f"cannot unparse the assignment to input {a.target!r}: inputs are read-only")
         if a.const != a.const or any(c != c for c, _ in a.terms):
             raise ValueError(f"cannot unparse the assignment to {a.target!r}: no literal is NaN")
+        if a.const == 0.0 and math.copysign(1.0, a.const) < 0.0:
+            raise ValueError(f"cannot unparse the assignment to {a.target!r}: no constant sums to -0.0")
         lines.append(f"  {a.target} = {_fmt_expr(a.const, a.terms)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -985,6 +985,38 @@ def test_array_rows_equal_a_loop_over_lists(monkeypatch, name, cfg):
         assert all(r.state["z"].is_bottom for r in trace.records)
 
 
+ROW_TYPE_CONFIGS = {
+    "kleene": EngineConfig(mode="kleene"),
+    "widen-0-thresholds": EngineConfig(mode="widen", thresholds=ThresholdSet((-2.0, -0.5, 0.5, 2.0, 8.0))),
+    **{f"accel-{m}": EngineConfig(method=m) for m in METHODS},
+    "fallback": EngineConfig(fallback_after=1, delta=0.5),
+}
+
+
+@pytest.mark.parametrize("cfg", ROW_TYPE_CONFIGS.values(), ids=ROW_TYPE_CONFIGS)
+@pytest.mark.parametrize("name", SCHEDULED)
+def test_each_image_takes_one_row_type(monkeypatch, name, cfg):
+    # image takes lists only, from the loop and from every verification,
+    # finish and check; linear_image takes the loop's arrays, none of
+    # which holds Bottom
+    calls = {"image": [], "linear_image": []}
+    for attr in calls:
+        real = getattr(programs.LoweredBody, attr)
+
+        def spy(self, row, real=real, seen=calls[attr]):
+            seen.append(row if type(row) is list else row.copy())
+            return real(self, row)
+
+        monkeypatch.setattr(programs.LoweredBody, attr, spy)
+    report, _ = analyze(SCHEDULED[name], cfg)
+    assert report.iterations > 0 and calls["image"]
+    assert all(type(row) is list for row in calls["image"])
+    assert all(type(row) is np.ndarray for row in calls["linear_image"])
+    assert not any((row[::2] > row[1::2]).any() for row in calls["linear_image"])
+    if not name.startswith("bottom"):
+        assert calls["linear_image"]
+
+
 @pytest.mark.parametrize("name", ["dense-jacobi", "dense-gauss-seidel", "sparse-jacobi", "sparse-gauss-seidel"])
 def test_kleene_finish_on_a_scheduled_body_holds_the_exact_stop(name):
     # the four body forms of the kleene-wide benchmark
@@ -1012,8 +1044,8 @@ def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
         assert rp.iterations == rq.iterations
     else:
         assert rp.reason == "converged" and rq.iterations <= rp.iterations <= rq.iterations + 10
-        last = tp.rows[-1]
-        assert engine.state_join(last, p.lowered.image(last)).tolist() == last.tolist()
+        last = tp.rows[-1].tolist()
+        assert engine.state_join(last, p.lowered.image(last)) == last
     assert rp.sound and rq.sound
     assert verify_postfixpoint(p, rp.invariant) and verify_postfixpoint(q, rq.invariant)
     for a, b in zip(rp.invariant.intervals, rq.invariant.intervals):

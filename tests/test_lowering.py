@@ -26,10 +26,8 @@ from fixaccel import (
     load_bundled,
     parse,
     transfer,
-    widen_std,
-    widen_thresholds,
 )
-from fixaccel import engine, programs
+from fixaccel import engine, intervals, programs
 from fixaccel.extraction import (
     ExtractionSchema,
     bound_row,
@@ -151,12 +149,6 @@ def rows_and_states(seed, n):
     return names, AbstractState(zip(names, a)), AbstractState(zip(names, b)), t
 
 
-def per_interval(op, a, b, *extra):
-    return AbstractState(
-        (name, op(u, v, *extra)) for (name, u), v in zip(a, b.intervals)
-    )
-
-
 def row_types(a, b):
     """Two states as bound rows: lists of floats, then read-only float64
     arrays, as the engine's loop carries them."""
@@ -178,9 +170,9 @@ def test_row_operations_equal_interval_operations(seed, n):
     names, a, b, t = rows_and_states(seed, n)
     for ra, rb in row_types(a, b):
         cases = [
-            (engine.state_join(ra, rb), per_interval(join, a, b)),
-            (engine.state_widen_std(ra, rb), per_interval(widen_std, a, b)),
-            (engine.state_widen_thresholds(ra, rb, t), per_interval(widen_thresholds, a, b, t)),
+            (engine.state_join(ra, rb), intervals.state_join(a, b)),
+            (engine.state_widen_std(ra, rb), intervals.state_widen_std(a, b)),
+            (engine.state_widen_thresholds(ra, rb, t), intervals.state_widen_thresholds(a, b, t)),
         ]
         for row, expected in cases:
             assert row_bits(names, row, type(ra)) == bits(expected)
@@ -206,7 +198,7 @@ def test_row_join_keeps_signed_zeros_like_join():
     y = AbstractState(zip(names, [Interval(0.0, -0.0), Interval(-0.0, 0.0)]))
     for rx, ry in row_types(x, y):
         row = engine.state_join(rx, ry)
-        assert row_bits(names, row, type(rx)) == bits(per_interval(join, x, y))
+        assert row_bits(names, row, type(rx)) == bits(intervals.state_join(x, y))
 
 
 # intervals that tie as signed zeros, reach an infinity, or hold no real
@@ -254,7 +246,7 @@ def test_list_join_and_inclusion_equal_the_interval_operations(case):
     x, y = bound_row(a), bound_row(b)
     event(f"inclusion: {engine.state_leq(x, y)}")
     for u, v, rows in ((a, b, (x, y)), (b, a, (y, x))):
-        assert row_bits(names, engine.state_join(*rows), list) == bits(per_interval(join, u, v))
+        assert row_bits(names, engine.state_join(*rows), list) == bits(intervals.state_join(u, v))
         assert engine.state_leq(*rows) == all(leq(s, t) for s, t in zip(u.intervals, v.intervals))
     assert engine.state_leq(x, engine.state_join(x, y))
     assert x == bound_row(a) and y == bound_row(b)  # neither row is written
@@ -688,20 +680,26 @@ def test_scheduled_bodies_equal_fold_of_affine_eval(case):
         event("per-step loop, " + ("with" if len(lowered.steps) < len(p.body) else "without") + " folded copies")
     if nan is not None and bottom is None:
         assert got == "ValueError"
-    # an array row has an array image of the same bits, or the same error
+    # the loop's image of an array row without Bottom, on the body lowered
+    # without its composed map, runs the kernel: the same bits, or the
+    # same error
     row = p.row_of(x)
-    assert image_bits(lowered, np.array(row)) == image_bits(lowered, row)
+    if lowered.schedule is not None and not has_bottom(row):
+        kernel = lowered_by(p, "kernel")
+        assert image_bits(kernel.linear_image, np.array(row)) == image_bits(lowered.image, row)
 
 
 def lowered_by(p, executor):
     """A fresh lowering of ``p`` that runs ``executor``, "loop" or
-    "kernel", whatever the body's size: the cuts are patched here only."""
+    "kernel", whatever the body's size: the cuts are patched here only.
+    A kernel keeps no composed map, so ``linear_image`` runs it too."""
     with pytest.MonkeyPatch.context() as m:
         if executor == "loop":
             m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
         else:
             m.setattr(programs, "BATCH_MIN_PRODUCTS", 1)
             m.setattr(programs, "LEVEL_MIN_PRODUCTS", 0)
+            m.setattr(programs, "COMPOSE_LEVEL_PRODUCTS", 0)
         return programs.LoweredBody(p)
 
 
@@ -717,14 +715,15 @@ EXECUTOR_BODIES = st.one_of(
 def test_per_step_loop_and_level_kernel_agree(case, seed):
     # one single-assignment form, two executors: the same bits or the
     # same error on the state's row, and on rows with signed zeros and
-    # infinite bounds, as lists and as arrays
+    # infinite bounds, as lists, and as arrays where the loop's image
+    # runs the kernel
     p, x = case
     loop, kernel = lowered_by(p, "loop"), lowered_by(p, "kernel")
     if any(iv.is_bottom for _, iv in p.input_vars):
         assert loop.steps is loop.schedule is kernel.steps is kernel.schedule is None
     else:
         assert loop.schedule is None and loop.steps is not None
-        assert kernel.schedule is not None and kernel.steps is None
+        assert kernel.schedule is not None and kernel.steps is kernel.composed is None
     rng = np.random.default_rng(seed)
     rows = [p.row_of(x)]
     rows += [bound_row(AbstractState((name, wide_interval(rng)) for name in p.state_names))
@@ -732,10 +731,11 @@ def test_per_step_loop_and_level_kernel_agree(case, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for row in rows:
-            expected = image_bits(loop, row)
+            expected = image_bits(loop.image, row)
             event("error" if expected == "ValueError" else "image")
-            assert image_bits(kernel, row) == expected
-            assert image_bits(loop, np.array(row)) == image_bits(kernel, np.array(row)) == expected
+            assert image_bits(kernel.image, row) == expected
+            if kernel.schedule is not None and not has_bottom(row):
+                assert image_bits(kernel.linear_image, np.array(row)) == expected
 
 
 @pytest.mark.parametrize("executor", ["loop", "kernel"])
@@ -764,16 +764,19 @@ def test_folded_copy_adds_its_constant_after_the_sum(executor):
     assert out == [v for iv in fold_affine_eval(p, p.initial_state()).intervals for v in (iv.lo, iv.hi)]
 
 
-def image_bits(lowered, row):
-    """The hex bounds of ``lowered.image(row)``, which must be of the
-    type of ``row``, or "ValueError"."""
+def image_bits(image, row):
+    """The hex bounds of ``image(row)``, a body's ``image`` or
+    ``linear_image``, or "ValueError"."""
     try:
         with np.errstate(all="ignore"):
-            out = lowered.image(row)
+            out = image(row)
     except ValueError:
         return "ValueError"
-    assert type(out) is type(row)
     return [float(v).hex() for v in out]
+
+
+def has_bottom(row):
+    return any(lo > hi for lo, hi in zip(row[::2], row[1::2]))
 
 
 # pairs with lo > hi: each counts as Bottom, canonical or not
@@ -854,8 +857,7 @@ def test_bottom_rows_equal_fold_of_affine_eval(case):
     event(f"scheduled: {scheduled}, Bottom input: {bottom_input}, oracle: {expected == 'ValueError'}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert image_bits(lowered, row) == expected
-        assert image_bits(lowered, np.array(row)) == expected
+        assert image_bits(lowered.image, row) == expected
         if scheduled:
             assert lowered.steps is None
 
@@ -1001,15 +1003,15 @@ def test_an_image_leaves_nothing_in_the_work_buffer(kind):
     p = work_buffer_body(kind)
     a, b = random_rows(p, 2, seed=11)
     lowered = p.lowered
-    first = lowered.image(a)
+    first = lowered._run(a)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN"):
-        lowered.image(np.repeat(np.random.default_rng(0).choice([-math.inf, math.inf], len(a) // 2), 2))
-    got = lowered.image(b)
+        lowered._run(np.repeat(np.random.default_rng(0).choice([-math.inf, math.inf], len(a) // 2), 2))
+    got = lowered._run(b)
     listed = lowered.image(b.tolist())
     assert len(lowered._kernels) == 1
     buffer = lowered._kernels[0].b
-    assert got.tobytes() == programs.LoweredBody(p).image(b).tobytes()
-    assert first.tobytes() == programs.LoweredBody(p).image(a).tobytes()
+    assert got.tobytes() == programs.LoweredBody(p)._run(b).tobytes()
+    assert first.tobytes() == programs.LoweredBody(p)._run(a).tobytes()
     assert np.array(listed).tobytes() == got.tobytes()
     # nor of any level's gather buffer, which the next image overwrites too
     gathers = [acc for _, _, acc, _ in lowered._kernels[0].levels]
@@ -1025,11 +1027,11 @@ def test_threads_sharing_a_body_get_their_own_images(kind):
     p, n_threads, per_thread = work_buffer_body(kind), 4, 200
     rows = random_rows(p, n_threads * per_thread, seed=5)
     single = programs.LoweredBody(p)
-    expected = [single.image(r).tobytes() for r in rows]
+    expected = [single._run(r).tobytes() for r in rows]
     shared, got = p.lowered, [None] * n_threads
 
     def work(k):
-        got[k] = [shared.image(r).tobytes() for r in rows[k::n_threads]]
+        got[k] = [shared._run(r).tobytes() for r in rows[k::n_threads]]
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
     interval = sys.getswitchinterval()
@@ -1267,7 +1269,7 @@ def test_a_row_with_an_infinite_bound_skips_the_composed_product():
     row[[5, 40]] = math.inf, -math.inf
     with np.errstate(all="raise"):
         got = lowered.linear_image(row)
-    assert got.tobytes() == lowered.image(row).tobytes()
+    assert got.tobytes() == np.array(lowered.image(row.tolist())).tobytes()
 
 
 def test_composed_image_is_a_pairwise_sum_of_the_transposed_table():
