@@ -35,7 +35,11 @@ spelled out in full as ``--opt value`` or ``--opt=value``) straight
 from an option table built once from that parser's actions and
 defaults, into the Namespace argparse would return.  Any other argv
 goes to argparse itself, so help, abbreviated options and usage errors
-(exit 1) read as argparse writes them.
+(exit 1) read as argparse writes them.  An option that takes a value,
+given ``=--`` (``--trace=--``), reads as the option with its value
+missing: argparse would read the value as an empty list, which no
+option's type takes, so ``main`` cuts argv there and argparse reports
+``expected one argument`` on every Python.
 """
 from __future__ import annotations
 
@@ -508,8 +512,8 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     value through its action's ``type`` and ``choices``.  None where only
     argparse can read ``argv``: any other token (``-h``, an abbreviation,
     ``--``), a separate value starting with ``-`` (argparse's rule for
-    negative numbers), a value its type or choices reject, or a missing or
-    extra positional."""
+    negative numbers), the value ``--`` in the ``=`` form, a value its
+    type or choices reject, or a missing or extra positional."""
     entry = _options().get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -527,7 +531,7 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
                 return None
         else:
             name, eq, value = token.partition("=")
-            action = options.get(name) if eq else None
+            action = options.get(name) if eq and value != "--" else None
         if action is None:
             return None
         try:
@@ -542,6 +546,23 @@ def _read(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
+def _cut(argv: list[str]) -> list[str]:
+    """``argv`` up to its first ``--opt=--``, given as ``--opt`` with its
+    value missing, where ``--opt`` is one option of the table, by its name
+    or an abbreviation; ``argv`` itself if it has none before a bare
+    ``--``."""
+    entry = _options().get(argv[0]) if argv else None
+    options = entry[0] if entry else {}
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        if token.endswith("=--") and token.startswith("--"):
+            name = token[:-3]
+            if sum(option.startswith(name) for option in options) == 1:
+                return [*argv[:i], name]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the subcommand ``argv`` names (``sys.argv[1:]`` when None) and
     return its exit status.
@@ -549,9 +570,11 @@ def main(argv: list[str] | None = None) -> int:
     A well-formed ``argv`` is read straight from the option table
     (``_read``); any other goes to ``_parser().parse_args``, so help,
     abbreviated options and usage errors (exit 1) are argparse's own.
+    Both read ``argv`` as ``_cut`` leaves it.
     """
     if argv is None:
         argv = sys.argv[1:]
+    argv = _cut(argv)
     args = _read(argv)
     if args is None:
         args = _parser().parse_args(argv)

@@ -44,14 +44,15 @@ import numpy as np
 from .extraction import bound_row, state_from_row
 from .intervals import INF, NO_THRESHOLDS, AbstractState, ThresholdSet
 from .programs import Program
-from .transforms import STALL_TOLERANCE, EstimateStream, Method, _epsilon_table
+from .transforms import EstimateStream, Method, vector_epsilon_tip
 # not called here; bound because the benchmark tracer wraps these names
 from .extraction import combine_detailed  # noqa: F401
 from .transforms import aitken, converged, epsilon_diagonal, vector_epsilon_diagonal  # noqa: F401
 
 Mode = Literal["kleene", "widen", "accel"]
 # "repeat", a retired policy that joined a rejected estimate into the
-# state, is accepted as an alias of "once" for one release
+# state, stays an alias of "once": the acceptance tests and the
+# benchmark both pass it
 InjectPolicy = Literal["once", "repeat"]
 
 
@@ -359,20 +360,14 @@ def _verify(p: Program, base: list[float], c: list[float]) -> list[float] | None
 
 
 def _finish(p: Program, x0: list[float], rows: list) -> list[float] | None:
-    """The vector-epsilon tip of the last FINISH_ROWS of the trace's
-    ``rows`` (``x0``, the initial row, in front while fewer), verified
-    by ``_verify`` from ``x0``; None if it is not finite or does not
-    verify.  The tip is eps_4^(0) of five rows, or where that stalls the
-    newest valid cell of a shallower even column, over the coordinates
-    finite in every row; the others keep the last row's values."""
-    rows = np.array([x0, *rows[-FINISH_ROWS:]][-FINISH_ROWS:])
-    finite = np.isfinite(rows).all(axis=0)
-    tol = STALL_TOLERANCE
-    tip = _epsilon_table(None, rows[:, finite], tol, tol, len(rows) - 1, True)[2][-1]
-    if not np.isfinite(tip).all():
-        return None
-    rows[-1, finite] = tip
-    return _verify(p, x0, rows[-1].tolist())
+    """The engine's finish of a tolerance stop: the
+    ``vector_epsilon_tip`` of the last FINISH_ROWS of the trace's
+    ``rows`` (``x0``, the initial row, in front while there are fewer),
+    verified by ``_verify`` from ``x0``; None if the tip is not finite or
+    does not verify.  The window and the verification are the engine's
+    policy; ``transforms`` reads the table."""
+    tip = vector_epsilon_tip(np.array([x0, *rows[-FINISH_ROWS:]][-FINISH_ROWS:]))
+    return None if tip is None else _verify(p, x0, tip.tolist())
 
 
 # How many Kleene rows the loop computes ahead of the iteration it is at

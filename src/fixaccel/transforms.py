@@ -11,18 +11,20 @@ test: a difference d of two cells stalls when |d| < max(tol * |b|,
 floor), b being the earlier cell; for the vector table |.| is the
 Euclidean norm, taken so that it neither overflows nor underflows.
 Aitken's element y_n is the table's cell eps_2^(n), so Aitken is the
-kernel capped at column 2.  The kernel has two readers.  ``aitken``
-reads column 2 of the whole table of a sequence, and
-``epsilon_diagonal`` and ``vector_epsilon_diagonal`` the tip of each
+kernel capped at column 2.  Every reader of the kernel is in this
+module.  ``aitken`` reads column 2 of the whole table of a sequence,
+and ``epsilon_diagonal`` and ``vector_epsilon_diagonal`` the tip of each
 even column; their floor is tol, which is the rule
 |d| < tol * max(1, |b|) (but at least the smallest normal float, for
-vectors).  ``EstimateStream`` is the engine's estimator: it takes bound
-rows in blocks, decides which of their coordinates, the finite ones,
-enter the table, extends it over a whole block column by column, and
-reads the newest valid cell of the deepest even column; its floor is
-the smallest normal float, so that a sequence of any scale forms its
-columns.  It also decides whether each estimate agrees with the one
-before it, so the engine reads both from one call.
+vectors).  ``vector_epsilon_tip``, the engine's finish, reads the
+newest valid cell of the deepest even column of a few rows by that
+rule at tol = STALL_TOLERANCE.  ``EstimateStream`` is the engine's
+estimator: it takes bound rows in blocks, decides which of their
+coordinates, the finite ones, enter the table, extends it over a whole
+block column by column, and reads the newest valid cell of the deepest
+even column; its floor is the smallest normal float, so that a sequence
+of any scale forms its columns.  It also decides whether each estimate
+agrees with the one before it, so the engine reads both from one call.
 """
 from __future__ import annotations
 
@@ -150,6 +152,30 @@ def vector_epsilon_diagonal(
         TransformedElement(tip.copy(), stalled)
         for tip, stalled in _carried(arr, cfg.stall_tolerance, arr.shape[1] != 1, _tips(len(arr)))
     ]
+
+
+def vector_epsilon_tip(rows: np.ndarray) -> np.ndarray | None:
+    """The last of ``rows``, shape (m, coordinates), with each coordinate
+    that is finite in every row, of which there must be one, replaced by
+    the vector-epsilon estimate after that row; None where that estimate
+    is not finite.
+
+    The estimate is the newest cell of the deepest even column valid on
+    the table's last antidiagonal, eps_4^(0) of five rows where nothing
+    stalls, or the row itself where none is.  Its stall tolerance and
+    floor are STALL_TOLERANCE, the one-shot diagonals' rule at their
+    default, and it keeps the vector rule even for one coordinate, where
+    ``vector_epsilon_diagonal`` takes the scalar rule.  It enters no
+    ``np.errstate``, as ``EstimateStream`` does not.
+    """
+    finite = np.isfinite(rows).all(axis=0)
+    tol = STALL_TOLERANCE
+    tip = _epsilon_table(None, rows[:, finite], tol, tol, len(rows) - 1, True)[2][-1]
+    if not np.isfinite(tip).all():
+        return None
+    last = rows[-1].copy()
+    last[finite] = tip
+    return last
 
 
 def _tips(m: int) -> list[tuple[int, int]]:

@@ -11,8 +11,9 @@ import math
 import random
 
 import numpy as np
+import pytest
 
-from fixaccel import Interval, parse
+from fixaccel import Interval, parse, programs
 from fixaccel.intervals import BOTTOM
 from fixaccel.programs import Assignment, Program
 
@@ -130,6 +131,19 @@ def scheduled_programs():
 
 
 SCHEDULED = scheduled_programs()
+
+
+def relowered(p, **cuts):
+    """A fresh copy of ``p``, lowered with the cuts of
+    ``fixaccel.programs`` named in ``cuts`` (``BATCH_MIN_PRODUCTS``,
+    ``LEVEL_MIN_PRODUCTS``, ``COMPOSE_LEVEL_PRODUCTS``) patched during
+    its lowering only."""
+    q = Program(p.state_vars, p.input_vars, p.body)
+    with pytest.MonkeyPatch.context() as m:
+        for name, value in cuts.items():
+            m.setattr(programs, name, value)
+        q.lowered  # lowered now, under the cuts, and kept
+    return q
 
 
 def hex_run(report, trace):

@@ -392,7 +392,8 @@ class TestSettings:
 
 def option_values(action):
     """Texts of the values one option takes: its choices (aliases
-    included), or values of its type."""
+    included), or values of its type, but not ``--``, which is no value
+    the table reads."""
     if action.choices is not None:
         return st.sampled_from(list(action.choices))
     return {
@@ -400,7 +401,7 @@ def option_values(action):
         float: st.floats(allow_nan=False).map(repr),
         _parse_thresholds: st.lists(st.floats(allow_nan=False, allow_infinity=False), unique=True)
         .map(lambda values: ",".join(map(repr, values))),
-        None: st.text(max_size=8),
+        None: st.text(max_size=8).filter(lambda s: s != "--"),
     }[action.type]
 
 
@@ -409,7 +410,8 @@ def table_argv(draw, command):
     """An argv the option table reads: ``command``, then its positional
     and any of its options in any order, each option in either form and
     possibly repeated; a value starting with ``-`` takes the ``=`` form,
-    as argparse reads it only there."""
+    as argparse reads it only there, and no value is ``--``, which reads
+    as a missing value even there."""
     options = _options()[command][0]
     parts = [[draw(st.text(max_size=8).filter(lambda s: not s.startswith("-")))]]
     for option in draw(st.lists(st.sampled_from(sorted(options)), max_size=12)):
@@ -470,6 +472,27 @@ def test_argparse_reads_what_the_table_cannot(capsys, argv, code):
     got = outcome(main)
     assert got == outcome(argparse_main)
     assert got[0] == code
+
+
+# each option that takes a value, by subcommand
+VALUE_OPTIONS = [(command, option) for command in ("analyze", "accelerate")
+                 for option in sorted(_options()[command][0])]
+
+
+@pytest.mark.parametrize("command, option", VALUE_OPTIONS, ids=[" ".join(c) for c in VALUE_OPTIONS])
+def test_an_option_given_dashes_reads_as_its_value_missing(capsys, monkeypatch, tmp_path, command, option):
+    # argparse alone reads the value of "--opt=--" as [], which no type
+    # or choice takes, and the table would read it as the text "--"
+    monkeypatch.chdir(tmp_path)
+    argv = [command, FILTER3 if command == "analyze" else ITERATES, f"{option}=--"]
+    assert _read(argv) is None
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 1
+    assert err.endswith(f"fixaccel {command}: error: argument {option}: expected one argument\n")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestAccelerate:

@@ -21,12 +21,20 @@ from fixaccel import (
     transfer,
     verify_postfixpoint,
 )
-from fixaccel import engine, programs
+from fixaccel import engine, programs, transforms
 from fixaccel.cli import main
 from fixaccel.extraction import bound_row, state_from_row
 from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
-from families import SCHEDULED, gaussian_jacobi_program, gaussian_program, hex_run, jacobi_program, random_program
+from families import (
+    SCHEDULED,
+    gaussian_jacobi_program,
+    gaussian_program,
+    hex_run,
+    jacobi_program,
+    random_program,
+    relowered,
+)
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
 # the two accepted values of inject_policy: "repeat", a retired policy,
@@ -421,14 +429,14 @@ class TestAcceleratorBranches:
 
 
 def _tip_not_finite(monkeypatch):
-    table = engine._epsilon_table
+    table = transforms._epsilon_table
 
     def overflowed(*args):
         out = table(*args)
         out[2][-1, 0] = math.inf
         return out
 
-    monkeypatch.setattr(engine, "_epsilon_table", overflowed)
+    monkeypatch.setattr(transforms, "_epsilon_table", overflowed)
     monkeypatch.setattr(engine, "_verify", lambda *args: pytest.fail("verified a tip that is not finite"))
 
 
@@ -838,15 +846,13 @@ def test_an_injection_leaves_no_speculative_row(monkeypatch, program, method):
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("method", METHODS)
-def test_accel_fallback_on_arrays_equals_the_per_step_loop(monkeypatch, method, policy):
+def test_accel_fallback_on_arrays_equals_the_per_step_loop(method, policy):
     # the fallback on a scheduled body iterates on arrays; the same body
     # lowered below the schedule's threshold takes the per-step loop on lists
-    text = gaussian_program(3, 16, 0.97)
-    p, q = parse(text), parse(text)
+    p = parse(gaussian_program(3, 16, 0.97))
     assert p.lowered.schedule is not None
-    with monkeypatch.context() as m:
-        m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
-        assert q.lowered.schedule is None and q.lowered.steps is not None
+    q = relowered(p, BATCH_MIN_PRODUCTS=10**9)
+    assert q.lowered.schedule is None and q.lowered.steps is not None
     for c in ({"fallback_after": 1}, {"fallback_after": 5}, {"fallback_after": 1, "max_iter": 6}):
         cfg = EngineConfig(method=method, inject_policy=policy, **c)
         (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
@@ -1027,7 +1033,7 @@ def test_kleene_finish_on_a_scheduled_body_holds_the_exact_stop(name):
 
 
 @pytest.mark.parametrize("cfg", ROW_CONFIGS)
-def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
+def test_composed_rows_end_like_image_rows(cfg):
     # the dense Gauss-Seidel body keeps its composed map, whose rows are a
     # few ulps off image's; the same body lowered without it runs image
     # alone.  Only an exact stop may take a few more iterations: the
@@ -1035,8 +1041,7 @@ def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
     # from image's row until both stop
     p = SCHEDULED["dense-gauss-seidel"]
     assert p.lowered.composed is not None
-    monkeypatch.setattr(programs, "COMPOSE_LEVEL_PRODUCTS", 0)
-    q = Program(p.state_vars, p.input_vars, p.body)
+    q = relowered(p, COMPOSE_LEVEL_PRODUCTS=0)
     assert q.lowered.schedule is not None and q.lowered.composed is None
     (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
     assert rp.reason == rq.reason
@@ -1056,7 +1061,7 @@ def test_composed_rows_end_like_image_rows(monkeypatch, cfg):
 @pytest.mark.parametrize(
     "cfg", [EngineConfig(mode="kleene", stop_tol=0.0), EngineConfig()], ids=["kleene", "accel"]
 )
-def test_rows_from_bottom_on_a_composed_body_are_image_rows(monkeypatch, cfg):
+def test_rows_from_bottom_on_a_composed_body_are_image_rows(cfg):
     # a run whose initial row holds Bottom carries lists, whose images come
     # from image, never from the composed map: its rows equal those of the
     # body lowered without the map.  The Bottom state w reads only x0, so
@@ -1065,8 +1070,7 @@ def test_rows_from_bottom_on_a_composed_body_are_image_rows(monkeypatch, cfg):
     body = (*p.body, Assignment("w", 0.0, ((0.5, p.state_vars[0][0]),)))
     q = Program((*p.state_vars, ("w", BOTTOM)), p.input_vars, body)
     assert q.lowered.composed is not None
-    monkeypatch.setattr(programs, "COMPOSE_LEVEL_PRODUCTS", 0)
-    r = Program(q.state_vars, q.input_vars, q.body)
+    r = relowered(q, COMPOSE_LEVEL_PRODUCTS=0)
     assert r.lowered.schedule is not None and r.lowered.composed is None
     (rq, tq), (rr, tr) = analyze(q, cfg), analyze(r, cfg)
     assert rq.sound and not tq.records[0].state["w"].is_bottom
@@ -1080,16 +1084,14 @@ def test_rows_from_bottom_on_a_composed_body_are_image_rows(monkeypatch, cfg):
     ids=[*METHODS, "fallback"],
 )
 @pytest.mark.parametrize("name", [n for n, p in SCHEDULED.items() if p.lowered.composed is None])
-def test_accel_rows_on_a_scheduled_body_equal_the_per_step_loop(monkeypatch, name, cfg):
+def test_accel_rows_on_a_scheduled_body_equal_the_per_step_loop(name, cfg):
     # an accel run on a scheduled body carries float64 arrays, watched or
     # not, unless its initial row holds Bottom; the same body lowered below
     # the schedule's threshold carries lists
     p = SCHEDULED[name]
     assert p.lowered.schedule is not None
-    with monkeypatch.context() as m:
-        m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
-        q = Program(p.state_vars, p.input_vars, p.body)
-        assert q.lowered.schedule is None and q.lowered.steps is not None
+    q = relowered(p, BATCH_MIN_PRODUCTS=10**9)
+    assert q.lowered.schedule is None and q.lowered.steps is not None
     (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
     if cfg.fallback_after == 1:
         assert "fallback-widen" in tp.events

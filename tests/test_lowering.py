@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from families import gaussian_program, rand_interval, random_program, row_program
+from families import gaussian_program, rand_interval, random_program, relowered, row_program
 
 from fixaccel import (
     AbstractState,
@@ -685,22 +685,16 @@ def test_scheduled_bodies_equal_fold_of_affine_eval(case):
     # same error
     row = p.row_of(x)
     if lowered.schedule is not None and not has_bottom(row):
-        kernel = lowered_by(p, "kernel")
+        kernel = relowered(p, **EXECUTORS["kernel"]).lowered
         assert image_bits(kernel.linear_image, np.array(row)) == image_bits(lowered.image, row)
 
 
-def lowered_by(p, executor):
-    """A fresh lowering of ``p`` that runs ``executor``, "loop" or
-    "kernel", whatever the body's size: the cuts are patched here only.
-    A kernel keeps no composed map, so ``linear_image`` runs it too."""
-    with pytest.MonkeyPatch.context() as m:
-        if executor == "loop":
-            m.setattr(programs, "BATCH_MIN_PRODUCTS", 10**9)
-        else:
-            m.setattr(programs, "BATCH_MIN_PRODUCTS", 1)
-            m.setattr(programs, "LEVEL_MIN_PRODUCTS", 0)
-            m.setattr(programs, "COMPOSE_LEVEL_PRODUCTS", 0)
-        return programs.LoweredBody(p)
+# the cuts under which a body of any size runs the per-step loop, or the
+# level kernel, which keeps no composed map, so that linear_image runs it too
+EXECUTORS = {
+    "loop": {"BATCH_MIN_PRODUCTS": 10**9},
+    "kernel": {"BATCH_MIN_PRODUCTS": 1, "LEVEL_MIN_PRODUCTS": 0, "COMPOSE_LEVEL_PRODUCTS": 0},
+}
 
 
 EXECUTOR_BODIES = st.one_of(
@@ -718,7 +712,7 @@ def test_per_step_loop_and_level_kernel_agree(case, seed):
     # infinite bounds, as lists, and as arrays where the loop's image
     # runs the kernel
     p, x = case
-    loop, kernel = lowered_by(p, "loop"), lowered_by(p, "kernel")
+    loop, kernel = (relowered(p, **EXECUTORS[e]).lowered for e in ("loop", "kernel"))
     if any(iv.is_bottom for _, iv in p.input_vars):
         assert loop.steps is loop.schedule is kernel.steps is kernel.schedule is None
     else:
@@ -754,7 +748,7 @@ def test_folded_copy_adds_its_constant_after_the_sum(executor):
     )
     inputs = (("z", Interval(-0.0, -0.0)), ("e", Interval(1.0, 1.0)))
     p = Program(tuple((f"x{i}", Interval(0, 1)) for i in range(3)), inputs, body)
-    lowered = lowered_by(p, executor)
+    lowered = relowered(p, **EXECUTORS[executor]).lowered
     if executor == "loop":
         assert len(lowered.steps) == 3
     else:  # one level of three steps

@@ -92,6 +92,24 @@ def test_every_import_is_used():
     assert [u for path in MODULES for u in unused_imports(path)] == []
 
 
+def private_imports(path):
+    """Where ``path`` imports a ``_``-prefixed name from a sibling
+    module, by a relative import or one from ``fixaccel``."""
+    return [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "fixaccel")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_siblings_private_name():
+    # a private name is its module's own: what two modules must both know
+    # is a public name of the module that owns it
+    assert [u for path in MODULES for u in private_imports(path)] == []
+
+
 # numpy's names that reach BLAS: a result that went through one of them
 # could depend on the BLAS build
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}

@@ -18,7 +18,15 @@ from fixaccel import (
     load_bundled,
     vector_epsilon_diagonal,
 )
-from fixaccel.transforms import MAX_COLUMN, EstimateStream, _norms_and_inverses, agreements, seq_norm
+from fixaccel.transforms import (
+    MAX_COLUMN,
+    STALL_TOLERANCE,
+    EstimateStream,
+    _norms_and_inverses,
+    agreements,
+    seq_norm,
+    vector_epsilon_tip,
+)
 
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 TINY = np.finfo(float).tiny  # the smallest normal float
@@ -361,6 +369,33 @@ def test_diagonals_equal_the_reference_table(case):
         assert [e.stalled for e in got] == [s for _, s in want]
         assert all(e.value.shape == rows.shape[1:] for e in got)
         assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=diagonal_cases(), spoiled=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3)), max_size=3))
+def test_vector_epsilon_tip_is_the_reference_tables_on_the_finite_coordinates(case, spoiled):
+    # the deepest valid even cell of the last antidiagonal, by the vector
+    # rule at every width, over the coordinates finite in every row; the
+    # others keep the last row's values
+    rows, _ = case
+    rows = rows.copy()
+    for n, c in spoiled:
+        rows[n % len(rows), c % rows.shape[1]] = math.inf
+    finite = np.isfinite(rows).all(axis=0)
+    if not finite.any():
+        return
+    with np.errstate(all="ignore"):
+        got = vector_epsilon_tip(rows)
+        table = reference_table(list(rows[:, finite]), STALL_TOLERANCE, True)
+    m = len(rows)
+    cells = [table[k][m - 1 - k] for k in range(0, m, 2)]
+    tip = next((v for v, ok in reversed(cells) if ok), rows[-1, finite])
+    if not np.isfinite(tip).all():
+        assert got is None
+        return
+    want = rows[-1].copy()
+    want[finite] = tip
+    assert value_bits(got) == value_bits(want)
 
 
 @settings(max_examples=300, deadline=None)
