@@ -500,7 +500,7 @@ class TestAccelerate:
     def test_exit_one_on_out_of_range_value(self, capsys, flag, value):
         code, out, err = run(capsys, "accelerate", ITERATES, flag, value)
         assert code == 1
-        assert err.startswith("error: ")
+        assert err == "error: stall_tolerance must be positive\n"
         assert out == ""
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan"])
@@ -516,6 +516,24 @@ class TestAccelerate:
         path = str(tmp_path / target)
         code, _, err = run(capsys, "accelerate", ITERATES, "--output", path)
         assert code == 1
+        assert err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file"), ("# a comment\n\n", "empty file"), ("index,event\n", "no data columns in header")],
+    )
+    def test_exit_one_on_a_file_without_data_columns(self, capsys, tmp_path, text, message):
+        path = tmp_path / "seq.csv"
+        path.write_text(text)
+        assert run(capsys, "accelerate", str(path)) == (1, "", f"error: cannot read {path}: {message}\n")
+
+    def test_exit_one_on_insufficient_data_and_an_unwritable_output(self, capsys, tmp_path):
+        two = tmp_path / "two.csv"
+        two.write_text("a,b\n1,2\n3,4\n")
+        path = str(tmp_path / "missing-dir" / "out.csv")
+        code, out, err = run(capsys, "accelerate", str(two), "--output", path)
+        assert code == 1
+        assert "insufficient data" in out
         assert err.startswith(f"error: cannot write {path}: ")
 
     def test_summary_on_bundled_iterates(self, capsys):

@@ -37,9 +37,14 @@ from families import (
 )
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
-# the two accepted values of inject_policy: "repeat", a retired policy,
-# is an alias of "once", so each of its cases checks that it runs once
-POLICIES = ["once", "repeat"]
+# "repeat", a retired inject_policy, is an alias of "once": its config
+# equals once's, so the accel cases run once alone, and their IDs still
+# name the policy that runs.  Four checks keep the alias:
+# TestConfigValidation::test_repeat_is_an_alias_of_once,
+# TestAccelerated::test_repeat_policy_still_converges, the CLI's test
+# that --inject repeat writes what --inject once writes, and
+# tests/test_acceptance.py
+ONCE_IDS = [f"{method}-once" for method in METHODS]
 
 # limits of the bundled programs, from solving the stationary bound
 # equations of each loop directly (see tests below for the 2-state case)
@@ -228,6 +233,7 @@ class TestAccelerated:
         assert report.injections == 1
 
     def test_repeat_policy_still_converges(self):
+        # the retired policy runs once and verifies filter3 with one injection
         p = load_bundled("filter3")
         report, _ = analyze(p, EngineConfig(inject_policy="repeat"))
         assert report.converged and report.sound
@@ -322,15 +328,12 @@ class TestAcceleratorBranches:
     coordinates shrinking, all of them vanishing, and a fallback that
     fires before any estimate exists."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_shrinking_coordinates_keep_their_history(self, method, policy):
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
+    def test_shrinking_coordinates_keep_their_history(self, method):
         # ``x`` leaves the finite set after the first step; the stream
         # keeps the history of ``y``, so Aitken estimates already at
         # iteration 2 from the rows 0..2
-        report, trace = analyze(
-            _shrinking_program(), EngineConfig(method=method, inject_policy=policy)
-        )
+        report, trace = analyze(_shrinking_program(), EngineConfig(method=method))
         y_hi, iterations, with_estimate = SHRINK_RESULTS[method]
         assert report.invariant["x"] == TOP
         assert report.invariant["y"] == Interval(1.0 - 1e-9, y_hi)
@@ -340,13 +343,9 @@ class TestAcceleratorBranches:
         assert [r.index for r in trace.records if r.accel is not None] == with_estimate
         assert all(r.accel[:2] == (None, None) for r in trace.records if r.accel)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_no_finite_coordinate_left(self, method, policy):
-        report, trace = analyze(
-            _shrinking_program(with_y=False),
-            EngineConfig(method=method, inject_policy=policy),
-        )
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
+    def test_no_finite_coordinate_left(self, method):
+        report, trace = analyze(_shrinking_program(with_y=False), EngineConfig(method=method))
         assert report.invariant["x"] == TOP
         assert (report.iterations, report.injections) == (2, 0)
         assert report.reason == "converged"
@@ -394,9 +393,8 @@ class TestAcceleratorBranches:
         assert len(thresholds) == 6
         assert thresholds == ThresholdSet(tuple(sorted(relaxed)))
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_injection_keeps_bottom_variable(self, method, policy):
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
+    def test_injection_keeps_bottom_variable(self, method):
         p = Program(
             state_vars=(("x", Interval(1.0, 2.0)), ("y", BOTTOM)),
             input_vars=(("u", Interval(1.0, 6.0)),),
@@ -407,22 +405,21 @@ class TestAcceleratorBranches:
         )
         exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
         assert exact.invariant["y"] == BOTTOM
-        report, _ = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        report, _ = analyze(p, EngineConfig(method=method))
         assert report.converged and report.sound
         assert report.injections == 1
         assert report.invariant["y"] == BOTTOM
         assert report.invariant["x"].lo == pytest.approx(0.2, abs=1e-6)
         assert report.invariant["x"].hi == pytest.approx(2.0, abs=1e-6)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_overflowing_estimate_is_no_threshold(self, method, policy):
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
+    def test_overflowing_estimate_is_no_threshold(self, method):
         # Aitken's squared difference overflows to an infinite estimate;
         # it must neither warn nor reach the fallback's threshold set
         p = parse("state x in [0, 1];\nloop {\n  x = 0.5*x + 1e200;\n}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report, _ = analyze(p, EngineConfig(method=method, inject_policy=policy))
+            report, _ = analyze(p, EngineConfig(method=method))
         assert report.converged and report.sound
         iv = report.invariant["x"]
         assert iv.lo <= 0.0 and iv.hi >= 2e200
@@ -495,12 +492,11 @@ class TestPrecision:
     """Accelerated results against an exact-stop Kleene run: a verified
     result contains the least fixpoint, and its bounds lie within 1e-6."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
     @pytest.mark.parametrize("name", ["filter3", "lowpass1", "contraction2"])
-    def test_bundled_programs_match_exact_kleene(self, name, method, policy):
+    def test_bundled_programs_match_exact_kleene(self, name, method):
         p = load_bundled(name)
-        report, _ = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        report, _ = analyze(p, EngineConfig(method=method))
         assert report.converged and report.sound
         assert report.reason == "verified-injection"
         assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
@@ -543,14 +539,13 @@ class TestPrecision:
             assert x.lo == 0.0
             assert 2 * c <= x.hi == pytest.approx(2 * c, rel=1e-6, abs=0.0)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_divergent_bound_beside_a_contracting_one(self, method, policy):
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
+    def test_divergent_bound_beside_a_contracting_one(self, method):
         # the estimates of x never agree, so the fallback widens x to
         # +inf and the threshold from y's estimate keeps y bounded
         p = parse("state x in [0, 1];\nstate y in [0, 1];\n"
                   "loop {\n  x = x + 1;\n  y = 0.5*y + 1;\n}\n")
-        report, trace = analyze(p, EngineConfig(method=method, inject_policy=policy))
+        report, trace = analyze(p, EngineConfig(method=method))
         assert report.converged and report.sound
         assert "fallback-widen" in [r.event for r in trace.records]
         assert report.invariant["x"] == Interval(0.0, math.inf)
@@ -652,10 +647,11 @@ def test_epsilon_verifies_a_sweep_program_within_tolerance():
     assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
 
 
-# A draw of the sweep above on which the retired `repeat` policy verified
-# a row that an unverified join had left 1.13e-6 (epsilon) and 2.18e-6
-# (Aitken) above the least fixpoint; `once` runs end near 1e-8 on it.
-IMPRECISE_REPEAT_ROWS = (
+# A draw of the sweep above on which the retired policy that joined
+# rejected estimates verified a row that an unverified join had left
+# 1.13e-6 (epsilon) and 2.18e-6 (Aitken) above the least fixpoint; `once`
+# runs end near 1e-8 on it.
+JOINED_ESTIMATES_ROWS = (
     (0.013444200816985039, 0.6187498099202239, 0.03296055386867317, -0.19155944484008244, -0.2523051580175215),
     (0.06663305179751262, 0.17990556463919205, -0.10924387060128203, 0.2081427374751145, -0.05906230519303094),
     (-0.26178838836715274, -0.5667737360660684, 0.40005346985452617, -0.24348295609570197, 0.017524891735571983),
@@ -665,9 +661,9 @@ IMPRECISE_REPEAT_ROWS = (
 
 
 @pytest.mark.parametrize("method", ["aitken", "epsilon"])
-def test_repeat_runs_once_on_an_imprecise_sweep_program(method):
-    p = jacobi_program(IMPRECISE_REPEAT_ROWS)
-    report, _ = analyze(p, EngineConfig(method=method, inject_policy="repeat", fallback_after=200))
+def test_once_keeps_the_sweep_program_that_joined_estimates_lost(method):
+    p = jacobi_program(JOINED_ESTIMATES_ROWS)
+    report, _ = analyze(p, EngineConfig(method=method, fallback_after=200))
     assert report.converged and report.sound
     assert_contains_and_near(report.invariant, exact_kleene(p), 1e-6)
 
@@ -729,12 +725,11 @@ class TestLookahead:
     """The rows an accel run computes ahead change none of its results,
     and none is computed past max_iter or the fallback."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
     @pytest.mark.parametrize("name", LOOKAHEAD_PROGRAMS)
-    def test_same_run_as_one_row_at_a_time(self, monkeypatch, name, method, policy):
+    def test_same_run_as_one_row_at_a_time(self, monkeypatch, name, method):
         p = LOOKAHEAD_PROGRAMS[name]
-        cfgs = [EngineConfig(method=method, inject_policy=policy, **c) for c in LOOKAHEAD_CONFIGS]
+        cfgs = [EngineConfig(method=method, **c) for c in LOOKAHEAD_CONFIGS]
         assert engine.FIRST_BLOCK > engine.LOOKAHEAD > 1
         blocks = [_run_record(p, cfg) for cfg in cfgs]
         _row_by_row(monkeypatch)
@@ -844,9 +839,8 @@ def test_an_injection_leaves_no_speculative_row(monkeypatch, program, method):
     assert analyze(p, EngineConfig(method=method))[0].iterations == report.iterations
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("method", METHODS)
-def test_accel_fallback_on_arrays_equals_the_per_step_loop(method, policy):
+@pytest.mark.parametrize("method", METHODS, ids=ONCE_IDS)
+def test_accel_fallback_on_arrays_equals_the_per_step_loop(method):
     # the fallback on a scheduled body iterates on arrays; the same body
     # lowered below the schedule's threshold takes the per-step loop on lists
     p = parse(gaussian_program(3, 16, 0.97))
@@ -854,7 +848,7 @@ def test_accel_fallback_on_arrays_equals_the_per_step_loop(method, policy):
     q = relowered(p, BATCH_MIN_PRODUCTS=10**9)
     assert q.lowered.schedule is None and q.lowered.steps is not None
     for c in ({"fallback_after": 1}, {"fallback_after": 5}, {"fallback_after": 1, "max_iter": 6}):
-        cfg = EngineConfig(method=method, inject_policy=policy, **c)
+        cfg = EngineConfig(method=method, **c)
         (rp, tp), (rq, tq) = analyze(p, cfg), analyze(q, cfg)
         assert "fallback-widen" in [r.event for r in tp.records]
         assert [r.index for r in tp.records] == list(range(1, min(len(tp.records), cfg.max_iter) + 1))

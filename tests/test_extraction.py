@@ -135,6 +135,8 @@ class TestCombine:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             combine_detailed(np.array([1.0, 2.0, 3.0]), frozenset(), schema2())
+        with pytest.raises(ValueError, match="flat coordinate vector"):
+            combine_detailed(np.array([[1.0, 2.0], [3.0, 4.0]]), frozenset(), schema2())
 
     def test_non_finite_vector_rejected(self):
         s = schema2()

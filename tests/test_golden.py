@@ -277,8 +277,8 @@ def test_random_program_results_are_bit_identical(form):
 METHODS = ("aitken", "epsilon", "vector-epsilon")
 
 # (program, method) -> (iterations, injections, reason, invariant
-# bounds as float.hex pairs); default EngineConfig otherwise, under either
-# accepted inject policy ("repeat" is a retired alias of "once")
+# bounds as float.hex pairs); default EngineConfig otherwise, whose inject
+# policy is "once"
 GOLDEN_ACCEL = {
     ('filter3', 'aitken'): (21, 1, 'verified-injection', (
         ('-0x1.4ca3ee7b03f0fp+2', '0x1.1bf220d3eba50p+3'),
@@ -366,11 +366,9 @@ def _pinned(report):
 
 
 @pytest.mark.parametrize("program", ["filter3", "lowpass1", "contraction2"])
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("policy", ["once", "repeat"])
-def test_accel_results_are_bit_identical(program, method, policy):
-    cfg = EngineConfig(mode="accel", method=method, inject_policy=policy)
-    report, _ = analyze(load_bundled(program), cfg)
+@pytest.mark.parametrize("method", METHODS, ids=[f"once-{method}" for method in METHODS])
+def test_accel_results_are_bit_identical(program, method):
+    report, _ = analyze(load_bundled(program), EngineConfig(mode="accel", method=method))
     assert _pinned(report) == GOLDEN_ACCEL[program, method]
 
 
@@ -399,8 +397,9 @@ def test_kleene_keeps_the_bounds_of_a_contracting_loop():
 # ``float.hex`` text, as ``_accel_digest`` writes it) for
 # gaussian_program(seed, n, rho), which each run reaches with fallback
 # after 20 iterations and after 200.  The runs are the benchmark's
-# accel-tail configs, which pass "once" with 20 and the retired alias
-# "repeat" with 200.  These pin the estimates themselves, every one the
+# accel-tail configs: both are "once", one at fallback_after=20 and one at
+# fallback_after=200 (the benchmark spells the second with the retired
+# alias of "once").  These pin the estimates themselves, every one the
 # trace records.
 GOLDEN_GAUSSIAN_ESTIMATES = {
     (1, 8, 0.97, 'aitken'): (24, '396a2cd93d6c4a54bc11c79bad0c635aa8eed304bc8dbb58ab039c2ef216b594'),
@@ -426,12 +425,10 @@ def _accel_digest(trace):
 
 @pytest.mark.parametrize("seed, n, rho", [(1, 8, 0.97), (2, 16, 0.9)])
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("policy, fallback", [("once", 20), ("repeat", 200)])
-def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, policy, fallback):
+@pytest.mark.parametrize("fallback", [20, 200], ids=["once-20", "once-200"])
+def test_gaussian_estimates_are_bit_identical(seed, n, rho, method, fallback):
     p = parse(gaussian_program(seed, n, rho))
-    cfg = EngineConfig(mode="accel", method=method, inject_policy=policy,
-                       fallback_after=fallback)
-    _, trace = analyze(p, cfg)
+    _, trace = analyze(p, EngineConfig(mode="accel", method=method, fallback_after=fallback))
     assert _accel_digest(trace) == GOLDEN_GAUSSIAN_ESTIMATES[seed, n, rho, method]
 
 

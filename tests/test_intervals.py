@@ -177,6 +177,11 @@ class TestAffineEval:
         with pytest.raises(ValueError):
             affine_eval(math.nan, ())
 
+    @pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            affine_eval(0.0, ((coeff, Interval(0, 1)),))
+
 
 class TestAbstractState:
     def test_lookup_and_iteration_order(self):
@@ -207,3 +212,18 @@ class TestAbstractState:
         y = AbstractState([("b", Interval(0, 1))])
         with pytest.raises(ValueError):
             state_join(x, y)
+
+    def test_a_mapping_builds_the_state_its_pairs_build(self):
+        pairs = [("b", Interval(2, 3)), ("a", Interval(0, 1))]
+        s = AbstractState(dict(pairs))
+        assert s == AbstractState(pairs) and hash(s) == hash(AbstractState(pairs))
+        assert s.names == ("b", "a")
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            AbstractState([("a", Interval(0, 1)), ("a", Interval(2, 3))])
+
+    def test_not_equal_to_what_is_not_a_state(self):
+        s = AbstractState([("a", Interval(0, 1))])
+        assert s.__eq__((("a", Interval(0, 1)),)) is NotImplemented
+        assert s != (("a", Interval(0, 1)),) and not s == {"a": Interval(0, 1)}

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import operator
+import re
 import sys
 import threading
 import warnings
@@ -1264,6 +1265,22 @@ def test_a_row_with_an_infinite_bound_skips_the_composed_product():
     with np.errstate(all="raise"):
         got = lowered.linear_image(row)
     assert got.tobytes() == np.array(lowered.image(row.tolist())).tobytes()
+
+
+def test_a_finite_row_whose_composed_image_overflows_takes_the_schedule(monkeypatch):
+    # every x coefficient tripled, so that each bound of the product of a
+    # row of +-1e308 overflows: the row goes to the schedule after it
+    text = re.sub(r"(\S+)\*x", lambda m: f"{3 * float(m[1])!r}*x", random_program(2029, 64, True))
+    lowered = parse(text).lowered
+    table, const = lowered.composed
+    row = np.tile([-1e308, 1e308], 64)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(table.T * row, 1) + const).any()
+        expected = np.array(lowered.image(row.tolist()))
+        runs, run = [], programs.LoweredBody._run
+        monkeypatch.setattr(programs.LoweredBody, "_run", lambda self, r: runs.append(1) or run(self, r))
+        got = lowered.linear_image(row)
+    assert runs == [1] and got.tobytes() == expected.tobytes()
 
 
 def test_composed_image_is_a_pairwise_sum_of_the_transposed_table():

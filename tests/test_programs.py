@@ -481,6 +481,14 @@ class TestTransfer:
         with pytest.raises(ValueError):
             transfer(p, wrong)
 
+    def test_an_input_named_like_a_state_is_refused(self):
+        # the parser reports such a program as "declared twice"; one
+        # built through the API is refused where its body is lowered
+        x = ("x", Interval(0.0, 1.0))
+        p = Program((x,), (x,), (Assignment("x", 0.0, ((0.5, "x"),)),))
+        with pytest.raises(ValueError, match="input 'x' is also a state variable"):
+            transfer(p, p.initial_state())
+
     def test_transfer_monotone(self):
         import numpy as np
 

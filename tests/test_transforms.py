@@ -123,6 +123,11 @@ class TestEpsilonDiagonal:
     def test_entry_count(self):
         assert len(epsilon_diagonal(np.arange(1.0, 8.0) ** 1.5)) == 4  # 2k+1 <= 7
 
+    @pytest.mark.parametrize("x", [[], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_needs_a_scalar_sequence_of_one_element(self, x):
+        with pytest.raises(ValueError, match="length >= 1"):
+            epsilon_diagonal(x)
+
     def test_exact_on_geometric_sequence(self):
         x = geometric(2.0, 1.0, -0.8, 9)
         d = epsilon_diagonal(x)
