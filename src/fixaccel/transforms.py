@@ -62,11 +62,13 @@ class TransformConfig:
     functions (but at least the smallest normal float for the vector
     method), and the smallest normal float in ``EstimateStream``.
 
-    The engine's estimator has the defaults as fixed values:
+    The engine's estimator and finish have fixed values:
     ``EstimateStream`` stalls at the default ``stall_tolerance`` and
     decides agreement by ``agreements``, ``converged`` in the default
-    ``norm`` on a block of rows at once.  The one-shot functions, and so
-    ``fixaccel accelerate``, take any.
+    ``norm`` on a block of rows at once; ``vector_epsilon_tip``, the
+    finish, takes stall_tolerance = floor = STALL_TOLERANCE, with the
+    vector rule at every width, one coordinate included.  The one-shot
+    functions, and so ``fixaccel accelerate``, take any.
     """
 
     stall_tolerance: float = STALL_TOLERANCE

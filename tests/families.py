@@ -5,6 +5,11 @@ Each family is built once here: the text families (``random_program``,
 their loop through ``loop_text``, and the sweep's ``Program`` is
 ``jacobi_program`` of its rows.  ``tests/test_families.py`` pins the
 SHA-256 of every text the suite asks of them.
+
+Each reference the suite checks the engine against is here once: the
+precision reference ``exact_kleene`` with ``assert_contains_and_near``,
+the plain loop's stop rule ``stop_reason_before``, and the record of a
+whole run, ``hex_run``.
 """
 import json
 import math
@@ -13,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from fixaccel import Interval, parse, programs
+from fixaccel import EngineConfig, Interval, analyze, parse, programs
 from fixaccel.intervals import BOTTOM
 from fixaccel.programs import Assignment, Program
 
@@ -155,6 +160,35 @@ def hex_run(report, trace):
     rows = [(r.index, [v.hex() for v in r.row], hexed(r.accel), r.event) for r in trace.records]
     bounds = [v.hex() for iv in report.invariant.intervals for v in (iv.lo, iv.hi)]
     return rows, trace.reason, report.reason, report.injections, bounds
+
+
+def exact_kleene(p):
+    """The precision reference: Kleene iteration to a bit-exact
+    fixpoint, which is sound."""
+    report, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
+    assert report.reason == "converged" and report.sound
+    return report.invariant
+
+
+def assert_contains_and_near(invariant, ref, tol):
+    """Every bound of ``invariant`` contains the reference bound and
+    lies within tol * max(1, |reference|) of it."""
+    for (name, iv), (_, r) in zip(invariant, ref):
+        assert iv.lo <= r.lo and iv.hi >= r.hi, name
+        for b, rb in ((iv.lo, r.lo), (iv.hi, r.hi)):
+            assert abs(b - rb) <= tol * max(1.0, abs(rb)), (name, b, rb)
+
+
+def stop_reason_before(prev, x, tol):
+    """The plain loop's stop rule on two rows: equality, then, where
+    ``tol`` > 0, every bound equal or within ``tol``.  A bound infinite
+    in both rows makes inf - inf, which warns outside ``np.errstate``."""
+    prev, x = np.array(prev), np.array(x)
+    if np.array_equal(x, prev):
+        return "converged"
+    if tol > 0.0 and ((prev == x) | (abs(prev - x) <= tol)).all():
+        return "converged-tolerance"
+    return None
 
 
 def lost_bound_warnings(report) -> str:

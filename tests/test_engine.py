@@ -28,12 +28,15 @@ from fixaccel.intervals import BOTTOM, TOP
 from fixaccel.programs import Assignment, Program
 from families import (
     SCHEDULED,
+    assert_contains_and_near,
+    exact_kleene,
     gaussian_jacobi_program,
     gaussian_program,
     hex_run,
     jacobi_program,
     random_program,
     relowered,
+    stop_reason_before,
 )
 
 METHODS = ["aitken", "epsilon", "vector-epsilon"]
@@ -188,11 +191,10 @@ class TestAccelerated:
                 Assignment("b", 0.0, ((0.5, "a"), (0.25, "b"), (0.1, "w"))),
             ),
         )
-        exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
         report, _ = analyze(p, EngineConfig(method=method))
         assert report.converged and report.sound
         assert report.injections >= 1
-        for (_, iv), (_, ref) in zip(report.invariant, exact.invariant):
+        for (_, iv), (_, ref) in zip(report.invariant, exact_kleene(p)):
             assert iv.lo == pytest.approx(ref.lo, abs=1e-6)
             assert iv.hi == pytest.approx(ref.hi, abs=1e-6)
 
@@ -403,8 +405,7 @@ class TestAcceleratorBranches:
                 Assignment("y", 0.0, ((1.0, "y"),)),
             ),
         )
-        exact, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
-        assert exact.invariant["y"] == BOTTOM
+        assert exact_kleene(p)["y"] == BOTTOM
         report, _ = analyze(p, EngineConfig(method=method))
         assert report.converged and report.sound
         assert report.injections == 1
@@ -470,22 +471,6 @@ def test_finish_covers_the_bounds_finite_in_every_row():
     assert report.invariant["z"].is_bottom and report.invariant["w"] == TOP
     assert report.invariant["x"].lo == 0.0
     assert 2.0 <= report.invariant["x"].hi <= 2.0 + 1e-8
-
-
-def exact_kleene(p):
-    """The reference: Kleene iteration to a bit-exact fixpoint."""
-    report, _ = analyze(p, EngineConfig(mode="kleene", stop_tol=0.0))
-    assert report.reason == "converged"
-    return report.invariant
-
-
-def assert_contains_and_near(invariant, ref, tol):
-    """Every bound of ``invariant`` contains the reference bound and
-    lies within tol * max(1, |reference|) of it."""
-    for (name, iv), (_, r) in zip(invariant, ref):
-        assert iv.lo <= r.lo and iv.hi >= r.hi, name
-        for b, rb in ((iv.lo, r.lo), (iv.hi, r.hi)):
-            assert abs(b - rb) <= tol * max(1.0, abs(rb)), (name, b, rb)
 
 
 class TestPrecision:
@@ -713,12 +698,10 @@ def _row_by_row(monkeypatch):
 
 
 def _run_record(p, cfg):
-    """Everything a run reports, with floats written by ``repr``."""
+    """Everything a run reports: ``hex_run``'s record, whose rows give
+    the iterations, and whether it is sound and converged."""
     report, trace = analyze(p, cfg)
-    rows = [(r.index, r.row, r.accel, r.event) for r in trace.records]
-    bounds = [(iv.lo, iv.hi) for iv in report.invariant.intervals]
-    fields = (report.iterations, report.injections, report.sound, report.converged, report.reason)
-    return repr((rows, trace.reason, bounds, fields))
+    return hex_run(report, trace), report.sound, report.converged
 
 
 class TestLookahead:
@@ -892,11 +875,8 @@ def list_kleene(p, cfg):
         return x
 
     def stop(prev, x):
-        if x == prev:
-            return "converged"
-        if all(u == v or abs(u - v) <= cfg.stop_tol for u, v in zip(prev, x)):
-            return "converged-tolerance"
-        return None
+        with np.errstate(all="ignore"):  # inf - inf
+            return stop_reason_before(prev, x, cfg.stop_tol)
 
     x0 = x = bound_row(p.initial_state())
     rows, again = [], []

@@ -227,3 +227,9 @@ class TestAbstractState:
         s = AbstractState([("a", Interval(0, 1))])
         assert s.__eq__((("a", Interval(0, 1)),)) is NotImplemented
         assert s != (("a", Interval(0, 1)),) and not s == {"a": Interval(0, 1)}
+
+    def test_repr_names_bottom_and_writes_bounds_by_g(self):
+        assert [repr(iv) for iv in (BOTTOM, TOP, Interval(-0.5, 2.0), Interval(1e-7, 3e20))] == [
+            "BOTTOM", "[-inf, inf]", "[-0.5, 2]", "[1e-07, 3e+20]"]
+        s = AbstractState([("x", BOTTOM), ("y", TOP), ("z", Interval(-0.5, 2.0))])
+        assert repr(s) == "{x: BOTTOM, y: [-inf, inf], z: [-0.5, 2]}"

@@ -11,9 +11,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from families import gaussian_program, rand_interval, random_program, relowered, row_program
+from families import gaussian_program, rand_interval, random_program, relowered, row_program, stop_reason_before
 
 from fixaccel import (
     AbstractState,
@@ -1084,19 +1084,10 @@ def growing_rows(draw):
     return prev, x, draw(st.sampled_from([0.0, 3e-7, 1.0, 1e300]))
 
 
-def stop_reason_before(prev, x, tol):
-    """The plain loop's stop test on array rows as it was: equality,
-    then every bound equal or within ``tol``."""
-    prev, x = np.array(prev), np.array(x)
-    if np.array_equal(x, prev):
-        return "converged"
-    if tol > 0.0 and ((prev == x) | (abs(prev - x) <= tol)).all():
-        return "converged-tolerance"
-    return None
-
-
 @settings(max_examples=500, deadline=None)
 @given(growing_rows())
+# the largest move is exactly tol, which is within it
+@example(([0.0, 1.0], [-1.0, 1.0], 1.0))
 def test_one_reduction_gives_the_stop_reasons(case):
     # on a row that grew, as the plain loop's rows do, and on one that
     # shrank, which the test does not rely on

@@ -86,30 +86,18 @@ class TestAitken:
             aitken([1.0, math.nan, 2.0])
 
 
-def wynn_table(x, columns):
-    """Textbook epsilon-table without stall handling; cols[k][n] = eps^k_n."""
-    below = [0.0] * (len(x) + 1)
-    cols = [[float(v) for v in x]]
-    while len(cols) < columns:
-        col = cols[-1]
-        cols.append(
-            [below[n + 1] + 1.0 / (col[n + 1] - col[n]) for n in range(len(col) - 1)]
-        )
-        below = col
-    return cols
-
-
 class TestEpsilonTable:
     def test_diagonal_entries_are_even_column_heads(self):
         # two decay modes keep the table live through column 4
         x = np.array(
             [5.0 + 2.0 * 0.5**k + 1.0 * (-0.3) ** k for k in range(11)]
         )
-        t = wynn_table(x, 5)
+        # tol = floor = 0: the textbook table, which stalls no difference of finite cells
+        t = reference_table(x[:, None], 0.0, 0.0, False, 4)
         d = epsilon_diagonal(x)
-        assert d[0].value == t[0][0]
-        assert d[1].value == t[2][0]
-        assert d[2].value == t[4][0]
+        assert d[0].value == t[0][0][0, 0]
+        assert d[1].value == t[2][0][0, 0]
+        assert d[2].value == t[4][0][0, 0]
         assert not d[2].stalled
 
 
@@ -246,40 +234,43 @@ def test_norms_and_inverses_beside_a_nan_row_equal_the_reference(rows):
     assert value_bits(out) == value_bits(want_inverses)
 
 
-def reference_table(x, tol, vector):
-    """The full epsilon-table of ``x`` with explicit validity flags:
-    ``table[k][n]`` is eps_k^(n) as (value, valid), and a cell is valid
-    when its three operands are and its denominator d passes the literal
-    stall rule |d| >= tol * max(1, |b|), or ||d|| >= max(tol * max(1,
-    ||b||), TINY) for a vector table (``scaled_norms``), where d =
-    eps_{k-1}^(n+1) - eps_{k-1}^(n) and b = eps_{k-1}^(n).  Vector cells
-    are 1-D arrays."""
+def reference_table(rows, tol, floor, vector, columns=None):
+    """Columns 0..``columns`` (all if None) of the epsilon-table of
+    ``rows``, shape (m, coordinates), as (values, valid) pairs, one
+    column at a time: one scalar table per coordinate, or with
+    ``vector`` one table whose cells are rows and which has one flag per
+    cell.  A cell is valid when its three operands are and its
+    denominator d = eps_{k-1}^(n+1) - eps_{k-1}^(n) passes the kernel's
+    rule |d| >= max(tol * |b|, floor), b = eps_{k-1}^(n), with the
+    Euclidean norms and inverses of ``scaled_norms`` for a vector table.
+    An invalid cell's value means nothing.  ``rows`` is copied in C
+    order, as the kernel's table holds it: ``scaled_norms``' einsum sums
+    the rows of an F-ordered array (``m[:, mask]``) in another order.
 
-    def norm(v):
-        return float(scaled_norms(v[None])[0][0])
-
-    m = len(x)
-    col = [(v, True) for v in x]
-    table = [col]
-    # column -1 is +0.0, as in the code; 0.0 * x[0] would copy the sign of x[0]
-    below = [(np.zeros_like(x[0]) if vector else 0.0, True)] * (m + 1)
-    for _ in range(m - 1):
-        nxt = []
-        for n in range(len(col) - 1):
-            (b, b_ok), (a, a_ok), (c, c_ok) = col[n], col[n + 1], below[n + 1]
-            if not (b_ok and a_ok and c_ok):
-                nxt.append((None, False))
-                continue
-            d = a - b
-            if vector:
-                ok = norm(d) >= max(tol * max(1.0, norm(b)), TINY)
-                nxt.append((c + scaled_norms(d[None])[1][0] if ok else None, ok))
-            else:
-                ok = abs(d) >= tol * max(1.0, abs(b))
-                nxt.append((c + 1.0 / d if ok else None, ok))
-        below, col = col, nxt
-        table.append(col)
-    return table
+    Each reader passes the (tol, floor) of the code it checks: the
+    one-shot functions (``reference_diagonal``, ``reference_aitken``)
+    (tol, tol), or (tol, max(tol, TINY)) for a vector table;
+    ``vector_epsilon_tip`` (STALL_TOLERANCE, STALL_TOLERANCE);
+    ``EstimateStream`` (``newest_cells``) (STALL_TOLERANCE, TINY); and
+    ``TestEpsilonTable`` (0, 0), the textbook table."""
+    vals = np.array(rows, dtype=float, order="C")
+    ok = np.ones(len(vals) if vector else vals.shape, dtype=bool)
+    cols = [(vals, ok)]
+    # column -1 is +0.0, as in the code
+    below_vals, below_ok = np.zeros_like(vals), np.ones_like(ok)
+    while len(vals) >= 2 and (columns is None or len(cols) <= columns):
+        d = vals[1:] - vals[:-1]
+        deps = ok[1:] & ok[:-1] & below_ok[1: len(vals)]
+        if vector:
+            norm_d, inverse = scaled_norms(d)
+            live = deps & (norm_d >= np.maximum(tol * scaled_norms(vals[:-1])[0], floor))
+            new_vals = below_vals[1: len(vals)] + np.where(live[:, None], inverse, 0.0)
+        else:
+            live = deps & (np.abs(d) >= np.maximum(tol * np.abs(vals[:-1]), floor))
+            new_vals = below_vals[1: len(vals)] + 1.0 / np.where(live, d, 1.0)
+        below_vals, below_ok, vals, ok = vals, ok, new_vals, live
+        cols.append((vals, ok))
+    return cols
 
 
 def carried(cells, bases):
@@ -295,15 +286,20 @@ def carried(cells, bases):
 
 
 def reference_diagonal(x, tol, vector):
-    """The tip eps_2k^(0) of each even column, as (value, stalled)."""
-    tips = [col[0] for col in reference_table(x, tol, vector)[::2]]
+    """The tip eps_2k^(0) of each even column of the table of ``x``,
+    shape (m, coordinates), a vector table or one of a single
+    coordinate, as (value, stalled)."""
+    floor = max(tol, TINY) if vector else tol
+    tips = [(vals[0], ok[0].all()) for vals, ok in reference_table(x, tol, floor, vector)[::2]]
     return carried(tips, [x[0]] * len(tips))
 
 
 def reference_aitken(x, tol):
-    """Column 2, eps_2^(n) = y_n, as (value, stalled); a stalled y_n
-    carries the last valid one, or x_n while none exists."""
-    return carried(reference_table(x, tol, False)[2], x)
+    """Column 2 of the table of ``x``, shape (m, 1): eps_2^(n) = y_n, as
+    (value, stalled); a stalled y_n carries the last valid one, or x_n
+    while none exists."""
+    vals, ok = reference_table(x, tol, tol, False, 2)[2]
+    return carried(zip(vals, ok[:, 0]), x)
 
 
 @st.composite
@@ -354,6 +350,9 @@ def value_bits(v):
 @example(case=(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), 1e-200))
 @example(case=(np.array([[-0.0, 1e150, 1e150], [-0.0, 0.0, -1.0], [-1e150, -1.7e308, -0.0],
                          [-1.0, 1e300, 1e150], [1.7e308, 1e150, 1.7e308]]), 1e-200))
+# the first difference is exactly the floor tol, which passes the stall
+# test, and so column 2's cell is valid
+@example(case=(np.array([[0.0], [0.25], [1.0]]), 0.25))
 def test_diagonals_equal_the_reference_table(case):
     rows, tol = case
     cfg = TransformConfig(stall_tolerance=tol)
@@ -361,16 +360,16 @@ def test_diagonals_equal_the_reference_table(case):
     with np.errstate(all="ignore"):
         for c in range(rows.shape[1]):
             x = [float(v) for v in rows[:, c]]
-            pairs = [(epsilon_diagonal(x, cfg), reference_diagonal(x, tol, False))]
+            pairs = [(epsilon_diagonal(x, cfg), reference_diagonal(rows[:, [c]], tol, False))]
             if len(x) >= 3:
-                pairs.append((aitken(x, cfg), reference_aitken(x, tol)))
+                pairs.append((aitken(x, cfg), reference_aitken(rows[:, [c]], tol)))
             for got, want in pairs:
                 assert [e.stalled for e in got] == [s for _, s in want]
                 assert all(isinstance(e.value, float) for e in got)
                 assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
         got = vector_epsilon_diagonal(rows, cfg)
         # rows of dimension 1 take the scalar rule
-        want = reference_diagonal(list(rows), tol, rows.shape[1] != 1)
+        want = reference_diagonal(rows, tol, rows.shape[1] != 1)
         assert [e.stalled for e in got] == [s for _, s in want]
         assert all(e.value.shape == rows.shape[1:] for e in got)
         assert [value_bits(e.value) for e in got] == [value_bits(v) for v, _ in want]
@@ -391,9 +390,8 @@ def test_vector_epsilon_tip_is_the_reference_tables_on_the_finite_coordinates(ca
         return
     with np.errstate(all="ignore"):
         got = vector_epsilon_tip(rows)
-        table = reference_table(list(rows[:, finite]), STALL_TOLERANCE, True)
-    m = len(rows)
-    cells = [table[k][m - 1 - k] for k in range(0, m, 2)]
+        table = reference_table(rows[:, finite], STALL_TOLERANCE, STALL_TOLERANCE, True)
+    cells = [(vals[-1], ok[-1]) for vals, ok in table[::2]]
     tip = next((v for v, ok in reversed(cells) if ok), rows[-1, finite])
     if not np.isfinite(tip).all():
         assert got is None
@@ -416,37 +414,7 @@ def test_aitken_is_column_two_of_the_epsilon_table(x, tol):
             assert value_bits(y.value) == value_bits(tip.value)
 
 
-def _columns(arr, tol, cap):
-    """Columns 0..``cap`` of the epsilon-table of ``arr`` as (values,
-    valid) pairs: one scalar table per coordinate for a 2-D (rows,
-    coordinates) array, with the scale-invariant stall rule
-    |d| >= max(tol * |b|, TINY); a vector table of row cells for a list
-    of rows, with ||d|| >= max(tol * ||b||, TINY) (``scaled_norms``).
-    The float operations are those of ``EstimateStream``, one column at
-    a time."""
-    vector = isinstance(arr, list)
-    arr = np.array(arr, dtype=float)
-    ok = np.ones(arr.shape if not vector else len(arr), dtype=bool)
-    cols = [(arr, ok)]
-    below_vals = np.zeros((len(arr) + 1, *arr.shape[1:]))
-    below_ok = np.ones((len(arr) + 1, *ok.shape[1:]), dtype=bool)
-    while len(cols) <= cap and len(cols[-1][0]) >= 2:
-        vals, ok = cols[-1]
-        d = vals[1:] - vals[:-1]
-        deps = ok[1:] & ok[:-1] & below_ok[1: len(vals)]
-        if vector:
-            norm_d, inverse = scaled_norms(d)
-            live = deps & (norm_d >= np.maximum(tol * scaled_norms(vals[:-1])[0], TINY))
-            new_vals = below_vals[1: len(vals)] + np.where(live[:, None], inverse, 0.0)
-        else:
-            live = deps & (np.abs(d) >= np.maximum(tol * np.abs(vals[:-1]), TINY))
-            new_vals = below_vals[1: len(vals)] + 1.0 / np.where(live, d, 1.0)
-        below_vals, below_ok = vals, ok
-        cols.append((new_vals, live))
-    return cols
-
-
-def newest_cells(method, rows, tol=TransformConfig().stall_tolerance):
+def newest_cells(method, rows):
     """The full-table reference that ``EstimateStream`` must equal bit
     for bit: the estimate after each row, None for the first two.  It is
     the newest valid cell of the deepest even column that holds one, up
@@ -461,7 +429,7 @@ def newest_cells(method, rows, tol=TransformConfig().stall_tolerance):
     if len(m) < 3:
         return out
     vector = method == "vector-epsilon" and m.shape[1] != 1
-    cols = _columns(list(m) if vector else m, tol, 2 if method == "aitken" else MAX_COLUMN)
+    cols = reference_table(m, STALL_TOLERANCE, TINY, vector, 2 if method == "aitken" else MAX_COLUMN)
     est = m.copy()  # row t holds the estimate after row t
     for k in range(2, len(cols), 2):
         vals, ok = cols[k]  # cell k, t - k is on antidiagonal t
