@@ -26,17 +26,18 @@ result.
 Every row and check runs the body's ``image``, bit-identical to
 interval evaluation, with one exception: on a body that keeps a
 composed linear map (a long chain of levels, such as a dense
-Gauss-Seidel sweep), the loop's ascending array rows take their images
-from that map, a few ulps off.  An iteration that stops is computed
-again from ``image``, and the verification, the finish and the check
-run ``image`` only, so a sound invariant is a post-fixpoint of ``image``.
+Gauss-Seidel sweep), the loop's ascending array rows (which rows are
+arrays, ``LoweredBody.loop_row`` says) take their images from that map,
+a few ulps off.  An iteration that stops is computed again from
+``image``, and the verification, the finish and the check run ``image``
+only, so a sound invariant is a post-fixpoint of ``image``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import eq, gt
+from operator import eq
 from typing import Literal, get_args
 
 import numpy as np
@@ -101,8 +102,8 @@ class TraceRecord:
     estimate exists), and what kind of step happened.
 
     ``bounds`` holds the row the loop carried: a tuple of floats, or a
-    read-only float64 array on a body with a level schedule whose initial
-    state holds no Bottom.  ``row`` holds it as a tuple, (lo, hi) pairs
+    read-only float64 array where ``LoweredBody.loop_row`` made the first
+    row an array.  ``row`` holds it as a tuple, (lo, hi) pairs
     in the order of ``variables``, and ``state`` as an AbstractState,
     each built on first access.
     Records compare by identity, as an array has no truth value.
@@ -172,10 +173,9 @@ class FixpointReport:
 
 # The loop carries the state as a bound row laid out like
 # ``extraction.bound_row``'s list, [lo_1, hi_1, ..., lo_v, hi_v], with a
-# Bottom component as (inf, -inf): that list itself, except on a body
-# with a level schedule and an initial row without Bottom, whose wide
-# rows are carried as float64 arrays, where NumPy's per-call cost is paid
-# back (see ``_iterate``); ``_inject`` and ``_verify`` take lists always.
+# Bottom component as (inf, -inf): that list, or the float64 array that
+# ``LoweredBody.loop_row`` makes of it; ``_inject`` and ``_verify`` take
+# lists always.
 # The row operations below compute exactly what their interval
 # counterparts in ``intervals`` and ``programs`` compute, on either type,
 # and carry the same names, under which the benchmark's tracer
@@ -190,7 +190,7 @@ def transfer(p: Program, x: Row) -> Row:
     """``programs.transfer`` on a bound row, through the lowered body, the
     one place that picks its image by the row's type: a list row takes the
     exact ``image``, and an array row, the loop's, which holds no Bottom
-    (see ``_iterate``), ``linear_image``."""
+    (see ``LoweredBody.loop_row``), ``linear_image``."""
     return p.lowered.image(x) if type(x) is list else p.lowered.linear_image(x)
 
 
@@ -439,10 +439,9 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float],
     tolerance is 0) to ``stop_tol``, an injection verifies, or
     ``max_iter``.  Returns the final row, as a list, and the reason.
 
-    The rows are float64 arrays on a scheduled body whose initial row
-    holds no Bottom, lists otherwise.  No later row holds Bottom: a join
-    keeps ``lo <= hi``, widening only moves bounds outward, and a body
-    with a Bottom input has no schedule.
+    Every row has the type of the first, an array or a list, which
+    ``LoweredBody.loop_row`` gives; that type picks the row operations
+    once a run.
 
     The rows are computed in blocks, each widened throughout or not at
     all, and go into the trace as they are computed.  In accel mode the
@@ -465,12 +464,11 @@ def _iterate(p: Program, cfg: EngineConfig, x: list[float],
     loop goes on from that row if it does not stop too.  It runs inside
     the error state ``analyze`` holds.
     """
-    lowered = p.lowered
-    if lowered.schedule is not None and not any(map(gt, x[::2], x[1::2])):
-        x = np.array(x)
+    x = p.lowered.loop_row(x)
+    if type(x) is not list:
         # np.array_equal is == of the rows as lists: they hold no NaN
         new, same, stop, record = np.array, np.array_equal, _stop_arrays, _read_only
-        moves, composed = np.empty_like(x), lowered.composed is not None
+        moves, composed = np.empty_like(x), p.lowered.composed is not None
     else:
         new, same, stop, record, moves, composed = list, eq, _stop_lists, tuple, None, False
     stream = EstimateStream(cfg.method, cfg.delta) if cfg.mode == "accel" else None

@@ -28,9 +28,10 @@ per-step loop or, for a wide body, a level schedule that sums each
 level's columns with one ``np.add.reduce``; both make the float
 operations of interval evaluation in their order.  A body without Bottom
 is also linear in the bounds, w -> M w + c with M >= 0 in w = (-lo, hi)
-(``LoweredBody.linear``).  The engine loop's array rows take
-``linear_image``: the schedule, or M where a body whose schedule costs
-more than one product with it keeps M (``composed``), a few ulps off.
+(``LoweredBody.linear``).  The engine loop's array rows, which
+``LoweredBody.loop_row`` makes, take ``linear_image``: the schedule, or
+M where a body whose schedule costs more than one product with it keeps
+M (``composed``), a few ulps off.
 """
 from __future__ import annotations
 
@@ -162,6 +163,11 @@ _NAN_MESSAGE = "NaN produced in affine interval evaluation"
 # the kernels' ufunc calls, looked up once
 _reduce, _minimum = np.add.reduce, np.minimum.reduce
 _isfinite, _count = np.isfinite, np.count_nonzero
+
+
+def _has_bottom(row: list[float]) -> bool:
+    """Whether a bound row holds Bottom, a pair with ``lo > hi``."""
+    return any(map(gt, row[::2], row[1::2]))
 
 
 def _assign(body: tuple[Assignment, ...], ids: dict[str, int], n_states: int) -> tuple:
@@ -317,7 +323,8 @@ def _schedule(form: tuple, width: int, inputs: list[float]) -> tuple | None:
 
 class LoweredBody:
     """A loop body as slot arithmetic on a flat list of bounds; ``image``
-    maps a list row to a list, ``linear_image`` an array row to an array.
+    maps a list row to a list, ``linear_image`` an array row, which
+    ``loop_row`` makes, to an array.
 
     ``_assign`` puts the body in single-assignment form, kept in
     ``_form``, and one interpreter runs it on a flat list of bounds in which each node owns a
@@ -418,9 +425,21 @@ class LoweredBody:
         return rows[:, :width], rows[:, width]
 
 
+    def loop_row(self, row: list[float]) -> list[float] | np.ndarray:
+        """The engine loop's first row as the evaluators take it: a
+        float64 array, which ``linear_image`` takes, on a body with a
+        level schedule and a row without Bottom, and the list ``row``
+        otherwise.  This is the one statement of which rows the loop
+        carries as arrays: it keeps its first row's type to the last, and
+        no later array row holds Bottom either, since a join keeps ``lo
+        <= hi``, widening only moves bounds outward, and a body with a
+        Bottom input has no schedule.  Where NumPy's per-call cost is not
+        paid back, on a body of a few dozen bounds, the list stays."""
+        return np.array(row) if self.schedule is not None and not _has_bottom(row) else row
+
     def linear_image(self, row: np.ndarray) -> np.ndarray:
-        """The image of an array row without Bottom (the engine loop's rows
-        on a scheduled body, which it makes no Bottom test of) through the
+        """The image of an array row of the engine loop, which holds no
+        Bottom (``loop_row``) and gets no Bottom test here, through the
         composed map where the body keeps one (``composed``), and through
         the level schedule otherwise, or where the row or its image is not
         finite.
@@ -448,7 +467,7 @@ class LoweredBody:
     def image(self, row: list[float]) -> list[float]:
         """One pass of the body over a bound row of the state variables, a
         list of floats; the image is a new list.  (The engine loop's array
-        rows take ``linear_image``.)
+        rows, see ``loop_row``, take ``linear_image``.)
 
         Each step accumulates ``lo += coeff * b[src_for_lo]`` and ``hi +=
         coeff * b[src_for_hi]`` from ``const``, as ``affine_eval`` does (a
@@ -459,7 +478,7 @@ class LoweredBody:
         ``_affine_eval``.  It enters no NumPy error state: one that lets a
         bound overflow is the caller's.
         """
-        has_bottom = any(map(gt, row[::2], row[1::2]))
+        has_bottom = _has_bottom(row)
         if self.schedule is not None and not has_bottom:
             return self._run(row).tolist()
         if has_bottom or self.steps is None:

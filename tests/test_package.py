@@ -110,6 +110,18 @@ def test_no_module_imports_a_siblings_private_name():
     assert [u for path in MODULES for u in private_imports(path)] == []
 
 
+def test_the_engine_leaves_the_array_row_rule_to_the_lowered_body():
+    # which rows the loop carries as arrays, and the Bottom test in that
+    # rule, are LoweredBody.loop_row's: engine.py reads no ``schedule``
+    # and takes no ``operator.gt``, by attribute or by import
+    tree = ast.parse((ROOT / "src" / "fixaccel" / "engine.py").read_text())
+    assert [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("schedule", "gt")
+        or isinstance(node, ast.ImportFrom) and node.module == "operator" and "gt" in {a.name for a in node.names}
+    ] == []
+
+
 # numpy's names that reach BLAS: a result that went through one of them
 # could depend on the BLAS build
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixaccel import (
@@ -433,6 +433,9 @@ class TestUnparse:
 
     @settings(max_examples=200, deadline=None)
     @given(p=api_programs())
+    # refusable only by its -0.0 constant, which read back as 0.0, and
+    # which random draws reach rarely
+    @example(p=Program((("x", Interval(0.0, 1.0)),), (), (Assignment("x", -0.0, ((0.5, "x"),)),)))
     def test_unparse_refuses_or_round_trips(self, p):
         try:
             text = unparse(p)
