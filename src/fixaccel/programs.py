@@ -21,17 +21,19 @@ token lists.  ``parse`` gives it the fast chunks of ``str.split`` first;
 on any chunk that is not one token, and on any error, it gives it the
 regex tokens of ``_tokenize``, which locate each ParseError.
 
-``_assign`` lowers a body once, to single-assignment form, with unit
-copies folded; three parts read it.  A body's exact image
-(``LoweredBody.image``) maps a list of bounds to a list, through the
-per-step loop or, for a wide body, a level schedule that sums each
-level's columns with one ``np.add.reduce``; both make the float
-operations of interval evaluation in their order.  A body without Bottom
-is also linear in the bounds, w -> M w + c with M >= 0 in w = (-lo, hi)
-(``LoweredBody.linear``).  The engine loop's array rows, which
-``LoweredBody.loop_row`` makes, take ``linear_image``: the schedule, or
-M where a body whose schedule costs more than one product with it keeps
-M (``composed``), a few ulps off.
+``_assign`` reads a Program's declarations and body once, and lowers
+the body to single-assignment form, with unit copies folded; a lowered
+body holds that form and the inputs' intervals, and nothing else of the
+Program.  A body's exact image (``LoweredBody.image``) maps a list of
+bounds to a list, through the per-step loop or, for a wide body, a level
+schedule that sums each level's columns with one ``np.add.reduce``; both
+make the float operations of interval evaluation in their order, and a
+row with Bottom folds ``affine_eval`` over the same form.  A body
+without Bottom is also linear in the bounds, w -> M w + c with M >= 0 in
+w = (-lo, hi) (``LoweredBody.linear``).  The engine loop's array rows,
+which ``LoweredBody.loop_row`` makes, take ``linear_image``: the
+schedule, or M where a body whose schedule costs more than one product
+with it keeps M (``composed``), a few ulps off.
 """
 from __future__ import annotations
 
@@ -170,26 +172,35 @@ def _has_bottom(row: list[float]) -> bool:
     return any(map(gt, row[::2], row[1::2]))
 
 
-def _assign(body: tuple[Assignment, ...], ids: dict[str, int], n_states: int) -> tuple:
-    """``body`` in single-assignment form ``(coeffs, nodes, ends, steps,
-    final)`` over the variables numbered by ``ids``, states first: the
-    one place where a term's variable becomes the node it reads.
+def _assign(p: Program) -> tuple[tuple, list[Interval]]:
+    """``p``'s body in single-assignment form ``(coeffs, nodes, ends,
+    steps, final)``, and its inputs' intervals in declaration order: the
+    one reader of a Program's declarations and body, and the one place
+    where a term's variable becomes the node it reads.
 
-    Node ``k < len(ids)`` is variable ``k`` on entry, node ``len(ids)``
-    1.0 and node ``len(ids) + 1 + i`` the value step ``i`` writes.  Step
-    ``i`` owns cells ``ends[i - 1]`` (0 for step 0) to ``ends[i]``: its
-    constant over 1.0, then its terms, zero ones too; cell ``j`` adds
-    ``coeffs[j]`` times node ``nodes[j]``.  ``final`` is each state's last
-    node.  ``steps[i]`` is ``(root, extra)``, step ``root``'s cells then
-    cells ``extra``, or None where a copy folds step ``i``: a copy ``x = c
-    + 1.0*t`` of a value no other nonzero cell reads and no state ends
-    with sums ``t``'s cells, then its constant (``S + c`` is ``c + S``).
-    Raises ValueError on a non-finite constant or coefficient, KeyError on
-    a variable read before it has a value."""
-    one = len(ids)
-    node_of = dict(ids)
+    The variables are numbered states first, then inputs.  Node ``k <
+    one`` is variable ``k`` on entry, node ``one`` 1.0 and node ``one + 1
+    + i`` the value step ``i`` writes, which later reads of its target
+    take, an input's included.  Step ``i`` owns cells ``ends[i - 1]`` (0
+    for step 0) to ``ends[i]``: its constant over 1.0, then its terms,
+    zero ones too; cell ``j`` adds ``coeffs[j]`` times node ``nodes[j]``.
+    ``final`` is each state's last node.  ``steps[i]`` is ``(root,
+    extra)``, step ``root``'s cells then cells ``extra``, or None where a
+    copy folds step ``i``: a copy ``x = c + 1.0*t`` of a value no other
+    nonzero cell reads and no state ends with sums ``t``'s cells, then its
+    constant (``S + c`` is ``c + S``).  Raises ValueError on an input that
+    shares a state variable's name or on a non-finite constant or
+    coefficient, and KeyError on a variable read before it has a value."""
+    node_of = {name: k for k, (name, _) in enumerate(p.state_vars)}
+    inputs = []
+    for name, rng in p.input_vars:
+        if name in node_of:
+            raise ValueError(f"input {name!r} is also a state variable")
+        node_of[name] = len(node_of)
+        inputs.append(rng)
+    one = len(node_of)
     coeffs, nodes, ends, copies = [], [], [], []  # by cell, by cell, by step
-    for i, a in enumerate(body):
+    for i, a in enumerate(p.body):
         coeffs.append(a.const)
         nodes.append(one)
         for c, var in a.terms:
@@ -203,22 +214,22 @@ def _assign(body: tuple[Assignment, ...], ids: dict[str, int], n_states: int) ->
         j = next(j for j, c in enumerate(coeffs) if not math.isfinite(c))
         what = "constant term" if nodes[j] == one else "coefficient"
         raise ValueError(f"{what} must be finite, got {float(coeffs[j])}")
-    final = list(node_of.values())[:n_states]
-    steps: list = [(i, ()) for i in range(len(body))]
+    final = list(node_of.values())[: len(p.state_vars)]
+    steps: list = [(i, ()) for i in range(len(ends))]
     finals, readers = set(final), None  # readers: by node, nonzero cells
     for i in copies:
         t = nodes[ends[i] - 1]
         if t in finals:
             continue
         if readers is None:
-            readers = [0] * (one + 1 + len(body))
+            readers = [0] * (one + 1 + len(ends))
             for k in itertools.compress(nodes, coeffs):
                 readers[k] += 1
         if readers[t] == 1:
             root, extra = steps[t - one - 1]
             steps[i] = (root, (*extra, ends[i] - 2))
             steps[t - one - 1] = None
-    return coeffs, nodes, ends, steps, final
+    return (coeffs, nodes, ends, steps, final), inputs
 
 
 def _per_step(form: tuple, width: int, inputs: list[float]) -> tuple:
@@ -326,10 +337,12 @@ class LoweredBody:
     maps a list row to a list, ``linear_image`` an array row, which
     ``loop_row`` makes, to an array.
 
-    ``_assign`` puts the body in single-assignment form, kept in
-    ``_form``, and one interpreter runs it on a flat list of bounds in which each node owns a
-    pair of slots, its lower bound then its upper; the first ``width`` are
-    laid out like ``extraction.bound_row``.  ``schedule`` is the level
+    ``_assign`` reads the Program: a lowered body holds its
+    single-assignment form, in ``_form``, and its inputs' intervals, in
+    ``_inputs``, and nothing else of it.  One interpreter runs the form
+    on a flat list of bounds in which each node owns a pair of slots, its
+    lower bound then its upper; the first ``width`` are laid out like
+    ``extraction.bound_row``.  ``schedule`` is the level
     schedule, or None for the per-step loop on the row, the row again
     where ``row_twice`` (a copy folds, and so may run after a state's last
     value is written), and ``tail``: the inputs' bounds, 1.0, 1.0 and a
@@ -348,30 +361,20 @@ class LoweredBody:
 
     Neither interpreter knows Bottom: a row that holds it, and every row
     of a body with a Bottom input (which has neither interpreter), goes
-    to ``_affine_eval``, which reads the state names, the inputs and the
-    body held in ``_program`` (not the Program, which holds this body).
+    to ``_affine_eval``, which folds ``affine_eval`` over the same form.
     """
 
-    __slots__ = ("width", "tail", "steps", "row_twice", "schedule", "composed", "_program", "_form", "_kernels")
+    __slots__ = ("width", "tail", "steps", "row_twice", "schedule", "composed", "_form", "_inputs", "_kernels")
 
     def __init__(self, p: Program):
-        """Lower ``p``.  Raises ValueError on a non-finite constant or
-        coefficient or on an input that shares a state variable's name,
-        and KeyError on a variable read before it has a value."""
-        ids = {name: k for k, (name, _) in enumerate(p.state_vars)}
-        tail: list[float] = []
-        for name, rng in p.input_vars:
-            if name in ids:
-                raise ValueError(f"input {name!r} is also a state variable")
-            ids[name] = len(ids)
-            tail += (rng.lo, rng.hi)
-        self.width = 2 * len(p.state_vars)
-        self._program = (p.state_names, p.input_vars, p.body)
+        """Lower ``p``, raising the errors of ``_assign``."""
+        self._form, self._inputs = form, inputs = _assign(p)
+        self.width = 2 * len(form[-1])  # a pair per state's last node
         self._kernels: list[_Kernel] = []
         self.schedule = self.tail = self.steps = self.row_twice = self.composed = None
-        self._form = form = _assign(p.body, ids, len(p.state_vars))
-        if any(rng.is_bottom for _, rng in p.input_vars):
+        if any(rng.is_bottom for rng in inputs):
             return  # every image takes _affine_eval
+        tail = [b for rng in inputs for b in (rng.lo, rng.hi)]
         self.schedule = _schedule(form, self.width, tail)
         if self.schedule is None:
             self.tail, self.steps, self.row_twice = _per_step(form, self.width, tail)
@@ -401,7 +404,7 @@ class LoweredBody:
         the image of a row ``b`` is ``sign * (m @ (sign * b) + c)``,
         ``sign`` -1.0 at each lower bound, 1.0 at each upper one.
         """
-        bounds = [b for _, rng in self._program[1] for b in (-rng.lo, rng.hi)]
+        bounds = [b for rng in self._inputs for b in (-rng.lo, rng.hi)]
         if not all(map(math.isfinite, bounds)):
             raise ValueError("the composed map needs finite input bounds")
         coeffs, nodes, ends, _, final = self._form
@@ -497,15 +500,17 @@ class LoweredBody:
 
     def _affine_eval(self, row: list[float]) -> list[float]:
         """The image of a row through ``intervals.affine_eval``, folded
-        over the body in order: a target that reads Bottom, through any
-        coefficient, becomes Bottom, ``(inf, -inf)``."""
-        names, inputs, body = self._program
-        env = {name: BOTTOM if lo > hi else Interval(lo, hi)
-               for name, lo, hi in zip(names, row[::2], row[1::2])}
-        env.update(inputs)
-        for a in body:
-            env[a.target] = affine_eval(a.const, [(c, env[var]) for c, var in a.terms])
-        return [bound for name in names for bound in (env[name].lo, env[name].hi)]
+        over the steps of the single-assignment form ``_form`` in body
+        order, by node: a step's first cell is its constant, its other
+        cells its terms, zero coefficients included, and no copy folds.
+        A target that reads Bottom, through any coefficient, becomes
+        Bottom, ``(inf, -inf)``."""
+        coeffs, nodes, ends, _, final = self._form
+        env = [BOTTOM if lo > hi else Interval(lo, hi) for lo, hi in zip(row[::2], row[1::2])]
+        env += [*self._inputs, Interval(1.0, 1.0)]  # the inputs' nodes, then 1.0's
+        for start, end in zip([0, *ends], ends):
+            env.append(affine_eval(coeffs[start], [(coeffs[j], env[nodes[j]]) for j in range(start + 1, end)]))
+        return [bound for k in final for bound in (env[k].lo, env[k].hi)]
 
     def _run(self, row: list[float] | np.ndarray) -> np.ndarray:
         """The schedule's image of a row without Bottom, on a free kernel."""

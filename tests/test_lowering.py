@@ -47,14 +47,16 @@ COEFFS = st.one_of(
 @st.composite
 def programs_and_states(draw):
     """A random body over states, inputs and temporaries, and a state
-    whose intervals may be infinite or Bottom (so may the inputs)."""
+    whose intervals may be infinite or Bottom (so may the inputs).  A
+    step may write an input, as only the API can, and later steps then
+    read the value it wrote."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_states = draw(st.integers(1, 4))
     n_inputs = draw(st.integers(0, 3))
     states = [f"x{i}" for i in range(n_states)]
     inputs = [f"u{i}" for i in range(n_inputs)]
     scope = states + inputs
-    targets = list(states)
+    targets = states + inputs
     body = []
     for _ in range(draw(st.integers(1, 8))):
         target = draw(st.sampled_from(targets + [f"t{len(body)}"]))
@@ -76,7 +78,9 @@ def programs_and_states(draw):
 
 def fold_affine_eval(p, x):
     """The interval semantics of one pass: ``affine_eval`` on each
-    assignment in body order over an environment of intervals."""
+    assignment in body order over an environment of intervals, read from
+    the Program by name, not through the single-assignment form that
+    every evaluator of the lowered body shares."""
     env = dict(x)
     env.update(p.input_vars)
     for a in p.body:
@@ -98,6 +102,11 @@ def outcome(fn, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(programs_and_states())
+@example((  # x in [2, 4.5], from the u that the body doubles
+    Program((("x", Interval(0.0, 1.0)),), (("u", Interval(1.0, 2.0)),),
+            (Assignment("u", 0.0, ((2.0, "u"),)), Assignment("x", 0.0, ((0.5, "x"), (1.0, "u"))))),
+    AbstractState([("x", Interval(0.0, 1.0))]),
+))
 def test_transfer_equals_fold_of_affine_eval(case):
     p, x = case
     assert outcome(transfer, p, x) == outcome(fold_affine_eval, p, x)

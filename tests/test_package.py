@@ -1,6 +1,6 @@
 """The public namespace and the demo scripts run as shipped, every
-import is used, no call reaches BLAS, and a Program needs no cycle
-collector."""
+import is used, no call reaches BLAS, a Program needs no cycle collector
+and its lowered body holds nothing of it."""
 import ast
 import gc
 import os
@@ -14,7 +14,8 @@ import pytest
 from families import gaussian_program
 
 import fixaccel
-from fixaccel import EngineConfig, analyze, bundled_path, bundled_source, parse
+from fixaccel import EngineConfig, Program, analyze, bundled_path, bundled_source, parse
+from fixaccel.intervals import BOTTOM
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -175,3 +176,23 @@ def test_a_program_is_freed_without_the_cycle_collector(text):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["per-step", "scheduled", "bottom-input"])
+def test_a_lowered_body_holds_nothing_of_its_program(kind):
+    # _assign reads the Program once: the lowered body holds the
+    # single-assignment form and the inputs' intervals, so two levels of
+    # its referents reach neither the declarations nor the body, nor any
+    # Assignment of it; Intervals and floats, which are immutable, may be
+    # shared
+    p = parse(gaussian_program(3, 16, 0.97) if kind == "scheduled" else bundled_source("filter3"))
+    if kind == "bottom-input":
+        p = Program(p.state_vars, tuple((name, BOTTOM) for name, _ in p.input_vars), p.body)
+    lowered = p.lowered
+    assert (lowered.schedule is not None, lowered.steps is not None) == {
+        "per-step": (False, True), "scheduled": (True, False), "bottom-input": (False, False)}[kind]
+    parts = {id(part): part for part in (p.body, p.state_vars, p.input_vars, *p.body)}
+    assert p.input_vars and p.body  # not (), which is every empty tuple
+    reached = gc.get_referents(lowered)
+    reached += [obj for referent in reached for obj in gc.get_referents(referent)]
+    assert [parts[id(obj)] for obj in reached if id(obj) in parts] == []
