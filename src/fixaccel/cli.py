@@ -215,7 +215,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     try:
         report, trace = analyze(program, cfg)
-    except ValueError as exc:  # a non-finite coefficient, or NaN in evaluation
+    except ValueError as exc:  # NaN in evaluation: a parsed Program always lowers
         print(f"error: {args.program}: {exc}", file=sys.stderr)
         return 1
     # a bound lost to infinity is sound but bounds nothing

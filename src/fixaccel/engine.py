@@ -523,11 +523,13 @@ def analyze(p: Program, cfg: EngineConfig) -> tuple[FixpointReport, IterationTra
     """Iterate from the declared initial state (``_iterate``, in every
     mode).  A tolerance stop is then finished, unless the finish fails,
     and the result checked as a post-fixpoint."""
+    # lowered first: a Program that breaks a rule of ``_assign`` is
+    # refused by it, and no traced transfer's time holds the lowering
+    p.lowered
     names = p.state_names
     initial = p.initial_state()
     trace = IterationTrace(variables=names, initial=initial)
     x0 = bound_row(initial)
-    p.lowered  # lowered here, so that no traced transfer's time holds the lowering
     # one error state for the loops, the finish and the check: a bound may
     # overflow to inf, and the estimators divide by zero and make NaN
     # where a denominator vanishes, all of which they handle

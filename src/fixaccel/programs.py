@@ -13,22 +13,25 @@ initialized state variables and interval-valued inputs::
 
 Assignments execute sequentially, so later right-hand sides see the
 values written earlier in the same body pass.  Right-hand sides are
-affine: an optional constant plus coefficient*variable terms, where the
-constants may not sum to NaN.
+affine: an optional constant plus coefficient*variable terms, where each
+coefficient, and the sum of the constants, is finite.
 
 The grammar is stated once, in ``_program``, which reads one of two
 token lists.  ``parse`` gives it the fast chunks of ``str.split`` first;
 on any chunk that is not one token, and on any error, it gives it the
 regex tokens of ``_tokenize``, which locate each ParseError.
 
-``_assign`` reads a Program's declarations and body once, and lowers
-the body to single-assignment form, with unit copies folded; a lowered
-body holds that form and the inputs' intervals, and nothing else of the
-Program.  A body's exact image (``LoweredBody.image``) maps a list of
-bounds to a list, through the per-step loop or, for a wide body, a level
-schedule that sums each level's columns with one ``np.add.reduce``; both
-make the float operations of interval evaluation in their order, and a
-row with Bottom folds ``affine_eval`` over the same form.  A body
+``_assign`` reads a Program's declarations and body once, states the
+rules that every Program must keep to be lowered (``parse`` refuses the
+text of each, and ``unparse`` adds only the rules of the text), and
+lowers the body to single-assignment form, with unit copies folded; a
+lowered body holds that form and the inputs' intervals, and nothing
+else of the Program.  A body's exact image (``LoweredBody.image``) maps
+a list of bounds to a list, through the per-step loop or, for a wide
+body, a level schedule that sums each level's columns with one
+``np.add.reduce``; both make the float operations of interval
+evaluation in their order, and a row with Bottom folds ``affine_eval``
+over the same form.  A body
 without Bottom is also linear in the bounds, w -> M w + c with M >= 0 in
 w = (-lo, hi) (``LoweredBody.linear``).  The engine loop's array rows,
 which ``LoweredBody.loop_row`` makes, take ``linear_image``: the
@@ -37,6 +40,7 @@ with it keeps M (``composed``), a few ulps off.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -50,6 +54,18 @@ from .extraction import bound_row, state_from_row
 from .intervals import BOTTOM, AbstractState, Interval, affine_eval
 
 _KEYWORDS = {"state", "input", "loop", "in"}
+
+# the refusals that the grammar and ``_assign`` share
+_DECLARED_TWICE = "variable {!r} declared twice"
+_NOT_DECLARED = "variable {!r} is not declared and not assigned earlier in the body"
+_NOT_FINITE = "assignment to {!r}: {} must be finite, got {}"
+
+
+def _is_name(name: str) -> bool:
+    """Whether ``name`` reads back as a variable name: an ASCII
+    identifier that is no keyword."""
+    return name.isascii() and name.isidentifier() and name not in _KEYWORDS
+
 
 # One anchored match per token: skip whitespace and comments, then
 # capture a number, a name, a punctuation mark, or one unexpected
@@ -118,7 +134,11 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed affine loop: declarations plus the loop body."""
+    """An affine loop: declarations plus the loop body.
+
+    ``parse`` returns only Programs that lower.  One built through the
+    API is checked by ``_assign``: where its body is lowered
+    (``lowered``), which ``analyze`` does first, and in ``unparse``."""
 
     state_vars: tuple[tuple[str, Interval], ...]
     input_vars: tuple[tuple[str, Interval], ...]
@@ -188,32 +208,39 @@ def _assign(p: Program) -> tuple[tuple, list[Interval]]:
     extra)``, step ``root``'s cells then cells ``extra``, or None where a
     copy folds step ``i``: a copy ``x = c + 1.0*t`` of a value no other
     nonzero cell reads and no state ends with sums ``t``'s cells, then its
-    constant (``S + c`` is ``c + S``).  Raises ValueError on an input that
-    shares a state variable's name or on a non-finite constant or
-    coefficient, and KeyError on a variable read before it has a value."""
-    node_of = {name: k for k, (name, _) in enumerate(p.state_vars)}
-    inputs = []
-    for name, rng in p.input_vars:
-        if name in node_of:
-            raise ValueError(f"input {name!r} is also a state variable")
-        node_of[name] = len(node_of)
-        inputs.append(rng)
+    constant (``S + c`` is ``c + S``).
+
+    This is the one statement of the rules that a Program built through
+    the API must keep to be lowered, and ``parse`` refuses the text of
+    each with the same message: each name is declared once, across
+    states and inputs; each term reads a name in scope, a declared one
+    or an earlier step's target; and each constant and coefficient is
+    finite.  A step may assign to an input, which only the API can
+    build.  A Program that breaks a rule raises ValueError."""
+    names = [name for name, _ in (*p.state_vars, *p.input_vars)]
+    node_of = {name: k for k, name in enumerate(names)}
+    if len(node_of) < len(names):
+        raise ValueError(_DECLARED_TWICE.format(next(n for k, n in enumerate(names) if n in names[:k])))
+    inputs = [rng for _, rng in p.input_vars]
     one = len(node_of)
     coeffs, nodes, ends, copies = [], [], [], []  # by cell, by cell, by step
-    for i, a in enumerate(p.body):
-        coeffs.append(a.const)
-        nodes.append(one)
-        for c, var in a.terms:
-            coeffs.append(c)
-            nodes.append(node_of[var])
-        ends.append(len(nodes))
-        if len(a.terms) == 1 and c == 1.0 and nodes[-1] > one:
-            copies.append(i)
-        node_of[a.target] = one + 1 + i
+    try:
+        for i, a in enumerate(p.body):
+            coeffs.append(a.const)
+            nodes.append(one)
+            for c, var in a.terms:
+                coeffs.append(c)
+                nodes.append(node_of[var])
+            ends.append(len(nodes))
+            if len(a.terms) == 1 and c == 1.0 and nodes[-1] > one:
+                copies.append(i)
+            node_of[a.target] = one + 1 + i
+    except KeyError as exc:  # a read of a name out of scope
+        raise ValueError(_NOT_DECLARED.format(exc.args[0])) from None
     if not all(map(math.isfinite, coeffs)):
         j = next(j for j, c in enumerate(coeffs) if not math.isfinite(c))
         what = "constant term" if nodes[j] == one else "coefficient"
-        raise ValueError(f"{what} must be finite, got {float(coeffs[j])}")
+        raise ValueError(_NOT_FINITE.format(p.body[bisect.bisect(ends, j)].target, what, float(coeffs[j])))
     final = list(node_of.values())[: len(p.state_vars)]
     steps: list = [(i, ()) for i in range(len(ends))]
     finals, readers = set(final), None  # readers: by node, nonzero cells
@@ -606,8 +633,8 @@ def _expected(what: str, tok: str, k: int, text: str | None) -> ValueError:
 
 def _unread(what: str, tok: str, k: int, text: str | None) -> ValueError:
     """The error at ``tok``, which is not a variable in scope."""
-    if tok.isidentifier() and tok not in _KEYWORDS:
-        return _fail(text, k, f"variable {tok!r} is not declared and not assigned earlier in the body")
+    if _is_name(tok):
+        return _fail(text, k, _NOT_DECLARED.format(tok))
     return _expected(what, tok, k, text)
 
 
@@ -653,10 +680,10 @@ def _program(tokens: list[str], text: str | None) -> Program:
     while (kw := tokens[pos]) == "state" or kw == "input":
         pos += 1
         name = tokens[pos]
-        if not name.isidentifier() or name in _KEYWORDS:
+        if not _is_name(name):
             raise _expected("a variable name", name, pos, text)
         if name in in_scope:
-            raise _fail(text, pos, f"variable {name!r} declared twice")
+            raise _fail(text, pos, _DECLARED_TWICE.format(name))
         in_scope.add(name)
         if tokens[pos + 1] != "in":
             raise _expected("'in'", tokens[pos + 1], pos + 1, text)
@@ -695,7 +722,7 @@ def _program(tokens: list[str], text: str | None) -> Program:
     while (target := tokens[pos]) != "}":
         if not target:
             raise _fail(text, pos, "unterminated loop body (missing '}')")
-        if not target.isidentifier() or target in _KEYWORDS:
+        if not _is_name(target):
             raise _expected("an assignment target", target, pos, text)
         if target in input_names:
             raise _fail(text, pos, f"cannot assign to input variable {target!r}")
@@ -711,6 +738,8 @@ def _program(tokens: list[str], text: str | None) -> Program:
                 value = sign * float(tok)
                 pos += 1
                 if tokens[pos] == "*":
+                    if value - value:  # inf - inf is NaN, which is true; a finite value gives 0.0
+                        raise _fail(text, pos - 1, _NOT_FINITE.format(target, "coefficient", value))
                     pos += 1
                     var = tokens[pos]
                     if var not in in_scope:
@@ -738,8 +767,8 @@ def _program(tokens: list[str], text: str | None) -> Program:
         if tok != ";":
             raise _expected("';'", tok, pos, text)
         pos += 1
-        if const != const:
-            raise _fail(text, at, "the constant terms sum to NaN")
+        if const - const:  # true where the sum is +-inf or NaN, as above
+            raise _fail(text, at, _NOT_FINITE.format(target, "constant term", const))
         body.append(Assignment(target, const, tuple(terms)))
         in_scope.add(target)
     if tokens[pos + 1]:
@@ -765,16 +794,10 @@ def parse(text: str) -> Program:
     return _program(_tokenize(text), text)
 
 
-def _is_name(name: str) -> bool:
-    """Whether ``name`` reads back as a variable name: an ASCII
-    identifier that is no keyword."""
-    return name.isascii() and name.isidentifier() and name not in _KEYWORDS
-
-
 def _fmt_num(x: float) -> str:
     if math.isinf(x):
-        # ``inf`` would read back as a name; a literal past the float
-        # range reads back as the same infinity
+        # ``inf`` would read back as a name; a declared bound past the
+        # float range reads back as the same infinity
         return "1e999" if x > 0 else "-1e999"
     return repr(float(x))
 
@@ -800,15 +823,20 @@ def _fmt_expr(const: float, terms: tuple[tuple[float, str], ...]) -> str:
 
 
 def unparse(p: Program) -> str:
-    """Render a Program back to source text; reparsing yields an equal
-    Program (coefficients are written in round-trip-exact form).
+    """Render a Program back to source text, which ``parse`` reads back
+    to the same Program, bit for bit (each float is written in
+    round-trip-exact form), or raise ValueError.
 
-    Raises ValueError, naming the variable or the target, on a Program
-    that no text spells, which only the API builds: one that declares a
-    Bottom variable, names a variable or a target by a keyword or by
-    what is not an ASCII identifier, assigns to an input, or holds a NaN
-    constant or coefficient or a ``-0.0`` constant (constants sum from 0.0).
+    A Program that ``_assign`` refuses raises its error.  Of those it
+    lowers, ``unparse`` refuses, naming the variable or the target, the
+    ones no text spells, which only the API builds: one that declares no
+    state variable or a Bottom one, names a variable or a target by a
+    keyword or by what is not an ASCII identifier, assigns to an input,
+    or holds a ``-0.0`` constant (constants sum from 0.0).
     """
+    _assign(p)
+    if not p.state_vars:
+        raise ValueError("cannot unparse a program that declares no state variables")
     lines: list[str] = []
     for kind, decls in (("state", p.state_vars), ("input", p.input_vars)):
         for name, iv in decls:
@@ -824,8 +852,6 @@ def unparse(p: Program) -> str:
             raise ValueError(f"cannot unparse the assignment to {a.target!r}: it is not a variable name")
         if a.target in inputs:
             raise ValueError(f"cannot unparse the assignment to input {a.target!r}: inputs are read-only")
-        if a.const != a.const or any(c != c for c, _ in a.terms):
-            raise ValueError(f"cannot unparse the assignment to {a.target!r}: no literal is NaN")
         if a.const == 0.0 and math.copysign(1.0, a.const) < 0.0:
             raise ValueError(f"cannot unparse the assignment to {a.target!r}: no constant sums to -0.0")
         lines.append(f"  {a.target} = {_fmt_expr(a.const, a.terms)};")
@@ -840,8 +866,11 @@ def transfer(p: Program, x: AbstractState) -> AbstractState:
     the state intervals from ``x`` and the declared input ranges; the
     result is the final value of each state variable.  The work is done
     by the lowered body (``Program.lowered``) on ``x``'s bound row; a
-    bound that overflows to inf does so silently.
+    bound that overflows to inf does so silently.  The body is lowered
+    before ``x`` is read, so a Program that breaks a rule of ``_assign``
+    gets its message.
     """
+    body = p.lowered
     row = p.row_of(x)
     with np.errstate(all="ignore"):
-        return state_from_row(x.names, p.lowered.image(row))
+        return state_from_row(x.names, body.image(row))

@@ -274,8 +274,9 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "source, message",
         [
-            # the literal overflows to inf, which lowering rejects
-            ("state x in [0, 1];\nloop { x = 1e400*x; }\n", "coefficient must be finite"),
+            # the literal overflows to inf, which parse refuses at the literal
+            ("state x in [0, 1];\nloop { x = 1e400*x; }\n",
+             "line 2, column 12: assignment to 'x': coefficient must be finite, got inf"),
             # 1e308*u overflows to inf, and inf - inf is NaN
             (
                 "state x in [0, 1];\ninput u in [1e308, 1e308];\n"

@@ -582,7 +582,7 @@ def test_gaussian_jacobi_sweep_matches_exact_kleene(p):
 
 
 @pytest.mark.xfail(strict=True, reason="the fallback widens every bound to +-inf; "
-                   "ROADMAP item 1b, the solve that finishes the fallback")
+                   "ROADMAP item 1, the verify that restarts from its own tip")
 def test_default_budget_keeps_the_bounds_of_a_sweep_program():
     # a draw of the sweep whose |A| has rows summing to 1.35: the default
     # budget falls back, ends after 61 iterations and reports [-inf, inf],
@@ -595,8 +595,9 @@ def test_default_budget_keeps_the_bounds_of_a_sweep_program():
 
 
 @pytest.mark.xfail(strict=True, reason="the tip of a kleene stop does not verify, and "
-                   "accel falls back and widens every bound to +-inf; ROADMAP item 1b, "
-                   "the solve that repairs a lost or unverified result")
+                   "accel falls back and widens every bound to +-inf; ROADMAP item 1 for "
+                   "kleene, the verify that restarts from its own tip, and item 2 for accel, "
+                   "the clock held on a body proved contracting")
 @pytest.mark.parametrize("mode", ["kleene", "accel"])
 def test_sparse_jacobi_body_with_constants_keeps_its_bounds(mode):
     # a contracting sparse n = 256 Jacobi body with constant terms, 8
@@ -621,7 +622,7 @@ IMPRECISE_EPSILON_ROWS = (
 
 
 @pytest.mark.xfail(strict=True, reason="two agreeing estimates do not bound the error of "
-                   "the row they verify; ROADMAP item 1b, the error certificate")
+                   "the row they verify; ROADMAP item 8, the certificate")
 def test_epsilon_verifies_a_sweep_program_within_tolerance():
     # epsilon ends verified-injection after 7 iterations with x1's lower
     # bound 2.27e-6 below the least fixpoint's; aitken ends 1.25e-9 from

@@ -18,10 +18,12 @@ from families import gaussian_program, rand_interval, random_program, relowered,
 from fixaccel import (
     AbstractState,
     Assignment,
+    EngineConfig,
     Interval,
     Program,
     ThresholdSet,
     affine_eval,
+    analyze,
     join,
     leq,
     load_bundled,
@@ -44,17 +46,32 @@ COEFFS = st.one_of(
 )
 
 
+# the rules of lowering that only a Program built through the API can break
+FAULTS = ("a state declared twice", "an input declared twice", "a read out of scope")
+
+
 @st.composite
-def programs_and_states(draw):
+def programs_and_states(draw, faults=False):
     """A random body over states, inputs and temporaries, and a state
     whose intervals may be infinite or Bottom (so may the inputs).  A
     step may write an input, as only the API can, and later steps then
-    read the value it wrote."""
+    read the value it wrote.
+
+    The case is ``(p, x, fault)``, ``fault`` None or, with ``faults`` in
+    one case of four, the one of FAULTS that ``p`` breaks: a state or an
+    input takes the name of an earlier declaration, or a step reads
+    ``y``, which nothing declares or writes.  ``x`` holds each state
+    name once."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_states = draw(st.integers(1, 4))
     n_inputs = draw(st.integers(0, 3))
     states = [f"x{i}" for i in range(n_states)]
     inputs = [f"u{i}" for i in range(n_inputs)]
+    fault = draw(st.sampled_from(FAULTS)) if faults and draw(st.integers(0, 3)) == 0 else None
+    if fault == FAULTS[0]:
+        states.append(draw(st.sampled_from(states)))
+    elif fault == FAULTS[1]:
+        inputs.append(draw(st.sampled_from(states + inputs)))
     scope = states + inputs
     targets = states + inputs
     body = []
@@ -67,13 +84,16 @@ def programs_and_states(draw):
         if target not in scope:
             scope.append(target)
             targets.append(target)
+    if fault == FAULTS[2]:
+        stray = Assignment(draw(st.sampled_from(targets)), 0.0, ((0.5, "y"),))
+        body.insert(draw(st.integers(0, len(body))), stray)
     p = Program(
         tuple((name, rand_interval(rng)) for name in states),
         tuple((name, rand_interval(rng)) for name in inputs),
         tuple(body),
     )
-    x = AbstractState((name, rand_interval(rng)) for name in states)
-    return p, x
+    x = AbstractState((name, rand_interval(rng)) for name in dict.fromkeys(states))
+    return p, x, fault
 
 
 def fold_affine_eval(p, x):
@@ -101,15 +121,23 @@ def outcome(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(programs_and_states())
+@given(programs_and_states(faults=True))
 @example((  # x in [2, 4.5], from the u that the body doubles
     Program((("x", Interval(0.0, 1.0)),), (("u", Interval(1.0, 2.0)),),
             (Assignment("u", 0.0, ((2.0, "u"),)), Assignment("x", 0.0, ((0.5, "x"), (1.0, "u"))))),
     AbstractState([("x", Interval(0.0, 1.0))]),
+    None,
 ))
 def test_transfer_equals_fold_of_affine_eval(case):
-    p, x = case
-    assert outcome(transfer, p, x) == outcome(fold_affine_eval, p, x)
+    p, x, fault = case
+    if fault is None:
+        assert outcome(transfer, p, x) == outcome(fold_affine_eval, p, x)
+        return
+    # lowering refuses the Program, and transfer, which lowers it first
+    event(fault)
+    for refused in (lambda: p.lowered, lambda: transfer(p, x)):
+        with pytest.raises(ValueError, match="declared twice" if "twice" in fault else "'y' is not declared"):
+            refused()
 
 
 def test_bottom_read_with_zero_coefficient_makes_target_bottom():
@@ -136,6 +164,27 @@ def test_coefficients_of_other_numeric_types_lower_as_floats():
     assert [(type(c), c) for c, _, _ in terms] == [(float, 2.0), (float, 0.5), (float, 0.25)]
     with pytest.raises(ValueError, match="coefficient must be finite, got inf"):
         Program(p.state_vars, (), (Assignment("x", 0.0, ((np.float64("inf"), "x"),)),)).lowered
+
+
+X = ("x", Interval(0.0, 1.0))
+U = ("u", Interval(5.0, 6.0))
+HALF_X = Assignment("x", 0.0, ((0.5, "x"),))
+
+
+@pytest.mark.parametrize("p, message", [
+    (Program((X, X), (U,), (HALF_X,)), "variable 'x' declared twice"),
+    (Program((X,), (U, U), (HALF_X,)), "variable 'u' declared twice"),
+    (Program((X,), (), (Assignment("x", 0.0, ((0.5, "y"),)),)),
+     "variable 'y' is not declared and not assigned earlier in the body"),
+    (Program((X,), (), (HALF_X, Assignment("x", 0.0, ((math.inf, "x"),)))),
+     "assignment to 'x': coefficient must be finite, got inf"),
+    (Program((X,), (), (Assignment("t", -math.inf, ()), HALF_X)),
+     "assignment to 't': constant term must be finite, got -inf"),
+], ids=["state-twice", "input-twice", "read-out-of-scope", "infinite-coefficient", "infinite-constant"])
+def test_analyze_refuses_a_program_that_breaks_a_rule_of_lowering(p, message):
+    # the message parse gives for the same rule, before any state is built
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        analyze(p, EngineConfig())
 
 
 SIGNED_ZEROS = [Interval(-0.0, 0.0), Interval(0.0, -0.0), Interval(-0.0, 1.0)]
@@ -684,7 +733,7 @@ EXECUTORS = {
 
 
 EXECUTOR_BODIES = st.one_of(
-    programs_and_states(),
+    programs_and_states().map(lambda case: case[:2]),
     scheduled_bodies().map(lambda case: case[:2]),
     jacobi_copy_bodies().map(lambda case: case[1:]),
 )

@@ -274,11 +274,24 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("rhs", ["1e400 + 0.5*x - 1e400", "1e400+0.5*x-1e400", "-1e999 + 1e999"])
     def test_constants_that_sum_to_nan(self, rhs):
-        # inf + -inf: no literal spells the NaN, so unparse could not write it
-        self.expect(CANONICAL + f"  y = {rhs};\n}}\n", "the constant terms sum to NaN", line=6, col=3)
+        # inf + -inf: lowering refuses the NaN, so parse does
+        self.expect(
+            CANONICAL + f"  y = {rhs};\n}}\n", "assignment to 'y': constant term must be finite, got nan",
+            line=6, col=3,
+        )
         with pytest.raises(ValueError) as exc:
             _fast_parse(CANONICAL + f"  y = {rhs};\n}}\n")
         assert type(exc.value) is ValueError
+
+    @pytest.mark.parametrize("rhs, fragment, col", [
+        ("0.5*x + 1e400", "constant term must be finite, got inf", 3),
+        ("0.5*x - 1e400", "constant term must be finite, got -inf", 3),
+        ("-1e400*x", "coefficient must be finite, got -inf", 8),
+    ], ids=["plus-inf-constant", "minus-inf-constant", "minus-inf-coefficient"])
+    def test_body_literal_beyond_the_float_range(self, rhs, fragment, col):
+        # it reads as +-inf, which lowering refuses: a constant sum at its
+        # statement, a coefficient at its literal
+        self.expect(CANONICAL + f"  x = {rhs};\n}}\n", f"assignment to 'x': {fragment}", line=6, col=col)
 
     def test_underscore_in_literal(self):
         self.expect(CANONICAL + "  x = 1_0*x;\n}\n", "expected ';', found '_0'", line=6, col=8)
@@ -325,23 +338,32 @@ class TestParseErrors:
 
 
 # short names, so that a target often repeats a declared name
-API_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]?", fullmatch=True) | st.sampled_from(
-    ["state", "input", "loop", "in"])
+API_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]?", fullmatch=True)
 API_VALUES = st.floats(allow_nan=False)
 
 
 @st.composite
 def api_programs(draw):
-    """A Program built through the API: names drawn from identifiers and
-    the keywords, bounds and coefficients from every float but NaN, and
-    a body whose terms read only the names in scope, but whose targets
-    may be inputs."""
+    """A Program built through the API: short names, bounds and
+    coefficients from every float but NaN, and a body whose targets may
+    be inputs.  In one program of four each, a name is a keyword, a
+    name is declared twice, no state is declared, or a term may read any
+    name, not only one in scope."""
+    def sometimes():
+        return draw(st.integers(0, 3)) == 0
+
     names = draw(st.lists(API_NAMES, min_size=1, max_size=5, unique=True))
-    k = draw(st.integers(1, len(names)))
+    if sometimes():
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(["state", "input", "loop", "in"]))
+    if sometimes():
+        names = draw(st.permutations([*names, draw(st.sampled_from(names))]))
+    k = 0 if sometimes() else draw(st.integers(1, len(names)))
+    stray = sometimes()
     decls = [(name, Interval(*sorted(draw(st.tuples(API_VALUES, API_VALUES))))) for name in names]
     scope, body = list(names), []
     for _ in range(draw(st.integers(0, 4))):
-        terms = draw(st.lists(st.tuples(API_VALUES, st.sampled_from(scope)), max_size=3))
+        reads = st.sampled_from(scope) | API_NAMES if stray else st.sampled_from(scope)
+        terms = draw(st.lists(st.tuples(API_VALUES, reads), max_size=3))
         target = draw(st.sampled_from(scope) | API_NAMES)
         body.append(Assignment(target, draw(API_VALUES), tuple(terms)))
         scope.append(target)
@@ -363,14 +385,11 @@ class TestUnparse:
         [
             "state x in [0, 1e400]; loop { x = 0.5*x; }",
             "state x in [0, 1];\ninput u in [-1e400, 1]; loop { x = 0.5*x + u; }",
-            "state x in [0, 1]; loop { x = 0.5*x + 1e400; }",
-            "state x in [0, 1]; loop { x = 0.5*x - 1e400; }",
-            "state x in [0, 1]; loop { x = -1e400*x; }",
         ],
     )
     def test_round_trip_of_infinite_values(self, text):
-        # a literal past the float range reads as an infinity, which
-        # unparse must write back as such a literal, not as "inf"
+        # a declared bound past the float range reads as an infinity,
+        # which unparse must write back as such a literal, not as "inf"
         p = parse(text)
         assert parse(unparse(p)) == p
 
@@ -396,7 +415,7 @@ class TestUnparse:
 
     @pytest.mark.parametrize("const, coeff", [(math.nan, 0.5), (0.5, math.nan), (-math.nan, -math.nan)])
     def test_nan_constant_or_coefficient_is_rejected(self, const, coeff):
-        # a NaN was written as nan, which reads back as a name
+        # no literal spells a NaN, and lowering refuses it
         body = (Assignment("y", const, ((1.0, "x"), (coeff, "x"))), Assignment("x", 0.0, ((0.5, "y"),)))
         with pytest.raises(ValueError, match="'y'"):
             unparse(Program((("x", Interval(0.0, 1.0)),), (), body))
@@ -436,6 +455,13 @@ class TestUnparse:
     # refusable only by its -0.0 constant, which read back as 0.0, and
     # which random draws reach rarely
     @example(p=Program((("x", Interval(0.0, 1.0)),), (), (Assignment("x", -0.0, ((0.5, "x"),)),)))
+    # one Program for each rule that lowering states and parse refuses: a
+    # state declared twice, an input declared twice, a read of a name out
+    # of scope; and one that declares no state, which only parse refuses
+    @example(p=Program((("x", Interval(0.0, 1.0)),) * 2, (), (Assignment("x", 0.0, ((0.5, "x"),)),)))
+    @example(p=Program((("x", Interval(0.0, 1.0)),), (("u", Interval(0.0, 1.0)),) * 2, ()))
+    @example(p=Program((("x", Interval(0.0, 1.0)),), (), (Assignment("x", 0.0, ((0.5, "y"),)),)))
+    @example(p=Program((), (), ()))
     def test_unparse_refuses_or_round_trips(self, p):
         try:
             text = unparse(p)
@@ -486,10 +512,10 @@ class TestTransfer:
 
     def test_an_input_named_like_a_state_is_refused(self):
         # the parser reports such a program as "declared twice"; one
-        # built through the API is refused where its body is lowered
+        # built through the API is refused so, where its body is lowered
         x = ("x", Interval(0.0, 1.0))
         p = Program((x,), (x,), (Assignment("x", 0.0, ((0.5, "x"),)),))
-        with pytest.raises(ValueError, match="input 'x' is also a state variable"):
+        with pytest.raises(ValueError, match="variable 'x' declared twice"):
             transfer(p, p.initial_state())
 
     def test_transfer_monotone(self):
@@ -536,6 +562,7 @@ LITERALS = st.one_of(
         st.integers(0, 400).map(str),
     ),
 )
+FINITE_LITERALS = LITERALS.filter(lambda lit: math.isfinite(float(lit)))
 SIGNS = st.sampled_from(["", "+", "-"])
 # between two tokens; an empty separator only where no name or number
 # would run into the next token
@@ -552,9 +579,10 @@ CORRUPTIONS = [*";*+-+-[]{}=,x1.e_# \t\n@", "\u0663", "\x0b", "\x0c", "\x1c", "\
 def program_tokens(draw):
     """The tokens of a random well-formed program: signed literals with
     any exponent and magnitude, bare variables, constant-only right-hand
-    sides and temporaries.  A constant that would make its right-hand
-    side's constants sum to NaN (1e400 - 1e400) is drawn as a variable
-    instead."""
+    sides and temporaries.  A declared bound may read as an infinity, a
+    coefficient may not, and a constant that would make its right-hand
+    side's constants sum to +-inf or NaN (1e400 - 1e400) is drawn as a
+    variable instead."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5, unique=True))
     n_states = draw(st.integers(1, len(names)))
     decls = [("state", name) for name in names[:n_states]]
@@ -580,13 +608,13 @@ def program_tokens(draw):
             if kind == "constant":
                 lit = draw(LITERALS)
                 value = (-1.0 if sign == "-" else 1.0) * float(lit)
-                if math.isnan(const + value):
+                if not math.isfinite(const + value):
                     kind = "variable"
                 else:
                     const += value
                     rhs.append(lit)
             if kind == "product":
-                rhs += [draw(LITERALS), "*", draw(st.sampled_from(scope))]
+                rhs += [draw(FINITE_LITERALS), "*", draw(st.sampled_from(scope))]
             elif kind == "variable":
                 rhs.append(draw(st.sampled_from(scope)))
         tokens += [target, "=", *rhs, ";"]
@@ -617,6 +645,21 @@ def layouts(draw):
     tokens = draw(program_tokens())
     # one draw for the layout, not one per token
     return _render(tokens, random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def _token_edit(tokens, rng):
+    """``tokens``, with one token deleted, repeated or replaced by one of
+    VOCABULARY, in a random layout."""
+    edited = list(tokens)
+    at = rng.randrange(len(edited))
+    edit = rng.choice(["delete", "repeat", "replace"])
+    if edit == "delete":
+        del edited[at]
+    elif edit == "repeat":
+        edited.insert(at, edited[at])
+    else:
+        edited[at] = rng.choice(VOCABULARY)
+    return _render(edited, rng)
 
 
 def _key(p):
@@ -700,14 +743,21 @@ class TestReaderMatchesTokenParser:
         # grammar or of scope at a time, in a random layout
         rng = random.Random(seed)
         for _ in range(4):
-            edited = list(tokens)
-            at = rng.randrange(len(edited))
-            edit = rng.choice(["delete", "repeat", "replace"])
-            if edit == "delete":
-                del edited[at]
-            elif edit == "repeat":
-                edited.insert(at, edited[at])
-            else:
-                edited[at] = rng.choice(VOCABULARY)
-            text = _render(edited, rng)
+            text = _token_edit(tokens, rng)
             assert _outcome(parse, text) == _outcome(_token_parse, text)
+
+
+@settings(max_examples=120, deadline=None)
+@given(program_tokens(), st.integers(0, 2**32 - 1))
+@example(tokens="state x in [ 0 , 1 ] ; loop { x = 1e400 * x ; }".split(), seed=0)
+def test_a_parsed_program_lowers(tokens, seed):
+    # parse refuses, with its position, each rule that lowering states:
+    # a program, and each of four token edits of it, is a ParseError or
+    # lowers
+    rng = random.Random(seed)
+    for text in [" ".join(tokens), *(_token_edit(tokens, rng) for _ in range(4))]:
+        try:
+            p = parse(text)
+        except ParseError:
+            continue
+        p.lowered
